@@ -175,15 +175,6 @@ struct MonitorOutcome {
     final_total: u64,
 }
 
-/// The lcm of a plan's stage replica counts: every count of complete
-/// minibatches that leaves all gradient-sync rounds aligned is a multiple
-/// of this.
-fn replica_round(config: &PipelineConfig) -> u64 {
-    config.stages().iter().fold(1u64, |l, s| {
-        pipedream_runtime::control::lcm(l, s.replicas as u64)
-    })
-}
-
 /// Drain-cut alignment covering any replica layout the advisor might pick
 /// on `workers` workers: the lcm of every possible replica count, so the
 /// work remaining after the cut divides evenly into the new plan's
@@ -193,7 +184,7 @@ fn replica_round(config: &PipelineConfig) -> u64 {
 /// guards the exotic heterogeneous layouts then.
 fn reconfig_cut_alignment(workers: usize) -> u64 {
     let w = workers.max(1) as u64;
-    let full = (1..=w).fold(1u64, pipedream_runtime::control::lcm);
+    let full = (1..=w).fold(1u64, pipedream_core::lcm);
     if full <= 64 * w {
         full
     } else {
@@ -478,7 +469,7 @@ pub fn train_with_autopilot(
     // heterogeneous layouts or a misaligned `force_plan`.
     let remaining = ((opts.epochs.saturating_sub(point.resume_epoch()) * mpe) as u64)
         .saturating_sub(point.mb_offset());
-    let applicable = |candidate: &PipelineConfig| remaining % replica_round(candidate) == 0;
+    let applicable = |candidate: &PipelineConfig| remaining % candidate.replica_lcm() == 0;
     let new_config = match &auto.force_plan {
         Some(forced) if applicable(forced) => forced.clone(),
         None if advice.changed && applicable(&advice.recommended_config) => {

@@ -5,10 +5,10 @@
 
 use crate::util::format_table;
 use pipedream_core::schedule::Schedule;
-use pipedream_core::{PipelineConfig, Planner};
+use pipedream_core::{PipelineConfig, Planner, ScheduleKind};
 use pipedream_hw::{ClusterPreset, Precision};
 use pipedream_model::zoo;
-use pipedream_sim::{simulate_pipeline, simulate_pipeline_recompute};
+use pipedream_sim::{simulate_pipeline, PipelineSim};
 use std::fmt;
 
 /// One cluster's comparison.
@@ -64,13 +64,17 @@ pub fn run() -> GpipeComparison {
             // stashes and recomputes them in the backward pass (§2.2), so
             // its rows pay the recompute penalty.
             let pd = simulate_pipeline(&costs, &topo, &Schedule::one_f_one_b(&config, n_mbs));
-            let gp_noam =
-                simulate_pipeline_recompute(&costs, &topo, &Schedule::gpipe(&config, n_mbs, noam));
-            let gp_max = simulate_pipeline_recompute(
-                &costs,
-                &topo,
-                &Schedule::gpipe(&config, n_mbs, 2 * noam),
-            );
+            let gpipe = |microbatches: u64| {
+                PipelineSim::new(
+                    &costs,
+                    &topo,
+                    &Schedule::gpipe(&config, n_mbs, microbatches),
+                )
+                .with_schedule(ScheduleKind::Recompute)
+                .run()
+            };
+            let gp_noam = gpipe(noam);
+            let gp_max = gpipe(2 * noam);
             Row {
                 cluster: cluster.name().to_string(),
                 slowdown_at_noam: 1.0 - pd.makespan / gp_noam.makespan,

@@ -70,7 +70,6 @@ pub fn run(epochs: usize) -> Recovery {
         checkpoint_dir: dir,
         resume: false,
         depth: None,
-        trace: false,
         obs: None,
         ..TrainOpts::default()
     };

@@ -104,7 +104,6 @@ pub fn run(epochs: usize) -> TraceValidate {
         checkpoint_every: None,
         resume: false,
         depth: None,
-        trace: false,
         obs: Some(session.clone()),
         ..TrainOpts::default()
     };

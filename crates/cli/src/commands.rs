@@ -374,7 +374,6 @@ pub fn train(a: TrainArgs) -> Result<String, String> {
         checkpoint_every: a.checkpoint_every,
         resume: false,
         depth: None,
-        trace: a.trace.is_some(),
         obs: session.clone(),
         ..TrainOpts::default()
     };

@@ -147,6 +147,24 @@ impl PipelineConfig {
         self.noam() * self.stages[0].replicas
     }
 
+    /// The lcm of all stage replica counts: every count of complete
+    /// minibatches that leaves all gradient-sync rounds aligned is a
+    /// multiple of this.
+    pub fn replica_lcm(&self) -> u64 {
+        self.stages.iter().fold(1, |l, s| lcm(l, s.replicas as u64))
+    }
+
+    /// 2BW gradient-accumulation group size for an in-flight depth of
+    /// `depth`: at least the depth (so group g's double buffer —
+    /// generation g−1, produced by group g−2's update — always exists when
+    /// pinned), rounded up to a multiple of every stage's replica count
+    /// (so each replica contributes to every full group's gradient-sync
+    /// round).
+    pub fn two_bw_group(&self, depth: usize) -> u64 {
+        let l = self.replica_lcm();
+        (depth.max(1) as u64).div_ceil(l) * l
+    }
+
     /// Per-stage lists of global worker ids (workers are numbered stage by
     /// stage, replicas within a stage consecutive).
     pub fn worker_assignment(&self) -> Vec<Vec<usize>> {
@@ -222,9 +240,53 @@ impl fmt::Display for PipelineConfig {
     }
 }
 
+/// Least common multiple, with 0 treated as "no constraint" (`lcm(0, b)`
+/// is `b`, never 0).
+pub fn lcm(a: u64, b: u64) -> u64 {
+    fn gcd(a: u64, b: u64) -> u64 {
+        if b == 0 {
+            a
+        } else {
+            gcd(b, a % b)
+        }
+    }
+    if a == 0 || b == 0 {
+        a.max(b).max(1)
+    } else {
+        a / gcd(a, b) * b
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lcm_of_replica_counts() {
+        assert_eq!(lcm(1, 1), 1);
+        assert_eq!(lcm(2, 3), 6);
+        assert_eq!(lcm(4, 2), 4);
+        assert_eq!(lcm(0, 5), 5);
+    }
+
+    #[test]
+    fn two_bw_group_covers_depth_and_every_replica_count() {
+        let c = PipelineConfig::from_counts(&[(2, 3), (2, 2)]);
+        assert_eq!(c.replica_lcm(), 6);
+        for depth in 0..=13 {
+            let g = c.two_bw_group(depth);
+            assert!(g >= depth.max(1) as u64);
+            for s in c.stages() {
+                assert_eq!(g % s.replicas as u64, 0);
+            }
+            // Longhand: the depth rounded up to a multiple of lcm(3, 2).
+            assert_eq!(g, (depth.max(1) as u64).div_ceil(6) * 6);
+        }
+        // noam = ⌈5/3⌉ = 2 → one lcm-sized group.
+        assert_eq!(c.two_bw_group(c.noam()), 6);
+        let straight = PipelineConfig::straight(4, &[0, 1, 2]);
+        assert_eq!(straight.two_bw_group(straight.noam()), 4);
+    }
 
     #[test]
     fn vgg_15_1_notation() {

@@ -28,7 +28,7 @@ pub mod planner;
 pub mod schedule;
 pub mod stash;
 
-pub use config::{PipelineConfig, StagePlan};
+pub use config::{lcm, PipelineConfig, StagePlan};
 pub use fingerprint::{
     config_fingerprint, fingerprint_config, fingerprint_costs, fingerprint_plan_request,
     fingerprint_profile, fingerprint_topology, FingerprintError, Fingerprinter,

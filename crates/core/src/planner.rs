@@ -18,15 +18,15 @@
 //! for the stage's weights; `2·a_s/B_k` is the activation + gradient
 //! traffic across the stage boundary. The total complexity is
 //! `Σ_k O(N³·m_k²)` — the paper reports < 8 s for every model/cluster pair,
-//! which a Criterion bench in `pipedream-bench` verifies for this
-//! implementation.
+//! which the ledger's `plan-scale` workload (`bench/`, `core.plan_*`
+//! metrics) measures for this implementation.
 //!
 //! Two planning modes are provided:
 //!
-//! * [`Planner::plan`] — the paper's hierarchical DP, solving level by
+//! * [`Planner::try_plan`] — the paper's hierarchical DP, solving level by
 //!   level (within a server first, then across servers).
-//! * [`Planner::plan_flat`] — the same DP run at a single level over all
-//!   workers with the outermost (slowest) bandwidth. This can express
+//! * [`Planner::try_plan_flat`] — the same DP run at a single level over
+//!   all workers with the outermost (slowest) bandwidth. This can express
 //!   configurations that cross server granularity, such as the `15-1`
 //!   VGG-16 config of Table 1, and is what the Table-1 experiments use
 //!   on multi-server clusters.
@@ -53,13 +53,8 @@ pub struct Plan {
 }
 
 /// Typed failure from the validated planning entry points
-/// ([`Planner::try_plan`] and friends).
-///
-/// The panicking wrappers ([`Planner::plan`], [`Planner::plan_flat`],
-/// [`Planner::plan_greedy`], [`Planner::evaluate`]) are for interactive /
-/// batch use where a degenerate input is a programming error; anything
-/// long-running (the `pipedream serve` daemon) must use the `try_`
-/// variants and map these to a 400 instead of dying.
+/// ([`Planner::try_plan`] and friends). Anything long-running (the
+/// `pipedream serve` daemon) maps these to a 400 instead of dying.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum PlanError {
     /// The model profile has no layers.
@@ -452,18 +447,8 @@ impl<'a> Planner<'a> {
     }
 
     /// The paper's hierarchical DP: solve each level bottom-up and
-    /// reconstruct the flattened configuration. Panics on degenerate
-    /// inputs; see [`Planner::try_plan`] for the checked variant.
-    #[deprecated(
-        since = "0.1.0",
-        note = "panics on degenerate inputs; use try_plan() on any path a live run depends on"
-    )]
-    pub fn plan(&self) -> Plan {
-        self.try_plan().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Planner::plan`] with validated inputs and typed errors instead
-    /// of panics.
+    /// reconstruct the flattened configuration. Inputs are validated;
+    /// degenerate ones come back as a typed [`PlanError`].
     pub fn try_plan(&self) -> Result<Plan, PlanError> {
         self.validate_inputs()?;
         let n = self.costs.num_layers();
@@ -490,8 +475,11 @@ impl<'a> Planner<'a> {
         self.constrain_memory(self.finish_plan(stages, bottleneck))
     }
 
-    /// [`Planner::plan_flat`] with validated inputs and typed errors
-    /// instead of panics.
+    /// The flat variant: a single DP level over *all* workers with the
+    /// topology's slowest bandwidth. Can express worker-granular
+    /// configurations (e.g. `15-1`) that the hierarchical DP quantizes to
+    /// server granularity. Inputs are validated as in
+    /// [`Planner::try_plan`].
     pub fn try_plan_flat(&self) -> Result<Plan, PlanError> {
         self.validate_inputs()?;
         let n = self.costs.num_layers();
@@ -526,19 +514,6 @@ impl<'a> Planner<'a> {
         out
     }
 
-    /// The flat variant: a single DP level over *all* workers with the
-    /// topology's slowest bandwidth. Can express worker-granular
-    /// configurations (e.g. `15-1`) that the hierarchical DP quantizes to
-    /// server granularity. Panics on degenerate inputs; see
-    /// [`Planner::try_plan_flat`] for the checked variant.
-    #[deprecated(
-        since = "0.1.0",
-        note = "panics on degenerate inputs; use try_plan_flat() on any path a live run depends on"
-    )]
-    pub fn plan_flat(&self) -> Plan {
-        self.try_plan_flat().unwrap_or_else(|e| panic!("{e}"))
-    }
-
     fn finish_plan(&self, stages: Vec<StagePlan>, bottleneck: f64) -> Plan {
         debug_assert!(
             bottleneck.is_finite(),
@@ -559,17 +534,8 @@ impl<'a> Planner<'a> {
     /// the canonical worker assignment (stage all_reduces use the slowest
     /// link their replicas span; boundary transfers use the link between
     /// the adjacent stages' workers). Used for the Figure-15
-    /// predicted-vs-real comparison and the Table-1 baselines.
-    #[deprecated(
-        since = "0.1.0",
-        note = "panics on degenerate inputs; use try_evaluate() on any path a live run depends on"
-    )]
-    pub fn evaluate(&self, config: &PipelineConfig) -> Plan {
-        self.try_evaluate(config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Planner::evaluate`] with validated inputs and typed errors
-    /// instead of panics.
+    /// predicted-vs-real comparison and the Table-1 baselines. Inputs and
+    /// `config` are validated; a mismatch is a typed [`PlanError`].
     pub fn try_evaluate(&self, config: &PipelineConfig) -> Result<Plan, PlanError> {
         self.validate_inputs()?;
         config
@@ -607,7 +573,7 @@ impl<'a> Planner<'a> {
     }
 
     /// Per-stage predicted times for `config` under the same cost model as
-    /// [`Planner::evaluate`], broken out per stage instead of reduced to
+    /// [`Planner::try_evaluate`], broken out per stage instead of reduced to
     /// the bottleneck. Used by the observability subsystem to diff
     /// measured stage times against the plan (`repro trace-validate`).
     ///
@@ -720,18 +686,8 @@ impl<'a> Planner<'a> {
     /// into compute-balanced stages at every feasible depth `d | W`, assign
     /// `W/d` replicas to each stage, and keep the best by the analytic
     /// evaluator. Misses the asymmetric configurations the DP finds (e.g.
-    /// `15-1`); the ablation quantifies the gap. Panics on degenerate
-    /// inputs; see [`Planner::try_plan_greedy`] for the checked variant.
-    #[deprecated(
-        since = "0.1.0",
-        note = "panics on degenerate inputs; use try_plan_greedy() on any path a live run depends on"
-    )]
-    pub fn plan_greedy(&self) -> Plan {
-        self.try_plan_greedy().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Planner::plan_greedy`] with validated inputs and typed errors
-    /// instead of panics.
+    /// `15-1`); the ablation quantifies the gap. Inputs are validated as
+    /// in [`Planner::try_plan`].
     pub fn try_plan_greedy(&self) -> Result<Plan, PlanError> {
         self.validate_inputs()?;
         let n = self.costs.num_layers();

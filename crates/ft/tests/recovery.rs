@@ -45,7 +45,6 @@ fn opts(epochs: usize, dir: Option<PathBuf>) -> TrainOpts {
         checkpoint_every: None,
         resume: false,
         depth: None,
-        trace: false,
         obs: None,
         ..TrainOpts::default()
     }

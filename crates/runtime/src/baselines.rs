@@ -52,7 +52,6 @@ pub fn train_sequential(
             per_epoch,
             version_trace: Vec::new(),
             per_minibatch: Vec::new(),
-            op_trace: Vec::new(),
             stage_obs: Vec::new(),
             validation: None,
             recovery: None,
@@ -147,7 +146,6 @@ pub fn train_bsp_dp(
             per_epoch,
             version_trace: Vec::new(),
             per_minibatch: Vec::new(),
-            op_trace: Vec::new(),
             stage_obs: Vec::new(),
             validation: None,
             recovery: None,
@@ -238,7 +236,6 @@ pub fn train_asp(
             per_epoch,
             version_trace: Vec::new(),
             per_minibatch: Vec::new(),
-            op_trace: Vec::new(),
             stage_obs: Vec::new(),
             validation: None,
             recovery: None,

@@ -36,8 +36,6 @@ pub struct GradMsg {
 /// Metric events sent to the coordinator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MetricMsg {
-    /// A completed op with real wall-clock timestamps (tracing only).
-    Op(crate::report::OpTrace),
     /// Loss/accuracy of one minibatch, measured at the output stage.
     Loss {
         /// Minibatch id.

@@ -5,7 +5,7 @@
 use crate::data::TrainData;
 use crate::fault::{FaultHook, WorkerError};
 use crate::message::{ActMsg, GradMsg, MetricMsg};
-use crate::report::{EpochStats, OpTrace, StageObsRecord, TrainReport, VersionRecord};
+use crate::report::{EpochStats, StageObsRecord, TrainReport, VersionRecord};
 use crate::sync::GradSyncGroup;
 use crate::worker::StageWorker;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -146,9 +146,6 @@ pub struct TrainOpts {
     pub resume: bool,
     /// Override the 1F1B in-flight depth (defaults to NOAM).
     pub depth: Option<usize>,
-    /// Record real per-op wall-clock timestamps in the report
-    /// ([`TrainReport::op_trace`]).
-    pub trace: bool,
     /// Drain gate for live reconfiguration: when set, the run can be cut
     /// at a consistent minibatch boundary ([`crate::control::RunControl`])
     /// — every stage checkpoints at the cut and the report's
@@ -187,7 +184,6 @@ impl Default for TrainOpts {
             checkpoint_every: None,
             resume: false,
             depth: None,
-            trace: false,
             control: None,
             obs: None,
             kernel: Backend::Fast,
@@ -320,10 +316,7 @@ pub fn try_train_pipeline(
     // replicated stage with the same number of completed gradient-sync
     // rounds — and the run length the cut is clamped to.
     if let Some(gate) = &opts.control {
-        let round = stages
-            .iter()
-            .fold(1u64, |l, s| crate::control::lcm(l, s.replicas as u64));
-        gate.configure(round, total_mbs);
+        gate.configure(config.replica_lcm(), total_mbs);
     }
 
     let schedule = match opts.semantics {
@@ -343,16 +336,7 @@ pub fn try_train_pipeline(
         "schedule kind {} requires Semantics::Stashed",
         opts.schedule
     );
-    // 2BW gradient-accumulation group: at least the pipeline's in-flight
-    // depth (so group g's double buffer — generation g−1, produced by
-    // group g−2's update — always exists when pinned), rounded up to a
-    // multiple of every stage's replica count (so each replica contributes
-    // to every full group's gradient-sync round).
-    let replica_lcm = stages
-        .iter()
-        .fold(1u64, |l, s| crate::control::lcm(l, s.replicas as u64));
-    let depth = opts.depth.unwrap_or_else(|| config.noam()).max(1) as u64;
-    let two_bw_group = depth.div_ceil(replica_lcm) * replica_lcm;
+    let two_bw_group = config.two_bw_group(opts.depth.unwrap_or_else(|| config.noam()));
 
     // Publish the run's shape up front so live watchers (`train --watch`,
     // `pipedream top`) can compute progress and ETA without waiting for
@@ -494,7 +478,6 @@ pub fn try_train_pipeline(
             checkpoint_every: opts.checkpoint_every,
             epoch_offset,
             lr_schedule: opts.lr_schedule,
-            trace_from: opts.trace.then_some((w, started)),
             recorder: recorders[w].clone(),
             hook: hook.clone(),
             control: opts.control.clone(),
@@ -512,7 +495,6 @@ pub fn try_train_pipeline(
     // prolonged heartbeat silence as a presumed failure (§4).
     let mut epoch_acc: HashMap<usize, (f64, usize, usize)> = HashMap::new(); // loss-sum, correct, count
     let mut version_trace = Vec::new();
-    let mut op_trace: Vec<OpTrace> = Vec::new();
     let mut stage_obs: Vec<StageObsRecord> = Vec::new();
     let mut per_minibatch: Vec<(u64, f32)> = Vec::new();
     let mut heartbeats: HashMap<usize, u64> = HashMap::new();
@@ -534,7 +516,6 @@ pub fn try_train_pipeline(
         MetricMsg::FwdVersion { stage, mb, version } => {
             version_trace.push(VersionRecord { stage, mb, version });
         }
-        MetricMsg::Op(t) => op_trace.push(t),
         MetricMsg::StageObs(o) => stage_obs.push(o),
         MetricMsg::Heartbeat { worker, ops_done } => {
             heartbeats.insert(worker, ops_done);
@@ -593,7 +574,6 @@ pub fn try_train_pipeline(
         .collect();
     per_epoch.sort_by_key(|e| e.epoch);
     version_trace.sort_by_key(|r| (r.mb, r.stage));
-    op_trace.sort_by(|a, b| a.start_s.partial_cmp(&b.start_s).unwrap());
     stage_obs.sort_by_key(|o| (o.stage, o.replica));
     per_minibatch.sort_by_key(|&(mb, _)| mb);
     // A drain that cut the run short of its scheduled length names the
@@ -621,7 +601,6 @@ pub fn try_train_pipeline(
         per_epoch,
         version_trace,
         per_minibatch,
-        op_trace,
         stage_obs,
         validation: None,
         wall_time_s: started.elapsed().as_secs_f64(),

@@ -90,8 +90,6 @@ pub struct StageWorker {
     pub epoch_offset: usize,
     /// Per-epoch learning-rate schedule.
     pub lr_schedule: LrSchedule,
-    /// `(worker id, run start)` when tracing is enabled.
-    pub trace_from: Option<(usize, std::time::Instant)>,
     /// Trace recorder for this worker's track. Disabled (a no-op branch
     /// per use, like the fault hook seam) unless a `TraceSession` is
     /// attached to the run.
@@ -256,9 +254,6 @@ impl StageWorker {
                     continue;
                 }
             }
-            let t0 = self
-                .trace_from
-                .map(|(_, start)| (std::time::Instant::now(), start));
             match op {
                 Op::Forward { mb } => {
                     let span = self.recorder.begin();
@@ -275,17 +270,6 @@ impl StageWorker {
                     r?
                 }
                 Op::Flush => self.flush(&mut st)?,
-            }
-            if let (Some((op_start, run_start)), Some((worker, _)), Some(mb)) =
-                (t0, self.trace_from, op.minibatch())
-            {
-                let _ = self.metrics.send(MetricMsg::Op(crate::report::OpTrace {
-                    worker,
-                    mb,
-                    backward: matches!(op, Op::Backward { .. }),
-                    start_s: op_start.duration_since(run_start).as_secs_f64(),
-                    end_s: run_start.elapsed().as_secs_f64(),
-                }));
             }
         }
         // A drained run ends here with every stage having processed the

@@ -92,7 +92,6 @@ fn opts(epochs: usize, dir: &std::path::Path, resume: bool) -> TrainOpts {
         checkpoint_every: None,
         resume,
         depth: None,
-        trace: false,
         obs: None,
         ..TrainOpts::default()
     }

@@ -43,7 +43,6 @@ fn default_opts(epochs: usize) -> TrainOpts {
         checkpoint_every: None,
         resume: false,
         depth: None,
-        trace: false,
         obs: None,
         ..TrainOpts::default()
     }
@@ -323,7 +322,6 @@ fn sequence_model_trains_through_pipeline() {
         checkpoint_every: None,
         resume: false,
         depth: None,
-        trace: false,
         obs: None,
         ..TrainOpts::default()
     };
@@ -386,7 +384,6 @@ fn resume_continues_from_checkpoint() {
         checkpoint_every: None,
         resume,
         depth: None,
-        trace: false,
         obs: None,
         ..TrainOpts::default()
     };
@@ -525,33 +522,39 @@ fn two_replicated_stages_converge() {
 }
 
 #[test]
-fn op_trace_renders_real_pipeline_timeline() {
+fn obs_trace_renders_real_pipeline_timeline() {
     // The runtime can draw its own Figure-4: trace real wall-clock op
     // execution and verify pipelining actually happened (ops on different
     // workers overlapped in time).
+    use pipedream_sim::{render_timeline, WorkKind};
     let data = easy_data();
     let mut opts = default_opts(2);
-    opts.trace = true;
+    let started = std::time::Instant::now();
+    let session = pipedream_obs::TraceSession::new();
+    opts.obs = Some(session.clone());
     let config = PipelineConfig::straight(8, &[1, 3, 5]);
-    let (_, report) = train_pipeline(mlp(70, 8, 4), &config, &data, &opts);
-    assert!(!report.op_trace.is_empty());
-    // Every op has sane timestamps.
-    for t in &report.op_trace {
-        assert!(t.end_s >= t.start_s);
-        assert!(t.worker < 4);
+    train_pipeline(mlp(70, 8, 4), &config, &data, &opts);
+    let wall_s = started.elapsed().as_secs_f64();
+    let timeline = pipedream_obs::to_timeline(&session.snapshot());
+    assert_eq!(timeline.per_worker.len(), 4);
+    let ops = |w: usize| {
+        timeline.per_worker[w]
+            .iter()
+            .filter(|i| matches!(i.kind, WorkKind::Forward(_) | WorkKind::Backward(_)))
+    };
+    // Every op has sane timestamps inside the run.
+    for w in 0..4 {
+        assert!(ops(w).count() > 0);
+        for i in ops(w) {
+            assert!(i.start <= i.end && i.end <= wall_s);
+        }
     }
     // Overlap: some op on worker 0 runs concurrently with some op on
     // worker 3 (true pipelining across threads).
-    let overlaps = report.op_trace.iter().any(|a| {
-        a.worker == 0
-            && report
-                .op_trace
-                .iter()
-                .any(|b| b.worker == 3 && a.start_s < b.end_s && b.start_s < a.end_s)
-    });
+    let overlaps = ops(0).any(|a| ops(3).any(|b| a.start < b.end && b.start < a.end));
     assert!(overlaps, "workers never overlapped — not pipelined?");
     // The ASCII rendering has one row per worker.
-    let render = report.render_trace(60);
+    let render = render_timeline(&timeline, 60);
     assert_eq!(render.lines().count(), 4);
 }
 
@@ -584,7 +587,6 @@ fn cnn_trains_through_pipeline() {
         checkpoint_every: None,
         resume: false,
         depth: None,
-        trace: false,
         obs: None,
         ..TrainOpts::default()
     };
@@ -646,7 +648,6 @@ fn gru_sequence_model_trains_through_pipeline() {
         checkpoint_every: None,
         resume: false,
         depth: None,
-        trace: false,
         obs: None,
         ..TrainOpts::default()
     };

@@ -38,7 +38,6 @@ fn opts(epochs: usize, semantics: Semantics) -> TrainOpts {
         checkpoint_every: None,
         resume: false,
         depth: None,
-        trace: false,
         obs: None,
         ..TrainOpts::default()
     }

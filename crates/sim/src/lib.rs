@@ -25,5 +25,5 @@ pub mod timeline;
 
 pub use dp::{simulate_asp_iteration, simulate_dp, DpResult};
 pub use dynamic::simulate_dynamic;
-pub use pipeline::{simulate_pipeline, simulate_pipeline_recompute, PipelineSim, SimResult};
+pub use pipeline::{simulate_pipeline, PipelineSim, SimResult};
 pub use timeline::{render_svg, render_timeline, Interval, Timeline, WorkKind};

@@ -24,18 +24,6 @@ use pipedream_model::LayerCosts;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-fn gcd(a: u64, b: u64) -> u64 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
-}
-
-fn lcm(a: u64, b: u64) -> u64 {
-    a / gcd(a, b) * b
-}
-
 /// Result of a pipeline simulation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimResult {
@@ -132,19 +120,6 @@ impl<'a> PipelineSim<'a> {
         self
     }
 
-    /// Enable GPipe-style activation recomputation: each backward pass
-    /// additionally pays the stage's forward time (and each worker's peak
-    /// activation memory drops to the stage-input pins plus one working
-    /// set). Composes with 2BW if that was already selected.
-    pub fn with_recompute(mut self) -> Self {
-        self.kind = if self.kind.uses_two_bw() {
-            ScheduleKind::TwoBWRecompute
-        } else {
-            ScheduleKind::Recompute
-        };
-        self
-    }
-
     /// Simulate under an explicit [`ScheduleKind`]: 2BW variants coalesce
     /// gradient syncs to one per update group and cap weight versions at
     /// two; recompute variants pay the forward again in each backward.
@@ -160,11 +135,7 @@ impl<'a> PipelineSim<'a> {
         let stages = config.stages();
         let num_stages = stages.len();
         let assignment = config.worker_assignment();
-        // 2BW update-group size: the in-flight depth rounded up to a
-        // multiple of every stage's replica count, so each full group's
-        // gradient sync involves all replicas (mirrors the runtime).
-        let replica_lcm = stages.iter().fold(1u64, |l, s| lcm(l, s.replicas as u64));
-        let two_bw_group = (config.noam().max(1) as u64).div_ceil(replica_lcm) * replica_lcm;
+        let two_bw_group = config.two_bw_group(config.noam());
 
         // Per-stage durations.
         let fwd_dur: Vec<f64> = stages
@@ -428,17 +399,6 @@ pub fn simulate_pipeline(costs: &LayerCosts, topo: &Topology, schedule: &Schedul
     PipelineSim::new(costs, topo, schedule).run()
 }
 
-/// Simulate with GPipe-style activation recomputation enabled (§2.2).
-pub fn simulate_pipeline_recompute(
-    costs: &LayerCosts,
-    topo: &Topology,
-    schedule: &Schedule,
-) -> SimResult {
-    PipelineSim::new(costs, topo, schedule)
-        .with_recompute()
-        .run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -648,7 +608,9 @@ mod tests {
         let config = PipelineConfig::straight(8, &[1, 3, 5]);
         let schedule = pipedream_core::Schedule::gpipe(&config, 32, 4);
         let plain = simulate_pipeline(&costs, &topo, &schedule);
-        let rec = simulate_pipeline_recompute(&costs, &topo, &schedule);
+        let rec = PipelineSim::new(&costs, &topo, &schedule)
+            .with_schedule(ScheduleKind::Recompute)
+            .run();
         assert!(rec.per_minibatch_s > plain.per_minibatch_s);
         assert!(rec.peak_memory_bytes[0] < plain.peak_memory_bytes[0]);
     }

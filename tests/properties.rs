@@ -186,7 +186,6 @@ mod runtime_properties {
                 checkpoint_every: None,
                 resume: false,
                 depth: None,
-                trace: false,
                 obs: None,
                 ..TrainOpts::default()
             };
