@@ -13,17 +13,19 @@
 //! unusual ways the two can diverge slightly — the test suite bounds the
 //! gap.)
 
+use crate::engine::Engine;
 use crate::pipeline::SimResult;
-use crate::timeline::{Timeline, WorkKind};
 use pipedream_core::estimates::in_flight_at_stage;
-use pipedream_core::PipelineConfig;
+use pipedream_core::schedule::Op;
+use pipedream_core::{PipelineConfig, ScheduleKind};
 use pipedream_hw::Topology;
 use pipedream_model::LayerCosts;
 use std::collections::VecDeque;
 
 /// Simulate `num_minibatches` through `config` with workers picking work
 /// dynamically under the 1F1B-RR policy (backward priority, per-stage
-/// in-flight caps, round-robin routing).
+/// in-flight caps, round-robin routing). The policy lives here; what an
+/// op costs and causes is the engine's, shared with the static pass.
 pub fn simulate_dynamic(
     costs: &LayerCosts,
     topo: &Topology,
@@ -36,33 +38,10 @@ pub fn simulate_dynamic(
     let workers = config.total_workers();
     assert!(workers <= topo.total_workers());
     let stages = config.stages();
-    let num_stages = stages.len();
-    let assignment = config.worker_assignment();
 
-    let fwd_dur: Vec<f64> = stages
-        .iter()
-        .map(|s| {
-            (s.first_layer..=s.last_layer)
-                .map(|l| costs.layers[l].fwd_s)
-                .sum()
-        })
-        .collect();
-    let bwd_dur: Vec<f64> = stages
-        .iter()
-        .map(|s| {
-            (s.first_layer..=s.last_layer)
-                .map(|l| costs.layers[l].bwd_s)
-                .sum()
-        })
-        .collect();
-
-    // Per-worker state.
-    #[derive(Clone)]
+    // Per-worker policy state.
     struct W {
         stage: usize,
-        free_at: f64,
-        nic_free: f64,
-        fwd_barrier: f64,
         in_flight: usize,
         cap: usize,
         fwd_ready: VecDeque<(u64, f64)>, // (mb, available time)
@@ -75,9 +54,6 @@ pub fn simulate_dynamic(
             let (stage, replica) = config.stage_of_worker(w);
             W {
                 stage,
-                free_at: 0.0,
-                nic_free: 0.0,
-                fwd_barrier: 0.0,
                 in_flight: 0,
                 cap: in_flight_at_stage(config, stage),
                 fwd_ready: VecDeque::new(),
@@ -86,167 +62,83 @@ pub fn simulate_dynamic(
             }
         })
         .collect();
-
-    let mut timeline = Timeline::new(workers);
-    let mut comm_timeline = Timeline::new(workers);
-    let mut comm_bytes = 0u64;
-    let mut stage0_done: Vec<f64> = Vec::new();
+    let mut engine = Engine::new(
+        costs,
+        topo,
+        config,
+        ScheduleKind::Vanilla1F1B,
+        &[],
+        num_minibatches,
+        ws.iter().map(|st| {
+            let share = num_minibatches.div_ceil(stages[st.stage].replicas as u64);
+            (st.stage, 2 * share as usize)
+        }),
+    );
     let mut completed = 0u64;
 
     // Event-driven: repeatedly pick the worker that can start the earliest
     // op. The policy at each worker: earliest-available backward if any,
     // else earliest-available admissible forward.
     while completed < num_minibatches {
-        // Choose (worker, is_bwd, mb, start time) minimizing start time,
+        // Choose (worker, op, start time) minimizing start time,
         // respecting per-worker policy (backward priority *at that worker*).
-        let mut best: Option<(usize, bool, u64, f64)> = None;
+        let mut best: Option<(usize, Op, f64)> = None;
         for (w, st) in ws.iter().enumerate() {
+            let (free_at, fwd_barrier) = (engine.worker(w).free_at, engine.worker(w).fwd_barrier);
             // Candidate at this worker, honoring backward priority: the
             // earliest-ready backward beats any forward *if it can start no
             // later than the worker would otherwise idle*; we approximate
             // the policy by preferring backward when both are ready at the
             // worker's free time, else taking whichever is ready sooner.
-            let bwd = st
-                .bwd_ready
-                .iter()
-                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-            let fwd = if st.in_flight < st.cap {
-                if st.stage == 0 {
-                    (st.next_admit < num_minibatches).then_some((st.next_admit, st.fwd_barrier))
-                } else {
-                    st.fwd_ready
-                        .iter()
-                        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-                        .map(|&(mb, t)| (mb, t.max(st.fwd_barrier)))
-                }
-            } else {
+            let earliest =
+                |q: &VecDeque<(u64, f64)>| q.iter().copied().min_by(|a, b| a.1.total_cmp(&b.1));
+            let bwd = earliest(&st.bwd_ready).map(|(mb, t)| (Op::Backward { mb }, t.max(free_at)));
+            let fwd = if st.in_flight >= st.cap {
                 None
+            } else if st.stage == 0 {
+                (st.next_admit < num_minibatches).then_some((st.next_admit, fwd_barrier))
+            } else {
+                earliest(&st.fwd_ready).map(|(mb, t)| (mb, t.max(fwd_barrier)))
             };
+            let fwd = fwd.map(|(mb, t)| (Op::Forward { mb }, t.max(free_at)));
             let cand = match (bwd, fwd) {
-                (Some(&(bm, bt)), Some((fm, ft))) => {
-                    let b_start = bt.max(st.free_at);
-                    let f_start = ft.max(st.free_at);
-                    if b_start <= f_start {
-                        Some((true, bm, b_start))
-                    } else {
-                        Some((false, fm, f_start))
-                    }
-                }
-                (Some(&(bm, bt)), None) => Some((true, bm, bt.max(st.free_at))),
-                (None, Some((fm, ft))) => Some((false, fm, ft.max(st.free_at))),
-                (None, None) => None,
+                (Some(b), Some(f)) => Some(if b.1 <= f.1 { b } else { f }),
+                (b, f) => b.or(f),
             };
-            if let Some((is_bwd, mb, start)) = cand {
-                if best.is_none() || start < best.unwrap().3 {
-                    best = Some((w, is_bwd, mb, start));
+            if let Some((op, start)) = cand {
+                if best.is_none_or(|(_, _, t)| start < t) {
+                    best = Some((w, op, start));
                 }
             }
         }
-        let (w, is_bwd, mb, start) =
-            best.expect("policy deadlock: no runnable op with work remaining");
-        let stage = ws[w].stage;
-        let dur = if is_bwd {
-            bwd_dur[stage]
-        } else {
-            fwd_dur[stage]
-        };
-        let end = start + dur;
-        ws[w].free_at = end;
-        timeline.record(
-            w,
-            start,
-            end,
-            if is_bwd {
-                WorkKind::Backward(mb)
-            } else {
-                WorkKind::Forward(mb)
-            },
-        );
-
-        if is_bwd {
-            ws[w].bwd_ready.retain(|&(m, _)| m != mb);
-            ws[w].in_flight -= 1;
-            let replicas = stages[stage].replicas;
-            if replicas > 1 {
-                let sync = topo.allreduce_time_spanning(
-                    &assignment[stage],
-                    costs.weight_bytes(stages[stage].first_layer, stages[stage].last_layer),
-                );
-                let depart = start.max(ws[w].nic_free);
-                ws[w].nic_free = depart + sync;
-                ws[w].fwd_barrier = depart + sync;
-                comm_timeline.record(w, depart, depart + sync, WorkKind::Sync);
-                comm_bytes += (2.0 * (replicas as f64 - 1.0) / replicas as f64
-                    * costs.weight_bytes(stages[stage].first_layer, stages[stage].last_layer)
-                        as f64) as u64;
+        let (w, op, ready) = best.expect("policy deadlock: no runnable op with work remaining");
+        let sent = engine.execute(w, ready, op);
+        match op {
+            Op::Backward { mb } => {
+                ws[w].bwd_ready.retain(|&(m, _)| m != mb);
+                ws[w].in_flight -= 1;
+                match sent {
+                    Some((dst, arrive)) => ws[dst].bwd_ready.push_back((mb, arrive)),
+                    None => completed += 1,
+                }
             }
-            if stage > 0 {
-                let dst = assignment[stage - 1][config.replica_for(stage - 1, mb)];
-                let bytes = costs.activation_bytes(stages[stage - 1].last_layer);
-                let link = topo.link_between(w, dst).expect("distinct workers");
-                let depart = end.max(ws[w].nic_free);
-                ws[w].nic_free = depart + bytes as f64 / link.bandwidth_bytes_per_sec;
-                let arrive = depart + link.transfer_time(bytes);
-                comm_timeline.record(w, depart, arrive, WorkKind::Sync);
-                comm_bytes += bytes;
-                ws[dst].bwd_ready.push_back((mb, arrive));
-            } else {
-                stage0_done.push(end);
-                completed += 1;
+            Op::Forward { mb } => {
+                ws[w].in_flight += 1;
+                if ws[w].stage == 0 {
+                    ws[w].next_admit += r0 as u64;
+                } else {
+                    ws[w].fwd_ready.retain(|&(m, _)| m != mb);
+                }
+                match sent {
+                    Some((dst, arrive)) => ws[dst].fwd_ready.push_back((mb, arrive)),
+                    // The output stage computes the loss right away.
+                    None => ws[w].bwd_ready.push_back((mb, engine.worker(w).free_at)),
+                }
             }
-        } else {
-            ws[w].in_flight += 1;
-            if stage == 0 {
-                ws[w].next_admit += r0 as u64;
-            } else {
-                ws[w].fwd_ready.retain(|&(m, _)| m != mb);
-            }
-            if stage + 1 < num_stages {
-                let dst = assignment[stage + 1][config.replica_for(stage + 1, mb)];
-                let bytes = costs.activation_bytes(stages[stage].last_layer);
-                let link = topo.link_between(w, dst).expect("distinct workers");
-                let depart = end.max(ws[w].nic_free);
-                ws[w].nic_free = depart + bytes as f64 / link.bandwidth_bytes_per_sec;
-                let arrive = depart + link.transfer_time(bytes);
-                comm_timeline.record(w, depart, arrive, WorkKind::Sync);
-                comm_bytes += bytes;
-                ws[dst].fwd_ready.push_back((mb, arrive));
-            } else {
-                ws[w].bwd_ready.push_back((mb, end));
-            }
+            Op::Flush => unreachable!("the policy never flushes"),
         }
     }
-
-    let makespan = timeline.makespan();
-    stage0_done.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = stage0_done.len();
-    let per_minibatch_s = if n >= 4 {
-        let (lo, hi) = (n / 4, 3 * n / 4);
-        (stage0_done[hi] - stage0_done[lo]) / (hi - lo) as f64
-    } else {
-        makespan / n.max(1) as f64
-    };
-    let peak_memory_bytes = (0..workers)
-        .map(|w| {
-            let s = &stages[ws[w].stage];
-            let versions = ws[w].cap.max(1) as u64;
-            let weights = costs.weight_bytes(s.first_layer, s.last_layer);
-            let acts: u64 = (s.first_layer..=s.last_layer)
-                .map(|l| costs.activation_bytes(l))
-                .sum();
-            versions * (weights + acts)
-        })
-        .collect();
-    SimResult {
-        mean_utilization: timeline.mean_utilization(),
-        samples_per_sec: costs.batch as f64 / per_minibatch_s,
-        per_minibatch_s,
-        makespan,
-        comm_bytes,
-        timeline,
-        comm_timeline,
-        peak_memory_bytes,
-    }
+    engine.summarize(|w| ws[w].cap.max(1) as u64)
 }
 
 #[cfg(test)]

@@ -20,6 +20,7 @@
 
 pub mod dp;
 pub mod dynamic;
+mod engine;
 pub mod pipeline;
 pub mod timeline;
 

@@ -12,17 +12,21 @@
 //!   weights, the sync overlaps with subsequent backward work but gates the
 //!   worker's next *forward* pass (which must see the updated weights).
 //!
-//! The simulator is deterministic: it resolves the schedule's dependency
-//! DAG to a fixpoint, so the same schedule and hardware always produce the
-//! same timeline.
+//! The pass is dependency-ordered, not time-ordered: each worker keeps a
+//! cursor into its op list, runs ops until it reaches one whose message has
+//! not been delivered, and is put back on a worklist by that delivery. An
+//! op's start and end depend only on its own worker's previous op and on
+//! its message's arrival, so every order that respects the dependencies
+//! produces the same floats — the worklist only decides how few times an
+//! op is looked at (at most twice), and the simulator stays deterministic.
 
-use crate::timeline::{Timeline, WorkKind};
+use crate::engine::Engine;
+use crate::timeline::Timeline;
 use pipedream_core::schedule::{Op, Schedule};
 use pipedream_core::ScheduleKind;
 use pipedream_hw::Topology;
 use pipedream_model::LayerCosts;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Result of a pipeline simulation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -128,254 +132,80 @@ impl<'a> PipelineSim<'a> {
         self
     }
 
-    /// Run the simulation.
+    /// Run the simulation: one dependency-ordered pass over the schedule.
     pub fn run(&self) -> SimResult {
-        let config = &self.schedule.config;
+        let schedule = self.schedule;
+        let config = &schedule.config;
         let workers = config.total_workers();
-        let stages = config.stages();
-        let num_stages = stages.len();
+        let last_stage = config.num_stages() - 1;
+        let mut engine = Engine::new(
+            self.costs,
+            self.topo,
+            config,
+            self.kind,
+            &self.worker_speeds,
+            schedule.num_minibatches,
+            (schedule.workers[..workers].iter()).map(|ws| (ws.stage, ws.ops.len())),
+        );
+        // `fwd_at[stage][mb]`: when minibatch `mb`'s activation reaches
+        // `stage` (`bwd_at`: its gradient); NaN until delivered. 1F1B-RR
+        // sends a minibatch to one replica per stage, so the pair is a key.
+        let undelivered = vec![f64::NAN; schedule.num_minibatches as usize];
+        let mut fwd_at = vec![undelivered.clone(); last_stage + 1];
+        let mut bwd_at = vec![undelivered; last_stage + 1];
         let assignment = config.worker_assignment();
-        let two_bw_group = config.two_bw_group(config.noam());
-
-        // Per-stage durations.
-        let fwd_dur: Vec<f64> = stages
-            .iter()
-            .map(|s| {
-                (s.first_layer..=s.last_layer)
-                    .map(|l| self.costs.layers[l].fwd_s)
-                    .sum()
-            })
-            .collect();
-        let bwd_dur: Vec<f64> = stages
-            .iter()
-            .map(|s| {
-                (s.first_layer..=s.last_layer)
-                    .map(|l| self.costs.layers[l].bwd_s)
-                    .sum()
-            })
-            .collect();
-
-        // Message availability: (worker, mb) → arrival time.
-        let mut avail_fwd: HashMap<(usize, u64), f64> = HashMap::new();
-        let mut avail_bwd: HashMap<(usize, u64), f64> = HashMap::new();
-        // Worker state.
-        let mut worker_free = vec![0.0f64; workers];
-        let mut nic_free = vec![0.0f64; workers];
-        let mut fwd_barrier = vec![0.0f64; workers]; // next fwd must wait for weight sync
         let mut next_op = vec![0usize; workers];
-        let mut timeline = Timeline::new(workers);
-        let mut comm_timeline = Timeline::new(workers);
-        let mut comm_bytes = 0u64;
-        let mut stage0_done: Vec<f64> = Vec::new();
-
-        // Fixpoint resolution over the dependency DAG.
-        loop {
-            let mut progress = false;
-            for w in 0..workers {
-                loop {
-                    let ws = &self.schedule.workers[w];
-                    let Some(&op) = ws.ops.get(next_op[w]) else {
-                        break;
-                    };
-                    let stage = ws.stage;
-                    // Readiness.
-                    let ready = match op {
-                        Op::Forward { mb } => {
-                            if stage == 0 {
-                                Some(fwd_barrier[w])
-                            } else {
-                                avail_fwd.get(&(w, mb)).map(|&t| t.max(fwd_barrier[w]))
-                            }
-                        }
-                        Op::Backward { mb } => {
-                            if stage == num_stages - 1 {
-                                // Loss computed locally right after forward.
-                                Some(0.0)
-                            } else {
-                                avail_bwd.get(&(w, mb)).copied()
-                            }
-                        }
-                        Op::Flush => Some(0.0),
-                    };
-                    let Some(ready) = ready else { break };
-                    let start = ready.max(worker_free[w]);
-                    let speed = self.worker_speeds.get(w).copied().unwrap_or(1.0);
-                    let dur = match op {
-                        Op::Forward { .. } => fwd_dur[stage],
-                        Op::Backward { .. } => {
-                            if self.kind.uses_recompute() {
-                                // Re-run the forward to rebuild activations.
-                                bwd_dur[stage] + fwd_dur[stage]
-                            } else {
-                                bwd_dur[stage]
-                            }
-                        }
-                        Op::Flush => 0.0,
-                    } / speed;
-                    let end = start + dur;
-                    worker_free[w] = end;
-                    if dur > 0.0 {
-                        timeline.record(w, start, end, WorkKind::from_op(op));
-                    }
-                    next_op[w] += 1;
-                    progress = true;
-
-                    // Effects.
-                    match op {
-                        Op::Forward { mb } => {
-                            if stage + 1 < num_stages {
-                                let dst = assignment[stage + 1][config.replica_for(stage + 1, mb)];
-                                let bytes = self.costs.activation_bytes(stages[stage].last_layer);
-                                let link = self
-                                    .topo
-                                    .link_between(w, dst)
-                                    .expect("stages on distinct workers");
-                                let depart = end.max(nic_free[w]);
-                                let wire = bytes as f64 / link.bandwidth_bytes_per_sec;
-                                nic_free[w] = depart + wire;
-                                let arrive = depart + link.transfer_time(bytes);
-                                comm_timeline.record(w, depart, arrive, WorkKind::Sync);
-                                comm_bytes += bytes;
-                                avail_fwd.insert((dst, mb), arrive);
-                            } else {
-                                avail_bwd.insert((w, mb), end);
-                            }
-                        }
-                        Op::Backward { mb } => {
-                            // Weight sync for replicated stages. Wait-free
-                            // backpropagation streams each layer's gradient
-                            // as soon as its backward completes, so the
-                            // all_reduce overlaps with the backward pass
-                            // itself (it departs at backward *start*, when
-                            // the stage's last layers finish first); it
-                            // gates the worker's next forward pass, which
-                            // needs the updated weights.
-                            let replicas = stages[stage].replicas;
-                            // Under 2BW a replica accumulates gradients
-                            // locally and joins one all_reduce per full
-                            // update group instead of one per minibatch.
-                            let syncs_now = if self.kind.uses_two_bw() {
-                                let next = mb + replicas as u64;
-                                (next / two_bw_group > mb / two_bw_group
-                                    || next >= self.schedule.num_minibatches)
-                                    && (mb / two_bw_group + 1) * two_bw_group
-                                        <= self.schedule.num_minibatches
-                            } else {
-                                true
-                            };
-                            if replicas > 1 && syncs_now {
-                                let sync = self.topo.allreduce_time_spanning(
-                                    &assignment[stage],
-                                    self.costs.weight_bytes(
-                                        stages[stage].first_layer,
-                                        stages[stage].last_layer,
-                                    ),
-                                );
-                                let depart = start.max(nic_free[w]);
-                                nic_free[w] = depart + sync;
-                                fwd_barrier[w] = depart + sync;
-                                comm_timeline.record(w, depart, depart + sync, WorkKind::Sync);
-                                // This replica's share of the ring traffic.
-                                let share = 2.0 * (replicas as f64 - 1.0) / replicas as f64
-                                    * self.costs.weight_bytes(
-                                        stages[stage].first_layer,
-                                        stages[stage].last_layer,
-                                    ) as f64;
-                                comm_bytes += share as u64;
-                            }
-                            if stage > 0 {
-                                let dst = assignment[stage - 1][config.replica_for(stage - 1, mb)];
-                                let bytes =
-                                    self.costs.activation_bytes(stages[stage - 1].last_layer);
-                                let link = self
-                                    .topo
-                                    .link_between(w, dst)
-                                    .expect("stages on distinct workers");
-                                let depart = end.max(nic_free[w]);
-                                let wire = bytes as f64 / link.bandwidth_bytes_per_sec;
-                                nic_free[w] = depart + wire;
-                                let arrive = depart + link.transfer_time(bytes);
-                                comm_timeline.record(w, depart, arrive, WorkKind::Sync);
-                                comm_bytes += bytes;
-                                avail_bwd.insert((dst, mb), arrive);
-                            } else {
-                                stage0_done.push(end);
-                            }
-                        }
-                        Op::Flush => {}
-                    }
+        // Workers whose head op may be runnable. A worker that stops at an
+        // undelivered message leaves the list and the delivery puts it
+        // back, so no op is examined more than twice.
+        let mut runnable: Vec<usize> = (0..workers).rev().collect();
+        while let Some(w) = runnable.pop() {
+            let ws = &schedule.workers[w];
+            let stage = ws.stage;
+            let replicas = assignment[stage].as_slice();
+            // The arrival of `mb`'s message, if it was sent, and to this
+            // worker: the stage's other replicas never see it.
+            let arrived = |at: &[Vec<f64>], mb: u64| {
+                let routed_here = match replicas {
+                    [only] => *only == w,
+                    _ => replicas[(mb % replicas.len() as u64) as usize] == w,
+                };
+                Some(at[stage][mb as usize]).filter(|t| routed_here && !t.is_nan())
+            };
+            while let Some(&op) = ws.ops.get(next_op[w]) {
+                let fwd_barrier = engine.worker(w).fwd_barrier;
+                let ready = match op {
+                    Op::Forward { .. } if stage == 0 => Some(fwd_barrier),
+                    Op::Forward { mb } => arrived(&fwd_at, mb).map(|t| t.max(fwd_barrier)),
+                    // The loss is computed locally right after the forward.
+                    Op::Backward { .. } if stage == last_stage => Some(0.0),
+                    Op::Backward { mb } => arrived(&bwd_at, mb),
+                    Op::Flush => Some(0.0),
+                };
+                let Some(ready) = ready else { break };
+                let sent = engine.execute(w, ready, op);
+                next_op[w] += 1;
+                let Some((dst, arrive)) = sent else { continue };
+                match op {
+                    Op::Forward { mb } => fwd_at[stage + 1][mb as usize] = arrive,
+                    Op::Backward { mb } => bwd_at[stage - 1][mb as usize] = arrive,
+                    Op::Flush => unreachable!("a flush sends nothing"),
                 }
-            }
-            if !progress {
-                break;
+                // The receiver runs the same op on the same minibatch: wake
+                // it if that is the op it is stopped at.
+                if schedule.workers[dst].ops.get(next_op[dst]) == Some(&op) {
+                    runnable.push(dst);
+                }
             }
         }
 
         // Every op must have been resolved — otherwise the schedule had an
         // unsatisfiable dependency.
-        for (w, done) in next_op.iter().enumerate() {
-            assert_eq!(
-                *done,
-                self.schedule.workers[w].ops.len(),
-                "worker {w} deadlocked at op {done}"
-            );
+        for (w, ws) in schedule.workers[..workers].iter().enumerate() {
+            let done = next_op[w];
+            assert_eq!(done, ws.ops.len(), "worker {w} deadlocked at op {done}");
         }
-
-        let makespan = timeline.makespan();
-        // Steady-state per-minibatch time over the middle half of stage-0
-        // backward completions.
-        stage0_done.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let n = stage0_done.len();
-        let per_minibatch_s = if n >= 4 {
-            let (lo, hi) = (n / 4, 3 * n / 4);
-            (stage0_done[hi] - stage0_done[lo]) / (hi - lo) as f64
-        } else {
-            makespan / n.max(1) as f64
-        };
-
-        // Peak memory per worker from the realised in-flight depth,
-        // mirroring `pipedream_core::estimates::memory_footprint_for`: 2BW
-        // caps stashed weight versions at two, recomputation swaps the
-        // per-minibatch activation stash for a stage-input pin per
-        // in-flight minibatch plus one full activation working set.
-        let peak_memory_bytes = (0..workers)
-            .map(|w| {
-                let stage = self.schedule.workers[w].stage;
-                let s = &stages[stage];
-                let in_flight = self.schedule.peak_in_flight(w).max(1) as u64;
-                let versions = if self.kind.uses_two_bw() {
-                    in_flight.min(2)
-                } else {
-                    in_flight
-                };
-                let weights = self.costs.weight_bytes(s.first_layer, s.last_layer);
-                let acts: u64 = (s.first_layer..=s.last_layer)
-                    .map(|l| self.costs.activation_bytes(l))
-                    .sum();
-                let input = if s.first_layer == 0 {
-                    self.costs.activation_bytes(0)
-                } else {
-                    self.costs.activation_bytes(s.first_layer - 1)
-                };
-                let act_term = if self.kind.uses_recompute() {
-                    in_flight * input + acts
-                } else {
-                    in_flight * acts
-                };
-                versions * weights + act_term
-            })
-            .collect();
-
-        SimResult {
-            mean_utilization: timeline.mean_utilization(),
-            samples_per_sec: self.costs.batch as f64 / per_minibatch_s,
-            per_minibatch_s,
-            makespan,
-            comm_bytes,
-            timeline,
-            comm_timeline,
-            peak_memory_bytes,
-        }
+        engine.summarize(|w| schedule.peak_in_flight(w).max(1) as u64)
     }
 }
 

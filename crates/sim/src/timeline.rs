@@ -96,13 +96,17 @@ impl Timeline {
 
     /// Mean utilization across workers.
     pub fn mean_utilization(&self) -> f64 {
-        if self.per_worker.is_empty() {
+        self.mean_utilization_over(self.makespan())
+    }
+
+    /// The same for a caller that already holds the makespan, which costs a
+    /// scan of every interval: it is taken once, not once per worker.
+    pub(crate) fn mean_utilization_over(&self, span: f64) -> f64 {
+        let workers = self.per_worker.len();
+        if workers == 0 || span == 0.0 {
             return 0.0;
         }
-        (0..self.per_worker.len())
-            .map(|w| self.utilization(w))
-            .sum::<f64>()
-            / self.per_worker.len() as f64
+        (0..workers).map(|w| self.busy(w) / span).sum::<f64>() / workers as f64
     }
 }
 
