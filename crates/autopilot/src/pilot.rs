@@ -31,9 +31,7 @@ use pipedream_core::{config_fingerprint, PipelineConfig, PlanError, Planner, Sta
 use pipedream_ft::{resume_training, SupervisorError};
 use pipedream_hw::Topology;
 use pipedream_model::LayerCosts;
-use pipedream_obs::{
-    try_advise_replan_constrained, DriftConfig, DriftDetector, LiveProfiler, TraceSession,
-};
+use pipedream_obs::{advise_replan, DriftConfig, DriftDetector, LiveProfiler, TraceSession};
 use pipedream_runtime::checkpoint::{latest_complete_point, CheckpointPoint};
 use pipedream_runtime::control::RunControl;
 use pipedream_runtime::fault::FaultHook;
@@ -451,7 +449,7 @@ pub fn train_with_autopilot(
 
     // --- Replan over measured costs, honoring the run's memory budget
     // and schedule kind.
-    let advice = try_advise_replan_constrained(
+    let advice = advise_replan(
         baseline,
         topo,
         config,

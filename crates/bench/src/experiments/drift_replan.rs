@@ -7,7 +7,9 @@
 //!
 //! 1. profile → plan a balanced straight pipeline (as `trace-validate`);
 //! 2. train it with a [`DelayStraggler`] injected into one stage, so
-//!    every forward send from that stage stalls inside its `Fwd` span;
+//!    every forward send from that stage stalls inside its `Fwd` span —
+//!    recorded as backpressure, which counts toward the stage's measured
+//!    per-minibatch service time;
 //! 3. a watcher thread drains [`LiveProfiler`] windows during the run and
 //!    feeds each snapshot to a [`DriftDetector`] armed with the planner's
 //!    own [`StagePrediction`]s — the straggler must trip the hysteresis;
@@ -26,7 +28,7 @@
 
 use crate::util::format_table;
 use pipedream_autopilot::{train_with_autopilot, AutopilotOpts};
-use pipedream_core::{PipelineConfig, Planner};
+use pipedream_core::{PipelineConfig, Planner, ScheduleKind};
 use pipedream_ft::DelayStraggler;
 use pipedream_hw::{Device, LinkModel, Precision, Topology};
 use pipedream_model::{profile_sequential, LayerCosts};
@@ -184,7 +186,16 @@ pub fn run(epochs: usize) -> DriftReplan {
     assert!(hook.times_fired() > 0, "straggler never fired");
 
     // Feed measured reality back into the planner.
-    let advice = advise_replan(&costs, &topo, &config, &live.measured_stage_s(), 48);
+    let advice = advise_replan(
+        &costs,
+        &topo,
+        &config,
+        &live.measured_stage_s(),
+        48,
+        None,
+        ScheduleKind::Vanilla1F1B,
+    )
+    .expect("replan advice on a valid plan");
     // Whole-run average (the final sample's own window may be empty once
     // training has stopped).
     let degraded_samples_per_sec = if live.t_s > 0.0 {

@@ -6,12 +6,17 @@
 //! activation send from one stage (optionally from a given minibatch
 //! onward), modeling a degraded host or a thermally-throttled device.
 //!
-//! The runtime executes the delay inside the worker's forward pass, so
-//! the stall lands inside the recorded `Fwd` span and shows up in the
-//! live profiler as inflated measured compute for that stage — exactly
-//! the signal the drift detector and replan advisor consume. Because the
-//! injection point is the forward *send*, the straggler must not be the
-//! last pipeline stage (which sends nothing downstream).
+//! The runtime executes the delay inside the worker's forward pass and
+//! wraps it in a `SendWait` span nested in the recorded `Fwd`. The trace
+//! attribution types that stall as `backpressure` — communication in the
+//! busy/comm/bubble split, but part of the stage's per-minibatch *service*
+//! time, because only this stage can absorb it. Service is what the live
+//! profiler reports per stage, so the drift detector sees the straggler
+//! run over its predicted time and the replan advisor scales that stage's
+//! costs up; `pipedream analyze` shows the same seconds as the stage's
+//! `backpressure` and its downstream neighbour's `wait_upstream`. Because
+//! the injection point is the forward *send*, the straggler must not be
+//! the last pipeline stage (which sends nothing downstream).
 //!
 //! [`FaultPlan`]: crate::plan::FaultPlan
 

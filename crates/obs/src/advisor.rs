@@ -95,46 +95,15 @@ pub fn measured_layer_costs(
 /// Re-run the partitioner over measured costs and compare against the
 /// running configuration. `sim_minibatches` sets the schedule length for
 /// the steady-state throughput simulation (enough to amortize fill/drain;
-/// 48 is plenty for small pipelines).
+/// 48 is plenty for small pipelines). Degenerate inputs come back as typed
+/// [`PlanError`]s, never panics — a live training run depends on this.
 ///
-/// Panics on degenerate inputs; live-run paths (the autopilot control
-/// loop, the serve daemon) should use [`try_advise_replan`].
-pub fn advise_replan(
-    baseline: &LayerCosts,
-    topo: &Topology,
-    current: &PipelineConfig,
-    measured_stage_s: &[f64],
-    sim_minibatches: u64,
-) -> ReplanAdvice {
-    try_advise_replan(baseline, topo, current, measured_stage_s, sim_minibatches)
-        .unwrap_or_else(|e| panic!("replan advice failed: {e}"))
-}
-
-/// [`advise_replan`] with validated inputs and typed errors instead of
-/// panics — the entry point for anything a live training run depends on.
-pub fn try_advise_replan(
-    baseline: &LayerCosts,
-    topo: &Topology,
-    current: &PipelineConfig,
-    measured_stage_s: &[f64],
-    sim_minibatches: u64,
-) -> Result<ReplanAdvice, PlanError> {
-    try_advise_replan_constrained(
-        baseline,
-        topo,
-        current,
-        measured_stage_s,
-        sim_minibatches,
-        None,
-        ScheduleKind::Vanilla1F1B,
-    )
-}
-
-/// Memory- and schedule-aware replan: the repartition DP only considers
-/// candidates whose estimated per-worker footprint fits `memory_limit`
-/// under `schedule` (per `estimates::memory_footprint_for`), and the
-/// throughput simulation charges the schedule's recompute cost. Two ways
-/// a recommendation can differ from plain [`try_advise_replan`]:
+/// The replan is memory- and schedule-aware: the repartition DP only
+/// considers candidates whose estimated per-worker footprint fits
+/// `memory_limit` under `schedule` (per `estimates::memory_footprint_for`;
+/// `None` is unconstrained), and the throughput simulation charges the
+/// schedule's recompute cost. A budget changes the recommendation two
+/// ways:
 ///
 /// * a faster candidate is rejected because it does not fit, and
 /// * when the *current* configuration itself exceeds the budget, the best
@@ -145,7 +114,7 @@ pub fn try_advise_replan(
 /// [`PlanError::MemoryInfeasible`] surfaces — the caller's cue to retry
 /// under a more memory-efficient [`ScheduleKind`].
 #[allow(clippy::too_many_arguments)]
-pub fn try_advise_replan_constrained(
+pub fn advise_replan(
     baseline: &LayerCosts,
     topo: &Topology,
     current: &PipelineConfig,
@@ -182,21 +151,15 @@ pub fn try_advise_replan_constrained(
         (current_plan.clone(), false)
     };
 
-    let sim_cur = PipelineSim::new(
-        &measured,
-        topo,
-        &Schedule::one_f_one_b(current, sim_minibatches),
-    )
-    .with_schedule(schedule)
-    .run();
+    let simulate = |config: &PipelineConfig| {
+        let schedule_1f1b = Schedule::one_f_one_b(config, sim_minibatches);
+        PipelineSim::new(&measured, topo, &schedule_1f1b)
+            .with_schedule(schedule)
+            .run()
+    };
+    let sim_cur = simulate(current);
     let sim_rec = if changed {
-        PipelineSim::new(
-            &measured,
-            topo,
-            &Schedule::one_f_one_b(&recommended.config, sim_minibatches),
-        )
-        .with_schedule(schedule)
-        .run()
+        simulate(&recommended.config)
     } else {
         sim_cur.clone()
     };
@@ -298,7 +261,10 @@ mod tests {
             &config,
             &[preds[0].compute_s * 3.0, preds[1].compute_s],
             48,
-        );
+            None,
+            ScheduleKind::Vanilla1F1B,
+        )
+        .unwrap();
         assert!(advice.changed, "advisor kept a degraded plan: {advice:?}");
         assert!(
             advice.recommended_bottleneck_s < advice.current_bottleneck_s,
@@ -331,7 +297,16 @@ mod tests {
             .try_predicted_stage_times(&best.config)
             .unwrap();
         let measured: Vec<f64> = preds.iter().map(|p| p.compute_s).collect();
-        let advice = advise_replan(&baseline, &topo, &best.config, &measured, 48);
+        let advice = advise_replan(
+            &baseline,
+            &topo,
+            &best.config,
+            &measured,
+            48,
+            None,
+            ScheduleKind::Vanilla1F1B,
+        )
+        .unwrap();
         assert!(!advice.changed, "flapped on a healthy plan: {advice:?}");
         assert_eq!(advice.sim_speedup, 1.0);
         assert_eq!(advice.current_label, advice.recommended_label);
@@ -358,48 +333,24 @@ mod tests {
 
         // Unconstrained (and generously constrained): the healthy plan
         // is kept.
-        let free = try_advise_replan(&baseline, &topo, &config, &measured, 24).unwrap();
+        let advise = |limit, schedule| {
+            advise_replan(&baseline, &topo, &config, &measured, 24, limit, schedule)
+        };
+        let free = advise(None, ScheduleKind::Vanilla1F1B).unwrap();
         assert!(!free.memory_driven && !free.changed);
-        let roomy = try_advise_replan_constrained(
-            &baseline,
-            &topo,
-            &config,
-            &measured,
-            24,
-            Some(1 << 30),
-            ScheduleKind::Vanilla1F1B,
-        )
-        .unwrap();
+        let roomy = advise(Some(1 << 30), ScheduleKind::Vanilla1F1B).unwrap();
         assert_eq!(roomy.recommended_label, free.recommended_label);
         assert!(!roomy.memory_driven && !roomy.changed);
 
         // 1 MB fits nothing — the typed error surfaces, no panic.
-        let err = try_advise_replan_constrained(
-            &baseline,
-            &topo,
-            &config,
-            &measured,
-            24,
-            Some(1 << 20),
-            ScheduleKind::Vanilla1F1B,
-        )
-        .unwrap_err();
+        let err = advise(Some(1 << 20), ScheduleKind::Vanilla1F1B).unwrap_err();
         assert!(matches!(err, PlanError::MemoryInfeasible { .. }), "{err:?}");
 
         // 3.3 MB: the incumbent balanced split no longer fits but the
         // unbalanced one does — the advisor must move off the incumbent
         // even though the DP objective gets *worse* (3 layers on one
         // worker), because staying put means an OOM.
-        let squeezed = try_advise_replan_constrained(
-            &baseline,
-            &topo,
-            &config,
-            &measured,
-            24,
-            Some(3_300_000),
-            ScheduleKind::Vanilla1F1B,
-        )
-        .unwrap();
+        let squeezed = advise(Some(3_300_000), ScheduleKind::Vanilla1F1B).unwrap();
         assert!(squeezed.memory_driven && squeezed.changed, "{squeezed:?}");
         assert_ne!(
             squeezed.recommended_plan_fingerprint,
@@ -409,16 +360,7 @@ mod tests {
         // A 1 MB budget stays infeasible even under 2BW + recompute —
         // one layer's weights alone exceed it — and the error carries
         // the schedule it was evaluated under.
-        let err2 = try_advise_replan_constrained(
-            &baseline,
-            &topo,
-            &config,
-            &measured,
-            24,
-            Some(1 << 20),
-            ScheduleKind::TwoBWRecompute,
-        )
-        .unwrap_err();
+        let err2 = advise(Some(1 << 20), ScheduleKind::TwoBWRecompute).unwrap_err();
         assert!(
             matches!(err2, PlanError::MemoryInfeasible { .. }),
             "{err2:?}"
@@ -439,7 +381,10 @@ mod tests {
             &config,
             &[preds[0].compute_s * 3.0, preds[1].compute_s],
             24,
-        );
+            None,
+            ScheduleKind::Vanilla1F1B,
+        )
+        .unwrap();
         let json = serde_json::to_string(&advice).unwrap();
         let back: ReplanAdvice = serde_json::from_str(&json).unwrap();
         assert_eq!(back, advice);

@@ -4,14 +4,16 @@
 //! steady-state throughput (the feedback loop the paper closes by
 //! profiling before partitioning, §3.1).
 
+use crate::critical_path::{fold, CauseBreakdown};
 use crate::event::SpanKind;
 use crate::metrics::MetricsRegistry;
 use crate::recorder::TraceSnapshot;
 use pipedream_sim::{Timeline, WorkKind};
 use serde::{Deserialize, Serialize};
 
-/// Aggregated busy time for one pipeline stage, summed over its replica
-/// tracks.
+/// One pipeline stage over a whole trace, summed over its replica tracks:
+/// the per-stage projection of the [`crate::critical_path`] fold, so every
+/// number here is a sum of the causes `pipedream analyze` prints.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct StageTimes {
     /// Pipeline stage index.
@@ -20,92 +22,70 @@ pub struct StageTimes {
     pub tracks: usize,
     /// Total forward span time (includes nested receive waits).
     pub fwd_s: f64,
-    /// Total backward span time (includes nested receive waits).
+    /// Total backward span time (includes whatever nests inside: receive
+    /// waits, recompute, the gradient-sync rendezvous, the optimizer step).
     pub bwd_s: f64,
-    /// Total gradient-sync rendezvous time.
+    /// Total gradient-sync rendezvous time (`grad_sync` + `2bw_barrier`).
     pub sync_s: f64,
-    /// Total time blocked on upstream/downstream receives (nested inside
-    /// forward/backward spans).
+    /// Total time blocked on a peer's send or receive (`wait_upstream` +
+    /// `backpressure`).
     pub recv_wait_s: f64,
     /// Total checkpoint write time.
     pub checkpoint_s: f64,
     /// Backward passes completed (minibatches finished by this stage).
     pub minibatches: u64,
-    /// Fraction of wall time this stage spent computing, averaged over
-    /// its replicas.
+    /// Where the stage's wall clock went, cause by cause.
+    pub breakdown: CauseBreakdown,
+    /// Fraction of wall time in the busy group, averaged over replicas.
     pub busy_frac: f64,
-    /// Fraction of wall time spent blocked on communication — send/receive
-    /// waits plus the gradient-sync rendezvous — averaged over replicas.
+    /// Fraction of wall time in the comm group — send/receive waits plus
+    /// the gradient-sync rendezvous — averaged over replicas.
     pub comm_frac: f64,
-    /// Pipeline bubble: `1 - busy_frac - comm_frac`, idle time that is
-    /// neither compute nor communication.
+    /// Pipeline bubble: the rest of the wall clock, neither compute nor
+    /// communication. The three fractions partition the wall clock.
     pub bubble_frac: f64,
 }
 
 impl StageTimes {
-    /// Pure compute: forward + backward with the nested receive waits
-    /// subtracted back out.
+    /// Pure forward/backward compute: everything nested inside the spans
+    /// (waits, recompute, rendezvous, optimizer step) is its own cause.
     pub fn compute_s(&self) -> f64 {
-        (self.fwd_s + self.bwd_s - self.recv_wait_s).max(0.0)
+        self.breakdown.compute_s
     }
 
-    /// Mean per-minibatch compute time (0 when no backward completed).
+    /// Mean per-minibatch service time on one replica (0 when no backward
+    /// completed) — the number [`validate`] and the drift detector hold
+    /// against the planner's prediction.
     pub fn compute_per_minibatch_s(&self) -> f64 {
-        if self.minibatches == 0 {
-            0.0
-        } else {
-            self.compute_s() / self.minibatches as f64
-        }
+        self.breakdown.service_per_mb_s(self.minibatches)
     }
 }
 
-/// Sum span durations per stage across a snapshot's stage tracks.
-/// Tracks without a stage (supervisor, coordinator) are ignored.
+/// Per-stage times of a whole trace. Tracks without a stage (supervisor,
+/// coordinator) are ignored.
 pub fn stage_times(snap: &TraceSnapshot) -> Vec<StageTimes> {
-    let n_stages = snap
-        .tracks
-        .iter()
-        .filter_map(|t| t.stage)
-        .max()
-        .map(|s| s + 1)
-        .unwrap_or(0);
-    let mut out: Vec<StageTimes> = (0..n_stages)
-        .map(|stage| StageTimes {
-            stage,
-            ..StageTimes::default()
-        })
-        .collect();
-    let wall = snap.span_s();
-    for track in &snap.tracks {
-        let Some(stage) = track.stage else { continue };
-        let st = &mut out[stage];
-        st.tracks += 1;
-        for ev in &track.events {
-            let d = ev.duration_s();
-            match ev.kind {
-                SpanKind::Fwd { .. } => st.fwd_s += d,
-                SpanKind::Bwd { .. } => {
-                    st.bwd_s += d;
-                    st.minibatches += 1;
-                }
-                SpanKind::GradSync => st.sync_s += d,
-                SpanKind::RecvWait { .. } | SpanKind::SendWait { .. } => st.recv_wait_s += d,
-                SpanKind::Checkpoint => st.checkpoint_s += d,
-                _ => {}
+    let whole = fold(snap, 0, None);
+    let stages = whole.per_stage().into_iter().enumerate();
+    stages
+        .map(|(stage, w)| {
+            let breakdown = w.breakdown();
+            let [busy_frac, comm_frac, bubble_frac] = w.fracs(whole.window_ns);
+            StageTimes {
+                stage,
+                tracks: w.tracks,
+                fwd_s: w.fwd_ns as f64 * 1e-9,
+                bwd_s: w.bwd_ns as f64 * 1e-9,
+                sync_s: breakdown.sync_s(),
+                recv_wait_s: breakdown.wait_upstream_s + breakdown.backpressure_s,
+                checkpoint_s: breakdown.checkpoint_s,
+                minibatches: w.minibatches,
+                breakdown,
+                busy_frac,
+                comm_frac,
+                bubble_frac,
             }
-        }
-    }
-    for st in &mut out {
-        if wall > 0.0 && st.tracks > 0 {
-            let denom = wall * st.tracks as f64;
-            st.busy_frac = (st.compute_s() / denom).min(1.0);
-            // Communication is capped by what busy left over, so the
-            // three fractions always sum to exactly 1.
-            st.comm_frac = ((st.recv_wait_s + st.sync_s) / denom).min(1.0 - st.busy_frac);
-            st.bubble_frac = 1.0 - st.busy_frac - st.comm_frac;
-        }
-    }
-    out
+        })
+        .collect()
 }
 
 /// Convert a measured snapshot into the simulator's [`Timeline`] so the
@@ -138,7 +118,7 @@ pub fn to_timeline(snap: &TraceSnapshot) -> Timeline {
 pub struct StageValidation {
     /// Pipeline stage index.
     pub stage: usize,
-    /// Measured per-minibatch compute time (receive waits excluded).
+    /// Measured per-minibatch service time (waits on peers excluded).
     pub measured_s: f64,
     /// Planner-predicted per-minibatch stage time.
     pub predicted_s: f64,
@@ -150,7 +130,7 @@ pub struct StageValidation {
 /// predictions and the simulator's steady-state throughput.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TraceValidation {
-    /// Per-stage measured vs predicted compute time.
+    /// Per-stage measured service vs predicted compute time.
     pub per_stage: Vec<StageValidation>,
     /// Measured steady-state seconds per minibatch (slope of the middle
     /// half of stage-0 backward completions).
@@ -201,6 +181,16 @@ pub fn validate(
     simulated_per_minibatch_s: f64,
     minibatch_size: usize,
 ) -> TraceValidation {
+    // `a / b - 1`, and samples/second at a per-minibatch time; 0 when the
+    // reference is missing.
+    let error_frac = |a: f64, b: f64| if b > 0.0 { a / b - 1.0 } else { 0.0 };
+    let samples_per_sec = |per_mb_s: f64| {
+        if per_mb_s > 0.0 {
+            minibatch_size as f64 / per_mb_s
+        } else {
+            0.0
+        }
+    };
     let per_stage = stage_times(snap)
         .iter()
         .map(|st| {
@@ -210,11 +200,7 @@ pub fn validate(
                 stage: st.stage,
                 measured_s: measured,
                 predicted_s: predicted,
-                error_frac: if predicted > 0.0 {
-                    measured / predicted - 1.0
-                } else {
-                    0.0
-                },
+                error_frac: error_frac(measured, predicted),
             }
         })
         .collect();
@@ -223,21 +209,9 @@ pub fn validate(
         per_stage,
         measured_per_minibatch_s: measured_mb,
         simulated_per_minibatch_s,
-        throughput_error_frac: if simulated_per_minibatch_s > 0.0 {
-            measured_mb / simulated_per_minibatch_s - 1.0
-        } else {
-            0.0
-        },
-        measured_samples_per_sec: if measured_mb > 0.0 {
-            minibatch_size as f64 / measured_mb
-        } else {
-            0.0
-        },
-        simulated_samples_per_sec: if simulated_per_minibatch_s > 0.0 {
-            minibatch_size as f64 / simulated_per_minibatch_s
-        } else {
-            0.0
-        },
+        throughput_error_frac: error_frac(measured_mb, simulated_per_minibatch_s),
+        measured_samples_per_sec: samples_per_sec(measured_mb),
+        simulated_samples_per_sec: samples_per_sec(simulated_per_minibatch_s),
     }
 }
 
@@ -253,18 +227,14 @@ pub fn record_snapshot_metrics(metrics: &MetricsRegistry, snap: &TraceSnapshot) 
     for st in stage_times(snap) {
         let stage = st.stage.to_string();
         let labels: [(&str, &str); 1] = [("stage", stage.as_str())];
-        metrics
-            .gauge_labeled("pipedream_stage_busy_frac", &labels)
-            .set(st.busy_frac);
-        metrics
-            .gauge_labeled("pipedream_stage_comm_frac", &labels)
-            .set(st.comm_frac);
-        metrics
-            .gauge_labeled("pipedream_stage_bubble_frac", &labels)
-            .set(st.bubble_frac);
-        metrics
-            .gauge_labeled("pipedream_stage_sync_wait_seconds", &labels)
-            .set(st.sync_s);
+        for (name, value) in [
+            ("pipedream_stage_busy_frac", st.busy_frac),
+            ("pipedream_stage_comm_frac", st.comm_frac),
+            ("pipedream_stage_bubble_frac", st.bubble_frac),
+            ("pipedream_stage_sync_wait_seconds", st.sync_s),
+        ] {
+            metrics.gauge_labeled(name, &labels).set(value);
+        }
     }
     let mut dropped = 0;
     for track in &snap.tracks {
@@ -364,6 +334,84 @@ mod tests {
         }
     }
 
+    /// `GradSyncGroup::allreduce` records its rendezvous *inside* the
+    /// backward span. It is communication, once: not also compute.
+    #[test]
+    fn nested_grad_sync_is_comm_not_compute() {
+        use crate::critical_path::analyze_trace;
+        // One stage on two replicas, 4 back-to-back minibatches each:
+        // fwd 2 ms, then an 8 ms bwd holding 3 ms of compute, a 4 ms
+        // rendezvous and a 1 ms optimizer step.
+        let replica = |r: usize| {
+            let mut events = Vec::new();
+            for k in 0..4u64 {
+                let (mb, t) = (2 * k + r as u64, 10 * k);
+                events.push(span(SpanKind::Fwd { mb }, t, t + 2));
+                events.push(span(SpanKind::Bwd { mb }, t + 2, t + 10));
+                events.push(span(SpanKind::GradSync, t + 5, t + 9));
+                events.push(span(SpanKind::OptStep { mb }, t + 9, t + 10));
+            }
+            TrackEvents {
+                name: format!("stage0.replica{r}"),
+                stage: Some(0),
+                events,
+                dropped: 0,
+            }
+        };
+        let snap = TraceSnapshot {
+            tracks: vec![replica(0), replica(1)],
+        };
+        let st = stage_times(&snap)[0];
+        assert_eq!((st.tracks, st.minibatches), (2, 8));
+        // Per replica, of 40 ms: 20 compute + 4 optimizer, 16 rendezvous.
+        assert!((st.busy_frac - 0.6).abs() < 1e-12, "{}", st.busy_frac);
+        assert!((st.comm_frac - 0.4).abs() < 1e-12, "{}", st.comm_frac);
+        assert!(st.bubble_frac.abs() < 1e-12, "{}", st.bubble_frac);
+        assert!((st.busy_frac + st.comm_frac + st.bubble_frac - 1.0).abs() < 1e-12);
+        assert!((st.compute_s() - 40e-3).abs() < 1e-9, "{}", st.compute_s());
+        let b = analyze_trace(&snap).per_stage[0].breakdown;
+        assert_eq!(st.sync_s, b.grad_sync_s + b.two_bw_barrier_s);
+        assert!((st.sync_s - 32e-3).abs() < 1e-9);
+        // (20 compute + 4 optimizer) / 4 minibatches on each replica.
+        assert!((st.compute_per_minibatch_s() - 6e-3).abs() < 1e-9);
+    }
+
+    /// Spans that are not nested in a forward or backward keep their own
+    /// cause: recompute and the optimizer step are the stage working, a
+    /// stall and a checkpoint write are not.
+    #[test]
+    fn toplevel_spans_are_typed_not_dropped() {
+        let snap = TraceSnapshot {
+            tracks: vec![TrackEvents {
+                name: "stage0.replica0".into(),
+                stage: Some(0),
+                events: vec![
+                    span(SpanKind::Fwd { mb: 0 }, 0, 2),
+                    span(SpanKind::Recompute { mb: 0 }, 2, 5),
+                    span(SpanKind::Bwd { mb: 0 }, 5, 8),
+                    span(SpanKind::OptStep { mb: 0 }, 8, 10),
+                    span(SpanKind::Stalled, 10, 14),
+                    span(SpanKind::Checkpoint, 14, 20),
+                ],
+                dropped: 0,
+            }],
+        };
+        let st = stage_times(&snap)[0];
+        assert!((st.busy_frac - 0.5).abs() < 1e-12, "{}", st.busy_frac);
+        assert_eq!(st.comm_frac, 0.0);
+        assert!((st.bubble_frac - 0.5).abs() < 1e-12, "{}", st.bubble_frac);
+        assert!((st.compute_s() - 5e-3).abs() < 1e-9);
+        assert!((st.breakdown.recompute_s - 3e-3).abs() < 1e-9);
+        assert!((st.breakdown.injection_s - 4e-3).abs() < 1e-9);
+        // The live view of the same trace is the same projection.
+        let live = crate::live::LiveProfiler::replay(&snap).stages[0];
+        assert_eq!(
+            (live.busy_frac, live.comm_frac, live.bubble_frac),
+            (st.busy_frac, st.comm_frac, st.bubble_frac)
+        );
+        assert_eq!(live.compute_per_mb_s, st.compute_per_minibatch_s());
+    }
+
     #[test]
     fn timeline_conversion_maps_kinds_and_skips_bookkeeping() {
         let tl = to_timeline(&sample());
@@ -389,8 +437,10 @@ mod tests {
         assert_eq!(v.per_stage.len(), 2);
         // Stage 0 measured exactly matches the prediction.
         assert!(v.per_stage[0].error_frac.abs() < 1e-9);
-        // Stage 1 measured half the predicted 12 ms.
-        assert!((v.per_stage[1].error_frac + 0.5).abs() < 1e-9);
+        // Stage 1: 6 ms of compute plus its 4 ms toplevel checkpoint write
+        // is 10 ms of service (what `analyze_trace` reports) against the
+        // predicted 12 ms.
+        assert!((v.per_stage[1].error_frac + 1.0 / 6.0).abs() < 1e-9);
         // 10 ms measured vs 8 ms simulated → +25%.
         assert!((v.throughput_error_frac - 0.25).abs() < 1e-9);
         assert!((v.measured_samples_per_sec - 16.0 / 10e-3).abs() < 1e-6);

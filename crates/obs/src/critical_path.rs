@@ -1,27 +1,33 @@
-//! Per-minibatch dependency-DAG reconstruction, critical-path extraction,
-//! and typed bubble attribution.
+//! The one fold over a trace: typed bubble attribution of every stage
+//! track, and on top of it the per-minibatch dependency DAG and its
+//! critical path.
 //!
-//! The aggregate busy/comm/bubble fractions of [`crate::analysis`] say a
-//! stage idled; they cannot say *which dependency* put that idle time on
-//! the end-to-end critical path. This module reconstructs the dependency
-//! DAG the 1F1B schedule actually executed — from any
-//! [`TraceSnapshot`], live or parsed back from a Chrome trace, measured
-//! or simulated — and produces two exact accountings:
+//! Per-stage busy/comm/bubble fractions say a stage idled; they cannot
+//! say *which dependency* put that idle time on the end-to-end critical
+//! path. This module reads any [`TraceSnapshot`] — live or parsed back
+//! from a Chrome trace, measured or simulated — and produces two exact
+//! accountings:
 //!
-//! 1. **Per-stage wall-clock attribution**: every nanosecond of every
-//!    stage track is assigned a [`BubbleCause`] (compute, upstream wait,
-//!    backpressure, grad-sync, recompute, 2BW group barrier, optimizer
-//!    step, checkpoint, fault injection, fill/drain, idle). The causes of
-//!    a track sum to the run's wall clock *by construction* — the
-//!    accounting is an exact partition of `[0, wall]` done in integer
-//!    nanoseconds, which the tests pin.
-//! 2. **Critical-path attribution**: walking binding predecessors
-//!    backward from the last span to finish (the same-track predecessor
-//!    or the cross-stage data producer, whichever ended later), the run's
-//!    makespan telescopes into per-stage, per-cause critical-path
-//!    segments that also sum exactly to wall clock. A stage's share of
-//!    the critical path is the honest measure of how much it bottlenecks
-//!    the run — speeding up anything else cannot help.
+//! 1. **Per-stage wall-clock attribution** (`fold`, public as
+//!    [`attribute_window`]): every nanosecond of every stage track inside
+//!    a window is assigned a [`BubbleCause`]. A track is tiled once,
+//!    clipped to the window and counted in integer nanoseconds, so its
+//!    causes sum to the window *by construction* and adjacent windows add
+//!    up cause by cause to the window spanning them. This is the only
+//!    place in the crate that maps a [`SpanKind`] to a cause or resolves
+//!    nesting: [`crate::analysis::stage_times`],
+//!    [`crate::live::LiveProfiler`] and
+//!    [`crate::drift::detect_replica_lag`] are projections of it, through
+//!    the two groupings [`BubbleCause::group`] and
+//!    [`BubbleCause::is_service`].
+//! 2. **Critical-path attribution** ([`analyze_trace`]): walking binding
+//!    predecessors backward from the last span to finish (the same-track
+//!    predecessor or the cross-stage data producer, whichever ended
+//!    later), the run's makespan telescopes into per-stage, per-cause
+//!    critical-path segments that also sum exactly to wall clock. A
+//!    stage's share of the critical path is the honest measure of how
+//!    much it bottlenecks the run — speeding up anything else cannot
+//!    help.
 //!
 //! [`what_if`] turns the attribution into an Amdahl-style estimator:
 //! scale one stage's per-minibatch service time and predict the
@@ -100,10 +106,51 @@ impl BubbleCause {
         }
     }
 
-    /// Whether this cause is dead time rather than useful work.
-    pub fn is_bubble(self) -> bool {
-        !matches!(self, BubbleCause::Compute)
+    /// Grouping 1 — the three-way split every dashboard column, gauge and
+    /// `StageTimes` fraction shows: the worker is *busy* running the
+    /// model, blocked on a peer (*comm*), or neither (*bubble*).
+    pub fn group(self) -> CauseGroup {
+        match self {
+            BubbleCause::Compute | BubbleCause::Recompute | BubbleCause::OptimizerStep => {
+                CauseGroup::Busy
+            }
+            BubbleCause::WaitUpstream
+            | BubbleCause::Backpressure
+            | BubbleCause::GradSync
+            | BubbleCause::TwoBwBarrier => CauseGroup::Comm,
+            BubbleCause::Checkpoint
+            | BubbleCause::Injection
+            | BubbleCause::FillDrain
+            | BubbleCause::Idle => CauseGroup::Bubble,
+        }
     }
+
+    /// Grouping 2 — per-minibatch *service*: time only this stage can
+    /// absorb, so it bounds the stage's steady-state rate. Waiting on a
+    /// peer is not service (a faster peer removes it); a send stall is,
+    /// because it holds this worker's clock — which is how an injected
+    /// straggler delay reaches the drift detector and [`what_if`].
+    pub fn is_service(self) -> bool {
+        matches!(
+            self,
+            BubbleCause::Compute
+                | BubbleCause::Backpressure
+                | BubbleCause::Recompute
+                | BubbleCause::OptimizerStep
+                | BubbleCause::Checkpoint
+        )
+    }
+}
+
+/// The coarse split of [`BubbleCause::group`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CauseGroup {
+    /// Forward/backward compute, recompute, optimizer step.
+    Busy,
+    /// Blocked on a receive, a send or a gradient-sync rendezvous.
+    Comm,
+    /// Everything else: fill/drain, idle, checkpoint writes, injections.
+    Bubble,
 }
 
 /// Nanoseconds per cause; an exact partition of some wall-clock interval.
@@ -141,19 +188,8 @@ impl CauseBreakdown {
 
     /// Seconds attributed to `cause`.
     pub fn get(&self, cause: BubbleCause) -> f64 {
-        match cause {
-            BubbleCause::Compute => self.compute_s,
-            BubbleCause::WaitUpstream => self.wait_upstream_s,
-            BubbleCause::Backpressure => self.backpressure_s,
-            BubbleCause::GradSync => self.grad_sync_s,
-            BubbleCause::Recompute => self.recompute_s,
-            BubbleCause::TwoBwBarrier => self.two_bw_barrier_s,
-            BubbleCause::OptimizerStep => self.optimizer_step_s,
-            BubbleCause::Checkpoint => self.checkpoint_s,
-            BubbleCause::Injection => self.injection_s,
-            BubbleCause::FillDrain => self.fill_drain_s,
-            BubbleCause::Idle => self.idle_s,
-        }
+        // Read through the one cause → field table, on a copy.
+        *{ *self }.slot(cause)
     }
 
     fn slot(&mut self, cause: BubbleCause) -> &mut f64 {
@@ -177,26 +213,30 @@ impl CauseBreakdown {
         BubbleCause::ALL.iter().map(|&c| self.get(c)).sum()
     }
 
-    /// Sum across bubble (non-compute) causes.
-    pub fn bubble_s(&self) -> f64 {
-        self.total_s() - self.compute_s
+    /// Mean seconds of [`BubbleCause::is_service`] time per minibatch on
+    /// one replica (0 when none completed) — the measured counterpart of
+    /// the planner's per-replica `StagePrediction::compute_s`.
+    pub(crate) fn service_per_mb_s(&self, minibatches: u64) -> f64 {
+        if minibatches == 0 {
+            return 0.0;
+        }
+        let service = BubbleCause::ALL.iter().filter(|c| c.is_service());
+        service.map(|&c| self.get(c)).sum::<f64>() / minibatches as f64
+    }
+
+    /// Gradient-sync rendezvous time under either cadence.
+    pub(crate) fn sync_s(&self) -> f64 {
+        self.grad_sync_s + self.two_bw_barrier_s
     }
 
     /// Largest bubble bucket, if any time was lost at all.
     pub fn top_bubble(&self) -> Option<(BubbleCause, f64)> {
         BubbleCause::ALL
             .iter()
-            .filter(|c| c.is_bubble())
+            .filter(|&&c| c != BubbleCause::Compute)
             .map(|&c| (c, self.get(c)))
             .filter(|&(_, s)| s > 0.0)
             .max_by(|a, b| a.1.total_cmp(&b.1))
-    }
-
-    /// Accumulate another breakdown into this one.
-    pub fn merge(&mut self, other: &CauseBreakdown) {
-        for c in BubbleCause::ALL {
-            self.add(c, other.get(c));
-        }
     }
 }
 
@@ -393,25 +433,142 @@ fn add_pieces(out: &mut CauseBreakdown, node: &Node, from: u64, to: u64) {
     }
 }
 
-/// Reconstruct the dependency DAG of a trace, attribute every nanosecond
-/// of every stage track to a [`BubbleCause`], and extract the critical
-/// path. Works on measured snapshots, parsed Chrome traces, and simulated
-/// snapshots ([`crate::simtrace`]) alike.
-pub fn analyze_trace(snap: &TraceSnapshot) -> CriticalPathReport {
-    let wall_ns = snap
-        .tracks
-        .iter()
-        .flat_map(|t| t.events.iter().map(|e| e.end_ns))
-        .max()
-        .unwrap_or(0);
-    let wall_s = wall_ns as f64 * 1e-9;
-    let num_stages = snap
-        .tracks
-        .iter()
-        .filter_map(|t| t.stage)
-        .max()
-        .map(|s| s + 1)
-        .unwrap_or(0);
+/// Why a track sat idle over `[from, to]`, a gap no span covers: a fault
+/// instant inside makes it an injection, before the first span it is
+/// pipeline fill, anywhere else plain idle.
+fn gap_cause(fault_instants: &[u64], from: u64, to: u64, before_first: bool) -> BubbleCause {
+    if fault_instants.iter().any(|&f| f >= from && f <= to) {
+        BubbleCause::Injection
+    } else if before_first {
+        BubbleCause::FillDrain
+    } else {
+        BubbleCause::Idle
+    }
+}
+
+/// What one stage track — or, merged by [`Fold::per_stage`], one stage —
+/// did inside a window: the exact per-cause tiling of the window plus the
+/// discrete events that completed in it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Window {
+    /// Replica tracks merged in; the causes sum to `window × tracks`.
+    pub tracks: usize,
+    /// Nanoseconds per cause, indexed in [`BubbleCause::ALL`] order.
+    pub cause_ns: [u64; BubbleCause::ALL.len()],
+    /// Toplevel forward span time in the window (nested waits included).
+    pub fwd_ns: u64,
+    /// Toplevel backward span time in the window.
+    pub bwd_ns: u64,
+    /// Backward passes that completed in the window.
+    pub minibatches: u64,
+    /// Service time of each minibatch whose toplevel backward completed in
+    /// the window, over all of its spans on the track (a forward that ran
+    /// in an earlier window still counts) — the percentile samples.
+    pub mb_service_ns: Vec<u64>,
+    /// Stash pushes minus pops in the window.
+    pub stash_delta: i64,
+}
+
+impl Window {
+    /// The tiling as a [`CauseBreakdown`] (one conversion per cause).
+    pub(crate) fn breakdown(&self) -> CauseBreakdown {
+        let mut out = CauseBreakdown::default();
+        for c in BubbleCause::ALL {
+            out.add(c, self.cause_ns[c as usize] as f64 * 1e-9);
+        }
+        out
+    }
+
+    /// `[busy, comm, bubble]` fractions of a `window_ns` window, averaged
+    /// over replicas. They sum to 1 because the tiling is exact; an empty
+    /// window is all bubble.
+    pub(crate) fn fracs(&self, window_ns: u64) -> [f64; 3] {
+        let denom = window_ns as f64 * self.tracks as f64;
+        if denom == 0.0 {
+            return [0.0, 0.0, 1.0];
+        }
+        [CauseGroup::Busy, CauseGroup::Comm, CauseGroup::Bubble].map(|g| {
+            let group = BubbleCause::ALL.iter().filter(|c| c.group() == g);
+            group.map(|&c| self.cause_ns[c as usize]).sum::<u64>() as f64 / denom
+        })
+    }
+
+    /// [`CauseBreakdown::service_per_mb_s`] of this window.
+    pub(crate) fn service_per_mb_s(&self) -> f64 {
+        self.breakdown().service_per_mb_s(self.minibatches)
+    }
+}
+
+/// One stage track's share of a [`Fold`].
+pub(crate) struct TrackFold {
+    /// Index into the snapshot's `tracks`.
+    pub track: usize,
+    /// Pipeline stage the track belongs to.
+    pub stage: usize,
+    /// What the track did inside the window.
+    pub window: Window,
+    nodes: Vec<Node>,
+}
+
+/// Every stage track of a snapshot folded over one window.
+pub(crate) struct Fold {
+    /// Window end: the trace's wall clock for a to-the-end window.
+    pub to_ns: u64,
+    /// Window length.
+    pub window_ns: u64,
+    /// Per stage track, in snapshot order.
+    pub tracks: Vec<TrackFold>,
+    fault_instants: Vec<u64>,
+}
+
+impl Fold {
+    /// Replica tracks merged per stage, indexed by stage (highest stage
+    /// index + 1 entries).
+    pub(crate) fn per_stage(&self) -> Vec<Window> {
+        let num_stages = self.tracks.iter().map(|t| t.stage + 1).max().unwrap_or(0);
+        let mut out = vec![Window::default(); num_stages];
+        for t in &self.tracks {
+            let (st, w) = (&mut out[t.stage], &t.window);
+            st.tracks += w.tracks;
+            for (a, b) in st.cause_ns.iter_mut().zip(w.cause_ns) {
+                *a += b;
+            }
+            st.fwd_ns += w.fwd_ns;
+            st.bwd_ns += w.bwd_ns;
+            st.minibatches += w.minibatches;
+            st.mb_service_ns.extend(&w.mb_service_ns);
+            st.stash_delta += w.stash_delta;
+        }
+        out
+    }
+
+    fn attribution(&self) -> Vec<StageAttribution> {
+        let stages = self.per_stage().into_iter().enumerate();
+        stages
+            .map(|(stage, w)| StageAttribution {
+                stage,
+                tracks: w.tracks,
+                breakdown: w.breakdown(),
+                minibatches: w.minibatches,
+                service_per_mb_s: w.service_per_mb_s() / w.tracks.max(1) as f64,
+            })
+            .collect()
+    }
+}
+
+/// The fold. Each stage track is tiled once — fill before its first span,
+/// the pieces of its toplevel spans, typed gaps between them, drain after
+/// the last — and the tiling is clipped to the window. `Some(to_ns)` is
+/// the half-open `[from_ns, to_ns)` a live sampler takes (a span ending
+/// exactly at the sample point belongs to the next window); `None` runs to
+/// the end of the trace and is closed, `[from_ns, wall]`, so the last
+/// completion counts. Discrete events (backward completions, stash
+/// instants) belong to the window their end falls in.
+pub(crate) fn fold(snap: &TraceSnapshot, from_ns: u64, to_ns: Option<u64>) -> Fold {
+    let closed = to_ns.is_none();
+    let to_ns = to_ns.unwrap_or_else(|| snap.wall_ns());
+    let ends_inside = |end_ns: u64| end_ns >= from_ns && (closed || end_ns < to_ns);
+    let clip = |s: u64, e: u64| e.min(to_ns).saturating_sub(s.max(from_ns));
 
     // Fault instants anywhere in the run mark surrounding gaps as
     // injection-caused rather than plain idle.
@@ -423,67 +580,104 @@ pub fn analyze_trace(snap: &TraceSnapshot) -> CriticalPathReport {
         .map(|e| e.start_ns)
         .collect();
 
-    let mut per_stage: Vec<StageAttribution> = (0..num_stages)
-        .map(|stage| StageAttribution {
-            stage,
-            ..StageAttribution::default()
-        })
-        .collect();
-    let mut all_nodes: Vec<Node> = Vec::new();
-    let mut tracks_of_node: Vec<Vec<usize>> = vec![Vec::new(); snap.tracks.len()];
-
+    let mut tracks = Vec::new();
     for (ti, track) in snap.tracks.iter().enumerate() {
         let Some(stage) = track.stage else { continue };
+        let mut w = Window {
+            tracks: 1,
+            ..Window::default()
+        };
+        for e in track.events.iter().filter(|e| ends_inside(e.end_ns)) {
+            match e.kind {
+                SpanKind::Bwd { .. } if !e.is_instant() => w.minibatches += 1,
+                SpanKind::StashPush { .. } => w.stash_delta += 1,
+                SpanKind::StashPop { .. } => w.stash_delta -= 1,
+                _ => {}
+            }
+        }
         let nodes = build_nodes(stage, track);
-        let st = &mut per_stage[stage];
-        st.tracks += 1;
-        st.minibatches += track
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, SpanKind::Bwd { .. }) && !e.is_instant())
-            .count() as u64;
-        // Exact per-track accounting: [0, first) fill, pieces, interior
-        // gaps, (last, wall] drain.
+        // Service so far of minibatches still awaiting their backward.
+        let mut in_flight: HashMap<u64, u64> = HashMap::new();
         let mut cursor = 0u64;
         for node in &nodes {
             if node.start_ns > cursor {
-                let gap_cause = if fault_instants
-                    .iter()
-                    .any(|&f| f >= cursor && f <= node.start_ns)
-                {
-                    BubbleCause::Injection
-                } else if cursor == 0 {
-                    BubbleCause::FillDrain
-                } else {
-                    BubbleCause::Idle
-                };
-                st.breakdown
-                    .add(gap_cause, (node.start_ns - cursor) as f64 * 1e-9);
+                let cause = gap_cause(&fault_instants, cursor, node.start_ns, cursor == 0);
+                w.cause_ns[cause as usize] += clip(cursor, node.start_ns);
             }
-            add_pieces(&mut st.breakdown, node, node.start_ns, node.end_ns);
-            cursor = cursor.max(node.end_ns);
+            let mut service = 0u64;
+            for &(s, e, cause) in &node.pieces {
+                w.cause_ns[cause as usize] += clip(s, e);
+                if cause.is_service() {
+                    service += e - s;
+                }
+            }
+            let in_window = clip(node.start_ns, node.end_ns);
+            match node.kind {
+                SpanKind::Bwd { mb } => {
+                    w.bwd_ns += in_window;
+                    let whole = in_flight.remove(&mb).unwrap_or(0) + service;
+                    if ends_inside(node.end_ns) {
+                        w.mb_service_ns.push(whole);
+                    }
+                }
+                kind => {
+                    if matches!(kind, SpanKind::Fwd { .. }) {
+                        w.fwd_ns += in_window;
+                    }
+                    if let Some(mb) = kind.minibatch() {
+                        *in_flight.entry(mb).or_default() += service;
+                    }
+                }
+            }
+            cursor = node.end_ns;
         }
-        if wall_ns > cursor {
-            st.breakdown
-                .add(BubbleCause::FillDrain, (wall_ns - cursor) as f64 * 1e-9);
-        }
+        w.cause_ns[BubbleCause::FillDrain as usize] += clip(cursor, to_ns);
+        tracks.push(TrackFold {
+            track: ti,
+            stage,
+            window: w,
+            nodes,
+        });
+    }
+    Fold {
+        to_ns,
+        window_ns: to_ns.saturating_sub(from_ns),
+        tracks,
+        fault_instants,
+    }
+}
+
+/// Per-stage attribution of one window of a trace; [`analyze_trace`]'s
+/// `per_stage` is the window `(0, None)`. `Some(to_ns)` is the half-open
+/// `[from_ns, to_ns)`, `None` the closed `[from_ns, wall]`. Every stage's
+/// causes sum to `tracks × window` in integer nanoseconds, and adjacent
+/// windows sum cause by cause to the window spanning them.
+pub fn attribute_window(
+    snap: &TraceSnapshot,
+    from_ns: u64,
+    to_ns: Option<u64>,
+) -> Vec<StageAttribution> {
+    fold(snap, from_ns, to_ns).attribution()
+}
+
+/// Reconstruct the dependency DAG of a trace, attribute every nanosecond
+/// of every stage track to a [`BubbleCause`], and extract the critical
+/// path. Works on measured snapshots, parsed Chrome traces, and simulated
+/// snapshots ([`crate::simtrace`]) alike.
+pub fn analyze_trace(snap: &TraceSnapshot) -> CriticalPathReport {
+    let whole = fold(snap, 0, None);
+    let per_stage = whole.attribution();
+    let (wall_s, num_stages) = (whole.to_ns as f64 * 1e-9, per_stage.len());
+    let fault_instants = whole.fault_instants;
+
+    // Node id → its same-track predecessor.
+    let mut all_nodes: Vec<Node> = Vec::new();
+    let mut prev_on_track: HashMap<usize, usize> = HashMap::new();
+    for t in whole.tracks {
         let base = all_nodes.len();
-        tracks_of_node[ti] = (base..base + nodes.len()).collect();
-        all_nodes.extend(nodes);
+        all_nodes.extend(t.nodes);
+        prev_on_track.extend((base + 1..all_nodes.len()).map(|id| (id, id - 1)));
     }
-
-    for st in &mut per_stage {
-        if st.minibatches > 0 && st.tracks > 0 {
-            let b = &st.breakdown;
-            let service = b.compute_s
-                + b.backpressure_s
-                + b.recompute_s
-                + b.optimizer_step_s
-                + b.checkpoint_s;
-            st.service_per_mb_s = service / st.minibatches as f64 / st.tracks as f64;
-        }
-    }
-
     // Producer lookup: (stage, mb) → node ids of its Fwd / Bwd spans.
     let mut by_fwd: HashMap<(usize, u64), Vec<usize>> = HashMap::new();
     let mut by_bwd: HashMap<(usize, u64), Vec<usize>> = HashMap::new();
@@ -495,13 +689,6 @@ pub fn analyze_trace(snap: &TraceSnapshot) -> CriticalPathReport {
         }
     }
     let last_stage = num_stages.saturating_sub(1);
-    // Node id → its same-track predecessor.
-    let mut prev_on_track: HashMap<usize, usize> = HashMap::new();
-    for ids in &tracks_of_node {
-        for w in ids.windows(2) {
-            prev_on_track.insert(w[1], w[0]);
-        }
-    }
 
     let mut critical_path: Vec<CpContribution> = (0..num_stages)
         .map(|stage| CpContribution {
@@ -552,16 +739,7 @@ pub fn analyze_trace(snap: &TraceSnapshot) -> CriticalPathReport {
             // Slack before the span started: fill at the chain's origin,
             // scheduler idle elsewhere (injection if a fault sits inside).
             if node.start_ns > from {
-                let cause = if fault_instants
-                    .iter()
-                    .any(|&f| f >= from && f <= node.start_ns)
-                {
-                    BubbleCause::Injection
-                } else if pred.is_none() {
-                    BubbleCause::FillDrain
-                } else {
-                    BubbleCause::Idle
-                };
+                let cause = gap_cause(&fault_instants, from, node.start_ns, pred.is_none());
                 cp.seconds += (node.start_ns - from) as f64 * 1e-9;
                 cp.breakdown
                     .add(cause, (node.start_ns - from) as f64 * 1e-9);

@@ -1,8 +1,11 @@
 //! Drift and straggler detection: compares the [`LiveProfiler`]'s
-//! measured per-stage times against the planner's [`StagePrediction`]s
-//! and flags when reality diverges from the plan — a stage running far
-//! over its predicted compute, the measured bottleneck moving away from
-//! the planned one, or one replica lagging its gradient-sync partners.
+//! measured per-stage service times against the planner's
+//! [`StagePrediction`]s and flags when reality diverges from the plan — a
+//! stage running far over its predicted compute, the measured bottleneck
+//! moving away from the planned one, or one replica lagging its
+//! gradient-sync partners. "Service" is the attribution's per-minibatch
+//! grouping ([`crate::BubbleCause::is_service`]): a stage that stalls on
+//! its own sends is slow, a stage that waits on a slow peer is not.
 //!
 //! Detection is hysteretic: a stage must exceed the *trip* ratio for
 //! several consecutive samples to be flagged, and must fall below the
@@ -12,7 +15,7 @@
 //!
 //! [`LiveProfiler`]: crate::live::LiveProfiler
 
-use crate::event::SpanKind;
+use crate::critical_path::fold;
 use crate::live::LiveSnapshot;
 use crate::recorder::TraceSnapshot;
 use pipedream_core::StagePrediction;
@@ -32,8 +35,8 @@ pub struct DriftConfig {
     pub trip_count: u32,
     /// Consecutive clearing samples required to unflag.
     pub clear_count: u32,
-    /// A replica is lagging when its per-minibatch compute exceeds its
-    /// stage's median by this factor.
+    /// A replica is lagging when its per-minibatch service time exceeds
+    /// its stage's median by this factor.
     pub replica_lag_ratio: f64,
     /// Ignore stages with fewer completed minibatches than this in the
     /// detector's lifetime (warm-up guard).
@@ -58,7 +61,7 @@ impl Default for DriftConfig {
 pub struct StageDrift {
     /// Pipeline stage index.
     pub stage: usize,
-    /// EWMA measured per-minibatch compute (seconds).
+    /// EWMA measured per-minibatch service time (seconds).
     pub measured_s: f64,
     /// Planner-predicted per-minibatch compute (seconds).
     pub predicted_s: f64,
@@ -75,9 +78,9 @@ pub struct ReplicaLag {
     pub stage: usize,
     /// Track name (`stageN.replicaM`).
     pub track: String,
-    /// This replica's mean per-minibatch compute (seconds).
+    /// This replica's mean per-minibatch service time (seconds).
     pub per_mb_s: f64,
-    /// Median per-minibatch compute across the stage's replicas.
+    /// Median per-minibatch service time across the stage's replicas.
     pub stage_median_s: f64,
     /// `per_mb_s / stage_median_s`.
     pub ratio: f64,
@@ -178,16 +181,10 @@ impl DriftDetector {
         let cfg = self.config;
         let mut stages = Vec::with_capacity(self.predictions.len());
         for pred in &self.predictions {
-            let measured = live
+            let (measured, window_mbs) = live
                 .stages
                 .get(pred.stage)
-                .map(|s| s.ewma_compute_per_mb_s)
-                .unwrap_or(0.0);
-            let window_mbs = live
-                .stages
-                .get(pred.stage)
-                .map(|s| s.minibatches)
-                .unwrap_or(0);
+                .map_or((0.0, 0), |s| (s.ewma_compute_per_mb_s, s.minibatches));
             if self.state.len() <= pred.stage {
                 self.state.resize(pred.stage + 1, Hysteresis::default());
             }
@@ -264,57 +261,34 @@ impl DriftDetector {
     }
 }
 
-/// Scan a snapshot for replicas whose mean per-minibatch compute exceeds
-/// their stage's median by `ratio`. Only stages with more than one
-/// replica track can lag (a lone replica has no partners).
+/// Scan a snapshot for replicas whose mean per-minibatch service time —
+/// the per-track read of the [`crate::critical_path`] fold — exceeds their
+/// stage's median by `ratio`. Only stages with more than one replica
+/// track can lag (a lone replica has no partners).
 pub fn detect_replica_lag(snap: &TraceSnapshot, ratio: f64) -> Vec<ReplicaLag> {
-    // (stage, track name, per-mb compute)
-    let mut per_track: Vec<(usize, &str, f64)> = Vec::new();
-    for track in &snap.tracks {
-        let Some(stage) = track.stage else { continue };
-        let mut compute = 0.0;
-        let mut mbs = 0u64;
-        for ev in &track.events {
-            match ev.kind {
-                SpanKind::Fwd { .. } => compute += ev.duration_s(),
-                SpanKind::Bwd { .. } => {
-                    compute += ev.duration_s();
-                    mbs += 1;
-                }
-                SpanKind::RecvWait { .. } | SpanKind::SendWait { .. } => compute -= ev.duration_s(),
-                _ => {}
-            }
-        }
-        if mbs > 0 {
-            per_track.push((stage, &track.name, compute.max(0.0) / mbs as f64));
-        }
-    }
+    // (stage, track, per-mb service) of every replica that finished work,
+    // grouped by stage and ordered by time within it.
+    let mut per_track: Vec<(usize, usize, f64)> = fold(snap, 0, None)
+        .tracks
+        .iter()
+        .filter(|t| t.window.minibatches > 0)
+        .map(|t| (t.stage, t.track, t.window.service_per_mb_s()))
+        .collect();
+    per_track.sort_by(|a, b| a.0.cmp(&b.0).then(a.2.total_cmp(&b.2)));
     let mut out = Vec::new();
-    let max_stage = per_track.iter().map(|t| t.0).max().unwrap_or(0);
-    for stage in 0..=max_stage {
-        let mut times: Vec<f64> = per_track
-            .iter()
-            .filter(|t| t.0 == stage)
-            .map(|t| t.2)
-            .collect();
-        if times.len() < 2 {
+    for replicas in per_track.chunk_by(|a, b| a.0 == b.0) {
+        let median = replicas[replicas.len() / 2].2;
+        if replicas.len() < 2 || median <= 0.0 {
             continue;
         }
-        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = times[times.len() / 2];
-        if median <= 0.0 {
-            continue;
-        }
-        for (s, name, t) in per_track.iter().filter(|t| t.0 == stage) {
-            if *t >= median * ratio {
-                out.push(ReplicaLag {
-                    stage: *s,
-                    track: (*name).to_string(),
-                    per_mb_s: *t,
-                    stage_median_s: median,
-                    ratio: *t / median,
-                });
-            }
+        for &(stage, track, per_mb_s) in replicas.iter().filter(|t| t.2 >= median * ratio) {
+            out.push(ReplicaLag {
+                stage,
+                track: snap.tracks[track].name.clone(),
+                per_mb_s,
+                stage_median_s: median,
+                ratio: per_mb_s / median,
+            });
         }
     }
     out
@@ -323,7 +297,7 @@ pub fn detect_replica_lag(snap: &TraceSnapshot, ratio: f64) -> Vec<ReplicaLag> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
+    use crate::event::{Event, SpanKind};
     use crate::live::StageWindowStats;
     use crate::recorder::TrackEvents;
 
@@ -476,6 +450,51 @@ mod tests {
             tracks: vec![track("stage0.replica0", 9)],
         };
         assert!(detect_replica_lag(&solo, 1.5).is_empty());
+    }
+
+    /// A straggler's injected delay is a `SendWait` nested in the forward
+    /// span: service time only that stage can absorb, so it must raise the
+    /// stage's measured per-minibatch time and trip the detector against a
+    /// prediction equal to the undelayed time.
+    #[test]
+    fn nested_send_stall_raises_measured_time_and_trips() {
+        use crate::live::LiveProfiler;
+        let ms = 1_000_000u64;
+        // 4 minibatches of fwd 2 ms + bwd 2 ms, each forward stretched by
+        // `stall_ms` of send stall.
+        let run = |stall_ms: u64| {
+            let mut events = Vec::new();
+            let mut t = 0;
+            for mb in 0..4u64 {
+                let sent = t + (2 + stall_ms) * ms;
+                events.push(Event::span(SpanKind::Fwd { mb }, t, sent));
+                if stall_ms > 0 {
+                    events.push(Event::span(SpanKind::SendWait { mb }, t + 2 * ms, sent));
+                }
+                events.push(Event::span(SpanKind::Bwd { mb }, sent, sent + 2 * ms));
+                t = sent + 2 * ms;
+            }
+            LiveProfiler::replay(&TraceSnapshot {
+                tracks: vec![TrackEvents {
+                    name: "stage0.replica0".into(),
+                    stage: Some(0),
+                    events,
+                    dropped: 0,
+                }],
+            })
+        };
+        let (healthy, stalled) = (run(0), run(6));
+        assert!((healthy.stages[0].compute_per_mb_s - 4e-3).abs() < 1e-9);
+        assert!((stalled.stages[0].compute_per_mb_s - 10e-3).abs() < 1e-9);
+        assert!((stalled.stages[0].ewma_compute_per_mb_s - 10e-3).abs() < 1e-9);
+        assert!((stalled.stages[0].p50_compute_s - 10e-3).abs() < 1e-9);
+
+        let mut det = DriftDetector::new(vec![pred(0, 4e-3)]);
+        det.observe(&stalled);
+        assert!(det.observe(&stalled).stages[0].straggling);
+        let mut det = DriftDetector::new(vec![pred(0, 4e-3)]);
+        det.observe(&healthy);
+        assert!(!det.observe(&healthy).any_drift());
     }
 
     #[test]

@@ -33,6 +33,13 @@
 //! measured costs back into the partitioner to check whether a different
 //! plan would beat the current one (with the simulated-throughput delta).
 //!
+//! Every number above is a projection of one attribution: the
+//! [`critical_path`] fold assigns each nanosecond of each stage track a
+//! [`BubbleCause`], and [`stage_times`], [`LiveProfiler`],
+//! [`detect_replica_lag`] and [`analyze_trace`] only sum, window or walk
+//! it — so what `pipedream analyze` prints is what the control loop acted
+//! on.
+//!
 //! [`StagePrediction`]: pipedream_core::StagePrediction
 
 pub mod advisor;
@@ -47,10 +54,7 @@ pub mod recorder;
 pub mod ring;
 pub mod simtrace;
 
-pub use advisor::{
-    advise_replan, measured_layer_costs, try_advise_replan, try_advise_replan_constrained,
-    ReplanAdvice,
-};
+pub use advisor::{advise_replan, measured_layer_costs, ReplanAdvice};
 pub use analysis::{
     measured_per_minibatch_s, record_pool_metrics, record_snapshot_metrics, stage_times,
     to_timeline, validate, StageTimes, StageValidation, TraceValidation,
@@ -59,8 +63,8 @@ pub use chrome::{
     parse_chrome_trace, render_chrome_trace, write_chrome_trace, write_chrome_trace_session,
 };
 pub use critical_path::{
-    analyze_trace, what_if, BubbleCause, CauseBreakdown, CpContribution, CriticalPathReport,
-    StageAttribution, WhatIf,
+    analyze_trace, attribute_window, what_if, BubbleCause, CauseBreakdown, CauseGroup,
+    CpContribution, CriticalPathReport, StageAttribution, WhatIf,
 };
 pub use drift::{
     detect_replica_lag, DriftConfig, DriftDetector, DriftReport, ReplicaLag, StageDrift,

@@ -4,21 +4,21 @@
 //! closing the gap between the paper's one-shot offline profile (§3.1)
 //! and what the pipeline is doing *right now*.
 //!
-//! Each [`LiveProfiler::sample`] call snapshots the session, keeps only
-//! events that finished since the previous sample (the rings are
-//! cumulative until they overflow, so `end_ns` partitions cleanly), and
-//! folds them into per-stage window statistics. The same aggregation
-//! works offline: [`LiveProfiler::replay`] runs one whole-trace window
-//! over a parsed snapshot, which is what `pipedream inspect --from-trace`
-//! uses.
+//! Each [`LiveProfiler::sample`] call snapshots the session and runs the
+//! [`crate::critical_path`] fold over the window since the previous
+//! sample — the same attribution `pipedream analyze` prints, clipped to
+//! `[last_sample, now)` — then rolls the per-stage result into the EWMA,
+//! percentile and stash-depth state it keeps across windows. Offline it
+//! is the same projection: [`LiveProfiler::replay`] folds a parsed
+//! snapshot as one whole-trace window, which is what `pipedream inspect
+//! --from-trace` uses.
 
 use crate::analysis::to_timeline;
-use crate::event::SpanKind;
+use crate::critical_path::fold;
 use crate::metrics::MetricsRegistry;
 use crate::recorder::{TraceSession, TraceSnapshot, TrackEvents};
 use pipedream_sim::render_timeline;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -38,21 +38,23 @@ pub struct StageWindowStats {
     pub tracks: usize,
     /// Minibatches (backward completions) finished inside the window.
     pub minibatches: u64,
-    /// Mean per-minibatch compute time over this window (receive waits
-    /// excluded), 0 when the window saw no completed minibatch.
+    /// Mean per-minibatch service time over this window — compute plus
+    /// whatever else only this stage can absorb (send stalls, recompute,
+    /// optimizer step; waits on peers excluded) — 0 when the window saw no
+    /// completed minibatch.
     pub compute_per_mb_s: f64,
     /// Exponentially weighted moving average of `compute_per_mb_s`
     /// across sample windows.
     pub ewma_compute_per_mb_s: f64,
-    /// Median per-minibatch compute time over the recent-sample buffer.
+    /// Median per-minibatch service time over the recent-sample buffer.
     pub p50_compute_s: f64,
-    /// 99th-percentile per-minibatch compute time over the buffer.
+    /// 99th-percentile per-minibatch service time over the buffer.
     pub p99_compute_s: f64,
     /// Fraction of window wall time spent computing.
     pub busy_frac: f64,
     /// Fraction spent blocked on sends/receives/gradient sync.
     pub comm_frac: f64,
-    /// Idle remainder: `1 - busy_frac - comm_frac`.
+    /// The rest of the window: fill/drain, idle, checkpoints, injections.
     pub bubble_frac: f64,
     /// Gradient-sync time inside the window (summed over replicas).
     pub sync_s: f64,
@@ -112,15 +114,20 @@ struct StageState {
     stash_depth: i64,
 }
 
+/// Everything the profiler remembers between windows.
+struct Rolling {
+    alpha: f64,
+    minibatches_total: u64,
+    stages: Vec<StageState>,
+}
+
 /// Periodically drains a [`TraceSession`]'s rings into rolling-window
 /// per-stage measured costs.
 pub struct LiveProfiler {
     session: Arc<TraceSession>,
-    alpha: f64,
     last_ns: u64,
-    minibatches_total: u64,
-    stages: Vec<StageState>,
     publish: bool,
+    rolling: Rolling,
 }
 
 impl LiveProfiler {
@@ -129,23 +136,20 @@ impl LiveProfiler {
     pub fn new(session: Arc<TraceSession>) -> Self {
         LiveProfiler {
             session,
-            alpha: DEFAULT_ALPHA,
             last_ns: 0,
-            minibatches_total: 0,
-            stages: Vec::new(),
             publish: true,
+            rolling: Rolling::new(DEFAULT_ALPHA),
         }
     }
 
     /// Override the EWMA smoothing factor (0 < alpha <= 1; larger tracks
     /// the latest window more aggressively).
     pub fn with_alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha.clamp(1e-6, 1.0);
+        self.rolling.alpha = alpha.clamp(1e-6, 1.0);
         self
     }
 
-    /// Disable publishing to the metrics registry (pure aggregation, used
-    /// by the offline replay path).
+    /// Disable publishing to the metrics registry (pure aggregation).
     pub fn without_publish(mut self) -> Self {
         self.publish = false;
         self
@@ -164,148 +168,61 @@ impl LiveProfiler {
         live
     }
 
-    /// Run the aggregation over an already-captured snapshot as a single
-    /// window spanning the whole trace. This is the offline entry point:
-    /// `inspect --from-trace` parses a Chrome trace back into a
-    /// [`TraceSnapshot`] and replays it here.
+    /// Fold an already-captured snapshot as a single window spanning the
+    /// whole trace (so the EWMA equals the window mean). This is the
+    /// offline entry point: `inspect --from-trace` parses a Chrome trace
+    /// back into a [`TraceSnapshot`] and replays it here.
     pub fn replay(snap: &TraceSnapshot) -> LiveSnapshot {
-        let end_ns = snap
-            .tracks
-            .iter()
-            .flat_map(|t| t.events.iter().map(|e| e.end_ns))
-            .max()
-            .unwrap_or(0);
-        // A throwaway session supplies the state; the window covers all
-        // events (half-open, so reach 1 ns past the last end), and the
-        // EWMA equals the single window mean.
-        let mut p = LiveProfiler::new(TraceSession::new())
-            .with_alpha(1.0)
-            .without_publish();
-        p.fold_window(snap, 0, end_ns + 1)
+        Rolling::new(1.0).fold_window(snap, 0, None)
     }
 
-    /// Aggregate events with `end_ns` in `(from_ns, to_ns]` into window
-    /// statistics, updating the rolling state.
+    /// Fold the half-open window `[from_ns, to_ns)` into the rolling state.
     fn fold_window(&mut self, snap: &TraceSnapshot, from_ns: u64, to_ns: u64) -> LiveSnapshot {
-        let n_stages = snap
-            .tracks
-            .iter()
-            .filter_map(|t| t.stage)
-            .max()
-            .map(|s| s + 1)
-            .unwrap_or(0);
-        if self.stages.len() < n_stages {
-            self.stages.resize_with(n_stages, StageState::default);
-        }
-        let window_s = to_ns.saturating_sub(from_ns) as f64 * 1e-9;
+        self.rolling.fold_window(snap, from_ns, Some(to_ns))
+    }
+}
 
-        struct Acc {
-            tracks: usize,
-            busy_s: f64,
-            comm_s: f64,
-            sync_s: f64,
-            minibatches: u64,
-            // (track, mb) -> (fwd_s, bwd_s, wait_s, bwd_done)
-            per_mb: BTreeMap<(usize, u64), (f64, f64, f64, bool)>,
-            stash_delta: i64,
+impl Rolling {
+    fn new(alpha: f64) -> Self {
+        Rolling {
+            alpha,
+            minibatches_total: 0,
+            stages: Vec::new(),
         }
-        let mut accs: Vec<Acc> = (0..n_stages)
-            .map(|_| Acc {
-                tracks: 0,
-                busy_s: 0.0,
-                comm_s: 0.0,
-                sync_s: 0.0,
-                minibatches: 0,
-                per_mb: BTreeMap::new(),
-                stash_delta: 0,
-            })
-            .collect();
-        let mut window_minibatches = 0u64;
-        let mut events_dropped = 0u64;
+    }
 
-        for (ti, track) in snap.tracks.iter().enumerate() {
-            events_dropped += track.dropped;
-            let Some(stage) = track.stage else { continue };
-            let acc = &mut accs[stage];
-            acc.tracks += 1;
-            for ev in &track.events {
-                // Window membership is by completion time — `[from, to)`
-                // so an instant at the session origin still lands in the
-                // first window and a span ending exactly at the sample
-                // point defers to the next window instead of being lost.
-                // Straddling spans contribute only their in-window
-                // portion to the busy/comm fractions.
-                if ev.end_ns < from_ns || ev.end_ns >= to_ns {
-                    continue;
-                }
-                let d = ev.duration_s();
-                let in_window_s = (ev.end_ns - ev.start_ns.max(from_ns)) as f64 * 1e-9;
-                match ev.kind {
-                    SpanKind::Fwd { mb } => {
-                        acc.busy_s += in_window_s;
-                        acc.per_mb
-                            .entry((ti, mb))
-                            .or_insert((0.0, 0.0, 0.0, false))
-                            .0 += d;
-                    }
-                    SpanKind::Bwd { mb } => {
-                        acc.busy_s += in_window_s;
-                        acc.minibatches += 1;
-                        if stage == 0 {
-                            window_minibatches += 1;
-                        }
-                        let e = acc.per_mb.entry((ti, mb)).or_insert((0.0, 0.0, 0.0, false));
-                        e.1 += d;
-                        e.3 = true;
-                    }
-                    SpanKind::RecvWait { mb } | SpanKind::SendWait { mb } => {
-                        acc.comm_s += in_window_s;
-                        // Waits nest inside fwd/bwd spans, so they are
-                        // double counted in busy_s; subtract via per-mb.
-                        acc.busy_s -= in_window_s;
-                        acc.per_mb
-                            .entry((ti, mb))
-                            .or_insert((0.0, 0.0, 0.0, false))
-                            .2 += d;
-                    }
-                    SpanKind::GradSync => {
-                        acc.comm_s += in_window_s;
-                        acc.sync_s += in_window_s;
-                    }
-                    SpanKind::StashPush { .. } => acc.stash_delta += 1,
-                    SpanKind::StashPop { .. } => acc.stash_delta -= 1,
-                    _ => {}
-                }
-            }
+    /// Project one window of the attribution fold onto per-stage window
+    /// statistics, updating the rolling state.
+    fn fold_window(
+        &mut self,
+        snap: &TraceSnapshot,
+        from_ns: u64,
+        to_ns: Option<u64>,
+    ) -> LiveSnapshot {
+        let window = fold(snap, from_ns, to_ns);
+        let per_stage = window.per_stage();
+        if self.stages.len() < per_stage.len() {
+            self.stages
+                .resize_with(per_stage.len(), StageState::default);
         }
-
+        let window_s = window.window_ns as f64 * 1e-9;
+        let window_minibatches = per_stage.first().map_or(0, |w| w.minibatches);
         self.minibatches_total += window_minibatches;
-        let mut stages = Vec::with_capacity(n_stages);
-        for (stage, acc) in accs.into_iter().enumerate() {
+
+        let mut stages = Vec::with_capacity(per_stage.len());
+        for (stage, w) in per_stage.iter().enumerate() {
             let state = &mut self.stages[stage];
-            state.stash_depth += acc.stash_delta;
-            // Per-mb compute samples: fwd + bwd − nested waits, only for
-            // minibatches whose backward completed inside the window.
-            let mut window_compute = 0.0;
-            let mut window_samples = 0u64;
-            for (_, (fwd, bwd, wait, done)) in acc.per_mb.iter() {
-                if !done {
-                    continue;
-                }
-                let c = (fwd + bwd - wait).max(0.0);
-                window_compute += c;
-                window_samples += 1;
-                if state.recent_compute_s.len() == PERCENTILE_WINDOW {
-                    state.recent_compute_s.pop_front();
-                }
-                state.recent_compute_s.push_back(c);
-            }
-            let compute_per_mb_s = if window_samples > 0 {
-                window_compute / window_samples as f64
-            } else {
-                0.0
-            };
-            if window_samples > 0 {
+            state.stash_depth += w.stash_delta;
+            let samples = w.mb_service_ns.iter().map(|&ns| ns as f64 * 1e-9);
+            state.recent_compute_s.extend(samples);
+            let stale = state
+                .recent_compute_s
+                .len()
+                .saturating_sub(PERCENTILE_WINDOW);
+            state.recent_compute_s.drain(..stale);
+            let breakdown = w.breakdown();
+            let compute_per_mb_s = breakdown.service_per_mb_s(w.minibatches);
+            if w.minibatches > 0 {
                 state.ewma_compute_per_mb_s = if state.ewma_compute_per_mb_s == 0.0 {
                     compute_per_mb_s
                 } else {
@@ -313,32 +230,25 @@ impl LiveProfiler {
                 };
             }
             let (p50, p99) = percentiles(&state.recent_compute_s);
-            let denom = window_s * acc.tracks.max(1) as f64;
-            let (busy_frac, comm_frac) = if denom > 0.0 {
-                let busy = (acc.busy_s.max(0.0) / denom).min(1.0);
-                let comm = (acc.comm_s / denom).min(1.0 - busy);
-                (busy, comm)
-            } else {
-                (0.0, 0.0)
-            };
+            let [busy_frac, comm_frac, bubble_frac] = w.fracs(window.window_ns);
             stages.push(StageWindowStats {
                 stage,
-                tracks: acc.tracks,
-                minibatches: acc.minibatches,
+                tracks: w.tracks,
+                minibatches: w.minibatches,
                 compute_per_mb_s,
                 ewma_compute_per_mb_s: state.ewma_compute_per_mb_s,
                 p50_compute_s: p50,
                 p99_compute_s: p99,
                 busy_frac,
                 comm_frac,
-                bubble_frac: 1.0 - busy_frac - comm_frac,
-                sync_s: acc.sync_s,
+                bubble_frac,
+                sync_s: breakdown.sync_s(),
                 stash_depth: state.stash_depth,
             });
         }
 
         LiveSnapshot {
-            t_s: to_ns as f64 * 1e-9,
+            t_s: window.to_ns as f64 * 1e-9,
             window_s,
             stages,
             window_minibatches,
@@ -348,7 +258,7 @@ impl LiveProfiler {
             } else {
                 0.0
             },
-            events_dropped,
+            events_dropped: snap.tracks.iter().map(|t| t.dropped).sum(),
         }
     }
 }
@@ -369,27 +279,18 @@ pub fn publish_live_metrics(metrics: &MetricsRegistry, live: &LiveSnapshot) {
     for s in &live.stages {
         let stage = s.stage.to_string();
         let labels: [(&str, &str); 1] = [("stage", stage.as_str())];
-        metrics
-            .gauge_labeled("pipedream_live_compute_per_mb_seconds", &labels)
-            .set(s.ewma_compute_per_mb_s);
-        metrics
-            .gauge_labeled("pipedream_live_p50_seconds", &labels)
-            .set(s.p50_compute_s);
-        metrics
-            .gauge_labeled("pipedream_live_p99_seconds", &labels)
-            .set(s.p99_compute_s);
-        metrics
-            .gauge_labeled("pipedream_live_busy_frac", &labels)
-            .set(s.busy_frac);
-        metrics
-            .gauge_labeled("pipedream_live_comm_frac", &labels)
-            .set(s.comm_frac);
-        metrics
-            .gauge_labeled("pipedream_live_bubble_frac", &labels)
-            .set(s.bubble_frac);
-        metrics
-            .gauge_labeled("pipedream_live_stash_depth", &labels)
-            .set(s.stash_depth as f64);
+        for (name, value) in [
+            ("compute_per_mb_seconds", s.ewma_compute_per_mb_s),
+            ("p50_seconds", s.p50_compute_s),
+            ("p99_seconds", s.p99_compute_s),
+            ("busy_frac", s.busy_frac),
+            ("comm_frac", s.comm_frac),
+            ("bubble_frac", s.bubble_frac),
+            ("stash_depth", s.stash_depth as f64),
+        ] {
+            let gauge = metrics.gauge_labeled(&format!("pipedream_live_{name}"), &labels);
+            gauge.set(value);
+        }
     }
     metrics
         .gauge("pipedream_live_throughput_mb_per_sec")
@@ -474,13 +375,9 @@ pub fn render_live_dashboard(
 /// rebase times so the window starts at 0 (the ASCII renderer scales from
 /// zero to makespan).
 fn tail_window(snap: &TraceSnapshot, window_s: f64) -> TraceSnapshot {
-    let end_ns = snap
-        .tracks
-        .iter()
-        .flat_map(|t| t.events.iter().map(|e| e.end_ns))
-        .max()
-        .unwrap_or(0);
-    let from_ns = end_ns.saturating_sub((window_s.max(0.0) * 1e9) as u64);
+    let from_ns = snap
+        .wall_ns()
+        .saturating_sub((window_s.max(0.0) * 1e9) as u64);
     TraceSnapshot {
         tracks: snap
             .tracks
@@ -508,7 +405,7 @@ fn tail_window(snap: &TraceSnapshot, window_s: f64) -> TraceSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
+    use crate::event::{Event, SpanKind};
 
     const MS: u64 = 1_000_000;
 
@@ -572,6 +469,39 @@ mod tests {
         assert_eq!(w2.window_minibatches, 2);
         assert_eq!(w2.minibatches_total, 4);
         assert!((w2.throughput_mb_per_s - 100.0).abs() < 1e-6);
+    }
+
+    /// A forward that straddles the sample point is split at it: each
+    /// window is tiled exactly, so nothing needs clamping into range.
+    #[test]
+    fn straddling_span_is_clipped_to_each_window() {
+        let snap = snap_of(vec![TrackEvents {
+            name: "stage0.replica0".into(),
+            stage: Some(0),
+            events: vec![
+                span(SpanKind::Fwd { mb: 0 }, 5, 25),
+                span(SpanKind::RecvWait { mb: 0 }, 6, 18),
+                span(SpanKind::Bwd { mb: 0 }, 25, 30),
+            ],
+            dropped: 0,
+        }]);
+        let mut p = LiveProfiler::new(TraceSession::new()).without_publish();
+        // [0, 20): 5 ms fill, 1 + 2 ms of the forward's compute around its
+        // 12 ms wait.
+        let w1 = p.fold_window(&snap, 0, 20 * MS).stages[0];
+        assert!((w1.busy_frac - 0.15).abs() < 1e-12, "{}", w1.busy_frac);
+        assert!((w1.comm_frac - 0.6).abs() < 1e-12, "{}", w1.comm_frac);
+        assert!((w1.bubble_frac - 0.25).abs() < 1e-12, "{}", w1.bubble_frac);
+        assert_eq!(w1.minibatches, 0);
+        // [20, 40): the forward's last 5 ms, the backward, 10 ms drain.
+        let w2 = p.fold_window(&snap, 20 * MS, 40 * MS).stages[0];
+        assert!((w2.busy_frac - 0.5).abs() < 1e-12, "{}", w2.busy_frac);
+        assert_eq!(w2.comm_frac, 0.0);
+        assert_eq!(w2.minibatches, 1);
+        // The percentile sample is the whole minibatch (8 + 5 ms), the
+        // window mean only what ran inside the window.
+        assert!((w2.p50_compute_s - 13e-3).abs() < 1e-9);
+        assert!((w2.compute_per_mb_s - 10e-3).abs() < 1e-9);
     }
 
     #[test]

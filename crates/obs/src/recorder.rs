@@ -160,14 +160,18 @@ pub struct TraceSnapshot {
 }
 
 impl TraceSnapshot {
-    /// Latest event end across all tracks, in seconds.
-    pub fn span_s(&self) -> f64 {
+    /// Wall clock of the trace: the latest event end across all tracks.
+    pub(crate) fn wall_ns(&self) -> u64 {
         self.tracks
             .iter()
             .flat_map(|t| t.events.iter().map(|e| e.end_ns))
             .max()
-            .unwrap_or(0) as f64
-            * 1e-9
+            .unwrap_or(0)
+    }
+
+    /// Latest event end across all tracks, in seconds.
+    pub fn span_s(&self) -> f64 {
+        self.wall_ns() as f64 * 1e-9
     }
 }
 
