@@ -10,6 +10,7 @@
 use crate::device::Device;
 use crate::link::LinkModel;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// One level of the bandwidth hierarchy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -125,23 +126,38 @@ impl Topology {
         if set.len() <= 1 {
             return 0.0;
         }
+        // Workers are numbered depth-first, so ascending worker order is
+        // ascending (component, sub-component) order at every level and one
+        // scan per level counts the occupied sub-components. Stage replicas
+        // and data-parallel participants arrive ascending; only another
+        // order pays for a sorted copy.
+        let sorted = if set.is_sorted() {
+            Cow::Borrowed(set)
+        } else {
+            let mut copy = set.to_vec();
+            copy.sort_unstable();
+            Cow::Owned(copy)
+        };
         let mut total = 0.0;
-        for k in 1..=self.num_levels() {
-            let sub_span = self.workers_per_component(k - 1);
-            let span = self.workers_per_component(k);
-            // For each level-k component, count occupied level-(k-1)
-            // sub-components.
-            let mut counts = std::collections::HashMap::new();
-            for &w in set {
-                counts
-                    .entry(w / span)
-                    .or_insert_with(std::collections::HashSet::new)
-                    .insert(w / sub_span);
+        let mut sub_span = 1;
+        for level in &self.levels {
+            let span = sub_span * level.arity;
+            // `occupied` counts the sub-components seen so far in the
+            // current component.
+            let (mut occupied, mut widest) = (1, 1);
+            for pair in sorted.windows(2) {
+                let (prev, w) = (pair[0], pair[1]);
+                if w / span != prev / span {
+                    occupied = 1;
+                } else if w / sub_span != prev / sub_span {
+                    occupied += 1;
+                    widest = widest.max(occupied);
+                }
             }
-            let widest = counts.values().map(|s| s.len()).max().unwrap_or(1);
             if widest > 1 {
-                total += crate::link::allreduce_time(self.link(k), bytes, widest);
+                total += crate::link::allreduce_time(&level.link, bytes, widest);
             }
+            sub_span = span;
         }
         total
     }
@@ -344,6 +360,67 @@ mod property_tests {
                 ],
             )
         })
+    }
+
+    /// `allreduce_time_spanning` as it was first written: per level, a map
+    /// from each occupied component to the set of its occupied
+    /// sub-components.
+    fn allreduce_time_spanning_by_sets(topo: &Topology, set: &[usize], bytes: u64) -> f64 {
+        use std::collections::{HashMap, HashSet};
+        if set.len() <= 1 {
+            return 0.0;
+        }
+        let mut total = 0.0;
+        for k in 1..=topo.num_levels() {
+            let sub_span = topo.workers_per_component(k - 1);
+            let span = topo.workers_per_component(k);
+            let mut counts = HashMap::new();
+            for &w in set {
+                counts
+                    .entry(w / span)
+                    .or_insert_with(HashSet::new)
+                    .insert(w / sub_span);
+            }
+            let widest = counts.values().map(|s| s.len()).max().unwrap_or(1);
+            if widest > 1 {
+                total += crate::link::allreduce_time(topo.link(k), bytes, widest);
+            }
+        }
+        total
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The sort-and-scan count agrees bit for bit with the set-based
+        /// one on 1-3 levels (arity 1 included) and on worker sets that are
+        /// unsorted, sparse, repeated, empty or a singleton.
+        #[test]
+        fn allreduce_matches_set_based_reference(
+            arities in proptest::collection::vec(1usize..=5, 1..=3),
+            draws in proptest::collection::vec(0usize..1000, 0..=24),
+            ascending in any::<bool>(),
+            bytes in 0u64..4_000_000_000,
+        ) {
+            let levels = arities.iter().enumerate().map(|(k, &arity)| Level {
+                name: format!("l{}", k + 1),
+                arity,
+                // Slower and longer-latency links further out.
+                link: LinkModel::from_gbytes(40.0 / (1 + 3 * k) as f64, 1e-6 * (1 + 4 * k) as f64),
+            });
+            let topo = Topology::new(crate::Device::v100(), levels.collect());
+            let mut set: Vec<usize> = draws.iter().map(|d| d % topo.total_workers()).collect();
+            if ascending {
+                set.sort_unstable();
+            }
+            let got = topo.allreduce_time_spanning(&set, bytes);
+            let want = allreduce_time_spanning_by_sets(&topo, &set, bytes);
+            prop_assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{:?} on arities {:?}: {} vs {}", set, arities, got, want
+            );
+        }
     }
 
     proptest! {

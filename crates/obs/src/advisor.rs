@@ -151,17 +151,18 @@ pub fn advise_replan(
         (current_plan.clone(), false)
     };
 
-    let simulate = |config: &PipelineConfig| {
+    let simulated_samples_per_sec = |config: &PipelineConfig| {
         let schedule_1f1b = Schedule::one_f_one_b(config, sim_minibatches);
         PipelineSim::new(&measured, topo, &schedule_1f1b)
             .with_schedule(schedule)
             .run()
+            .samples_per_sec
     };
-    let sim_cur = simulate(current);
+    let sim_cur = simulated_samples_per_sec(current);
     let sim_rec = if changed {
-        simulate(&recommended.config)
+        simulated_samples_per_sec(&recommended.config)
     } else {
-        sim_cur.clone()
+        sim_cur
     };
 
     Ok(ReplanAdvice {
@@ -172,10 +173,10 @@ pub fn advise_replan(
         recommended_plan_fingerprint: config_fingerprint(&recommended.config),
         current_bottleneck_s: current_plan.bottleneck_s,
         recommended_bottleneck_s: recommended.bottleneck_s,
-        current_sim_samples_per_sec: sim_cur.samples_per_sec,
-        recommended_sim_samples_per_sec: sim_rec.samples_per_sec,
-        sim_speedup: if sim_cur.samples_per_sec > 0.0 {
-            sim_rec.samples_per_sec / sim_cur.samples_per_sec
+        current_sim_samples_per_sec: sim_cur,
+        recommended_sim_samples_per_sec: sim_rec,
+        sim_speedup: if sim_cur > 0.0 {
+            sim_rec / sim_cur
         } else {
             1.0
         },

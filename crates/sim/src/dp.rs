@@ -76,6 +76,14 @@ pub fn simulate_dp(costs: &LayerCosts, topo: &Topology, workers: usize) -> DpRes
     let mut nic = t;
     let mut bytes_per_worker = 0u64;
     let mut bytes_per_level = vec![0u64; topo.num_levels()];
+    // Width of each level's ring phase: the occupied level-(k-1)
+    // components of one level-k component.
+    let ring_widths: Vec<usize> = (1..=topo.num_levels())
+        .map(|level| {
+            let sub = topo.workers_per_component(level - 1);
+            workers.div_ceil(sub).min(topo.arity(level))
+        })
+        .collect();
     for l in (0..n).rev() {
         t += costs.layers[l].bwd_s;
         let w = costs.layers[l].weight_bytes;
@@ -85,12 +93,7 @@ pub fn simulate_dp(costs: &LayerCosts, topo: &Topology, workers: usize) -> DpRes
             bytes_per_worker += (2.0 * (workers as f64 - 1.0) / workers as f64 * w as f64) as u64;
             // Per-level wire traffic of the hierarchical all_reduce: each
             // spanned level carries the full gradient in its ring phase.
-            for (k, slot) in bytes_per_level.iter_mut().enumerate() {
-                let level = k + 1;
-                // Participants of level k's phase: occupied level-(k-1)
-                // components.
-                let sub = topo.workers_per_component(level - 1);
-                let m = workers.div_ceil(sub).min(topo.arity(level));
+            for (slot, &m) in bytes_per_level.iter_mut().zip(&ring_widths) {
                 if m > 1 {
                     *slot += (2.0 * (m as f64 - 1.0) * w as f64) as u64;
                 }

@@ -70,8 +70,8 @@ pub fn simulate_dynamic(
         &[],
         num_minibatches,
         ws.iter().map(|st| {
-            let share = num_minibatches.div_ceil(stages[st.stage].replicas as u64);
-            (st.stage, 2 * share as usize)
+            let share = num_minibatches.div_ceil(stages[st.stage].replicas as u64) as usize;
+            (st.stage, share, share)
         }),
     );
     let mut completed = 0u64;

@@ -5,9 +5,11 @@
 //! sync occupying its NIC, both timelines and the summary — so the static
 //! pass ([`crate::pipeline`]) and the dynamic policy ([`crate::dynamic`])
 //! differ only in how they pick the next op. What is constant per worker
-//! (durations, the links to both neighbour stages) is worked out once in
-//! [`Engine::new`], so computing and sending only add and compare; a
-//! stage's all_reduce time is still worked out per sync.
+//! or per stage (durations, the links to both neighbour stages, the place
+//! among the stage's replicas, the stage's all_reduce time) is worked out
+//! once in [`Engine::new`], so computing, sending and syncing only add and
+//! compare: the [`Topology`] is not consulted after construction, and
+//! nothing is allocated while ops execute.
 
 use crate::pipeline::SimResult;
 use crate::timeline::{Timeline, WorkKind};
@@ -30,8 +32,23 @@ struct Route {
 /// A receiving worker and the arrival time.
 pub(crate) type Delivery = (usize, f64);
 
+/// A worker's place among the replicas of its stage.
+#[derive(Clone, Copy)]
+pub(crate) struct Replica {
+    index: u64,
+    of: u64,
+}
+
+impl Replica {
+    /// Whether 1F1B-RR routes minibatch `mb` to this replica.
+    pub(crate) fn receives(self, mb: u64) -> bool {
+        self.of == 1 || mb % self.of == self.index
+    }
+}
+
 pub(crate) struct Worker {
     stage: usize,
+    pub(crate) replica: Replica,
     /// When the current op finishes.
     pub(crate) free_at: f64,
     nic_free: f64,
@@ -47,15 +64,15 @@ pub(crate) struct Worker {
 
 /// Gradient sync of one stage.
 struct StageSync {
-    workers: Vec<usize>,
-    weight_bytes: u64,
+    /// Seconds one all_reduce of the stage's weights holds each replica's
+    /// NIC.
+    allreduce_s: f64,
     /// One replica's share of the ring traffic.
     share_bytes: u64,
 }
 
 pub(crate) struct Engine<'a> {
     costs: &'a LayerCosts,
-    topo: &'a Topology,
     config: &'a PipelineConfig,
     kind: ScheduleKind,
     num_minibatches: u64,
@@ -71,8 +88,9 @@ pub(crate) struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// `workers` yields each worker's `(stage, op count)`; `speeds` is
-    /// empty for uniform workers.
+    /// `workers` yields each worker's `(stage, forwards, backwards)`, the
+    /// passes it will run, which size its timeline rows; `speeds` is empty
+    /// for uniform workers.
     pub(crate) fn new(
         costs: &'a LayerCosts,
         topo: &'a Topology,
@@ -80,23 +98,23 @@ impl<'a> Engine<'a> {
         kind: ScheduleKind,
         speeds: &[f64],
         num_minibatches: u64,
-        workers: impl Iterator<Item = (usize, usize)>,
+        workers: impl Iterator<Item = (usize, usize, usize)>,
     ) -> Self {
         let stages = config.stages();
         let assignment = config.worker_assignment();
+        let two_bw_group = config.two_bw_group(config.noam());
         let sync = |(s, replicas): (&StagePlan, &Vec<usize>)| {
             let weight_bytes = costs.weight_bytes(s.first_layer, s.last_layer);
             let r = s.replicas as f64;
             StageSync {
-                workers: replicas.clone(),
-                weight_bytes,
+                allreduce_s: topo.allreduce_time_spanning(replicas, weight_bytes),
                 share_bytes: (2.0 * (r - 1.0) / r * weight_bytes as f64) as u64,
             }
         };
         let (mut timeline, mut comm_timeline) = (Timeline::default(), Timeline::default());
-        let worker = |(w, (stage, ops)): (usize, (usize, usize))| {
-            timeline.per_worker.push(Vec::with_capacity(ops));
-            comm_timeline.per_worker.push(Vec::with_capacity(ops));
+        let mut completions = 0;
+        let worker = |(w, (stage, forwards, backwards)): (usize, (usize, usize, usize))| {
+            let replicas = &assignment[stage];
             // The message over a boundary is the output activation of the
             // stage before it, or that activation's gradient.
             let routes = |to: usize| {
@@ -113,6 +131,27 @@ impl<'a> Engine<'a> {
                 let replicas = assignment.get(to).into_iter().flatten();
                 replicas.map(route).collect()
             };
+            let next: Vec<Route> = routes(stage + 1);
+            let prev: Vec<Route> = stage.checked_sub(1).map_or_else(Vec::new, routes);
+            // One interval per pass, per message where there is a stage to
+            // send to, and per sync: every backward of a replicated stage,
+            // or under 2BW the one that closes each full update group (the
+            // group size is a multiple of the replica count, so each replica
+            // closes each). A backward with nowhere to send completes its
+            // minibatch.
+            let sends = if next.is_empty() { 0 } else { forwards }
+                + if prev.is_empty() { 0 } else { backwards };
+            let syncs = match replicas.len() {
+                1 => 0,
+                _ if kind.uses_two_bw() => backwards.min((num_minibatches / two_bw_group) as usize),
+                _ => backwards,
+            };
+            if prev.is_empty() {
+                completions += backwards;
+            }
+            let (passes, messages) = (forwards + backwards, sends + syncs);
+            timeline.per_worker.push(Vec::with_capacity(passes));
+            comm_timeline.per_worker.push(Vec::with_capacity(messages));
             let layers = &costs.layers[stages[stage].first_layer..=stages[stage].last_layer];
             let fwd_s: f64 = layers.iter().map(|l| l.fwd_s).sum();
             let bwd_s: f64 = layers.iter().map(|l| l.bwd_s).sum();
@@ -121,29 +160,33 @@ impl<'a> Engine<'a> {
             let speed = speeds.get(w).copied().unwrap_or(1.0);
             Worker {
                 stage,
+                replica: Replica {
+                    index: (w - replicas[0]) as u64,
+                    of: replicas.len() as u64,
+                },
                 free_at: 0.0,
                 nic_free: 0.0,
                 fwd_barrier: 0.0,
                 fwd_s: fwd_s / speed,
                 bwd_s: (bwd_s + recompute_s) / speed,
-                next: routes(stage + 1),
-                prev: stage.checked_sub(1).map_or_else(Vec::new, routes),
+                next,
+                prev,
             }
         };
+        let workers = workers.enumerate().map(worker).collect();
         Engine {
-            workers: workers.enumerate().map(worker).collect(),
+            workers,
             syncs: stages.iter().zip(&assignment).map(sync).collect(),
             costs,
-            topo,
             config,
             kind,
             num_minibatches,
-            two_bw_group: config.two_bw_group(config.noam()),
+            two_bw_group,
             timeline,
             comm_timeline,
             comm_bytes: 0,
             makespan: 0.0,
-            stage0_done: Vec::new(),
+            stage0_done: Vec::with_capacity(completions),
         }
     }
 
@@ -208,22 +251,19 @@ impl<'a> Engine<'a> {
     /// *start* and overlaps with the pass; it gates the worker's next
     /// forward, which needs the updated weights. Under 2BW a replica
     /// accumulates locally and joins one all_reduce per full update group.
+    /// How long the all_reduce takes is the stage's constant.
     fn emit_sync(&mut self, w: usize, mb: u64, start: f64) {
         let worker = &mut self.workers[w];
-        let sync = &self.syncs[worker.stage];
         let (group, n) = (self.two_bw_group, self.num_minibatches);
-        let next = mb + sync.workers.len() as u64;
+        let next = mb + worker.replica.of;
         let closes_full_group =
             || (next / group > mb / group || next >= n) && (mb / group + 1) * group <= n;
-        if sync.workers.len() == 1 || self.kind.uses_two_bw() && !closes_full_group() {
+        if worker.replica.of == 1 || self.kind.uses_two_bw() && !closes_full_group() {
             return;
         }
-        // A constant of the stage, yet ~90 % of a replicated plan's host time:
-        // hoisting it waits for a change that claims that gain (ROADMAP).
-        let topo = self.topo;
-        let allreduce_s = topo.allreduce_time_spanning(&sync.workers, sync.weight_bytes);
+        let sync = &self.syncs[worker.stage];
         let depart = start.max(worker.nic_free);
-        let done = depart + allreduce_s;
+        let done = depart + sync.allreduce_s;
         worker.nic_free = done;
         worker.fwd_barrier = done;
         self.comm_timeline.record(w, depart, done, WorkKind::Sync);

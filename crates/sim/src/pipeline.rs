@@ -145,7 +145,12 @@ impl<'a> PipelineSim<'a> {
             self.kind,
             &self.worker_speeds,
             schedule.num_minibatches,
-            (schedule.workers[..workers].iter()).map(|ws| (ws.stage, ws.ops.len())),
+            schedule.workers[..workers].iter().map(|ws| {
+                let count = |pass: fn(&Op) -> bool| ws.ops.iter().filter(|op| pass(op)).count();
+                let forwards = count(|op| matches!(op, Op::Forward { .. }));
+                let backwards = count(|op| matches!(op, Op::Backward { .. }));
+                (ws.stage, forwards, backwards)
+            }),
         );
         // `fwd_at[stage][mb]`: when minibatch `mb`'s activation reaches
         // `stage` (`bwd_at`: its gradient); NaN until delivered. 1F1B-RR
@@ -153,7 +158,6 @@ impl<'a> PipelineSim<'a> {
         let undelivered = vec![f64::NAN; schedule.num_minibatches as usize];
         let mut fwd_at = vec![undelivered.clone(); last_stage + 1];
         let mut bwd_at = vec![undelivered; last_stage + 1];
-        let assignment = config.worker_assignment();
         let mut next_op = vec![0usize; workers];
         // Workers whose head op may be runnable. A worker that stops at an
         // undelivered message leaves the list and the delivery puts it
@@ -162,15 +166,11 @@ impl<'a> PipelineSim<'a> {
         while let Some(w) = runnable.pop() {
             let ws = &schedule.workers[w];
             let stage = ws.stage;
-            let replicas = assignment[stage].as_slice();
+            let replica = engine.worker(w).replica;
             // The arrival of `mb`'s message, if it was sent, and to this
             // worker: the stage's other replicas never see it.
             let arrived = |at: &[Vec<f64>], mb: u64| {
-                let routed_here = match replicas {
-                    [only] => *only == w,
-                    _ => replicas[(mb % replicas.len() as u64) as usize] == w,
-                };
-                Some(at[stage][mb as usize]).filter(|t| routed_here && !t.is_nan())
+                Some(at[stage][mb as usize]).filter(|t| replica.receives(mb) && !t.is_nan())
             };
             while let Some(&op) = ws.ops.get(next_op[w]) {
                 let fwd_barrier = engine.worker(w).fwd_barrier;

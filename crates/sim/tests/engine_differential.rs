@@ -395,39 +395,26 @@ const PINS: &str = include_str!("engine_pins.tsv");
 
 #[test]
 fn golden_pins_hold() {
-    let mut models = zoo::all_models();
-    models.push(zoo::huge_lm());
     let mut table = String::new();
-    for profile in &models {
-        for preset in [ClusterPreset::A, ClusterPreset::B] {
-            let topo = preset.with_servers(4);
-            let plan = Planner::new(profile, &topo)
-                .try_plan()
-                .expect("zoo models plan");
-            let costs = profile.costs(&topo.device, profile.default_batch, Precision::Fp32);
-            let schedule = Schedule::one_f_one_b(&plan.config, 256);
-            for kind in ScheduleKind::all() {
-                let r = PipelineSim::new(&costs, &topo, &schedule)
-                    .with_schedule(kind)
-                    .run();
-                let intervals: usize = [&r.timeline, &r.comm_timeline]
+    for (model, preset, costs, topo, config) in planned_population() {
+        let schedule = Schedule::one_f_one_b(&config, 256);
+        for kind in ScheduleKind::all() {
+            let r = engine(&costs, &topo, &schedule, kind, &[]);
+            let intervals: usize = [&r.timeline, &r.comm_timeline]
+                .iter()
+                .flat_map(|t| t.per_worker.iter().map(Vec::len))
+                .sum();
+            table.push_str(&format!(
+                "{model}\t{preset}\t{kind}\t{:016x}\t{:016x}\t{:016x}\t{}\t{}\t{intervals}\n",
+                r.makespan.to_bits(),
+                r.per_minibatch_s.to_bits(),
+                r.mean_utilization.to_bits(),
+                r.comm_bytes,
+                r.peak_memory_bytes
                     .iter()
-                    .flat_map(|t| t.per_worker.iter().map(Vec::len))
-                    .sum();
-                table.push_str(&format!(
-                    "{}\t{}\t{kind}\t{:016x}\t{:016x}\t{:016x}\t{}\t{}\t{intervals}\n",
-                    profile.name,
-                    preset.name(),
-                    r.makespan.to_bits(),
-                    r.per_minibatch_s.to_bits(),
-                    r.mean_utilization.to_bits(),
-                    r.comm_bytes,
-                    r.peak_memory_bytes
-                        .iter()
-                        .max()
-                        .expect("at least one worker"),
-                ));
-            }
+                    .max()
+                    .expect("at least one worker"),
+            ));
         }
     }
     assert_eq!(table.lines().count(), 64);
@@ -435,4 +422,76 @@ fn golden_pins_hold() {
         assert_eq!(got, want);
     }
     assert_eq!(table, PINS, "computed table:\n{table}");
+}
+
+/// The planner's configuration for each of the 8 zoo models on presets A
+/// and B at 4 servers: shallow, mostly replicated, what `best_plan` and the
+/// replan advisor simulate.
+fn planned_population() -> Vec<(String, &'static str, LayerCosts, Topology, PipelineConfig)> {
+    let mut models = zoo::all_models();
+    models.push(zoo::huge_lm());
+    let mut population = Vec::new();
+    for profile in &models {
+        for preset in [ClusterPreset::A, ClusterPreset::B] {
+            let topo = preset.with_servers(4);
+            let plan = Planner::new(profile, &topo)
+                .try_plan()
+                .expect("zoo models plan");
+            let costs = profile.costs(&topo.device, profile.default_batch, Precision::Fp32);
+            population.push((
+                profile.name.clone(),
+                preset.name(),
+                costs,
+                topo,
+                plan.config,
+            ));
+        }
+    }
+    population
+}
+
+/// The ledger's `sim-plans` population, whole: every sync of every
+/// replicated stage against a reference that asks the topology each time.
+#[test]
+fn planned_configs_match_reference() {
+    for (model, preset, costs, topo, config) in planned_population() {
+        let schedule = Schedule::one_f_one_b(&config, 2048);
+        for kind in ScheduleKind::all() {
+            assert_bit_identical(
+                &engine(&costs, &topo, &schedule, kind, &[]),
+                &reference(&costs, &topo, &schedule, kind, &[]),
+                &format!("{model} on {preset} as {config} under {kind}"),
+            );
+        }
+    }
+}
+
+/// Each timeline row is allocated once, for exactly the intervals its
+/// worker records: a row that ends with spare or regrown capacity means
+/// the engine's count of passes, sends and syncs is off.
+#[test]
+fn timeline_rows_are_reserved_exactly() {
+    let costs = zoo::uniform(3, 1e9, 10_000, 10_000).costs(&Device::v100(), 32, Precision::Fp32);
+    let topo = Topology::flat(Device::v100(), 4, LinkModel::new(1e11, 1e-6), "rows");
+    let configs = [
+        PipelineConfig::straight(3, &[0, 1]),
+        PipelineConfig::from_counts(&[(1, 1), (1, 2), (1, 1)]),
+        PipelineConfig::from_counts(&[(3, 4)]),
+    ];
+    for config in &configs {
+        // 50 minibatches leave a partial 2BW update group at the end.
+        let schedule = Schedule::one_f_one_b(config, 50);
+        for kind in [ScheduleKind::Vanilla1F1B, ScheduleKind::TwoBW] {
+            let r = engine(&costs, &topo, &schedule, kind, &[]);
+            for (name, timeline) in [("compute", &r.timeline), ("comm", &r.comm_timeline)] {
+                for (w, row) in timeline.per_worker.iter().enumerate() {
+                    assert_eq!(
+                        row.len(),
+                        row.capacity(),
+                        "{config} under {kind}: {name} row of worker {w}"
+                    );
+                }
+            }
+        }
+    }
 }
