@@ -20,18 +20,24 @@
 //! track-by-track through [`write_chrome_trace`] so a long many-stage run
 //! never holds every track's event vector (or the whole document) in
 //! memory at once — only the current track plus a compact flow-endpoint
-//! index.
+//! index. Every array element is formatted into one reused line buffer
+//! and handed to the sink in one write.
 //!
 //! [`parse_chrome_trace`] is the inverse: it reads an exported document
 //! back into a [`TraceSnapshot`] so the live-profiler aggregation and the
 //! critical-path analyzer can run offline over a saved `--trace out.json`
 //! (`pipedream inspect --from-trace`, `pipedream analyze`). Flow events
-//! are skipped on parse (they are re-derived on the next render).
+//! are skipped on parse (they are re-derived on the next render). It
+//! drives `serde_json`'s pull [`Reader`] itself and folds each event into
+//! its track as it is read: no value tree, and nothing allocated per
+//! event.
 
 use crate::event::{Event, SpanKind};
 use crate::recorder::{TraceSession, TraceSnapshot, TrackEvents};
+use serde_json::{Kind, Number, Reader};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 
 fn escape(s: &str) -> String {
@@ -47,11 +53,6 @@ fn escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// Microseconds with the nanosecond remainder as a 3-digit fraction.
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
 /// One endpoint of a derived flow arrow.
@@ -85,23 +86,50 @@ struct FlowIndex {
     sync: BTreeMap<(usize, u64), (Option<FlowPoint>, Vec<FlowPoint>)>,
 }
 
+/// The events of one kind on a track, grouped by minibatch and in track
+/// order within one.
+struct ByMb<'a>(Vec<(u64, &'a Event)>);
+
+impl<'a> ByMb<'a> {
+    fn new(events: &'a [Event], mb_of: impl Fn(SpanKind) -> Option<u64>) -> Self {
+        let mut of_kind: Vec<_> = events
+            .iter()
+            .filter_map(|ev| Some((mb_of(ev.kind)?, ev)))
+            .collect();
+        of_kind.sort_by_key(|&(mb, _)| mb); // stable
+        ByMb(of_kind)
+    }
+
+    /// The first event of minibatch `mb` that `wanted` accepts.
+    fn find(&self, mb: u64, wanted: impl Fn(&Event) -> bool) -> Option<&'a Event> {
+        let from = self.0.partition_point(|&(m, _)| m < mb);
+        self.0[from..]
+            .iter()
+            .take_while(|&&(m, _)| m == mb)
+            .map(|&(_, ev)| ev)
+            .find(|ev| wanted(ev))
+    }
+}
+
 impl FlowIndex {
     fn index_track(&mut self, tid: usize, track: &TrackEvents) {
         let Some(stage) = track.stage else {
             return; // supervisor/control tracks carry no dataflow
         };
-        // Per-minibatch lookup tables for containment / succession checks.
-        let mut recvs: HashMap<u64, Vec<&Event>> = HashMap::new();
-        let mut pops: HashMap<u64, Vec<&Event>> = HashMap::new();
-        let mut bwds: HashMap<u64, Vec<&Event>> = HashMap::new();
-        for ev in &track.events {
-            match ev.kind {
-                SpanKind::RecvWait { mb } => recvs.entry(mb).or_default().push(ev),
-                SpanKind::StashPop { mb } => pops.entry(mb).or_default().push(ev),
-                SpanKind::Bwd { mb } => bwds.entry(mb).or_default().push(ev),
-                _ => {}
-            }
-        }
+        // Per-minibatch views of the track for the containment /
+        // succession checks below.
+        let recvs = ByMb::new(&track.events, |k| match k {
+            SpanKind::RecvWait { mb } => Some(mb),
+            _ => None,
+        });
+        let pops = ByMb::new(&track.events, |k| match k {
+            SpanKind::StashPop { mb } => Some(mb),
+            _ => None,
+        });
+        let bwds = ByMb::new(&track.events, |k| match k {
+            SpanKind::Bwd { mb } => Some(mb),
+            _ => None,
+        });
         let point = |mb: u64, epoch: u32, ts_ns: u64| FlowPoint {
             tid,
             stage,
@@ -114,13 +142,8 @@ impl FlowIndex {
                 SpanKind::Fwd { mb } if !ev.is_instant() => {
                     self.fwd_ends.push(point(mb, ev.epoch, ev.end_ns));
                     let bind = recvs
-                        .get(&mb)
-                        .and_then(|rs| {
-                            rs.iter()
-                                .find(|r| r.start_ns >= ev.start_ns && r.end_ns <= ev.end_ns)
-                        })
-                        .map(|r| r.start_ns)
-                        .unwrap_or(ev.start_ns);
+                        .find(mb, |r| r.start_ns >= ev.start_ns && r.end_ns <= ev.end_ns)
+                        .map_or(ev.start_ns, |r| r.start_ns);
                     self.recv_in_fwd
                         .entry((stage, mb))
                         .or_insert(point(mb, ev.epoch, bind));
@@ -128,22 +151,14 @@ impl FlowIndex {
                 SpanKind::Bwd { mb } if !ev.is_instant() => {
                     self.bwd_ends.push(point(mb, ev.epoch, ev.end_ns));
                     let bind = recvs
-                        .get(&mb)
-                        .and_then(|rs| {
-                            rs.iter()
-                                .find(|r| r.start_ns >= ev.start_ns && r.end_ns <= ev.end_ns)
-                        })
-                        .map(|r| r.start_ns)
-                        .unwrap_or(ev.start_ns);
+                        .find(mb, |r| r.start_ns >= ev.start_ns && r.end_ns <= ev.end_ns)
+                        .map_or(ev.start_ns, |r| r.start_ns);
                     self.recv_in_bwd
                         .entry((stage, mb))
                         .or_insert(point(mb, ev.epoch, bind));
                 }
                 SpanKind::StashPush { mb } => {
-                    if let Some(pop) = pops
-                        .get(&mb)
-                        .and_then(|ps| ps.iter().find(|p| p.start_ns >= ev.start_ns))
-                    {
+                    if let Some(pop) = pops.find(mb, |p| p.start_ns >= ev.start_ns) {
                         self.stash.push((
                             point(mb, ev.epoch, ev.start_ns),
                             point(mb, ev.epoch, pop.start_ns),
@@ -151,10 +166,7 @@ impl FlowIndex {
                     }
                 }
                 SpanKind::Recompute { mb } if !ev.is_instant() => {
-                    if let Some(bwd) = bwds
-                        .get(&mb)
-                        .and_then(|bs| bs.iter().find(|b| b.start_ns >= ev.end_ns))
-                    {
+                    if let Some(bwd) = bwds.find(mb, |b| b.start_ns >= ev.end_ns) {
                         self.recompute.push((
                             point(mb, ev.epoch, ev.end_ns),
                             point(mb, ev.epoch, bwd.start_ns),
@@ -181,24 +193,29 @@ impl FlowIndex {
         }
     }
 
-    /// Render every paired flow as `(s_line, f_line)` event pairs, in a
-    /// deterministic order.
-    fn render_lines(&self) -> Vec<String> {
-        let fmt = |name: &str, ph: &str, id: &str, p: &FlowPoint| {
-            let bp = if ph == "f" { ",\"bp\":\"e\"" } else { "" };
-            format!(
-                "{{\"name\":\"{name}\",\"cat\":\"flow\",\"ph\":\"{ph}\"{bp},\"id\":\"{id}\",\
-                 \"ts\":{},\"pid\":0,\"tid\":{}}}",
-                us(p.ts_ns),
-                p.tid
-            )
+    /// Visit every paired flow as its `"s"` endpoint followed by its
+    /// `"f"` endpoint(s), in a deterministic order: `visit(name, ph, id,
+    /// point)`, `id` being the same for all endpoints of one arrow.
+    fn for_each_point(
+        &self,
+        mut visit: impl FnMut(&str, &str, &str, &FlowPoint) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let mut id = String::new(); // reused: formatted once per arrow
+        let mut arrow = |name: &str,
+                         args: fmt::Arguments<'_>,
+                         from: &FlowPoint,
+                         to: &[FlowPoint]|
+         -> io::Result<()> {
+            id.clear();
+            let _ = write!(id, "{name}:{args}");
+            visit(name, "s", &id, from)?;
+            to.iter().try_for_each(|p| visit(name, "f", &id, p))
         };
-        let mut out = Vec::new();
+        let one = std::slice::from_ref;
         for p in &self.fwd_ends {
             if let Some(c) = self.recv_in_fwd.get(&(p.stage + 1, p.mb)) {
-                let id = format!("act:e{}:mb{}:s{}", p.epoch, p.mb, p.stage);
-                out.push(fmt("act", "s", &id, p));
-                out.push(fmt("act", "f", &id, c));
+                let id = format_args!("e{}:mb{}:s{}", p.epoch, p.mb, p.stage);
+                arrow("act", id, p, one(c))?;
             }
         }
         for p in &self.bwd_ends {
@@ -206,98 +223,163 @@ impl FlowIndex {
                 continue;
             }
             if let Some(c) = self.recv_in_bwd.get(&(p.stage - 1, p.mb)) {
-                let id = format!("grad:e{}:mb{}:s{}", p.epoch, p.mb, p.stage);
-                out.push(fmt("grad", "s", &id, p));
-                out.push(fmt("grad", "f", &id, c));
+                let id = format_args!("e{}:mb{}:s{}", p.epoch, p.mb, p.stage);
+                arrow("grad", id, p, one(c))?;
             }
         }
         for (push, pop) in &self.stash {
-            let id = format!("stash:t{}:e{}:mb{}", push.tid, push.epoch, push.mb);
-            out.push(fmt("stash", "s", &id, push));
-            out.push(fmt("stash", "f", &id, pop));
+            let id = format_args!("t{}:e{}:mb{}", push.tid, push.epoch, push.mb);
+            arrow("stash", id, push, one(pop))?;
         }
         for ((stage, mb), (deposit, releases)) in &self.sync {
             let (Some(d), false) = (deposit, releases.is_empty()) else {
                 continue;
             };
-            let id = format!("sync:s{stage}:e{}:mb{mb}", d.epoch);
-            out.push(fmt("sync", "s", &id, d));
-            for r in releases {
-                out.push(fmt("sync", "f", &id, r));
-            }
+            let id = format_args!("s{stage}:e{}:mb{mb}", d.epoch);
+            arrow("sync", id, d, releases)?;
         }
         for (rec, bwd) in &self.recompute {
-            let id = format!("recompute:t{}:e{}:mb{}", rec.tid, rec.epoch, rec.mb);
-            out.push(fmt("recompute", "s", &id, rec));
-            out.push(fmt("recompute", "f", &id, bwd));
+            let id = format_args!("t{}:e{}:mb{}", rec.tid, rec.epoch, rec.mb);
+            arrow("recompute", id, rec, one(bwd))?;
         }
-        out
+        Ok(())
     }
 }
 
-fn event_line(tid: usize, ev: &Event) -> String {
-    let name = ev.kind.name();
-    let cat = ev.kind.category();
-    let args = match (ev.kind.minibatch(), ev.epoch) {
-        (Some(mb), 0) => format!(",\"args\":{{\"mb\":{mb}}}"),
-        (Some(mb), e) => format!(",\"args\":{{\"mb\":{mb},\"epoch\":{e}}}"),
-        (None, 0) => String::new(),
-        (None, e) => format!(",\"args\":{{\"epoch\":{e}}}"),
-    };
-    if ev.is_instant() {
-        format!(
-            "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"t\",\
-             \"ts\":{},\"pid\":0,\"tid\":{tid}{args}}}",
-            us(ev.start_ns)
-        )
-    } else {
-        format!(
-            "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{},\
-             \"dur\":{},\"pid\":0,\"tid\":{tid}{args}}}",
-            us(ev.start_ns),
-            us(ev.end_ns - ev.start_ns)
-        )
+/// The one buffer every element of the `traceEvents` array is formatted
+/// into. Its pieces are appended directly (a line is a dozen constant
+/// strings around half a dozen integers), not through `fmt`.
+#[derive(Default)]
+struct Line(String);
+
+impl Line {
+    fn str(&mut self, s: &str) -> &mut Self {
+        self.0.push_str(s);
+        self
+    }
+
+    /// `n` in decimal, with a point before its last `frac` digits (and at
+    /// least one digit before the point).
+    fn decimal(&mut self, n: u64, frac: usize) -> &mut Self {
+        let mut text = [0u8; 24]; // u64::MAX has 20 digits
+        let mut at = text.len();
+        let mut rest = n;
+        for place in 0.. {
+            if place == frac && frac > 0 {
+                at -= 1;
+                text[at] = b'.';
+            }
+            at -= 1;
+            text[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 && place >= frac {
+                break;
+            }
+        }
+        self.str(std::str::from_utf8(&text[at..]).expect("ASCII digits"))
+    }
+
+    fn int(&mut self, n: u64) -> &mut Self {
+        self.decimal(n, 0)
+    }
+
+    /// Nanoseconds as microseconds, the remainder as a 3-digit fraction.
+    fn us(&mut self, ns: u64) -> &mut Self {
+        self.decimal(ns, 3)
+    }
+
+    /// Append a track's `thread_name` metadata event.
+    fn thread_name(&mut self, tid: usize, name: &str) {
+        self.str("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":")
+            .int(tid as u64)
+            .str(",\"args\":{\"name\":\"")
+            .str(&escape(name))
+            .str("\"}}");
+    }
+
+    /// Append one span or instant.
+    fn event(&mut self, tid: usize, ev: &Event) {
+        self.str("{\"name\":\"")
+            .str(ev.kind.name())
+            .str("\",\"cat\":\"")
+            .str(ev.kind.category());
+        if ev.is_instant() {
+            self.str("\",\"ph\":\"i\",\"s\":\"t\",\"ts\":")
+                .us(ev.start_ns);
+        } else {
+            self.str("\",\"ph\":\"X\",\"ts\":")
+                .us(ev.start_ns)
+                .str(",\"dur\":")
+                .us(ev.end_ns - ev.start_ns);
+        }
+        self.str(",\"pid\":0,\"tid\":").int(tid as u64);
+        match (ev.kind.minibatch(), ev.epoch) {
+            (Some(mb), 0) => self.str(",\"args\":{\"mb\":").int(mb).str("}}"),
+            (Some(mb), e) => self
+                .str(",\"args\":{\"mb\":")
+                .int(mb)
+                .str(",\"epoch\":")
+                .int(e.into())
+                .str("}}"),
+            (None, 0) => self.str("}"),
+            (None, e) => self.str(",\"args\":{\"epoch\":").int(e.into()).str("}}"),
+        };
+    }
+
+    /// Append one endpoint of a flow arrow.
+    fn flow_point(&mut self, name: &str, ph: &str, id: &str, p: &FlowPoint) {
+        self.str("{\"name\":\"")
+            .str(name)
+            .str("\",\"cat\":\"flow\",\"ph\":\"")
+            .str(ph)
+            .str(if ph == "f" { "\",\"bp\":\"e" } else { "" })
+            .str("\",\"id\":\"")
+            .str(id)
+            .str("\",\"ts\":")
+            .us(p.ts_ns)
+            .str(",\"pid\":0,\"tid\":")
+            .int(p.tid as u64)
+            .str("}");
     }
 }
 
 /// Write a Chrome trace document incrementally: each track is serialized
 /// and released before the next is pulled from the iterator, so peak
 /// memory is one track's events plus the compact flow index — not the
-/// whole snapshot and not the whole document.
-pub fn write_chrome_trace<W: Write>(
-    tracks: impl IntoIterator<Item = TrackEvents>,
+/// whole snapshot and not the whole document. Tracks may be owned or
+/// borrowed.
+pub fn write_chrome_trace<W: Write, T: std::borrow::Borrow<TrackEvents>>(
+    tracks: impl IntoIterator<Item = T>,
     out: &mut W,
 ) -> io::Result<()> {
     out.write_all(b"{\"traceEvents\":[\n")?;
+    let mut line = Line::default();
     let mut first = true;
-    let sep = |out: &mut W, first: &mut bool| -> io::Result<()> {
-        if !*first {
-            out.write_all(b",\n")?;
+    // Start the next element: behind the separator from the one before.
+    let mut begin = |line: &mut Line| {
+        line.0.clear();
+        if !std::mem::take(&mut first) {
+            line.str(",\n");
         }
-        *first = false;
-        Ok(())
     };
     let mut flows = FlowIndex::default();
     for (tid, track) in tracks.into_iter().enumerate() {
-        sep(out, &mut first)?;
-        out.write_all(
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape(&track.name)
-            )
-            .as_bytes(),
-        )?;
+        let track: &TrackEvents = std::borrow::Borrow::borrow(&track);
+        begin(&mut line);
+        line.thread_name(tid, &track.name);
+        out.write_all(line.0.as_bytes())?;
         for ev in &track.events {
-            sep(out, &mut first)?;
-            out.write_all(event_line(tid, ev).as_bytes())?;
+            begin(&mut line);
+            line.event(tid, ev);
+            out.write_all(line.0.as_bytes())?;
         }
-        flows.index_track(tid, &track);
+        flows.index_track(tid, track);
     }
-    for line in flows.render_lines() {
-        sep(out, &mut first)?;
-        out.write_all(line.as_bytes())?;
-    }
+    flows.for_each_point(|name, ph, id, p| {
+        begin(&mut line);
+        line.flow_point(name, ph, id, p);
+        out.write_all(line.0.as_bytes())
+    })?;
     out.write_all(b"\n],\"displayTimeUnit\":\"ms\"}\n")?;
     Ok(())
 }
@@ -320,7 +402,7 @@ pub fn write_chrome_trace_session<W: Write>(session: &TraceSession, out: &mut W)
 /// convenience over [`write_chrome_trace`]; byte-identical output).
 pub fn render_chrome_trace(snap: &TraceSnapshot) -> String {
     let mut buf = Vec::new();
-    write_chrome_trace(snap.tracks.iter().cloned(), &mut buf).expect("in-memory write");
+    write_chrome_trace(&snap.tracks, &mut buf).expect("in-memory write");
     String::from_utf8(buf).expect("exporter writes UTF-8")
 }
 
@@ -352,6 +434,155 @@ fn ns_from_us(us: f64) -> u64 {
     (us * 1_000.0).round().max(0.0) as u64
 }
 
+/// The fields of one `traceEvents` element that the snapshot is built
+/// from, each as a `Value` tree would answer for it: a repeated key
+/// counts once, with its last value; a key that is missing or holds the
+/// wrong type reads as zero or empty (so does everything, for an element
+/// that is not an object).
+#[derive(Default)]
+struct RawEvent<'a> {
+    tid: u64,
+    name: Cow<'a, str>,
+    ph: Cow<'a, str>,
+    ts_us: f64,
+    dur_us: f64,
+    /// `args.name`: the track's name, on a `thread_name` event.
+    label: Option<Cow<'a, str>>,
+    mb: u64,
+    epoch: u64,
+}
+
+fn number_or_skip(r: &mut Reader<'_>) -> Result<Option<Number>, serde_json::Error> {
+    if r.peek()? == Kind::Number {
+        r.number().map(Some)
+    } else {
+        r.skip().map(|()| None)
+    }
+}
+
+fn string_or_skip<'a>(r: &mut Reader<'a>) -> Result<Option<Cow<'a, str>>, serde_json::Error> {
+    if r.peek()? == Kind::String {
+        r.string().map(Some)
+    } else {
+        r.skip().map(|()| None)
+    }
+}
+
+impl<'a> RawEvent<'a> {
+    fn read(r: &mut Reader<'a>) -> Result<Self, serde_json::Error> {
+        let mut ev = RawEvent::default();
+        if r.peek()? != Kind::Object {
+            r.skip()?;
+            return Ok(ev);
+        }
+        let u64_or_0 = |n: Option<Number>| n.and_then(Number::as_u64).unwrap_or(0);
+        let f64_or_0 = |n: Option<Number>| n.map_or(0.0, Number::as_f64);
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "tid" => ev.tid = u64_or_0(number_or_skip(r)?),
+                "name" => ev.name = string_or_skip(r)?.unwrap_or_default(),
+                "ph" => ev.ph = string_or_skip(r)?.unwrap_or_default(),
+                "ts" => ev.ts_us = f64_or_0(number_or_skip(r)?),
+                "dur" => ev.dur_us = f64_or_0(number_or_skip(r)?),
+                "args" => {
+                    (ev.label, ev.mb, ev.epoch) = (None, 0, 0);
+                    if r.peek()? != Kind::Object {
+                        r.skip()?;
+                        continue;
+                    }
+                    r.begin_object()?;
+                    while let Some(key) = r.next_key()? {
+                        match &*key {
+                            "name" => ev.label = string_or_skip(r)?,
+                            "mb" => ev.mb = u64_or_0(number_or_skip(r)?),
+                            "epoch" => ev.epoch = u64_or_0(number_or_skip(r)?),
+                            _ => r.skip()?,
+                        }
+                    }
+                }
+                _ => r.skip()?,
+            }
+        }
+        Ok(ev)
+    }
+}
+
+/// Read the `traceEvents` array into tracks, in first-appearance order
+/// of their `tid` (matching export order).
+fn read_events(r: &mut Reader<'_>) -> Result<Vec<TrackEvents>, serde_json::Error> {
+    let mut tracks: Vec<TrackEvents> = Vec::new();
+    let mut by_tid: BTreeMap<u64, usize> = BTreeMap::new();
+    r.begin_array()?;
+    while r.next_element()? {
+        let ev = RawEvent::read(r)?;
+        let at = *by_tid.entry(ev.tid).or_insert_with(|| {
+            tracks.push(TrackEvents {
+                name: format!("track{}", ev.tid),
+                stage: None,
+                events: Vec::new(),
+                dropped: 0,
+            });
+            tracks.len() - 1
+        });
+        let track = &mut tracks[at];
+        match &*ev.ph {
+            "M" if ev.name == "thread_name" => {
+                if let Some(n) = ev.label {
+                    track.stage = n
+                        .strip_prefix("stage")
+                        .and_then(|rest| rest.split('.').next())
+                        .and_then(|digits| digits.parse::<usize>().ok());
+                    track.name = n.into_owned();
+                }
+            }
+            "X" | "i" => {
+                let Some(kind) = kind_from_name(&ev.name, ev.mb) else {
+                    continue;
+                };
+                let start_ns = ns_from_us(ev.ts_us);
+                let end_ns = if ev.ph == "X" {
+                    start_ns.saturating_add(ns_from_us(ev.dur_us))
+                } else {
+                    start_ns
+                };
+                track.events.push(Event {
+                    kind,
+                    start_ns,
+                    end_ns,
+                    epoch: ev.epoch as u32,
+                });
+            }
+            _ => {} // flow ("s"/"t"/"f") and other phases: derived, not stored
+        }
+    }
+    Ok(tracks)
+}
+
+/// Read the whole document; `None` if it is JSON but holds no
+/// `traceEvents` array. As in a `Value` tree, the last `traceEvents` key
+/// of the top-level object is the one that counts.
+fn read_document(r: &mut Reader<'_>) -> Result<Option<Vec<TrackEvents>>, serde_json::Error> {
+    let mut tracks = None;
+    if r.peek()? == Kind::Object {
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            if key != "traceEvents" {
+                r.skip()?;
+            } else if r.peek()? == Kind::Array {
+                tracks = Some(read_events(r)?);
+            } else {
+                r.skip()?;
+                tracks = None;
+            }
+        }
+    } else {
+        r.skip()?;
+    }
+    r.end()?;
+    Ok(tracks)
+}
+
 /// Parse an exported Chrome trace document back into a [`TraceSnapshot`].
 ///
 /// Track identity comes from the `thread_name` metadata events (one per
@@ -360,82 +591,12 @@ fn ns_from_us(us: f64) -> u64 {
 /// Unrecognized event names are skipped (a trace may come from a newer
 /// build), flow events (`ph` `"s"`/`"t"`/`"f"`) are skipped because they
 /// are re-derived on render, but a document without `traceEvents` is an
-/// error.
+/// error, as is one that is not JSON anywhere, in the events or around
+/// them.
 pub fn parse_chrome_trace(doc: &str) -> Result<TraceSnapshot, String> {
-    let v: serde_json::Value =
-        serde_json::from_str(doc).map_err(|e| format!("invalid JSON: {e}"))?;
-    let events = v
-        .get("traceEvents")
-        .and_then(|e| e.as_array())
-        .ok_or_else(|| "missing traceEvents array".to_string())?;
-    // tid → track, in first-appearance order (matching export order).
-    let mut order: Vec<u64> = Vec::new();
-    let mut tracks: std::collections::BTreeMap<u64, TrackEvents> =
-        std::collections::BTreeMap::new();
-    for ev in events {
-        let tid = ev.get("tid").and_then(|t| t.as_u64()).unwrap_or(0);
-        let name = ev.get("name").and_then(|n| n.as_str()).unwrap_or("");
-        let ph = ev.get("ph").and_then(|p| p.as_str()).unwrap_or("");
-        let track = tracks.entry(tid).or_insert_with(|| {
-            order.push(tid);
-            TrackEvents {
-                name: format!("track{tid}"),
-                stage: None,
-                events: Vec::new(),
-                dropped: 0,
-            }
-        });
-        match ph {
-            "M" if name == "thread_name" => {
-                if let Some(n) = ev
-                    .get("args")
-                    .and_then(|a| a.get("name"))
-                    .and_then(|n| n.as_str())
-                {
-                    track.name = n.to_string();
-                    track.stage = n
-                        .strip_prefix("stage")
-                        .and_then(|rest| rest.split('.').next())
-                        .and_then(|digits| digits.parse::<usize>().ok());
-                }
-            }
-            "X" | "i" => {
-                let mb = ev
-                    .get("args")
-                    .and_then(|a| a.get("mb"))
-                    .and_then(|m| m.as_u64())
-                    .unwrap_or(0);
-                let Some(kind) = kind_from_name(name, mb) else {
-                    continue;
-                };
-                let epoch = ev
-                    .get("args")
-                    .and_then(|a| a.get("epoch"))
-                    .and_then(|e| e.as_u64())
-                    .unwrap_or(0) as u32;
-                let ts = ev.get("ts").and_then(|t| t.as_f64()).unwrap_or(0.0);
-                let start_ns = ns_from_us(ts);
-                let end_ns = if ph == "X" {
-                    start_ns + ns_from_us(ev.get("dur").and_then(|d| d.as_f64()).unwrap_or(0.0))
-                } else {
-                    start_ns
-                };
-                track.events.push(Event {
-                    kind,
-                    start_ns,
-                    end_ns,
-                    epoch,
-                });
-            }
-            _ => {} // flow ("s"/"t"/"f") and other phases: derived, not stored
-        }
-    }
-    Ok(TraceSnapshot {
-        tracks: order
-            .into_iter()
-            .map(|tid| tracks.remove(&tid).unwrap())
-            .collect(),
-    })
+    let tracks = read_document(&mut Reader::new(doc)).map_err(|e| format!("invalid JSON: {e}"))?;
+    let tracks = tracks.ok_or_else(|| "missing traceEvents array".to_string())?;
+    Ok(TraceSnapshot { tracks })
 }
 
 #[cfg(test)]

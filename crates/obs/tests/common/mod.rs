@@ -5,9 +5,12 @@
 use pipedream_obs::{Event, SpanKind, TraceSnapshot, TrackEvents};
 use proptest::prelude::*;
 
-/// Any span kind, exercised across the full tag space (instants too).
-fn arb_kind() -> impl Strategy<Value = SpanKind> {
-    (0u8..16, 0u64..4).prop_map(|(k, mb)| match k {
+/// Span kinds in use: [`kind`] maps `0..KINDS` onto all of them.
+pub const KINDS: u8 = 16;
+
+/// The `k`th span kind, carrying `mb` if it carries a minibatch.
+pub fn kind(k: u8, mb: u64) -> SpanKind {
+    match k {
         0 => SpanKind::Fwd { mb },
         1 => SpanKind::Bwd { mb },
         2 => SpanKind::RecvWait { mb },
@@ -24,7 +27,12 @@ fn arb_kind() -> impl Strategy<Value = SpanKind> {
         13 => SpanKind::SyncDeposit { mb },
         14 => SpanKind::SyncRelease { mb },
         _ => SpanKind::OptStep { mb },
-    })
+    }
+}
+
+/// Any span kind, exercised across the full tag space (instants too).
+fn arb_kind() -> impl Strategy<Value = SpanKind> {
+    (0..KINDS, 0u64..4).prop_map(|(k, mb)| kind(k, mb))
 }
 
 fn arb_event() -> impl Strategy<Value = Event> {

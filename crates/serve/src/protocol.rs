@@ -22,7 +22,7 @@ use pipedream_core::{
 use pipedream_hw::{ClusterPreset, Precision, Topology};
 use pipedream_model::{zoo, ModelProfile};
 use pipedream_sim::simulate_pipeline;
-use serde::Value;
+use serde::{Deserialize, Value};
 use serde_json::Map;
 
 /// An error to ship back as an HTTP status + JSON body.
@@ -123,7 +123,7 @@ fn parse_body(body: &[u8]) -> Result<Value, ApiError> {
 
 fn resolve_profile(body: &Value) -> Result<ModelProfile, ApiError> {
     if let Some(inline) = body.get("profile") {
-        return serde_json::from_value(inline.clone())
+        return ModelProfile::from_value(inline)
             .map_err(|e| ApiError::bad_request(format!("bad inline profile: {e}")));
     }
     match body.get("model") {
@@ -146,7 +146,7 @@ fn resolve_profile(body: &Value) -> Result<ModelProfile, ApiError> {
 
 fn resolve_topology(body: &Value) -> Result<Topology, ApiError> {
     if let Some(inline) = body.get("topology") {
-        return serde_json::from_value(inline.clone())
+        return Topology::from_value(inline)
             .map_err(|e| ApiError::bad_request(format!("bad inline topology: {e}")));
     }
     let preset = match body.get("preset") {
