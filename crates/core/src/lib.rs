@@ -35,4 +35,4 @@ pub use fingerprint::{
 };
 pub use planner::{Plan, PlanError, Planner, StagePrediction};
 pub use schedule::{Op, Schedule};
-pub use stash::{ScheduleKind, TwoBwStash, WeightStash};
+pub use stash::{ScheduleKind, VersionPolicy, VersionStore};

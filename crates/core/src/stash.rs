@@ -1,24 +1,35 @@
-//! Weight stashing and vertical sync (paper §3.3).
+//! Weight stashing, vertical sync and 2BW double buffering (paper §3.3).
 //!
 //! In a naively pipelined system a minibatch's forward pass runs with one
 //! weight version and its backward pass with another — producing invalid
 //! gradients. **Weight stashing** keeps one weight version per in-flight
-//! minibatch: the forward pass uses (and stashes) the latest version, and
-//! the backward pass for the same minibatch retrieves exactly that version.
+//! minibatch: the forward pass uses the latest version, and the backward
+//! pass for the same minibatch retrieves exactly that version.
 //!
-//! [`WeightStash`] implements the default semantics; [`VersionedStore`]
-//! adds the bookkeeping for the optional **vertical sync**, where the
-//! version observed at the input stage is pinned and propagated with the
-//! activations so *every* stage uses the same version for a given
-//! minibatch.
+//! [`VersionStore`] is the one bookkeeper for all three ways the runtime
+//! picks that version ([`VersionPolicy`]): the latest (weight stashing),
+//! the one the input stage tagged the minibatch with (**vertical sync**),
+//! or generation `g − 1` for a minibatch of group `g` (PipeDream-2BW).
+//! The *live* weights — the ones the optimizer steps — never enter the
+//! store; they stay with their owner (the stage's model). The store holds
+//! only **superseded** versions that something still needs, so the
+//! paper's "at most one version per in-flight minibatch" is a bound on
+//! memory and costs no time:
+//!
+//! * a pass under the live version touches nothing; a pass under a
+//!   superseded one borrows it ([`VersionStore::superseded`]) and the
+//!   caller swaps it with the live weights for the pass's duration;
+//! * the only copy is the one [`VersionStore::advance`] asks for,
+//!   immediately before an update overwrites the live weights in place,
+//!   and only when the version about to be overwritten is still needed.
+//!   It is written into the buffers of a version that has retired, so a
+//!   pipeline in steady state takes nothing from the allocator.
 //!
 //! [`staleness`] encodes the paper's update formulas so tests (and the
 //! runtime's trace checker) can assert exactly which version each stage is
 //! expected to use.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Which memory/staleness schedule variant a stashed pipeline runs.
 ///
@@ -104,364 +115,197 @@ impl std::fmt::Display for ScheduleKind {
     }
 }
 
-/// Weight stash with PipeDream's default semantics.
-///
-/// ```
-/// use pipedream_core::stash::WeightStash;
-///
-/// let mut stash = WeightStash::new(vec![0.0f32]);
-/// stash.begin_forward(7);                  // minibatch 7's forward pass
-/// stash.apply_update(|w| w[0] = 1.0);      // other minibatches update…
-/// // …but minibatch 7's backward still sees the weights its forward used:
-/// assert_eq!(stash.for_backward(7)[0], 0.0);
-/// assert_eq!(stash.latest()[0], 1.0);
-/// stash.complete_backward(7);
-/// ```
-///
-/// Versions are shared (`Arc`) so stashing is O(1); memory is only paid
-/// when an update creates a new version while old ones are still pinned by
-/// in-flight minibatches — the paper's "at most one version per in-flight
-/// minibatch" bound, which [`WeightStash::versions_held`] exposes for the
-/// memory-footprint experiments.
-#[derive(Debug, Clone)]
-pub struct WeightStash<W> {
-    latest: Arc<W>,
-    version: u64,
-    stashed: BTreeMap<u64, (u64, Arc<W>)>,
+/// Which version a minibatch's two passes run under, and which superseded
+/// versions are kept although no in-flight minibatch pins them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VersionPolicy {
+    /// Weight stashing (§3.3): the live version at forward time. A
+    /// superseded version retires the moment its last pin goes —
+    /// "parameters are discarded once a backward pass that uses fresher
+    /// parameters is performed" (§4).
+    Stashing,
+    /// Vertical sync (§3.3): the version the input stage pinned and sent
+    /// along with the activations, which trails this stage's live version.
+    /// Tags never decrease from one minibatch to the next, so every
+    /// version from the oldest pinned tag on is kept for the forwards
+    /// still to come (while nothing is pinned: from the last such tag).
+    VerticalSync,
+    /// PipeDream-2BW: minibatches come in groups of `group` consecutive
+    /// ids with one update per group, and group `g` runs against
+    /// generation `(g − 1).max(0)`, so that
+    /// `W(g+1) = W(g) − ν · ∇f(W(g−1))`. Version `live − 1` is kept as the
+    /// double buffer. With `group ≥` the pipeline's in-flight depth, group
+    /// `g − 2` has drained before group `g` starts, and at most **two**
+    /// generations exist at any time.
+    TwoBw {
+        /// Minibatches per gradient-accumulation group (≥ 1).
+        group: u64,
+    },
 }
 
-impl<W: Clone> WeightStash<W> {
-    /// Start at version 0 with the given initial weights.
-    pub fn new(initial: W) -> Self {
-        WeightStash {
-            latest: Arc::new(initial),
-            version: 0,
-            stashed: BTreeMap::new(),
+/// The weight versions one pipeline stage has to keep, by id: version `v`
+/// is the weights after `v` updates.
+///
+/// ```
+/// use pipedream_core::stash::{VersionPolicy, VersionStore};
+///
+/// let mut live = vec![0.0f32];              // owned by the caller
+/// let mut store = VersionStore::new(VersionPolicy::Stashing);
+/// let v = store.begin_forward(7, 0).unwrap(); // minibatch 7 pins version 0
+/// store.advance(|_| live.clone());          // still pinned: saved, once
+/// live[0] = 1.0;                            // the update, in place
+/// // Minibatch 7's backward still sees the weights its forward used:
+/// assert_eq!(store.superseded(v).unwrap()[0], 0.0);
+/// store.complete_backward(7);
+/// assert_eq!(store.versions_held(), 1);     // only the live one is left
+/// store.advance(|_| unreachable!("nothing pins version 1: no copy"));
+/// ```
+#[derive(Debug, Clone)]
+pub struct VersionStore<W> {
+    policy: VersionPolicy,
+    /// Id of the live version: the number of updates so far.
+    live: u64,
+    /// Superseded versions still needed, as `(id, weights)`. At most a
+    /// pipeline depth of them, so a linear scan beats a map and the
+    /// steady state never allocates.
+    held: Vec<(u64, W)>,
+    /// In-flight minibatches, as `(minibatch, pinned version)`.
+    pinned: Vec<(u64, u64)>,
+    /// Vertical sync: the oldest version a forward may still name.
+    floor: u64,
+    /// Weights of retired versions, for the next save to overwrite.
+    spare: Vec<W>,
+}
+
+impl<W> VersionStore<W> {
+    /// An empty store: version 0 is live and nothing is in flight.
+    pub fn new(policy: VersionPolicy) -> Self {
+        if let VersionPolicy::TwoBw { group } = policy {
+            assert!(group >= 1, "2BW group must hold at least one minibatch");
+        }
+        VersionStore {
+            policy,
+            live: 0,
+            held: Vec::new(),
+            pinned: Vec::new(),
+            floor: 0,
+            spare: Vec::new(),
         }
     }
 
-    /// Begin the forward pass of `mb`: stash the latest version under the
-    /// minibatch id and return it. Panics if `mb` is already in flight.
-    pub fn begin_forward(&mut self, mb: u64) -> Arc<W> {
-        let prev = self
-            .stashed
-            .insert(mb, (self.version, Arc::clone(&self.latest)));
+    /// Id of the live version (= updates applied so far).
+    pub fn live(&self) -> u64 {
+        self.live
+    }
+
+    /// Pin the version the policy prescribes for both passes of `mb` and
+    /// return its id. `tag` is the version the input stage pinned, which
+    /// only [`VersionPolicy::VerticalSync`] reads. `Err` names the
+    /// prescribed version if it was never produced or has retired — a
+    /// scheduling-invariant breach (a 2BW group shorter than the in-flight
+    /// depth, a tag that went backwards). Panics if `mb` is already in
+    /// flight.
+    pub fn begin_forward(&mut self, mb: u64, tag: u64) -> Result<u64, u64> {
         assert!(
-            prev.is_none(),
-            "minibatch {mb} already has a stashed version"
+            !self.pinned.iter().any(|&(m, _)| m == mb),
+            "minibatch {mb} already has a pinned version"
         );
-        Arc::clone(&self.latest)
-    }
-
-    /// The stashed weights for `mb`'s backward pass — guaranteed to be the
-    /// version its forward pass used.
-    pub fn for_backward(&self, mb: u64) -> Arc<W> {
-        let (_, w) = self
-            .stashed
-            .get(&mb)
-            .unwrap_or_else(|| panic!("no stashed weights for minibatch {mb}"));
-        Arc::clone(w)
-    }
-
-    /// The version id stashed for `mb`.
-    pub fn version_for(&self, mb: u64) -> u64 {
-        self.stashed
-            .get(&mb)
-            .unwrap_or_else(|| panic!("no stashed weights for minibatch {mb}"))
-            .0
-    }
-
-    /// Complete `mb`'s backward pass: drop its stash entry. "Parameters are
-    /// discarded once a backward pass that uses fresher parameters is
-    /// performed" (§4) — with 1F1B's in-order backward passes, dropping at
-    /// backward completion realises exactly that rule.
-    pub fn complete_backward(&mut self, mb: u64) {
-        self.stashed
-            .remove(&mb)
-            .unwrap_or_else(|| panic!("no stashed weights for minibatch {mb}"));
-    }
-
-    /// Apply a weight update, producing a new latest version; returns the
-    /// new version id. Stashed versions are untouched (copy-on-write).
-    pub fn apply_update(&mut self, update: impl FnOnce(&mut W)) -> u64 {
-        // Copy-on-write: clones only if a stash still references the
-        // current version.
-        update(Arc::make_mut(&mut self.latest));
-        self.version += 1;
-        self.version
-    }
-
-    /// The latest weights (what the next forward pass will use).
-    pub fn latest(&self) -> Arc<W> {
-        Arc::clone(&self.latest)
-    }
-
-    /// The latest version id.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Number of minibatches currently holding a stash.
-    pub fn in_flight(&self) -> usize {
-        self.stashed.len()
-    }
-
-    /// Number of *distinct* weight versions held (latest + stashed),
-    /// the quantity bounding PipeDream's memory overhead (§3.3).
-    pub fn versions_held(&self) -> usize {
-        let mut versions: Vec<u64> = self.stashed.values().map(|(v, _)| *v).collect();
-        versions.push(self.version);
-        versions.sort_unstable();
-        versions.dedup();
-        versions.len()
-    }
-}
-
-/// Version store for vertical sync: keeps explicit versions alive while
-/// pinned by in-flight minibatches.
-///
-/// With vertical sync, minibatch `b_i` entering the pipeline is tagged with
-/// the latest version `w^(i−x)` seen at the input stage; every stage then
-/// runs both passes of `b_i` against its *own* copy of that version, and
-/// applies its update independently afterwards (§3.3).
-#[derive(Debug, Clone)]
-pub struct VersionedStore<W> {
-    versions: BTreeMap<u64, (Arc<W>, usize)>,
-    latest: u64,
-}
-
-impl<W: Clone> VersionedStore<W> {
-    /// Start with version 0.
-    pub fn new(initial: W) -> Self {
-        let mut versions = BTreeMap::new();
-        versions.insert(0, (Arc::new(initial), 0usize));
-        VersionedStore {
-            versions,
-            latest: 0,
-        }
-    }
-
-    /// Latest version id.
-    pub fn latest_version(&self) -> u64 {
-        self.latest
-    }
-
-    /// Pin `version` for an in-flight minibatch and return its weights.
-    pub fn pin(&mut self, version: u64) -> Arc<W> {
-        let (w, pins) = self
-            .versions
-            .get_mut(&version)
-            .unwrap_or_else(|| panic!("version {version} no longer available"));
-        *pins += 1;
-        Arc::clone(w)
-    }
-
-    /// Read a pinned version without changing its pin count.
-    pub fn get(&self, version: u64) -> Arc<W> {
-        Arc::clone(
-            &self
-                .versions
-                .get(&version)
-                .unwrap_or_else(|| panic!("version {version} no longer available"))
-                .0,
-        )
-    }
-
-    /// Unpin `version`; unpinned non-latest versions are garbage collected.
-    pub fn unpin(&mut self, version: u64) {
-        let remove = {
-            let (_, pins) = self
-                .versions
-                .get_mut(&version)
-                .unwrap_or_else(|| panic!("version {version} no longer available"));
-            assert!(*pins > 0, "unpin of version {version} with no pins");
-            *pins -= 1;
-            *pins == 0 && version != self.latest
+        let version = match self.policy {
+            VersionPolicy::Stashing => self.live,
+            VersionPolicy::VerticalSync => tag,
+            VersionPolicy::TwoBw { group } => (mb / group).saturating_sub(1),
         };
-        if remove {
-            self.versions.remove(&version);
+        if version != self.live && !self.held.iter().any(|&(v, _)| v == version) {
+            return Err(version);
         }
+        self.pinned.push((mb, version));
+        self.retire_unneeded();
+        Ok(version)
     }
 
-    /// Apply an update on top of `base_version`, creating a new latest
-    /// version; returns its id. (Vertical sync applies each stage's update
-    /// to its own latest weights; gradients were *computed* against the
-    /// pinned version.)
-    pub fn apply_update(&mut self, update: impl FnOnce(&mut W)) -> u64 {
-        let mut w = (*self.versions[&self.latest].0).clone();
-        update(&mut w);
-        let old_latest = self.latest;
-        self.latest += 1;
-        self.versions.insert(self.latest, (Arc::new(w), 0));
-        // The superseded latest can be dropped if nothing pins it.
-        if self
-            .versions
-            .get(&old_latest)
-            .is_some_and(|(_, pins)| *pins == 0)
-        {
-            self.versions.remove(&old_latest);
-        }
-        self.latest
+    /// The version pinned for `mb`.
+    pub fn version_for(&self, mb: u64) -> u64 {
+        self.pinned
+            .iter()
+            .find(|&&(m, _)| m == mb)
+            .unwrap_or_else(|| panic!("no pinned version for minibatch {mb}"))
+            .1
     }
 
-    /// Number of versions currently held.
-    pub fn versions_held(&self) -> usize {
-        self.versions.len()
-    }
-}
-
-/// Weight store for PipeDream-2BW double-buffered updates.
-///
-/// Minibatches are grouped into fixed windows of `group` consecutive ids;
-/// the worker accumulates gradients across a group and applies **one**
-/// update per group, producing a new weight *generation*. Both passes of
-/// every minibatch in group `g` run against generation `(g − 1).max(0)` —
-/// the double buffer — so the update rule is exactly the 2BW paper's
-///
-/// ```text
-/// W(g+1) = W(g) − ν · ∇f(W(g−1))
-/// ```
-///
-/// Feasibility requires `group ≥` the pipeline's in-flight depth: group
-/// `g`'s first forward can only need generation `g − 1` (produced by group
-/// `g − 2`'s update) once group `g − 2` has fully drained, which 1F1B
-/// guarantees when the group spans at least one full in-flight window.
-/// Under that invariant at most **two** generations are ever live: the one
-/// pinned by in-flight minibatches and the latest.
-///
-/// ```
-/// use pipedream_core::stash::TwoBwStash;
-///
-/// let mut s = TwoBwStash::new(2, vec![0.0f32]); // groups of 2 minibatches
-/// assert_eq!(s.begin_forward(0)[0], 0.0);       // group 0 → generation 0
-/// assert_eq!(s.begin_forward(1)[0], 0.0);
-/// s.complete_backward(0);
-/// s.complete_backward(1);
-/// s.apply_update(|w| w[0] = 1.0);               // group 0's update → gen 1
-/// assert_eq!(s.begin_forward(2)[0], 0.0);       // group 1 → generation 0
-/// s.complete_backward(2);
-/// assert!(s.versions_held() <= 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct TwoBwStash<W> {
-    group: u64,
-    generations: BTreeMap<u64, Arc<W>>,
-    latest_gen: u64,
-    in_flight: BTreeMap<u64, u64>,
-}
-
-impl<W: Clone> TwoBwStash<W> {
-    /// Start at generation 0 with the given initial weights and a group
-    /// (gradient-accumulation window) of `group` minibatches.
-    pub fn new(group: usize, initial: W) -> Self {
-        assert!(group >= 1, "2BW group must hold at least one minibatch");
-        let mut generations = BTreeMap::new();
-        generations.insert(0, Arc::new(initial));
-        TwoBwStash {
-            group: group as u64,
-            generations,
-            latest_gen: 0,
-            in_flight: BTreeMap::new(),
-        }
+    /// The weights of `version` if it is superseded, for the caller to
+    /// swap with the live weights around a pass (and swap back after);
+    /// `None` if `version` is the live one and the pass needs no swap.
+    pub fn superseded(&mut self, version: u64) -> Option<&mut W> {
+        self.held
+            .iter_mut()
+            .find(|(v, _)| *v == version)
+            .map(|(_, w)| w)
     }
 
-    /// The gradient-accumulation group size, in minibatches.
-    pub fn group(&self) -> u64 {
-        self.group
-    }
-
-    /// The generation minibatch `mb` must run against: one behind its own
-    /// group (group 0 and 1 both use the initial generation 0).
-    pub fn generation_for_mb(&self, mb: u64) -> u64 {
-        (mb / self.group).saturating_sub(1)
-    }
-
-    /// Pin the double-buffered generation for `mb`'s forward pass and
-    /// return it. Panics if `mb` is already in flight or its generation
-    /// was never produced (a scheduling-invariant violation: the group is
-    /// smaller than the pipeline's in-flight depth).
-    pub fn begin_forward(&mut self, mb: u64) -> Arc<W> {
-        let g = self.generation_for_mb(mb);
-        let w = self.generations.get(&g).unwrap_or_else(|| {
-            panic!(
-                "2BW generation {g} unavailable for minibatch {mb} \
-                 (group {}, latest generation {})",
-                self.group, self.latest_gen
-            )
-        });
-        let w = Arc::clone(w);
-        let prev = self.in_flight.insert(mb, g);
-        assert!(prev.is_none(), "minibatch {mb} already in flight");
-        w
-    }
-
-    /// The pinned generation's weights for `mb`'s backward pass — the same
-    /// version its forward used.
-    pub fn for_backward(&self, mb: u64) -> Arc<W> {
-        let g = self
-            .in_flight
-            .get(&mb)
-            .unwrap_or_else(|| panic!("no pinned generation for minibatch {mb}"));
-        Arc::clone(&self.generations[g])
-    }
-
-    /// The generation id pinned for `mb`.
-    pub fn generation_of(&self, mb: u64) -> u64 {
-        *self
-            .in_flight
-            .get(&mb)
-            .unwrap_or_else(|| panic!("no pinned generation for minibatch {mb}"))
-    }
-
-    /// Complete `mb`'s backward pass: unpin it and collect generations no
-    /// in-flight minibatch needs any more.
+    /// `mb`'s backward pass is done: unpin its version and retire what
+    /// nothing needs any more.
     pub fn complete_backward(&mut self, mb: u64) {
-        self.in_flight
-            .remove(&mb)
-            .unwrap_or_else(|| panic!("no pinned generation for minibatch {mb}"));
-        self.gc();
+        let at = self
+            .pinned
+            .iter()
+            .position(|&(m, _)| m == mb)
+            .unwrap_or_else(|| panic!("no pinned version for minibatch {mb}"));
+        self.pinned.swap_remove(at);
+        self.retire_unneeded();
     }
 
-    /// Apply one group's accumulated update on the *latest* generation,
-    /// producing a new one; returns the new generation id.
-    pub fn apply_update(&mut self, update: impl FnOnce(&mut W)) -> u64 {
-        let mut w = (*self.generations[&self.latest_gen]).clone();
-        update(&mut w);
-        self.latest_gen += 1;
-        self.generations.insert(self.latest_gen, Arc::new(w));
-        self.gc();
-        self.latest_gen
+    /// The caller is about to overwrite the live weights with an update.
+    /// If the version being overwritten is still needed — pinned, or kept
+    /// by the policy — `save` must return a copy of it, written into the
+    /// retired weights it is handed when there are any. Returns the new
+    /// live id.
+    pub fn advance(&mut self, save: impl FnOnce(Option<W>) -> W) -> u64 {
+        let old = self.live;
+        let needed =
+            self.policy != VersionPolicy::Stashing || self.pinned.iter().any(|&(_, v)| v == old);
+        self.live += 1;
+        // First, so that a 2BW double buffer that just became `live − 2`
+        // hands its weights to the save below: two buffers, not three.
+        self.retire_unneeded();
+        if needed {
+            let saved = save(self.spare.pop());
+            self.held.push((old, saved));
+        }
+        self.live
     }
 
-    fn gc(&mut self) {
-        // A generation stays live while it is the latest, still pinned, or
-        // still the double buffer of a future minibatch (>= latest − 1 …
-        // covered by the pin rule since groups admit in order).
-        let pinned: std::collections::BTreeSet<u64> = self.in_flight.values().copied().collect();
-        let latest = self.latest_gen;
-        self.generations
-            .retain(|g, _| *g == latest || pinned.contains(g) || *g + 1 == latest);
+    fn retire_unneeded(&mut self) {
+        if self.policy == VersionPolicy::VerticalSync {
+            if let Some(oldest) = self.pinned.iter().map(|&(_, v)| v).min() {
+                self.floor = oldest;
+            }
+        }
+        let mut i = 0;
+        while i < self.held.len() {
+            let v = self.held[i].0;
+            let kept = match self.policy {
+                VersionPolicy::Stashing => false,
+                VersionPolicy::VerticalSync => v >= self.floor,
+                VersionPolicy::TwoBw { .. } => v + 1 == self.live,
+            };
+            if kept || self.pinned.iter().any(|&(_, p)| p == v) {
+                i += 1;
+            } else {
+                self.spare.push(self.held.swap_remove(i).1);
+            }
+        }
     }
 
-    /// The latest weights (what the next group's update builds on).
-    pub fn latest(&self) -> Arc<W> {
-        Arc::clone(&self.generations[&self.latest_gen])
-    }
-
-    /// The latest generation id (= number of group updates applied).
-    pub fn latest_generation(&self) -> u64 {
-        self.latest_gen
-    }
-
-    /// Number of minibatches currently pinned.
+    /// Number of minibatches currently holding a pin.
     pub fn in_flight(&self) -> usize {
-        self.in_flight.len()
+        self.pinned.len()
     }
 
-    /// Number of *distinct* weight generations held — the 2BW claim is
-    /// that this never exceeds 2.
+    /// Number of *distinct* weight versions in existence (the live one
+    /// plus the superseded ones held) — the quantity bounding PipeDream's
+    /// memory overhead (§3.3), which 2BW caps at 2.
     pub fn versions_held(&self) -> usize {
-        self.generations.len()
+        self.held.len() + 1
     }
 }
 
@@ -501,58 +345,115 @@ pub mod staleness {
 mod tests {
     use super::*;
 
+    /// A stage in miniature: live weights next to their store, driven the
+    /// way the runtime's worker drives them.
+    struct Stage<W> {
+        live: W,
+        store: VersionStore<W>,
+    }
+
+    impl<W: Clone> Stage<W> {
+        fn new(policy: VersionPolicy, initial: W) -> Self {
+            Stage {
+                live: initial,
+                store: VersionStore::new(policy),
+            }
+        }
+
+        /// Forward of `mb`; returns the weights it ran under.
+        fn forward(&mut self, mb: u64, tag: u64) -> W {
+            let v = self.store.begin_forward(mb, tag).expect("version held");
+            self.weights(v)
+        }
+
+        /// The weights `mb`'s backward runs under.
+        fn backward_weights(&mut self, mb: u64) -> W {
+            let v = self.store.version_for(mb);
+            self.weights(v)
+        }
+
+        fn weights(&mut self, version: u64) -> W {
+            self.store
+                .superseded(version)
+                .map_or_else(|| self.live.clone(), |w| w.clone())
+        }
+
+        fn update(&mut self, f: impl FnOnce(&mut W)) -> u64 {
+            let live = &self.live;
+            let id = self.store.advance(|_| live.clone());
+            f(&mut self.live);
+            id
+        }
+    }
+
     #[test]
     fn backward_sees_forward_version() {
-        let mut stash = WeightStash::new(vec![1.0f32]);
-        let w_fwd = stash.begin_forward(0);
+        let mut s = Stage::new(VersionPolicy::Stashing, vec![1.0f32]);
+        let w_fwd = s.forward(0, 0);
         // Two updates land while mb 0 is in flight.
-        stash.apply_update(|w| w[0] = 2.0);
-        stash.apply_update(|w| w[0] = 3.0);
-        let w_bwd = stash.for_backward(0);
-        assert_eq!(w_fwd[0], w_bwd[0]);
-        assert_eq!(w_bwd[0], 1.0);
-        assert_eq!(stash.latest()[0], 3.0);
-        stash.complete_backward(0);
-        assert_eq!(stash.in_flight(), 0);
+        s.update(|w| w[0] = 2.0);
+        s.update(|w| w[0] = 3.0);
+        assert_eq!(s.backward_weights(0), w_fwd);
+        assert_eq!(w_fwd[0], 1.0);
+        assert_eq!(s.live[0], 3.0);
+        s.store.complete_backward(0);
+        assert_eq!(s.store.in_flight(), 0);
+        assert_eq!(s.store.versions_held(), 1);
     }
 
     #[test]
     fn versions_held_bounded_by_in_flight_plus_one() {
-        let mut stash = WeightStash::new(0u64);
+        let mut s = Stage::new(VersionPolicy::Stashing, 0u64);
         for mb in 0..4 {
-            stash.begin_forward(mb);
-            stash.apply_update(|w| *w += 1);
+            s.forward(mb, 0);
+            s.update(|w| *w += 1);
         }
-        assert_eq!(stash.in_flight(), 4);
-        assert!(stash.versions_held() <= 5);
+        assert_eq!(s.store.in_flight(), 4);
+        assert_eq!(s.store.versions_held(), 5);
         for mb in 0..4 {
-            stash.complete_backward(mb);
+            s.store.complete_backward(mb);
         }
-        assert_eq!(stash.versions_held(), 1);
+        assert_eq!(s.store.versions_held(), 1);
     }
 
     #[test]
-    fn consecutive_forwards_share_a_version_when_no_update() {
-        let mut stash = WeightStash::new(7i32);
-        stash.begin_forward(0);
-        stash.begin_forward(1);
-        assert_eq!(stash.version_for(0), stash.version_for(1));
-        assert_eq!(stash.versions_held(), 1, "no copy until an update lands");
+    fn a_version_is_saved_once_and_only_while_pinned() {
+        let mut s = Stage::new(VersionPolicy::Stashing, 7i32);
+        s.forward(0, 0);
+        s.forward(1, 0);
+        assert_eq!(s.store.version_for(0), s.store.version_for(1));
+        assert_eq!(s.store.versions_held(), 1, "no copy until an update lands");
+        let mut saves = 0;
+        s.store.advance(|spare| {
+            assert!(spare.is_none(), "nothing has retired yet");
+            saves += 1;
+            7
+        });
+        s.store.complete_backward(0);
+        s.store.complete_backward(1);
+        // Version 1 is pinned by nobody: overwriting it needs no copy, and
+        // the next save is handed version 0's retired weights.
+        s.store.advance(|_| unreachable!("unpinned version saved"));
+        s.forward(2, 0);
+        s.store.advance(|spare| {
+            saves += 1;
+            spare.expect("version 0 retired")
+        });
+        assert_eq!(saves, 2);
     }
 
     #[test]
-    #[should_panic(expected = "already has a stashed version")]
+    #[should_panic(expected = "already has a pinned version")]
     fn double_forward_rejected() {
-        let mut stash = WeightStash::new(0u8);
-        stash.begin_forward(3);
-        stash.begin_forward(3);
+        let mut store = VersionStore::<u8>::new(VersionPolicy::Stashing);
+        let _ = store.begin_forward(3, 0);
+        let _ = store.begin_forward(3, 0);
     }
 
     #[test]
-    #[should_panic(expected = "no stashed weights")]
+    #[should_panic(expected = "no pinned version")]
     fn backward_without_forward_rejected() {
-        let stash: WeightStash<u8> = WeightStash::new(0);
-        stash.for_backward(1);
+        VersionStore::<u8>::new(VersionPolicy::Stashing).version_for(1);
     }
 
     #[test]
@@ -561,54 +462,97 @@ mod tests {
         // include minibatch 1's update; on stage 2 (machine 3) weights that
         // include updates from minibatches 1–3. Model stage 0 of a 4-stage
         // pipeline: updates from mb 1 land before mb 5's forward.
-        let mut stash = WeightStash::new(Vec::<u64>::new());
+        let mut s = Stage::new(VersionPolicy::Stashing, Vec::<u64>::new());
         // Startup: forwards of 1..4 (paper numbers minibatches from 1).
         for mb in 1..=4 {
-            stash.begin_forward(mb);
+            s.forward(mb, 0);
         }
         // mb 1's backward completes; its update lands; then mb 5 forward.
-        stash.complete_backward(1);
-        stash.apply_update(|w| w.push(1));
-        let w5 = stash.begin_forward(5);
-        assert_eq!(&*w5, &vec![1], "mb 5's forward sees exactly update 1");
+        s.store.complete_backward(1);
+        s.update(|w| w.push(1));
+        assert_eq!(s.forward(5, 0), vec![1], "mb 5 sees exactly update 1");
         // Stage keeps serving mb 5's backward with that same version even
         // after more updates.
         for mb in 2..=4 {
-            stash.complete_backward(mb);
-            stash.apply_update(|w| w.push(mb));
+            s.store.complete_backward(mb);
+            s.update(|w| w.push(mb));
         }
-        assert_eq!(&*stash.for_backward(5), &vec![1]);
-        assert_eq!(&*stash.latest(), &vec![1, 2, 3, 4]);
+        assert_eq!(s.backward_weights(5), vec![1]);
+        assert_eq!(s.live, vec![1, 2, 3, 4]);
     }
 
     #[test]
-    fn versioned_store_pins_keep_versions_alive() {
-        let mut store = VersionedStore::new(10i64);
-        store.pin(0);
-        let v1 = store.apply_update(|w| *w += 1);
-        assert_eq!(v1, 1);
-        assert_eq!(store.versions_held(), 2, "v0 pinned, v1 latest");
-        assert_eq!(*store.get(0), 10);
-        assert_eq!(*store.get(1), 11);
-        store.unpin(0);
-        assert_eq!(store.versions_held(), 1, "v0 collected after unpin");
+    fn vertical_sync_keeps_versions_from_the_oldest_tag_on() {
+        // A downstream stage: its own version runs ahead of the tags.
+        let mut s = Stage::new(VersionPolicy::VerticalSync, 10i64);
+        assert_eq!(s.forward(0, 0), 10);
+        s.store.complete_backward(0);
+        // Nothing is pinned, yet mb 1 was tagged 0 upstream: v0 is kept.
+        s.update(|w| *w += 1);
+        s.update(|w| *w += 1);
+        assert_eq!(s.store.versions_held(), 3);
+        assert_eq!(s.forward(1, 0), 10);
+        // A newer tag retires everything older than the oldest pinned one.
+        s.store.complete_backward(1);
+        assert_eq!(s.forward(2, 2), 12);
+        assert_eq!(s.store.versions_held(), 1);
+        assert_eq!(s.store.begin_forward(3, 1), Err(1), "version 1 has retired");
     }
 
     #[test]
-    fn versioned_store_collects_unpinned_superseded_latest() {
-        let mut store = VersionedStore::new(0i64);
-        store.apply_update(|w| *w += 1);
-        store.apply_update(|w| *w += 1);
-        assert_eq!(store.versions_held(), 1);
-        assert_eq!(store.latest_version(), 2);
+    fn two_bw_holds_at_most_two_generations() {
+        // Group of 4 minibatches on a depth-4 pipeline stage: simulate the
+        // 1F1B interleaving at the input stage (fwd k after bwd k−4) for
+        // many groups and check the two-version bound throughout.
+        let mut s = Stage::new(VersionPolicy::TwoBw { group: 4 }, vec![0u64]);
+        let total = 32u64;
+        let (mut next_fwd, mut next_bwd) = (0u64, 0u64);
+        let mut max_held = 0usize;
+        while next_bwd < total {
+            if next_fwd < total && next_fwd < next_bwd + 4 {
+                s.forward(next_fwd, 0);
+                next_fwd += 1;
+            } else {
+                s.store.complete_backward(next_bwd);
+                next_bwd += 1;
+                if next_bwd.is_multiple_of(4) {
+                    let g = next_bwd / 4 - 1;
+                    s.update(|w| w.push(g));
+                }
+            }
+            max_held = max_held.max(s.store.versions_held());
+        }
+        assert_eq!(
+            max_held, 2,
+            "2BW must hold exactly 2 generations in steady state"
+        );
+        assert_eq!(s.store.live(), total / 4);
     }
 
     #[test]
-    #[should_panic(expected = "no longer available")]
-    fn versioned_store_rejects_collected_version() {
-        let mut store = VersionedStore::new(0i64);
-        store.apply_update(|w| *w += 1);
-        store.get(0);
+    fn two_bw_runs_group_g_against_generation_g_minus_one() {
+        // W(g+1) = W(g) − ν∇f(W(g−1)): the generation pinned for group g's
+        // passes must be g−1 (0 for the warm-up groups 0 and 1).
+        let mut s = Stage::new(VersionPolicy::TwoBw { group: 2 }, 0i64);
+        for group in 0..5u64 {
+            for mb in (group * 2)..(group * 2 + 2) {
+                let pinned = s.forward(mb, 0);
+                assert_eq!(s.store.version_for(mb), group.saturating_sub(1));
+                assert_eq!(pinned, group.saturating_sub(1) as i64 * 10);
+                assert_eq!(s.backward_weights(mb), pinned);
+                s.store.complete_backward(mb);
+            }
+            assert_eq!(s.update(|w| *w += 10), group + 1);
+        }
+    }
+
+    #[test]
+    fn two_bw_rejects_a_group_ahead_of_its_buffer() {
+        // Minibatch 8 of group 4 needs generation 3, which only exists
+        // after 3 group updates — pinning it fresh is an invariant breach.
+        let mut store = VersionStore::<u8>::new(VersionPolicy::TwoBw { group: 2 });
+        assert_eq!(store.begin_forward(8, 0), Err(3));
+        assert_eq!(store.in_flight(), 0);
     }
 
     #[test]
@@ -645,63 +589,5 @@ mod tests {
         assert_eq!(ScheduleKind::parse("twobw"), Some(TwoBW));
         assert_eq!(ScheduleKind::parse("quantum"), None);
         assert_eq!(ScheduleKind::default(), Vanilla1F1B);
-    }
-
-    #[test]
-    fn two_bw_holds_at_most_two_generations() {
-        // Group of 4 minibatches on a depth-4 pipeline stage: simulate the
-        // 1F1B interleaving at the input stage (fwd k after bwd k−4) for
-        // many groups and check the two-version bound throughout.
-        let mut s = TwoBwStash::new(4, vec![0u64]);
-        let total = 32u64;
-        let mut next_fwd = 0u64;
-        let mut next_bwd = 0u64;
-        let mut max_held = 0usize;
-        while next_bwd < total {
-            if next_fwd < total && next_fwd < next_bwd + 4 {
-                s.begin_forward(next_fwd);
-                next_fwd += 1;
-            } else {
-                s.complete_backward(next_bwd);
-                next_bwd += 1;
-                if next_bwd.is_multiple_of(4) {
-                    let g = next_bwd / 4 - 1;
-                    s.apply_update(|w| w.push(g));
-                }
-            }
-            max_held = max_held.max(s.versions_held());
-        }
-        assert_eq!(
-            max_held, 2,
-            "2BW must hold exactly 2 generations in steady state"
-        );
-        assert_eq!(s.latest_generation(), total / 4);
-    }
-
-    #[test]
-    fn two_bw_runs_group_g_against_generation_g_minus_one() {
-        // W(g+1) = W(g) − ν∇f(W(g−1)): the generation pinned for group g's
-        // passes must be g−1 (0 for the warm-up groups 0 and 1).
-        let mut s = TwoBwStash::new(2, 0i64);
-        for group in 0..5u64 {
-            for mb in (group * 2)..(group * 2 + 2) {
-                s.begin_forward(mb);
-                assert_eq!(s.generation_of(mb), group.saturating_sub(1));
-                let pinned = s.for_backward(mb);
-                assert_eq!(*pinned, group.saturating_sub(1) as i64 * 10);
-                s.complete_backward(mb);
-            }
-            let g = s.apply_update(|w| *w += 10);
-            assert_eq!(g, group + 1);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "generation 3 unavailable")]
-    fn two_bw_rejects_a_group_ahead_of_its_buffer() {
-        // Minibatch 8 of group 4 needs generation 3, which only exists
-        // after 3 group updates — pinning it fresh is an invariant breach.
-        let mut s = TwoBwStash::new(2, 0u8);
-        s.begin_forward(8);
     }
 }

@@ -1,7 +1,7 @@
 //! Shared training-data view for stage workers.
 
 use pipedream_tensor::data::Dataset;
-use pipedream_tensor::Tensor;
+use pipedream_tensor::{pool, Tensor};
 
 /// Read-only dataset view shared (via `Arc`) by the input stage (which
 /// needs minibatch inputs) and the output stage (which needs labels).
@@ -85,16 +85,25 @@ impl TrainData {
         (mb as usize + self.start + 1).is_multiple_of(self.mbs_per_epoch)
     }
 
-    /// Input tensor for minibatch `mb`.
-    pub fn input(&self, mb: u64) -> Tensor {
-        let idx = self.mb_in_epoch(mb) as usize;
-        self.dataset.minibatch(idx, self.batch).0
+    /// Dataset rows `lo..hi` that make up minibatch `mb` (the epoch's
+    /// last one may be short).
+    fn rows(&self, mb: u64) -> std::ops::Range<usize> {
+        let lo = self.mb_in_epoch(mb) as usize * self.batch;
+        lo..(lo + self.batch).min(self.dataset.len())
     }
 
-    /// Labels for minibatch `mb`.
-    pub fn labels(&self, mb: u64) -> Vec<usize> {
-        let idx = self.mb_in_epoch(mb) as usize;
-        self.dataset.minibatch(idx, self.batch).1
+    /// Input tensor for minibatch `mb`, in a buffer from the caller's
+    /// pool: the input stage recycles it after its forward pass.
+    pub fn input(&self, mb: u64) -> Tensor {
+        let rows = self.rows(mb);
+        let d = self.dataset.features();
+        let data = pool::take_copy(&self.dataset.x.data()[rows.start * d..rows.end * d]);
+        Tensor::from_vec(&[rows.len(), d], data)
+    }
+
+    /// Labels for minibatch `mb`, borrowed from the dataset.
+    pub fn labels(&self, mb: u64) -> &[usize] {
+        &self.dataset.y[self.rows(mb)]
     }
 }
 
@@ -146,5 +155,10 @@ mod tests {
         assert_eq!(d.minibatches_per_epoch(), 3);
         assert_eq!(d.input(2).rows(), 4);
         assert_eq!(d.labels(2).len(), 4);
+        // Each half is what `Dataset::minibatch` hands out as a pair.
+        for mb in 0..3 {
+            let (x, y) = d.dataset().minibatch(mb, 8);
+            assert_eq!((d.input(mb as u64), d.labels(mb as u64)), (x, &y[..]));
+        }
     }
 }

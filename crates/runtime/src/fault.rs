@@ -138,8 +138,8 @@ pub enum WorkerError {
         /// The underlying [`crate::sync::SyncError`], rendered.
         reason: String,
     },
-    /// A vertical-sync weight version needed for a backward or forward
-    /// pass was not retained.
+    /// The weight version a forward pass had to pin (a vertical-sync tag,
+    /// a 2BW generation) was never produced or is no longer held.
     VersionMissing {
         /// Failing stage.
         stage: usize,

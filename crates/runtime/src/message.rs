@@ -5,8 +5,21 @@
 //! message: the *consuming* worker calls [`Tensor::recycle`] once it is
 //! done, which parks the storage in the consumer's pool. In steady-state
 //! 1F1B each channel carries a constant number of in-flight tensors per
-//! direction, so after warm-up every send is served by a buffer recycled
-//! from an earlier minibatch and the pipeline stops allocating.
+//! direction, and an activation going down is paid back by a gradient of
+//! the same shape coming up, so after warm-up every send is served by a
+//! buffer recycled from an earlier minibatch. Nothing else on a
+//! minibatch's path drops a pooled buffer either — the input stage
+//! recycles the input gradient it has nobody to send to, superseded weight
+//! versions are overwritten in place (`pipedream_core::stash`), gradient
+//! sync hands every replica back one buffer set for the one it deposited —
+//! so the pipeline stops allocating: `crates/runtime/tests/
+//! steady_state_pool.rs` holds the pool's miss counter still.
+//!
+//! The coordinator is not on that path at all. What a worker learns per
+//! minibatch (losses, weight versions) goes into its own
+//! [`crate::report::WorkerLog`], which comes back through the join handle;
+//! [`MetricMsg`] carries liveness only, and a run without a fault hook
+//! sends the coordinator nothing until a worker fails.
 
 use pipedream_tensor::Tensor;
 
@@ -33,34 +46,9 @@ pub struct GradMsg {
     pub data: Tensor,
 }
 
-/// Metric events sent to the coordinator.
+/// Liveness events sent to the coordinator while the pipeline runs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MetricMsg {
-    /// Loss/accuracy of one minibatch, measured at the output stage.
-    Loss {
-        /// Minibatch id.
-        mb: u64,
-        /// Mean cross-entropy loss.
-        loss: f32,
-        /// Correctly classified samples.
-        correct: usize,
-        /// Samples in the minibatch.
-        count: usize,
-    },
-    /// Which weight version a stage used for a minibatch's forward pass
-    /// (drives the Figure-9 / staleness-formula checks).
-    FwdVersion {
-        /// Pipeline stage.
-        stage: usize,
-        /// Minibatch id.
-        mb: u64,
-        /// Local weight version (number of updates applied before this
-        /// forward pass).
-        version: u64,
-    },
-    /// Per-worker stash/staleness observations, sent once when the
-    /// worker's op sequence completes successfully.
-    StageObs(crate::report::StageObsRecord),
     /// Periodic liveness signal, sent only when a fault hook is installed.
     /// A worker that stops heartbeating without finishing is presumed
     /// dead (§4: failures are detected, then all stages restart from the

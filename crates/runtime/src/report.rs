@@ -55,6 +55,34 @@ pub struct StageObsRecord {
     pub recompute_us: u64,
 }
 
+/// Loss and accuracy of one minibatch, measured at the output stage.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LossRecord {
+    /// Minibatch id.
+    pub mb: u64,
+    /// Mean cross-entropy loss.
+    pub loss: f32,
+    /// Correctly classified samples.
+    pub correct: usize,
+    /// Samples in the minibatch.
+    pub count: usize,
+}
+
+/// What one stage worker recorded about its own run. It is written by the
+/// worker alone, with no message to anyone, and handed to the coordinator
+/// through the join handle — when the worker fails too, so the partial
+/// report of a collapsed run still holds everything computed before it.
+#[derive(Debug, Default)]
+pub struct WorkerLog {
+    /// One record per forward pass of an output-stage worker.
+    pub losses: Vec<LossRecord>,
+    /// One record per forward pass begun (drives the Figure-9 /
+    /// staleness-formula checks).
+    pub versions: Vec<VersionRecord>,
+    /// Peak observations; `None` unless the op sequence ran to its end.
+    pub obs: Option<StageObsRecord>,
+}
+
 /// What happened when a fault was injected and the run recovered (§4).
 ///
 /// Produced by the `pipedream-ft` supervisor; quantifies the paper's

@@ -68,6 +68,11 @@ impl std::error::Error for SyncError {}
 struct State {
     deposits: Vec<Option<Vec<Tensor>>>,
     average: Option<Vec<Tensor>>,
+    /// The round's other deposits, summed into `average` already: every
+    /// collector but the last copies the average into one of them, so each
+    /// replica leaves with one buffer set for the one it brought and a
+    /// round allocates nothing.
+    spent: Vec<Vec<Tensor>>,
     collected: usize,
     /// Replica that poisoned the group, if any. Once set the group is
     /// permanently failed: every current and future `allreduce` errs.
@@ -128,6 +133,7 @@ impl GradSyncGroup {
             state: Mutex::new(State {
                 deposits: vec![None; replicas],
                 average: None,
+                spent: Vec::with_capacity(replicas),
                 collected: 0,
                 poisoned: None,
             }),
@@ -212,6 +218,11 @@ impl GradSyncGroup {
     /// current round has contributed, the group's deadline expires, or a
     /// peer is lost — the latter two fail with a typed [`SyncError`]
     /// instead of hanging.
+    ///
+    /// The tensors handed back are the round's own deposits — the average
+    /// is computed in place in one, and copied into the others — so every
+    /// replica leaves with one buffer set for the one it brought and a
+    /// round neither allocates nor drops a buffer.
     pub fn allreduce(&self, replica: usize, grads: Vec<Tensor>) -> Result<Vec<Tensor>, SyncError> {
         assert!(replica < self.replicas);
         if self.replicas == 1 {
@@ -259,23 +270,23 @@ impl GradSyncGroup {
         // unwind would leave a partial round behind: arm the poison guard.
         guard.armed = true;
         if st.deposits.iter().all(Option::is_some) {
-            // Last depositor computes the average.
-            let mut acc: Option<Vec<Tensor>> = None;
-            for d in st.deposits.iter_mut() {
-                let d = d.take().expect("all deposited");
-                match &mut acc {
-                    None => acc = Some(d),
-                    Some(acc) => {
-                        for (a, t) in acc.iter_mut().zip(d.iter()) {
-                            a.axpy(1.0, t);
-                        }
-                    }
+            // Last depositor computes the average, in place in the first
+            // deposit.
+            let st = &mut *st;
+            let mut deposits = st
+                .deposits
+                .iter_mut()
+                .map(|d| d.take().expect("all deposited"));
+            let mut avg = deposits.next().expect("at least one replica");
+            for d in deposits {
+                for (a, t) in avg.iter_mut().zip(d.iter()) {
+                    a.axpy(1.0, t);
                 }
+                st.spent.push(d);
             }
-            let mut avg = acc.expect("at least one replica");
             let scale = 1.0 / self.replicas as f32;
             for t in &mut avg {
-                *t = t.scale(scale);
+                t.scale_inplace(scale);
             }
             st.average = Some(avg);
             self.cv.notify_all();
@@ -284,13 +295,23 @@ impl GradSyncGroup {
                 self.wait_step(&mut st, replica, start)?;
             }
         }
-        let out = st.average.clone().expect("average present");
         st.collected += 1;
-        if st.collected == self.replicas {
-            st.average = None;
+        let out = if st.collected == self.replicas {
+            // Last collector: the round is over, the average itself goes.
             st.collected = 0;
             self.cv.notify_all();
-        }
+            st.average.take().expect("average present")
+        } else {
+            let st = &mut *st;
+            let mut out = st.spent.pop().expect("one spent deposit per collector");
+            for (o, a) in out
+                .iter_mut()
+                .zip(st.average.as_ref().expect("average present"))
+            {
+                o.copy_from(a);
+            }
+            out
+        };
         guard.armed = false;
         Ok(out)
     }

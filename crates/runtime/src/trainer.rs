@@ -5,7 +5,7 @@
 use crate::data::TrainData;
 use crate::fault::{FaultHook, WorkerError};
 use crate::message::{ActMsg, GradMsg, MetricMsg};
-use crate::report::{EpochStats, StageObsRecord, TrainReport, VersionRecord};
+use crate::report::{EpochStats, LossRecord, StageObsRecord, TrainReport};
 use crate::sync::GradSyncGroup;
 use crate::worker::StageWorker;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -14,7 +14,6 @@ use pipedream_core::{PipelineConfig, ScheduleKind};
 use pipedream_tensor::data::Dataset;
 pub use pipedream_tensor::gemm::Backend;
 use pipedream_tensor::{Adam, Layer, Optimizer, Sequential, Sgd};
-use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -319,7 +318,7 @@ pub fn try_train_pipeline(
         gate.configure(config.replica_lcm(), total_mbs);
     }
 
-    let schedule = match opts.semantics {
+    let mut schedule = match opts.semantics {
         Semantics::GPipe { microbatches } => Schedule::gpipe(config, total_mbs, microbatches),
         _ => match opts.depth {
             Some(d) => Schedule::with_depth(config, total_mbs, d),
@@ -365,14 +364,15 @@ pub fn try_train_pipeline(
         .iter()
         .map(|s| s.last_layer + 1)
         .collect();
-    let mut stage_models = model.split_off(&boundaries);
+    let mut stage_models: Vec<Option<Sequential>> =
+        model.split_off(&boundaries).into_iter().map(Some).collect();
 
     // Restore every stage from the resume point (§4: "restarting entails
     // starting from the last successfully created checkpoint for all
     // stages").
     if let Some(point) = resume_point {
         let dir = opts.checkpoint_dir.as_ref().expect("checked above");
-        for (si, sm) in stage_models.iter_mut().enumerate() {
+        for (si, sm) in stage_models.iter_mut().flatten().enumerate() {
             let params = crate::checkpoint::load_stage_point(dir, si, point)
                 .expect("complete checkpoint is loadable");
             sm.restore(&params);
@@ -455,8 +455,14 @@ pub fn try_train_pipeline(
             replica,
             worker_id: w,
             num_stages: stages.len(),
-            model: stage_models[stage].clone(),
-            ops: schedule.workers[w].ops.clone(),
+            // Workers are numbered stage by stage, so a stage's last
+            // replica can have the original instead of one more copy.
+            model: if replica + 1 == stages[stage].replicas {
+                stage_models[stage].take().expect("one last replica")
+            } else {
+                stage_models[stage].as_ref().expect("not yet taken").clone()
+            },
+            ops: std::mem::take(&mut schedule.workers[w].ops),
             semantics: opts.semantics,
             schedule_kind: opts.schedule,
             two_bw_group,
@@ -490,47 +496,21 @@ pub fn try_train_pipeline(
     drop(fwd_tx);
     drop(grad_tx);
 
-    // Aggregate metrics. With a fault hook installed the loop also plays
-    // failure detector: it timestamps the first failure report and treats
+    // Wait for the workers. They report nothing per minibatch — each
+    // keeps its own log — so without a fault hook this blocks until the
+    // last one exits. With a hook installed the loop also plays failure
+    // detector: it timestamps the first failure report and treats
     // prolonged heartbeat silence as a presumed failure (§4).
-    let mut epoch_acc: HashMap<usize, (f64, usize, usize)> = HashMap::new(); // loss-sum, correct, count
-    let mut version_trace = Vec::new();
-    let mut stage_obs: Vec<StageObsRecord> = Vec::new();
-    let mut per_minibatch: Vec<(u64, f32)> = Vec::new();
-    let mut heartbeats: HashMap<usize, u64> = HashMap::new();
     let mut first_failure: Option<Instant> = None;
-    let mut handle_msg = |msg: MetricMsg, first_failure: &mut Option<Instant>| match msg {
-        MetricMsg::Loss {
-            mb,
-            loss,
-            correct,
-            count,
-        } => {
-            let e = data.epoch_of(mb);
-            let entry = epoch_acc.entry(e).or_default();
-            entry.0 += loss as f64 * count as f64;
-            entry.1 += correct;
-            entry.2 += count;
-            per_minibatch.push((mb, loss));
-        }
-        MetricMsg::FwdVersion { stage, mb, version } => {
-            version_trace.push(VersionRecord { stage, mb, version });
-        }
-        MetricMsg::StageObs(o) => stage_obs.push(o),
-        MetricMsg::Heartbeat { worker, ops_done } => {
-            heartbeats.insert(worker, ops_done);
-        }
-        MetricMsg::Failure { .. } => {
-            first_failure.get_or_insert_with(Instant::now);
-        }
-    };
     if hook.is_some() {
         let mut last_sign_of_life = Instant::now();
         loop {
             match metrics_rx.recv_timeout(DETECT_POLL) {
                 Ok(msg) => {
                     last_sign_of_life = Instant::now();
-                    handle_msg(msg, &mut first_failure);
+                    if matches!(msg, MetricMsg::Failure { .. }) {
+                        first_failure.get_or_insert_with(Instant::now);
+                    }
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     if first_failure.is_none() && last_sign_of_life.elapsed() >= STALL_WINDOW {
@@ -543,16 +523,26 @@ pub fn try_train_pipeline(
             }
         }
     } else {
-        for msg in metrics_rx.iter() {
-            handle_msg(msg, &mut first_failure);
+        // No hook, no heartbeats: a failure report is all that can arrive.
+        for _failure in metrics_rx.iter() {
+            first_failure.get_or_insert_with(Instant::now);
         }
     }
 
-    // Reassemble the trained model: take each stage's replica-0 result.
+    // Collect every worker's log — a failed worker's too, so the partial
+    // report holds all that was computed before the collapse — and
+    // reassemble the trained model from each stage's replica-0 result.
+    let mut losses: Vec<LossRecord> = Vec::new();
+    let mut version_trace = Vec::new();
+    let mut stage_obs: Vec<StageObsRecord> = Vec::new();
     let mut stage_results: Vec<Option<Sequential>> = (0..stages.len()).map(|_| None).collect();
     let mut worker_errors: Vec<WorkerError> = Vec::new();
     for (w, h) in handles.into_iter().enumerate() {
-        match h.join().expect("worker thread panicked") {
+        let (log, result) = h.join().expect("worker thread panicked");
+        losses.extend(log.losses);
+        version_trace.extend(log.versions);
+        stage_obs.extend(log.obs);
+        match result {
             Ok(trained) => {
                 let (stage, replica) = config.stage_of_worker(w);
                 if replica == 0 {
@@ -563,19 +553,32 @@ pub fn try_train_pipeline(
         }
     }
 
-    let mut per_epoch: Vec<EpochStats> = epoch_acc
+    // Merge in minibatch order, so an epoch's loss is summed in the same
+    // order whichever replica of the output stage measured what.
+    losses.sort_unstable_by_key(|l| l.mb);
+    version_trace.sort_unstable_by_key(|r| (r.mb, r.stage));
+    stage_obs.sort_by_key(|o| (o.stage, o.replica));
+    let mut epoch_acc: Vec<(usize, f64, usize, usize)> = Vec::new(); // epoch, loss-sum, correct, count
+    for l in &losses {
+        let e = data.epoch_of(l.mb);
+        if epoch_acc.last().is_none_or(|a| a.0 != e) {
+            epoch_acc.push((e, 0.0, 0, 0));
+        }
+        let acc = epoch_acc.last_mut().expect("just pushed");
+        acc.1 += l.loss as f64 * l.count as f64;
+        acc.2 += l.correct;
+        acc.3 += l.count;
+    }
+    let per_epoch: Vec<EpochStats> = epoch_acc
         .into_iter()
-        .map(|(epoch, (loss_sum, correct, count))| EpochStats {
+        .map(|(epoch, loss_sum, correct, count)| EpochStats {
             epoch: epoch + epoch_offset,
             loss: (loss_sum / count.max(1) as f64) as f32,
             accuracy: correct as f32 / count.max(1) as f32,
             samples: count,
         })
         .collect();
-    per_epoch.sort_by_key(|e| e.epoch);
-    version_trace.sort_by_key(|r| (r.mb, r.stage));
-    stage_obs.sort_by_key(|o| (o.stage, o.replica));
-    per_minibatch.sort_by_key(|&(mb, _)| mb);
+    let per_minibatch: Vec<(u64, f32)> = losses.into_iter().map(|l| (l.mb, l.loss)).collect();
     // A drain that cut the run short of its scheduled length names the
     // consistent checkpoint point the caller can resume from. A cut at
     // the natural end means the drain arrived too late to truncate

@@ -10,6 +10,22 @@
 //! when data has not arrived yet, exactly like PipeDream's runtime blocks
 //! on its work queues (§4).
 //!
+//! **Weights.** The live weights are the model's own `Param::value`s, and
+//! the optimizer steps them in place. Which version a minibatch's passes
+//! run under is the [`VersionStore`]'s decision (weight stashing, vertical
+//! sync or 2BW, one store for all three); a pass under a superseded
+//! version swaps that version's tensors with the model's for its duration
+//! — pointer swaps, and none at all when the version is the live one, as
+//! in every pass of the output stage. Weights are *copied* in one place,
+//! [`StageWorker::apply_update`], at most once per update and only when
+//! the version the optimizer is about to overwrite is still needed, into
+//! the buffers of a version that has retired.
+//!
+//! **Reporting.** Losses, forward weight versions and the peak
+//! observations go into the worker's own [`WorkerLog`] and come back with
+//! the result of [`StageWorker::run`], on failure as on success; nothing
+//! is sent to the coordinator per minibatch.
+//!
 //! Failures are *typed*: instead of panicking, a worker that loses a peer
 //! (or is killed by an installed [`FaultHook`]) returns a
 //! [`WorkerError`] through its join handle and, unless silently killed,
@@ -21,11 +37,12 @@ use crate::control::{RunControl, DRAIN_POLL};
 use crate::data::TrainData;
 use crate::fault::{FaultAction, FaultHook, SendAction, WorkerError};
 use crate::message::{ActMsg, GradMsg, MetricMsg};
+use crate::report::{LossRecord, StageObsRecord, VersionRecord, WorkerLog};
 use crate::sync::GradSyncGroup;
 use crate::trainer::{LrSchedule, OptimKind, Semantics};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use pipedream_core::schedule::Op;
-use pipedream_core::stash::{ScheduleKind, TwoBwStash, WeightStash};
+use pipedream_core::stash::{ScheduleKind, VersionPolicy, VersionStore};
 use pipedream_obs::{Recorder, SpanKind};
 use pipedream_tensor::{softmax_cross_entropy, Layer, Sequential, Tensor};
 use std::collections::HashMap;
@@ -77,7 +94,8 @@ pub struct StageWorker {
     pub grad_out: Vec<Sender<GradMsg>>,
     /// Gradient sync group (replicated stages only).
     pub sync: Option<Arc<GradSyncGroup>>,
-    /// Metric events to the coordinator.
+    /// Liveness events to the coordinator (heartbeats under a fault hook,
+    /// and the failure announcement).
     pub metrics: Sender<MetricMsg>,
     /// Dataset view (inputs for stage 0, labels for the last stage).
     pub data: Arc<TrainData>,
@@ -111,22 +129,15 @@ pub struct StageWorker {
 /// Per-run mutable state.
 struct WorkerState {
     optimizer: Box<dyn pipedream_tensor::Optimizer>,
-    /// Stash of weight snapshots per in-flight minibatch (Stashed mode).
-    stash: WeightStash<Vec<Tensor>>,
-    /// 2BW double-buffered generation store (replaces `stash` when the
-    /// schedule kind uses 2BW under Stashed semantics).
-    two_bw: Option<TwoBwStash<Vec<Tensor>>>,
+    /// Superseded weight versions in-flight minibatches still need, under
+    /// the policy the semantics prescribe; `None` for the semantics that
+    /// keep no versions (naive, GPipe).
+    store: Option<VersionStore<Vec<Tensor>>>,
     /// Backward passes accumulated into the current 2BW group.
     two_bw_grads: u32,
     /// Recompute: retained stage inputs per in-flight minibatch — the only
     /// activation state kept between a minibatch's forward and backward.
     saved_inputs: HashMap<u64, Tensor>,
-    /// Vertical sync: retained versions — version id → weights, plus the
-    /// highest tag seen (tags are non-decreasing, so older versions can be
-    /// dropped once a newer tag appears).
-    versions: HashMap<u64, Vec<Tensor>>,
-    /// Vertical sync: version tag each in-flight minibatch's forward used.
-    mb_version_tags: HashMap<u64, u64>,
     /// Loss gradients awaiting the backward op (output stage only).
     pending_loss_grad: HashMap<u64, Tensor>,
     /// Buffered out-of-order arrivals.
@@ -153,6 +164,8 @@ struct WorkerState {
     /// Total microseconds spent re-running forward passes before backward
     /// (recompute kinds only).
     recompute_us: u64,
+    /// Losses and forward versions recorded so far.
+    log: WorkerLog,
 }
 
 /// Outcome of one channel-receive attempt (see [`StageWorker::recv_step`]).
@@ -166,51 +179,39 @@ enum RecvStep<T> {
 }
 
 impl StageWorker {
-    /// Run the worker to completion; returns the trained stage model, or
-    /// the typed error it died with. All failures except a silent
-    /// [`WorkerError::Killed`] are also announced on the metrics channel.
+    /// Run the worker to completion; returns its log and the trained
+    /// stage model, or the typed error it died with. All failures except
+    /// a silent [`WorkerError::Killed`] are also announced on the metrics
+    /// channel.
     ///
     /// A dying worker of a *replicated* stage poisons its gradient-sync
     /// group first — even on a silent kill, standing in for the broken
     /// transport a real machine failure produces — so partners blocked in
     /// `allreduce` wake with [`WorkerError::SyncStalled`] instead of
     /// waiting for a contribution that will never arrive.
-    pub fn run(self) -> Result<Sequential, WorkerError> {
-        let stage = self.stage;
-        let replica = self.replica;
-        let metrics = self.metrics.clone();
-        let sync = self.sync.clone();
-        let recorder = self.recorder.clone();
-        let result = self.run_inner();
-        if let Err(e) = &result {
-            // The death shows on this worker's own timeline track, so a
-            // fault-injected kill is visible next to the spans around it.
-            recorder.instant(SpanKind::Fault);
-            if let Some(group) = &sync {
-                group.poison(replica);
-            }
-            if !e.is_injected() {
-                let _ = metrics.send(MetricMsg::Failure {
-                    stage,
-                    replica,
-                    message: e.to_string(),
-                });
-            }
-        }
-        result
-    }
-
-    fn run_inner(mut self) -> Result<Sequential, WorkerError> {
+    pub fn run(mut self) -> (WorkerLog, Result<Sequential, WorkerError>) {
         pipedream_tensor::gemm::set_thread_backend(self.kernel);
+        let policy = match (self.semantics, self.schedule_kind.uses_two_bw()) {
+            (Semantics::Stashed, true) => Some(VersionPolicy::TwoBw {
+                group: self.two_bw_group,
+            }),
+            (Semantics::Stashed, false) => Some(VersionPolicy::Stashing),
+            (Semantics::VerticalSync, _) => Some(VersionPolicy::VerticalSync),
+            (Semantics::Naive | Semantics::GPipe { .. }, _) => None,
+        };
+        // One version record per forward op, and one loss record on the
+        // output stage: room for all of them up front.
+        let forwards = self.ops.len() / 2 + 1;
+        let loss_records = if self.stage + 1 == self.num_stages {
+            forwards
+        } else {
+            0
+        };
         let mut st = WorkerState {
             optimizer: self.optim.build(),
-            stash: WeightStash::new(self.model.snapshot()),
-            two_bw: (self.schedule_kind.uses_two_bw() && self.semantics == Semantics::Stashed)
-                .then(|| TwoBwStash::new(self.two_bw_group as usize, self.model.snapshot())),
+            store: policy.map(VersionStore::new),
             two_bw_grads: 0,
             saved_inputs: HashMap::new(),
-            versions: HashMap::from([(0, self.model.snapshot())]),
-            mb_version_tags: HashMap::new(),
             pending_loss_grad: HashMap::new(),
             act_buffer: HashMap::new(),
             grad_buffer: HashMap::new(),
@@ -222,7 +223,49 @@ impl StageWorker {
             staleness_max: 0,
             activation_bytes_max: 0,
             recompute_us: 0,
+            log: WorkerLog {
+                losses: Vec::with_capacity(loss_records),
+                versions: Vec::with_capacity(forwards),
+                obs: None,
+            },
         };
+        match self.run_ops(&mut st) {
+            Ok(()) => {
+                // Peak stash depth / staleness, so the coordinator can
+                // check the §3.3 memory and staleness formulas against a
+                // real run.
+                st.log.obs = Some(StageObsRecord {
+                    stage: self.stage,
+                    replica: self.replica,
+                    stash_depth_max: st.stash_depth_max,
+                    versions_held_max: st.versions_held_max,
+                    staleness_max: st.staleness_max,
+                    activation_bytes_max: st.activation_bytes_max,
+                    recompute_us: st.recompute_us,
+                });
+                (st.log, Ok(self.model))
+            }
+            Err(e) => {
+                // The death shows on this worker's own timeline track, so
+                // a fault-injected kill is visible next to the spans
+                // around it.
+                self.recorder.instant(SpanKind::Fault);
+                if let Some(group) = &self.sync {
+                    group.poison(self.replica);
+                }
+                if !e.is_injected() {
+                    let _ = self.metrics.send(MetricMsg::Failure {
+                        stage: self.stage,
+                        replica: self.replica,
+                        message: e.to_string(),
+                    });
+                }
+                (st.log, Err(e))
+            }
+        }
+    }
+
+    fn run_ops(&mut self, st: &mut WorkerState) -> Result<(), WorkerError> {
         let ops = std::mem::take(&mut self.ops);
         for (ops_done, op) in ops.into_iter().enumerate() {
             if let Some(hook) = &self.hook {
@@ -257,19 +300,19 @@ impl StageWorker {
             match op {
                 Op::Forward { mb } => {
                     let span = self.recorder.begin();
-                    let r = self.forward(&mut st, mb);
+                    let r = self.forward(st, mb);
                     self.recorder
                         .end_in_epoch(span, SpanKind::Fwd { mb }, self.trace_epoch(mb));
                     r?
                 }
                 Op::Backward { mb } => {
                     let span = self.recorder.begin();
-                    let r = self.backward(&mut st, mb);
+                    let r = self.backward(st, mb);
                     self.recorder
                         .end_in_epoch(span, SpanKind::Bwd { mb }, self.trace_epoch(mb));
                     r?
                 }
-                Op::Flush => self.flush(&mut st)?,
+                Op::Flush => self.flush(st)?,
             }
         }
         // A drained run ends here with every stage having processed the
@@ -307,20 +350,7 @@ impl StageWorker {
                 }
             }
         }
-        // Report peak stash depth / staleness so the coordinator can check
-        // the §3.3 memory and staleness formulas against a real run.
-        let _ = self
-            .metrics
-            .send(MetricMsg::StageObs(crate::report::StageObsRecord {
-                stage: self.stage,
-                replica: self.replica,
-                stash_depth_max: st.stash_depth_max,
-                versions_held_max: st.versions_held_max,
-                staleness_max: st.staleness_max,
-                activation_bytes_max: st.activation_bytes_max,
-                recompute_us: st.recompute_us,
-            }));
-        Ok(self.model)
+        Ok(())
     }
 
     /// Receive the activation for `mb`. `Ok(None)` means a drain cut the
@@ -473,90 +503,39 @@ impl StageWorker {
             }
         };
 
-        // Select the weight version for this forward pass. Under 2BW the
-        // pinned generation may trail the model's latest weights; the pass
-        // runs under the pinned version and the latest are put back after.
-        let mut restore_after: Option<Vec<Tensor>> = None;
-        match self.semantics {
-            Semantics::Stashed if st.two_bw.is_some() => {
-                let (pinned, gen, in_flight, held, latest_gen) = {
-                    let s2 = st.two_bw.as_mut().expect("checked");
-                    let pinned = s2.begin_forward(mb);
-                    (
-                        pinned,
-                        s2.generation_of(mb),
-                        s2.in_flight(),
-                        s2.versions_held(),
-                        s2.latest_generation(),
-                    )
-                };
-                self.recorder
-                    .instant_in_epoch(SpanKind::StashPush { mb }, self.trace_epoch(mb));
-                st.stash_depth_max = st.stash_depth_max.max(in_flight);
-                st.versions_held_max = st.versions_held_max.max(held);
-                if gen != latest_gen {
-                    restore_after = Some(self.model.snapshot());
-                    self.model.restore(&pinned);
+        // Pin the weight version the semantics prescribe for this
+        // minibatch; under vertical sync and 2BW it may trail the live one.
+        let version = match st.store.as_mut() {
+            Some(store) => {
+                if self.semantics == Semantics::VerticalSync && self.stage == 0 {
+                    version_tag = store.live();
                 }
-                let _ = self.metrics.send(MetricMsg::FwdVersion {
-                    stage: self.stage,
-                    mb,
-                    version: gen,
-                });
-            }
-            Semantics::Stashed => {
-                // Latest weights; remember them for the backward pass.
-                st.stash.begin_forward(mb);
-                self.recorder
-                    .instant_in_epoch(SpanKind::StashPush { mb }, self.trace_epoch(mb));
-                st.stash_depth_max = st.stash_depth_max.max(st.stash.in_flight());
-                st.versions_held_max = st.versions_held_max.max(st.stash.versions_held());
-                let _ = self.metrics.send(MetricMsg::FwdVersion {
-                    stage: self.stage,
-                    mb,
-                    version: st.stash.version(),
-                });
-            }
-            Semantics::VerticalSync => {
-                if self.stage == 0 {
-                    version_tag = st.updates;
-                }
-                // Use the tagged version; garbage-collect versions no
-                // in-flight minibatch can still need (the minimum
-                // outstanding tag — tags are non-decreasing in minibatch
-                // order, but older minibatches may still be in flight).
-                let w = st
-                    .versions
-                    .get(&version_tag)
-                    .ok_or(WorkerError::VersionMissing {
+                let pinned = store.begin_forward(mb, version_tag).map_err(|version| {
+                    WorkerError::VersionMissing {
                         stage: self.stage,
                         mb,
-                        version: version_tag,
-                    })?
-                    .clone();
-                st.mb_version_tags.insert(mb, version_tag);
-                let min_needed = *st.mb_version_tags.values().min().expect("just inserted");
-                st.versions
-                    .retain(|&v, _| v >= min_needed || v == st.updates);
-                st.stash_depth_max = st.stash_depth_max.max(st.mb_version_tags.len());
-                st.versions_held_max = st.versions_held_max.max(st.versions.len());
-                self.model.restore(&w);
-                let _ = self.metrics.send(MetricMsg::FwdVersion {
-                    stage: self.stage,
-                    mb,
-                    version: version_tag,
-                });
+                        version,
+                    }
+                })?;
+                st.stash_depth_max = st.stash_depth_max.max(store.in_flight());
+                st.versions_held_max = st.versions_held_max.max(store.versions_held());
+                if self.semantics == Semantics::Stashed {
+                    self.recorder
+                        .instant_in_epoch(SpanKind::StashPush { mb }, self.trace_epoch(mb));
+                }
+                pinned
             }
-            Semantics::Naive | Semantics::GPipe { .. } => {
-                let _ = self.metrics.send(MetricMsg::FwdVersion {
-                    stage: self.stage,
-                    mb,
-                    version: st.updates,
-                });
-            }
-        }
+            None => st.updates,
+        };
+        st.log.versions.push(VersionRecord {
+            stage: self.stage,
+            mb,
+            version,
+        });
 
+        self.swap_weights(st, version);
         let out = self.model.forward(&input, mb);
+        self.swap_weights(st, version);
         if self.schedule_kind.uses_recompute() && self.semantics == Semantics::Stashed {
             // Drop the per-layer activation stash now; only the stage
             // input is retained, from which a second forward pass rebuilds
@@ -567,12 +546,6 @@ impl StageWorker {
             // The stage's layers saved their own copies; the inbound
             // activation (or dataset minibatch) is dead — pool its buffer.
             input.recycle();
-        }
-        if let Some(latest) = restore_after.take() {
-            self.model.restore(&latest);
-            for t in latest {
-                t.recycle();
-            }
         }
         st.activation_bytes_max = st.activation_bytes_max.max(self.live_activation_bytes(st));
 
@@ -613,9 +586,9 @@ impl StageWorker {
             // Output stage: compute the loss now; the gradient is consumed
             // by this minibatch's backward op.
             let labels = self.data.labels(mb);
-            let loss = softmax_cross_entropy(&out, &labels);
+            let loss = softmax_cross_entropy(&out, labels);
             out.recycle();
-            let _ = self.metrics.send(MetricMsg::Loss {
+            st.log.losses.push(LossRecord {
                 mb,
                 loss: loss.loss,
                 correct: loss.correct,
@@ -647,93 +620,54 @@ impl StageWorker {
         };
 
         // Run the backward pass against the weight version the paper's
-        // semantics prescribe.
+        // semantics prescribe: with a store, the one the forward pinned.
         let grad_in = match self.semantics {
-            Semantics::Stashed if st.two_bw.is_some() => {
-                // 2BW: backward under the pinned double-buffered
-                // generation, accumulating the group's gradients; one
-                // update per *full* group (a partial trailing group's
-                // gradients are discarded, like data ending mid-group).
-                let latest = self.model.snapshot();
-                let (pinned, stale) = {
-                    let s2 = st.two_bw.as_ref().expect("checked");
-                    (
-                        s2.for_backward(mb),
-                        s2.latest_generation().saturating_sub(s2.generation_of(mb)),
-                    )
-                };
-                st.staleness_max = st.staleness_max.max(stale);
-                self.model.restore(&pinned);
-                if st.two_bw_grads == 0 {
+            Semantics::Stashed | Semantics::VerticalSync => {
+                let store = st.store.as_ref().expect("these semantics keep versions");
+                let version = store.version_for(mb);
+                // Staleness this minibatch saw: updates applied since its
+                // forward's version (§3.3: `n − 1 − stage` in steady state
+                // under stashing; group updates under 2BW).
+                st.staleness_max = st.staleness_max.max(store.live() - version);
+                let two_bw = self.schedule_kind.uses_two_bw();
+                if !two_bw || st.two_bw_grads == 0 {
                     self.model.zero_grad();
                 }
+                self.swap_weights(st, version);
                 self.recompute_forward(st, mb);
                 let g = self.model.backward(&grad_out, mb);
-                st.two_bw.as_mut().expect("checked").complete_backward(mb);
-                self.recorder
-                    .instant_in_epoch(SpanKind::StashPop { mb }, self.trace_epoch(mb));
-                st.two_bw_grads += 1;
-                self.model.restore(&latest);
-                for t in latest {
-                    t.recycle();
+                self.swap_weights(st, version);
+                st.store
+                    .as_mut()
+                    .expect("checked above")
+                    .complete_backward(mb);
+                if self.semantics == Semantics::Stashed {
+                    self.recorder
+                        .instant_in_epoch(SpanKind::StashPop { mb }, self.trace_epoch(mb));
                 }
-                // Group end for this replica: its next backward minibatch
-                // falls in a later group, or past the end of the run.
-                let group = self.two_bw_group;
-                let next = mb + self.stage_replicas as u64;
-                if next / group > mb / group || next >= self.total_mbs {
-                    if (mb / group + 1) * group <= self.total_mbs {
-                        let scale = 1.0 / st.two_bw_grads as f32;
-                        for p in self.model.params_mut() {
-                            p.grad.scale_inplace(scale);
+                if two_bw {
+                    // 2BW accumulates the group's gradients: one update
+                    // per *full* group (a partial trailing group's
+                    // gradients are discarded, like data ending
+                    // mid-group). Group end for this replica: its next
+                    // backward minibatch falls in a later group, or past
+                    // the end of the run.
+                    st.two_bw_grads += 1;
+                    let group = self.two_bw_group;
+                    let next = mb + self.stage_replicas as u64;
+                    if next / group > mb / group || next >= self.total_mbs {
+                        if (mb / group + 1) * group <= self.total_mbs {
+                            let scale = 1.0 / st.two_bw_grads as f32;
+                            for p in self.model.params_mut() {
+                                p.grad.scale_inplace(scale);
+                            }
+                            self.apply_update(st, mb)?;
                         }
-                        self.apply_update(st, mb)?;
+                        st.two_bw_grads = 0;
                     }
-                    st.two_bw_grads = 0;
+                } else {
+                    self.apply_update(st, mb)?;
                 }
-                g
-            }
-            Semantics::Stashed => {
-                // Backward with the stashed version, update the latest.
-                let latest = self.model.snapshot();
-                let stashed = st.stash.for_backward(mb);
-                // Staleness this minibatch saw: updates applied since its
-                // forward pinned a version (§3.3: `n − 1 − stage` in
-                // steady state).
-                st.staleness_max = st
-                    .staleness_max
-                    .max(st.updates.saturating_sub(st.stash.version_for(mb)));
-                self.model.restore(&stashed);
-                self.model.zero_grad();
-                self.recompute_forward(st, mb);
-                let g = self.model.backward(&grad_out, mb);
-                st.stash.complete_backward(mb);
-                self.recorder
-                    .instant_in_epoch(SpanKind::StashPop { mb }, self.trace_epoch(mb));
-                self.model.restore(&latest);
-                for t in latest {
-                    t.recycle();
-                }
-                self.apply_update(st, mb)?;
-                g
-            }
-            Semantics::VerticalSync => {
-                let latest = self.model.snapshot();
-                let tagged =
-                    self.version_for_backward(st, mb)
-                        .ok_or(WorkerError::VersionMissing {
-                            stage: self.stage,
-                            mb,
-                            version: st.updates,
-                        })?;
-                self.model.restore(&tagged);
-                self.model.zero_grad();
-                let g = self.model.backward(&grad_out, mb);
-                self.model.restore(&latest);
-                for t in latest {
-                    t.recycle();
-                }
-                self.apply_update(st, mb)?;
                 g
             }
             Semantics::Naive => {
@@ -764,6 +698,9 @@ impl StageWorker {
                     mb,
                     backward: true,
                 })?;
+        } else {
+            // Nobody upstream wants the input stage's input gradient.
+            grad_in.recycle();
         }
 
         // Per-stage checkpoints (§4), written by replica 0 after gradient
@@ -831,7 +768,7 @@ impl StageWorker {
 
     /// Recompute kinds: rebuild the dropped activation stash by re-running
     /// the stage forward from the retained input, under the already
-    /// restored stashed weight version — so the subsequent backward is
+    /// swapped-in pinned weight version — so the subsequent backward is
     /// bit-identical to vanilla. No-op otherwise.
     fn recompute_forward(&mut self, st: &mut WorkerState, mb: u64) {
         if !self.schedule_kind.uses_recompute() {
@@ -852,20 +789,17 @@ impl StageWorker {
         st.activation_bytes_max = st.activation_bytes_max.max(self.live_activation_bytes(st));
     }
 
-    /// Vertical sync: the version tagged for `mb`'s backward is the same
-    /// one its forward used. The forward retained it in `versions`; look it
-    /// up by replaying the tag (the forward recorded it via metrics, but
-    /// the worker also keeps it implicitly: the version still retained with
-    /// the largest id ≤ all later tags). To keep this O(1) we simply keep a
-    /// per-minibatch tag map.
-    fn version_for_backward(&self, st: &mut WorkerState, mb: u64) -> Option<Vec<Tensor>> {
-        let tag = st.mb_version_tags.remove(&mb)?;
-        st.staleness_max = st.staleness_max.max(st.updates.saturating_sub(tag));
-        st.versions.get(&tag).cloned()
+    /// Exchange the model's weights with superseded version `version`; a
+    /// no-op when `version` is the live one (or no versions are kept).
+    /// Called in pairs around a pass: the second call undoes the first.
+    fn swap_weights(&mut self, st: &mut WorkerState, version: u64) {
+        if let Some(w) = st.store.as_mut().and_then(|s| s.superseded(version)) {
+            self.model.swap_values(w);
+        }
     }
 
     /// Average gradients across replicas (if replicated), then apply the
-    /// update to the latest weights, bumping the local version counter.
+    /// update to the live weights, bumping the local version counter.
     ///
     /// A failed rendezvous — a partner replica died and poisoned the
     /// group, or the sync deadline expired — surfaces as
@@ -874,7 +808,15 @@ impl StageWorker {
     fn apply_update(&mut self, st: &mut WorkerState, mb: u64) -> Result<(), WorkerError> {
         let epoch = self.trace_epoch(mb);
         if let Some(sync) = &self.sync {
-            let grads: Vec<Tensor> = self.model.params().iter().map(|p| p.grad.clone()).collect();
+            // The gradient tensors themselves go into the round, which
+            // hands back one buffer set for the one deposited: nothing is
+            // copied in, nothing allocated.
+            let grads: Vec<Tensor> = self
+                .model
+                .params_mut()
+                .into_iter()
+                .map(|p| std::mem::replace(&mut p.grad, Tensor::zeros(&[0])))
+                .collect();
             // Deposit/release instants bracket the rendezvous so the trace
             // can link this replica's contribution to the round completing.
             self.recorder
@@ -890,29 +832,30 @@ impl StageWorker {
             self.recorder
                 .instant_in_epoch(SpanKind::SyncRelease { mb }, epoch);
             for (p, g) in self.model.params_mut().into_iter().zip(avg) {
-                p.grad.copy_from(&g);
-                g.recycle();
+                p.grad = g;
             }
         }
         let opt_span = self.recorder.begin();
+        if let Some(store) = st.store.as_mut() {
+            // The one place weights are copied: the optimizer is about to
+            // overwrite a version something still needs.
+            let model = &self.model;
+            store.advance(|retired| match retired {
+                Some(mut w) => {
+                    for (t, p) in w.iter_mut().zip(model.params()) {
+                        t.copy_from(&p.value);
+                    }
+                    w
+                }
+                None => model.snapshot(),
+            });
+            if self.schedule_kind.uses_two_bw() {
+                st.versions_held_max = st.versions_held_max.max(store.versions_held());
+            }
+        }
         let mut params = self.model.params_mut();
         st.optimizer.step(&mut params);
         st.updates += 1;
-        match self.semantics {
-            Semantics::Stashed => {
-                let snap = self.model.snapshot();
-                if let Some(s2) = st.two_bw.as_mut() {
-                    s2.apply_update(|w| *w = snap);
-                    st.versions_held_max = st.versions_held_max.max(s2.versions_held());
-                } else {
-                    st.stash.apply_update(|w| *w = snap);
-                }
-            }
-            Semantics::VerticalSync => {
-                st.versions.insert(st.updates, self.model.snapshot());
-            }
-            _ => {}
-        }
         self.recorder
             .end_in_epoch(opt_span, SpanKind::OptStep { mb }, epoch);
         Ok(())

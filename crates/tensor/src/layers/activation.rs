@@ -56,7 +56,9 @@ macro_rules! activation_layer {
             }
 
             fn clear_slot(&mut self, slot: Slot) {
-                self.saved_output.remove(&slot);
+                if let Some(t) = self.saved_output.remove(&slot) {
+                    t.recycle();
+                }
             }
 
             fn cached_bytes(&self) -> u64 {
@@ -169,7 +171,9 @@ impl Layer for Softmax {
     }
 
     fn clear_slot(&mut self, slot: Slot) {
-        self.saved_output.remove(&slot);
+        if let Some(t) = self.saved_output.remove(&slot) {
+            t.recycle();
+        }
     }
 
     fn cached_bytes(&self) -> u64 {

@@ -120,7 +120,9 @@ impl Layer for Linear {
     }
 
     fn clear_slot(&mut self, slot: Slot) {
-        self.saved_input.remove(&slot);
+        if let Some(t) = self.saved_input.remove(&slot) {
+            t.recycle();
+        }
     }
 
     fn cached_bytes(&self) -> u64 {

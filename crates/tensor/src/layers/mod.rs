@@ -127,6 +127,19 @@ pub trait Layer: Send {
         self.params().iter().map(|p| p.value.clone()).collect()
     }
 
+    /// Exchange the parameter values with `values` (one tensor per
+    /// parameter, in [`Layer::params`] order): O(#params) pointer swaps,
+    /// no element is copied. Weight stashing runs a pass under an older
+    /// version by swapping it in and, with the same call, back out.
+    fn swap_values(&mut self, values: &mut [Tensor]) {
+        let params = self.params_mut();
+        assert_eq!(params.len(), values.len(), "parameter count mismatch");
+        for (p, v) in params.into_iter().zip(values) {
+            assert_eq!(p.value.shape(), v.shape(), "parameter shape mismatch");
+            std::mem::swap(&mut p.value, v);
+        }
+    }
+
     /// Clone the layer into a box — used to replicate pipeline stages
     /// across data-parallel workers.
     fn clone_box(&self) -> Box<dyn Layer>;
@@ -401,6 +414,21 @@ mod tests {
         for (p, s) in m.params().iter().zip(snap.iter()) {
             assert_eq!(&p.value, s);
         }
+    }
+
+    #[test]
+    fn swap_values_exchanges_and_is_its_own_inverse() {
+        let mut m = tiny_mlp();
+        let original = m.snapshot();
+        let mut other: Vec<Tensor> = original
+            .iter()
+            .map(|t| Tensor::full(t.shape(), 9.0))
+            .collect();
+        m.swap_values(&mut other);
+        assert_eq!(other, original, "the old values came out");
+        assert!(m.params().iter().all(|p| p.value.data()[0] == 9.0));
+        m.swap_values(&mut other);
+        assert_eq!(m.snapshot(), original);
     }
 
     #[test]

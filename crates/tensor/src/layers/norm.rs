@@ -84,7 +84,9 @@ impl Layer for Scale {
     }
 
     fn clear_slot(&mut self, slot: Slot) {
-        self.saved_input.remove(&slot);
+        if let Some(t) = self.saved_input.remove(&slot) {
+            t.recycle();
+        }
     }
 
     fn cached_bytes(&self) -> u64 {

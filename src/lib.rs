@@ -47,7 +47,7 @@ pub use pipedream_tensor as tensor;
 pub mod prelude {
     pub use pipedream_core::planner::Planner;
     pub use pipedream_core::schedule::{Op, Schedule};
-    pub use pipedream_core::stash::WeightStash;
+    pub use pipedream_core::stash::{VersionPolicy, VersionStore};
     pub use pipedream_hw::{ClusterPreset, Device, Precision, ServerKind, Topology};
     pub use pipedream_model::{LayerProfile, ModelProfile};
 }

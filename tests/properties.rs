@@ -2,7 +2,7 @@
 //! invariants — DESIGN.md §7.
 
 use pipedream::core::schedule::{Op, Schedule};
-use pipedream::core::stash::WeightStash;
+use pipedream::core::stash::{VersionPolicy, VersionStore};
 use pipedream::core::{PipelineConfig, Planner, StagePlan};
 use pipedream::hw::{Device, LinkModel, Precision, Topology};
 use pipedream::model::zoo;
@@ -75,14 +75,15 @@ proptest! {
     /// version, no matter how updates interleave.
     #[test]
     fn stash_backward_version_equals_forward(ops in proptest::collection::vec(0u8..3, 1..60)) {
-        let mut stash = WeightStash::new(0u64);
+        let mut live = 0u64; // the weights themselves, which the store never owns
+        let mut stash = VersionStore::new(VersionPolicy::Stashing);
         let mut next_fwd = 0u64;
         let mut in_flight: Vec<(u64, u64)> = Vec::new(); // (mb, version at fwd)
         for op in ops {
             match op {
                 0 => {
-                    let v = stash.version();
-                    stash.begin_forward(next_fwd);
+                    let v = stash.live();
+                    stash.begin_forward(next_fwd, 0).expect("the live version is there");
                     in_flight.push((next_fwd, v));
                     next_fwd += 1;
                 }
@@ -92,7 +93,8 @@ proptest! {
                     stash.complete_backward(mb);
                 }
                 _ => {
-                    stash.apply_update(|w| *w += 1);
+                    stash.advance(|_| live);
+                    live += 1;
                 }
             }
             // Memory bound: versions held ≤ in-flight + 1 (§3.3).
