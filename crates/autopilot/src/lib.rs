@@ -18,13 +18,13 @@
 //!    stops admitting minibatches past a consistent cut (aligned to the
 //!    lcm of replica counts so every data-parallel allreduce round
 //!    completes) and every in-flight minibatch finishes everywhere.
-//! 2. **Checkpoint** — each stage dumps its parameters at the same
-//!    `(epoch, minibatch)` point.
+//! 2. **Checkpoint** — each stage dumps its parameters after the same
+//!    number of completed minibatches.
 //! 3. **Repartition** — [`repartition_checkpoint`] reassembles the full
 //!    model from the old stage files and re-splits it along the new
 //!    plan's boundaries, into a fresh generation directory.
-//! 4. **Resume** — stage workers relaunch under the new assignment via
-//!    the ft supervisor's resume primitive, continuing mid-epoch.
+//! 4. **Resume** — stage workers relaunch under the new assignment with
+//!    `TrainOpts::resume`, continuing mid-epoch.
 //! 5. **Verify** — the new plan sits a probation window: measured
 //!    throughput must beat the degraded baseline by a margin, or the run
 //!    drains again and **rolls back** to the previous plan from the same

@@ -10,7 +10,11 @@
 //! better plan exists — the pipeline drains to a consistent minibatch
 //! boundary, cuts a per-stage checkpoint, re-splits it along the new
 //! plan's boundaries, and relaunches mid-epoch under the new stage
-//! assignment. The new plan then sits a probation window: its measured
+//! assignment — the same `TrainOpts` with `resume` set, pointed at the
+//! generation directory to pick up from. Every segment numbers minibatches
+//! and epochs by the logical run, so the final report is the segments'
+//! reports joined end to end ([`TrainReport::then`]). The new plan then
+//! sits a probation window: its measured
 //! throughput must beat the degraded baseline by a margin, or the run
 //! rolls back to the previous plan *from the same checkpoint* and keeps
 //! training. Either way, training finishes and the final
@@ -28,14 +32,13 @@
 use crate::repartition::{repartition_checkpoint, RepartitionError};
 use crate::state::{AutopilotState, StateLog};
 use pipedream_core::{config_fingerprint, PipelineConfig, PlanError, Planner, StagePrediction};
-use pipedream_ft::{resume_training, SupervisorError};
 use pipedream_hw::Topology;
 use pipedream_model::LayerCosts;
 use pipedream_obs::{advise_replan, DriftConfig, DriftDetector, LiveProfiler, TraceSession};
-use pipedream_runtime::checkpoint::{latest_complete_point, CheckpointPoint};
+use pipedream_runtime::checkpoint::latest_complete;
 use pipedream_runtime::control::RunControl;
 use pipedream_runtime::fault::FaultHook;
-use pipedream_runtime::report::{EpochStats, ReconfigReport, ReconfigVerdict};
+use pipedream_runtime::report::{ReconfigReport, ReconfigVerdict};
 use pipedream_runtime::trainer::{try_train_pipeline, TrainOpts};
 use pipedream_runtime::TrainReport;
 use pipedream_tensor::data::Dataset;
@@ -105,7 +108,7 @@ pub enum AutopilotError {
     /// Re-splitting the drained checkpoint for the new plan failed.
     Repartition(RepartitionError),
     /// Relaunching a training segment from a checkpoint failed.
-    Relaunch(SupervisorError),
+    Relaunch(String),
     /// Creating a generation directory failed.
     Io(io::Error),
 }
@@ -138,12 +141,6 @@ impl From<PlanError> for AutopilotError {
 impl From<RepartitionError> for AutopilotError {
     fn from(e: RepartitionError) -> Self {
         AutopilotError::Repartition(e)
-    }
-}
-
-impl From<SupervisorError> for AutopilotError {
-    fn from(e: SupervisorError) -> Self {
-        AutopilotError::Relaunch(e)
     }
 }
 
@@ -296,48 +293,21 @@ fn probation_monitor(
     }
 }
 
-fn mbs_per_epoch(dataset: &Dataset, opts: &TrainOpts) -> usize {
-    dataset.num_minibatches(opts.batch).max(1)
-}
-
-/// Stitch the logical run back together: checkpointed epochs and drained
-/// minibatches from the monitored segment, then everything the final
-/// segment trained (its minibatch ids shifted to global). The final
-/// segment's traces (versions, ops, stage obs) are kept as-is — they
-/// describe the configuration the run *ended* on.
-fn stitch(
-    seg1: &TrainReport,
-    last: TrainReport,
-    point: CheckpointPoint,
-    mpe: usize,
-    reconfig: Vec<ReconfigReport>,
-) -> TrainReport {
-    let resume_start = point.resume_epoch();
-    let offset = point.global_mb(mpe);
-    let mut report = last;
-
-    let mut per_epoch: Vec<EpochStats> = seg1
-        .per_epoch
-        .iter()
-        .filter(|e| e.epoch < resume_start)
-        .copied()
-        .collect();
-    per_epoch.extend(report.per_epoch.iter().copied());
-    report.per_epoch = per_epoch;
-
-    let mut per_mb: Vec<(u64, f32)> = seg1
-        .per_minibatch
-        .iter()
-        .filter(|(id, _)| *id < offset)
-        .copied()
-        .collect();
-    per_mb.extend(report.per_minibatch.iter().map(|(id, l)| (id + offset, *l)));
-    report.per_minibatch = per_mb;
-
-    report.wall_time_s += seg1.wall_time_s;
-    report.drained_at = Some(point);
-    report.reconfig = reconfig;
-    report
+/// Relaunch the run under `config` from the newest complete checkpoint in
+/// `opts.checkpoint_dir`.
+fn relaunch(
+    model: &Sequential,
+    config: &PipelineConfig,
+    dataset: &Dataset,
+    opts: TrainOpts,
+    hook: Option<Arc<dyn FaultHook>>,
+) -> Result<(Sequential, TrainReport), AutopilotError> {
+    let opts = TrainOpts {
+        resume: true,
+        ..opts
+    };
+    try_train_pipeline(model.clone(), config, dataset, &opts, hook)
+        .map_err(|e| AutopilotError::Relaunch(e.to_string()))
 }
 
 /// Train `model` under `config`, letting the autopilot reconfigure the
@@ -357,9 +327,9 @@ fn stitch(
 /// stays installed across every segment: the environment does not heal
 /// just because the pipeline reconfigured.
 ///
-/// Returns the trained model and a stitched [`TrainReport`] covering the
-/// whole logical run; `report.reconfig` records the reconfiguration, if
-/// one happened.
+/// Returns the trained model and a [`TrainReport`] covering the whole
+/// logical run; `report.reconfig` records the reconfiguration, if one
+/// happened.
 #[allow(clippy::too_many_arguments)]
 pub fn train_with_autopilot(
     model: &Sequential,
@@ -435,12 +405,12 @@ pub fn train_with_autopilot(
     };
 
     // The drain protocol's contract: every stage checkpointed the same
-    // point, and it is the newest point in gen0.
+    // point, and it is the newest in gen0.
     log.enter(AutopilotState::Checkpointing);
-    let have = latest_complete_point(&gen0, config.num_stages());
+    let have = latest_complete(&gen0, config.num_stages());
     if have != Some(point) {
         return Err(AutopilotError::Checkpoint(format!(
-            "expected a complete checkpoint at {point:?}, found {have:?}"
+            "expected a complete checkpoint at {point} minibatches, found {have:?}"
         )));
     }
     if let Some(session) = &opts.obs {
@@ -458,16 +428,30 @@ pub fn train_with_autopilot(
         auto.memory_limit,
         opts.schedule,
     )?;
-    let mpe = mbs_per_epoch(dataset, opts);
     // The work remaining after the cut must divide evenly into the new
-    // plan's gradient-sync rounds, or the final round's replicas would
-    // block in an `allreduce` their partners never join. The drain cut
-    // was pre-aligned for every layout the advisor can pick
-    // (`reconfig_cut_alignment`), so this only rejects exotic
-    // heterogeneous layouts or a misaligned `force_plan`.
-    let remaining = ((opts.epochs.saturating_sub(point.resume_epoch()) * mpe) as u64)
-        .saturating_sub(point.mb_offset());
+    // plan's gradient-sync rounds, or the relaunch would drop the ragged
+    // tail and the run end short. The drain cut was pre-aligned for every
+    // layout the advisor can pick (`reconfig_cut_alignment`), so this only
+    // rejects exotic heterogeneous layouts or a misaligned `force_plan`.
+    let total = (opts.epochs * dataset.num_minibatches(opts.batch).max(1)) as u64;
+    let remaining = total.saturating_sub(point);
     let applicable = |candidate: &PipelineConfig| remaining % candidate.replica_lcm() == 0;
+    // Resume the incumbent plan from the drain point in gen0 and finish
+    // the run, joined to `before`.
+    let resume_incumbent = |before: TrainReport, reconfig| {
+        let ropts = TrainOpts {
+            checkpoint_dir: Some(gen0.clone()),
+            control: None,
+            ..opts.clone()
+        };
+        let (m, r) = relaunch(model, config, dataset, ropts, hook.clone())?;
+        let report = TrainReport {
+            drained_at: Some(point),
+            reconfig,
+            ..before.then(r)
+        };
+        Ok((m, report))
+    };
     let new_config = match &auto.force_plan {
         Some(forced) if applicable(forced) => forced.clone(),
         None if advice.changed && applicable(&advice.recommended_config) => {
@@ -475,15 +459,9 @@ pub fn train_with_autopilot(
         }
         _ => {
             // Nothing strictly better (or the candidate cannot run the
-            // remaining work): resume the incumbent plan from the drain
-            // point and finish the run. No plan changed, so no
-            // ReconfigReport.
+            // remaining work). No plan changed, so no ReconfigReport.
             log.enter(AutopilotState::Resuming);
-            let mut ropts = opts.clone();
-            ropts.checkpoint_dir = Some(gen0.clone());
-            ropts.control = None;
-            let (m2, r2, _) = resume_training(model, config, dataset, &ropts, hook)?;
-            return Ok((m2, stitch(&report1, r2, point, mpe, Vec::new())));
+            return resume_incumbent(report1, Vec::new());
         }
     };
 
@@ -525,10 +503,10 @@ pub fn train_with_autopilot(
         })
     };
 
-    let seg2 = resume_training(model, &new_config, dataset, &opts2, hook.clone());
+    let seg2 = relaunch(model, &new_config, dataset, opts2, hook.clone());
     stop2.store(true, Ordering::Relaxed);
     let prob = probation.join().expect("probation monitor panicked");
-    let (model2, report2, _) = seg2?;
+    let (model2, report2) = seg2?;
 
     let downtime_ms = prob
         .first_mb_at
@@ -551,11 +529,7 @@ pub fn train_with_autopilot(
         new_label: new_config.label(),
         old_plan_fingerprint: config_fingerprint(config),
         new_plan_fingerprint: config_fingerprint(&new_config),
-        drained_epoch: point.epoch(),
-        drained_mb: match point {
-            CheckpointPoint::MidEpoch { mb, .. } => Some(mb),
-            CheckpointPoint::EpochEnd { .. } => None,
-        },
+        drained_at: point,
         downtime_ms,
         // A clean drain redoes nothing on commit; a rollback discards the
         // probation segment's work (set below).
@@ -574,7 +548,11 @@ pub fn train_with_autopilot(
             m.counter("reconfig_committed_total").inc();
             m.gauge("reconfig_downtime_ms").set(downtime_ms);
         }
-        let report = stitch(&report1, report2, point, mpe, vec![record]);
+        let report = TrainReport {
+            drained_at: Some(point),
+            reconfig: vec![record],
+            ..report1.then(report2)
+        };
         return Ok((model2, report));
     }
 
@@ -589,11 +567,7 @@ pub fn train_with_autopilot(
         m.counter("reconfig_rolled_back_total").inc();
         m.gauge("reconfig_downtime_ms").set(downtime_ms);
     }
-    let mut ropts = opts.clone();
-    ropts.checkpoint_dir = Some(gen0.clone());
-    ropts.control = None;
-    let (model3, report3, _) = resume_training(model, config, dataset, &ropts, hook)?;
-    let mut report = stitch(&report1, report3, point, mpe, vec![record]);
+    let (model3, mut report) = resume_incumbent(report1, vec![record])?;
     // The discarded probation segment still cost wall-clock time.
     report.wall_time_s += report2.wall_time_s;
     Ok((model3, report))

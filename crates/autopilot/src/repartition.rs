@@ -2,20 +2,18 @@
 //! along a *different* plan's stage boundaries.
 //!
 //! The drain protocol leaves one parameter file per stage of the *old*
-//! configuration, all cut at the same `(epoch, minibatch)` point. A new
+//! configuration, all cut after the same number of minibatches. A new
 //! plan generally has different stage boundaries (and possibly a
 //! different stage *count*), so its workers cannot read those files
 //! directly. The repartitioner reassembles the full model from the old
 //! stage files — restoring each old stage's parameters into the matching
 //! slice of a template model — then re-splits at the new boundaries and
-//! writes one file per *new* stage into a fresh generation directory, at
-//! the same checkpoint point. Generations never share a directory, so a
+//! writes one file per *new* stage into a fresh generation directory,
+//! under the same `done`. Generations never share a directory, so a
 //! rollback can still resume the old plan from its own untouched files.
 
 use pipedream_core::PipelineConfig;
-use pipedream_runtime::checkpoint::{
-    load_stage_point, save_stage, save_stage_at, CheckpointError, CheckpointPoint,
-};
+use pipedream_runtime::checkpoint::{load_stage, save_stage, CheckpointError};
 use pipedream_tensor::{Layer, Sequential};
 use std::fmt;
 use std::io;
@@ -66,9 +64,9 @@ fn boundaries(config: &PipelineConfig) -> Vec<usize> {
         .collect()
 }
 
-/// Re-split the drained checkpoint at `point` from `old_config`'s stage
-/// layout (files in `old_dir`) to `new_config`'s (files written into
-/// `new_dir`). `template` must be an architecture-identical model — its
+/// Re-split the checkpoint taken at `done` completed minibatches from
+/// `old_config`'s stage layout (files in `old_dir`) to `new_config`'s
+/// (files written into `new_dir`). `template` must be an architecture-identical model — its
 /// layer *structure* is used to rebuild the full parameter vector; its
 /// parameter *values* are fully overwritten by the checkpoint before
 /// anything is saved.
@@ -78,7 +76,7 @@ pub fn repartition_checkpoint(
     new_dir: &Path,
     new_config: &PipelineConfig,
     template: Sequential,
-    point: CheckpointPoint,
+    done: u64,
 ) -> Result<(), RepartitionError> {
     let num_layers = template.len();
     old_config
@@ -93,7 +91,7 @@ pub fn repartition_checkpoint(
     // stage's parameters into the matching slice of the template.
     let mut old_stages = template.split_off(&boundaries(old_config));
     for (si, stage_model) in old_stages.iter_mut().enumerate() {
-        let params = load_stage_point(old_dir, si, point)?;
+        let params = load_stage(old_dir, si, done)?;
         stage_model.restore(&params);
     }
     let mut full = Sequential::new("repartitioned");
@@ -103,17 +101,11 @@ pub fn repartition_checkpoint(
         }
     }
 
-    // Re-split at the new boundaries and save each new stage at the
-    // *same* point, into its own generation directory.
+    // Re-split at the new boundaries and save each new stage under the
+    // *same* `done`, into its own generation directory.
     let new_stages = full.split_off(&boundaries(new_config));
     for (si, stage_model) in new_stages.iter().enumerate() {
-        let params = stage_model.snapshot();
-        match point {
-            CheckpointPoint::EpochEnd { epoch } => save_stage(new_dir, si, epoch, &params)?,
-            CheckpointPoint::MidEpoch { epoch, mb } => {
-                save_stage_at(new_dir, si, epoch, mb, &params)?
-            }
-        }
+        save_stage(new_dir, si, done, &stage_model.snapshot())?;
     }
     Ok(())
 }

@@ -4,11 +4,11 @@
 
 use pipedream_autopilot::{repartition_checkpoint, train_with_autopilot, AutopilotOpts};
 use pipedream_core::PipelineConfig;
-use pipedream_ft::{resume_training, DelayStraggler};
+use pipedream_ft::DelayStraggler;
 use pipedream_hw::{Device, LinkModel, Precision, Topology};
 use pipedream_model::profile_sequential;
 use pipedream_obs::DriftConfig;
-use pipedream_runtime::checkpoint::CheckpointPoint;
+use pipedream_runtime::checkpoint::{load_stage, save_stage};
 use pipedream_runtime::control::RunControl;
 use pipedream_runtime::report::ReconfigVerdict;
 use pipedream_runtime::trainer::{try_train_pipeline, TrainOpts};
@@ -75,10 +75,10 @@ fn repartition_preserves_every_weight() {
     // layer 3, so the matching `split_off` boundary (first layer of the
     // next stage) is 4.
     let old = PipelineConfig::straight(n, &[3]);
-    let point = CheckpointPoint::MidEpoch { epoch: 1, mb: 5 };
+    let point = 22; // epoch 1, minibatch 5 of 16
     let stages = model(3).split_off(&[4]);
     for (si, sm) in stages.iter().enumerate() {
-        pipedream_runtime::checkpoint::save_stage_at(&gen0, si, 1, 5, &sm.snapshot()).unwrap();
+        save_stage(&gen0, si, point, &sm.snapshot()).unwrap();
     }
 
     // Re-split into 3 stages; the reassembled parameter vector must be
@@ -89,7 +89,7 @@ fn repartition_preserves_every_weight() {
 
     let mut parts = model(99).split_off(&[3, 5]); // template values are fully overwritten
     for (si, sm) in parts.iter_mut().enumerate() {
-        let params = pipedream_runtime::checkpoint::load_stage_point(&gen1, si, point).unwrap();
+        let params = load_stage(&gen1, si, point).unwrap();
         sm.restore(&params);
     }
     let mut rebuilt = Sequential::new("rebuilt");
@@ -133,7 +133,7 @@ fn repartitioned_resume_matches_uninterrupted_loss_trajectory() {
     opts1.control = Some(gate.clone());
     let (_, seg1) = try_train_pipeline(model(3), &old, &data, &opts1, None).expect("drained run");
     let point = seg1.drained_at.expect("run was cut short");
-    assert_eq!(point, CheckpointPoint::MidEpoch { epoch: 0, mb: 12 });
+    assert_eq!(point, 13);
     assert_eq!(seg1.per_minibatch.len(), 13);
 
     let gen1 = dir.join("gen1");
@@ -141,17 +141,20 @@ fn repartitioned_resume_matches_uninterrupted_loss_trajectory() {
 
     let mut opts2 = deterministic_opts();
     opts2.checkpoint_dir = Some(gen1.clone());
-    let (_, seg2, resumed_from) =
-        resume_training(&model(3), &new, &data, &opts2, None).expect("resumed run");
-    assert_eq!(resumed_from, Some(point));
+    opts2.resume = true;
+    let (_, seg2) = try_train_pipeline(model(3), &new, &data, &opts2, None).expect("resumed run");
+    assert_eq!(
+        seg2.per_minibatch[0].0, point,
+        "resumed where the drain cut"
+    );
 
-    // Stitch and compare: identical ids, bit-identical losses.
-    let cut = point.global_mb(16);
-    assert_eq!(cut, 13);
-    let mut stitched: Vec<(u64, f32)> = seg1.per_minibatch.clone();
-    stitched.extend(seg2.per_minibatch.iter().map(|(id, l)| (id + cut, *l)));
-    assert_eq!(stitched.len(), base.per_minibatch.len());
-    for (got, want) in stitched.iter().zip(&base.per_minibatch) {
+    // Join and compare: identical ids, bit-identical losses, epoch
+    // numbers continuing.
+    let joined = seg1.then(seg2);
+    assert_eq!(joined.per_minibatch.len(), base.per_minibatch.len());
+    let epochs: Vec<usize> = joined.per_epoch.iter().map(|e| e.epoch).collect();
+    assert_eq!(epochs, vec![0, 1]);
+    for (got, want) in joined.per_minibatch.iter().zip(&base.per_minibatch) {
         assert_eq!(got.0, want.0, "minibatch ids diverged");
         assert_eq!(
             got.1, want.1,

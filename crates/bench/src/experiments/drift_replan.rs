@@ -18,7 +18,7 @@
 //!    throughput beats the degraded pipeline's.
 //!
 //! [`run_applied`] closes the loop for real: the same setup (under a
-//! heavier straggler — see [`APPLIED_DELAY`]) is handed to
+//! heavier straggler — see `APPLIED_DELAY`) is handed to
 //! [`train_with_autopilot`], which detects the straggler live,
 //! drains to a consistent checkpoint, repartitions onto the advisor's
 //! recommended plan, resumes mid-epoch, and commits (or rolls back) after
@@ -427,13 +427,17 @@ impl fmt::Display for AppliedReplan {
             "  plan {} ({:016x}) -> {} ({:016x})",
             r.old_label, r.old_plan_fingerprint, r.new_label, r.new_plan_fingerprint
         )?;
+        // 1024 samples at BATCH: where the last completed minibatch sits.
+        let (last, mbs_per_epoch) = (r.drained_at.saturating_sub(1), 1024 / BATCH as u64);
         writeln!(
             f,
             "  drained to checkpoint at epoch {}{}",
-            r.drained_epoch,
-            r.drained_mb
-                .map(|mb| format!(", minibatch {mb}"))
-                .unwrap_or_else(|| " boundary".into())
+            last / mbs_per_epoch,
+            if r.drained_at.is_multiple_of(mbs_per_epoch) {
+                " boundary".to_string()
+            } else {
+                format!(", minibatch {}", last % mbs_per_epoch)
+            }
         )?;
         writeln!(
             f,

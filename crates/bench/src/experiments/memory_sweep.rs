@@ -174,7 +174,8 @@ pub fn run(epochs: usize) -> MemorySweep {
         ..TrainOpts::default()
     };
     let (_, report) = train_pipeline(proxy_model(5), &config, &data, &opts);
-    let checkpoint_epoch = checkpoint::latest_complete_epoch(&ckpt, config.num_stages());
+    let checkpoint_epoch = checkpoint::latest_complete(&ckpt, config.num_stages())
+        .map(|done| (done as usize - 1) / data.num_minibatches(BATCH));
     let _ = std::fs::remove_dir_all(&ckpt);
 
     MemorySweep {

@@ -9,9 +9,9 @@
 //! pipeline's in-flight window. This experiment kills workers at chosen
 //! points of a 3-stage pipeline (and loses a message on the wire), lets
 //! the `pipedream-ft` supervisor recover, and reports for each fault:
-//! detection latency, the `(epoch, minibatch)` point resumed from,
-//! epochs and minibatches redone, and end-quality parity with an
-//! unfaulted run.
+//! detection latency, how many minibatches were done at the checkpoint
+//! resumed from, epochs and minibatches redone, and end-quality parity
+//! with an unfaulted run.
 
 use crate::util::format_table;
 use pipedream_core::PipelineConfig;
@@ -52,8 +52,11 @@ fn mlp(seed: u64) -> Sequential {
 /// at most 8 minibatches (plus the pipeline's in-flight window).
 pub const CHECKPOINT_EVERY: u64 = 8;
 
-/// Run the experiment: `epochs` of training per fault (16 minibatches per
-/// epoch), faults spread across stages and epochs.
+/// Minibatches per epoch: 256 samples at batch 16.
+const MBS_PER_EPOCH: u64 = 16;
+
+/// Run the experiment: `epochs` of training per fault, faults spread
+/// across stages and epochs.
 pub fn run(epochs: usize) -> Recovery {
     let data = blobs(256, 8, 4, 0.6, 7);
     let config = PipelineConfig::straight(8, &[2, 5]); // 3 stages
@@ -116,8 +119,8 @@ impl fmt::Display for Recovery {
             "Fault tolerance (§4): recovery from injected failures\n\n\
              3-stage pipeline, per-stage checkpoints at epoch boundaries\n\
              plus every {CHECKPOINT_EVERY} minibatches; every fault recovers by restarting\n\
-             from the last complete (epoch, minibatch) point, redoing at\n\
-             most {CHECKPOINT_EVERY} minibatches instead of the paper's one-epoch bound:\n"
+             from the newest complete checkpoint, redoing at most\n\
+             {CHECKPOINT_EVERY} minibatches instead of the paper's one-epoch bound:\n"
         )?;
         let header = [
             "fault",
@@ -135,10 +138,9 @@ impl fmt::Display for Recovery {
                 vec![
                     r.fault.clone(),
                     format!("{:.1}", r.detection_latency_s * 1e3),
-                    match (r.resumed_from_epoch, r.resumed_from_mb) {
-                        (Some(e), Some(g)) => format!("epoch {e} (mb {g})"),
-                        (Some(e), None) => format!("epoch {e}"),
-                        _ => "—".to_string(),
+                    match r.resumed_from {
+                        Some(g) => format!("epoch {} (mb {g})", (g - 1) / MBS_PER_EPOCH),
+                        None => "—".to_string(),
                     },
                     r.epochs_redone.to_string(),
                     r.minibatches_redone.to_string(),
@@ -161,16 +163,14 @@ impl Recovery {
     /// CSV rows for the figure data.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
-            "fault,detection_ms,resumed_from_epoch,resumed_from_mb,epochs_redone,minibatches_redone,checkpoint_every,final_loss,final_accuracy,baseline_loss,baseline_accuracy\n",
+            "fault,detection_ms,resumed_from,epochs_redone,minibatches_redone,checkpoint_every,final_loss,final_accuracy,baseline_loss,baseline_accuracy\n",
         );
         for r in &self.records {
             out.push_str(&format!(
-                "\"{}\",{:.3},{},{},{},{},{},{},{},{},{}\n",
+                "\"{}\",{:.3},{},{},{},{},{},{},{},{}\n",
                 r.fault,
                 r.detection_latency_s * 1e3,
-                r.resumed_from_epoch
-                    .map_or(String::new(), |e| e.to_string()),
-                r.resumed_from_mb.map_or(String::new(), |g| g.to_string()),
+                r.resumed_from.map_or(String::new(), |g| g.to_string()),
                 r.epochs_redone,
                 r.minibatches_redone,
                 r.checkpoint_every.map_or(String::new(), |k| k.to_string()),
@@ -218,11 +218,11 @@ mod tests {
             );
         }
         // At least the kills require an actual restart from a checkpoint.
-        assert!(r.records.iter().any(|rec| rec.resumed_from_epoch.is_some()));
+        assert!(r.records.iter().any(|rec| rec.resumed_from.is_some()));
         // And at least one restart resumed from a *mid-epoch* point.
         assert!(r
             .records
             .iter()
-            .any(|rec| rec.resumed_from_mb.is_some_and(|g| g % 16 != 0)));
+            .any(|rec| rec.resumed_from.is_some_and(|g| g % 16 != 0)));
     }
 }

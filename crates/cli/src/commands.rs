@@ -31,18 +31,23 @@ fn load_model(name: &str) -> Result<ModelProfile, String> {
         let json = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         return serde_json::from_str(&json).map_err(|e| format!("parsing {path}: {e}"));
     }
-    match name.to_ascii_lowercase().as_str() {
-        "vgg16" | "vgg-16" => Ok(zoo::vgg16()),
-        "resnet50" | "resnet-50" => Ok(zoo::resnet50()),
-        "alexnet" => Ok(zoo::alexnet()),
-        "gnmt8" | "gnmt-8" => Ok(zoo::gnmt8()),
-        "gnmt16" | "gnmt-16" => Ok(zoo::gnmt16()),
-        "awd-lm" | "awdlm" | "lm" => Ok(zoo::awd_lm()),
-        "s2vt" => Ok(zoo::s2vt()),
-        "huge-lm" | "hugelm" => Ok(zoo::huge_lm()),
-        other => Err(format!(
-            "unknown model '{other}' (try vgg16, resnet50, alexnet, gnmt8, gnmt16, awd-lm, s2vt, huge-lm, or @profile.json)"
-        )),
+    zoo::by_name(name).ok_or_else(|| {
+        format!(
+            "unknown model '{}' (try vgg16, resnet50, alexnet, gnmt8, gnmt16, awd-lm, s2vt, huge-lm, or @profile.json)",
+            name.to_ascii_lowercase()
+        )
+    })
+}
+
+/// `done` completed minibatches as a person reads a place in a run: the
+/// epoch of the last one, and its index there unless it closed the epoch.
+fn epoch_and_minibatch(done: u64, mbs_per_epoch: u64) -> String {
+    let last = done.saturating_sub(1);
+    let epoch = last / mbs_per_epoch;
+    if done.is_multiple_of(mbs_per_epoch) {
+        format!("epoch {epoch}")
+    } else {
+        format!("epoch {epoch} (minibatch {})", last % mbs_per_epoch)
     }
 }
 
@@ -335,6 +340,7 @@ pub fn train(a: TrainArgs) -> Result<String, String> {
     }
     let (model, config, data) = demo_pipeline(a.stages, a.seed);
     let (train_set, test_set) = data.split(0.25);
+    let mbs_per_epoch = train_set.num_minibatches(a.batch) as u64;
     // --fault implies checkpointing so the recovery supervisor has
     // something to restart from; --auto-replan implies it so the autopilot
     // can drain and repartition.
@@ -500,10 +506,12 @@ pub fn train(a: TrainArgs) -> Result<String, String> {
                 "injected fault `{}`: detected in {:.1} ms, resumed from {}, {} epoch(s) / {} minibatch(es) redone",
                 rec.fault,
                 rec.detection_latency_s * 1e3,
-                match (rec.resumed_from_epoch, rec.resumed_from_mb) {
-                    (Some(e), Some(g)) => format!("epoch-{e} checkpoint (global mb {g})"),
-                    (Some(e), None) => format!("epoch-{e} checkpoint"),
-                    _ => "nothing (no restart needed)".to_string(),
+                match rec.resumed_from {
+                    Some(g) => format!(
+                        "epoch-{} checkpoint (global mb {g})",
+                        g.saturating_sub(1) / mbs_per_epoch
+                    ),
+                    None => "nothing (no restart needed)".to_string(),
                 },
                 rec.epochs_redone,
                 rec.minibatches_redone,
@@ -525,14 +533,11 @@ pub fn train(a: TrainArgs) -> Result<String, String> {
     for rec in &report.reconfig {
         let _ = writeln!(
             out,
-            "autopilot: replanned {} -> {} at epoch {}{}: downtime {:.0} ms, \
+            "autopilot: replanned {} -> {} at {}: downtime {:.0} ms, \
              {} minibatch(es) redone, throughput {:.0} -> {:.0} samples/s, verdict {}",
             rec.old_label,
             rec.new_label,
-            rec.drained_epoch,
-            rec.drained_mb
-                .map(|mb| format!(" (minibatch {mb})"))
-                .unwrap_or_default(),
+            epoch_and_minibatch(rec.drained_at, mbs_per_epoch),
             rec.downtime_ms,
             rec.minibatches_redone,
             rec.throughput_before,
@@ -727,6 +732,7 @@ pub fn top(a: TopArgs) -> Result<String, String> {
     }
     let (model, config, data) = demo_pipeline(a.stages, a.seed);
     let (train_set, _) = data.split(0.25);
+    let mbs_per_epoch = train_set.num_minibatches(a.batch) as u64;
     let session = pipedream_obs::TraceSession::new();
     let opts = TrainOpts {
         epochs: a.epochs,
@@ -808,13 +814,10 @@ pub fn top(a: TopArgs) -> Result<String, String> {
         for rec in &report.reconfig {
             let _ = writeln!(
                 out,
-                "autopilot: replanned {} -> {} at epoch {}{}: downtime {:.0} ms, verdict {}",
+                "autopilot: replanned {} -> {} at {}: downtime {:.0} ms, verdict {}",
                 rec.old_label,
                 rec.new_label,
-                rec.drained_epoch,
-                rec.drained_mb
-                    .map(|mb| format!(" (minibatch {mb})"))
-                    .unwrap_or_default(),
+                epoch_and_minibatch(rec.drained_at, mbs_per_epoch),
                 rec.downtime_ms,
                 rec.verdict,
             );

@@ -1,7 +1,7 @@
 //! Communication-volume and memory-footprint estimators
 //! (paper Figures 16 and 17, §3.3 "Memory Overhead").
 
-use crate::config::PipelineConfig;
+use crate::config::{PipelineConfig, StagePlan};
 use crate::stash::ScheduleKind;
 use pipedream_model::LayerCosts;
 use serde::{Deserialize, Serialize};
@@ -105,11 +105,12 @@ fn stage_input_bytes(costs: &LayerCosts, first_layer: usize) -> u64 {
     }
 }
 
-/// Schedule-aware per-stage memory estimate (per worker).
+/// Schedule-aware memory estimate of one worker of stage `stage`, whose
+/// layers are `plan`'s, with `in_flight` minibatches in flight.
 ///
 /// The vanilla model is `versions × weights + versions × activations` with
-/// `versions =` the stage's in-flight depth. The memory-efficient variants
-/// shrink each term independently:
+/// `versions = in_flight`. The memory-efficient variants shrink each term
+/// independently:
 ///
 /// * **2BW** caps weight versions at `min(2, in_flight)` — double-buffered
 ///   group updates never hold more than two generations;
@@ -117,6 +118,40 @@ fn stage_input_bytes(costs: &LayerCosts, first_layer: usize) -> u64 {
 ///   stage *input* per in-flight minibatch plus **one** full activation
 ///   set as the recompute workspace (the stage re-runs its forward for a
 ///   single minibatch at a time, right before that minibatch's backward).
+///
+/// The planner's estimate ([`memory_footprint_for`], at the 1F1B depth)
+/// and the simulator's `peak_memory_bytes` (at the depth each worker
+/// reached) are both this function.
+pub fn stage_memory(
+    costs: &LayerCosts,
+    stage: usize,
+    plan: &StagePlan,
+    in_flight: u64,
+    kind: ScheduleKind,
+) -> StageMemory {
+    let versions = if kind.uses_two_bw() {
+        in_flight.min(2)
+    } else {
+        in_flight
+    };
+    let weights = costs.weight_bytes(plan.first_layer, plan.last_layer);
+    let acts: u64 = (plan.first_layer..=plan.last_layer)
+        .map(|l| costs.activation_bytes(l))
+        .sum();
+    let activation_bytes = if kind.uses_recompute() {
+        in_flight * stage_input_bytes(costs, plan.first_layer) + acts
+    } else {
+        acts * in_flight
+    };
+    StageMemory {
+        stage,
+        weight_bytes: weights * versions,
+        activation_bytes,
+    }
+}
+
+/// Schedule-aware per-stage memory estimate (per worker): [`stage_memory`]
+/// of every stage at its 1F1B in-flight depth.
 pub fn memory_footprint_for(
     costs: &LayerCosts,
     config: &PipelineConfig,
@@ -126,28 +161,7 @@ pub fn memory_footprint_for(
         .stages()
         .iter()
         .enumerate()
-        .map(|(si, s)| {
-            let in_flight = in_flight_at_stage(config, si) as u64;
-            let versions = if kind.uses_two_bw() {
-                in_flight.min(2)
-            } else {
-                in_flight
-            };
-            let weights = costs.weight_bytes(s.first_layer, s.last_layer);
-            let acts: u64 = (s.first_layer..=s.last_layer)
-                .map(|l| costs.activation_bytes(l))
-                .sum();
-            let activation_bytes = if kind.uses_recompute() {
-                in_flight * stage_input_bytes(costs, s.first_layer) + acts
-            } else {
-                acts * in_flight
-            };
-            StageMemory {
-                stage: si,
-                weight_bytes: weights * versions,
-                activation_bytes,
-            }
-        })
+        .map(|(si, s)| stage_memory(costs, si, s, in_flight_at_stage(config, si) as u64, kind))
         .collect()
 }
 

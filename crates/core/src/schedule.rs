@@ -20,6 +20,7 @@
 //! executes them against real tensors.
 
 use crate::config::PipelineConfig;
+use crate::estimates::in_flight_at_stage;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -197,21 +198,14 @@ impl Schedule {
         let mut fwd_ready: Vec<VecDeque<u64>> = vec![VecDeque::new(); num_workers];
         let mut bwd_ready: Vec<VecDeque<u64>> = vec![VecDeque::new(); num_workers];
         let mut busy: Vec<Option<(u64, Op)>> = vec![None; num_workers]; // (finish tick, op)
-                                                                        // Per-worker in-flight cap: stage `s` stashes at most
-                                                                        // ⌈ Σ_{t≥s} r_t / r_s ⌉ minibatches (n − s for straight pipelines,
-                                                                        // the §3.3 memory bound); the input stage uses the requested depth.
+
+        // Per-worker in-flight cap: the §3.3 memory bound of the worker's
+        // stage, within the requested depth; the input stage uses the
+        // requested depth itself.
         let caps: Vec<usize> = (0..num_workers)
-            .map(|w| {
-                let (s, _) = config.stage_of_worker(w);
-                if s == 0 {
-                    depth
-                } else {
-                    let downstream: usize = config.stages()[s..].iter().map(|st| st.replicas).sum();
-                    downstream
-                        .div_ceil(config.stages()[s].replicas)
-                        .min(depth)
-                        .max(1)
-                }
+            .map(|w| match config.stage_of_worker(w) {
+                (0, _) => depth,
+                (s, _) => in_flight_at_stage(config, s).min(depth).max(1),
             })
             .collect();
         // In-flight minibatch count per worker; input replica r admits

@@ -25,4 +25,4 @@ pub mod supervisor;
 
 pub use plan::{Fault, FaultPlan};
 pub use straggler::DelayStraggler;
-pub use supervisor::{resume_training, train_with_recovery, SupervisorError};
+pub use supervisor::{train_with_recovery, SupervisorError};

@@ -3,17 +3,21 @@
 //! Runs pipeline training under a [`FaultPlan`]. If the injected fault
 //! kills the run, every stage's channels disconnect and the runtime joins
 //! all workers with typed errors — the supervisor then restarts training
-//! from the last *complete* per-stage checkpoint using the runtime's
-//! resume machinery, exactly as the paper prescribes ("restarting entails
+//! from the last *complete* per-stage checkpoint — the same options with
+//! `resume` set — exactly as the paper prescribes ("restarting entails
 //! starting from the last successfully created checkpoint for all
-//! stages"). The final [`TrainReport`] carries a
-//! [`RecoveryRecord`] quantifying the recovery: detection latency, the
-//! epoch resumed from, how many epochs of work were redone (the paper's
-//! bound: at most one, with per-epoch checkpoints), and end quality.
+//! stages"). Both attempts number minibatches and epochs by the logical
+//! run, so the final [`TrainReport`] is the faulted attempt's report up to
+//! the checkpoint followed by the restart's ([`TrainReport::then`]), and
+//! its [`RecoveryRecord`] quantifies the recovery: detection latency, how
+//! many minibatches were done at the checkpoint resumed from, how much work
+//! was redone (the paper's bound: at most one epoch with per-epoch
+//! checkpoints, `k` minibatches with `checkpoint_every = k`), and end
+//! quality.
 
 use crate::plan::{Fault, FaultPlan};
 use pipedream_core::PipelineConfig;
-use pipedream_runtime::checkpoint::{latest_complete_point, CheckpointPoint};
+use pipedream_runtime::checkpoint::latest_complete;
 use pipedream_runtime::fault::FaultHook;
 use pipedream_runtime::report::RecoveryRecord;
 use pipedream_runtime::trainer::{try_train_pipeline, TrainOpts};
@@ -53,48 +57,14 @@ impl fmt::Display for SupervisorError {
 
 impl std::error::Error for SupervisorError {}
 
-/// Resume pipeline training from the last complete per-stage checkpoint
-/// in `opts.checkpoint_dir` (§4's restart). `opts.epochs` counts the
-/// *total* logical epochs of the run; the helper sizes the remaining work
-/// from the checkpoint point and lets the runtime's resume machinery do
-/// the restore and dataloader seek. Returns the trained model, the
-/// resumed run's report, and the point it resumed from (`None` when no
-/// checkpoint existed and the run started from scratch).
-///
-/// This is the relaunch primitive shared by [`train_with_recovery`]'s
-/// restart path and the autopilot's repartition / rollback path. `hook`
-/// lets the caller keep a persistent fault (a [`crate::DelayStraggler`]
-/// modelling a degraded host) installed across the relaunch — the
-/// environment does not heal just because the pipeline restarted.
-pub fn resume_training(
-    model: &Sequential,
-    config: &PipelineConfig,
-    dataset: &Dataset,
-    opts: &TrainOpts,
-    hook: Option<Arc<dyn FaultHook>>,
-) -> Result<(Sequential, TrainReport, Option<CheckpointPoint>), SupervisorError> {
-    let dir = opts
-        .checkpoint_dir
-        .as_ref()
-        .ok_or(SupervisorError::MissingCheckpointDir)?;
-    let point = latest_complete_point(dir, config.stages().len());
-    let resume_start = point.map_or(0, |p| p.resume_epoch());
-    let mut resumed_opts = opts.clone();
-    resumed_opts.resume = true;
-    resumed_opts.epochs = opts.epochs.saturating_sub(resume_start);
-    let (trained, report) = try_train_pipeline(model.clone(), config, dataset, &resumed_opts, hook)
-        .map_err(|e| SupervisorError::RestartFailed(e.to_string()))?;
-    Ok((trained, report, point))
-}
-
 /// Train under `plan`, recovering from the injected fault if it brings
 /// the pipeline down.
 ///
 /// Returns the trained model and a report whose
 /// [`TrainReport::recovery`] records what happened. The report's
-/// `per_epoch` covers the *whole* logical run: epochs completed (and
-/// checkpointed) before the fault, then the epochs the restarted run
-/// trained.
+/// `per_epoch` and `per_minibatch` cover the *whole* logical run: what
+/// completed (and was checkpointed) before the fault, then what the
+/// restarted run trained.
 pub fn train_with_recovery(
     model: &Sequential,
     config: &PipelineConfig,
@@ -113,8 +83,7 @@ pub fn train_with_recovery(
             report.recovery = Some(RecoveryRecord {
                 fault: plan.spec().to_string(),
                 detection_latency_s: 0.0,
-                resumed_from_epoch: None,
-                resumed_from_mb: None,
+                resumed_from: None,
                 epochs_redone: 0,
                 minibatches_redone: 0,
                 checkpoint_every: opts.checkpoint_every,
@@ -145,15 +114,23 @@ pub fn train_with_recovery(
                 .injected_at()
                 .map(|t0| e.detected_at.duration_since(t0).as_secs_f64())
                 .unwrap_or(0.0);
-            // §4: restart every stage from the last training point whose
-            // *every* stage checkpoint is intact — an epoch boundary, or a
-            // mid-epoch `(epoch, minibatch)` dump when the run used
-            // `checkpoint_every`. The runtime's resume machinery does the
-            // restore and the dataloader seek; we only size the remaining
-            // work.
-            let (trained, resumed_report, point) =
-                resume_training(model, config, dataset, opts, None)?;
-            let resume_start = point.map_or(0, |p| p.resume_epoch());
+            // §4: restart every stage from the newest checkpoint whose
+            // *every* stage file is intact — an epoch boundary, or a dump
+            // in between when the run used `checkpoint_every`. The runtime
+            // finds it again under `resume`; it is looked up here only to
+            // be reported.
+            let dir = opts
+                .checkpoint_dir
+                .as_ref()
+                .ok_or(SupervisorError::MissingCheckpointDir)?;
+            let resumed_from = latest_complete(dir, config.num_stages());
+            let resume = TrainOpts {
+                resume: true,
+                ..opts.clone()
+            };
+            let (trained, resumed) =
+                try_train_pipeline(model.clone(), config, dataset, &resume, None)
+                    .map_err(|e| SupervisorError::RestartFailed(e.to_string()))?;
             supervisor.instant(pipedream_obs::SpanKind::Recovery);
             if let Some(session) = &opts.obs {
                 session.metrics().counter("faults_recovered_total").inc();
@@ -162,36 +139,22 @@ pub fn train_with_recovery(
             // Work redone = training past the checkpoint that had already
             // been (at least partially) executed when the fault hit.
             let mbs_per_epoch = dataset.num_minibatches(opts.batch).max(1) as u64;
-            let resumed_from_mb = point.map(|p| p.global_mb(mbs_per_epoch as usize));
-            let g0 = resumed_from_mb.unwrap_or(0);
-            // First global minibatch *not* reached when the fault fired.
+            let g0 = resumed_from.unwrap_or(0);
+            // First minibatch *not* reached when the fault fired (the
+            // faulted attempt started at 0, so its ids are the run's).
             let fault_frontier = match *plan.fault() {
                 Fault::Kill { mb, .. } | Fault::Delay { mb, .. } | Fault::Drop { mb, .. } => mb + 1,
                 Fault::Corrupt { epoch, .. } => (epoch as u64 + 1) * mbs_per_epoch,
             };
-            let fault_epoch = ((fault_frontier - 1) / mbs_per_epoch) as usize;
-            let epochs_redone = (fault_epoch + 1).saturating_sub(resume_start);
+            let fault_epoch = (fault_frontier - 1) / mbs_per_epoch;
+            let epochs_redone = (fault_epoch + 1).saturating_sub(g0 / mbs_per_epoch) as usize;
             let minibatches_redone = fault_frontier.saturating_sub(g0);
 
-            // Stitch the logical run back together: checkpointed epochs
-            // from the faulted attempt, then everything the restart
-            // trained.
-            let mut per_epoch: Vec<_> = e
-                .partial
-                .per_epoch
-                .iter()
-                .filter(|s| s.epoch < resume_start)
-                .copied()
-                .collect();
-            per_epoch.extend(resumed_report.per_epoch.iter().copied());
-            let mut report = resumed_report.clone();
-            report.per_epoch = per_epoch;
-            report.wall_time_s += e.partial.wall_time_s;
+            let mut report = e.partial.then(resumed);
             report.recovery = Some(RecoveryRecord {
                 fault: plan.spec().to_string(),
                 detection_latency_s,
-                resumed_from_epoch: point.map(|p| p.epoch()),
-                resumed_from_mb,
+                resumed_from,
                 epochs_redone,
                 minibatches_redone,
                 checkpoint_every: opts.checkpoint_every,

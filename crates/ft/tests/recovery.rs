@@ -5,7 +5,7 @@
 
 use pipedream_core::PipelineConfig;
 use pipedream_ft::{train_with_recovery, FaultPlan};
-use pipedream_runtime::checkpoint::latest_complete_epoch;
+use pipedream_runtime::checkpoint::latest_complete;
 use pipedream_runtime::{train_pipeline, LrSchedule, OptimKind, Semantics, TrainOpts};
 use pipedream_tensor::data::{blobs, Dataset};
 use pipedream_tensor::init::rng;
@@ -83,8 +83,9 @@ fn kill_mid_epoch_two_recovers_within_one_epoch() {
 
     let rec = report.recovery.as_ref().expect("recovery record attached");
     assert_eq!(rec.fault, "kill:stage=1,mb=24");
-    // mb 24 is in epoch 1; epoch 0's checkpoint is the last complete one.
-    assert_eq!(rec.resumed_from_epoch, Some(0));
+    // mb 24 is in epoch 1; epoch 0's checkpoint (16 minibatches done) is
+    // the last complete one.
+    assert_eq!(rec.resumed_from, Some(16));
     assert!(
         rec.epochs_redone <= 1,
         "per-epoch checkpoints bound redone work to one epoch, got {}",
@@ -96,9 +97,12 @@ fn kill_mid_epoch_two_recovers_within_one_epoch() {
         rec.detection_latency_s
     );
 
-    // The stitched report covers the whole logical run.
+    // The joined report covers the whole logical run: epochs continuing,
+    // every minibatch once (the redone ones from the restart).
     let epochs_seen: Vec<usize> = report.per_epoch.iter().map(|e| e.epoch).collect();
     assert_eq!(epochs_seen, vec![0, 1, 2, 3]);
+    let ids: Vec<u64> = report.per_minibatch.iter().map(|m| m.0).collect();
+    assert_eq!(ids, (0..64).collect::<Vec<u64>>());
 
     // Quality parity with the unfaulted run (trajectories differ slightly
     // because the restarted pipeline refills from the checkpoint, so exact
@@ -157,7 +161,7 @@ fn delayed_send_needs_no_restart() {
     assert!(plan.fired());
     let rec = report.recovery.as_ref().unwrap();
     assert_eq!(rec.epochs_redone, 0);
-    assert_eq!(rec.resumed_from_epoch, None);
+    assert_eq!(rec.resumed_from, None);
 }
 
 /// A checkpoint corrupted on disk disqualifies its epoch: resume falls
@@ -181,9 +185,10 @@ fn corrupt_checkpoint_falls_back_to_previous_epoch() {
     assert!(plan.fired());
     assert!(report.recovery.is_some());
 
-    // Epoch 2 has a truncated stage-1 file, so the last *complete* epoch
-    // is 1 — a resumed run must not trust the damaged checkpoint.
-    assert_eq!(latest_complete_epoch(&dir, 3), Some(1));
+    // Epoch 2 has a truncated stage-1 file, so the last *complete*
+    // checkpoint is epoch 1's (32 minibatches done) — a resumed run must
+    // not trust the damaged one.
+    assert_eq!(latest_complete(&dir, 3), Some(32));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

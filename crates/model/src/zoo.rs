@@ -380,10 +380,36 @@ pub fn all_models() -> Vec<ModelProfile> {
     ]
 }
 
+/// The zoo model a user means by `name` (case-insensitive, with the
+/// spellings the CLI and the planner daemon accept), if any.
+pub fn by_name(name: &str) -> Option<ModelProfile> {
+    Some(match name.to_ascii_lowercase().as_str() {
+        "vgg16" | "vgg-16" => vgg16(),
+        "resnet50" | "resnet-50" => resnet50(),
+        "alexnet" => alexnet(),
+        "gnmt8" | "gnmt-8" => gnmt8(),
+        "gnmt16" | "gnmt-16" => gnmt16(),
+        "awd-lm" | "awdlm" | "lm" => awd_lm(),
+        "s2vt" => s2vt(),
+        "huge-lm" | "hugelm" => huge_lm(),
+        _ => return None,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pipedream_hw::Precision;
+
+    #[test]
+    fn by_name_knows_every_model_and_its_aliases() {
+        for m in all_models().into_iter().chain([huge_lm()]) {
+            assert_eq!(by_name(&m.name).map(|p| p.name), Some(m.name.clone()));
+        }
+        assert_eq!(by_name("ResNet-50").map(|p| p.name), Some(resnet50().name));
+        assert_eq!(by_name("lm").map(|p| p.name), Some(awd_lm().name));
+        assert!(by_name("vgg19").is_none());
+    }
 
     #[test]
     fn vgg16_matches_published_size() {

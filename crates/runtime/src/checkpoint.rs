@@ -2,15 +2,21 @@
 //!
 //! "Checkpoints don't require expensive global coordination. Each stage
 //! dumps its model parameters locally when it performs the backward pass
-//! for the last minibatch in an epoch." Checkpoints here are JSON files of
-//! the stage's parameter tensors, one file per (stage, epoch).
+//! for the last minibatch in an epoch." A dump is a JSON file of the
+//! stage's parameter tensors, and a place in a training run is one number,
+//! **`done`: how many minibatches of the logical run have completed**. So
+//! there is one file layout, `stage{s}_mb{done}.json`: the epoch-end dump
+//! of §4 is the one at `done = (e + 1) · minibatches_per_epoch`, a
+//! `checkpoint_every` or drain-cut dump is any other `done`, and integer
+//! order is training order. (Directories written before this layout, with
+//! `_epoch{e}` in their file names, are not read.)
 //!
 //! Loading distinguishes *missing* checkpoints from *corrupt* ones
 //! ([`CheckpointError`]): a truncated or garbled file — e.g. from a crash
 //! mid-write on a filesystem without atomic rename, or disk corruption —
-//! must not wedge recovery. [`latest_complete_epoch`] therefore treats an
+//! must not wedge recovery. [`latest_complete`] therefore treats an
 //! unreadable stage file the same as an absent one and falls back to the
-//! newest epoch whose *every* stage file parses.
+//! newest `done` whose *every* stage file parses.
 
 use pipedream_tensor::Tensor;
 use std::fmt;
@@ -59,65 +65,31 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
-/// Path of stage `stage`'s checkpoint for `epoch` under `dir`.
-pub fn stage_path(dir: &Path, stage: usize, epoch: usize) -> PathBuf {
-    dir.join(format!("stage{stage}_epoch{epoch}.json"))
+/// The one file-name pattern ([`latest_complete`] parses it back).
+fn file_name(stage: usize, done: u64) -> String {
+    format!("stage{stage}_mb{done}.json")
 }
 
-/// Path of stage `stage`'s mid-epoch checkpoint after within-epoch
-/// minibatch `mb` of `epoch`.
-pub fn mb_stage_path(dir: &Path, stage: usize, epoch: usize, mb: u64) -> PathBuf {
-    dir.join(format!("stage{stage}_epoch{epoch}_mb{mb}.json"))
+/// Path of stage `stage`'s dump taken when `done` minibatches of the
+/// logical run had completed.
+pub fn stage_path(dir: &Path, stage: usize, done: u64) -> PathBuf {
+    dir.join(file_name(stage, done))
 }
 
-/// Atomic write-then-rename of `json` to `path`: a crash mid-write leaves
-/// only a `.tmp` litter file, never a torn "latest" checkpoint.
-fn write_atomic(dir: &Path, path: &Path, json: &str) -> io::Result<()> {
+/// Write stage `stage`'s parameters as of `done` completed minibatches.
+/// Atomic write-then-rename: a crash mid-write leaves only a `.tmp`
+/// litter file, never a torn file that could be picked as "latest".
+pub fn save_stage(dir: &Path, stage: usize, done: u64, params: &[Tensor]) -> io::Result<()> {
+    let json = serde_json::to_string(params).map_err(io::Error::other)?;
     fs::create_dir_all(dir)?;
-    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("ckpt");
-    let tmp = dir.join(format!(".{name}.tmp"));
+    let tmp = dir.join(format!(".{}.tmp", file_name(stage, done)));
     fs::write(&tmp, json)?;
-    fs::rename(tmp, path)
+    fs::rename(tmp, stage_path(dir, stage, done))
 }
 
-/// Write stage `stage`'s parameters at the end of `epoch`.
-pub fn save_stage(dir: &Path, stage: usize, epoch: usize, params: &[Tensor]) -> io::Result<()> {
-    let json = serde_json::to_string(params).map_err(io::Error::other)?;
-    write_atomic(dir, &stage_path(dir, stage, epoch), &json)
-}
-
-/// Write stage `stage`'s parameters after within-epoch minibatch `mb` of
-/// `epoch` — the minibatch-granularity checkpoint that tightens the §4
-/// redo bound below one epoch. Same atomic rename-on-complete as
-/// [`save_stage`], so a torn write can never be picked as "latest".
-pub fn save_stage_at(
-    dir: &Path,
-    stage: usize,
-    epoch: usize,
-    mb: u64,
-    params: &[Tensor],
-) -> io::Result<()> {
-    let json = serde_json::to_string(params).map_err(io::Error::other)?;
-    write_atomic(dir, &mb_stage_path(dir, stage, epoch, mb), &json)
-}
-
-/// Load stage `stage`'s parameters from `epoch`'s checkpoint.
-pub fn load_stage(dir: &Path, stage: usize, epoch: usize) -> Result<Vec<Tensor>, CheckpointError> {
-    load_file(stage_path(dir, stage, epoch))
-}
-
-/// Load stage `stage`'s parameters from the mid-epoch checkpoint at
-/// `(epoch, mb)`.
-pub fn load_stage_at(
-    dir: &Path,
-    stage: usize,
-    epoch: usize,
-    mb: u64,
-) -> Result<Vec<Tensor>, CheckpointError> {
-    load_file(mb_stage_path(dir, stage, epoch, mb))
-}
-
-fn load_file(path: PathBuf) -> Result<Vec<Tensor>, CheckpointError> {
+/// Load stage `stage`'s parameters as of `done` completed minibatches.
+pub fn load_stage(dir: &Path, stage: usize, done: u64) -> Result<Vec<Tensor>, CheckpointError> {
+    let path = stage_path(dir, stage, done);
     let json = fs::read_to_string(&path)?;
     serde_json::from_str(&json).map_err(|e| CheckpointError::Corrupt {
         path,
@@ -125,161 +97,37 @@ fn load_file(path: PathBuf) -> Result<Vec<Tensor>, CheckpointError> {
     })
 }
 
-/// A point in training that a complete set of stage checkpoints captures.
-///
-/// Ordered by training progress: later epochs beat earlier ones, and
-/// within an epoch the epoch-end dump beats any mid-epoch dump (the
-/// epoch-end dump covers every minibatch of the epoch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum CheckpointPoint {
-    /// Mid-epoch checkpoint taken after within-epoch minibatch `mb` of
-    /// `epoch` (file layout `stage{s}_epoch{e}_mb{m}.json`).
-    MidEpoch {
-        /// Epoch the dump belongs to.
-        epoch: usize,
-        /// Last within-epoch minibatch the dump covers.
-        mb: u64,
-    },
-    /// Epoch-boundary checkpoint of `epoch` (file layout
-    /// `stage{s}_epoch{e}.json`).
-    EpochEnd {
-        /// Completed epoch.
-        epoch: usize,
-    },
-}
-
-impl CheckpointPoint {
-    fn sort_key(&self) -> (usize, u8, u64) {
-        match *self {
-            CheckpointPoint::MidEpoch { epoch, mb } => (epoch, 0, mb),
-            CheckpointPoint::EpochEnd { epoch } => (epoch, 1, 0),
-        }
-    }
-
-    /// Epoch the dump itself belongs to.
-    pub fn epoch(&self) -> usize {
-        match *self {
-            CheckpointPoint::MidEpoch { epoch, .. } | CheckpointPoint::EpochEnd { epoch } => epoch,
-        }
-    }
-
-    /// Epoch a resumed run continues in (possibly partially done).
-    pub fn resume_epoch(&self) -> usize {
-        match *self {
-            CheckpointPoint::MidEpoch { epoch, .. } => epoch,
-            CheckpointPoint::EpochEnd { epoch } => epoch + 1,
-        }
-    }
-
-    /// Within-epoch minibatch index the resumed run starts at.
-    pub fn mb_offset(&self) -> u64 {
-        match *self {
-            CheckpointPoint::MidEpoch { mb, .. } => mb + 1,
-            CheckpointPoint::EpochEnd { .. } => 0,
-        }
-    }
-
-    /// Global minibatches fully covered by this point — the first global
-    /// minibatch id a resumed run re-executes.
-    pub fn global_mb(&self, mbs_per_epoch: usize) -> u64 {
-        self.resume_epoch() as u64 * mbs_per_epoch as u64 + self.mb_offset()
-    }
-}
-
-impl PartialOrd for CheckpointPoint {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for CheckpointPoint {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.sort_key().cmp(&other.sort_key())
-    }
-}
-
-impl fmt::Display for CheckpointPoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            CheckpointPoint::MidEpoch { epoch, mb } => write!(f, "epoch {epoch} mb {mb}"),
-            CheckpointPoint::EpochEnd { epoch } => write!(f, "end of epoch {epoch}"),
-        }
-    }
-}
-
-/// Load stage `stage`'s parameters from the checkpoint at `point`.
-pub fn load_stage_point(
-    dir: &Path,
-    stage: usize,
-    point: CheckpointPoint,
-) -> Result<Vec<Tensor>, CheckpointError> {
-    match point {
-        CheckpointPoint::MidEpoch { epoch, mb } => load_stage_at(dir, stage, epoch, mb),
-        CheckpointPoint::EpochEnd { epoch } => load_stage(dir, stage, epoch),
-    }
-}
-
-/// Parse a stage-0 checkpoint file name into its [`CheckpointPoint`].
-fn parse_point(name: &str) -> Option<CheckpointPoint> {
-    let rest = name.strip_prefix("stage0_epoch")?.strip_suffix(".json")?;
-    match rest.split_once("_mb") {
-        None => Some(CheckpointPoint::EpochEnd {
-            epoch: rest.parse().ok()?,
-        }),
-        Some((e, m)) => Some(CheckpointPoint::MidEpoch {
-            epoch: e.parse().ok()?,
-            mb: m.parse().ok()?,
-        }),
-    }
-}
-
-/// Latest training point for which *all* `stages` checkpoints exist **and
-/// parse**, considering both epoch-end and mid-epoch dumps. This is the
-/// point a restarted run resumes from; with `--checkpoint-every k` it is
-/// at most `k` minibatches behind the fault, PipeDream's "redo only the
-/// in-flight minibatches" intent.
-pub fn latest_complete_point(dir: &Path, stages: usize) -> Option<CheckpointPoint> {
-    let entries = fs::read_dir(dir).ok()?;
-    let mut points: Vec<CheckpointPoint> = entries
-        .flatten()
-        .filter_map(|e| parse_point(&e.file_name().into_string().ok()?))
-        .collect();
-    points.sort_unstable();
-    // Scan newest-first so intact-point validation loads as few files as
-    // possible in the common (uncorrupted) case.
-    points
-        .into_iter()
-        .rev()
-        .find(|&point| (0..stages).all(|s| load_stage_point(dir, s, point).is_ok()))
-}
-
-/// Latest epoch for which *all* `stages` checkpoints exist **and parse** —
-/// the epoch a restarted run resumes from (§4: "restarting entails
-/// starting from the last successfully created checkpoint for all
-/// stages"). A half-written or corrupted stage file disqualifies its
-/// epoch, falling back to the newest fully-intact one.
-pub fn latest_complete_epoch(dir: &Path, stages: usize) -> Option<usize> {
-    let entries = fs::read_dir(dir).ok()?;
-    let mut epochs: Vec<usize> = entries
+/// The largest `done` for which *all* `stages` files exist **and parse** —
+/// where a restarted run resumes (§4: "restarting entails starting from
+/// the last successfully created checkpoint for all stages"). A missing,
+/// half-written or corrupted stage file disqualifies its `done`, falling
+/// back to the newest fully intact one; with `checkpoint_every = k` that is
+/// at most `k` minibatches behind the fault.
+pub fn latest_complete(dir: &Path, stages: usize) -> Option<u64> {
+    let mut dones: Vec<u64> = fs::read_dir(dir)
+        .ok()?
         .flatten()
         .filter_map(|e| {
             let name = e.file_name().into_string().ok()?;
-            let rest = name.strip_prefix("stage0_epoch")?;
-            rest.strip_suffix(".json")?.parse().ok()
+            name.strip_prefix("stage0_mb")?
+                .strip_suffix(".json")?
+                .parse()
+                .ok()
         })
         .collect();
-    epochs.sort_unstable();
-    // Scan newest-first so intact-epoch validation loads as few files as
-    // possible in the common (uncorrupted) case.
-    epochs
+    dones.sort_unstable();
+    // Newest first, so validation loads as few files as possible in the
+    // common (uncorrupted) case.
+    dones
         .into_iter()
         .rev()
-        .find(|&epoch| (0..stages).all(|s| load_stage(dir, s, epoch).is_ok()))
+        .find(|&done| (0..stages).all(|s| load_stage(dir, s, done).is_ok()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::env;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -296,24 +144,6 @@ mod tests {
         let loaded = load_stage(&dir, 0, 3).unwrap();
         assert_eq!(loaded, params);
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn latest_complete_requires_all_stages() {
-        let dir = tmpdir("latest");
-        let p = vec![Tensor::from_slice(&[0.5])];
-        save_stage(&dir, 0, 0, &p).unwrap();
-        save_stage(&dir, 1, 0, &p).unwrap();
-        save_stage(&dir, 0, 1, &p).unwrap(); // stage 1 epoch 1 missing
-        assert_eq!(latest_complete_epoch(&dir, 2), Some(0));
-        save_stage(&dir, 1, 1, &p).unwrap();
-        assert_eq!(latest_complete_epoch(&dir, 2), Some(1));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn missing_dir_is_none() {
-        assert_eq!(latest_complete_epoch(Path::new("/nonexistent-pd"), 1), None);
     }
 
     #[test]
@@ -338,95 +168,42 @@ mod tests {
     }
 
     #[test]
-    fn point_ordering_and_resume_arithmetic() {
-        let mid = CheckpointPoint::MidEpoch { epoch: 2, mb: 7 };
-        let end = CheckpointPoint::EpochEnd { epoch: 2 };
-        let later_mid = CheckpointPoint::MidEpoch { epoch: 3, mb: 0 };
-        // Epoch-end covers the whole epoch, so it beats any mid-epoch dump
-        // of the same epoch; a later epoch's dump beats both.
-        assert!(mid < end);
-        assert!(end < later_mid);
-        assert!(CheckpointPoint::MidEpoch { epoch: 2, mb: 3 } < mid);
-
-        assert_eq!(mid.resume_epoch(), 2);
-        assert_eq!(mid.mb_offset(), 8);
-        assert_eq!(mid.global_mb(10), 28);
-        assert_eq!(end.resume_epoch(), 3);
-        assert_eq!(end.mb_offset(), 0);
-        assert_eq!(end.global_mb(10), 30);
+    fn missing_dir_is_none() {
+        assert_eq!(latest_complete(Path::new("/nonexistent-pd"), 1), None);
     }
 
-    #[test]
-    fn mid_epoch_round_trip_and_latest_point() {
-        let dir = tmpdir("mb-rt");
-        let p = vec![Tensor::from_slice(&[1.25, -0.5])];
-        save_stage(&dir, 0, 0, &p).unwrap();
-        save_stage(&dir, 1, 0, &p).unwrap();
-        assert_eq!(
-            latest_complete_point(&dir, 2),
-            Some(CheckpointPoint::EpochEnd { epoch: 0 })
-        );
-        // A mid-epoch dump of the *next* epoch becomes the new latest…
-        save_stage_at(&dir, 0, 1, 7, &p).unwrap();
-        save_stage_at(&dir, 1, 1, 7, &p).unwrap();
-        assert_eq!(
-            latest_complete_point(&dir, 2),
-            Some(CheckpointPoint::MidEpoch { epoch: 1, mb: 7 })
-        );
-        assert_eq!(load_stage_at(&dir, 1, 1, 7).unwrap(), p);
-        // …but an incomplete set (stage 1 missing) does not qualify.
-        save_stage_at(&dir, 0, 1, 15, &p).unwrap();
-        assert_eq!(
-            latest_complete_point(&dir, 2),
-            Some(CheckpointPoint::MidEpoch { epoch: 1, mb: 7 })
-        );
-        // Epoch 1's end dump then outranks its mid-epoch dumps.
-        save_stage(&dir, 0, 1, &p).unwrap();
-        save_stage(&dir, 1, 1, &p).unwrap();
-        assert_eq!(
-            latest_complete_point(&dir, 2),
-            Some(CheckpointPoint::EpochEnd { epoch: 1 })
-        );
-        // The epoch-only scan ignores mid-epoch files entirely.
-        assert_eq!(latest_complete_epoch(&dir, 2), Some(1));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_mid_epoch_point_falls_back() {
-        let dir = tmpdir("mb-corrupt");
-        let p = vec![Tensor::from_slice(&[2.0])];
-        save_stage_at(&dir, 0, 0, 3, &p).unwrap();
-        save_stage_at(&dir, 1, 0, 3, &p).unwrap();
-        save_stage_at(&dir, 0, 0, 7, &p).unwrap();
-        save_stage_at(&dir, 1, 0, 7, &p).unwrap();
-        fs::write(mb_stage_path(&dir, 1, 0, 7), "{torn").unwrap();
-        assert_eq!(
-            latest_complete_point(&dir, 2),
-            Some(CheckpointPoint::MidEpoch { epoch: 0, mb: 3 })
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn latest_complete_skips_corrupt_epochs() {
-        let dir = tmpdir("corrupt-skip");
-        let p = vec![Tensor::from_slice(&[0.5, 1.5])];
-        save_stage(&dir, 0, 0, &p).unwrap();
-        save_stage(&dir, 1, 0, &p).unwrap();
-        save_stage(&dir, 0, 1, &p).unwrap();
-        save_stage(&dir, 1, 1, &p).unwrap();
-        // Truncate stage 1's epoch-1 file mid-JSON, as if the writer died
-        // without the atomic rename.
-        let full = fs::read_to_string(stage_path(&dir, 1, 1)).unwrap();
-        fs::write(stage_path(&dir, 1, 1), &full[..full.len() / 2]).unwrap();
-        assert_eq!(latest_complete_epoch(&dir, 2), Some(0));
-        // Garbage (non-JSON) is equally disqualifying.
-        fs::write(stage_path(&dir, 1, 1), "not json at all").unwrap();
-        assert_eq!(latest_complete_epoch(&dir, 2), Some(0));
-        // Restoring a valid file for the epoch re-qualifies it.
-        save_stage(&dir, 1, 1, &p).unwrap();
-        assert_eq!(latest_complete_epoch(&dir, 2), Some(1));
-        fs::remove_dir_all(&dir).unwrap();
+    proptest! {
+        /// Over any set of `(stage, done)` files, some of them cut short
+        /// mid-JSON as if the writer died without the atomic rename,
+        /// `latest_complete` is the largest `done` whose every stage file
+        /// parses; `.tmp` litter of a crashed write never counts.
+        #[test]
+        fn latest_complete_is_the_newest_fully_intact_done(
+            files in proptest::collection::vec((0usize..2, 0u64..6, any::<bool>()), 0..24),
+            litter in proptest::collection::vec((0usize..2, 0u64..9), 0..4),
+        ) {
+            let dir = tmpdir("prop");
+            fs::create_dir_all(&dir).unwrap();
+            let p = vec![Tensor::from_slice(&[0.5, 1.5])];
+            // A later write of the same file replaces the earlier one.
+            let mut intact = std::collections::HashMap::new();
+            for &(stage, done, truncate) in &files {
+                save_stage(&dir, stage, done, &p).unwrap();
+                if truncate {
+                    let path = stage_path(&dir, stage, done);
+                    let full = fs::read_to_string(&path).unwrap();
+                    fs::write(&path, &full[..full.len() / 2]).unwrap();
+                }
+                intact.insert((stage, done), !truncate);
+            }
+            for &(stage, done) in &litter {
+                fs::write(dir.join(format!(".{}.tmp", file_name(stage, done))), "[").unwrap();
+            }
+            let want = (0..6u64)
+                .rev()
+                .find(|&d| (0..2).all(|s| intact.get(&(s, d)) == Some(&true)));
+            prop_assert_eq!(latest_complete(&dir, 2), want);
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

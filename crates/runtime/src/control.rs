@@ -24,8 +24,16 @@
 //! and skips it.
 //!
 //! After its op loop ends, replica 0 of every stage writes a checkpoint
-//! at the cut point, giving the caller a consistent `(epoch, mb)` state
-//! (the §4 checkpoint machinery) to repartition and resume from.
+//! at the cut, giving the caller a consistent state (the §4 checkpoint
+//! machinery) to repartition and resume from.
+//!
+//! Minibatch ids here are the *segment's*: the gate indexes the run's own
+//! schedule, which counts from 0 also when the run resumed a logical run
+//! part-way, and 1F1B-RR routing and the replica rounds the cut aligns to
+//! are defined on those ids. What leaves the segment is translated once:
+//! a cut `C` of a run that started with `done` minibatches completed is the
+//! checkpoint `stage{s}_mb{done + C}.json` and
+//! `TrainReport::drained_at = Some(done + C)`.
 
 use pipedream_core::lcm;
 use std::sync::Mutex;
@@ -96,7 +104,8 @@ impl RunControl {
 
     /// Called by the trainer at launch: `round` is the lcm of all stage
     /// replica counts (cut alignment), `limit` the run's total scheduled
-    /// minibatches. Applies any deterministic [`RunControl::drain_at`]
+    /// minibatches — whole rounds, so a cut clamped to it stays aligned.
+    /// Applies any deterministic [`RunControl::drain_at`]
     /// registered before the run started.
     pub fn configure(&self, round: u64, limit: u64) {
         let mut s = self.state.lock().unwrap();
@@ -172,8 +181,8 @@ impl RunControl {
         matches!(self.state.lock().unwrap().cut, Some(c) if mb >= c)
     }
 
-    /// The fixed cut, if any: the number of minibatches (from this run's
-    /// start) that fully completed before the drain.
+    /// The fixed cut, if any: the number of this run's minibatches (from
+    /// its own start) that fully completed before the drain.
     pub fn cut(&self) -> Option<u64> {
         self.state.lock().unwrap().cut
     }

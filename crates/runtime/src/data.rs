@@ -6,22 +6,24 @@ use pipedream_tensor::{pool, Tensor};
 /// Read-only dataset view shared (via `Arc`) by the input stage (which
 /// needs minibatch inputs) and the output stage (which needs labels).
 ///
-/// Minibatch ids are global across epochs: with a start offset of `start`
-/// within-epoch minibatches (0 for a fresh run), id `mb` maps to epoch
-/// `(mb + start) / minibatches_per_epoch` and within-epoch index
-/// `(mb + start) % minibatches_per_epoch`. The offset lets a run resumed
-/// from a mid-epoch checkpoint seek the dataloader to the restored
-/// minibatch instead of replaying the epoch from its first sample. Every
-/// epoch visits minibatches in the same order — the datasets are
-/// pre-shuffled at generation time, keeping all execution modes comparable
-/// input-for-input.
+/// A run is one *segment* of a logical training run: it starts after
+/// `start` minibatches of that run have completed (0 for a fresh run, the
+/// checkpoint's `done` for a resumed one) and numbers its own minibatches
+/// from 0, as its schedule does. Every method takes such a segment-local
+/// `mb` and answers about the logical run: minibatch `mb` is the run's
+/// minibatch [`TrainData::id`]` = start + mb`, in epoch
+/// `id / minibatches_per_epoch` at index `id % minibatches_per_epoch` — so
+/// a resumed run reads the samples, epoch numbers and learning rates the
+/// uninterrupted run would have. Every epoch visits minibatches in the
+/// same order — the datasets are pre-shuffled at generation time, keeping
+/// all execution modes comparable input-for-input.
 #[derive(Debug, Clone)]
 pub struct TrainData {
     dataset: Dataset,
     batch: usize,
-    mbs_per_epoch: usize,
-    /// Within-epoch minibatch offset the run starts at (mid-epoch resume).
-    start: usize,
+    mbs_per_epoch: u64,
+    /// Minibatches of the logical run completed before this segment.
+    start: u64,
 }
 
 impl TrainData {
@@ -30,28 +32,23 @@ impl TrainData {
         Self::with_start(dataset, batch, 0)
     }
 
-    /// Like [`TrainData::new`], but the run's first minibatch (global id 0)
-    /// maps to within-epoch index `start_mb` — the dataloader seek used
-    /// when resuming from a mid-epoch `(epoch, minibatch)` checkpoint.
-    pub fn with_start(dataset: Dataset, batch: usize, start_mb: usize) -> Self {
+    /// Like [`TrainData::new`], for a segment that starts after `done`
+    /// minibatches of the logical run (a resume from that checkpoint).
+    pub fn with_start(dataset: Dataset, batch: usize, done: u64) -> Self {
         assert!(batch >= 1);
-        let mbs_per_epoch = dataset.num_minibatches(batch);
+        let mbs_per_epoch = dataset.num_minibatches(batch) as u64;
         assert!(mbs_per_epoch >= 1, "dataset is empty");
-        assert!(
-            start_mb < mbs_per_epoch,
-            "start offset {start_mb} out of range (epoch has {mbs_per_epoch} minibatches)"
-        );
         TrainData {
             dataset,
             batch,
             mbs_per_epoch,
-            start: start_mb,
+            start: done,
         }
     }
 
     /// Minibatches per epoch.
     pub fn minibatches_per_epoch(&self) -> usize {
-        self.mbs_per_epoch
+        self.mbs_per_epoch as usize
     }
 
     /// Configured minibatch size.
@@ -64,25 +61,25 @@ impl TrainData {
         &self.dataset
     }
 
-    /// Within-epoch offset the run starts at (0 unless resumed mid-epoch).
-    pub fn start_offset(&self) -> usize {
-        self.start
+    /// Logical-run id of segment minibatch `mb`; `id(mb) + 1` minibatches
+    /// are done once it completes.
+    pub fn id(&self, mb: u64) -> u64 {
+        self.start + mb
     }
 
-    /// Epoch that minibatch `mb` belongs to (relative to the run's start:
-    /// add the trainer's epoch offset for the absolute epoch number).
+    /// Epoch of the logical run that minibatch `mb` belongs to.
     pub fn epoch_of(&self, mb: u64) -> usize {
-        ((mb + self.start as u64) / self.mbs_per_epoch as u64) as usize
+        (self.id(mb) / self.mbs_per_epoch) as usize
     }
 
     /// Within-epoch index of minibatch `mb`.
     pub fn mb_in_epoch(&self, mb: u64) -> u64 {
-        (mb + self.start as u64) % self.mbs_per_epoch as u64
+        self.id(mb) % self.mbs_per_epoch
     }
 
     /// Whether `mb` is the last minibatch of its epoch.
     pub fn is_epoch_end(&self, mb: u64) -> bool {
-        (mb as usize + self.start + 1).is_multiple_of(self.mbs_per_epoch)
+        (self.id(mb) + 1).is_multiple_of(self.mbs_per_epoch)
     }
 
     /// Dataset rows `lo..hi` that make up minibatch `mb` (the epoch's
@@ -131,22 +128,21 @@ mod tests {
     }
 
     #[test]
-    fn mid_epoch_start_offset_shifts_mapping() {
-        // 5 minibatches/epoch, resumed at within-epoch index 3: global mb 0
-        // is epoch 0's minibatch 3, mb 1 finishes epoch 0, mb 2 opens
-        // epoch 1.
-        let d = TrainData::with_start(blobs(40, 4, 2, 0.3, 1), 8, 3);
-        assert_eq!(d.start_offset(), 3);
+    fn a_resumed_segment_answers_about_the_logical_run() {
+        // 5 minibatches/epoch, resumed with 8 done: segment mb 0 is epoch
+        // 1's minibatch 3, mb 1 finishes epoch 1, mb 2 opens epoch 2.
+        let d = TrainData::with_start(blobs(40, 4, 2, 0.3, 1), 8, 8);
+        assert_eq!(d.id(0), 8);
         assert_eq!(d.mb_in_epoch(0), 3);
-        assert_eq!(d.epoch_of(0), 0);
+        assert_eq!(d.epoch_of(0), 1);
         assert!(!d.is_epoch_end(0));
         assert!(d.is_epoch_end(1));
-        assert_eq!(d.epoch_of(2), 1);
+        assert_eq!(d.epoch_of(2), 2);
         assert_eq!(d.mb_in_epoch(2), 0);
-        // The data served matches the unshifted view of the same indices.
+        // The data served is what the uninterrupted run reads there.
         let fresh = TrainData::new(blobs(40, 4, 2, 0.3, 1), 8);
-        assert_eq!(d.input(0), fresh.input(3));
-        assert_eq!(d.labels(2), fresh.labels(5));
+        assert_eq!(d.input(0), fresh.input(8));
+        assert_eq!(d.labels(2), fresh.labels(10));
     }
 
     #[test]

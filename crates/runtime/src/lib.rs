@@ -18,9 +18,10 @@
 //! * **GPipe** semantics (microbatch groups + flush) match gradient
 //!   aggregation over the group.
 //!
-//! [`baselines`] provides single-worker SGD, BSP data parallelism, and ASP
-//! for the paper's comparisons; [`checkpoint`] implements §4's per-stage
-//! checkpointing without global coordination.
+//! [`baselines`] provides single-worker SGD, the reference every mode is
+//! compared against (BSP data parallelism is the pipeline trainer on
+//! `PipelineConfig::data_parallel`); [`checkpoint`] implements §4's
+//! per-stage checkpointing without global coordination.
 
 pub mod baselines;
 pub mod checkpoint;
@@ -33,8 +34,7 @@ pub mod sync;
 pub mod trainer;
 pub mod worker;
 
-pub use baselines::{train_asp, train_bsp_dp, train_sequential};
-pub use checkpoint::CheckpointPoint;
+pub use baselines::train_sequential;
 pub use control::RunControl;
 pub use data::TrainData;
 pub use fault::{FaultAction, FaultHook, SendAction, WorkerError};

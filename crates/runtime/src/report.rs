@@ -1,4 +1,10 @@
 //! Training reports.
+//!
+//! Minibatch ids in a report ([`LossRecord::mb`], [`VersionRecord::mb`],
+//! [`TrainReport::per_minibatch`]) and every position
+//! ([`TrainReport::drained_at`], [`RecoveryRecord::resumed_from`],
+//! [`ReconfigReport::drained_at`]) count minibatches of the *logical* run,
+//! whichever segment of it — fresh, resumed, repartitioned — produced them.
 
 use serde::{Deserialize, Serialize};
 
@@ -97,19 +103,17 @@ pub struct RecoveryRecord {
     /// failure (via peer errors, channel disconnects, or stalled
     /// heartbeats).
     pub detection_latency_s: f64,
-    /// Epoch of the checkpoint the restarted run resumed from (`None`
-    /// when no restart was needed — e.g. a delayed send that only slowed
-    /// the run down).
-    pub resumed_from_epoch: Option<usize>,
-    /// Global minibatch the restarted run resumed at — the first
-    /// minibatch it re-executed (`None` when no restart was needed).
-    pub resumed_from_mb: Option<u64>,
+    /// Minibatches the checkpoint the restarted run resumed from had
+    /// completed — the id of the first minibatch it re-executed (`None`
+    /// when no restart was needed, e.g. a delayed send that only slowed
+    /// the run down, or when no checkpoint existed yet).
+    pub resumed_from: Option<u64>,
     /// Epochs of work re-executed because they post-dated the last
     /// complete checkpoint. The paper's bound: ≤ 1 with per-epoch
     /// checkpoints.
     pub epochs_redone: usize,
-    /// Minibatches of work re-executed: faulted minibatch + 1 minus the
-    /// resume point's global minibatch. With `--checkpoint-every k` the
+    /// Minibatches of work re-executed: faulted minibatch + 1 minus
+    /// `resumed_from`. With `--checkpoint-every k` the
     /// bound tightens from ≤ 1 epoch to ≤ `k` minibatches (plus the
     /// pipeline's in-flight window).
     pub minibatches_redone: u64,
@@ -164,11 +168,9 @@ pub struct ReconfigReport {
     /// `core::fingerprint` of the applied pipeline configuration —
     /// matchable against advisor reports and serve-cache entries.
     pub new_plan_fingerprint: u64,
-    /// Epoch of the consistent checkpoint the pipeline drained to.
-    pub drained_epoch: usize,
-    /// Mid-epoch minibatch of the drain checkpoint (`None` when the drain
-    /// landed exactly on an epoch boundary).
-    pub drained_mb: Option<u64>,
+    /// Minibatches completed at the consistent checkpoint the pipeline
+    /// drained to.
+    pub drained_at: u64,
     /// Wall-clock milliseconds the pipeline was not training: from the
     /// drain cut completing to the relaunched pipeline's first update.
     pub downtime_ms: f64,
@@ -211,15 +213,37 @@ pub struct TrainReport {
     pub wall_time_s: f64,
     /// Fault-recovery record, when the run survived an injected fault.
     pub recovery: Option<RecoveryRecord>,
-    /// The consistent checkpoint point this run drained to, when a
-    /// [`crate::control::RunControl`] gate cut the run short of its
-    /// scheduled length.
-    pub drained_at: Option<crate::checkpoint::CheckpointPoint>,
+    /// Minibatches completed at the consistent checkpoint this run
+    /// drained to, when a [`crate::control::RunControl`] gate cut the run
+    /// short of its scheduled length.
+    pub drained_at: Option<u64>,
     /// Live-reconfiguration records, one per autopilot attempt.
     pub reconfig: Vec<ReconfigReport>,
 }
 
 impl TrainReport {
+    /// Join this segment of a logical run to the `later` one that picked
+    /// it up from a checkpoint. Both already number epochs and minibatches
+    /// by the logical run, so this keeps what came before `later`'s first
+    /// epoch and first minibatch (work past the checkpoint was redone),
+    /// appends `later`'s, and adds the wall times. Everything else
+    /// (versions, stage observations) describes the configuration the run
+    /// *ended* on and is `later`'s.
+    pub fn then(mut self, mut later: TrainReport) -> TrainReport {
+        let epoch = later.per_epoch.first().map_or(usize::MAX, |e| e.epoch);
+        let mb = later.per_minibatch.first().map_or(u64::MAX, |m| m.0);
+        self.per_epoch.retain(|e| e.epoch < epoch);
+        self.per_minibatch.retain(|m| m.0 < mb);
+        self.per_epoch.append(&mut later.per_epoch);
+        self.per_minibatch.append(&mut later.per_minibatch);
+        TrainReport {
+            per_epoch: self.per_epoch,
+            per_minibatch: self.per_minibatch,
+            wall_time_s: self.wall_time_s + later.wall_time_s,
+            ..later
+        }
+    }
+
     /// Final epoch's training accuracy (0 if no epochs ran).
     pub fn final_accuracy(&self) -> f32 {
         self.per_epoch.last().map(|e| e.accuracy).unwrap_or(0.0)
@@ -286,6 +310,43 @@ mod tests {
         assert_eq!(r.epochs_to_accuracy(0.75), Some(2));
         assert_eq!(r.epochs_to_accuracy(0.95), None);
         assert_eq!(r.final_accuracy(), 0.9);
+    }
+
+    #[test]
+    fn then_keeps_the_earlier_segment_up_to_where_the_later_one_starts() {
+        let stats = |epoch| EpochStats {
+            epoch,
+            loss: 1.0,
+            accuracy: 0.5,
+            samples: 16,
+        };
+        // Killed in epoch 1 after minibatch 5; the restart picked up the
+        // checkpoint at 4 done and redid 4 and 5.
+        let faulted = TrainReport {
+            per_epoch: vec![stats(0), stats(1)],
+            per_minibatch: (0..6).map(|id| (id, 1.0)).collect(),
+            wall_time_s: 2.0,
+            ..Default::default()
+        };
+        let restart = TrainReport {
+            per_epoch: vec![stats(1), stats(2)],
+            per_minibatch: (4..9).map(|id| (id, 0.5)).collect(),
+            wall_time_s: 3.0,
+            ..Default::default()
+        };
+        let whole = faulted.clone().then(restart);
+        let epochs: Vec<usize> = whole.per_epoch.iter().map(|e| e.epoch).collect();
+        assert_eq!(epochs, vec![0, 1, 2]);
+        let ids: Vec<u64> = whole.per_minibatch.iter().map(|m| m.0).collect();
+        assert_eq!(ids, (0..9).collect::<Vec<u64>>());
+        assert_eq!(
+            whole.per_minibatch[4].1, 0.5,
+            "redone work is the restart's"
+        );
+        assert_eq!(whole.wall_time_s, 5.0);
+        // Nothing was left to train: the earlier segment is the run.
+        let whole = faulted.then(TrainReport::default());
+        assert_eq!((whole.per_epoch.len(), whole.per_minibatch.len()), (2, 6));
     }
 
     #[test]

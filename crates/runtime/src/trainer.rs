@@ -114,7 +114,8 @@ impl OptimKind {
 /// Training options.
 #[derive(Debug, Clone)]
 pub struct TrainOpts {
-    /// Number of passes over the dataset.
+    /// Passes over the dataset in the whole logical run — also when
+    /// `resume` picks the run up part-way.
     pub epochs: usize,
     /// Minibatch size.
     pub batch: usize,
@@ -137,18 +138,16 @@ pub struct TrainOpts {
     pub checkpoint_every: Option<u64>,
     /// Resume from the last complete checkpoint in `checkpoint_dir` (§4:
     /// "restarting entails starting from the last successfully created
-    /// checkpoint for all stages"): stage parameters are restored, epoch
-    /// numbering continues after the checkpointed point, and — for a
-    /// mid-epoch point — the dataloader seeks to the restored minibatch
-    /// offset. `epochs` then counts the *remaining* passes, the first of
-    /// which may be partial.
+    /// checkpoint for all stages"): stage parameters are restored and the
+    /// run trains what is left of `epochs`, minibatch ids, epoch numbers
+    /// and the dataloader all continuing where the checkpoint stands.
     pub resume: bool,
     /// Override the 1F1B in-flight depth (defaults to NOAM).
     pub depth: Option<usize>,
     /// Drain gate for live reconfiguration: when set, the run can be cut
     /// at a consistent minibatch boundary ([`crate::control::RunControl`])
     /// — every stage checkpoints at the cut and the report's
-    /// [`TrainReport::drained_at`] names the resumable point. `None` (the
+    /// [`TrainReport::drained_at`] names that checkpoint. `None` (the
     /// default) costs one `Option` check per op.
     pub control: Option<Arc<crate::control::RunControl>>,
     /// Observability session: when set, every worker records typed spans
@@ -242,6 +241,12 @@ const SYNC_DEADLINE: Duration = Duration::from_secs(30);
 /// stages — replica 0 where replicated, which gradient sync keeps
 /// identical to its peers) and the training report.
 ///
+/// Whole gradient-sync rounds only: when the minibatches to train are not
+/// a multiple of the lcm of the stages' replica counts, the ragged tail is
+/// dropped, as 2BW drops a partial trailing group — a replica left alone
+/// in the last round's all_reduce would wait for partners with no
+/// minibatch to bring.
+///
 /// Panics if a worker fails; use [`try_train_pipeline`] for typed errors
 /// and fault injection.
 pub fn train_pipeline(
@@ -283,37 +288,26 @@ pub fn try_train_pipeline(
     let pool_start = pipedream_tensor::pool::global_stats();
     let stages = config.stages();
 
-    // Resume: locate the last complete checkpoint point *before* building
-    // the dataloader — a mid-epoch point seeks the data view to its
-    // restored minibatch offset instead of replaying the epoch.
-    let mut epoch_offset = 0usize;
-    let mut mb_offset = 0usize;
-    let mut resume_point = None;
-    if opts.resume {
-        let dir = opts
-            .checkpoint_dir
-            .as_ref()
-            .expect("resume requires a checkpoint_dir");
-        if let Some(point) = crate::checkpoint::latest_complete_point(dir, stages.len()) {
-            epoch_offset = point.resume_epoch();
-            mb_offset = point.mb_offset() as usize;
-            resume_point = Some(point);
-        }
-    }
-
-    let data = Arc::new(TrainData::with_start(
-        dataset.clone(),
-        opts.batch,
-        mb_offset,
-    ));
-    // When resumed mid-epoch, `epochs` counts the remaining passes and the
-    // first one is partial: the seeked-past minibatches come off the top.
-    let total_mbs = (opts.epochs * data.minibatches_per_epoch() - mb_offset) as u64;
+    // Where the logical run stands: nothing done, or — resuming — what the
+    // newest complete checkpoint covers. Ids handed to the schedule, the
+    // drain gate and the fault hook count from 0 in this segment;
+    // everything that outlives it is `done + mb` (see `TrainData`).
+    let resume_dir = opts.resume.then(|| {
+        opts.checkpoint_dir
+            .as_deref()
+            .expect("resume requires a checkpoint_dir")
+    });
+    let done = resume_dir
+        .and_then(|dir| crate::checkpoint::latest_complete(dir, stages.len()))
+        .unwrap_or(0);
+    let data = Arc::new(TrainData::with_start(dataset.clone(), opts.batch, done));
+    let left = ((opts.epochs * data.minibatches_per_epoch()) as u64).saturating_sub(done);
+    let total_mbs = left - left % config.replica_lcm();
 
     // Configure the drain gate (if any) with the cut alignment — the lcm
     // of all replica counts, so a drained run leaves every replica of a
     // replicated stage with the same number of completed gradient-sync
-    // rounds — and the run length the cut is clamped to.
+    // rounds — and the (equally aligned) run length the cut is clamped to.
     if let Some(gate) = &opts.control {
         gate.configure(config.replica_lcm(), total_mbs);
     }
@@ -367,13 +361,12 @@ pub fn try_train_pipeline(
     let mut stage_models: Vec<Option<Sequential>> =
         model.split_off(&boundaries).into_iter().map(Some).collect();
 
-    // Restore every stage from the resume point (§4: "restarting entails
+    // Restore every stage from the checkpoint (§4: "restarting entails
     // starting from the last successfully created checkpoint for all
     // stages").
-    if let Some(point) = resume_point {
-        let dir = opts.checkpoint_dir.as_ref().expect("checked above");
+    if let Some(dir) = resume_dir.filter(|_| done > 0) {
         for (si, sm) in stage_models.iter_mut().flatten().enumerate() {
-            let params = crate::checkpoint::load_stage_point(dir, si, point)
+            let params = crate::checkpoint::load_stage(dir, si, done)
                 .expect("complete checkpoint is loadable");
             sm.restore(&params);
         }
@@ -482,7 +475,6 @@ pub fn try_train_pipeline(
             data: Arc::clone(&data),
             checkpoint_dir: opts.checkpoint_dir.clone(),
             checkpoint_every: opts.checkpoint_every,
-            epoch_offset,
             lr_schedule: opts.lr_schedule,
             recorder: recorders[w].clone(),
             hook: hook.clone(),
@@ -560,7 +552,7 @@ pub fn try_train_pipeline(
     stage_obs.sort_by_key(|o| (o.stage, o.replica));
     let mut epoch_acc: Vec<(usize, f64, usize, usize)> = Vec::new(); // epoch, loss-sum, correct, count
     for l in &losses {
-        let e = data.epoch_of(l.mb);
+        let e = l.mb as usize / data.minibatches_per_epoch();
         if epoch_acc.last().is_none_or(|a| a.0 != e) {
             epoch_acc.push((e, 0.0, 0, 0));
         }
@@ -572,7 +564,7 @@ pub fn try_train_pipeline(
     let per_epoch: Vec<EpochStats> = epoch_acc
         .into_iter()
         .map(|(epoch, loss_sum, correct, count)| EpochStats {
-            epoch: epoch + epoch_offset,
+            epoch,
             loss: (loss_sum / count.max(1) as f64) as f32,
             accuracy: correct as f32 / count.max(1) as f32,
             samples: count,
@@ -580,7 +572,7 @@ pub fn try_train_pipeline(
         .collect();
     let per_minibatch: Vec<(u64, f32)> = losses.into_iter().map(|l| (l.mb, l.loss)).collect();
     // A drain that cut the run short of its scheduled length names the
-    // consistent checkpoint point the caller can resume from. A cut at
+    // consistent checkpoint the caller can resume from. A cut at
     // the natural end means the drain arrived too late to truncate
     // anything — the run simply completed.
     let drained_at = opts
@@ -588,28 +580,15 @@ pub fn try_train_pipeline(
         .as_ref()
         .and_then(|g| g.cut())
         .filter(|&c| c > 0 && c < total_mbs)
-        .map(|c| {
-            let last = c - 1;
-            let epoch = data.epoch_of(last) + epoch_offset;
-            if data.is_epoch_end(last) {
-                crate::checkpoint::CheckpointPoint::EpochEnd { epoch }
-            } else {
-                crate::checkpoint::CheckpointPoint::MidEpoch {
-                    epoch,
-                    mb: data.mb_in_epoch(last),
-                }
-            }
-        });
+        .map(|c| done + c);
     let report = TrainReport {
         per_epoch,
         version_trace,
         per_minibatch,
         stage_obs,
-        validation: None,
         wall_time_s: started.elapsed().as_secs_f64(),
-        recovery: None,
         drained_at,
-        reconfig: Vec::new(),
+        ..Default::default()
     };
 
     // Fold run totals into the observability session's registry: overall

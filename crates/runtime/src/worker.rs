@@ -17,7 +17,7 @@
 //! version swaps that version's tensors with the model's for its duration
 //! — pointer swaps, and none at all when the version is the live one, as
 //! in every pass of the output stage. Weights are *copied* in one place,
-//! [`StageWorker::apply_update`], at most once per update and only when
+//! `StageWorker::apply_update`, at most once per update and only when
 //! the version the optimizer is about to overwrite is still needed, into
 //! the buffers of a version that has retired.
 //!
@@ -46,7 +46,7 @@ use pipedream_core::stash::{ScheduleKind, VersionPolicy, VersionStore};
 use pipedream_obs::{Recorder, SpanKind};
 use pipedream_tensor::{softmax_cross_entropy, Layer, Sequential, Tensor};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -104,8 +104,6 @@ pub struct StageWorker {
     /// Also checkpoint every `k` minibatches mid-epoch (tightens the §4
     /// redo bound from ≤ 1 epoch to ≤ `k` minibatches).
     pub checkpoint_every: Option<u64>,
-    /// Epoch-number offset when resuming from a checkpoint.
-    pub epoch_offset: usize,
     /// Per-epoch learning-rate schedule.
     pub lr_schedule: LrSchedule,
     /// Trace recorder for this worker's track. Disabled (a no-op branch
@@ -316,39 +314,47 @@ impl StageWorker {
             }
         }
         // A drained run ends here with every stage having processed the
-        // exact same minibatch prefix; replica 0 of each stage dumps a
-        // checkpoint at the cut so the caller gets a consistent (epoch,
-        // mb) state to repartition and resume from. Idempotent with the
-        // periodic checkpoints (atomic rename of identical content).
-        if let Some(gate) = &self.control {
-            if self.replica == 0 {
-                if let (Some(dir), Some(cut)) = (&self.checkpoint_dir, gate.cut()) {
-                    if cut > 0 {
-                        let last = cut - 1;
-                        let epoch = self.data.epoch_of(last) + self.epoch_offset;
-                        let span = self.recorder.begin();
-                        let snap = self.model.snapshot();
-                        if self.data.is_epoch_end(last) {
-                            checkpoint::save_stage(dir, self.stage, epoch, &snap)
-                        } else {
-                            checkpoint::save_stage_at(
-                                dir,
-                                self.stage,
-                                epoch,
-                                self.data.mb_in_epoch(last),
-                                &snap,
-                            )
-                        }
-                        .map_err(|e| WorkerError::CheckpointWrite {
-                            stage: self.stage,
-                            epoch,
-                            message: e.to_string(),
-                        })?;
-                        self.recorder
-                            .end_in_epoch(span, SpanKind::Checkpoint, epoch as u32);
-                    }
-                }
+        // exact same minibatch prefix; each stage dumps a checkpoint at the
+        // cut so the caller gets a consistent state to repartition and
+        // resume from. Idempotent with the periodic checkpoints (atomic
+        // rename of identical content).
+        let cut = self.control.as_ref().and_then(|g| g.cut());
+        if let (Some(dir), Some(cut)) = (self.dump_dir(), cut) {
+            if cut > 0 {
+                self.checkpoint(dir, cut - 1, false)?;
             }
+        }
+        Ok(())
+    }
+
+    /// Where this worker dumps its stage's parameters, if it does: replica
+    /// 0 writes for the stage (gradient sync keeps its peers identical).
+    fn dump_dir(&self) -> Option<&Path> {
+        self.checkpoint_dir.as_deref().filter(|_| self.replica == 0)
+    }
+
+    /// Dump the stage's parameters as they stand now that segment
+    /// minibatch `mb` — and so `id(mb) + 1` minibatches of the logical run
+    /// — has completed (§4). `tell_hook` announces the file to the fault
+    /// hook, which may damage it: the epoch-end dumps of the op loop.
+    fn checkpoint(&self, dir: &Path, mb: u64, tell_hook: bool) -> Result<(), WorkerError> {
+        let (done, epoch) = (self.data.id(mb) + 1, self.data.epoch_of(mb));
+        let span = self.recorder.begin();
+        checkpoint::save_stage(dir, self.stage, done, &self.model.snapshot()).map_err(|e| {
+            WorkerError::CheckpointWrite {
+                stage: self.stage,
+                epoch,
+                message: e.to_string(),
+            }
+        })?;
+        self.recorder
+            .end_in_epoch(span, SpanKind::Checkpoint, epoch as u32);
+        if let (true, Some(hook)) = (tell_hook, &self.hook) {
+            hook.on_checkpoint_written(
+                &checkpoint::stage_path(dir, self.stage, done),
+                self.stage,
+                epoch,
+            );
         }
         Ok(())
     }
@@ -422,7 +428,7 @@ impl StageWorker {
         if mb == u64::MAX {
             return 0;
         }
-        (self.data.epoch_of(mb) + self.epoch_offset) as u32
+        self.data.epoch_of(mb) as u32
     }
 
     /// One receive attempt under the combined fault-hook / drain-gate
@@ -529,7 +535,7 @@ impl StageWorker {
         };
         st.log.versions.push(VersionRecord {
             stage: self.stage,
-            mb,
+            mb: self.data.id(mb),
             version,
         });
 
@@ -589,7 +595,7 @@ impl StageWorker {
             let loss = softmax_cross_entropy(&out, labels);
             out.recycle();
             st.log.losses.push(LossRecord {
-                mb,
+                mb: self.data.id(mb),
                 loss: loss.loss,
                 correct: loss.correct,
                 count: labels.len(),
@@ -601,7 +607,7 @@ impl StageWorker {
 
     fn backward(&mut self, st: &mut WorkerState, mb: u64) -> Result<(), WorkerError> {
         // Apply the epoch's learning rate before the update lands.
-        let epoch = self.data.epoch_of(mb) + self.epoch_offset;
+        let epoch = self.data.epoch_of(mb);
         st.optimizer
             .set_learning_rate(self.lr_schedule.lr_at(self.optim.base_lr(), epoch));
         let grad_out = if self.stage + 1 == self.num_stages {
@@ -703,49 +709,16 @@ impl StageWorker {
             grad_in.recycle();
         }
 
-        // Per-stage checkpoints (§4), written by replica 0 after gradient
-        // sync makes replicas identical: a full dump at every epoch
-        // boundary, plus — when `checkpoint_every = Some(k)` — a
-        // minibatch-granularity dump every `k` minibatches mid-epoch, so
-        // recovery redoes at most `k` minibatches instead of an epoch.
-        if self.replica == 0 {
-            if let Some(dir) = &self.checkpoint_dir {
-                let ckpt_epoch = self.data.epoch_of(mb) + self.epoch_offset;
-                if self.data.is_epoch_end(mb) {
-                    let span = self.recorder.begin();
-                    let snap = self.model.snapshot();
-                    checkpoint::save_stage(dir, self.stage, ckpt_epoch, &snap).map_err(|e| {
-                        WorkerError::CheckpointWrite {
-                            stage: self.stage,
-                            epoch: ckpt_epoch,
-                            message: e.to_string(),
-                        }
-                    })?;
-                    self.recorder
-                        .end_in_epoch(span, SpanKind::Checkpoint, ckpt_epoch as u32);
-                    if let Some(hook) = &self.hook {
-                        hook.on_checkpoint_written(
-                            &checkpoint::stage_path(dir, self.stage, ckpt_epoch),
-                            self.stage,
-                            ckpt_epoch,
-                        );
-                    }
-                } else if let Some(k) = self.checkpoint_every {
-                    let m = self.data.mb_in_epoch(mb);
-                    if (m + 1).is_multiple_of(k) {
-                        let span = self.recorder.begin();
-                        let snap = self.model.snapshot();
-                        checkpoint::save_stage_at(dir, self.stage, ckpt_epoch, m, &snap).map_err(
-                            |e| WorkerError::CheckpointWrite {
-                                stage: self.stage,
-                                epoch: ckpt_epoch,
-                                message: e.to_string(),
-                            },
-                        )?;
-                        self.recorder
-                            .end_in_epoch(span, SpanKind::Checkpoint, ckpt_epoch as u32);
-                    }
-                }
+        // Per-stage checkpoints (§4), written after gradient sync makes
+        // replicas identical: a dump at every epoch boundary, plus — when
+        // `checkpoint_every = Some(k)` — one every `k` minibatches of an
+        // epoch, so recovery redoes at most `k` minibatches instead of an
+        // epoch.
+        if let Some(dir) = self.dump_dir() {
+            let epoch_end = self.data.is_epoch_end(mb);
+            let periodic = |k| (self.data.mb_in_epoch(mb) + 1).is_multiple_of(k);
+            if epoch_end || self.checkpoint_every.is_some_and(periodic) {
+                self.checkpoint(dir, mb, epoch_end)?;
             }
         }
         Ok(())

@@ -8,9 +8,7 @@
 
 use pipedream_core::schedule::Op;
 use pipedream_core::{PipelineConfig, StagePlan};
-use pipedream_runtime::checkpoint::{
-    latest_complete_epoch, latest_complete_point, CheckpointPoint,
-};
+use pipedream_runtime::checkpoint::latest_complete;
 use pipedream_runtime::fault::{FaultAction, FaultHook, WorkerError};
 use pipedream_runtime::trainer::try_train_pipeline;
 use pipedream_runtime::{LrSchedule, OptimKind, Semantics, TrainOpts};
@@ -105,8 +103,9 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 /// Kill stage 1 during epoch 1 (of 2), then resume: the run fails with
 /// typed errors — the injected kill first — the epoch-0 checkpoint
-/// survives, and the resumed run's `EpochStats` continue from the correct
-/// `epoch_offset` with a loss trajectory that keeps descending.
+/// survives, and the resumed run's `EpochStats` and minibatch ids continue
+/// where the checkpoint stands, with a loss trajectory that keeps
+/// descending.
 #[test]
 fn killed_run_resumes_with_correct_epoch_numbering() {
     let dir = tmpdir("resume");
@@ -135,14 +134,24 @@ fn killed_run_resumes_with_correct_epoch_numbering() {
     assert!(err.errors.len() > 1, "peers fail too: {:?}", err.errors);
     // Epoch 0 finished before the fault; its stats and checkpoint exist.
     assert_eq!(err.partial.per_epoch[0].epoch, 0);
-    assert_eq!(latest_complete_epoch(&dir, 4), Some(0));
+    assert_eq!(latest_complete(&dir, 4), Some(16));
     let epoch0_loss = err.partial.per_epoch[0].loss;
 
-    // Resume for the remaining epoch: numbering continues at 1.
-    let (_, resumed) = try_train_pipeline(mlp(71), &config, &data, &opts(1, &dir, true), None)
+    // Resume the same 2-epoch run: numbering continues at epoch 1,
+    // minibatch 16.
+    let (_, resumed) = try_train_pipeline(mlp(71), &config, &data, &opts(2, &dir, true), None)
         .expect("resumed run completes");
     let epochs: Vec<usize> = resumed.per_epoch.iter().map(|e| e.epoch).collect();
     assert_eq!(epochs, vec![1]);
+    let ids: Vec<u64> = resumed.per_minibatch.iter().map(|m| m.0).collect();
+    assert_eq!(ids, (16..32).collect::<Vec<u64>>());
+    // The two attempts join into one report of the logical run: every
+    // minibatch once, epochs continuing.
+    let whole = err.partial.then(resumed.clone());
+    let ids: Vec<u64> = whole.per_minibatch.iter().map(|m| m.0).collect();
+    assert_eq!(ids, (0..32).collect::<Vec<u64>>());
+    let epochs: Vec<usize> = whole.per_epoch.iter().map(|e| e.epoch).collect();
+    assert_eq!(epochs, vec![0, 1]);
     // Loss trajectory matches a run that continued: epoch 1's loss keeps
     // descending from the checkpointed epoch 0.
     assert!(
@@ -151,7 +160,7 @@ fn killed_run_resumes_with_correct_epoch_numbering() {
         resumed.per_epoch[0].loss
     );
     // And the checkpoint trail now extends through the resumed epoch.
-    assert_eq!(latest_complete_epoch(&dir, 4), Some(1));
+    assert_eq!(latest_complete(&dir, 4), Some(32));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -262,10 +271,54 @@ fn killed_replica_fails_sync_partner_typed_not_hung() {
     }
 }
 
+/// A replica count that does not divide the run's minibatches must not
+/// strand a replica in the last all_reduce (it used to wait out the sync
+/// deadline and fail the run `SyncStalled`): whole rounds only, the ragged
+/// tail dropped. A straight pipeline has no rounds and trains everything.
+#[test]
+fn ragged_tail_of_a_replicated_stage_is_dropped_not_hung() {
+    /// Injects nothing; a 2 s sync deadline, so that a stranded replica
+    /// fails the run well inside the watchdog.
+    struct TightDeadline;
+    impl FaultHook for TightDeadline {
+        fn sync_deadline(&self) -> Option<Duration> {
+            Some(Duration::from_secs(2))
+        }
+    }
+    let small = |seed| {
+        let mut r = rng(seed);
+        Sequential::new("ragged")
+            .push(Linear::new(8, 16, &mut r))
+            .push(Tanh::new())
+            .push(Linear::new(16, 4, &mut r))
+    };
+    let train = move |config: PipelineConfig| {
+        let data = blobs(40, 8, 4, 0.6, 7); // 5 minibatches at batch 8
+        let opts = TrainOpts {
+            epochs: 1,
+            batch: 8,
+            ..TrainOpts::default()
+        };
+        let hook: Arc<dyn FaultHook> = Arc::new(TightDeadline);
+        let (_, report) = try_train_pipeline(small(3), &config, &data, &opts, Some(hook))
+            .expect("no replica is stranded until the deadline");
+        report
+    };
+    let dp = with_hard_timeout(Duration::from_secs(20), move || {
+        train(PipelineConfig::data_parallel(3, 2))
+    });
+    let ids: Vec<u64> = dp.per_minibatch.iter().map(|m| m.0).collect();
+    assert_eq!(ids, vec![0, 1, 2, 3], "two whole rounds of two replicas");
+    let straight = with_hard_timeout(Duration::from_secs(20), move || {
+        train(PipelineConfig::straight(3, &[1]))
+    });
+    assert_eq!(straight.per_minibatch.len(), 5);
+}
+
 /// Minibatch-granularity checkpoints tighten the §4 redo bound: with
 /// `checkpoint_every = 4` a kill at minibatch 22 resumes from the
-/// mid-epoch `(epoch 1, mb 3)` point — 2 minibatches behind the fault —
-/// instead of the epoch-0 boundary 6 minibatches back, and the resumed
+/// mid-epoch dump at 20 minibatches done — 2 minibatches behind the fault
+/// — instead of the epoch-0 boundary 6 minibatches back, and the resumed
 /// run seeks the dataloader to the restored offset.
 #[test]
 fn mid_epoch_checkpoint_resume_seeks_dataloader() {
@@ -282,18 +335,14 @@ fn mid_epoch_checkpoint_resume_seeks_dataloader() {
     };
     assert!(err.errors[0].is_injected());
 
-    // Checkpoints every 4 minibatches: global boundaries 3, 7, 11, 15
+    // Checkpoints every 4 minibatches: after minibatches 3, 7, 11, 15
     // (epoch end), 19, … — the last one complete on every stage before the
-    // kill at mb 22 is (epoch 1, within-epoch mb 3) = global mb 19.
-    let point = latest_complete_point(&dir, 3).expect("mid-epoch checkpoints written");
-    assert_eq!(point, CheckpointPoint::MidEpoch { epoch: 1, mb: 3 });
-    assert_eq!(point.global_mb(16), 20);
-    // The epoch-granular view still sees only the epoch-0 boundary.
-    assert_eq!(latest_complete_epoch(&dir, 3), Some(0));
+    // kill at mb 22 is the one after mb 19 (epoch 1, within-epoch mb 3).
+    assert_eq!(latest_complete(&dir, 3), Some(20));
 
-    // Resume: one remaining (partial) epoch, starting at within-epoch
+    // Resume: what is left of epoch 1, starting at within-epoch
     // minibatch 4.
-    let mut resumed_opts = opts(1, &dir, true);
+    let mut resumed_opts = opts(2, &dir, true);
     resumed_opts.checkpoint_every = Some(4);
     let (_, resumed) = try_train_pipeline(mlp(71), &config, &data, &resumed_opts, None)
         .expect("resumed run completes");
@@ -303,12 +352,9 @@ fn mid_epoch_checkpoint_resume_seeks_dataloader() {
     assert_eq!(resumed.per_minibatch.len(), 12);
     // Its samples are the tail of the epoch the fresh run would see.
     assert_eq!(resumed.per_epoch[0].samples, 12 * 16);
-    // Finishing the epoch writes its boundary checkpoint, which outranks
-    // every mid-epoch dump.
-    assert_eq!(
-        latest_complete_point(&dir, 3),
-        Some(CheckpointPoint::EpochEnd { epoch: 1 })
-    );
+    assert_eq!(resumed.per_minibatch[0].0, 20, "ids continue too");
+    // Finishing the epoch writes its boundary checkpoint, the newest.
+    assert_eq!(latest_complete(&dir, 3), Some(32));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -3,9 +3,7 @@
 
 use pipedream_core::PipelineConfig;
 use pipedream_runtime::trainer::{evaluate, train_pipeline};
-use pipedream_runtime::{
-    train_asp, train_bsp_dp, train_sequential, LrSchedule, OptimKind, Semantics, TrainOpts,
-};
+use pipedream_runtime::{train_sequential, LrSchedule, OptimKind, Semantics, TrainOpts};
 use pipedream_tensor::data::{blobs, spirals, Dataset};
 use pipedream_tensor::init::rng;
 use pipedream_tensor::layers::{Linear, Relu, Scale, Tanh};
@@ -233,11 +231,12 @@ fn checkpoints_written_per_stage_per_epoch() {
     opts.checkpoint_dir = Some(dir.clone());
     let config = PipelineConfig::straight(8, &[1, 3, 5]);
     let (m, _) = train_pipeline(mlp(11, 8, 4), &config, &data, &opts);
-    assert_eq!(checkpoint::latest_complete_epoch(&dir, 4), Some(2));
+    // 3 epochs of 16 minibatches.
+    assert_eq!(checkpoint::latest_complete(&dir, 4), Some(48));
     // The final checkpoint must hold the final weights: compare stage 0
     // (layers 0..=1) parameters against the returned model.
     use pipedream_tensor::Layer;
-    let stage0 = checkpoint::load_stage(&dir, 0, 2).unwrap();
+    let stage0 = checkpoint::load_stage(&dir, 0, 48).unwrap();
     let full_snapshot = m.snapshot();
     for (ckpt, live) in stage0.iter().zip(full_snapshot.iter()) {
         assert_eq!(ckpt, live);
@@ -246,26 +245,80 @@ fn checkpoints_written_per_stage_per_epoch() {
 }
 
 #[test]
-fn bsp_dp_converges() {
+fn drained_checkpoint_is_the_periodic_one_byte_for_byte() {
+    // A consistent cut: minibatches >= c never touch the weights that
+    // minibatches < c produce. So what every stage of a run drained at c
+    // dumps after its last op is, byte for byte, what the same stage of an
+    // uninterrupted run dumped on its way past c — although that run had
+    // later minibatches in flight at the time.
+    use pipedream_runtime::{checkpoint, RunControl};
+    let dirs = ["whole", "cut"].map(|tag| {
+        let d = std::env::temp_dir().join(format!("pd-cut-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        d
+    });
+    let (k, c) = (4, 20); // mid-epoch: 16 minibatches per epoch
     let data = easy_data();
-    let opts = default_opts(8);
-    let (mut m, report) = train_bsp_dp(mlp(12, 8, 4), &data, 4, &opts);
-    let acc = evaluate(&mut m, &data, 16);
-    assert!(acc > 0.9, "BSP-DP accuracy {acc}");
-    assert!(report.final_loss() < report.per_epoch[0].loss);
+    let config = PipelineConfig::straight(8, &[2, 5]); // 3 stages, depth 3
+    let whole = TrainOpts {
+        checkpoint_dir: Some(dirs[0].clone()),
+        checkpoint_every: Some(k),
+        ..default_opts(2)
+    };
+    train_pipeline(mlp(21, 8, 4), &config, &data, &whole);
+    // The drained run dumps at epoch ends and at its cut only, so the file
+    // at c is the drain's own.
+    let gate = std::sync::Arc::new(RunControl::new());
+    gate.drain_at(c);
+    let cut = TrainOpts {
+        checkpoint_dir: Some(dirs[1].clone()),
+        control: Some(gate),
+        ..default_opts(2)
+    };
+    let (_, report) = train_pipeline(mlp(21, 8, 4), &config, &data, &cut);
+    assert_eq!(report.drained_at, Some(c));
+    assert_eq!(checkpoint::latest_complete(&dirs[1], 3), Some(c));
+    for stage in 0..3 {
+        let [whole, cut] = dirs
+            .each_ref()
+            .map(|d| std::fs::read(checkpoint::stage_path(d, stage, c)).expect("dump exists"));
+        assert!(whole == cut, "stage {stage}'s dumps at {c} differ");
+    }
+    for d in dirs {
+        std::fs::remove_dir_all(d).unwrap();
+    }
 }
 
 #[test]
-fn asp_runs_and_reduces_loss() {
-    // ASP is statistically weaker; just require finite, decreasing loss.
-    let data = easy_data();
-    let mut opts = default_opts(6);
-    opts.optim = OptimKind::Sgd {
-        lr: 0.02,
-        momentum: 0.0,
+fn data_parallel_config_is_bsp_at_the_global_batch() {
+    // One stage on W replicas under 1F1B-RR *is* BSP data parallelism:
+    // each round the replicas take W consecutive minibatches of size b
+    // against the same weights and apply the average of their gradients —
+    // the step sequential SGD takes on those W·b samples as one minibatch.
+    // Only the order the floats are summed in differs.
+    use pipedream_tensor::Layer;
+    let (workers, batch) = (4, 16);
+    let data = easy_data(); // 256 samples: 4 rounds of 4 × 16 per epoch
+    let opts = default_opts(8);
+    let config = PipelineConfig::data_parallel(8, workers);
+    let (mut dp, report) = train_pipeline(mlp(12, 8, 4), &config, &data, &opts);
+    let global = TrainOpts {
+        batch: workers * batch,
+        ..default_opts(8)
     };
-    let (_, report) = train_asp(mlp(13, 8, 4), &data, 4, &opts);
-    assert!(report.final_loss().is_finite());
+    let (reference, _) = train_sequential(mlp(12, 8, 4), &data, &global);
+    for (i, (got, want)) in dp.snapshot().iter().zip(&reference.snapshot()).enumerate() {
+        let scale = want.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        for (g, w) in got.data().iter().zip(want.data()) {
+            assert!(
+                (g - w).abs() <= 1e-4 * scale,
+                "tensor {i}: {g} vs {w} (largest weight {scale})"
+            );
+        }
+    }
+    // And it learns what the BSP baseline was asked to.
+    let acc = evaluate(&mut dp, &data, batch);
+    assert!(acc > 0.9, "BSP-DP accuracy {acc}");
     assert!(report.final_loss() < report.per_epoch[0].loss);
 }
 
@@ -364,8 +417,8 @@ fn dropout_pipeline_is_deterministic() {
 #[test]
 fn resume_continues_from_checkpoint() {
     // §4: restart from the last successfully created checkpoint. Train 2
-    // epochs, "crash", resume for 2 more — the resumed run must start from
-    // the checkpointed parameters and label its epochs 2 and 3.
+    // epochs, "crash", resume as a 4-epoch run — the resumed run must start
+    // from the checkpointed parameters and label its epochs 2 and 3.
     use pipedream_runtime::checkpoint;
     let dir = std::env::temp_dir().join(format!("pd-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -388,14 +441,14 @@ fn resume_continues_from_checkpoint() {
         ..TrainOpts::default()
     };
     let (first_model, first) = train_pipeline(mlp(70, 8, 4), &config, &data, &mk_opts(2, false));
-    assert_eq!(checkpoint::latest_complete_epoch(&dir, 4), Some(1));
+    assert_eq!(checkpoint::latest_complete(&dir, 4), Some(32));
 
     // Resume with a FRESH (differently seeded) model: the checkpoint must
     // override its initialization entirely.
-    let (resumed_model, resumed) = train_pipeline(mlp(71, 8, 4), &config, &data, &mk_opts(2, true));
+    let (resumed_model, resumed) = train_pipeline(mlp(71, 8, 4), &config, &data, &mk_opts(4, true));
     assert_eq!(resumed.per_epoch[0].epoch, 2, "epoch numbering continues");
     assert_eq!(resumed.per_epoch[1].epoch, 3);
-    assert_eq!(checkpoint::latest_complete_epoch(&dir, 4), Some(3));
+    assert_eq!(checkpoint::latest_complete(&dir, 4), Some(64));
 
     // And the resumed run must equal a straight-through 4-epoch run
     // bit-for-bit (same schedule per epoch, same data order).

@@ -191,7 +191,7 @@ fn two_bw_reference(
         for mb in g * group..(g + 1) * group {
             let x = data.input(mb);
             let out = model.forward(&x, mb);
-            let loss = softmax_cross_entropy(&out, &data.labels(mb));
+            let loss = softmax_cross_entropy(&out, data.labels(mb));
             model.backward(&loss.grad, mb);
             losses.push((mb, loss.loss));
         }

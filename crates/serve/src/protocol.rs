@@ -93,20 +93,6 @@ pub struct PlanTarget {
     pub schedule: ScheduleKind,
 }
 
-fn zoo_by_name(name: &str) -> Option<ModelProfile> {
-    match name.to_ascii_lowercase().as_str() {
-        "vgg16" | "vgg-16" => Some(zoo::vgg16()),
-        "resnet50" | "resnet-50" => Some(zoo::resnet50()),
-        "alexnet" => Some(zoo::alexnet()),
-        "gnmt8" | "gnmt-8" => Some(zoo::gnmt8()),
-        "gnmt16" | "gnmt-16" => Some(zoo::gnmt16()),
-        "awd-lm" | "awdlm" | "lm" => Some(zoo::awd_lm()),
-        "s2vt" => Some(zoo::s2vt()),
-        "huge-lm" | "hugelm" => Some(zoo::huge_lm()),
-        _ => None,
-    }
-}
-
 fn parse_body(body: &[u8]) -> Result<Value, ApiError> {
     let text =
         std::str::from_utf8(body).map_err(|_| ApiError::bad_request("body is not valid UTF-8"))?;
@@ -131,7 +117,7 @@ fn resolve_profile(body: &Value) -> Result<ModelProfile, ApiError> {
             let name = v
                 .as_str()
                 .ok_or_else(|| ApiError::bad_request("\"model\" must be a string"))?;
-            zoo_by_name(name).ok_or_else(|| {
+            zoo::by_name(name).ok_or_else(|| {
                 ApiError::bad_request(format!(
                     "unknown model {name:?} (try vgg16, resnet50, alexnet, gnmt8, gnmt16, \
                      awd-lm, s2vt, or pass an inline \"profile\")"

@@ -13,6 +13,7 @@
 
 use crate::pipeline::SimResult;
 use crate::timeline::{Timeline, WorkKind};
+use pipedream_core::estimates::stage_memory;
 use pipedream_core::schedule::Op;
 use pipedream_core::{PipelineConfig, ScheduleKind, StagePlan};
 use pipedream_hw::Topology;
@@ -283,25 +284,10 @@ impl<'a> Engine<'a> {
         } else {
             self.makespan / n.max(1) as f64
         };
-        // Mirrors `pipedream_core::estimates::memory_footprint_for`: 2BW
-        // caps stashed weight versions at two, recomputation swaps the
-        // per-minibatch activation stash for a stage-input pin per
-        // in-flight minibatch plus one full activation working set.
         let (costs, kind) = (self.costs, self.kind);
         let peak_memory = |(w, worker): (usize, &Worker)| {
-            let s = &self.config.stages()[worker.stage];
-            let n = in_flight(w);
-            let versions = if kind.uses_two_bw() { n.min(2) } else { n };
-            let weights = costs.weight_bytes(s.first_layer, s.last_layer);
-            let acts = (s.first_layer..=s.last_layer).map(|l| costs.activation_bytes(l));
-            let acts: u64 = acts.sum();
-            let input = costs.activation_bytes(s.first_layer.saturating_sub(1));
-            let stash = if kind.uses_recompute() {
-                n * input + acts
-            } else {
-                n * acts
-            };
-            versions * weights + stash
+            let plan = &self.config.stages()[worker.stage];
+            stage_memory(costs, worker.stage, plan, in_flight(w), kind).total()
         };
         SimResult {
             peak_memory_bytes: self.workers.iter().enumerate().map(peak_memory).collect(),

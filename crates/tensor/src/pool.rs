@@ -16,7 +16,7 @@
 //! * **Size-classed.** Requests round up to the next power of two (min
 //!   64 elements), so a recycled buffer is reusable by any request of
 //!   its class and below-capacity fragmentation is bounded at 2×.
-//! * **Bounded.** Each class keeps at most [`MAX_FREE_PER_CLASS`]
+//! * **Bounded.** Each class keeps at most `MAX_FREE_PER_CLASS`
 //!   buffers; extras are dropped to the allocator so a transient spike
 //!   cannot pin memory forever.
 //!
