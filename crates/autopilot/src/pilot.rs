@@ -1,56 +1,70 @@
-//! The autopilot control loop: monitor → drain → checkpoint →
-//! repartition → resume → verify, with rollback.
+//! The relaunch loop: one logical training run as a sequence of segments,
+//! and the control plane that decides what each next segment is.
 //!
-//! [`train_with_autopilot`] wraps a pipeline training run with a control
-//! plane that closes the loop the paper leaves to the operator (§3.1's
-//! profile-driven planner assumes the profile stays true): a
-//! [`LiveProfiler`] samples the running pipeline, a [`DriftDetector`]
-//! confirms when a stage is persistently off-plan, the replan advisor
-//! re-runs the partitioner over *measured* costs, and — when a strictly
-//! better plan exists — the pipeline drains to a consistent minibatch
-//! boundary, cuts a per-stage checkpoint, re-splits it along the new
-//! plan's boundaries, and relaunches mid-epoch under the new stage
-//! assignment — the same `TrainOpts` with `resume` set, pointed at the
-//! generation directory to pick up from. Every segment numbers minibatches
-//! and epochs by the logical run, so the final report is the segments'
-//! reports joined end to end ([`TrainReport::then`]). The new plan then
-//! sits a probation window: its measured
-//! throughput must beat the degraded baseline by a margin, or the run
-//! rolls back to the previous plan *from the same checkpoint* and keeps
-//! training. Either way, training finishes and the final
-//! [`TrainReport`] carries a [`ReconfigReport`] quantifying the
-//! reconfiguration (downtime, redone work, throughput before / during /
-//! after, verdict).
+//! §4 of the paper makes recovery one rule — "restarting entails starting
+//! from the last successfully created checkpoint for all stages" — and a
+//! live replan is the same move with another trigger. [`train_supervised`]
+//! runs the logical run segment by segment, each segment one
+//! [`try_train_pipeline`] call with the same `TrainOpts` (`resume` set from
+//! the second on). Every segment numbers minibatches and epochs by the
+//! logical run, so the final report is the segments' reports joined end to
+//! end ([`TrainReport::then`]). How a segment ends decides the next one:
 //!
-//! Each training segment gets a fresh internal [`TraceSession`]: a
-//! `LiveProfiler` window starts at the session's epoch-zero, so reusing
+//! * **it failed, and a fault of the plan fired during it** — log a
+//!   [`RecoveryRecord`] and resume the *same* configuration from the newest
+//!   complete checkpoint of the directory the segment was writing, whether
+//!   it was monitored, on probation or rolled back, as often as faults
+//!   fire;
+//! * **it failed, and no fault fired** — an organic failure: the run ends
+//!   with [`AutopilotError::UnexpectedFailure`];
+//! * **the drift monitor drained it** — the replan advisor re-runs the
+//!   partitioner over *measured* costs and, when a strictly better plan
+//!   exists, the drained checkpoint is re-split along its boundaries into
+//!   the next generation directory and the new plan resumes on probation:
+//!   its measured throughput must beat the degraded baseline by a margin;
+//! * **probation failed** — the incumbent resumes from the untouched
+//!   `gen0` cut (rolled back);
+//! * **it finished** — the joined report is returned.
+//!
+//! Replanning is on when the caller passes the offline profile and
+//! topology the current plan was made from, and is attempted once per
+//! run; each attempt is a [`ReconfigReport`] (downtime, redone work,
+//! throughput before / during / after, verdict). Recoveries and
+//! reconfigurations land, in the order they happened, in
+//! [`TrainReport::control_log`].
+//!
+//! Without replanning, segments record into the caller's trace session.
+//! With it, each segment gets a fresh internal [`TraceSession`]: a
+//! [`LiveProfiler`] window starts at the session's time zero, so reusing
 //! one session across segments would fold a whole prior segment into the
-//! first sample. The *caller's* session (in `TrainOpts::obs`), when
-//! present, carries only the autopilot's own control track, state gauge,
-//! and reconfiguration counters.
+//! first sample. Either way the *caller's* session carries the control
+//! plane's one track (`supervisor`), the state gauge, and the fault and
+//! reconfiguration counters.
 
-use crate::repartition::{repartition_checkpoint, RepartitionError};
+use crate::plan::{Fault, FaultPlan};
+use crate::repartition::repartition_checkpoint;
 use crate::state::{AutopilotState, StateLog};
 use pipedream_core::{config_fingerprint, PipelineConfig, PlanError, Planner, StagePrediction};
 use pipedream_hw::Topology;
 use pipedream_model::LayerCosts;
-use pipedream_obs::{advise_replan, DriftConfig, DriftDetector, LiveProfiler, TraceSession};
+use pipedream_obs::{
+    advise_replan, DriftConfig, DriftDetector, LiveProfiler, LiveSnapshot, TraceSession,
+};
 use pipedream_runtime::checkpoint::latest_complete;
 use pipedream_runtime::control::RunControl;
 use pipedream_runtime::fault::FaultHook;
-use pipedream_runtime::report::{ReconfigReport, ReconfigVerdict};
+use pipedream_runtime::report::{ControlRecord, ReconfigReport, ReconfigVerdict, RecoveryRecord};
 use pipedream_runtime::trainer::{try_train_pipeline, TrainOpts};
 use pipedream_runtime::TrainReport;
 use pipedream_tensor::data::Dataset;
 use pipedream_tensor::Sequential;
 use std::fmt;
-use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Control-plane tuning knobs for [`train_with_autopilot`].
+/// Control-plane tuning knobs for live replanning.
 #[derive(Debug, Clone)]
 pub struct AutopilotOpts {
     /// Hysteresis thresholds for confirming drift.
@@ -92,25 +106,22 @@ impl Default for AutopilotOpts {
     }
 }
 
-/// Why a self-optimizing run could not produce a final report.
+/// Why a supervised run could not produce a final report.
 #[derive(Debug)]
 pub enum AutopilotError {
-    /// Reconfiguration needs checkpoints; `TrainOpts::checkpoint_dir` is
-    /// unset.
+    /// A relaunch needs checkpoints — replanning always, recovery once a
+    /// fault has brought a segment down — and `TrainOpts::checkpoint_dir`
+    /// is unset.
     MissingCheckpointDir,
+    /// A segment failed while no fault of the plan fired during it — an
+    /// organic failure, not the injected fault.
+    UnexpectedFailure(String),
     /// The planner/advisor rejected its inputs.
     Plan(PlanError),
-    /// The monitored (first) training segment failed outright.
-    Train(String),
     /// The drain completed but the checkpoint it should have produced is
-    /// missing or inconsistent.
+    /// missing or inconsistent, or it could not be re-split for the new
+    /// plan.
     Checkpoint(String),
-    /// Re-splitting the drained checkpoint for the new plan failed.
-    Repartition(RepartitionError),
-    /// Relaunching a training segment from a checkpoint failed.
-    Relaunch(String),
-    /// Creating a generation directory failed.
-    Io(io::Error),
 }
 
 impl fmt::Display for AutopilotError {
@@ -118,14 +129,13 @@ impl fmt::Display for AutopilotError {
         match self {
             AutopilotError::MissingCheckpointDir => write!(
                 f,
-                "autopilot requires a checkpoint_dir for drain/repartition (set TrainOpts::checkpoint_dir)"
+                "relaunching needs a checkpoint_dir to resume from (set TrainOpts::checkpoint_dir)"
             ),
+            AutopilotError::UnexpectedFailure(e) => {
+                write!(f, "training failed with no injected fault firing: {e}")
+            }
             AutopilotError::Plan(e) => write!(f, "replan failed: {e}"),
-            AutopilotError::Train(e) => write!(f, "monitored run failed: {e}"),
-            AutopilotError::Checkpoint(e) => write!(f, "drain checkpoint: {e}"),
-            AutopilotError::Repartition(e) => write!(f, "repartition: {e}"),
-            AutopilotError::Relaunch(e) => write!(f, "relaunch: {e}"),
-            AutopilotError::Io(e) => write!(f, "checkpoint directory: {e}"),
+            AutopilotError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
         }
     }
 }
@@ -138,16 +148,32 @@ impl From<PlanError> for AutopilotError {
     }
 }
 
-impl From<RepartitionError> for AutopilotError {
-    fn from(e: RepartitionError) -> Self {
-        AutopilotError::Repartition(e)
-    }
+/// What watches a segment, and so what its end can mean.
+enum Phase {
+    /// The incumbent plan under the drift monitor.
+    Monitored,
+    /// A new plan on probation.
+    Probation(Box<Pending>),
+    /// Nothing to watch: replanning is off or spent.
+    Plain,
 }
 
-impl From<io::Error> for AutopilotError {
-    fn from(e: io::Error) -> Self {
-        AutopilotError::Io(e)
-    }
+/// A reconfiguration whose new plan is on probation.
+struct Pending {
+    /// The plan to roll back to.
+    incumbent: PipelineConfig,
+    /// The drift that triggered the replan.
+    observed: DriftObservation,
+    /// Minibatches done at the drain cut.
+    point: u64,
+    /// When the drained segment ended.
+    drain_done_at: Instant,
+    /// Minibatches completed between the drain request and the cut.
+    during_mbs: u64,
+    /// When the new plan's first minibatch completed, carried across a
+    /// fault that ends a probation segment, so the retried segment's
+    /// restart does not count as reconfiguration downtime.
+    first_mb_at: Option<Instant>,
 }
 
 /// What the drift monitor captured at the moment it confirmed drift.
@@ -160,415 +186,421 @@ struct DriftObservation {
     /// Minibatches the pipeline had completed when the drain was
     /// requested.
     total_at_drain: u64,
-    /// When the drain was requested.
     drain_requested_at: Instant,
 }
 
-struct MonitorOutcome {
-    drift: Option<DriftObservation>,
-    /// Minibatches completed by the end of the segment.
-    final_total: u64,
+/// What a segment's monitor saw.
+enum Watched {
+    /// The drift monitor: drift it confirmed (and drained on), if any, and
+    /// minibatches completed by the segment's end.
+    Drift(Option<DriftObservation>, u64),
+    /// The probation monitor: when the new plan's first minibatch
+    /// completed (sample-granular, in this segment or one a fault ended),
+    /// its measured throughput, its verdict.
+    Probation(Option<Instant>, f64, bool),
 }
 
-/// Drain-cut alignment covering any replica layout the advisor might pick
-/// on `workers` workers: the lcm of every possible replica count, so the
-/// work remaining after the cut divides evenly into the new plan's
-/// gradient-sync rounds whatever it turns out to be. Falls back to
-/// `workers` (covering all homogeneous layouts) when the exact lcm grows
-/// impractically large — the pre-repartition divisibility check still
-/// guards the exotic heterogeneous layouts then.
-fn reconfig_cut_alignment(workers: usize) -> u64 {
-    let w = workers.max(1) as u64;
-    let full = (1..=w).fold(1u64, pipedream_core::lcm);
-    if full <= 64 * w {
-        full
-    } else {
-        w
-    }
-}
-
-/// Segment-1 watcher: sample, detect, and on first confirmed drift
-/// request the drain and capture the measured state the advisor needs.
-#[allow(clippy::too_many_arguments)]
-fn drift_monitor(
-    session: Arc<TraceSession>,
+/// Live replanning's inputs, fixed for the run.
+struct Replanner<'a> {
+    baseline: &'a LayerCosts,
+    topo: &'a Topology,
+    auto: &'a AutopilotOpts,
+    /// The planner's per-stage times for the incumbent: the drift
+    /// detector's reference.
     predictions: Vec<StagePrediction>,
-    drift_cfg: DriftConfig,
-    gate: Arc<RunControl>,
+    /// Drain-cut alignment covering any replica layout the advisor might
+    /// pick on the incumbent's workers: the lcm of every possible replica
+    /// count, so the work remaining after the cut divides evenly into the
+    /// new plan's gradient-sync rounds whatever it turns out to be. Falls
+    /// back to the worker count (covering all homogeneous layouts) when
+    /// the exact lcm grows impractically large — the pre-repartition
+    /// divisibility check still guards the exotic heterogeneous layouts
+    /// then.
     cut_align: u64,
-    stop: Arc<AtomicBool>,
-    sample_every: Duration,
-    batch: usize,
-    log: Arc<StateLog>,
-) -> MonitorOutcome {
+}
+
+/// Sample `session` every `every` until `stop` is set (one last sample
+/// after), handing each sample to `step`.
+fn sample_until(
+    session: &Arc<TraceSession>,
+    stop: &AtomicBool,
+    every: Duration,
+    mut step: impl FnMut(&LiveSnapshot),
+) {
     let mut profiler = LiveProfiler::new(session.clone()).without_publish();
-    let mut detector = DriftDetector::new(predictions).with_config(drift_cfg);
-    let mut drift: Option<DriftObservation> = None;
-    let mut final_total;
     loop {
         let done = stop.load(Ordering::Relaxed);
-        let live = profiler.sample();
-        let snap = session.snapshot();
-        let report = detector.observe_with_tracks(&live, Some(&snap));
-        final_total = live.minibatches_total;
-        if drift.is_none() && report.any_drift() && live.minibatches_total > 0 && live.t_s > 0.0 {
-            log.enter(AutopilotState::DriftConfirmed);
-            log.enter(AutopilotState::Draining);
-            gate.request_drain_aligned(cut_align);
-            drift = Some(DriftObservation {
-                measured_stage_s: live.measured_stage_s(),
-                throughput_before: live.minibatches_total as f64 / live.t_s * batch as f64,
-                total_at_drain: live.minibatches_total,
-                drain_requested_at: Instant::now(),
-            });
-        }
+        step(&profiler.sample());
         if done {
-            break;
+            return;
         }
-        thread::sleep(sample_every);
+        thread::sleep(every);
     }
-    MonitorOutcome { drift, final_total }
 }
 
-struct ProbationOutcome {
-    /// When the relaunched pipeline's first completed minibatch was
-    /// observed (sample-granular).
-    first_mb_at: Option<Instant>,
-    /// Measured throughput (samples/s) of the new plan.
-    throughput_after: f64,
-    /// Whether the new plan cleared the margin.
-    passed: bool,
+/// Samples/s over a live snapshot's whole window, if it completed any.
+fn samples_per_s(live: &LiveSnapshot, batch: usize) -> Option<f64> {
+    (live.minibatches_total > 0 && live.t_s > 0.0)
+        .then(|| live.minibatches_total as f64 / live.t_s * batch as f64)
 }
 
-/// Segment-2 watcher: measure the relaunched plan and, once enough
-/// windows accumulated, pass its verdict — draining the segment early
-/// when it fails so a bad plan doesn't keep burning time.
-#[allow(clippy::too_many_arguments)]
-fn probation_monitor(
-    session: Arc<TraceSession>,
-    gate: Arc<RunControl>,
-    stop: Arc<AtomicBool>,
-    threshold: f64,
-    windows: usize,
-    sample_every: Duration,
-    batch: usize,
-    log: Arc<StateLog>,
-) -> ProbationOutcome {
-    let mut profiler = LiveProfiler::new(session).without_publish();
-    let mut first_mb_at = None;
-    let mut windows_seen = 0usize;
-    let mut throughput = 0.0;
-    let mut decided: Option<bool> = None;
-    loop {
-        let done = stop.load(Ordering::Relaxed);
-        let live = profiler.sample();
-        if first_mb_at.is_none() && live.minibatches_total > 0 {
-            first_mb_at = Some(Instant::now());
-            log.enter(AutopilotState::Verifying);
-        }
-        if live.window_minibatches > 0 {
-            windows_seen += 1;
-        }
-        if live.minibatches_total > 0 && live.t_s > 0.0 {
-            throughput = live.minibatches_total as f64 / live.t_s * batch as f64;
-        }
-        if decided.is_none() && windows_seen >= windows && live.minibatches_total > 0 {
-            let pass = throughput >= threshold;
-            decided = Some(pass);
-            if !pass {
-                gate.request_drain();
+impl Replanner<'_> {
+    /// Watch a monitored or probation segment's live profile until `stop`.
+    /// The drift monitor requests the drain on the first confirmed drift;
+    /// the probation monitor passes its verdict once enough windows
+    /// accumulated, draining the segment early when it fails so a bad plan
+    /// doesn't keep burning time.
+    fn watch(
+        &self,
+        phase: &Phase,
+        session: &Arc<TraceSession>,
+        gate: &RunControl,
+        stop: &AtomicBool,
+        batch: usize,
+        log: &StateLog,
+    ) -> Watched {
+        let every = self.auto.sample_every;
+        match phase {
+            Phase::Monitored => {
+                let mut detector =
+                    DriftDetector::new(self.predictions.clone()).with_config(self.auto.drift);
+                let (mut drift, mut total) = (None, 0);
+                sample_until(session, stop, every, |live| {
+                    let report = detector.observe_with_tracks(live, Some(&session.snapshot()));
+                    total = live.minibatches_total;
+                    match samples_per_s(live, batch) {
+                        Some(rate) if drift.is_none() && report.any_drift() => {
+                            log.enter(AutopilotState::DriftConfirmed);
+                            log.enter(AutopilotState::Draining);
+                            gate.request_drain_aligned(self.cut_align);
+                            drift = Some(DriftObservation {
+                                measured_stage_s: live.measured_stage_s(),
+                                throughput_before: rate,
+                                total_at_drain: total,
+                                drain_requested_at: Instant::now(),
+                            });
+                        }
+                        _ => {}
+                    }
+                });
+                Watched::Drift(drift, total)
             }
+            Phase::Probation(p) => {
+                let threshold = p.observed.throughput_before * (1.0 + self.auto.probation_margin);
+                let (mut first_mb_at, mut windows, mut rate, mut verdict) =
+                    (p.first_mb_at, 0, 0.0, None);
+                sample_until(session, stop, every, |live| {
+                    if first_mb_at.is_none() && live.minibatches_total > 0 {
+                        first_mb_at = Some(Instant::now());
+                        log.enter(AutopilotState::Verifying);
+                    }
+                    windows += usize::from(live.window_minibatches > 0);
+                    rate = samples_per_s(live, batch).unwrap_or(rate);
+                    if verdict.is_none()
+                        && windows >= self.auto.probation_windows
+                        && live.minibatches_total > 0
+                    {
+                        verdict = Some(rate >= threshold);
+                        if verdict == Some(false) {
+                            gate.request_drain();
+                        }
+                    }
+                });
+                // A segment that finished before the window count filled
+                // still gets judged — on everything it measured.
+                Watched::Probation(first_mb_at, rate, verdict.unwrap_or(rate >= threshold))
+            }
+            Phase::Plain => unreachable!("a plain segment is not watched"),
         }
-        if done {
-            break;
-        }
-        thread::sleep(sample_every);
-    }
-    ProbationOutcome {
-        first_mb_at,
-        throughput_after: throughput,
-        // A segment that finished before the window count filled still
-        // gets judged — on everything it measured.
-        passed: decided.unwrap_or(throughput >= threshold),
     }
 }
 
-/// Relaunch the run under `config` from the newest complete checkpoint in
-/// `opts.checkpoint_dir`.
-fn relaunch(
-    model: &Sequential,
-    config: &PipelineConfig,
-    dataset: &Dataset,
-    opts: TrainOpts,
-    hook: Option<Arc<dyn FaultHook>>,
-) -> Result<(Sequential, TrainReport), AutopilotError> {
-    let opts = TrainOpts {
-        resume: true,
-        ..opts
-    };
-    try_train_pipeline(model.clone(), config, dataset, &opts, hook)
-        .map_err(|e| AutopilotError::Relaunch(e.to_string()))
-}
-
-/// Train `model` under `config`, letting the autopilot reconfigure the
-/// pipeline live if the run drifts off-plan.
+/// Train `model` under `config` as one logical run of as many segments as
+/// its faults and its replan need (see the module docs).
 ///
-/// `baseline` and `topo` are the offline profile and hardware topology
-/// the current plan was made from — the advisor re-plans over
-/// measurement-scaled versions of the same inputs. `opts.checkpoint_dir`
-/// is required: the autopilot creates per-generation subdirectories
-/// (`gen0` for the incumbent plan, `gen1` for the repartitioned one)
-/// beneath it, so a rollback always finds the old plan's files
-/// untouched. `opts.control` and `opts.obs` are overridden per segment —
-/// the autopilot owns the drain gates, and profiles each segment on a
-/// fresh internal session; the caller's `opts.obs` session (if any)
-/// receives the control track, state gauge, and reconfig counters
-/// instead. `hook` (e.g. a `DelayStraggler` modelling a degraded host)
-/// stays installed across every segment: the environment does not heal
-/// just because the pipeline reconfigured.
+/// `replan` — the offline profile and hardware topology the current plan
+/// was made from, and the control-plane knobs — turns live replanning on:
+/// the advisor re-plans over measurement-scaled versions of the same
+/// inputs. It needs `opts.checkpoint_dir`, beneath which it creates one
+/// directory per plan generation (`gen0` for the incumbent, `gen1` for the
+/// repartitioned plan), so a rollback always finds the old plan's files
+/// untouched; `opts.control` and `opts.obs` are then the loop's own per
+/// segment. Without `replan` the run checkpoints into `opts.checkpoint_dir`
+/// itself. `faults`, if any, stays installed in every segment — the
+/// environment does not heal because the pipeline relaunched — and every
+/// recovery from one resumes from `opts.checkpoint_dir`'s checkpoints.
 ///
 /// Returns the trained model and a [`TrainReport`] covering the whole
-/// logical run; `report.reconfig` records the reconfiguration, if one
-/// happened.
-#[allow(clippy::too_many_arguments)]
-pub fn train_with_autopilot(
+/// logical run, its `control_log` recording every recovery and
+/// reconfiguration.
+pub fn train_supervised(
     model: &Sequential,
     config: &PipelineConfig,
     dataset: &Dataset,
     opts: &TrainOpts,
-    baseline: &LayerCosts,
-    topo: &Topology,
-    auto: &AutopilotOpts,
-    hook: Option<Arc<dyn FaultHook>>,
+    replan: Option<(&LayerCosts, &Topology, &AutopilotOpts)>,
+    faults: Option<Arc<FaultPlan>>,
 ) -> Result<(Sequential, TrainReport), AutopilotError> {
-    let root = opts
-        .checkpoint_dir
-        .clone()
-        .ok_or(AutopilotError::MissingCheckpointDir)?;
-    let gen0 = root.join("gen0");
-    std::fs::create_dir_all(&gen0)?;
-
-    let planner = Planner::from_costs(baseline.clone(), topo);
-    let predictions = planner.try_predicted_stage_times(config)?;
-
     let log = StateLog::new(opts.obs.clone());
-    log.enter(AutopilotState::Monitoring);
-    if let Some(session) = &opts.obs {
-        session.metrics().counter("reconfig_attempts_total"); // pre-register
-    }
-
-    // --- Segment 1: the incumbent plan, monitored.
-    let session1 = TraceSession::new();
-    let gate1 = Arc::new(RunControl::new());
-    let mut opts1 = opts.clone();
-    opts1.checkpoint_dir = Some(gen0.clone());
-    opts1.control = Some(gate1.clone());
-    opts1.obs = Some(session1.clone());
-
-    let stop1 = Arc::new(AtomicBool::new(false));
-    let monitor = {
-        let session = session1.clone();
-        let preds = predictions.clone();
-        let drift_cfg = auto.drift;
-        let gate = gate1.clone();
-        let cut_align = reconfig_cut_alignment(config.total_workers());
-        let stop = stop1.clone();
-        let sample_every = auto.sample_every;
-        let batch = opts.batch;
-        let log = log.clone();
-        thread::spawn(move || {
-            drift_monitor(
-                session,
-                preds,
-                drift_cfg,
-                gate,
-                cut_align,
-                stop,
-                sample_every,
-                batch,
-                log,
-            )
-        })
+    let metrics = opts.obs.as_ref().map(|s| s.metrics());
+    let hook = faults.clone().map(|p| p as Arc<dyn FaultHook>);
+    let mut dir = opts.checkpoint_dir.clone();
+    let mut phase = Phase::Plain;
+    let replanner = match replan {
+        None => None,
+        Some((baseline, topo, auto)) => {
+            let root = dir.ok_or(AutopilotError::MissingCheckpointDir)?;
+            dir = Some(root.join("gen0"));
+            phase = Phase::Monitored;
+            if let Some(m) = metrics {
+                m.counter("reconfig_attempts_total"); // pre-register
+            }
+            let workers = config.total_workers().max(1) as u64;
+            let full = (1..=workers).fold(1, pipedream_core::lcm);
+            Some(Replanner {
+                baseline,
+                topo,
+                auto,
+                predictions: Planner::from_costs(baseline.clone(), topo)
+                    .try_predicted_stage_times(config)?,
+                cut_align: if full <= 64 * workers { full } else { workers },
+            })
+        }
     };
-
-    let seg1 = try_train_pipeline(model.clone(), config, dataset, &opts1, hook.clone());
-    stop1.store(true, Ordering::Relaxed);
-    let mon = monitor.join().expect("drift monitor panicked");
-    let (model1, report1) = seg1.map_err(|e| AutopilotError::Train(e.to_string()))?;
-    let drain_done_at = Instant::now();
-
-    let (observed, point) = match (mon.drift, report1.drained_at) {
-        (Some(o), Some(p)) => (o, p),
-        // No confirmed drift — or the run finished before the cut could
-        // truncate it. Nothing to reconfigure.
-        _ => return Ok((model1, report1)),
-    };
-
-    // The drain protocol's contract: every stage checkpointed the same
-    // point, and it is the newest in gen0.
-    log.enter(AutopilotState::Checkpointing);
-    let have = latest_complete(&gen0, config.num_stages());
-    if have != Some(point) {
-        return Err(AutopilotError::Checkpoint(format!(
-            "expected a complete checkpoint at {point} minibatches, found {have:?}"
-        )));
-    }
-    if let Some(session) = &opts.obs {
-        session.metrics().counter("reconfig_attempts_total").inc();
-    }
-
-    // --- Replan over measured costs, honoring the run's memory budget
-    // and schedule kind.
-    let advice = advise_replan(
-        baseline,
-        topo,
-        config,
-        &observed.measured_stage_s,
-        auto.sim_minibatches,
-        auto.memory_limit,
-        opts.schedule,
-    )?;
-    // The work remaining after the cut must divide evenly into the new
-    // plan's gradient-sync rounds, or the relaunch would drop the ragged
-    // tail and the run end short. The drain cut was pre-aligned for every
-    // layout the advisor can pick (`reconfig_cut_alignment`), so this only
-    // rejects exotic heterogeneous layouts or a misaligned `force_plan`.
-    let total = (opts.epochs * dataset.num_minibatches(opts.batch).max(1)) as u64;
-    let remaining = total.saturating_sub(point);
-    let applicable = |candidate: &PipelineConfig| remaining % candidate.replica_lcm() == 0;
-    // Resume the incumbent plan from the drain point in gen0 and finish
-    // the run, joined to `before`.
-    let resume_incumbent = |before: TrainReport, reconfig| {
-        let ropts = TrainOpts {
-            checkpoint_dir: Some(gen0.clone()),
-            control: None,
+    let mbs_per_epoch = dataset.num_minibatches(opts.batch).max(1) as u64;
+    let mut config = config.clone();
+    let mut resume = opts.resume;
+    let mut report = TrainReport::default();
+    let mut relaunched = false;
+    loop {
+        if let Phase::Monitored = phase {
+            log.enter(AutopilotState::Monitoring);
+        }
+        let watched = !matches!(phase, Phase::Plain);
+        let gate = Arc::new(RunControl::new());
+        let seg_opts = TrainOpts {
+            checkpoint_dir: dir.clone(),
+            resume,
+            control: if watched {
+                Some(gate.clone())
+            } else {
+                opts.control.clone()
+            },
+            obs: if replanner.is_some() {
+                Some(TraceSession::new())
+            } else {
+                opts.obs.clone()
+            },
             ..opts.clone()
         };
-        let (m, r) = relaunch(model, config, dataset, ropts, hook.clone())?;
-        let report = TrainReport {
-            drained_at: Some(point),
-            reconfig,
-            ..before.then(r)
+        let shots = faults.as_ref().map_or(0, |p| p.fired_shots().len());
+        let stop = AtomicBool::new(false);
+        let (result, seen) = thread::scope(|s| {
+            let watcher = replanner.as_ref().filter(|_| watched).map(|r| {
+                let session = seg_opts
+                    .obs
+                    .as_ref()
+                    .expect("replanning traces every segment");
+                let (phase, gate, stop, log) = (&phase, &gate, &stop, &log);
+                s.spawn(move || r.watch(phase, session, gate, stop, opts.batch, log))
+            });
+            let result =
+                try_train_pipeline(model.clone(), &config, dataset, &seg_opts, hook.clone());
+            stop.store(true, Ordering::Relaxed);
+            (result, watcher.map(|w| w.join().expect("monitor panicked")))
+        });
+        let ended = Instant::now();
+        if std::mem::take(&mut relaunched) {
+            log.recovered();
+        }
+        let (trained, segment) = match result {
+            Ok(out) => out,
+            Err(e) => {
+                // Only a fault that fired during this segment explains its
+                // failure; a straggler never fires a shot.
+                let fired = faults
+                    .as_ref()
+                    .map(|p| p.fired_shots().split_off(shots))
+                    .unwrap_or_default();
+                let Some(&(fault, _, fired_at)) = fired.last() else {
+                    return Err(AutopilotError::UnexpectedFailure(e.to_string()));
+                };
+                let ckpt = dir.as_deref().ok_or(AutopilotError::MissingCheckpointDir)?;
+                log.fault();
+                // §4: restart every stage from the newest checkpoint whose
+                // *every* stage file is intact. The runtime finds it again
+                // under `resume`; it is looked up here only to be reported.
+                let resumed_from = latest_complete(ckpt, config.num_stages());
+                let from = resumed_from.unwrap_or(0);
+                // First minibatch *not* reached when the fault fired.
+                let frontier = match *fault {
+                    Fault::Kill { mb, .. } | Fault::Delay { mb, .. } | Fault::Drop { mb, .. } => {
+                        mb + 1
+                    }
+                    Fault::Corrupt { epoch, .. } => (epoch as u64 + 1) * mbs_per_epoch,
+                    Fault::Straggle { .. } => unreachable!("a straggler never fires a shot"),
+                };
+                let record = RecoveryRecord {
+                    fault: fired.iter().map(|s| s.1).collect::<Vec<_>>().join(";"),
+                    detection_latency_s: e.detected_at.duration_since(fired_at).as_secs_f64(),
+                    resumed_from,
+                    epochs_redone: ((frontier - 1) / mbs_per_epoch + 1)
+                        .saturating_sub(from / mbs_per_epoch)
+                        as usize,
+                    minibatches_redone: frontier.saturating_sub(from),
+                    checkpoint_every: opts.checkpoint_every,
+                    // The run's end quality, filled in when it ends.
+                    final_loss: f32::NAN,
+                    final_accuracy: f32::NAN,
+                    baseline_loss: None,
+                    baseline_accuracy: None,
+                };
+                // The new plan's first minibatch, if this probation segment
+                // ran one, still ended the reconfiguration's downtime.
+                if let (Phase::Probation(p), Some(Watched::Probation(first, ..))) =
+                    (&mut phase, seen)
+                {
+                    p.first_mb_at = first;
+                }
+                report = report.then(e.partial);
+                report.control_log.push(ControlRecord::Recovery(record));
+                (resume, relaunched) = (true, true);
+                continue;
+            }
         };
-        Ok((m, report))
-    };
-    let new_config = match &auto.force_plan {
-        Some(forced) if applicable(forced) => forced.clone(),
-        None if advice.changed && applicable(&advice.recommended_config) => {
-            advice.recommended_config.clone()
+        let drained_at = segment.drained_at;
+        report = report.then(segment);
+        match (std::mem::replace(&mut phase, Phase::Plain), seen) {
+            (Phase::Monitored, Some(Watched::Drift(Some(observed), final_total))) => {
+                // The run finished before the cut could truncate it:
+                // nothing to reconfigure.
+                let Some(point) = drained_at else {
+                    return Ok(finish(trained, report));
+                };
+                let r = replanner.as_ref().expect("monitored segments replan");
+                // The drain protocol's contract: every stage checkpointed
+                // the same point, and it is the newest in gen0.
+                log.enter(AutopilotState::Checkpointing);
+                let gen0 = dir.clone().expect("replanning has a checkpoint dir");
+                let have = latest_complete(&gen0, config.num_stages());
+                if have != Some(point) {
+                    return Err(AutopilotError::Checkpoint(format!(
+                        "drain expected a complete checkpoint at {point} minibatches, found {have:?}"
+                    )));
+                }
+                if let Some(m) = metrics {
+                    m.counter("reconfig_attempts_total").inc();
+                }
+                // Replan over measured costs, honoring the run's memory
+                // budget and schedule kind.
+                let advice = advise_replan(
+                    r.baseline,
+                    r.topo,
+                    &config,
+                    &observed.measured_stage_s,
+                    r.auto.sim_minibatches,
+                    r.auto.memory_limit,
+                    opts.schedule,
+                )?;
+                // The work remaining after the cut must divide evenly into
+                // the new plan's gradient-sync rounds, or the relaunch
+                // would drop the ragged tail and the run end short. The cut
+                // was pre-aligned for every layout the advisor can pick, so
+                // this only rejects exotic heterogeneous layouts or a
+                // misaligned `force_plan`.
+                let remaining = (opts.epochs as u64 * mbs_per_epoch).saturating_sub(point);
+                let candidate = match &r.auto.force_plan {
+                    Some(forced) => Some(forced),
+                    None => advice.changed.then_some(&advice.recommended_config),
+                }
+                .filter(|c| remaining % c.replica_lcm() == 0);
+                resume = true;
+                // Nothing strictly better (or the candidate cannot run the
+                // remaining work): no plan changed, so no ReconfigReport;
+                // the incumbent resumes from the drain point in gen0.
+                let Some(new_config) = candidate.cloned() else {
+                    log.enter(AutopilotState::Resuming);
+                    continue;
+                };
+                // Re-split the drained checkpoint along the new
+                // boundaries, and relaunch under the new plan, on
+                // probation.
+                log.enter(AutopilotState::Repartitioning);
+                let gen1 = gen0.with_file_name("gen1");
+                repartition_checkpoint(&gen0, &config, &gen1, &new_config, model.clone(), point)?;
+                log.enter(AutopilotState::Resuming);
+                phase = Phase::Probation(Box::new(Pending {
+                    incumbent: std::mem::replace(&mut config, new_config),
+                    during_mbs: final_total.saturating_sub(observed.total_at_drain),
+                    observed,
+                    point,
+                    drain_done_at: ended,
+                    first_mb_at: None,
+                }));
+                dir = Some(gen1);
+            }
+            (Phase::Probation(p), Some(Watched::Probation(first_mb_at, after, passed))) => {
+                let r = replanner.as_ref().expect("probation follows a replan");
+                // A clean drain redoes nothing on commit. A rollback
+                // discards the probation's work, and the incumbent resumes
+                // from the *same* cut: gen0's files were never touched, so
+                // the resume sees exactly the state the drain cut.
+                let (state, verdict) = if passed {
+                    (AutopilotState::Committed, ReconfigVerdict::Committed)
+                } else {
+                    (AutopilotState::RolledBack, ReconfigVerdict::RolledBack)
+                };
+                let discarded = report.per_minibatch.iter().filter(|m| m.0 >= p.point);
+                let during_s = first_mb_at
+                    .unwrap_or(p.drain_done_at)
+                    .duration_since(p.observed.drain_requested_at)
+                    .as_secs_f64();
+                let record = ReconfigReport {
+                    old_label: p.incumbent.label(),
+                    new_label: config.label(),
+                    old_plan_fingerprint: config_fingerprint(&p.incumbent),
+                    new_plan_fingerprint: config_fingerprint(&config),
+                    drained_at: p.point,
+                    downtime_ms: first_mb_at.map_or(0.0, |t| {
+                        t.duration_since(p.drain_done_at).as_secs_f64() * 1e3
+                    }),
+                    minibatches_redone: if passed { 0 } else { discarded.count() as u64 },
+                    throughput_before: p.observed.throughput_before,
+                    throughput_during: if during_s > 0.0 {
+                        p.during_mbs as f64 * opts.batch as f64 / during_s
+                    } else {
+                        0.0
+                    },
+                    throughput_after: after,
+                    probation_margin: r.auto.probation_margin,
+                    verdict,
+                };
+                log.enter(state);
+                if let Some(m) = metrics {
+                    m.counter(&format!("reconfig_{state}_total")).inc();
+                    m.gauge("reconfig_downtime_ms").set(record.downtime_ms);
+                }
+                report.control_log.push(ControlRecord::Reconfig(record));
+                if passed {
+                    return Ok(finish(trained, report));
+                }
+                config = p.incumbent;
+                dir = dir.map(|d| d.with_file_name("gen0"));
+                resume = true;
+            }
+            // No confirmed drift, or replanning is off or spent.
+            _ => return Ok(finish(trained, report)),
         }
-        _ => {
-            // Nothing strictly better (or the candidate cannot run the
-            // remaining work). No plan changed, so no ReconfigReport.
-            log.enter(AutopilotState::Resuming);
-            return resume_incumbent(report1, Vec::new());
-        }
-    };
-
-    // --- Re-split the drained checkpoint along the new boundaries.
-    log.enter(AutopilotState::Repartitioning);
-    let gen1 = root.join("gen1");
-    repartition_checkpoint(&gen0, config, &gen1, &new_config, model.clone(), point)?;
-
-    // --- Segment 2: relaunch under the new plan, on probation.
-    log.enter(AutopilotState::Resuming);
-    let threshold = observed.throughput_before * (1.0 + auto.probation_margin);
-    let session2 = TraceSession::new();
-    let gate2 = Arc::new(RunControl::new());
-    let mut opts2 = opts.clone();
-    opts2.checkpoint_dir = Some(gen1.clone());
-    opts2.control = Some(gate2.clone());
-    opts2.obs = Some(session2.clone());
-
-    let stop2 = Arc::new(AtomicBool::new(false));
-    let probation = {
-        let session = session2.clone();
-        let gate = gate2.clone();
-        let stop = stop2.clone();
-        let windows = auto.probation_windows;
-        let sample_every = auto.sample_every;
-        let batch = opts.batch;
-        let log = log.clone();
-        thread::spawn(move || {
-            probation_monitor(
-                session,
-                gate,
-                stop,
-                threshold,
-                windows,
-                sample_every,
-                batch,
-                log,
-            )
-        })
-    };
-
-    let seg2 = relaunch(model, &new_config, dataset, opts2, hook.clone());
-    stop2.store(true, Ordering::Relaxed);
-    let prob = probation.join().expect("probation monitor panicked");
-    let (model2, report2) = seg2?;
-
-    let downtime_ms = prob
-        .first_mb_at
-        .map(|t| t.duration_since(drain_done_at).as_secs_f64() * 1e3)
-        .unwrap_or(0.0);
-    let during_s = prob
-        .first_mb_at
-        .unwrap_or(drain_done_at)
-        .duration_since(observed.drain_requested_at)
-        .as_secs_f64();
-    let during_mbs = mon.final_total.saturating_sub(observed.total_at_drain);
-    let throughput_during = if during_s > 0.0 {
-        during_mbs as f64 * opts.batch as f64 / during_s
-    } else {
-        0.0
-    };
-
-    let mut record = ReconfigReport {
-        old_label: config.label(),
-        new_label: new_config.label(),
-        old_plan_fingerprint: config_fingerprint(config),
-        new_plan_fingerprint: config_fingerprint(&new_config),
-        drained_at: point,
-        downtime_ms,
-        // A clean drain redoes nothing on commit; a rollback discards the
-        // probation segment's work (set below).
-        minibatches_redone: 0,
-        throughput_before: observed.throughput_before,
-        throughput_during,
-        throughput_after: prob.throughput_after,
-        probation_margin: auto.probation_margin,
-        verdict: ReconfigVerdict::Committed,
-    };
-
-    if prob.passed {
-        log.enter(AutopilotState::Committed);
-        if let Some(session) = &opts.obs {
-            let m = session.metrics();
-            m.counter("reconfig_committed_total").inc();
-            m.gauge("reconfig_downtime_ms").set(downtime_ms);
-        }
-        let report = TrainReport {
-            drained_at: Some(point),
-            reconfig: vec![record],
-            ..report1.then(report2)
-        };
-        return Ok((model2, report));
     }
+}
 
-    // --- Probation failed: roll back to the incumbent plan from the
-    // *same* checkpoint. gen0's files were never touched, so the resume
-    // sees exactly the state the drain cut.
-    record.verdict = ReconfigVerdict::RolledBack;
-    record.minibatches_redone = report2.per_minibatch.len() as u64;
-    log.enter(AutopilotState::RolledBack);
-    if let Some(session) = &opts.obs {
-        let m = session.metrics();
-        m.counter("reconfig_rolled_back_total").inc();
-        m.gauge("reconfig_downtime_ms").set(downtime_ms);
+/// The run's end quality, on every recovery it logged.
+fn finish(trained: Sequential, mut report: TrainReport) -> (Sequential, TrainReport) {
+    let (loss, accuracy) = (report.final_loss(), report.final_accuracy());
+    for entry in &mut report.control_log {
+        if let ControlRecord::Recovery(r) = entry {
+            (r.final_loss, r.final_accuracy) = (loss, accuracy);
+        }
     }
-    let (model3, mut report) = resume_incumbent(report1, vec![record])?;
-    // The discarded probation segment still cost wall-clock time.
-    report.wall_time_s += report2.wall_time_s;
-    Ok((model3, report))
+    (trained, report)
 }

@@ -12,47 +12,11 @@
 //! under the same `done`. Generations never share a directory, so a
 //! rollback can still resume the old plan from its own untouched files.
 
+use crate::pilot::AutopilotError;
 use pipedream_core::PipelineConfig;
-use pipedream_runtime::checkpoint::{load_stage, save_stage, CheckpointError};
+use pipedream_runtime::checkpoint::{load_stage, save_stage};
 use pipedream_tensor::{Layer, Sequential};
-use std::fmt;
-use std::io;
 use std::path::Path;
-
-/// Why a checkpoint could not be re-split for the new plan.
-#[derive(Debug)]
-pub enum RepartitionError {
-    /// A plan's stage boundaries do not cover the template model.
-    InvalidConfig(String),
-    /// An old-generation stage file was missing or unreadable.
-    Load(CheckpointError),
-    /// Writing a new-generation stage file failed.
-    Save(io::Error),
-}
-
-impl fmt::Display for RepartitionError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RepartitionError::InvalidConfig(e) => write!(f, "invalid configuration: {e}"),
-            RepartitionError::Load(e) => write!(f, "loading old-generation checkpoint: {e}"),
-            RepartitionError::Save(e) => write!(f, "writing new-generation checkpoint: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RepartitionError {}
-
-impl From<CheckpointError> for RepartitionError {
-    fn from(e: CheckpointError) -> Self {
-        RepartitionError::Load(e)
-    }
-}
-
-impl From<io::Error> for RepartitionError {
-    fn from(e: io::Error) -> Self {
-        RepartitionError::Save(e)
-    }
-}
 
 /// Layer indices where a config's stages begin (excluding layer 0) —
 /// the `split_off` boundary list.
@@ -69,7 +33,9 @@ fn boundaries(config: &PipelineConfig) -> Vec<usize> {
 /// (files written into `new_dir`). `template` must be an architecture-identical model — its
 /// layer *structure* is used to rebuild the full parameter vector; its
 /// parameter *values* are fully overwritten by the checkpoint before
-/// anything is saved.
+/// anything is saved. Fails with [`AutopilotError::Checkpoint`] when a
+/// plan's stage boundaries do not cover the template, an old-generation
+/// stage file is missing or unreadable, or a new one cannot be written.
 pub fn repartition_checkpoint(
     old_dir: &Path,
     old_config: &PipelineConfig,
@@ -77,21 +43,17 @@ pub fn repartition_checkpoint(
     new_config: &PipelineConfig,
     template: Sequential,
     done: u64,
-) -> Result<(), RepartitionError> {
+) -> Result<(), AutopilotError> {
+    let fail = |e: String| AutopilotError::Checkpoint(format!("repartition: {e}"));
     let num_layers = template.len();
-    old_config
-        .validate(num_layers)
-        .map_err(RepartitionError::InvalidConfig)?;
-    new_config
-        .validate(num_layers)
-        .map_err(RepartitionError::InvalidConfig)?;
-    std::fs::create_dir_all(new_dir)?;
+    old_config.validate(num_layers).map_err(fail)?;
+    new_config.validate(num_layers).map_err(fail)?;
 
     // Rebuild the full model at the drain point: restore each old
     // stage's parameters into the matching slice of the template.
     let mut old_stages = template.split_off(&boundaries(old_config));
     for (si, stage_model) in old_stages.iter_mut().enumerate() {
-        let params = load_stage(old_dir, si, done)?;
+        let params = load_stage(old_dir, si, done).map_err(|e| fail(e.to_string()))?;
         stage_model.restore(&params);
     }
     let mut full = Sequential::new("repartitioned");
@@ -105,7 +67,7 @@ pub fn repartition_checkpoint(
     // *same* `done`, into its own generation directory.
     let new_stages = full.split_off(&boundaries(new_config));
     for (si, stage_model) in new_stages.iter().enumerate() {
-        save_stage(new_dir, si, done, &stage_model.snapshot())?;
+        save_stage(new_dir, si, done, &stage_model.snapshot()).map_err(|e| fail(e.to_string()))?;
     }
     Ok(())
 }

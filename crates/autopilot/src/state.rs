@@ -1,18 +1,17 @@
-//! The reconfiguration state machine.
+//! The reconfiguration state machine, and the control plane's record of
+//! what it did.
 //!
 //! Every live repartition walks a fixed ladder of states; the
-//! [`StateLog`] records each transition with a timestamp, mirrors it
-//! into the obs metrics registry (`autopilot_state` gauge plus one
-//! counter per state), and drops a `reconfig` instant on the autopilot's
-//! control track so a traced run shows the reconfiguration alongside the
-//! worker rows.
+//! [`StateLog`] publishes each transition to the obs metrics registry
+//! (`autopilot_state` gauge plus one counter per state) and drops a
+//! `reconfig` instant on the control plane's one track, `supervisor`,
+//! where detected faults and recoveries land too — so a traced run shows
+//! the relaunch loop's decisions alongside the worker rows.
 
-use pipedream_obs::{Recorder, SpanKind, TraceSession};
+use pipedream_obs::{MetricsRegistry, Recorder, SpanKind, TraceSession};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
 
 /// Where the control plane is in the reconfiguration ladder.
 ///
@@ -104,58 +103,61 @@ impl fmt::Display for AutopilotState {
     }
 }
 
-/// Timestamped transition log shared between the control loop and its
-/// monitor threads. Cloning the `Arc` hands a monitor thread the same
-/// log the pilot writes its own transitions to.
+/// The control plane's record of what it did, shared between the relaunch
+/// loop and its monitor threads.
 pub struct StateLog {
-    start: Instant,
-    track: Recorder,
+    /// The `supervisor` track, registered on first use: a run the control
+    /// plane never acts on carries no extra track.
+    track: OnceLock<Recorder>,
     session: Option<Arc<TraceSession>>,
-    entries: Mutex<Vec<(AutopilotState, f64)>>,
 }
 
 impl StateLog {
-    /// New log anchored at "now". `session` is the *caller's* obs
-    /// session (if any): transitions publish to its metrics registry and
-    /// the `autopilot` control track, never to the per-segment internal
-    /// sessions the pilot uses for profiling.
-    pub fn new(session: Option<Arc<TraceSession>>) -> Arc<Self> {
-        let track = session
-            .as_ref()
-            .map(|s| s.recorder("autopilot"))
-            .unwrap_or_default();
-        Arc::new(StateLog {
-            start: Instant::now(),
-            track,
+    /// A log publishing to `session`, the *caller's* obs session (if any):
+    /// its metrics registry and the `supervisor` control track, never the
+    /// per-segment internal sessions the loop uses for profiling.
+    pub fn new(session: Option<Arc<TraceSession>>) -> Self {
+        StateLog {
+            track: OnceLock::new(),
             session,
-            entries: Mutex::new(Vec::new()),
-        })
+        }
     }
 
-    /// Record entering `state`: appends to the log, bumps the state
-    /// gauge/counters, and drops a `reconfig` instant on the autopilot
-    /// track.
+    /// Drop an instant of `kind` on the control track; the session's
+    /// metrics, if there is a session.
+    fn mark(&self, kind: SpanKind) -> Option<&MetricsRegistry> {
+        let track = self.track.get_or_init(|| {
+            self.session
+                .as_ref()
+                .map(|s| s.recorder("supervisor"))
+                .unwrap_or_default()
+        });
+        track.instant(kind);
+        self.session.as_deref().map(TraceSession::metrics)
+    }
+
+    /// Record entering `state`: sets the state gauge, bumps the state's
+    /// counter, and drops a `reconfig` instant on the control track.
     pub fn enter(&self, state: AutopilotState) {
-        let t = self.start.elapsed().as_secs_f64();
-        self.entries.lock().unwrap().push((state, t));
-        self.track.instant(SpanKind::Reconfig);
-        if let Some(session) = &self.session {
-            let m = session.metrics();
+        if let Some(m) = self.mark(SpanKind::Reconfig) {
             m.gauge("autopilot_state").set(state.code() as f64);
             m.counter_labeled("autopilot_transitions_total", &[("state", state.name())])
                 .inc();
         }
     }
 
-    /// Every transition so far as `(state, seconds since the log was
-    /// created)`.
-    pub fn history(&self) -> Vec<(AutopilotState, f64)> {
-        self.entries.lock().unwrap().clone()
+    /// Record that a segment failed under an injected fault.
+    pub fn fault(&self) {
+        if let Some(m) = self.mark(SpanKind::Fault) {
+            m.counter("faults_detected_total").inc();
+        }
     }
 
-    /// The most recent state, if any transition happened.
-    pub fn current(&self) -> Option<AutopilotState> {
-        self.entries.lock().unwrap().last().map(|(s, _)| *s)
+    /// Record that the segment relaunched after a fault has run.
+    pub fn recovered(&self) {
+        if let Some(m) = self.mark(SpanKind::Recovery) {
+            m.counter("faults_recovered_total").inc();
+        }
     }
 }
 
@@ -163,51 +165,51 @@ impl StateLog {
 mod tests {
     use super::*;
 
+    const LADDER: [AutopilotState; 9] = [
+        AutopilotState::Monitoring,
+        AutopilotState::DriftConfirmed,
+        AutopilotState::Draining,
+        AutopilotState::Checkpointing,
+        AutopilotState::Repartitioning,
+        AutopilotState::Resuming,
+        AutopilotState::Verifying,
+        AutopilotState::Committed,
+        AutopilotState::RolledBack,
+    ];
+
     #[test]
     fn ladder_codes_are_ordered() {
-        let ladder = [
-            AutopilotState::Monitoring,
-            AutopilotState::DriftConfirmed,
-            AutopilotState::Draining,
-            AutopilotState::Checkpointing,
-            AutopilotState::Repartitioning,
-            AutopilotState::Resuming,
-            AutopilotState::Verifying,
-            AutopilotState::Committed,
-            AutopilotState::RolledBack,
-        ];
-        for w in ladder.windows(2) {
+        for w in LADDER.windows(2) {
             assert!(w[0].code() < w[1].code());
         }
-        for s in ladder {
+        for s in LADDER {
             assert_eq!(AutopilotState::from_code(s.code()), Some(s));
         }
         assert_eq!(AutopilotState::from_code(9), None);
     }
 
+    /// Each transition publishes as it happens: after entering a state the
+    /// gauge reads it and its counter has counted it, and the control
+    /// track holds one `reconfig` instant per transition, in order.
     #[test]
-    fn log_records_transitions_in_order() {
-        let log = StateLog::new(None);
-        log.enter(AutopilotState::Monitoring);
-        log.enter(AutopilotState::DriftConfirmed);
-        log.enter(AutopilotState::Draining);
-        let h = log.history();
-        assert_eq!(h.len(), 3);
-        assert_eq!(h[0].0, AutopilotState::Monitoring);
-        assert_eq!(h[2].0, AutopilotState::Draining);
-        assert!(h[0].1 <= h[2].1);
-        assert_eq!(log.current(), Some(AutopilotState::Draining));
-    }
-
-    #[test]
-    fn transitions_publish_metrics() {
+    fn transitions_publish_in_ladder_order() {
         let session = TraceSession::new();
         let log = StateLog::new(Some(session.clone()));
-        log.enter(AutopilotState::Monitoring);
-        log.enter(AutopilotState::Committed);
-        assert_eq!(
-            session.metrics().gauge("autopilot_state").get(),
-            AutopilotState::Committed.code() as f64
-        );
+        let m = session.metrics();
+        // The commit path, as the relaunch loop walks it.
+        for state in &LADDER[..8] {
+            log.enter(*state);
+            assert_eq!(m.gauge("autopilot_state").get(), state.code() as f64);
+            let seen = m.counter_labeled("autopilot_transitions_total", &[("state", state.name())]);
+            assert_eq!(seen.get(), 1, "{state}");
+        }
+        let snap = session.snapshot();
+        let track = snap.tracks.iter().find(|t| t.name == "supervisor").unwrap();
+        assert_eq!(track.events.len(), 8);
+        assert!(track.events.iter().all(|e| e.kind == SpanKind::Reconfig));
+        assert!(track
+            .events
+            .windows(2)
+            .all(|w| w[0].start_ns <= w[1].start_ns));
     }
 }

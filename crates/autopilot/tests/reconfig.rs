@@ -2,12 +2,11 @@
 //! correctness, loss-trajectory identity across a drain → repartition →
 //! resume cycle, and probation rollback on a forced bad plan.
 
-use pipedream_autopilot::{repartition_checkpoint, train_with_autopilot, AutopilotOpts};
+use pipedream_autopilot::{repartition_checkpoint, train_supervised, AutopilotOpts, FaultPlan};
 use pipedream_core::PipelineConfig;
-use pipedream_ft::DelayStraggler;
 use pipedream_hw::{Device, LinkModel, Precision, Topology};
 use pipedream_model::profile_sequential;
-use pipedream_obs::DriftConfig;
+use pipedream_obs::{DriftConfig, SpanKind};
 use pipedream_runtime::checkpoint::{load_stage, save_stage};
 use pipedream_runtime::control::RunControl;
 use pipedream_runtime::report::ReconfigVerdict;
@@ -198,22 +197,24 @@ fn forced_bad_plan_rolls_back_and_training_completes() {
     };
     // 3 ms per forward send from stage 0: an unambiguous straggler that
     // also paces the run slowly enough for the monitor to see it.
-    let hook = Arc::new(DelayStraggler::new(0, Duration::from_millis(3)));
-    let (_, report) = train_with_autopilot(
+    let plan = Arc::new(FaultPlan::parse("straggle:stage=0,ms=3").unwrap());
+    let (_, report) = train_supervised(
         &model(3),
         &config,
         &data,
         &opts,
-        &costs,
-        &topo,
-        &auto,
-        Some(hook.clone()),
+        Some((&costs, &topo, &auto)),
+        Some(plan.clone()),
     )
     .expect("autopilot run");
 
-    assert!(hook.times_fired() > 0, "straggler never fired");
-    assert_eq!(report.reconfig.len(), 1, "expected one reconfig attempt");
-    let rec = &report.reconfig[0];
+    assert!(plan.straggled() > 0, "straggler never fired");
+    assert_eq!(
+        report.reconfigs().count(),
+        1,
+        "expected one reconfig attempt"
+    );
+    let rec = report.reconfigs().next().unwrap();
     assert_eq!(rec.verdict, ReconfigVerdict::RolledBack, "{rec:?}");
     assert_eq!(rec.old_plan_fingerprint, rec.new_plan_fingerprint);
     assert!(rec.throughput_before > 0.0);
@@ -256,21 +257,23 @@ fn forced_good_plan_commits() {
         force_plan: Some(single_stage.clone()),
         ..AutopilotOpts::default()
     };
-    let hook = Arc::new(DelayStraggler::new(0, Duration::from_millis(3)));
-    let (_, report) = train_with_autopilot(
+    let plan = Arc::new(FaultPlan::parse("straggle:stage=0,ms=3").unwrap());
+    let (_, report) = train_supervised(
         &model(3),
         &config,
         &data,
         &opts,
-        &costs,
-        &topo,
-        &auto,
-        Some(hook),
+        Some((&costs, &topo, &auto)),
+        Some(plan),
     )
     .expect("autopilot run");
 
-    assert_eq!(report.reconfig.len(), 1, "expected one reconfig attempt");
-    let rec = &report.reconfig[0];
+    assert_eq!(
+        report.reconfigs().count(),
+        1,
+        "expected one reconfig attempt"
+    );
+    let rec = report.reconfigs().next().unwrap();
     assert_eq!(rec.verdict, ReconfigVerdict::Committed, "{rec:?}");
     assert!(
         rec.throughput_after > rec.throughput_before,
@@ -279,5 +282,83 @@ fn forced_good_plan_commits() {
     assert_eq!(rec.minibatches_redone, 0, "a clean drain redoes nothing");
     let ids: Vec<u64> = report.per_minibatch.iter().map(|(id, _)| *id).collect();
     assert_eq!(ids, (0..64).collect::<Vec<u64>>());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A kill under replanning is one more segment to recover, not the end of
+/// the run: the commit path of [`forced_good_plan_commits`] with a kill
+/// whose minibatch lands in whichever segment — monitored, or the new plan
+/// on probation — runs it, ends with one reconfiguration, one recovery,
+/// and every minibatch once. A kill on probation leaves the downtime what
+/// the first probation segment measured: the failed segment and its
+/// restart are recovery, not reconfiguration.
+#[test]
+fn kill_under_replanning_recovers_in_any_segment() {
+    let topo = Topology::flat(Device::v100(), 2, LinkModel::new(1e14, 0.0), "test");
+    let mut prof = model(3);
+    let profile = profile_sequential(&mut prof, &Tensor::zeros(&[BATCH, 8]), 1, 3, &topo.device);
+    let costs = profile.costs(&topo.device, BATCH, Precision::Fp32);
+    let n = profile.num_layers();
+    let config = PipelineConfig::straight(n, &[3]);
+
+    let data = blobs(512, 8, 4, 0.7, 7);
+    let mut opts = deterministic_opts();
+    opts.epochs = 2;
+    let dir = tmpdir("kill-replan");
+    opts.checkpoint_dir = Some(dir.clone());
+    let session = pipedream_obs::TraceSession::new();
+    opts.obs = Some(session.clone());
+
+    let auto = AutopilotOpts {
+        drift: DriftConfig {
+            min_minibatches: 1,
+            ..DriftConfig::default()
+        },
+        sample_every: Duration::from_millis(25),
+        probation_windows: 2,
+        probation_margin: 0.05,
+        force_plan: Some(PipelineConfig::straight(n, &[])),
+        ..AutopilotOpts::default()
+    };
+    let plan = Arc::new(FaultPlan::parse("straggle:stage=0,ms=3;kill:stage=0,mb=50").unwrap());
+    let (_, report) = train_supervised(
+        &model(3),
+        &config,
+        &data,
+        &opts,
+        Some((&costs, &topo, &auto)),
+        Some(plan.clone()),
+    )
+    .expect("a kill under replanning recovers");
+
+    assert_eq!(plan.fired_shots().len(), 1, "the kill fired");
+    assert_eq!(report.reconfigs().count(), 1, "{:?}", report.control_log);
+    assert_eq!(report.recoveries().count(), 1, "{:?}", report.control_log);
+    let ids: Vec<u64> = report.per_minibatch.iter().map(|(id, _)| *id).collect();
+    assert_eq!(ids, (0..64).collect::<Vec<u64>>());
+
+    let rec = report.reconfigs().next().unwrap();
+    if rec.drained_at < 50 {
+        // The kill landed on probation, after the new plan completed a
+        // minibatch. The control track's fourth reconfig instant is
+        // `Checkpointing`, entered as the drained segment ended; the
+        // downtime runs from there to the new plan's first minibatch,
+        // which came before the kill was detected. Counting the failed
+        // segment and its restart would run it past the fault, to the
+        // retried segment's first profiler sample (one every 25 ms here).
+        let snap = session.snapshot();
+        let sup = snap.tracks.iter().find(|t| t.name == "supervisor").unwrap();
+        let at = |kind: SpanKind, nth: usize| {
+            let e = sup.events.iter().filter(|e| e.kind == kind).nth(nth);
+            e.expect("instant on the control track").start_ns as f64 / 1e6
+        };
+        let (cut_ms, fault_ms) = (at(SpanKind::Reconfig, 3), at(SpanKind::Fault, 0));
+        assert!(
+            rec.downtime_ms < fault_ms - cut_ms + 5.0,
+            "downtime {} ms spans the failed probation segment ({} ms from cut to fault)",
+            rec.downtime_ms,
+            fault_ms - cut_ms
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,7 +6,7 @@
 //! bottlenecks on the straggler. This experiment closes the loop:
 //!
 //! 1. profile → plan a balanced straight pipeline (as `trace-validate`);
-//! 2. train it with a [`DelayStraggler`] injected into one stage, so
+//! 2. train it with a `straggle:` [`FaultPlan`] on one stage, so
 //!    every forward send from that stage stalls inside its `Fwd` span —
 //!    recorded as backpressure, which counts toward the stage's measured
 //!    per-minibatch service time;
@@ -19,7 +19,7 @@
 //!
 //! [`run_applied`] closes the loop for real: the same setup (under a
 //! heavier straggler — see `APPLIED_DELAY`) is handed to
-//! [`train_with_autopilot`], which detects the straggler live,
+//! [`train_supervised`] with replanning on, which detects the straggler live,
 //! drains to a consistent checkpoint, repartitions onto the advisor's
 //! recommended plan, resumes mid-epoch, and commits (or rolls back) after
 //! a measured probation window — no human in the loop.
@@ -27,9 +27,8 @@
 //! [`StagePrediction`]: pipedream_core::StagePrediction
 
 use crate::util::format_table;
-use pipedream_autopilot::{train_with_autopilot, AutopilotOpts};
+use pipedream_autopilot::{train_supervised, AutopilotOpts, FaultPlan};
 use pipedream_core::{PipelineConfig, Planner, ScheduleKind};
-use pipedream_ft::DelayStraggler;
 use pipedream_hw::{Device, LinkModel, Precision, Topology};
 use pipedream_model::{profile_sequential, LayerCosts};
 use pipedream_obs::{
@@ -61,6 +60,12 @@ const DELAY: Duration = Duration::from_millis(2);
 /// injected delay alone makes the run last ≥ `minibatches × DELAY`, so a
 /// 50 ms period guarantees several in-run windows before training ends.
 const SAMPLE_EVERY: Duration = Duration::from_millis(50);
+
+/// The persistent straggler on [`STRAGGLER_STAGE`], `delay` per send.
+fn straggle(delay: Duration) -> FaultPlan {
+    let spec = format!("straggle:stage={STRAGGLER_STAGE},ms={}", delay.as_millis());
+    FaultPlan::parse(&spec).expect("straggle spec is valid")
+}
 
 fn model(seed: u64) -> Sequential {
     let mut r = rng(seed);
@@ -178,12 +183,12 @@ pub fn run(epochs: usize) -> DriftReplan {
             (detected_after, last)
         })
     };
-    let hook = Arc::new(DelayStraggler::new(STRAGGLER_STAGE, DELAY));
-    let (_, report) = try_train_pipeline(model(5), &config, &data, &opts, Some(hook.clone()))
+    let straggler = Arc::new(straggle(DELAY));
+    let (_, report) = try_train_pipeline(model(5), &config, &data, &opts, Some(straggler.clone()))
         .expect("degraded training run failed");
     stop.store(true, Ordering::Relaxed);
     let (detected_after_samples, (drift, live)) = watcher.join().expect("watcher thread");
-    assert!(hook.times_fired() > 0, "straggler never fired");
+    assert!(straggler.straggled() > 0, "straggler never fired");
 
     // Feed measured reality back into the planner.
     let advice = advise_replan(
@@ -349,8 +354,8 @@ pub struct AppliedReplan {
 const APPLIED_DELAY: Duration = Duration::from_millis(20);
 
 /// Close the loop for real: train the degraded pipeline under
-/// [`train_with_autopilot`] and let it detect, drain, repartition,
-/// resume, and judge the new plan — no human in the loop.
+/// [`train_supervised`] with replanning on and let it detect, drain,
+/// repartition, resume, and judge the new plan — no human in the loop.
 pub fn run_applied(epochs: usize) -> AppliedReplan {
     let (topo, costs, config) = healthy_plan();
     let data = blobs(1024, 16, 4, 0.7, 11);
@@ -378,23 +383,21 @@ pub fn run_applied(epochs: usize) -> AppliedReplan {
         probation_margin: 0.05,
         ..AutopilotOpts::default()
     };
-    let hook = Arc::new(DelayStraggler::new(STRAGGLER_STAGE, APPLIED_DELAY));
-    let (_, report) = train_with_autopilot(
+    let straggler = Arc::new(straggle(APPLIED_DELAY));
+    let (_, report) = train_supervised(
         &model(5),
         &config,
         &data,
         &opts,
-        &costs,
-        &topo,
-        &auto,
-        Some(hook.clone()),
+        Some((&costs, &topo, &auto)),
+        Some(straggler.clone()),
     )
     .expect("applied autopilot run failed");
     let _ = std::fs::remove_dir_all(&ckpt);
-    assert!(hook.times_fired() > 0, "straggler never fired");
+    assert!(straggler.straggled() > 0, "straggler never fired");
     let reconfig = report
-        .reconfig
-        .first()
+        .reconfigs()
+        .next()
         .cloned()
         .expect("autopilot never attempted a reconfiguration");
     AppliedReplan {

@@ -8,14 +8,15 @@
 //! (`TrainOpts::checkpoint_every`), at most `k` minibatches plus the
 //! pipeline's in-flight window. This experiment kills workers at chosen
 //! points of a 3-stage pipeline (and loses a message on the wire), lets
-//! the `pipedream-ft` supervisor recover, and reports for each fault:
+//! the relaunch loop of `pipedream-autopilot` recover, and reports for each
+//! fault:
 //! detection latency, how many minibatches were done at the checkpoint
 //! resumed from, epochs and minibatches redone, and end-quality parity
 //! with an unfaulted run.
 
 use crate::util::format_table;
+use pipedream_autopilot::{train_supervised, FaultPlan};
 use pipedream_core::PipelineConfig;
-use pipedream_ft::{train_with_recovery, FaultPlan};
 use pipedream_runtime::report::RecoveryRecord;
 use pipedream_runtime::{train_pipeline, LrSchedule, OptimKind, Semantics, TrainOpts};
 use pipedream_tensor::data::blobs;
@@ -97,10 +98,20 @@ pub fn run(epochs: usize) -> Recovery {
             std::env::temp_dir().join(format!("pipedream-recovery-{}-{i}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let plan = Arc::new(FaultPlan::parse(spec).expect("spec is valid"));
-        let (_, report) =
-            train_with_recovery(&mlp(70), &config, &data, &opts(Some(dir.clone())), plan)
-                .expect("supervised run recovers");
-        let mut rec = report.recovery.expect("recovery record attached");
+        let (_, report) = train_supervised(
+            &mlp(70),
+            &config,
+            &data,
+            &opts(Some(dir.clone())),
+            None,
+            Some(plan),
+        )
+        .expect("supervised run recovers");
+        let mut rec = report
+            .recoveries()
+            .next()
+            .cloned()
+            .expect("fault recovered");
         rec.baseline_loss = Some(baseline.final_loss());
         rec.baseline_accuracy = Some(baseline.final_accuracy());
         records.push(rec);

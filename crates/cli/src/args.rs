@@ -24,7 +24,7 @@ USAGE:
                      [--schedule vanilla|2bw|recompute|2bw-recompute]
                      [--fault kill:stage=S,mb=N | delay:stage=S,mb=N,ms=M |
                               drop:stage=S,mb=N | corrupt:stage=S,epoch=E |
-                              straggle:stage=S,ms=M]
+                              straggle:stage=S,ms=M  (several joined by ;)]
                      [--checkpoint-dir DIR] [--checkpoint-every K]
                      [--report file.json] [--trace out.json] [--metrics]
                      [--timeline] [--watch] [--auto-replan]
@@ -55,10 +55,18 @@ runs the planning daemon (POST /plan, /simulate, /validate; GET /metrics,
 backward), or `2bw-recompute` (both). For `plan` it changes the memory
 model the partitioner checks `--memory-limit-gb` against; for `train`
 (stashed semantics only) it changes what the workers stash.
+`train --fault` injects faults at logical minibatch ids: a segment a fault
+brings down restarts from the newest checkpoint every stage completed, as
+often as faults fire; `straggle:` slows every send of a stage and never
+kills. `--checkpoint-every K` adds a dump every K minibatches of an epoch;
+on a replicated configuration a dump is taken only where the minibatches
+done are a multiple of the lcm of the replica counts (every gradient-sync
+round closed), so other points are skipped.
 `train --auto-replan` runs under the autopilot: if the live profile drifts
 off-plan, the pipeline drains to a checkpoint, repartitions onto the
 advisor's plan, and resumes — committing or rolling back after a measured
-probation window (requires --checkpoint-dir, or a temp dir is used).
+probation window (requires --checkpoint-dir, or a temp dir is used). It
+combines with any --fault: a fault in any segment is recovered the same way.
 `top --auto-replan` runs the same autopilot demo and adds a control-plane
 status line (state-machine position, reconfiguration attempts / commits /
 rollbacks, last downtime) to every dashboard frame.
@@ -252,14 +260,16 @@ pub struct TrainArgs {
     pub schedule: ScheduleKind,
     /// RNG seed.
     pub seed: u64,
-    /// Fault-injection spec (e.g. `kill:stage=1,mb=37`), run under the
-    /// recovery supervisor.
+    /// Fault-injection plan (e.g. `kill:stage=1,mb=37`, several joined by
+    /// `;`), recovered from by the relaunch loop.
     pub fault: Option<String>,
     /// Checkpoint directory (per-stage epoch-boundary checkpoints; defaults
     /// to a temp dir when `--fault` needs one).
     pub checkpoint_dir: Option<String>,
     /// Also checkpoint every K minibatches mid-epoch, tightening the
-    /// recovery redo bound to ≤ K minibatches.
+    /// recovery redo bound to ≤ K minibatches. On a replicated
+    /// configuration only points where the minibatches done are a multiple
+    /// of the replica lcm take a dump.
     pub checkpoint_every: Option<u64>,
     /// Write the final TrainReport as JSON to this path.
     pub report: Option<String>,

@@ -4,18 +4,17 @@ use crate::args::{
     AnalyzeArgs, DpArgs, ExportArgs, InspectArgs, PlanArgs, ServeArgs, SimulateArgs, Target,
     TopArgs, TrainArgs,
 };
-use pipedream_autopilot::{train_with_autopilot, AutopilotOpts, AutopilotState};
+use pipedream_autopilot::{train_supervised, AutopilotOpts, AutopilotState, Fault, FaultPlan};
 use pipedream_core::schedule::Schedule;
 use pipedream_core::{PipelineConfig, Planner, ScheduleKind};
-use pipedream_ft::{train_with_recovery, DelayStraggler, Fault, FaultPlan};
 use pipedream_hw::{ClusterPreset, Device, LinkModel, Precision, Topology};
-use pipedream_model::{profile_sequential, zoo, ModelProfile};
+use pipedream_model::{profile_sequential, zoo, LayerCosts, ModelProfile};
 use pipedream_obs::{
     analyze_trace, parse_chrome_trace, render_live_dashboard, render_live_status, sim_to_snapshot,
     what_if, BubbleCause, CriticalPathReport, LiveProfiler,
 };
-use pipedream_runtime::trainer::{evaluate, try_train_pipeline};
-use pipedream_runtime::{train_pipeline, LrSchedule, OptimKind, Semantics, TrainOpts};
+use pipedream_runtime::trainer::evaluate;
+use pipedream_runtime::{ControlRecord, LrSchedule, OptimKind, Semantics, TrainOpts};
 use pipedream_sim::{render_timeline, simulate_dp, simulate_pipeline};
 use pipedream_tensor::data::{blobs, Dataset};
 use pipedream_tensor::init::rng;
@@ -298,26 +297,19 @@ impl Watcher {
     }
 }
 
-/// `straggle:stage=S,ms=M` — a persistent [`DelayStraggler`] on every
-/// forward send from `stage`, for exercising `analyze` and `top` against
-/// a continuously degraded run (a one-shot `delay:` fault fires once).
-fn parse_straggler(spec: &str) -> Result<DelayStraggler, String> {
-    let body = spec.strip_prefix("straggle:").unwrap_or(spec);
-    let mut stage = None;
-    let mut ms = None;
-    for part in body.split(',') {
-        match part.split_once('=') {
-            Some(("stage", v)) => stage = v.parse::<usize>().ok(),
-            Some(("ms", v)) => ms = v.parse::<u64>().ok(),
-            _ => {}
-        }
-    }
-    match (stage, ms) {
-        (Some(s), Some(m)) if m > 0 => {
-            Ok(DelayStraggler::new(s, std::time::Duration::from_millis(m)))
-        }
-        _ => Err("expected straggle:stage=S,ms=M with ms ≥ 1".into()),
-    }
+/// The inputs live replanning needs for the demo pipeline: its healthy
+/// per-layer profile, and a topology of one device per stage worker.
+fn replan_inputs(model: &Sequential, stages: usize, batch: usize) -> (LayerCosts, Topology) {
+    let topo = Topology::flat(
+        Device::v100(),
+        stages,
+        LinkModel::new(1e14, 0.0),
+        "local-threads",
+    );
+    let mut prof_model = model.clone();
+    let input = Tensor::zeros(&[batch, 8]);
+    let profile = profile_sequential(&mut prof_model, &input, 1, 3, &topo.device);
+    (profile.costs(&topo.device, batch, Precision::Fp32), topo)
 }
 
 /// `pipedream train`.
@@ -341,9 +333,9 @@ pub fn train(a: TrainArgs) -> Result<String, String> {
     let (model, config, data) = demo_pipeline(a.stages, a.seed);
     let (train_set, test_set) = data.split(0.25);
     let mbs_per_epoch = train_set.num_minibatches(a.batch) as u64;
-    // --fault implies checkpointing so the recovery supervisor has
-    // something to restart from; --auto-replan implies it so the autopilot
-    // can drain and repartition.
+    // --fault implies checkpointing so a relaunch has something to restart
+    // from; --auto-replan implies it so the autopilot can drain and
+    // repartition.
     let checkpoint_dir = match (&a.checkpoint_dir, a.fault.is_some() || a.auto_replan) {
         (Some(d), _) => Some(std::path::PathBuf::from(d)),
         (None, true) => {
@@ -352,8 +344,8 @@ pub fn train(a: TrainArgs) -> Result<String, String> {
         (None, false) => None,
     };
     // Any observability flag opens a trace session shared by the workers,
-    // the gradient-sync groups, and (under --fault) the recovery
-    // supervisor.
+    // the gradient-sync groups, and the control plane's `supervisor`
+    // track.
     let session = if a.trace.is_some() || a.metrics || a.timeline || a.watch {
         Some(pipedream_obs::TraceSession::new())
     } else {
@@ -383,92 +375,25 @@ pub fn train(a: TrainArgs) -> Result<String, String> {
         obs: session.clone(),
         ..TrainOpts::default()
     };
-    let mut fault_fired = true;
-    let mut straggler: Option<Arc<DelayStraggler>> = None;
-    let (mut trained, report) = if a.auto_replan {
-        // A fault under the autopilot rides along as a plain hook: only
-        // delay faults make sense (the autopilot reconfigures around a
-        // degraded-but-alive pipeline; crashes need the recovery
-        // supervisor).
-        let mut plan = None;
-        match &a.fault {
-            None => {}
-            Some(spec) if spec.starts_with("straggle:") => {
-                straggler = Some(Arc::new(
-                    parse_straggler(spec).map_err(|e| format!("--fault: {e}"))?,
-                ));
-            }
-            Some(spec) => {
-                let p = Arc::new(FaultPlan::parse(spec).map_err(|e| format!("--fault: {e}"))?);
-                if !matches!(p.fault(), Fault::Delay { .. }) {
-                    return Err(
-                        "--auto-replan combines only with delay:… or straggle:… faults; use \
-                         kill/drop/corrupt without --auto-replan for the recovery supervisor"
-                            .into(),
-                    );
-                }
-                plan = Some(p);
-            }
-        };
-        // The autopilot re-plans over the measured-vs-profiled gap, so it
-        // needs the healthy per-layer profile and a topology for the
-        // demo's worker threads.
-        let topo = Topology::flat(
-            Device::v100(),
-            a.stages,
-            LinkModel::new(1e14, 0.0),
-            "local-threads",
-        );
-        let mut prof_model = model.clone();
-        let profile = profile_sequential(
-            &mut prof_model,
-            &Tensor::zeros(&[a.batch, 8]),
-            1,
-            3,
-            &topo.device,
-        );
-        let costs = profile.costs(&topo.device, a.batch, Precision::Fp32);
-        let auto = AutopilotOpts::default();
-        let hook = plan
-            .clone()
-            .map(|p| p as Arc<dyn pipedream_runtime::fault::FaultHook>)
-            .or_else(|| {
-                straggler
-                    .clone()
-                    .map(|s| s as Arc<dyn pipedream_runtime::fault::FaultHook>)
-            });
-        let result = train_with_autopilot(
-            &model, &config, &train_set, &opts, &costs, &topo, &auto, hook,
-        )
-        .map_err(|e| e.to_string())?;
-        if let Some(p) = &plan {
-            fault_fired = p.fired();
-        }
-        if let Some(s) = &straggler {
-            fault_fired = s.times_fired() > 0;
-        }
-        result
-    } else {
-        match &a.fault {
-            None => train_pipeline(model, &config, &train_set, &opts),
-            Some(spec) if spec.starts_with("straggle:") => {
-                let hook = Arc::new(parse_straggler(spec).map_err(|e| format!("--fault: {e}"))?);
-                straggler = Some(hook.clone());
-                let result =
-                    try_train_pipeline(model, &config, &train_set, &opts, Some(hook.clone()))
-                        .map_err(|e| e.to_string())?;
-                fault_fired = hook.times_fired() > 0;
-                result
-            }
-            Some(spec) => {
-                let plan = Arc::new(FaultPlan::parse(spec).map_err(|e| format!("--fault: {e}"))?);
-                let result = train_with_recovery(&model, &config, &train_set, &opts, plan.clone())
-                    .map_err(|e| e.to_string())?;
-                fault_fired = plan.fired();
-                result
-            }
-        }
+    let faults = match &a.fault {
+        Some(spec) => Some(Arc::new(
+            FaultPlan::parse(spec).map_err(|e| format!("--fault: {e}"))?,
+        )),
+        None => None,
     };
+    let replan = a
+        .auto_replan
+        .then(|| replan_inputs(&model, a.stages, a.batch));
+    let auto = AutopilotOpts::default();
+    let (mut trained, report) = train_supervised(
+        &model,
+        &config,
+        &train_set,
+        &opts,
+        replan.as_ref().map(|(costs, topo)| (costs, topo, &auto)),
+        faults.clone(),
+    )
+    .map_err(|e| e.to_string())?;
     let final_live = watcher.map(Watcher::finish);
     let mut out = String::new();
     if let Some(live) = &final_live {
@@ -483,25 +408,29 @@ pub fn train(a: TrainArgs) -> Result<String, String> {
         "trained {}-stage pipeline ({:?}) for {} epochs on 4-class blobs",
         a.stages, semantics, a.epochs
     );
-    if let Some(hook) = &straggler {
-        if fault_fired {
+    if let Some(plan) = &faults {
+        for fault in plan.faults() {
+            if let Fault::Straggle { stage, .. } = fault {
+                let _ = writeln!(
+                    out,
+                    "injected persistent straggler on stage {stage}: {} forward send(s) delayed",
+                    plan.straggled()
+                );
+            }
+        }
+        if !plan.fired() {
             let _ = writeln!(
                 out,
-                "injected persistent straggler on stage {}: {} forward send(s) delayed",
-                hook.stage(),
-                hook.times_fired()
+                "fault `{}` never fired (no op matched the spec); training ran clean",
+                plan.spec()
             );
-        } else {
-            let _ = writeln!(
-                out,
-                "straggler on stage {} never fired; training ran clean",
-                hook.stage()
-            );
+        } else if report.recoveries().next().is_none() {
+            let _ = writeln!(out, "fault `{}` fired; no restart needed", plan.spec());
         }
     }
-    if let Some(rec) = &report.recovery {
-        if fault_fired {
-            let _ = writeln!(
+    for entry in &report.control_log {
+        let _ = match entry {
+            ControlRecord::Recovery(rec) => writeln!(
                 out,
                 "injected fault `{}`: detected in {:.1} ms, resumed from {}, {} epoch(s) / {} minibatch(es) redone",
                 rec.fault,
@@ -511,41 +440,34 @@ pub fn train(a: TrainArgs) -> Result<String, String> {
                         "epoch-{} checkpoint (global mb {g})",
                         g.saturating_sub(1) / mbs_per_epoch
                     ),
-                    None => "nothing (no restart needed)".to_string(),
+                    None => "scratch (no checkpoint yet)".to_string(),
                 },
                 rec.epochs_redone,
                 rec.minibatches_redone,
-            );
-            if let Some(k) = rec.checkpoint_every {
-                let _ = writeln!(
-                    out,
-                    "mid-epoch checkpoints every {k} minibatches bound the redo to ≤ {k} + in-flight"
-                );
-            }
-        } else {
-            let _ = writeln!(
+            ),
+            ControlRecord::Reconfig(rec) => writeln!(
                 out,
-                "fault `{}` never fired (no op matched the spec); training ran clean",
-                rec.fault
-            );
-        }
+                "autopilot: replanned {} -> {} at {}: downtime {:.0} ms, \
+                 {} minibatch(es) redone, throughput {:.0} -> {:.0} samples/s, verdict {}",
+                rec.old_label,
+                rec.new_label,
+                epoch_and_minibatch(rec.drained_at, mbs_per_epoch),
+                rec.downtime_ms,
+                rec.minibatches_redone,
+                rec.throughput_before,
+                rec.throughput_after,
+                rec.verdict,
+            ),
+        };
     }
-    for rec in &report.reconfig {
+    let recovered = report.recoveries().next().is_some();
+    if let Some(k) = a.checkpoint_every.filter(|_| recovered) {
         let _ = writeln!(
             out,
-            "autopilot: replanned {} -> {} at {}: downtime {:.0} ms, \
-             {} minibatch(es) redone, throughput {:.0} -> {:.0} samples/s, verdict {}",
-            rec.old_label,
-            rec.new_label,
-            epoch_and_minibatch(rec.drained_at, mbs_per_epoch),
-            rec.downtime_ms,
-            rec.minibatches_redone,
-            rec.throughput_before,
-            rec.throughput_after,
-            rec.verdict,
+            "mid-epoch checkpoints every {k} minibatches bound the redo to ≤ {k} + in-flight"
         );
     }
-    if a.auto_replan && report.reconfig.is_empty() {
+    if a.auto_replan && report.reconfigs().next().is_none() {
         let _ = writeln!(
             out,
             "autopilot: no reconfiguration (no sustained drift detected)"
@@ -749,37 +671,18 @@ pub fn top(a: TopArgs) -> Result<String, String> {
         obs: Some(session.clone()),
         ..TrainOpts::default()
     };
-    let trainer = if a.auto_replan {
-        // The autopilot replans over the measured-vs-profiled gap, so it
-        // needs the healthy per-layer profile and a topology. Worker
-        // spans land on the pilot's per-segment internal sessions; the
-        // caller's session still carries the control track and metrics
-        // the status line reads.
-        let topo = Topology::flat(
-            Device::v100(),
-            a.stages,
-            LinkModel::new(1e14, 0.0),
-            "local-threads",
-        );
-        let mut prof_model = model.clone();
-        let profile = profile_sequential(
-            &mut prof_model,
-            &Tensor::zeros(&[a.batch, 8]),
-            1,
-            3,
-            &topo.device,
-        );
-        let costs = profile.costs(&topo.device, a.batch, Precision::Fp32);
-        std::thread::spawn(move || {
-            let auto = AutopilotOpts::default();
-            train_with_autopilot(
-                &model, &config, &train_set, &opts, &costs, &topo, &auto, None,
-            )
+    // With --auto-replan, worker spans land on the loop's per-segment
+    // internal sessions; the caller's session still carries the control
+    // track and metrics the status line reads.
+    let replan = a
+        .auto_replan
+        .then(|| replan_inputs(&model, a.stages, a.batch));
+    let trainer = std::thread::spawn(move || {
+        let auto = AutopilotOpts::default();
+        let replan = replan.as_ref().map(|(costs, topo)| (costs, topo, &auto));
+        train_supervised(&model, &config, &train_set, &opts, replan, None)
             .map_err(|e| e.to_string())
-        })
-    } else {
-        std::thread::spawn(move || Ok(train_pipeline(model, &config, &train_set, &opts)))
-    };
+    });
     let mut profiler = LiveProfiler::new(session.clone());
     let period = std::time::Duration::from_millis(a.refresh_ms.max(10));
     while !trainer.is_finished() {
@@ -811,7 +714,7 @@ pub fn top(a: TopArgs) -> Result<String, String> {
     );
     if a.auto_replan {
         let _ = writeln!(out, "\n{}", autopilot_status_line(session.metrics()));
-        for rec in &report.reconfig {
+        for rec in report.reconfigs() {
             let _ = writeln!(
                 out,
                 "autopilot: replanned {} -> {} at {}: downtime {:.0} ms, verdict {}",
@@ -1358,8 +1261,10 @@ mod tests {
     }
 
     #[test]
-    fn train_auto_replan_rejects_crash_faults() {
-        let err = train(TrainArgs {
+    fn train_auto_replan_recovers_from_a_kill() {
+        let dir = std::env::temp_dir().join(format!("pd-cli-auto-kill-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = train(TrainArgs {
             stages: 2,
             epochs: 2,
             batch: 16,
@@ -1368,8 +1273,8 @@ mod tests {
             schedule: ScheduleKind::Vanilla1F1B,
             seed: 3,
             fault: Some("kill:stage=1,mb=5".into()),
-            checkpoint_dir: None,
-            checkpoint_every: None,
+            checkpoint_dir: Some(dir.to_string_lossy().into_owned()),
+            checkpoint_every: Some(4),
             report: None,
             trace: None,
             metrics: false,
@@ -1377,8 +1282,10 @@ mod tests {
             watch: false,
             auto_replan: true,
         })
-        .unwrap_err();
-        assert!(err.contains("--auto-replan"), "{err}");
+        .unwrap();
+        assert!(out.contains("injected fault `kill:stage=1,mb=5`"), "{out}");
+        assert!(out.contains("held-out accuracy"), "{out}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

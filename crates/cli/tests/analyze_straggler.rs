@@ -1,5 +1,5 @@
 //! Acceptance test for `pipedream analyze`: a real training run with a
-//! persistent [`DelayStraggler`] on one stage must come back from the
+//! persistent `straggle:` [`FaultPlan`] on one stage must come back from the
 //! critical-path analyzer with
 //!
 //! 1. the delayed stage ranked #1 by critical-path share,
@@ -9,11 +9,11 @@
 //!    15% of the discrete-event simulator's prediction for the same
 //!    speedup.
 
+use pipedream_autopilot::FaultPlan;
 use pipedream_cli::args::AnalyzeArgs;
 use pipedream_cli::commands::analyze;
 use pipedream_core::schedule::Schedule;
 use pipedream_core::PipelineConfig;
-use pipedream_ft::DelayStraggler;
 use pipedream_hw::{Device, LinkModel, Topology};
 use pipedream_model::profile::LayerCost;
 use pipedream_model::LayerCosts;
@@ -26,11 +26,11 @@ use pipedream_tensor::init::rng;
 use pipedream_tensor::layers::{Linear, Tanh};
 use pipedream_tensor::Sequential;
 use std::sync::Arc;
-use std::time::Duration;
 
 const STAGES: usize = 3;
 const STRAGGLER_STAGE: usize = 1;
-const DELAY: Duration = Duration::from_millis(4);
+/// Milliseconds the straggler delays each send.
+const DELAY_MS: u64 = 4;
 
 /// The CLI demo pipeline: a 2·stages-layer MLP on the blobs task.
 fn demo_pipeline(seed: u64) -> (Sequential, PipelineConfig, pipedream_tensor::data::Dataset) {
@@ -66,10 +66,11 @@ fn straggler_run_analyzes_end_to_end() {
         obs: Some(session.clone()),
         ..TrainOpts::default()
     };
-    let hook = Arc::new(DelayStraggler::new(STRAGGLER_STAGE, DELAY));
+    let spec = format!("straggle:stage={STRAGGLER_STAGE},ms={DELAY_MS}");
+    let hook = Arc::new(FaultPlan::parse(&spec).unwrap());
     try_train_pipeline(model, &config, &train_set, &opts, Some(hook.clone()))
         .expect("straggler run trains to completion");
-    assert!(hook.times_fired() > 0, "the straggler must actually fire");
+    assert!(hook.straggled() > 0, "the straggler must actually fire");
 
     let snap = session.snapshot();
     let report = analyze_trace(&snap);

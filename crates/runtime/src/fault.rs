@@ -11,11 +11,15 @@
 //!   behind an `Option` so the fault-free path pays one pointer check per
 //!   op and nothing else;
 //! * a typed [`WorkerError`] replacing the ad-hoc panics the workers used
-//!   to die with, so a supervisor (see the `pipedream-ft` crate) can tell
-//!   *what* failed and react, instead of unwinding the whole process.
+//!   to die with, so the relaunch loop (see the `pipedream-autopilot`
+//!   crate) can tell *what* failed and react, instead of unwinding the
+//!   whole process.
 //!
 //! The hook's default methods are all no-ops, so implementors only
-//! override the faults they inject.
+//! override the faults they inject. Every minibatch id a hook is shown is
+//! one of the *logical* run (`done + mb` of a segment resumed after `done`
+//! minibatches), so a hook installed in every segment of a run names the
+//! same minibatch in whichever segment executes it.
 
 use pipedream_core::schedule::Op;
 use std::fmt;
@@ -49,15 +53,17 @@ pub enum SendAction {
 ///
 /// All methods have no-op defaults; the trainer only consults the hook at
 /// all when one is installed, so fault-free training is unaffected.
+/// Minibatch ids are the logical run's (see the module docs).
 pub trait FaultHook: Send + Sync {
-    /// Called before each scheduled op. Return [`FaultAction::Kill`] to
-    /// crash this worker at exactly this point in the schedule.
+    /// Called before each scheduled op, with the op's minibatch numbered by
+    /// the logical run. Return [`FaultAction::Kill`] to crash this worker
+    /// at exactly this point in the schedule.
     fn before_op(&self, _stage: usize, _replica: usize, _op: &Op) -> FaultAction {
         FaultAction::Continue
     }
 
     /// Called before each forward activation send from `stage` for
-    /// minibatch `mb`.
+    /// logical minibatch `mb`.
     fn on_forward_send(&self, _stage: usize, _mb: u64) -> SendAction {
         SendAction::Deliver
     }
@@ -163,8 +169,8 @@ pub enum WorkerError {
         stage: usize,
         /// Killed replica.
         replica: usize,
-        /// Minibatch of the op at which the kill fired (`u64::MAX` for a
-        /// flush op).
+        /// Logical-run minibatch of the op at which the kill fired
+        /// (`u64::MAX` for a flush op).
         mb: u64,
     },
 }

@@ -39,8 +39,8 @@ pub use control::RunControl;
 pub use data::TrainData;
 pub use fault::{FaultAction, FaultHook, SendAction, WorkerError};
 pub use report::{
-    EpochStats, LossRecord, ReconfigReport, ReconfigVerdict, RecoveryRecord, StageObsRecord,
-    TrainReport, VersionRecord, WorkerLog,
+    ControlRecord, EpochStats, LossRecord, ReconfigReport, ReconfigVerdict, RecoveryRecord,
+    StageObsRecord, TrainReport, VersionRecord, WorkerLog,
 };
 pub use trainer::{
     train_pipeline, try_train_pipeline, LrSchedule, OptimKind, Semantics, TrainError, TrainOpts,

@@ -5,6 +5,8 @@
 //! ([`TrainReport::drained_at`], [`RecoveryRecord::resumed_from`],
 //! [`ReconfigReport::drained_at`]) count minibatches of the *logical* run,
 //! whichever segment of it — fresh, resumed, repartitioned — produced them.
+//! What the control plane did between segments is one ordered log of
+//! [`ControlRecord`]s, [`TrainReport::control_log`].
 
 use serde::{Deserialize, Serialize};
 
@@ -89,15 +91,16 @@ pub struct WorkerLog {
     pub obs: Option<StageObsRecord>,
 }
 
-/// What happened when a fault was injected and the run recovered (§4).
+/// What happened when a segment of the run failed under an injected fault
+/// and the run recovered (§4).
 ///
-/// Produced by the `pipedream-ft` supervisor; quantifies the paper's
-/// claim that epoch-boundary checkpointing bounds redone work to at most
-/// one epoch.
+/// Produced by `pipedream-autopilot`'s relaunch loop, one per restart;
+/// quantifies the paper's claim that epoch-boundary checkpointing bounds
+/// redone work to at most one epoch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryRecord {
-    /// Human-readable description of the injected fault
-    /// (e.g. `kill:stage=1,mb=37`).
+    /// The injected faults that fired during the failed segment, by spec
+    /// (e.g. `kill:stage=1,mb=37`; several are joined with `;`).
     pub fault: String,
     /// Seconds from fault injection to the coordinator observing the
     /// failure (via peer errors, channel disconnects, or stalled
@@ -105,8 +108,7 @@ pub struct RecoveryRecord {
     pub detection_latency_s: f64,
     /// Minibatches the checkpoint the restarted run resumed from had
     /// completed — the id of the first minibatch it re-executed (`None`
-    /// when no restart was needed, e.g. a delayed send that only slowed
-    /// the run down, or when no checkpoint existed yet).
+    /// when no checkpoint existed yet and the restart began from scratch).
     pub resumed_from: Option<u64>,
     /// Epochs of work re-executed because they post-dated the last
     /// complete checkpoint. The paper's bound: ≤ 1 with per-epoch
@@ -154,7 +156,7 @@ impl std::fmt::Display for ReconfigVerdict {
 /// the pipeline stood still, how much work was redone, and whether the
 /// probation window committed the new plan or rolled it back.
 ///
-/// Produced by the `pipedream-autopilot` control loop and attached to the
+/// Produced by the `pipedream-autopilot` relaunch loop and logged in the
 /// final [`TrainReport`] (one record per reconfiguration attempt).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReconfigReport {
@@ -193,6 +195,17 @@ pub struct ReconfigReport {
     pub verdict: ReconfigVerdict,
 }
 
+/// One entry of a run's control-plane log: what the relaunch loop did
+/// between two segments of the logical run.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum ControlRecord {
+    /// A segment failed under an injected fault; the run resumed from the
+    /// last complete checkpoint.
+    Recovery(RecoveryRecord),
+    /// A live reconfiguration: drift drain, repartition, probation verdict.
+    Reconfig(ReconfigReport),
+}
+
 /// Output of a training run.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TrainReport {
@@ -211,14 +224,14 @@ pub struct TrainReport {
     pub validation: Option<pipedream_obs::TraceValidation>,
     /// Wall-clock duration of the run in seconds.
     pub wall_time_s: f64,
-    /// Fault-recovery record, when the run survived an injected fault.
-    pub recovery: Option<RecoveryRecord>,
     /// Minibatches completed at the consistent checkpoint this run
     /// drained to, when a [`crate::control::RunControl`] gate cut the run
     /// short of its scheduled length.
     pub drained_at: Option<u64>,
-    /// Live-reconfiguration records, one per autopilot attempt.
-    pub reconfig: Vec<ReconfigReport>,
+    /// The control plane's log, in the order it acted: one entry per
+    /// recovery from an injected fault and per live reconfiguration.
+    /// Empty for a run of one segment.
+    pub control_log: Vec<ControlRecord>,
 }
 
 impl TrainReport {
@@ -226,9 +239,9 @@ impl TrainReport {
     /// it up from a checkpoint. Both already number epochs and minibatches
     /// by the logical run, so this keeps what came before `later`'s first
     /// epoch and first minibatch (work past the checkpoint was redone),
-    /// appends `later`'s, and adds the wall times. Everything else
-    /// (versions, stage observations) describes the configuration the run
-    /// *ended* on and is `later`'s.
+    /// appends `later`'s, adds the wall times and concatenates the control
+    /// logs. Everything else (versions, stage observations) describes the
+    /// configuration the run *ended* on and is `later`'s.
     pub fn then(mut self, mut later: TrainReport) -> TrainReport {
         let epoch = later.per_epoch.first().map_or(usize::MAX, |e| e.epoch);
         let mb = later.per_minibatch.first().map_or(u64::MAX, |m| m.0);
@@ -236,12 +249,30 @@ impl TrainReport {
         self.per_minibatch.retain(|m| m.0 < mb);
         self.per_epoch.append(&mut later.per_epoch);
         self.per_minibatch.append(&mut later.per_minibatch);
+        self.control_log.append(&mut later.control_log);
         TrainReport {
             per_epoch: self.per_epoch,
             per_minibatch: self.per_minibatch,
             wall_time_s: self.wall_time_s + later.wall_time_s,
+            control_log: self.control_log,
             ..later
         }
+    }
+
+    /// The recoveries in the control log, in order.
+    pub fn recoveries(&self) -> impl Iterator<Item = &RecoveryRecord> {
+        self.control_log.iter().filter_map(|c| match c {
+            ControlRecord::Recovery(r) => Some(r),
+            ControlRecord::Reconfig(_) => None,
+        })
+    }
+
+    /// The live reconfigurations in the control log, in order.
+    pub fn reconfigs(&self) -> impl Iterator<Item = &ReconfigReport> {
+        self.control_log.iter().filter_map(|c| match c {
+            ControlRecord::Reconfig(r) => Some(r),
+            ControlRecord::Recovery(_) => None,
+        })
     }
 
     /// Final epoch's training accuracy (0 if no epochs ran).

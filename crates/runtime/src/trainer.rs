@@ -134,7 +134,11 @@ pub struct TrainOpts {
     pub checkpoint_dir: Option<PathBuf>,
     /// Also checkpoint every `k` minibatches mid-epoch (in addition to the
     /// epoch-boundary dumps), tightening the recovery redo bound from
-    /// ≤ 1 epoch to ≤ `k` minibatches. Requires `checkpoint_dir`.
+    /// ≤ 1 epoch to ≤ `k` minibatches. Requires `checkpoint_dir`. On a
+    /// replicated configuration a dump — periodic or epoch-end — is taken
+    /// only where `done` is a multiple of [`PipelineConfig::replica_lcm`],
+    /// the point where every stage's gradient-sync round is closed; other
+    /// points are skipped.
     pub checkpoint_every: Option<u64>,
     /// Resume from the last complete checkpoint in `checkpoint_dir` (§4:
     /// "restarting entails starting from the last successfully created
@@ -267,8 +271,8 @@ pub fn train_pipeline(
 /// after every surviving worker has been joined (a dead stage's channels
 /// disconnect, cascading typed failures through its peers), so the caller
 /// gets a fully-torn-down pipeline it can restart from the last complete
-/// checkpoint (§4). This is the entry point the `pipedream-ft` supervisor
-/// builds on.
+/// checkpoint (§4). Each segment of `pipedream-autopilot`'s relaunch loop is
+/// one call.
 // The Err variant carries the partial report a recovery needs; failures
 // happen at most once per training run, so the size is irrelevant.
 #[allow(clippy::result_large_err)]
@@ -289,9 +293,9 @@ pub fn try_train_pipeline(
     let stages = config.stages();
 
     // Where the logical run stands: nothing done, or — resuming — what the
-    // newest complete checkpoint covers. Ids handed to the schedule, the
-    // drain gate and the fault hook count from 0 in this segment;
-    // everything that outlives it is `done + mb` (see `TrainData`).
+    // newest complete checkpoint covers. Ids handed to the schedule and the
+    // drain gate count from 0 in this segment; everything that outlives it,
+    // the fault hook's ids included, is `done + mb` (see `TrainData`).
     let resume_dir = opts.resume.then(|| {
         opts.checkpoint_dir
             .as_deref()
@@ -460,6 +464,7 @@ pub fn try_train_pipeline(
             schedule_kind: opts.schedule,
             two_bw_group,
             stage_replicas: stages[stage].replicas,
+            replica_lcm: config.replica_lcm(),
             total_mbs,
             optim: opts.optim,
             fwd_in: if stage == 0 { None } else { fwd_rx[w].take() },

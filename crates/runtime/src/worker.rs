@@ -78,6 +78,9 @@ pub struct StageWorker {
     pub two_bw_group: u64,
     /// Replica count of this worker's own stage (group-end detection).
     pub stage_replicas: usize,
+    /// Lcm of every stage's replica count: a gradient-sync round of every
+    /// stage closes each time this many minibatches complete.
+    pub replica_lcm: u64,
     /// Total minibatches the run schedules (partial-final-group handling).
     pub total_mbs: u64,
     /// Optimizer configuration.
@@ -266,25 +269,10 @@ impl StageWorker {
     fn run_ops(&mut self, st: &mut WorkerState) -> Result<(), WorkerError> {
         let ops = std::mem::take(&mut self.ops);
         for (ops_done, op) in ops.into_iter().enumerate() {
-            if let Some(hook) = &self.hook {
-                if hook.before_op(self.stage, self.replica, &op) == FaultAction::Kill {
-                    // Die like a crashed machine: no farewell message.
-                    return Err(WorkerError::Killed {
-                        stage: self.stage,
-                        replica: self.replica,
-                        mb: op.minibatch().unwrap_or(u64::MAX),
-                    });
-                }
-                if ops_done.is_multiple_of(HEARTBEAT_EVERY) {
-                    let _ = self.metrics.send(MetricMsg::Heartbeat {
-                        worker: self.worker_id,
-                        ops_done: ops_done as u64,
-                    });
-                }
-            }
             // Drain gate: the input stage asks to admit each minibatch's
             // forward (fixing the cut when a drain is pending); everyone
             // else skips any op whose minibatch fell at or beyond the cut.
+            // A skipped op never runs, so no fault fires on it either.
             if let Some(gate) = &self.control {
                 let skip = match op {
                     Op::Forward { mb } if self.stage == 0 => !gate.admit(mb),
@@ -293,6 +281,32 @@ impl StageWorker {
                 };
                 if skip {
                     continue;
+                }
+            }
+            if let Some(hook) = &self.hook {
+                // The hook names minibatches of the logical run.
+                let logical = match op {
+                    Op::Forward { mb } => Op::Forward {
+                        mb: self.data.id(mb),
+                    },
+                    Op::Backward { mb } => Op::Backward {
+                        mb: self.data.id(mb),
+                    },
+                    Op::Flush => Op::Flush,
+                };
+                if hook.before_op(self.stage, self.replica, &logical) == FaultAction::Kill {
+                    // Die like a crashed machine: no farewell message.
+                    return Err(WorkerError::Killed {
+                        stage: self.stage,
+                        replica: self.replica,
+                        mb: logical.minibatch().unwrap_or(u64::MAX),
+                    });
+                }
+                if ops_done.is_multiple_of(HEARTBEAT_EVERY) {
+                    let _ = self.metrics.send(MetricMsg::Heartbeat {
+                        worker: self.worker_id,
+                        ops_done: ops_done as u64,
+                    });
                 }
             }
             match op {
@@ -316,21 +330,31 @@ impl StageWorker {
         // A drained run ends here with every stage having processed the
         // exact same minibatch prefix; each stage dumps a checkpoint at the
         // cut so the caller gets a consistent state to repartition and
-        // resume from. Idempotent with the periodic checkpoints (atomic
+        // resume from — written, like every dump, by the stage's replica 0.
+        // Idempotent with its periodic checkpoint at the same point (atomic
         // rename of identical content).
         let cut = self.control.as_ref().and_then(|g| g.cut());
-        if let (Some(dir), Some(cut)) = (self.dump_dir(), cut) {
-            if cut > 0 {
-                self.checkpoint(dir, cut - 1, false)?;
+        if let Some(last) = cut.filter(|&c| c > 0).map(|c| c - 1) {
+            if let Some(dir) = self.dump_dir(last) {
+                self.checkpoint(dir, last, false)?;
             }
         }
         Ok(())
     }
 
-    /// Where this worker dumps its stage's parameters, if it does: replica
-    /// 0 writes for the stage (gradient sync keeps its peers identical).
-    fn dump_dir(&self) -> Option<&Path> {
-        self.checkpoint_dir.as_deref().filter(|_| self.replica == 0)
+    /// Where to dump the stage's parameters as they stand once segment
+    /// minibatch `last` is complete, if this worker dumps there. Replica 0
+    /// writes for the stage, so each file has one writer: it runs the first
+    /// minibatch of every gradient-sync round, and the round's all_reduce
+    /// leaves it holding the whole round, like every other replica. A point
+    /// admits a dump only where every stage's round is closed (`last + 1` a
+    /// multiple of the replica lcm; on a fresh run, or one resumed from
+    /// such a dump, so is `done`); anywhere else a stage's weights would
+    /// already hold a later minibatch of its round.
+    fn dump_dir(&self, last: u64) -> Option<&Path> {
+        self.checkpoint_dir
+            .as_deref()
+            .filter(|_| self.replica == 0 && (last + 1).is_multiple_of(self.replica_lcm))
     }
 
     /// Dump the stage's parameters as they stand now that segment
@@ -556,11 +580,9 @@ impl StageWorker {
         st.activation_bytes_max = st.activation_bytes_max.max(self.live_activation_bytes(st));
 
         if self.stage + 1 < self.num_stages {
-            match self
-                .hook
-                .as_ref()
-                .map_or(SendAction::Deliver, |h| h.on_forward_send(self.stage, mb))
-            {
+            match self.hook.as_ref().map_or(SendAction::Deliver, |h| {
+                h.on_forward_send(self.stage, self.data.id(mb))
+            }) {
                 SendAction::Deliver => {}
                 SendAction::Delay(d) => {
                     // An injected straggler delay stalls this worker's send
@@ -710,15 +732,17 @@ impl StageWorker {
         }
 
         // Per-stage checkpoints (§4), written after gradient sync makes
-        // replicas identical: a dump at every epoch boundary, plus — when
+        // replicas identical — as of `last`, the close of the round `mb`
+        // belongs to: a dump at every epoch boundary, plus — when
         // `checkpoint_every = Some(k)` — one every `k` minibatches of an
         // epoch, so recovery redoes at most `k` minibatches instead of an
-        // epoch.
-        if let Some(dir) = self.dump_dir() {
-            let epoch_end = self.data.is_epoch_end(mb);
-            let periodic = |k| (self.data.mb_in_epoch(mb) + 1).is_multiple_of(k);
+        // epoch; either only where the point admits one (`dump_dir`).
+        let last = mb + self.stage_replicas as u64 - 1;
+        if let Some(dir) = self.dump_dir(last) {
+            let epoch_end = self.data.is_epoch_end(last);
+            let periodic = |k| (self.data.mb_in_epoch(last) + 1).is_multiple_of(k);
             if epoch_end || self.checkpoint_every.is_some_and(periodic) {
-                self.checkpoint(dir, mb, epoch_end)?;
+                self.checkpoint(dir, last, epoch_end)?;
             }
         }
         Ok(())

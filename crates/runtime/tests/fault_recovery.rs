@@ -3,8 +3,8 @@
 //! resumed run continues from the last complete checkpoint with correct
 //! epoch numbering and a matching loss trajectory.
 //!
-//! These tests drive the runtime's [`FaultHook`] seam directly (the
-//! richer plan/supervisor layer lives in the `pipedream-ft` crate).
+//! These tests drive the runtime's [`FaultHook`] seam directly (fault
+//! plans and the relaunch loop live in the `pipedream-autopilot` crate).
 
 use pipedream_core::schedule::Op;
 use pipedream_core::{PipelineConfig, StagePlan};
@@ -359,7 +359,7 @@ fn mid_epoch_checkpoint_resume_seeks_dataloader() {
 }
 
 /// Without a hook the fault path is dormant: training succeeds and the
-/// report carries no recovery record.
+/// report's control log holds no recovery record.
 #[test]
 fn unfaulted_run_has_no_recovery_record() {
     let dir = tmpdir("clean");
@@ -367,7 +367,74 @@ fn unfaulted_run_has_no_recovery_record() {
     let config = PipelineConfig::straight(8, &[2, 5]);
     let (_, report) = try_train_pipeline(mlp(70), &config, &data, &opts(2, &dir, false), None)
         .expect("clean run succeeds");
-    assert!(report.recovery.is_none());
+    assert!(report.control_log.is_empty());
     assert_eq!(report.per_epoch.len(), 2);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every `stage{s}_mb{done}.json` in `dir`, as `(stage, done)`, sorted.
+fn dumps(dir: &std::path::Path) -> Vec<(usize, u64)> {
+    let mut out: Vec<(usize, u64)> = std::fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .filter_map(|e| {
+            let name = e.file_name().into_string().ok()?;
+            let (stage, done) = name
+                .strip_prefix("stage")?
+                .strip_suffix(".json")?
+                .split_once("_mb")?;
+            Some((stage.parse().ok()?, done.parse().ok()?))
+        })
+        .collect();
+    out.sort_unstable();
+    out
+}
+
+/// A replicated stage dumps only where every gradient-sync round is
+/// closed (`done` a multiple of the replica lcm), written by replica 0
+/// once the round's all_reduce returns: every stage has a file at every
+/// such point the interval names, none anywhere else, and each holds
+/// exactly the minibatches before `done` — byte for byte what a run
+/// drained there, which never trains past `done`, dumps.
+#[test]
+fn replicated_stages_checkpoint_at_every_aligned_done() {
+    use pipedream_runtime::checkpoint::stage_path;
+    use pipedream_runtime::RunControl;
+    let data = blobs(256, 8, 4, 0.6, 7); // 16 minibatches/epoch
+    let config = PipelineConfig::from_counts(&[(4, 2), (4, 1)]); // replica lcm 2
+    for (k, want) in [
+        (4, vec![4, 8, 12, 16, 20, 24, 28, 32]),
+        // Within-epoch multiples of 3 plus the epoch ends, odd ones skipped.
+        (3, vec![6, 12, 16, 22, 28, 32]),
+    ] {
+        let dir = tmpdir(&format!("replicated-k{k}"));
+        let mut o = opts(2, &dir, false);
+        o.checkpoint_every = Some(k);
+        try_train_pipeline(mlp(70), &config, &data, &o, None).expect("clean run");
+        let files = dumps(&dir);
+        for stage in 0..2 {
+            let dones: Vec<u64> = files.iter().filter(|f| f.0 == stage).map(|f| f.1).collect();
+            assert_eq!(dones, want, "stage {stage}, checkpoint_every {k}");
+        }
+        assert_eq!(latest_complete(&dir, 2), Some(32));
+        if k == 4 {
+            // The dump at 20 holds minibatches 0..20 exactly: a run
+            // drained at 20 writes the same bytes.
+            let cut_dir = tmpdir("replicated-cut");
+            let gate = Arc::new(RunControl::new());
+            gate.drain_at(20);
+            let mut cut = opts(2, &cut_dir, false);
+            cut.control = Some(gate);
+            let (_, report) =
+                try_train_pipeline(mlp(70), &config, &data, &cut, None).expect("drained run");
+            assert_eq!(report.drained_at, Some(20));
+            for stage in 0..2 {
+                let [whole, drained] = [&dir, &cut_dir]
+                    .map(|d| std::fs::read(stage_path(d, stage, 20)).expect("dump exists"));
+                assert!(whole == drained, "stage {stage}'s dumps at 20 differ");
+            }
+            let _ = std::fs::remove_dir_all(&cut_dir);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

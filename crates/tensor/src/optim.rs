@@ -47,18 +47,22 @@ impl Sgd {
 
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut [&mut Param]) {
-        if self.velocity.is_empty() {
-            self.velocity = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value.shape()))
-                .collect();
+        // The velocity is the only state, and only momentum reads it: plain
+        // SGD allocates nothing, first step included.
+        if self.momentum != 0.0 {
+            if self.velocity.is_empty() {
+                self.velocity = params
+                    .iter()
+                    .map(|p| Tensor::zeros(p.value.shape()))
+                    .collect();
+            }
+            assert_eq!(
+                self.velocity.len(),
+                params.len(),
+                "optimizer bound to a different parameter list"
+            );
         }
-        assert_eq!(
-            self.velocity.len(),
-            params.len(),
-            "optimizer bound to a different parameter list"
-        );
-        for (p, v) in params.iter_mut().zip(self.velocity.iter_mut()) {
+        for (i, p) in params.iter_mut().enumerate() {
             // Weight decay folds into the gradient buffer, which is about
             // to be zeroed anyway — the whole step allocates nothing.
             if self.weight_decay != 0.0 {
@@ -66,6 +70,7 @@ impl Optimizer for Sgd {
             }
             if self.momentum != 0.0 {
                 // v ← μv + g ; θ ← θ − lr·v
+                let v = &mut self.velocity[i];
                 v.scale_inplace(self.momentum);
                 v.axpy(1.0, &p.grad);
                 p.value.axpy(-self.lr, v);
@@ -186,6 +191,27 @@ mod tests {
         p.grad = Tensor::from_slice(&[1.0]);
         opt.step(&mut [&mut p]);
         assert!((p.value.data()[0] - (-0.1 - 0.19)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn sgd_without_momentum_keeps_no_velocity() {
+        let mut p = param(&[1.0, -2.0], &[0.5, 0.25]);
+        let mut opt = Sgd::new(0.1);
+        for _ in 0..3 {
+            p.grad = Tensor::from_slice(&[0.5, 0.25]);
+            opt.step(&mut [&mut p]);
+        }
+        assert!(opt.velocity.is_empty(), "momentum 0 allocates no state");
+        // The update is the same `value.axpy(-lr, grad)`, bit for bit.
+        let mut want = Tensor::from_slice(&[1.0, -2.0]);
+        for _ in 0..3 {
+            want.axpy(-0.1, &Tensor::from_slice(&[0.5, 0.25]));
+        }
+        assert_eq!(p.value, want);
+        // With momentum the buffer exists from the first step.
+        let mut opt = Sgd::with_momentum(0.1, 0.9, 0.0);
+        opt.step(&mut [&mut p]);
+        assert_eq!(opt.velocity.len(), 1);
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! * [`convergence`] — statistical-efficiency (accuracy-vs-epoch) models;
 //! * [`obs`] — tracing + metrics for measured runs: per-worker event rings,
 //!   Chrome-trace export, and measured-vs-planned validation;
-//! * [`ft`] — fault injection, the recovery supervisor, and stragglers (§4);
-//! * [`autopilot`] — the self-optimizing control plane: applies live replans
-//!   with checkpointed repartition and verified rollback.
+//! * [`autopilot`] — the control plane: fault injection and recovery (§4)
+//!   and live replans with checkpointed repartition and verified rollback,
+//!   as one relaunch loop.
 //!
 //! ## Quickstart
 //!
@@ -35,7 +35,6 @@
 pub use pipedream_autopilot as autopilot;
 pub use pipedream_convergence as convergence;
 pub use pipedream_core as core;
-pub use pipedream_ft as ft;
 pub use pipedream_hw as hw;
 pub use pipedream_model as model;
 pub use pipedream_obs as obs;
