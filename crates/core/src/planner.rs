@@ -16,10 +16,17 @@
 //! The first term of the `max` in `T^k` is compute (with one level-`k-1`
 //! component as the substrate); the second is the data-parallel all_reduce
 //! for the stage's weights; `2·a_s/B_k` is the activation + gradient
-//! traffic across the stage boundary. The total complexity is
-//! `Σ_k O(N³·m_k²)` — the paper reports < 8 s for every model/cluster pair,
-//! which the ledger's `plan-scale` workload (`bench/`, `core.plan_*`
-//! metrics) measures for this implementation.
+//! traffic across the stage boundary.
+//!
+//! Each level first tabulates `T^k(a→j, m)` for every `a ≤ j` and `m`
+//! (`O(N²·m_k)` all_reduce estimates), so a split candidate `(s, m')` is
+//! two loads, two `max`es and a compare. Every level below the top fills
+//! all rows `i`, because the level above reads `A^{k-1}(a→b, m_{k-1})` for
+//! every `(a, b)`; the top level fills row `i = 0` only, the one row its
+//! splits `A^L(0→s, m−m')` and the answer `A^L(0→N−1, m_L)` read. The
+//! total complexity is `O(Σ_{k<L} N³·m_k² + N²·m_L²)`. The paper reports
+//! < 8 s for every model/cluster pair; the ledger's `plan-scale` workload
+//! (`bench/`, `core.plan_*` metrics) measures this implementation.
 //!
 //! Two planning modes are provided:
 //!
@@ -154,10 +161,11 @@ enum Choice {
     Single,
     /// Split after layer `s`: sub-pipeline on `m − m'` units, then a single
     /// stage on `m'` units.
-    Split { s: usize, m_prime: usize },
+    Split { s: u32, m_prime: u32 },
 }
 
-/// One DP table for a level: `table[i][j][m] = (value, choice)`.
+/// One DP table for a level: `table[i][j][m] = (value, choice)` for the
+/// first `rows` values of `i`.
 struct LevelTable {
     n: usize,
     max_m: usize,
@@ -166,12 +174,12 @@ struct LevelTable {
 }
 
 impl LevelTable {
-    fn new(n: usize, max_m: usize) -> Self {
+    fn new(rows: usize, n: usize, max_m: usize) -> Self {
         LevelTable {
             n,
             max_m,
-            vals: vec![f64::INFINITY; n * n * (max_m + 1)],
-            choices: vec![Choice::Single; n * n * (max_m + 1)],
+            vals: vec![f64::INFINITY; rows * n * (max_m + 1)],
+            choices: vec![Choice::Single; rows * n * (max_m + 1)],
         }
     }
 
@@ -183,6 +191,12 @@ impl LevelTable {
         self.vals[self.idx(i, j, m)]
     }
 
+    /// `A(i→j, m)` for every `m` of this level, `m = 0` included.
+    fn row(&self, i: usize, j: usize) -> &[f64] {
+        let at = self.idx(i, j, 0);
+        &self.vals[at..at + self.max_m + 1]
+    }
+
     fn set(&mut self, i: usize, j: usize, m: usize, v: f64, c: Choice) {
         let idx = self.idx(i, j, m);
         self.vals[idx] = v;
@@ -192,6 +206,16 @@ impl LevelTable {
     fn choice(&self, i: usize, j: usize, m: usize) -> Choice {
         self.choices[self.idx(i, j, m)]
     }
+}
+
+/// `T^k` as in the paper: effective per-minibatch time of a single stage
+/// holding `w_bytes` of weights, replicated across `m` units, where one
+/// unit's compute time is `inner` and the all_reduce runs over `link`.
+fn t_single(inner: f64, w_bytes: u64, m: usize, link: &LinkModel) -> f64 {
+    if m == 1 {
+        return inner;
+    }
+    inner.max(allreduce_time(link, w_bytes, m)) / m as f64
 }
 
 impl<'a> Planner<'a> {
@@ -257,70 +281,69 @@ impl<'a> Planner<'a> {
         &self.costs
     }
 
-    /// `T^k` as in the paper: effective per-minibatch time of a single
-    /// stage over layers `i..=j` replicated across `m` units (each holding
-    /// `workers_per_unit` workers), where one unit's compute time is
-    /// `inner` and the stage's weight all_reduce runs over `link`.
-    fn t_single(
-        &self,
-        i: usize,
-        j: usize,
-        m: usize,
-        workers_per_unit: usize,
-        inner: f64,
-        link: &LinkModel,
-    ) -> f64 {
-        let _ = workers_per_unit;
-        if m == 1 {
-            return inner;
-        }
-        let w_bytes = self.costs.weight_bytes(i, j);
-        let comm = allreduce_time(link, w_bytes, m);
-        inner.max(comm) / m as f64
-    }
-
-    /// Solve one level of the DP. `inner[i][j]` is `A^{k-1}(i→j, m_{k-1})`
-    /// (or `Σ T_l` at the bottom); `max_m` is this level's arity,
-    /// `workers_per_unit` the workers inside one unit, and `link` its link
-    /// model.
+    /// Solve one level of the DP for rows `i < rows`. `inner[i][j]` is
+    /// `A^{k-1}(i→j, m_{k-1})` (or `Σ T_l` at the bottom); `max_m` is this
+    /// level's arity and `link` its link model.
     fn solve_level(
         &self,
         inner: &dyn Fn(usize, usize) -> f64,
         max_m: usize,
-        workers_per_unit: usize,
+        rows: usize,
         link: &LinkModel,
     ) -> LevelTable {
         let n = self.costs.num_layers();
-        let mut table = LevelTable::new(n, max_m);
+        let width = max_m + 1;
+        let mut w_prefix = vec![0u64; n + 1];
+        for (l, layer) in self.costs.layers.iter().enumerate() {
+            w_prefix[l + 1] = w_prefix[l] + layer.weight_bytes;
+        }
+        // `T^k(a→j, m)` for every `a ≤ j`, stored by `j` then `a` so that
+        // the tails `T^k(s+1→j, ·)` of one cell's splits are adjacent.
+        let mut stage = Vec::with_capacity(n * (n + 1) / 2 * width);
+        for j in 0..n {
+            for a in 0..=j {
+                let (compute, w_bytes) = (inner(a, j), w_prefix[j + 1] - w_prefix[a]);
+                stage.push(f64::INFINITY); // m = 0: no such stage
+                stage.extend((1..=max_m).map(|m| t_single(compute, w_bytes, m, link)));
+            }
+        }
+        let stage_row = |a: usize, j: usize| {
+            let at = (j * (j + 1) / 2 + a) * width;
+            &stage[at..at + width]
+        };
+        let act: Vec<f64> = (0..n)
+            .map(|s| 2.0 * p2p_time(link, self.costs.activation_bytes(s)))
+            .collect();
+
+        let mut table = LevelTable::new(rows, n, max_m);
         for m in 1..=max_m {
-            for i in 0..n {
+            for i in 0..rows {
                 for j in i..n {
                     // Candidate 1: single stage replicated over all m units.
-                    let mut best = self.t_single(i, j, m, workers_per_unit, inner(i, j), link);
+                    let mut best = stage_row(i, j)[m];
                     let mut choice = Choice::Single;
-                    // Candidate 2: split after s with m' units on the tail.
-                    for s in i..j {
-                        let act = 2.0 * p2p_time(link, self.costs.activation_bytes(s));
-                        for m_prime in 1..m {
-                            let head = table.get(i, s, m - m_prime);
+                    // Candidate 2: split after s with m' units on the tail,
+                    // m' ascending: heads A(i→s, m−1..=1) against tails
+                    // T(s+1→j, 1..m).
+                    for (s, &act) in (i..j).zip(&act[i..j]) {
+                        let heads = table.row(i, s)[1..m].iter().rev();
+                        let tails = &stage_row(s + 1, j)[1..m];
+                        for (m_prime, (&head, &tail)) in (1..).zip(heads.zip(tails)) {
                             if head >= best {
                                 continue; // max() can only be ≥ head
                             }
-                            let tail = self.t_single(
-                                s + 1,
-                                j,
-                                m_prime,
-                                workers_per_unit,
-                                inner(s + 1, j),
-                                link,
-                            );
                             let cand = head.max(act).max(tail);
                             if cand < best {
                                 best = cand;
-                                choice = Choice::Split { s, m_prime };
+                                choice = Choice::Split {
+                                    s: s as u32,
+                                    m_prime,
+                                };
                             }
                         }
                     }
+                    #[cfg(test)]
+                    tests::CANDIDATES.with(|c| c.set(c.get() + ((j - i) * (m - 1)) as u64));
                     table.set(i, j, m, best, choice);
                 }
             }
@@ -353,6 +376,7 @@ impl<'a> Planner<'a> {
                 }
             }
             Choice::Split { s, m_prime } => {
+                let (s, m_prime) = (s as usize, m_prime as usize);
                 Self::reconstruct_level(table, i, s, m - m_prime, unit_plan, out);
                 for st in unit_plan(s + 1, j) {
                     out.push(StagePlan::new(
@@ -401,7 +425,7 @@ impl<'a> Planner<'a> {
             .into_iter()
             .filter(|c| self.config_fits_memory(c, limit))
             .filter_map(|c| self.try_evaluate(&c).ok())
-            .min_by(|a, b| a.bottleneck_s.partial_cmp(&b.bottleneck_s).unwrap())
+            .min_by(|a, b| a.bottleneck_s.total_cmp(&b.bottleneck_s))
             .ok_or(PlanError::MemoryInfeasible {
                 limit_bytes: limit,
                 schedule: self.schedule,
@@ -453,23 +477,26 @@ impl<'a> Planner<'a> {
         self.validate_inputs()?;
         let n = self.costs.num_layers();
         let sum_compute = |i: usize, j: usize| self.costs.total_compute(i, j);
-        let mut tables: Vec<LevelTable> = Vec::with_capacity(self.topo.num_levels());
-        for k in 1..=self.topo.num_levels() {
+        let top = self.topo.num_levels();
+        let mut tables: Vec<LevelTable> = Vec::with_capacity(top);
+        for k in 1..=top {
             let link = *self.topo.link(k);
             let max_m = self.topo.arity(k);
+            // The level above reads every row of this one; nothing reads
+            // the top level beyond row 0.
+            let rows = if k == top { 1 } else { n };
             let table = if k == 1 {
-                self.solve_level(&sum_compute, max_m, 1, &link)
+                self.solve_level(&sum_compute, max_m, rows, &link)
             } else {
                 let prev = tables.last().unwrap();
                 let prev_m = self.topo.arity(k - 1);
                 let inner = |i: usize, j: usize| prev.get(i, j, prev_m);
-                self.solve_level(&inner, max_m, self.topo.workers_per_component(k - 1), &link)
+                self.solve_level(&inner, max_m, rows, &link)
             };
             tables.push(table);
         }
 
         // Reconstruct from the top level down.
-        let top = self.topo.num_levels();
         let stages = self.reconstruct_from(top, &tables, 0, n - 1, self.topo.arity(top));
         let bottleneck = tables[top - 1].get(0, n - 1, self.topo.arity(top));
         self.constrain_memory(self.finish_plan(stages, bottleneck))
@@ -486,7 +513,7 @@ impl<'a> Planner<'a> {
         let workers = self.topo.total_workers();
         let link = *self.topo.link(self.topo.num_levels());
         let sum_compute = |i: usize, j: usize| self.costs.total_compute(i, j);
-        let table = self.solve_level(&sum_compute, workers, 1, &link);
+        let table = self.solve_level(&sum_compute, workers, 1, &link); // row 0 only
         let unit = |a: usize, b: usize| vec![StagePlan::new(a, b, 1)];
         let mut stages = Vec::new();
         Self::reconstruct_level(&table, 0, n - 1, workers, &unit, &mut stages);
@@ -774,8 +801,63 @@ impl<'a> Planner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipedream_hw::{ClusterPreset, Device, LinkModel};
+    use pipedream_hw::{ClusterPreset, Device, Level, LinkModel};
     use pipedream_model::zoo;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Split candidates `(s, m')` that `solve_level` visited on this
+        /// thread.
+        pub(super) static CANDIDATES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Candidates visited by `f`.
+    fn candidates_of(f: impl FnOnce()) -> u64 {
+        let before = CANDIDATES.with(Cell::get);
+        f();
+        CANDIDATES.with(Cell::get) - before
+    }
+
+    /// Candidates one level of arity `m` visits over `n` layers: cell
+    /// `(i, j, m')` has `(j−i)·(m'−1)`, so the level has `C(m, 2)` times
+    /// `Σ_{i≤j} (j−i) = C(n+1, 3)` with every row solved, or times
+    /// `Σ_j j = C(n, 2)` with row 0 only.
+    fn level_candidates(n: u64, m: u64, all_rows: bool) -> u64 {
+        let pairs = if all_rows {
+            (n + 1) * n * (n - 1) / 6
+        } else {
+            n * (n - 1) / 2
+        };
+        pairs * (m * (m - 1) / 2)
+    }
+
+    #[test]
+    fn top_level_solves_row_zero_only() {
+        let profile = zoo::uniform(12, 1e9, 100_000, 1_000_000);
+        let flat = flat_topo(6, 10.0);
+        let visited = candidates_of(|| {
+            Planner::new(&profile, &flat).try_plan_flat().unwrap();
+        });
+        assert_eq!(visited, level_candidates(12, 6, false));
+
+        // Hierarchical: every row below the top, row 0 at the top.
+        let link = LinkModel::from_gbytes(10.0, 0.0);
+        let level = |arity| Level {
+            name: "l".into(),
+            arity,
+            link,
+        };
+        let topo = Topology::new(Device::v100(), vec![level(3), level(4), level(5)]);
+        let visited = candidates_of(|| {
+            Planner::new(&profile, &topo).try_plan().unwrap();
+        });
+        assert_eq!(
+            visited,
+            level_candidates(12, 3, true)
+                + level_candidates(12, 4, true)
+                + level_candidates(12, 5, false)
+        );
+    }
 
     fn flat_topo(n: usize, gbytes: f64) -> Topology {
         Topology::flat(
@@ -810,8 +892,12 @@ mod tests {
             let mut best = f64::INFINITY;
             for last in first..n {
                 for m in 1..=workers_left {
-                    let stage =
-                        p.t_single(first, last, m, 1, p.costs.total_compute(first, last), link);
+                    let stage = t_single(
+                        p.costs.total_compute(first, last),
+                        p.costs.weight_bytes(first, last),
+                        m,
+                        link,
+                    );
                     let boundary = if last + 1 < n {
                         2.0 * p2p_time(link, p.costs.activation_bytes(last))
                     } else {

@@ -174,6 +174,23 @@ fn facade_prelude_compiles_and_plans() {
 }
 
 #[test]
+fn deep_model_plans_flat_on_64_workers() {
+    // 128 layers on 8 × 8 Cluster-B workers in one DP level: the largest
+    // flat request the planner has to serve in a test-sized time.
+    let profile = zoo::uniform(128, 1e9, 100_000, 1_000_000);
+    let topo = ClusterPreset::B.with_servers(8);
+    let planner = Planner::new(&profile, &topo);
+    let plan = planner
+        .try_plan_flat()
+        .expect("128 layers plan on 64 workers");
+    plan.config.validate(128).expect("plan covers the model");
+    assert_eq!(plan.config.total_workers(), 64, "{}", plan.config);
+    planner
+        .try_evaluate(&plan.config)
+        .expect("own plan evaluates");
+}
+
+#[test]
 fn traced_run_throughput_within_bounds_of_simulation() {
     // The profile → plan → simulate loop closed against a *measured* run:
     // train a real pipeline under a TraceSession, extract steady-state
