@@ -62,7 +62,9 @@ pub fn run() -> GpipeComparison {
             // between flushes would miss.
             // GPipe trades compute for memory: it discards activation
             // stashes and recomputes them in the backward pass (§2.2), so
-            // its rows pay the recompute penalty.
+            // its rows pay the recompute penalty — except on each group's
+            // last microbatch, whose backward runs right after its forward
+            // (torchgpipe's `except_last`).
             let pd = simulate_pipeline(&costs, &topo, &Schedule::one_f_one_b(&config, n_mbs));
             let gpipe = |microbatches: u64| {
                 PipelineSim::new(

@@ -53,6 +53,18 @@ impl Op {
     }
 }
 
+/// Whether `next`, run right after `op` on the same worker, is the backward
+/// of the minibatch `op` forwarded. Nothing runs between the two passes,
+/// so a stage that recomputes activations keeps that forward's caches
+/// instead of dropping them and rebuilding them under the same weights.
+/// This holds on the output stage of every 1F1B schedule, on every stage
+/// of a depth-1 ([`Schedule::model_parallel`]) schedule, and for the last
+/// microbatch of each GPipe group. The runtime asks it one op ahead, the
+/// simulator one op behind.
+pub fn keeps_activations(op: Op, next: Op) -> bool {
+    matches!((op, next), (Op::Forward { mb: f }, Op::Backward { mb: b }) if f == b)
+}
+
 /// The schedule of one worker.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkerSchedule {
@@ -624,6 +636,72 @@ mod tests {
         let s = Schedule::gpipe(&config, 64, 4);
         let pat = s.steady_state_pattern(0).expect("steady state");
         assert!(pat.len() > 2, "{pat:?}");
+    }
+
+    /// The minibatches whose activations `worker` keeps for the backward
+    /// right after their forward.
+    fn kept(s: &Schedule, worker: usize) -> Vec<u64> {
+        let ops = &s.workers[worker].ops;
+        ops.windows(2)
+            .filter(|w| keeps_activations(w[0], w[1]))
+            .filter_map(|w| w[0].minibatch())
+            .collect()
+    }
+
+    #[test]
+    fn keeps_activations_only_for_its_own_backward_next() {
+        let (f, b) = (|mb| Op::Forward { mb }, |mb| Op::Backward { mb });
+        assert!(keeps_activations(f(3), b(3)));
+        for (op, next) in [
+            (f(3), b(2)),
+            (f(3), f(4)),
+            (b(3), b(3)),
+            (b(3), f(3)),
+            (f(3), Op::Flush),
+            (Op::Flush, b(3)),
+        ] {
+            assert!(!keeps_activations(op, next), "{op:?} then {next:?}");
+        }
+    }
+
+    #[test]
+    fn one_f_one_b_keeps_activations_on_the_output_stage_only() {
+        let s = Schedule::one_f_one_b(&straight(4), 8);
+        assert_eq!(kept(&s, 3), (0..8).collect::<Vec<_>>());
+        for w in 0..3 {
+            assert_eq!(kept(&s, w), Vec::<u64>::new(), "stage {w}");
+        }
+        // Replicated: the replicas of the input stage wait on the output
+        // stage's backward; the output stage keeps every minibatch.
+        let config = PipelineConfig::from_counts(&[(1, 2), (1, 1)]);
+        let rr = Schedule::one_f_one_b(&config, 8);
+        assert!(kept(&rr, 0).is_empty() && kept(&rr, 1).is_empty());
+        assert_eq!(kept(&rr, 2), (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn model_parallel_keeps_activations_everywhere() {
+        let s = Schedule::model_parallel(&straight(4), 6);
+        for w in 0..4 {
+            assert_eq!(kept(&s, w), (0..6).collect::<Vec<_>>(), "stage {w}");
+        }
+    }
+
+    #[test]
+    fn data_parallel_keeps_activations_on_every_replica() {
+        let s = Schedule::one_f_one_b(&PipelineConfig::data_parallel(4, 2), 8);
+        assert_eq!(kept(&s, 0), vec![0, 2, 4, 6]);
+        assert_eq!(kept(&s, 1), vec![1, 3, 5, 7]);
+    }
+
+    #[test]
+    fn gpipe_keeps_the_last_microbatch_of_each_group() {
+        // Groups {0,1,2}, {3,4,5}, {6,7}: each group's last forward is
+        // followed by its own backward, as torchgpipe's `except_last`.
+        let s = Schedule::gpipe(&straight(3), 8, 3);
+        for w in 0..3 {
+            assert_eq!(kept(&s, w), vec![2, 5, 7], "stage {w}");
+        }
     }
 
     #[test]

@@ -50,7 +50,10 @@ use serde::{Deserialize, Serialize};
 ///   keeping only the stage *input*, and re-runs the forward (under the
 ///   stashed weight version, so gradients are bit-identical) immediately
 ///   before the backward — the activation stash shrinks from O(depth)
-///   minibatches to O(1).
+///   minibatches to O(1). A forward whose backward is the worker's very
+///   next op keeps its stash and skips the re-run
+///   ([`keeps_activations`](crate::schedule::keeps_activations)): the
+///   output stage under 1F1B, every stage of a depth-1 schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum ScheduleKind {
     /// The paper's default: weight stashing, full activation stashes.
@@ -58,7 +61,8 @@ pub enum ScheduleKind {
     Vanilla1F1B,
     /// Double-buffered weight updates (≤ 2 versions held).
     TwoBW,
-    /// Drop activations after forward, recompute before backward.
+    /// Drop activations after forward, recompute before backward (unless
+    /// the backward comes next).
     Recompute,
     /// Both memory optimizations at once.
     TwoBWRecompute,

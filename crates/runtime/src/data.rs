@@ -2,9 +2,11 @@
 
 use pipedream_tensor::data::Dataset;
 use pipedream_tensor::{pool, Tensor};
+use std::borrow::Cow;
 
-/// Read-only dataset view shared (via `Arc`) by the input stage (which
-/// needs minibatch inputs) and the output stage (which needs labels).
+/// Read-only dataset view shared by the input stage (which needs minibatch
+/// inputs) and the output stage (which needs labels). The trainer's view
+/// borrows the caller's dataset; [`TrainData::new`] owns one.
 ///
 /// A run is one *segment* of a logical training run: it starts after
 /// `start` minibatches of that run have completed (0 for a fresh run, the
@@ -18,23 +20,30 @@ use pipedream_tensor::{pool, Tensor};
 /// same order — the datasets are pre-shuffled at generation time, keeping
 /// all execution modes comparable input-for-input.
 #[derive(Debug, Clone)]
-pub struct TrainData {
-    dataset: Dataset,
+pub struct TrainData<'a> {
+    dataset: Cow<'a, Dataset>,
     batch: usize,
     mbs_per_epoch: u64,
     /// Minibatches of the logical run completed before this segment.
     start: u64,
 }
 
-impl TrainData {
+impl TrainData<'static> {
     /// Wrap a dataset with a minibatch size.
     pub fn new(dataset: Dataset, batch: usize) -> Self {
-        Self::with_start(dataset, batch, 0)
+        Self::over(Cow::Owned(dataset), batch, 0)
+    }
+}
+
+impl<'a> TrainData<'a> {
+    /// A view of a borrowed dataset, for a segment that starts after
+    /// `done` minibatches of the logical run (a resume from that
+    /// checkpoint; 0 for a fresh run).
+    pub fn with_start(dataset: &'a Dataset, batch: usize, done: u64) -> Self {
+        Self::over(Cow::Borrowed(dataset), batch, done)
     }
 
-    /// Like [`TrainData::new`], for a segment that starts after `done`
-    /// minibatches of the logical run (a resume from that checkpoint).
-    pub fn with_start(dataset: Dataset, batch: usize, done: u64) -> Self {
+    fn over(dataset: Cow<'a, Dataset>, batch: usize, done: u64) -> Self {
         assert!(batch >= 1);
         let mbs_per_epoch = dataset.num_minibatches(batch) as u64;
         assert!(mbs_per_epoch >= 1, "dataset is empty");
@@ -131,7 +140,8 @@ mod tests {
     fn a_resumed_segment_answers_about_the_logical_run() {
         // 5 minibatches/epoch, resumed with 8 done: segment mb 0 is epoch
         // 1's minibatch 3, mb 1 finishes epoch 1, mb 2 opens epoch 2.
-        let d = TrainData::with_start(blobs(40, 4, 2, 0.3, 1), 8, 8);
+        let dataset = blobs(40, 4, 2, 0.3, 1);
+        let d = TrainData::with_start(&dataset, 8, 8);
         assert_eq!(d.id(0), 8);
         assert_eq!(d.mb_in_epoch(0), 3);
         assert_eq!(d.epoch_of(0), 1);
@@ -140,7 +150,7 @@ mod tests {
         assert_eq!(d.epoch_of(2), 2);
         assert_eq!(d.mb_in_epoch(2), 0);
         // The data served is what the uninterrupted run reads there.
-        let fresh = TrainData::new(blobs(40, 4, 2, 0.3, 1), 8);
+        let fresh = TrainData::new(dataset.clone(), 8);
         assert_eq!(d.input(0), fresh.input(8));
         assert_eq!(d.labels(2), fresh.labels(10));
     }

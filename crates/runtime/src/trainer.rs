@@ -304,7 +304,7 @@ pub fn try_train_pipeline(
     let done = resume_dir
         .and_then(|dir| crate::checkpoint::latest_complete(dir, stages.len()))
         .unwrap_or(0);
-    let data = Arc::new(TrainData::with_start(dataset.clone(), opts.batch, done));
+    let data = TrainData::with_start(dataset, opts.batch, done);
     let left = ((opts.epochs * data.minibatches_per_epoch()) as u64).saturating_sub(done);
     let total_mbs = left - left % config.replica_lcm();
 
@@ -428,103 +428,113 @@ pub fn try_train_pipeline(
         })
         .collect();
 
-    let mut handles = Vec::with_capacity(workers);
-    for w in 0..workers {
-        let (stage, replica) = config.stage_of_worker(w);
-        let fwd_out = if stage + 1 < stages.len() {
-            assignment[stage + 1]
-                .iter()
-                .map(|&d| fwd_tx[d].clone())
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let grad_out = if stage > 0 {
-            assignment[stage - 1]
-                .iter()
-                .map(|&d| grad_tx[d].clone())
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let worker = StageWorker {
-            stage,
-            replica,
-            worker_id: w,
-            num_stages: stages.len(),
-            // Workers are numbered stage by stage, so a stage's last
-            // replica can have the original instead of one more copy.
-            model: if replica + 1 == stages[stage].replicas {
-                stage_models[stage].take().expect("one last replica")
+    // The worker threads are scoped to this call, so they borrow the
+    // dataset instead of a copy of it.
+    let (first_failure, outcomes) = thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(workers);
+        for w in 0..workers {
+            let (stage, replica) = config.stage_of_worker(w);
+            let fwd_out = if stage + 1 < stages.len() {
+                assignment[stage + 1]
+                    .iter()
+                    .map(|&d| fwd_tx[d].clone())
+                    .collect()
             } else {
-                stage_models[stage].as_ref().expect("not yet taken").clone()
-            },
-            ops: std::mem::take(&mut schedule.workers[w].ops),
-            semantics: opts.semantics,
-            schedule_kind: opts.schedule,
-            two_bw_group,
-            stage_replicas: stages[stage].replicas,
-            replica_lcm: config.replica_lcm(),
-            total_mbs,
-            optim: opts.optim,
-            fwd_in: if stage == 0 { None } else { fwd_rx[w].take() },
-            grad_in: if stage + 1 == stages.len() {
-                None
+                Vec::new()
+            };
+            let grad_out = if stage > 0 {
+                assignment[stage - 1]
+                    .iter()
+                    .map(|&d| grad_tx[d].clone())
+                    .collect()
             } else {
-                grad_rx[w].take()
-            },
-            fwd_out,
-            grad_out,
-            sync: sync_groups[stage].clone(),
-            metrics: metrics_tx.clone(),
-            data: Arc::clone(&data),
-            checkpoint_dir: opts.checkpoint_dir.clone(),
-            checkpoint_every: opts.checkpoint_every,
-            lr_schedule: opts.lr_schedule,
-            recorder: recorders[w].clone(),
-            hook: hook.clone(),
-            control: opts.control.clone(),
-            kernel: opts.kernel,
-        };
-        handles.push(thread::spawn(move || worker.run()));
-    }
-    // Drop our clones so the metrics channel closes when workers finish.
-    drop(metrics_tx);
-    drop(fwd_tx);
-    drop(grad_tx);
+                Vec::new()
+            };
+            let worker = StageWorker {
+                stage,
+                replica,
+                worker_id: w,
+                num_stages: stages.len(),
+                // Workers are numbered stage by stage, so a stage's last
+                // replica can have the original instead of one more copy.
+                model: if replica + 1 == stages[stage].replicas {
+                    stage_models[stage].take().expect("one last replica")
+                } else {
+                    stage_models[stage].as_ref().expect("not yet taken").clone()
+                },
+                ops: std::mem::take(&mut schedule.workers[w].ops),
+                semantics: opts.semantics,
+                schedule_kind: opts.schedule,
+                two_bw_group,
+                stage_replicas: stages[stage].replicas,
+                replica_lcm: config.replica_lcm(),
+                total_mbs,
+                optim: opts.optim,
+                fwd_in: if stage == 0 { None } else { fwd_rx[w].take() },
+                grad_in: if stage + 1 == stages.len() {
+                    None
+                } else {
+                    grad_rx[w].take()
+                },
+                fwd_out,
+                grad_out,
+                sync: sync_groups[stage].clone(),
+                metrics: metrics_tx.clone(),
+                data: &data,
+                checkpoint_dir: opts.checkpoint_dir.clone(),
+                checkpoint_every: opts.checkpoint_every,
+                lr_schedule: opts.lr_schedule,
+                recorder: recorders[w].clone(),
+                hook: hook.clone(),
+                control: opts.control.clone(),
+                kernel: opts.kernel,
+            };
+            handles.push(scope.spawn(move || worker.run()));
+        }
+        // Drop our clones so the metrics channel closes when workers finish.
+        drop(metrics_tx);
+        drop(fwd_tx);
+        drop(grad_tx);
 
-    // Wait for the workers. They report nothing per minibatch — each
-    // keeps its own log — so without a fault hook this blocks until the
-    // last one exits. With a hook installed the loop also plays failure
-    // detector: it timestamps the first failure report and treats
-    // prolonged heartbeat silence as a presumed failure (§4).
-    let mut first_failure: Option<Instant> = None;
-    if hook.is_some() {
-        let mut last_sign_of_life = Instant::now();
-        loop {
-            match metrics_rx.recv_timeout(DETECT_POLL) {
-                Ok(msg) => {
-                    last_sign_of_life = Instant::now();
-                    if matches!(msg, MetricMsg::Failure { .. }) {
-                        first_failure.get_or_insert_with(Instant::now);
+        // Wait for the workers. They report nothing per minibatch — each
+        // keeps its own log — so without a fault hook this blocks until the
+        // last one exits. With a hook installed the loop also plays failure
+        // detector: it timestamps the first failure report and treats
+        // prolonged heartbeat silence as a presumed failure (§4).
+        let mut first_failure: Option<Instant> = None;
+        if hook.is_some() {
+            let mut last_sign_of_life = Instant::now();
+            loop {
+                match metrics_rx.recv_timeout(DETECT_POLL) {
+                    Ok(msg) => {
+                        last_sign_of_life = Instant::now();
+                        if matches!(msg, MetricMsg::Failure { .. }) {
+                            first_failure.get_or_insert_with(Instant::now);
+                        }
                     }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if first_failure.is_none() && last_sign_of_life.elapsed() >= STALL_WINDOW {
-                        // Heartbeats stopped without the run finishing:
-                        // presume a failure even before peers report one.
-                        first_failure = Some(Instant::now());
+                    Err(RecvTimeoutError::Timeout) => {
+                        if first_failure.is_none() && last_sign_of_life.elapsed() >= STALL_WINDOW {
+                            // Heartbeats stopped without the run finishing:
+                            // presume a failure even before peers report one.
+                            first_failure = Some(Instant::now());
+                        }
                     }
+                    Err(RecvTimeoutError::Disconnected) => break,
                 }
-                Err(RecvTimeoutError::Disconnected) => break,
+            }
+        } else {
+            // No hook, no heartbeats: a failure report is all that can arrive.
+            for _failure in metrics_rx.iter() {
+                first_failure.get_or_insert_with(Instant::now);
             }
         }
-    } else {
-        // No hook, no heartbeats: a failure report is all that can arrive.
-        for _failure in metrics_rx.iter() {
-            first_failure.get_or_insert_with(Instant::now);
-        }
-    }
+
+        let outcomes: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread panicked"))
+            .collect();
+        (first_failure, outcomes)
+    });
 
     // Collect every worker's log — a failed worker's too, so the partial
     // report holds all that was computed before the collapse — and
@@ -534,8 +544,7 @@ pub fn try_train_pipeline(
     let mut stage_obs: Vec<StageObsRecord> = Vec::new();
     let mut stage_results: Vec<Option<Sequential>> = (0..stages.len()).map(|_| None).collect();
     let mut worker_errors: Vec<WorkerError> = Vec::new();
-    for (w, h) in handles.into_iter().enumerate() {
-        let (log, result) = h.join().expect("worker thread panicked");
+    for (w, (log, result)) in outcomes.into_iter().enumerate() {
         losses.extend(log.losses);
         version_trace.extend(log.versions);
         stage_obs.extend(log.obs);

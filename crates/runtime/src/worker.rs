@@ -41,7 +41,7 @@ use crate::report::{LossRecord, StageObsRecord, VersionRecord, WorkerLog};
 use crate::sync::GradSyncGroup;
 use crate::trainer::{LrSchedule, OptimKind, Semantics};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use pipedream_core::schedule::Op;
+use pipedream_core::schedule::{keeps_activations, Op};
 use pipedream_core::stash::{ScheduleKind, VersionPolicy, VersionStore};
 use pipedream_obs::{Recorder, SpanKind};
 use pipedream_tensor::{softmax_cross_entropy, Layer, Sequential, Tensor};
@@ -55,7 +55,7 @@ use std::time::Duration;
 const HEARTBEAT_EVERY: usize = 16;
 
 /// Everything a stage worker needs to run.
-pub struct StageWorker {
+pub struct StageWorker<'a> {
     /// Stage index in the pipeline.
     pub stage: usize,
     /// Replica index within the stage.
@@ -101,7 +101,7 @@ pub struct StageWorker {
     /// and the failure announcement).
     pub metrics: Sender<MetricMsg>,
     /// Dataset view (inputs for stage 0, labels for the last stage).
-    pub data: Arc<TrainData>,
+    pub data: &'a TrainData<'a>,
     /// Checkpoint directory (replica 0 dumps at epoch boundaries).
     pub checkpoint_dir: Option<PathBuf>,
     /// Also checkpoint every `k` minibatches mid-epoch (tightens the §4
@@ -139,6 +139,9 @@ struct WorkerState {
     /// Recompute: retained stage inputs per in-flight minibatch — the only
     /// activation state kept between a minibatch's forward and backward.
     saved_inputs: HashMap<u64, Tensor>,
+    /// Recompute: the minibatch whose forward kept its layers' caches
+    /// because its backward runs next ([`keeps_activations`]).
+    kept: Option<u64>,
     /// Loss gradients awaiting the backward op (output stage only).
     pending_loss_grad: HashMap<u64, Tensor>,
     /// Buffered out-of-order arrivals.
@@ -179,7 +182,7 @@ enum RecvStep<T> {
     Lost,
 }
 
-impl StageWorker {
+impl StageWorker<'_> {
     /// Run the worker to completion; returns its log and the trained
     /// stage model, or the typed error it died with. All failures except
     /// a silent [`WorkerError::Killed`] are also announced on the metrics
@@ -213,6 +216,7 @@ impl StageWorker {
             store: policy.map(VersionStore::new),
             two_bw_grads: 0,
             saved_inputs: HashMap::new(),
+            kept: None,
             pending_loss_grad: HashMap::new(),
             act_buffer: HashMap::new(),
             grad_buffer: HashMap::new(),
@@ -230,6 +234,10 @@ impl StageWorker {
                 obs: None,
             },
         };
+        // Gradients start at zero, and every update leaves them so
+        // (`Optimizer::step` zeroes them): a backward accumulates into them
+        // without clearing them first.
+        self.model.zero_grad();
         match self.run_ops(&mut st) {
             Ok(()) => {
                 // Peak stash depth / staleness, so the coordinator can
@@ -268,7 +276,7 @@ impl StageWorker {
 
     fn run_ops(&mut self, st: &mut WorkerState) -> Result<(), WorkerError> {
         let ops = std::mem::take(&mut self.ops);
-        for (ops_done, op) in ops.into_iter().enumerate() {
+        for (ops_done, &op) in ops.iter().enumerate() {
             // Drain gate: the input stage asks to admit each minibatch's
             // forward (fixing the cut when a drain is pending); everyone
             // else skips any op whose minibatch fell at or beyond the cut.
@@ -311,8 +319,11 @@ impl StageWorker {
             }
             match op {
                 Op::Forward { mb } => {
+                    let keep = ops
+                        .get(ops_done + 1)
+                        .is_some_and(|&next| keeps_activations(op, next));
                     let span = self.recorder.begin();
-                    let r = self.forward(st, mb);
+                    let r = self.forward(st, mb, keep);
                     self.recorder
                         .end_in_epoch(span, SpanKind::Fwd { mb }, self.trace_epoch(mb));
                     r?
@@ -522,7 +533,10 @@ impl StageWorker {
         }
     }
 
-    fn forward(&mut self, st: &mut WorkerState, mb: u64) -> Result<(), WorkerError> {
+    /// Run minibatch `mb`'s forward pass and ship its output (or, on the
+    /// output stage, compute its loss). `keep`: its backward is this
+    /// worker's next op, so a recomputing stage keeps the activations.
+    fn forward(&mut self, st: &mut WorkerState, mb: u64, keep: bool) -> Result<(), WorkerError> {
         let (input, mut version_tag) = if self.stage == 0 {
             (self.data.input(mb), 0)
         } else {
@@ -566,16 +580,21 @@ impl StageWorker {
         self.swap_weights(st, version);
         let out = self.model.forward(&input, mb);
         self.swap_weights(st, version);
-        if self.schedule_kind.uses_recompute() && self.semantics == Semantics::Stashed {
+        if !self.recomputes() {
+            // The stage's layers saved their own copies; the inbound
+            // activation (or dataset minibatch) is dead — pool its buffer.
+            input.recycle();
+        } else if keep {
+            // The backward runs next, under the same pinned weights: the
+            // layers' caches are exactly what a recompute would rebuild.
+            st.kept = Some(mb);
+            input.recycle();
+        } else {
             // Drop the per-layer activation stash now; only the stage
             // input is retained, from which a second forward pass rebuilds
             // the stash right before this minibatch's backward.
             self.model.clear_slot(mb);
             st.saved_inputs.insert(mb, input);
-        } else {
-            // The stage's layers saved their own copies; the inbound
-            // activation (or dataset minibatch) is dead — pool its buffer.
-            input.recycle();
         }
         st.activation_bytes_max = st.activation_bytes_max.max(self.live_activation_bytes(st));
 
@@ -658,9 +677,10 @@ impl StageWorker {
                 // under stashing; group updates under 2BW).
                 st.staleness_max = st.staleness_max.max(store.live() - version);
                 let two_bw = self.schedule_kind.uses_two_bw();
-                if !two_bw || st.two_bw_grads == 0 {
-                    self.model.zero_grad();
-                }
+                debug_assert!(
+                    st.two_bw_grads > 0 || self.grads_are_zero(),
+                    "a backward that starts accumulating finds the gradients zero"
+                );
                 self.swap_weights(st, version);
                 self.recompute_forward(st, mb);
                 let g = self.model.backward(&grad_out, mb);
@@ -701,13 +721,17 @@ impl StageWorker {
             Semantics::Naive => {
                 // Invalid gradients: backward with whatever the weights are
                 // *now*, which generally differ from the forward's.
-                self.model.zero_grad();
+                debug_assert!(self.grads_are_zero(), "the last update zeroed them");
                 let g = self.model.backward(&grad_out, mb);
                 self.apply_update(st, mb)?;
                 g
             }
             Semantics::GPipe { .. } => {
                 // Accumulate gradients; the flush applies them.
+                debug_assert!(
+                    st.since_flush > 0 || self.grads_are_zero(),
+                    "the last flush zeroed them"
+                );
                 let g = self.model.backward(&grad_out, mb);
                 st.since_flush += 1;
                 g
@@ -763,12 +787,28 @@ impl StageWorker {
                 .sum::<u64>()
     }
 
+    /// Whether this stage drops activations after a forward and recomputes
+    /// them before the backward (recompute kinds, under weight stashing).
+    fn recomputes(&self) -> bool {
+        self.schedule_kind.uses_recompute() && self.semantics == Semantics::Stashed
+    }
+
+    /// Whether every gradient of the stage is zero, as every update leaves
+    /// them (for debug assertions).
+    fn grads_are_zero(&self) -> bool {
+        self.model
+            .params()
+            .iter()
+            .all(|p| p.grad.data().iter().all(|&g| g == 0.0))
+    }
+
     /// Recompute kinds: rebuild the dropped activation stash by re-running
     /// the stage forward from the retained input, under the already
     /// swapped-in pinned weight version — so the subsequent backward is
-    /// bit-identical to vanilla. No-op otherwise.
+    /// bit-identical to vanilla. No-op otherwise, and for the minibatch
+    /// whose forward kept its caches.
     fn recompute_forward(&mut self, st: &mut WorkerState, mb: u64) {
-        if !self.schedule_kind.uses_recompute() {
+        if !self.recomputes() || st.kept.take() == Some(mb) {
             return;
         }
         let input = st

@@ -14,7 +14,7 @@
 use crate::pipeline::SimResult;
 use crate::timeline::{Timeline, WorkKind};
 use pipedream_core::estimates::stage_memory;
-use pipedream_core::schedule::Op;
+use pipedream_core::schedule::{keeps_activations, Op};
 use pipedream_core::{PipelineConfig, ScheduleKind, StagePlan};
 use pipedream_hw::Topology;
 use pipedream_model::LayerCosts;
@@ -56,7 +56,13 @@ pub(crate) struct Worker {
     /// Earliest start of the next forward, which must see synced weights.
     pub(crate) fwd_barrier: f64,
     fwd_s: f64,
+    /// A backward; under a recompute kind it re-runs the forward first.
     bwd_s: f64,
+    /// A backward whose forward's activations are still cached: nothing
+    /// ran on the worker in between ([`keeps_activations`]).
+    bwd_kept_s: f64,
+    /// The op the worker ran last (a flush before the first).
+    last: Op,
     /// Indexed by the receiving stage's replica; empty at the output stage.
     next: Vec<Route>,
     /// Likewise towards the input stage.
@@ -156,7 +162,8 @@ impl<'a> Engine<'a> {
             let layers = &costs.layers[stages[stage].first_layer..=stages[stage].last_layer];
             let fwd_s: f64 = layers.iter().map(|l| l.fwd_s).sum();
             let bwd_s: f64 = layers.iter().map(|l| l.bwd_s).sum();
-            // Recomputation re-runs the forward to rebuild activations.
+            // Recomputation re-runs the forward to rebuild the activations
+            // it dropped.
             let recompute_s = if kind.uses_recompute() { fwd_s } else { 0.0 };
             let speed = speeds.get(w).copied().unwrap_or(1.0);
             Worker {
@@ -170,6 +177,8 @@ impl<'a> Engine<'a> {
                 fwd_barrier: 0.0,
                 fwd_s: fwd_s / speed,
                 bwd_s: (bwd_s + recompute_s) / speed,
+                bwd_kept_s: bwd_s / speed,
+                last: Op::Flush,
                 next,
                 prev,
             }
@@ -200,14 +209,17 @@ impl<'a> Engine<'a> {
     /// allow, with its effects: a backward syncs a replicated stage's
     /// weights, and both passes send to the neighbouring stage. `None` when
     /// nothing is sent: a flush, the output stage's forward, and the input
-    /// stage's backward, where the minibatch completes.
+    /// stage's backward, where the minibatch completes. A backward right
+    /// after its own forward recomputes nothing, whatever the kind.
     pub(crate) fn execute(&mut self, w: usize, ready: f64, op: Op) -> Option<Delivery> {
         let worker = &mut self.workers[w];
         let dur = match op {
             Op::Forward { .. } => worker.fwd_s,
+            Op::Backward { .. } if keeps_activations(worker.last, op) => worker.bwd_kept_s,
             Op::Backward { .. } => worker.bwd_s,
             Op::Flush => 0.0,
         };
+        worker.last = op;
         let start = ready.max(worker.free_at);
         let end = start + dur;
         worker.free_at = end;

@@ -78,10 +78,10 @@ pub struct PipelineSim<'a> {
     costs: &'a LayerCosts,
     topo: &'a Topology,
     schedule: &'a Schedule,
-    /// Memory-efficient schedule variant: recomputation re-runs each
-    /// stage's forward inside the backward pass (trading compute for
-    /// memory), and 2BW coalesces gradient syncs to one per update group
-    /// while capping stashed weight versions at two.
+    /// Memory-efficient schedule variant: recomputation re-runs a stage's
+    /// forward inside the backward pass wherever it dropped the activations
+    /// (trading compute for memory), and 2BW coalesces gradient syncs to
+    /// one per update group while capping stashed weight versions at two.
     kind: ScheduleKind,
     /// Per-worker compute speed multipliers (platform diversity, §2.3):
     /// worker `w`'s op durations are divided by `speed[w]`. Empty = uniform.
@@ -126,7 +126,13 @@ impl<'a> PipelineSim<'a> {
 
     /// Simulate under an explicit [`ScheduleKind`]: 2BW variants coalesce
     /// gradient syncs to one per update group and cap weight versions at
-    /// two; recompute variants pay the forward again in each backward.
+    /// two; recompute variants pay the forward again in each backward,
+    /// except one that runs right after its own forward on the same worker
+    /// ([`keeps_activations`](pipedream_core::schedule::keeps_activations):
+    /// the output stage under 1F1B, every stage of a depth-1 schedule, the
+    /// last microbatch of a GPipe group), whose activations were never
+    /// dropped — as in the runtime. Peak memory stays the upper bound that
+    /// drops every stash.
     pub fn with_schedule(mut self, kind: ScheduleKind) -> Self {
         self.kind = kind;
         self
@@ -232,6 +238,7 @@ pub fn simulate_pipeline(costs: &LayerCosts, topo: &Topology, schedule: &Schedul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeline::{Interval, WorkKind};
     use pipedream_core::PipelineConfig;
     use pipedream_hw::{Device, LinkModel};
     use pipedream_model::zoo;
@@ -443,6 +450,44 @@ mod tests {
             .run();
         assert!(rec.per_minibatch_s > plain.per_minibatch_s);
         assert!(rec.peak_memory_bytes[0] < plain.peak_memory_bytes[0]);
+    }
+
+    #[test]
+    fn recompute_charges_only_the_backwards_whose_activations_were_dropped() {
+        // Under 1F1B the output stage runs each backward right after its
+        // forward and keeps the activations; every other stage dropped
+        // them and pays its forward again.
+        let costs = uniform_costs(8);
+        let topo = fast_topo(4);
+        let config = PipelineConfig::straight(8, &[1, 3, 5]);
+        let schedule = pipedream_core::Schedule::one_f_one_b(&config, 16);
+        let vanilla = simulate_pipeline(&costs, &topo, &schedule);
+        let rec = PipelineSim::new(&costs, &topo, &schedule)
+            .with_schedule(ScheduleKind::Recompute)
+            .run();
+        let backwards = |r: &SimResult, w: usize| -> Vec<f64> {
+            r.timeline.per_worker[w]
+                .iter()
+                .filter(|i| matches!(i.kind, WorkKind::Backward(_)))
+                .map(Interval::duration)
+                .collect()
+        };
+        for (w, s) in config.stages().iter().enumerate() {
+            let fwd_s: f64 = costs.layers[s.first_layer..=s.last_layer]
+                .iter()
+                .map(|l| l.fwd_s)
+                .sum();
+            let extra = if w == 3 { 0.0 } else { fwd_s };
+            let (plain, recomputed) = (backwards(&vanilla, w), backwards(&rec, w));
+            assert_eq!(plain.len(), 16);
+            assert_eq!(recomputed.len(), 16);
+            for (p, r) in plain.iter().zip(&recomputed) {
+                assert!(
+                    (r - p - extra).abs() <= 1e-9 * p,
+                    "stage {w}: backward {r} s, vanilla {p} s, forward {fwd_s} s"
+                );
+            }
+        }
     }
 
     #[test]

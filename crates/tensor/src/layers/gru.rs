@@ -16,6 +16,15 @@ struct StepCache {
     pre_hn: Tensor, // [b, hidden] h_prev·W_hn + b_hn (needed for r's grad)
 }
 
+impl StepCache {
+    /// Hand the step's buffers back to the pool.
+    fn recycle(self) {
+        for t in [self.x, self.h_prev, self.r, self.z, self.n, self.pre_hn] {
+            t.recycle();
+        }
+    }
+}
+
 /// A single-layer unidirectional GRU over `[batch, seq, in]` inputs,
 /// producing `[batch, seq, hidden]` (zero initial state).
 ///
@@ -116,6 +125,7 @@ impl Layer for Gru {
             h.recycle();
             h = h_new;
         }
+        h.recycle();
         self.saved.insert(slot, caches);
         out
     }
@@ -189,6 +199,8 @@ impl Layer for Gru {
             dh_next.recycle();
             dh_next = dh_prev;
         }
+        dh_next.recycle();
+        caches.into_iter().for_each(StepCache::recycle);
         dx
     }
 
@@ -214,7 +226,9 @@ impl Layer for Gru {
     }
 
     fn clear_slot(&mut self, slot: Slot) {
-        self.saved.remove(&slot);
+        if let Some(caches) = self.saved.remove(&slot) {
+            caches.into_iter().for_each(StepCache::recycle);
+        }
     }
 
     fn cached_bytes(&self) -> u64 {

@@ -15,6 +15,15 @@ struct StepCache {
     c: Tensor,      // [b, hidden]
 }
 
+impl StepCache {
+    /// Hand the step's buffers back to the pool.
+    fn recycle(self) {
+        for t in [self.x, self.h_prev, self.c_prev, self.gates, self.c] {
+            t.recycle();
+        }
+    }
+}
+
 /// A single-layer unidirectional LSTM over `[batch, seq, in]` inputs,
 /// producing `[batch, seq, hidden]` outputs (zero initial state).
 ///
@@ -151,6 +160,8 @@ impl Layer for Lstm {
             h = ht;
             caches.push(cache);
         }
+        h.recycle();
+        c.recycle();
         self.saved.insert(slot, caches);
         out
     }
@@ -226,6 +237,9 @@ impl Layer for Lstm {
             dc_next.recycle();
             dc_next = dc_prev;
         }
+        dh_next.recycle();
+        dc_next.recycle();
+        caches.into_iter().for_each(StepCache::recycle);
         dx
     }
 
@@ -252,7 +266,9 @@ impl Layer for Lstm {
     }
 
     fn clear_slot(&mut self, slot: Slot) {
-        self.saved.remove(&slot);
+        if let Some(caches) = self.saved.remove(&slot) {
+            caches.into_iter().for_each(StepCache::recycle);
+        }
     }
 
     fn cached_bytes(&self) -> u64 {
