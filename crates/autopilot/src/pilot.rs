@@ -19,9 +19,10 @@
 //!   with [`AutopilotError::UnexpectedFailure`];
 //! * **the drift monitor drained it** — the replan advisor re-runs the
 //!   partitioner over *measured* costs and, when a strictly better plan
-//!   exists, the drained checkpoint is re-split along its boundaries into
-//!   the next generation directory and the new plan resumes on probation:
-//!   its measured throughput must beat the degraded baseline by a margin;
+//!   exists whose schedule can run the remaining work, the drained
+//!   checkpoint is re-split along its boundaries into the next generation
+//!   directory and the new plan resumes on probation: its measured
+//!   throughput must beat the degraded baseline by a margin;
 //! * **probation failed** — the incumbent resumes from the untouched
 //!   `gen0` cut (rolled back);
 //! * **it finished** — the joined report is returned.
@@ -54,7 +55,7 @@ use pipedream_runtime::checkpoint::latest_complete;
 use pipedream_runtime::control::RunControl;
 use pipedream_runtime::fault::FaultHook;
 use pipedream_runtime::report::{ControlRecord, ReconfigReport, ReconfigVerdict, RecoveryRecord};
-use pipedream_runtime::trainer::{try_train_pipeline, TrainOpts};
+use pipedream_runtime::trainer::{stuck_workers, try_train_pipeline, TrainOpts};
 use pipedream_runtime::TrainReport;
 use pipedream_tensor::data::Dataset;
 use pipedream_tensor::Sequential;
@@ -507,13 +508,17 @@ pub fn train_supervised(
                 // would drop the ragged tail and the run end short. The cut
                 // was pre-aligned for every layout the advisor can pick, so
                 // this only rejects exotic heterogeneous layouts or a
-                // misaligned `force_plan`.
+                // misaligned `force_plan`. Nor may the new plan's schedule
+                // leave a worker blocked for good (some replication
+                // patterns, e.g. `1-2`), which the trainer would refuse.
                 let remaining = (opts.epochs as u64 * mbs_per_epoch).saturating_sub(point);
                 let candidate = match &r.auto.force_plan {
                     Some(forced) => Some(forced),
                     None => advice.changed.then_some(&advice.recommended_config),
                 }
-                .filter(|c| remaining % c.replica_lcm() == 0);
+                .filter(|c| {
+                    remaining % c.replica_lcm() == 0 && stuck_workers(c, opts, remaining).is_empty()
+                });
                 resume = true;
                 // Nothing strictly better (or the candidate cannot run the
                 // remaining work): no plan changed, so no ReconfigReport;

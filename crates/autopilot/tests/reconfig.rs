@@ -10,7 +10,7 @@ use pipedream_obs::{DriftConfig, SpanKind};
 use pipedream_runtime::checkpoint::{load_stage, save_stage};
 use pipedream_runtime::control::RunControl;
 use pipedream_runtime::report::ReconfigVerdict;
-use pipedream_runtime::trainer::{try_train_pipeline, TrainOpts};
+use pipedream_runtime::trainer::{stuck_workers, try_train_pipeline, TrainOpts};
 use pipedream_runtime::{LrSchedule, OptimKind, Semantics};
 use pipedream_tensor::data::blobs;
 use pipedream_tensor::init::rng;
@@ -280,6 +280,59 @@ fn forced_good_plan_commits() {
         "committed plan did not improve throughput: {rec:?}"
     );
     assert_eq!(rec.minibatches_redone, 0, "a clean drain redoes nothing");
+    let ids: Vec<u64> = report.per_minibatch.iter().map(|(id, _)| *id).collect();
+    assert_eq!(ids, (0..64).collect::<Vec<u64>>());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A replan candidate whose schedule cannot run is no plan at all: the
+/// trainer would refuse it, so the incumbent resumes from the drain point
+/// and finishes the run, with no reconfiguration logged.
+#[test]
+fn stuck_replan_candidate_keeps_the_incumbent() {
+    let topo = Topology::flat(Device::v100(), 2, LinkModel::new(1e14, 0.0), "test");
+    let mut prof = model(3);
+    let profile = profile_sequential(&mut prof, &Tensor::zeros(&[BATCH, 8]), 1, 3, &topo.device);
+    let costs = profile.costs(&topo.device, BATCH, Precision::Fp32);
+    let n = profile.num_layers();
+    let config = PipelineConfig::straight(n, &[3]);
+    // `1-2`: stage 1's replicas meet in a sync round that stage 0's
+    // schedule never lets close.
+    let stuck = PipelineConfig::from_counts(&[(3, 1), (3, 2)]);
+
+    let data = blobs(512, 8, 4, 0.7, 7);
+    let mut opts = deterministic_opts();
+    opts.epochs = 2;
+    assert!(!stuck_workers(&stuck, &opts, 64).is_empty());
+    let dir = tmpdir("stuck-candidate");
+    opts.checkpoint_dir = Some(dir.clone());
+    let session = pipedream_obs::TraceSession::new();
+    opts.obs = Some(session.clone());
+
+    let auto = AutopilotOpts {
+        drift: DriftConfig {
+            min_minibatches: 1,
+            ..DriftConfig::default()
+        },
+        sample_every: Duration::from_millis(25),
+        force_plan: Some(stuck),
+        ..AutopilotOpts::default()
+    };
+    let plan = Arc::new(FaultPlan::parse("straggle:stage=0,ms=3").unwrap());
+    let (_, report) = train_supervised(
+        &model(3),
+        &config,
+        &data,
+        &opts,
+        Some((&costs, &topo, &auto)),
+        Some(plan),
+    )
+    .expect("the incumbent finishes the run");
+
+    // Drift was confirmed and drained on, and the candidate turned down.
+    let attempts = session.metrics().counter("reconfig_attempts_total").get();
+    assert_eq!(attempts, 1);
+    assert_eq!(report.reconfigs().count(), 0, "{:?}", report.control_log);
     let ids: Vec<u64> = report.per_minibatch.iter().map(|(id, _)| *id).collect();
     assert_eq!(ids, (0..64).collect::<Vec<u64>>());
     let _ = std::fs::remove_dir_all(&dir);

@@ -34,5 +34,5 @@ pub use fingerprint::{
     fingerprint_profile, fingerprint_topology, FingerprintError, Fingerprinter,
 };
 pub use planner::{Plan, PlanError, Planner, StagePrediction};
-pub use schedule::{Op, Schedule};
+pub use schedule::{Op, Schedule, UpdateRule};
 pub use stash::{ScheduleKind, VersionPolicy, VersionStore};

@@ -19,14 +19,26 @@
 //! traffic across the stage boundary.
 //!
 //! Each level first tabulates `T^k(a→j, m)` for every `a ≤ j` and `m`
-//! (`O(N²·m_k)` all_reduce estimates), so a split candidate `(s, m')` is
-//! two loads, two `max`es and a compare. Every level below the top fills
-//! all rows `i`, because the level above reads `A^{k-1}(a→b, m_{k-1})` for
-//! every `(a, b)`; the top level fills row `i = 0` only, the one row its
-//! splits `A^L(0→s, m−m')` and the answer `A^L(0→N−1, m_L)` read. The
-//! total complexity is `O(Σ_{k<L} N³·m_k² + N²·m_L²)`. The paper reports
-//! < 8 s for every model/cluster pair; the ledger's `plan-scale` workload
-//! (`bench/`, `core.plan_*` metrics) measures this implementation.
+//! (`O(N²·m_k)` all_reduce estimates). It then fills one cell `(i, j)` at a
+//! time, `j` ascending within a row, and the cell's whole worker column in
+//! one pass: `best[m]` starts from `T^k(i→j, m)`, and each split `s`, then
+//! each tail width `m'` ascending, offers `max(A^k(i→s, m−m'), c)` with
+//! `c = max(T^k(s+1→j, m'), 2·a_s/B_k)` to every `m > m'` at once — a
+//! branch-free (min, max)-convolution of one contiguous head row against
+//! one broadcast value, which vectorizes. A split whose `2·a_s/B_k`, or a
+//! width whose `c`, already reaches the largest `best[m]` still open is
+//! skipped. Every `m` still meets its candidates in `(s, m')` order and
+//! takes one only on a strict `<`, so it keeps the first strict minimum in
+//! that order: the same values and choices as solving each `m` on its own.
+//!
+//! Every level below the top fills all rows `i`, because the level above
+//! reads `A^{k-1}(a→b, m_{k-1})` for every `(a, b)`; the top level fills
+//! row `i = 0` only, the one row its splits `A^L(0→s, m−m')` and the answer
+//! `A^L(0→N−1, m_L)` read. Tables hold only the cells `i ≤ j` of those
+//! rows (`LevelTable`). The total complexity is
+//! `O(Σ_{k<L} N³·m_k² + N²·m_L²)`. The paper reports < 8 s for every
+//! model/cluster pair; the ledger's `plan-scale` workload (`bench/`,
+//! `core.plan_*` metrics) measures this implementation.
 //!
 //! Two planning modes are provided:
 //!
@@ -154,18 +166,33 @@ pub struct Planner<'a> {
     schedule: ScheduleKind,
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Choice {
-    /// Layers `i..=j` form one stage replicated over the `m` units of this
-    /// level.
-    Single,
-    /// Split after layer `s`: sub-pipeline on `m − m'` units, then a single
-    /// stage on `m'` units.
-    Split { s: u32, m_prime: u32 },
+/// What cell `(i, j, m)` chose, packed into 8 bytes so that a cell's
+/// choices are updated in the same vector lanes as its values: `m' = 0`
+/// means layers `i..=j` form one stage replicated over the `m` units of
+/// this level; otherwise the cell splits after layer `s` into a
+/// sub-pipeline on `m − m'` units and a single stage on `m'` units.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Choice(u64);
+
+impl Choice {
+    const SINGLE: Choice = Choice(0);
+
+    fn split(s: usize, m_prime: usize) -> Choice {
+        Choice((s as u64) << 32 | m_prime as u64)
+    }
+
+    /// `Some((s, m'))` for a split, `None` for a single stage.
+    fn split_point(self) -> Option<(usize, usize)> {
+        let m_prime = self.0 as u32 as usize;
+        (m_prime != 0).then_some(((self.0 >> 32) as usize, m_prime))
+    }
 }
 
-/// One DP table for a level: `table[i][j][m] = (value, choice)` for the
-/// first `rows` values of `i`.
+/// One DP table for a level: `A(i→j, m)` and its choice for the cells
+/// `i ≤ j` of the first `rows` rows and every `1 ≤ m ≤ max_m`. Cells are
+/// stored row by row and, within a row, by `j`, each with its `max_m`
+/// values contiguous — so the heads `A(i→s, ·)` a cell's splits read are
+/// the cells of its row stored before it.
 struct LevelTable {
     n: usize,
     max_m: usize,
@@ -174,33 +201,30 @@ struct LevelTable {
 }
 
 impl LevelTable {
-    fn new(rows: usize, n: usize, max_m: usize) -> Self {
+    /// An empty table with room for `rows` rows, filled cell by cell in
+    /// storage order.
+    fn with_capacity(rows: usize, n: usize, max_m: usize) -> Self {
+        let len = Self::cells_before(n, rows) * max_m;
         LevelTable {
             n,
             max_m,
-            vals: vec![f64::INFINITY; rows * n * (max_m + 1)],
-            choices: vec![Choice::Single; rows * n * (max_m + 1)],
+            vals: Vec::with_capacity(len),
+            choices: Vec::with_capacity(len),
         }
     }
 
+    /// Cells in the rows before row `i`: row `r` holds `n − r`.
+    fn cells_before(n: usize, i: usize) -> usize {
+        i * (2 * n + 1 - i) / 2
+    }
+
     fn idx(&self, i: usize, j: usize, m: usize) -> usize {
-        (i * self.n + j) * (self.max_m + 1) + m
+        debug_assert!(i <= j && j < self.n && (1..=self.max_m).contains(&m));
+        (Self::cells_before(self.n, i) + j - i) * self.max_m + m - 1
     }
 
     fn get(&self, i: usize, j: usize, m: usize) -> f64 {
         self.vals[self.idx(i, j, m)]
-    }
-
-    /// `A(i→j, m)` for every `m` of this level, `m = 0` included.
-    fn row(&self, i: usize, j: usize) -> &[f64] {
-        let at = self.idx(i, j, 0);
-        &self.vals[at..at + self.max_m + 1]
-    }
-
-    fn set(&mut self, i: usize, j: usize, m: usize, v: f64, c: Choice) {
-        let idx = self.idx(i, j, m);
-        self.vals[idx] = v;
-        self.choices[idx] = c;
     }
 
     fn choice(&self, i: usize, j: usize, m: usize) -> Choice {
@@ -292,60 +316,76 @@ impl<'a> Planner<'a> {
         link: &LinkModel,
     ) -> LevelTable {
         let n = self.costs.num_layers();
-        let width = max_m + 1;
         let mut w_prefix = vec![0u64; n + 1];
         for (l, layer) in self.costs.layers.iter().enumerate() {
             w_prefix[l + 1] = w_prefix[l] + layer.weight_bytes;
         }
-        // `T^k(a→j, m)` for every `a ≤ j`, stored by `j` then `a` so that
-        // the tails `T^k(s+1→j, ·)` of one cell's splits are adjacent.
-        let mut stage = Vec::with_capacity(n * (n + 1) / 2 * width);
+        // `T^k(a→j, m)` for every `a ≤ j` and `1 ≤ m ≤ max_m`, stored by
+        // `j` then `a` so that the tails `T^k(s+1→j, ·)` of one cell's
+        // splits are adjacent.
+        let mut stage = Vec::with_capacity(n * (n + 1) / 2 * max_m);
         for j in 0..n {
             for a in 0..=j {
                 let (compute, w_bytes) = (inner(a, j), w_prefix[j + 1] - w_prefix[a]);
-                stage.push(f64::INFINITY); // m = 0: no such stage
                 stage.extend((1..=max_m).map(|m| t_single(compute, w_bytes, m, link)));
             }
         }
         let stage_row = |a: usize, j: usize| {
-            let at = (j * (j + 1) / 2 + a) * width;
-            &stage[at..at + width]
+            let at = (j * (j + 1) / 2 + a) * max_m;
+            &stage[at..at + max_m]
         };
         let act: Vec<f64> = (0..n)
             .map(|s| 2.0 * p2p_time(link, self.costs.activation_bytes(s)))
             .collect();
 
-        let mut table = LevelTable::new(rows, n, max_m);
-        for m in 1..=max_m {
-            for i in 0..rows {
-                for j in i..n {
-                    // Candidate 1: single stage replicated over all m units.
-                    let mut best = stage_row(i, j)[m];
-                    let mut choice = Choice::Single;
-                    // Candidate 2: split after s with m' units on the tail,
-                    // m' ascending: heads A(i→s, m−1..=1) against tails
-                    // T(s+1→j, 1..m).
-                    for (s, &act) in (i..j).zip(&act[i..j]) {
-                        let heads = table.row(i, s)[1..m].iter().rev();
-                        let tails = &stage_row(s + 1, j)[1..m];
-                        for (m_prime, (&head, &tail)) in (1..).zip(heads.zip(tails)) {
-                            if head >= best {
-                                continue; // max() can only be ≥ head
-                            }
-                            let cand = head.max(act).max(tail);
-                            if cand < best {
-                                best = cand;
-                                choice = Choice::Split {
-                                    s: s as u32,
-                                    m_prime,
-                                };
-                            }
+        // Like a cell's values, indexed by `m − 1`: `open[m']` is the
+        // largest `best[m]` a split with `m'` tail units can still lower.
+        let mut open = vec![0.0; max_m];
+        let mut table = LevelTable::with_capacity(rows, n, max_m);
+        for i in 0..rows {
+            let row = table.vals.len();
+            for j in i..n {
+                // Candidate 1, for every m at once: a single stage
+                // replicated over all m units.
+                let at = table.vals.len();
+                debug_assert_eq!(at, table.idx(i, j, 1));
+                table.vals.extend_from_slice(stage_row(i, j));
+                table.choices.resize(at + max_m, Choice::SINGLE);
+                let (filled, best) = table.vals.split_at_mut(at);
+                let choice = &mut table.choices[at..];
+                // Candidate 2: split after s with m' units on the tail, in
+                // (s, m') order. One (s, m') pair offers `c = max(T(s+1→j,
+                // m'), 2·a_s)` to every m > m' against head A(i→s, m − m'),
+                // and a cell keeps the first strict minimum, as when each m
+                // was solved on its own.
+                let heads = filled[row..].chunks_exact(max_m);
+                for ((s, head), &act) in (i..j).zip(heads).zip(&act[i..j]) {
+                    let mut widest = f64::NEG_INFINITY;
+                    for (o, &b) in open.iter_mut().zip(best.iter()).rev() {
+                        widest = widest.max(b);
+                        *o = widest;
+                    }
+                    if open.get(1).is_none_or(|&o| act >= o) {
+                        continue; // max() can only be ≥ act
+                    }
+                    let tail = stage_row(s + 1, j);
+                    for m_prime in 1..max_m {
+                        let c = tail[m_prime - 1].max(act);
+                        if c >= open[m_prime] {
+                            continue;
+                        }
+                        let split = Choice::split(s, m_prime);
+                        let lanes = best[m_prime..].iter_mut().zip(&mut choice[m_prime..]);
+                        for ((b, ch), &h) in lanes.zip(head) {
+                            let cand = h.max(c);
+                            let better = cand < *b;
+                            *b = if better { cand } else { *b };
+                            *ch = if better { split } else { *ch };
                         }
                     }
-                    #[cfg(test)]
-                    tests::CANDIDATES.with(|c| c.set(c.get() + ((j - i) * (m - 1)) as u64));
-                    table.set(i, j, m, best, choice);
                 }
+                #[cfg(test)]
+                tests::LANES.with(|c| c.set(c.get() + ((j - i) * max_m * (max_m - 1) / 2) as u64));
             }
         }
         table
@@ -362,8 +402,8 @@ impl<'a> Planner<'a> {
         unit_plan: &dyn Fn(usize, usize) -> Vec<StagePlan>,
         out: &mut Vec<StagePlan>,
     ) {
-        match table.choice(i, j, m) {
-            Choice::Single => {
+        match table.choice(i, j, m).split_point() {
+            None => {
                 // Replicating a unit whose internal plan may itself be a
                 // pipeline: each internal stage gets m× the replicas, which
                 // preserves aggregate per-stage throughput under 1F1B-RR.
@@ -375,8 +415,7 @@ impl<'a> Planner<'a> {
                     ));
                 }
             }
-            Choice::Split { s, m_prime } => {
-                let (s, m_prime) = (s as usize, m_prime as usize);
+            Some((s, m_prime)) => {
                 Self::reconstruct_level(table, i, s, m - m_prime, unit_plan, out);
                 for st in unit_plan(s + 1, j) {
                     out.push(StagePlan::new(
@@ -806,21 +845,22 @@ mod tests {
     use std::cell::Cell;
 
     thread_local! {
-        /// Split candidates `(s, m')` that `solve_level` visited on this
-        /// thread.
-        pub(super) static CANDIDATES: Cell<u64> = const { Cell::new(0) };
+        /// Split candidates `(s, m', m)` that `solve_level` offered its
+        /// cells on this thread, counted before any is skipped.
+        pub(super) static LANES: Cell<u64> = const { Cell::new(0) };
     }
 
-    /// Candidates visited by `f`.
+    /// Candidates offered while `f` runs.
     fn candidates_of(f: impl FnOnce()) -> u64 {
-        let before = CANDIDATES.with(Cell::get);
+        let before = LANES.with(Cell::get);
         f();
-        CANDIDATES.with(Cell::get) - before
+        LANES.with(Cell::get) - before
     }
 
-    /// Candidates one level of arity `m` visits over `n` layers: cell
-    /// `(i, j, m')` has `(j−i)·(m'−1)`, so the level has `C(m, 2)` times
-    /// `Σ_{i≤j} (j−i) = C(n+1, 3)` with every row solved, or times
+    /// Candidates one level of arity `m` offers over `n` layers: cell
+    /// `(i, j)` has `j−i` splits `s`, each offering every `m' < m` to the
+    /// `m − m'` widths above it, `C(m, 2)` lanes; so the level has `C(m, 2)`
+    /// times `Σ_{i≤j} (j−i) = C(n+1, 3)` with every row solved, or times
     /// `Σ_j j = C(n, 2)` with row 0 only.
     fn level_candidates(n: u64, m: u64, all_rows: bool) -> u64 {
         let pairs = if all_rows {
@@ -857,6 +897,47 @@ mod tests {
                 + level_candidates(12, 4, true)
                 + level_candidates(12, 5, false)
         );
+    }
+
+    #[test]
+    fn triangular_index_is_one_to_one() {
+        for (n, max_m) in [(1, 1), (1, 4), (5, 1), (7, 3), (12, 8)] {
+            let profile = zoo::uniform(n, 1e9, 100_000, 1_000_000);
+            let topo = flat_topo(max_m, 10.0);
+            let planner = Planner::new(&profile, &topo);
+            let sum_compute = |i: usize, j: usize| planner.costs.total_compute(i, j);
+            for rows in [1, n] {
+                let table = planner.solve_level(&sum_compute, max_m, rows, topo.link(1));
+                // Storage order is row, then j ≥ i, then m: the cells of
+                // `rows` rows land on consecutive indices from 0 and fill
+                // the table exactly.
+                let mut next = 0;
+                for i in 0..rows {
+                    for j in i..n {
+                        for m in 1..=max_m {
+                            assert_eq!(
+                                table.idx(i, j, m),
+                                next,
+                                "n {n} rows {rows}: ({i}, {j}, {m})"
+                            );
+                            next += 1;
+                        }
+                    }
+                }
+                let room = LevelTable::cells_before(n, rows) * max_m;
+                assert_eq!((table.vals.len(), table.choices.len()), (next, next));
+                assert_eq!(room, next, "n {n} rows {rows} max_m {max_m}");
+            }
+        }
+    }
+
+    #[test]
+    fn choice_packs_split_points() {
+        assert_eq!(Choice::SINGLE.split_point(), None);
+        for (s, m_prime) in [(0, 1), (7, 3), (127, 127), (u32::MAX as usize, 1)] {
+            assert_eq!(Choice::split(s, m_prime).split_point(), Some((s, m_prime)));
+        }
+        assert_eq!(std::mem::size_of::<Choice>(), 8);
     }
 
     fn flat_topo(n: usize, gbytes: f64) -> Topology {

@@ -65,6 +65,52 @@ pub fn keeps_activations(op: Op, next: Op) -> bool {
     matches!((op, next), (Op::Forward { mb: f }, Op::Backward { mb: b }) if f == b)
 }
 
+/// When a worker applies a weight update. On a replicated stage every
+/// update follows a gradient all_reduce in which each replica's `k`-th
+/// update meets the other replicas' `k`-th, so this is also when a worker
+/// waits for its stage's other replicas. The trainer's workers decide
+/// their updates by it, and [`Schedule::stuck`] plays schedules against it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UpdateRule {
+    /// After every backward: weight stashing, vertical sync, and the naive
+    /// no-stashing strawman.
+    EveryBackward,
+    /// PipeDream-2BW: after the backward that closes a full group of
+    /// `group` minibatches, on the group's accumulated gradients (a partial
+    /// trailing group's never apply, like data ending mid-group).
+    TwoBw {
+        /// Minibatches per gradient-accumulation group.
+        group: u64,
+    },
+    /// GPipe: at each flush that follows a backward, on the flushed
+    /// group's accumulated gradients.
+    AtFlush,
+}
+
+impl UpdateRule {
+    /// Whether `op`, run by a replica of a stage with `replicas` replicas
+    /// in a schedule of `total` minibatches, applies an update, with
+    /// `pending` backwards accumulated since the last one (`op` included).
+    pub fn updates_after(self, op: Op, pending: u32, replicas: usize, total: u64) -> bool {
+        match (self, op) {
+            (UpdateRule::EveryBackward, Op::Backward { .. }) => true,
+            (UpdateRule::TwoBw { group }, Op::Backward { mb }) => {
+                // The replica's last backward of its group: its next one
+                // falls in a later group, or past the end of the run.
+                let next = mb + replicas as u64;
+                (next / group > mb / group || next >= total) && (mb / group + 1) * group <= total
+            }
+            (UpdateRule::AtFlush, Op::Flush) => pending > 0,
+            _ => false,
+        }
+    }
+}
+
+/// Message kinds, as indices into a worker's arrival flags in
+/// [`Schedule::stuck`].
+const ACT: usize = 0;
+const GRAD: usize = 1;
+
 /// The schedule of one worker.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkerSchedule {
@@ -397,6 +443,110 @@ impl Schedule {
         Ok(())
     }
 
+    /// The workers whose op lists cannot run to their end when every
+    /// worker updates by `updates`, each as `(worker id, the op it would
+    /// block on for good)`; empty when every list can.
+    ///
+    /// The generator's tick model knows nothing of the all_reduce that
+    /// couples a replicated stage's updates, so some replication patterns
+    /// (`1-2`, `1-3`, `2-4`, `1-1-2`, `1-2-2`) schedule an op that can
+    /// never start. Under `1-2`, replica 0 of stage 1 waits in its second
+    /// gradient-sync round for replica 1's backward of minibatch 3, whose
+    /// forward stage 0 schedules after its own backward of minibatch 2 —
+    /// which waits for that very round. This plays every op list against
+    /// the trainer's blocking rules instead, computing nothing:
+    ///
+    /// * a forward past the input stage waits for its activation, which the
+    ///   upstream replica that ran the minibatch sends to the replica
+    ///   1F1B-RR routes it to; a backward below the output stage waits for
+    ///   its gradient in the same way;
+    /// * an op that updates on a replicated stage enters the stage's next
+    ///   gradient-sync round and waits until every replica of the stage has
+    ///   entered it; its sends follow the round;
+    /// * channels are unbounded, so a send never blocks.
+    ///
+    /// Every rule is monotone — a message once sent stays delivered, a
+    /// round once entered stays entered — so the order workers are stepped
+    /// in does not matter: an op that cannot start here cannot start in
+    /// the trainer.
+    pub fn stuck(&self, updates: UpdateRule) -> Vec<(usize, Op)> {
+        let stages = self.config.stages();
+        let assignment = self.config.worker_assignment();
+        let n = self.workers.len();
+        // Per worker: the next op, the sync rounds entered, whether the
+        // next op has entered its round, and the backwards since the last
+        // update.
+        let mut next = vec![0; n];
+        let mut rounds = vec![0u64; n];
+        let mut in_round = vec![false; n];
+        let mut pending = vec![0u32; n];
+        // Activations and gradients delivered to each worker, by
+        // `mb / replicas` (a worker receives only the minibatches routed
+        // to it).
+        let mut arrived: Vec<[Vec<bool>; 2]> = self
+            .workers
+            .iter()
+            .map(|w| {
+                let slots = self
+                    .num_minibatches
+                    .div_ceil(stages[w.stage].replicas as u64) as usize;
+                [vec![false; slots], vec![false; slots]]
+            })
+            .collect();
+        let mut ready: Vec<usize> = (0..n).collect();
+        while let Some(id) = ready.pop() {
+            let w = &self.workers[id];
+            let replicas = stages[w.stage].replicas;
+            let peers = &assignment[w.stage];
+            while let Some(&op) = w.ops.get(next[id]) {
+                let input = match op {
+                    Op::Forward { mb } if w.stage > 0 => Some((ACT, mb)),
+                    Op::Backward { mb } if w.stage + 1 < stages.len() => Some((GRAD, mb)),
+                    _ => None,
+                };
+                let slot = |mb: u64| (mb / replicas as u64) as usize;
+                if input.is_some_and(|(kind, mb)| !arrived[id][kind][slot(mb)]) {
+                    break;
+                }
+                let mut accumulated = pending[id] + u32::from(matches!(op, Op::Backward { .. }));
+                if updates.updates_after(op, accumulated, replicas, self.num_minibatches) {
+                    if replicas > 1 {
+                        if !in_round[id] {
+                            in_round[id] = true;
+                            rounds[id] += 1;
+                            ready.extend(peers);
+                        }
+                        if peers.iter().any(|&p| rounds[p] < rounds[id]) {
+                            break;
+                        }
+                        in_round[id] = false;
+                    }
+                    accumulated = 0;
+                }
+                let send = match op {
+                    Op::Forward { mb } if w.stage + 1 < stages.len() => {
+                        Some((w.stage + 1, ACT, mb))
+                    }
+                    Op::Backward { mb } if w.stage > 0 => Some((w.stage - 1, GRAD, mb)),
+                    _ => None,
+                };
+                if let Some((stage, kind, mb)) = send {
+                    let r = stages[stage].replicas as u64;
+                    let to = assignment[stage][(mb % r) as usize];
+                    arrived[to][kind][(mb / r) as usize] = true;
+                    ready.push(to);
+                }
+                pending[id] = accumulated;
+                next[id] += 1;
+            }
+        }
+        self.workers
+            .iter()
+            .zip(&next)
+            .filter_map(|(w, &at)| w.ops.get(at).map(|&op| (w.worker, op)))
+            .collect()
+    }
+
     /// The repeating steady-state op pattern of `worker` — the paper's
     /// "static schedule of operators that each worker runs repeatedly".
     ///
@@ -702,6 +852,55 @@ mod tests {
         for w in 0..3 {
             assert_eq!(kept(&s, w), vec![2, 5, 7], "stage {w}");
         }
+    }
+
+    #[test]
+    fn two_bw_updates_once_per_full_group() {
+        // Two replicas, groups of 4, 10 minibatches: replica 0 runs
+        // 0 2 4 6 8, replica 1 runs 1 3 5 7 9; the trailing group 8..12 is
+        // partial and never applies.
+        let rule = UpdateRule::TwoBw { group: 4 };
+        let updates = |first: u64| -> Vec<u64> {
+            (first..10)
+                .step_by(2)
+                .filter(|&mb| rule.updates_after(Op::Backward { mb }, 1, 2, 10))
+                .collect()
+        };
+        assert_eq!(updates(0), vec![2, 6]);
+        assert_eq!(updates(1), vec![3, 7]);
+        assert!(!rule.updates_after(Op::Forward { mb: 2 }, 1, 2, 10));
+        // A flush updates only under GPipe, and only after a backward.
+        assert!(UpdateRule::AtFlush.updates_after(Op::Flush, 3, 1, 10));
+        assert!(!UpdateRule::AtFlush.updates_after(Op::Flush, 0, 1, 10));
+        assert!(!UpdateRule::AtFlush.updates_after(Op::Backward { mb: 0 }, 1, 1, 10));
+        assert!(!UpdateRule::EveryBackward.updates_after(Op::Flush, 1, 1, 10));
+    }
+
+    #[test]
+    fn stuck_names_the_ops_the_sync_round_blocks() {
+        // `1-2`: the input stage blocks at its backward of minibatch 2,
+        // both replicas of stage 1 in their second sync round.
+        let config = PipelineConfig::from_counts(&[(1, 1), (1, 2)]);
+        let s = Schedule::one_f_one_b(&config, 16);
+        for rule in [UpdateRule::EveryBackward, UpdateRule::TwoBw { group: 4 }] {
+            let stuck = s.stuck(rule);
+            assert_eq!(stuck[0], (0, Op::Backward { mb: 2 }), "{rule:?}");
+            assert_eq!(stuck.iter().filter(|(w, _)| *w > 0).count(), 2, "{rule:?}");
+        }
+        // Without the rounds (no replicas, or no update ever) nothing is stuck.
+        assert!(s.stuck(UpdateRule::AtFlush).is_empty());
+        for config in [
+            PipelineConfig::from_counts(&[(1, 2), (1, 1)]),
+            PipelineConfig::from_counts(&[(1, 1), (1, 4)]),
+            PipelineConfig::from_counts(&[(1, 1), (1, 2), (1, 1)]),
+            PipelineConfig::data_parallel(4, 2),
+            straight(4),
+        ] {
+            let s = Schedule::one_f_one_b(&config, 16);
+            assert_eq!(s.stuck(UpdateRule::EveryBackward), vec![], "{config}");
+        }
+        let gpipe = Schedule::gpipe(&straight(3), 8, 4);
+        assert_eq!(gpipe.stuck(UpdateRule::AtFlush), vec![]);
     }
 
     #[test]

@@ -163,6 +163,19 @@ pub enum WorkerError {
         /// Underlying error rendered to a string (io errors aren't `Clone`).
         message: String,
     },
+    /// The run's op lists would leave this worker blocked for good at `op`
+    /// — waiting for a message or a gradient-sync round that no schedule
+    /// order can deliver. Found before any worker starts, by playing the op
+    /// lists against the runtime's blocking rules: the run is refused
+    /// instead of hanging.
+    ScheduleStuck {
+        /// Stuck stage.
+        stage: usize,
+        /// Stuck replica.
+        replica: usize,
+        /// The op it would wait on forever (segment-local minibatch id).
+        op: Op,
+    },
     /// Killed by fault injection ([`FaultAction::Kill`]).
     Killed {
         /// Killed stage.
@@ -186,6 +199,7 @@ impl WorkerError {
             | WorkerError::SyncStalled { stage, .. }
             | WorkerError::VersionMissing { stage, .. }
             | WorkerError::CheckpointWrite { stage, .. }
+            | WorkerError::ScheduleStuck { stage, .. }
             | WorkerError::Killed { stage, .. } => stage,
         }
     }
@@ -239,6 +253,11 @@ impl fmt::Display for WorkerError {
             } => write!(
                 f,
                 "stage {stage}: checkpoint write (epoch {epoch}): {message}"
+            ),
+            WorkerError::ScheduleStuck { stage, replica, op } => write!(
+                f,
+                "stage {stage} replica {replica}: the schedule blocks for good at {op:?} \
+                 (refused before training)"
             ),
             WorkerError::Killed { stage, replica, mb } => write!(
                 f,

@@ -9,7 +9,7 @@ use crate::report::{EpochStats, LossRecord, StageObsRecord, TrainReport};
 use crate::sync::GradSyncGroup;
 use crate::worker::StageWorker;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use pipedream_core::schedule::Schedule;
+use pipedream_core::schedule::{Schedule, UpdateRule};
 use pipedream_core::{PipelineConfig, ScheduleKind};
 use pipedream_tensor::data::Dataset;
 pub use pipedream_tensor::gemm::Backend;
@@ -273,6 +273,11 @@ pub fn train_pipeline(
 /// gets a fully-torn-down pipeline it can restart from the last complete
 /// checkpoint (§4). Each segment of `pipedream-autopilot`'s relaunch loop is
 /// one call.
+///
+/// A configuration whose schedule would leave some worker blocked for good
+/// (some replication patterns, e.g. `1-2`) is refused before any work,
+/// with one [`WorkerError::ScheduleStuck`] per worker that could not
+/// finish ([`stuck_workers`]).
 // The Err variant carries the partial report a recovery needs; failures
 // happen at most once per training run, so the size is irrelevant.
 #[allow(clippy::result_large_err)]
@@ -316,24 +321,17 @@ pub fn try_train_pipeline(
         gate.configure(config.replica_lcm(), total_mbs);
     }
 
-    let mut schedule = match opts.semantics {
-        Semantics::GPipe { microbatches } => Schedule::gpipe(config, total_mbs, microbatches),
-        _ => match opts.depth {
-            Some(d) => Schedule::with_depth(config, total_mbs, d),
-            None => Schedule::one_f_one_b(config, total_mbs),
-        },
-    };
-    schedule.validate().expect("generated schedule is legal");
-
-    // Memory schedule variants compose with weight stashing only: 2BW
-    // replaces the per-minibatch stash and recompute rebuilds the stash the
-    // stashed-version backward consumes.
-    assert!(
-        opts.schedule == ScheduleKind::Vanilla1F1B || opts.semantics == Semantics::Stashed,
-        "schedule kind {} requires Semantics::Stashed",
-        opts.schedule
-    );
-    let two_bw_group = config.two_bw_group(opts.depth.unwrap_or_else(|| config.noam()));
+    let (mut schedule, updates) = schedule_for(config, opts, total_mbs);
+    // Refuse, before any work, a schedule whose op lists would leave a
+    // worker blocked for good.
+    let stuck = refusals(&schedule, updates);
+    if !stuck.is_empty() {
+        return Err(TrainError {
+            errors: stuck,
+            detected_at: Instant::now(),
+            partial: TrainReport::default(),
+        });
+    }
 
     // Publish the run's shape up front so live watchers (`train --watch`,
     // `pipedream top`) can compute progress and ETA without waiting for
@@ -465,7 +463,7 @@ pub fn try_train_pipeline(
                 ops: std::mem::take(&mut schedule.workers[w].ops),
                 semantics: opts.semantics,
                 schedule_kind: opts.schedule,
-                two_bw_group,
+                updates,
                 stage_replicas: stages[stage].replicas,
                 replica_lcm: config.replica_lcm(),
                 total_mbs,
@@ -662,6 +660,71 @@ pub fn try_train_pipeline(
         }
     }
     Ok((full, report))
+}
+
+/// The workers a run of `config` under `opts` with `total_mbs` minibatches
+/// left to train would leave blocked for good (see [`Schedule::stuck`]),
+/// one [`WorkerError::ScheduleStuck`] each; empty when the run can finish.
+/// [`try_train_pipeline`] refuses such a run before it does any work; a
+/// caller choosing among configurations can ask first.
+pub fn stuck_workers(
+    config: &PipelineConfig,
+    opts: &TrainOpts,
+    total_mbs: u64,
+) -> Vec<WorkerError> {
+    let (schedule, updates) = schedule_for(config, opts, total_mbs);
+    refusals(&schedule, updates)
+}
+
+/// The static schedule a run of `total_mbs` minibatches executes under
+/// `opts`, and when its workers update.
+fn schedule_for(
+    config: &PipelineConfig,
+    opts: &TrainOpts,
+    total_mbs: u64,
+) -> (Schedule, UpdateRule) {
+    let schedule = match opts.semantics {
+        Semantics::GPipe { microbatches } => Schedule::gpipe(config, total_mbs, microbatches),
+        _ => match opts.depth {
+            Some(d) => Schedule::with_depth(config, total_mbs, d),
+            None => Schedule::one_f_one_b(config, total_mbs),
+        },
+    };
+    schedule.validate().expect("generated schedule is legal");
+
+    // Memory schedule variants compose with weight stashing only: 2BW
+    // replaces the per-minibatch stash and recompute rebuilds the stash the
+    // stashed-version backward consumes.
+    assert!(
+        opts.schedule == ScheduleKind::Vanilla1F1B || opts.semantics == Semantics::Stashed,
+        "schedule kind {} requires Semantics::Stashed",
+        opts.schedule
+    );
+    let updates = match opts.semantics {
+        Semantics::GPipe { .. } => UpdateRule::AtFlush,
+        _ if opts.schedule.uses_two_bw() => UpdateRule::TwoBw {
+            group: config.two_bw_group(opts.depth.unwrap_or_else(|| config.noam())),
+        },
+        _ => UpdateRule::EveryBackward,
+    };
+    (schedule, updates)
+}
+
+/// One [`WorkerError::ScheduleStuck`] per worker of `schedule` that cannot
+/// run its op list to the end.
+fn refusals(schedule: &Schedule, updates: UpdateRule) -> Vec<WorkerError> {
+    schedule
+        .stuck(updates)
+        .into_iter()
+        .map(|(w, op)| {
+            let ws = &schedule.workers[w];
+            WorkerError::ScheduleStuck {
+                stage: ws.stage,
+                replica: ws.replica,
+                op,
+            }
+        })
+        .collect()
 }
 
 /// Classification accuracy of `model` on `dataset` (forward only).

@@ -41,7 +41,7 @@ use crate::report::{LossRecord, StageObsRecord, VersionRecord, WorkerLog};
 use crate::sync::GradSyncGroup;
 use crate::trainer::{LrSchedule, OptimKind, Semantics};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use pipedream_core::schedule::{keeps_activations, Op};
+use pipedream_core::schedule::{keeps_activations, Op, UpdateRule};
 use pipedream_core::stash::{ScheduleKind, VersionPolicy, VersionStore};
 use pipedream_obs::{Recorder, SpanKind};
 use pipedream_tensor::{softmax_cross_entropy, Layer, Sequential, Tensor};
@@ -73,9 +73,11 @@ pub struct StageWorker<'a> {
     /// Memory schedule variant (2BW double-buffered updates, activation
     /// recomputation). Only meaningful under [`Semantics::Stashed`].
     pub schedule_kind: ScheduleKind,
-    /// 2BW gradient-accumulation group size, in minibatches (a multiple of
-    /// every stage's replica count, ≥ the pipeline's in-flight depth).
-    pub two_bw_group: u64,
+    /// When this worker applies an update (and so, on a replicated stage,
+    /// enters a gradient-sync round). Under 2BW it carries the
+    /// gradient-accumulation group size, a multiple of every stage's replica
+    /// count, ≥ the pipeline's in-flight depth.
+    pub updates: UpdateRule,
     /// Replica count of this worker's own stage (group-end detection).
     pub stage_replicas: usize,
     /// Lcm of every stage's replica count: a gradient-sync round of every
@@ -134,8 +136,9 @@ struct WorkerState {
     /// the policy the semantics prescribe; `None` for the semantics that
     /// keep no versions (naive, GPipe).
     store: Option<VersionStore<Vec<Tensor>>>,
-    /// Backward passes accumulated into the current 2BW group.
-    two_bw_grads: u32,
+    /// Backward passes whose gradients no update has applied yet (a 2BW
+    /// group's, a GPipe flush group's; at most one otherwise).
+    pending: u32,
     /// Recompute: retained stage inputs per in-flight minibatch — the only
     /// activation state kept between a minibatch's forward and backward.
     saved_inputs: HashMap<u64, Tensor>,
@@ -149,8 +152,6 @@ struct WorkerState {
     grad_buffer: HashMap<u64, GradMsg>,
     /// Updates applied so far (the worker's local version counter).
     updates: u64,
-    /// Backward passes since the last flush (GPipe gradient aggregation).
-    since_flush: u32,
     /// Receive timeout from the fault hook (None = block forever).
     recv_timeout: Option<Duration>,
     /// Peak in-flight minibatches holding a stashed weight version.
@@ -195,11 +196,11 @@ impl StageWorker<'_> {
     /// waiting for a contribution that will never arrive.
     pub fn run(mut self) -> (WorkerLog, Result<Sequential, WorkerError>) {
         pipedream_tensor::gemm::set_thread_backend(self.kernel);
-        let policy = match (self.semantics, self.schedule_kind.uses_two_bw()) {
-            (Semantics::Stashed, true) => Some(VersionPolicy::TwoBw {
-                group: self.two_bw_group,
-            }),
-            (Semantics::Stashed, false) => Some(VersionPolicy::Stashing),
+        let policy = match (self.semantics, self.updates) {
+            (Semantics::Stashed, UpdateRule::TwoBw { group }) => {
+                Some(VersionPolicy::TwoBw { group })
+            }
+            (Semantics::Stashed, _) => Some(VersionPolicy::Stashing),
             (Semantics::VerticalSync, _) => Some(VersionPolicy::VerticalSync),
             (Semantics::Naive | Semantics::GPipe { .. }, _) => None,
         };
@@ -214,14 +215,13 @@ impl StageWorker<'_> {
         let mut st = WorkerState {
             optimizer: self.optim.build(),
             store: policy.map(VersionStore::new),
-            two_bw_grads: 0,
+            pending: 0,
             saved_inputs: HashMap::new(),
             kept: None,
             pending_loss_grad: HashMap::new(),
             act_buffer: HashMap::new(),
             grad_buffer: HashMap::new(),
             updates: 0,
-            since_flush: 0,
             recv_timeout: self.hook.as_ref().and_then(|h| h.recv_timeout()),
             stash_depth_max: 0,
             versions_held_max: 0,
@@ -335,7 +335,7 @@ impl StageWorker<'_> {
                         .end_in_epoch(span, SpanKind::Bwd { mb }, self.trace_epoch(mb));
                     r?
                 }
-                Op::Flush => self.flush(st)?,
+                Op::Flush => self.update_after(st, Op::Flush)?,
             }
         }
         // A drained run ends here with every stage having processed the
@@ -668,6 +668,10 @@ impl StageWorker<'_> {
 
         // Run the backward pass against the weight version the paper's
         // semantics prescribe: with a store, the one the forward pinned.
+        debug_assert!(
+            st.pending > 0 || self.grads_are_zero(),
+            "a backward that starts accumulating finds the gradients zero"
+        );
         let grad_in = match self.semantics {
             Semantics::Stashed | Semantics::VerticalSync => {
                 let store = st.store.as_ref().expect("these semantics keep versions");
@@ -676,11 +680,6 @@ impl StageWorker<'_> {
                 // forward's version (§3.3: `n − 1 − stage` in steady state
                 // under stashing; group updates under 2BW).
                 st.staleness_max = st.staleness_max.max(store.live() - version);
-                let two_bw = self.schedule_kind.uses_two_bw();
-                debug_assert!(
-                    st.two_bw_grads > 0 || self.grads_are_zero(),
-                    "a backward that starts accumulating finds the gradients zero"
-                );
                 self.swap_weights(st, version);
                 self.recompute_forward(st, mb);
                 let g = self.model.backward(&grad_out, mb);
@@ -693,50 +692,18 @@ impl StageWorker<'_> {
                     self.recorder
                         .instant_in_epoch(SpanKind::StashPop { mb }, self.trace_epoch(mb));
                 }
-                if two_bw {
-                    // 2BW accumulates the group's gradients: one update
-                    // per *full* group (a partial trailing group's
-                    // gradients are discarded, like data ending
-                    // mid-group). Group end for this replica: its next
-                    // backward minibatch falls in a later group, or past
-                    // the end of the run.
-                    st.two_bw_grads += 1;
-                    let group = self.two_bw_group;
-                    let next = mb + self.stage_replicas as u64;
-                    if next / group > mb / group || next >= self.total_mbs {
-                        if (mb / group + 1) * group <= self.total_mbs {
-                            let scale = 1.0 / st.two_bw_grads as f32;
-                            for p in self.model.params_mut() {
-                                p.grad.scale_inplace(scale);
-                            }
-                            self.apply_update(st, mb)?;
-                        }
-                        st.two_bw_grads = 0;
-                    }
-                } else {
-                    self.apply_update(st, mb)?;
-                }
                 g
             }
-            Semantics::Naive => {
-                // Invalid gradients: backward with whatever the weights are
-                // *now*, which generally differ from the forward's.
-                debug_assert!(self.grads_are_zero(), "the last update zeroed them");
-                let g = self.model.backward(&grad_out, mb);
-                self.apply_update(st, mb)?;
-                g
-            }
-            Semantics::GPipe { .. } => {
-                // Accumulate gradients; the flush applies them.
-                debug_assert!(
-                    st.since_flush > 0 || self.grads_are_zero(),
-                    "the last flush zeroed them"
-                );
-                let g = self.model.backward(&grad_out, mb);
-                st.since_flush += 1;
-                g
-            }
+            // Naive: invalid gradients — backward with whatever the weights
+            // are *now*, which generally differ from the forward's. GPipe:
+            // the live weights are the group's; the flush applies the
+            // accumulated gradients.
+            Semantics::Naive | Semantics::GPipe { .. } => self.model.backward(&grad_out, mb),
         };
+        // 2BW accumulates a group's gradients and updates once per *full*
+        // group; GPipe at the flush; everything else after every backward.
+        st.pending += 1;
+        self.update_after(st, Op::Backward { mb })?;
         // Layers saved what they needed during forward; the inbound
         // gradient is dead after the backward pass.
         grad_out.recycle();
@@ -785,6 +752,28 @@ impl StageWorker<'_> {
                 .values()
                 .map(|t| t.len() as u64 * 4)
                 .sum::<u64>()
+    }
+
+    /// Apply an update if `op`, just run, closes one by the run's
+    /// [`UpdateRule`] — the rule `Schedule::stuck` refused the run by — on
+    /// the mean of the gradients accumulated since the last update.
+    fn update_after(&mut self, st: &mut WorkerState, op: Op) -> Result<(), WorkerError> {
+        if !self
+            .updates
+            .updates_after(op, st.pending, self.stage_replicas, self.total_mbs)
+        {
+            return Ok(());
+        }
+        // The mean of one gradient is that gradient: no pass over it.
+        if st.pending > 1 {
+            let scale = 1.0 / st.pending as f32;
+            for p in self.model.params_mut() {
+                p.grad.scale_inplace(scale);
+            }
+        }
+        self.apply_update(st, op.minibatch().unwrap_or(u64::MAX))?;
+        st.pending = 0;
+        Ok(())
     }
 
     /// Whether this stage drops activations after a forward and recomputes
@@ -895,21 +884,6 @@ impl StageWorker<'_> {
         st.updates += 1;
         self.recorder
             .end_in_epoch(opt_span, SpanKind::OptStep { mb }, epoch);
-        Ok(())
-    }
-
-    /// GPipe flush: average the accumulated microbatch gradients and apply
-    /// one synchronous update.
-    fn flush(&mut self, st: &mut WorkerState) -> Result<(), WorkerError> {
-        if st.since_flush == 0 {
-            return Ok(());
-        }
-        let scale = 1.0 / st.since_flush as f32;
-        for p in self.model.params_mut() {
-            p.grad.scale_inplace(scale);
-        }
-        self.apply_update(st, u64::MAX)?;
-        st.since_flush = 0;
         Ok(())
     }
 }

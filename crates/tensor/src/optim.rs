@@ -62,23 +62,35 @@ impl Optimizer for Sgd {
                 "optimizer bound to a different parameter list"
             );
         }
+        let (lr, mu, wd) = (self.lr, self.momentum, self.weight_decay);
         for (i, p) in params.iter_mut().enumerate() {
-            // Weight decay folds into the gradient buffer, which is about
-            // to be zeroed anyway — the whole step allocates nothing.
-            if self.weight_decay != 0.0 {
-                p.grad.axpy(self.weight_decay, &p.value);
-            }
-            if self.momentum != 0.0 {
-                // v ← μv + g ; θ ← θ − lr·v
-                let v = &mut self.velocity[i];
-                v.scale_inplace(self.momentum);
-                v.axpy(1.0, &p.grad);
-                p.value.axpy(-self.lr, v);
+            let Param { value, grad, .. } = &mut **p;
+            assert_eq!(value.shape(), grad.shape(), "gradient shape mismatch");
+            let (w, g) = (value.data_mut(), grad.data_mut());
+            // One pass: each gradient element is zeroed by the iteration
+            // that last reads it. Weight decay folds into that element,
+            // momentum is v ← μv + g, and θ ← θ − lr·v (v = g without
+            // momentum), each rounded as the tensor ops it replaces.
+            if mu != 0.0 {
+                let v = self.velocity[i].data_mut();
+                assert_eq!(
+                    v.len(),
+                    w.len(),
+                    "optimizer bound to a different parameter list"
+                );
+                for ((w, g), v) in w.iter_mut().zip(g.iter_mut()).zip(v.iter_mut()) {
+                    let gi = if wd != 0.0 { *g + wd * *w } else { *g };
+                    *v = *v * mu + gi;
+                    *w += -lr * *v;
+                    *g = 0.0;
+                }
             } else {
-                let Param { value, grad, .. } = &mut **p;
-                value.axpy(-self.lr, grad);
+                for (w, g) in w.iter_mut().zip(g.iter_mut()) {
+                    let gi = if wd != 0.0 { *g + wd * *w } else { *g };
+                    *w += -lr * gi;
+                    *g = 0.0;
+                }
             }
-            p.zero_grad();
         }
     }
 
@@ -136,12 +148,13 @@ impl Optimizer for Adam {
             .zip(self.v.iter_mut())
         {
             let Param { value, grad, .. } = &mut **p;
-            let gd = grad.data();
+            let gd = grad.data_mut();
             let pv = value.data_mut();
             let md = m.data_mut();
             let vd = v.data_mut();
             for i in 0..pv.len() {
-                let g = gd[i];
+                // Zeroed where it is read: one pass over the gradient.
+                let g = std::mem::take(&mut gd[i]);
                 let mi = self.beta1 * md[i] + (1.0 - self.beta1) * g;
                 let vi = self.beta2 * vd[i] + (1.0 - self.beta2) * g * g;
                 md[i] = mi;
@@ -150,7 +163,6 @@ impl Optimizer for Adam {
                 let vhat = vi / b2t;
                 pv[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
             }
-            p.zero_grad();
         }
     }
 
@@ -212,6 +224,38 @@ mod tests {
         let mut opt = Sgd::with_momentum(0.1, 0.9, 0.0);
         opt.step(&mut [&mut p]);
         assert_eq!(opt.velocity.len(), 1);
+    }
+
+    #[test]
+    fn one_pass_step_rounds_as_the_tensor_ops() {
+        // The step as three tensor passes and a zeroing pass; the one-pass
+        // loop must match it bit for bit and leave the gradient zero.
+        let grads = [[0.5f32, -0.25, 3.0e-3], [-1.5, 0.125, 7.0]];
+        for (mu, wd) in [(0.0, 0.0), (0.0, 0.01), (0.9, 0.0), (0.9, 0.01)] {
+            let mut p = param(&[1.0, -2.0, 0.3], &[0.0; 3]);
+            let (mut want, mut vel) = (p.value.clone(), Tensor::zeros(&[3]));
+            let mut opt = Sgd::with_momentum(0.1, mu, wd);
+            for g in grads.iter().cycle().take(5) {
+                p.grad = Tensor::from_slice(g);
+                opt.step(&mut [&mut p]);
+                let mut g = Tensor::from_slice(g);
+                if wd != 0.0 {
+                    g.axpy(wd, &want);
+                }
+                if mu != 0.0 {
+                    vel.scale_inplace(mu);
+                    vel.axpy(1.0, &g);
+                    want.axpy(-0.1, &vel);
+                } else {
+                    want.axpy(-0.1, &g);
+                }
+                assert_eq!(p.value, want, "mu {mu} wd {wd}");
+                assert!(p.grad.data().iter().all(|&g| g == 0.0));
+            }
+        }
+        let mut p = param(&[0.0, 1.0], &[0.3, -0.2]);
+        Adam::new(0.01).step(&mut [&mut p]);
+        assert!(p.grad.data().iter().all(|&g| g == 0.0), "Adam zeroes too");
     }
 
     #[test]
