@@ -19,26 +19,39 @@
 //! traffic across the stage boundary.
 //!
 //! Each level first tabulates `T^k(a→j, m)` for every `a ≤ j` and `m`
-//! (`O(N²·m_k)` all_reduce estimates). It then fills one cell `(i, j)` at a
-//! time, `j` ascending within a row, and the cell's whole worker column in
-//! one pass: `best[m]` starts from `T^k(i→j, m)`, and each split `s`, then
-//! each tail width `m'` ascending, offers `max(A^k(i→s, m−m'), c)` with
-//! `c = max(T^k(s+1→j, m'), 2·a_s/B_k)` to every `m > m'` at once — a
-//! branch-free (min, max)-convolution of one contiguous head row against
-//! one broadcast value, which vectorizes. A split whose `2·a_s/B_k`, or a
-//! width whose `c`, already reaches the largest `best[m]` still open is
-//! skipped. Every `m` still meets its candidates in `(s, m')` order and
-//! takes one only on a strict `<`, so it keeps the first strict minimum in
-//! that order: the same values and choices as solving each `m` on its own.
-//!
+//! (`O(N²·m_k)` all_reduce estimates, the bottom level's compute sums one
+//! running fold per start layer), each run `T^k(a→·, m)` contiguous in `j`.
 //! Every level below the top fills all rows `i`, because the level above
 //! reads `A^{k-1}(a→b, m_{k-1})` for every `(a, b)`; the top level fills
 //! row `i = 0` only, the one row its splits `A^L(0→s, m−m')` and the answer
-//! `A^L(0→N−1, m_L)` read. Tables hold only the cells `i ≤ j` of those
-//! rows (`LevelTable`). The total complexity is
-//! `O(Σ_{k<L} N³·m_k² + N²·m_L²)`. The paper reports < 8 s for every
-//! model/cluster pair; the ledger's `plan-scale` workload (`bench/`,
-//! `core.plan_*` metrics) measures this implementation.
+//! `A^L(0→N−1, m_L)` read.
+//!
+//! A level fills one row `i` at a time over a block `best[m][j]` contiguous
+//! in `j`, started from `T^k(i→j, m)`. For each split `s` ascending, cell
+//! `(i, s)` is final (only splits before `s` reach it), and each width `m`
+//! takes `max(max(A^k(i→s, m−m'), 2·a_s/B_k), T^k(s+1→j, m'))` for every
+//! `j > s` at once, `m'` ascending: one broadcast head against one run of
+//! the tail, eight cells `j` to a vector, each vector held in registers
+//! while every `m'` passes over it. A width whose heads all reach the
+//! largest `best[m][j > s]` is skipped, and so is each head that does.
+//! Every cell `(j, m)` still meets its candidates in `(s, m')` order and
+//! takes one only on a strict `<`, so it keeps the first strict minimum in
+//! that order: the same values and choices as solving each `m` on its own.
+//!
+//! Lower levels have arity 4 or 8: a worker column is shorter than one
+//! vector, while `j` runs over up to `N` cells. The top level uses the same
+//! loop on its one row. Its worker column is long (up to 128 on a flat
+//! level), and filling it one cell `(0, j)` at a time, vectorized across
+//! `m`, is the alternative; but that loop loads and stores `best[m]` once
+//! per `(s, m')`, where this one keeps a vector of cells in registers
+//! across all `m'`. It measured 1.3× slower over the zoo's flat requests
+//! and 3× slower on 64 layers over 64 workers.
+//!
+//! Tables hold only the cells `i ≤ j` of the rows filled (`LevelTable`).
+//! The total complexity is `O(Σ_{k<L} N³·m_k² + N²·m_L²)`. The paper
+//! reports < 8 s for every model/cluster pair; the ledger's `plan-scale`
+//! workload (`bench/`, `core.plan_*` metrics) measures this
+//! implementation.
 //!
 //! Two planning modes are provided:
 //!
@@ -166,8 +179,8 @@ pub struct Planner<'a> {
     schedule: ScheduleKind,
 }
 
-/// What cell `(i, j, m)` chose, packed into 8 bytes so that a cell's
-/// choices are updated in the same vector lanes as its values: `m' = 0`
+/// What cell `(i, j, m)` chose, packed into 8 bytes so that the cells'
+/// choices are updated in the same vector lanes as their values: `m' = 0`
 /// means layers `i..=j` form one stage replicated over the `m` units of
 /// this level; otherwise the cell splits after layer `s` into a
 /// sub-pipeline on `m − m'` units and a single stage on `m'` units.
@@ -191,8 +204,7 @@ impl Choice {
 /// One DP table for a level: `A(i→j, m)` and its choice for the cells
 /// `i ≤ j` of the first `rows` rows and every `1 ≤ m ≤ max_m`. Cells are
 /// stored row by row and, within a row, by `j`, each with its `max_m`
-/// values contiguous — so the heads `A(i→s, ·)` a cell's splits read are
-/// the cells of its row stored before it.
+/// values contiguous.
 struct LevelTable {
     n: usize,
     max_m: usize,
@@ -201,7 +213,7 @@ struct LevelTable {
 }
 
 impl LevelTable {
-    /// An empty table with room for `rows` rows, filled cell by cell in
+    /// An empty table with room for `rows` rows, filled row by row in
     /// storage order.
     fn with_capacity(rows: usize, n: usize, max_m: usize) -> Self {
         let len = Self::cells_before(n, rows) * max_m;
@@ -230,6 +242,53 @@ impl LevelTable {
     fn choice(&self, i: usize, j: usize, m: usize) -> Choice {
         self.choices[self.idx(i, j, m)]
     }
+}
+
+/// Lanes of `f64` one vector register holds with AVX-512; the runs of
+/// [`StageTable`] are padded to a whole number of them.
+const WIDTH: usize = 8;
+
+/// `T^k(a→j, m)` for every `a ≤ j` and `1 ≤ m ≤ max_m`. Row `a` holds one
+/// run per `m`, `T^k(a→j, m)` for `j = a..n` contiguous in `j` and padded
+/// with `+∞` to a whole number of vectors, so the tails `T^k(s+1→j, m')`
+/// one split offers the cells `j > s` are a single run.
+struct StageTable {
+    n: usize,
+    max_m: usize,
+    /// Where row `a` starts in `vals`, and one past the last row.
+    starts: Vec<usize>,
+    vals: Vec<f64>,
+}
+
+impl StageTable {
+    /// Padded length of the runs of row `a` over `n` layers.
+    fn run_len(n: usize, a: usize) -> usize {
+        (n - a).next_multiple_of(WIDTH)
+    }
+
+    /// Row `a`, its `max_m` runs one after another, and their length.
+    fn row(&self, a: usize) -> (&[f64], usize) {
+        let row = &self.vals[self.starts[a]..self.starts[a + 1]];
+        (row, Self::run_len(self.n, a))
+    }
+
+    /// `T^k(a→j, m)` for `j = a..`, padded.
+    fn run(&self, a: usize, m: usize) -> &[f64] {
+        let (row, len) = self.row(a);
+        &row[(m - 1) * len..m * len]
+    }
+}
+
+/// `Σ T_l` over `a..=j` for every `j = a..n`, appended to `out`: one
+/// running fold that adds the same terms in the same order as
+/// `LayerCosts::total_compute(a, j)`, from the same `-0.0`, so every sum is
+/// bit-identical to it.
+fn compute_sums(costs: &LayerCosts, a: usize, out: &mut Vec<f64>) {
+    let mut sum = -0.0;
+    out.extend(costs.layers[a..].iter().map(|l| {
+        sum += l.total_s();
+        sum
+    }));
 }
 
 /// `T^k` as in the paper: effective per-minibatch time of a single stage
@@ -305,12 +364,14 @@ impl<'a> Planner<'a> {
         &self.costs
     }
 
-    /// Solve one level of the DP for rows `i < rows`. `inner[i][j]` is
-    /// `A^{k-1}(i→j, m_{k-1})` (or `Σ T_l` at the bottom); `max_m` is this
-    /// level's arity and `link` its link model.
+    /// Solve one level of the DP for rows `i < rows`, which is every row or
+    /// row 0 only. `below` is the level underneath, whose full-width cells
+    /// `A^{k-1}(a→j, m_{k-1})` are this level's units (`None` at the bottom,
+    /// where a unit's compute is `Σ T_l`); `max_m` is this level's arity and
+    /// `link` its link model.
     fn solve_level(
         &self,
-        inner: &dyn Fn(usize, usize) -> f64,
+        below: Option<&LevelTable>,
         max_m: usize,
         rows: usize,
         link: &LinkModel,
@@ -320,72 +381,127 @@ impl<'a> Planner<'a> {
         for (l, layer) in self.costs.layers.iter().enumerate() {
             w_prefix[l + 1] = w_prefix[l] + layer.weight_bytes;
         }
-        // `T^k(a→j, m)` for every `a ≤ j` and `1 ≤ m ≤ max_m`, stored by
-        // `j` then `a` so that the tails `T^k(s+1→j, ·)` of one cell's
-        // splits are adjacent.
-        let mut stage = Vec::with_capacity(n * (n + 1) / 2 * max_m);
-        for j in 0..n {
-            for a in 0..=j {
-                let (compute, w_bytes) = (inner(a, j), w_prefix[j + 1] - w_prefix[a]);
-                stage.extend((1..=max_m).map(|m| t_single(compute, w_bytes, m, link)));
+        let runs: usize = (0..n).map(|a| StageTable::run_len(n, a)).sum();
+        let mut stage = StageTable {
+            n,
+            max_m,
+            starts: Vec::with_capacity(n + 1),
+            vals: Vec::with_capacity(runs * max_m),
+        };
+        for a in 0..n {
+            // The run for `m = 1` is the unit's own time, `A^{k-1}(a→j,
+            // m_{k-1})` or `Σ T_l`; every wider run derives from it.
+            let at = stage.vals.len();
+            stage.starts.push(at);
+            match below {
+                None => compute_sums(&self.costs, a, &mut stage.vals),
+                Some(prev) => stage
+                    .vals
+                    .extend((a..n).map(|j| prev.get(a, j, prev.max_m))),
+            }
+            let len = StageTable::run_len(n, a);
+            stage.vals.resize(at + len, f64::INFINITY);
+            for m in 2..=max_m {
+                let from = stage.vals.len();
+                stage.vals.extend_from_within(at..at + len);
+                let run = stage.vals[from..from + n - a].iter_mut().enumerate();
+                for (d, t) in run {
+                    let w_bytes = w_prefix[a + d + 1] - w_prefix[a];
+                    *t = t_single(*t, w_bytes, m, link);
+                }
             }
         }
-        let stage_row = |a: usize, j: usize| {
-            let at = (j * (j + 1) / 2 + a) * max_m;
-            &stage[at..at + max_m]
-        };
+        stage.starts.push(stage.vals.len());
         let act: Vec<f64> = (0..n)
             .map(|s| 2.0 * p2p_time(link, self.costs.activation_bytes(s)))
             .collect();
+        Self::fill_rows(&stage, &act, rows)
+    }
 
-        // Like a cell's values, indexed by `m − 1`: `open[m']` is the
-        // largest `best[m]` a split with `m'` tail units can still lower.
-        let mut open = vec![0.0; max_m];
+    /// Rows `i < rows` of a level, one row at a time, over a working block
+    /// `best[m][j]` / `choice[m][j]` that is contiguous in `j` (see the
+    /// module docs), copied row by row into the table's layout.
+    fn fill_rows(stage: &StageTable, act: &[f64], rows: usize) -> LevelTable {
+        let (n, max_m) = (stage.n, stage.max_m);
+        // A split's padded run reaches up to `WIDTH − 1` cells past `n`.
+        // They hold `−∞`, which no candidate (the tail's padding is `+∞`)
+        // replaces and no maximum picks, and are never copied out.
+        let stride = n + WIDTH;
+        let mut best = vec![f64::NEG_INFINITY; max_m * stride];
+        let mut choice = vec![Choice::SINGLE; max_m * stride];
+        // The tail widths one `(s, m)` offers: `(first vector of the tail's
+        // run, head, choice)`.
+        let mut offers = Vec::with_capacity(max_m);
         let mut table = LevelTable::with_capacity(rows, n, max_m);
         for i in 0..rows {
-            let row = table.vals.len();
-            for j in i..n {
-                // Candidate 1, for every m at once: a single stage
-                // replicated over all m units.
-                let at = table.vals.len();
-                debug_assert_eq!(at, table.idx(i, j, 1));
-                table.vals.extend_from_slice(stage_row(i, j));
-                table.choices.resize(at + max_m, Choice::SINGLE);
-                let (filled, best) = table.vals.split_at_mut(at);
-                let choice = &mut table.choices[at..];
-                // Candidate 2: split after s with m' units on the tail, in
-                // (s, m') order. One (s, m') pair offers `c = max(T(s+1→j,
-                // m'), 2·a_s)` to every m > m' against head A(i→s, m − m'),
-                // and a cell keeps the first strict minimum, as when each m
-                // was solved on its own.
-                let heads = filled[row..].chunks_exact(max_m);
-                for ((s, head), &act) in (i..j).zip(heads).zip(&act[i..j]) {
-                    let mut widest = f64::NEG_INFINITY;
-                    for (o, &b) in open.iter_mut().zip(best.iter()).rev() {
-                        widest = widest.max(b);
-                        *o = widest;
-                    }
-                    if open.get(1).is_none_or(|&o| act >= o) {
-                        continue; // max() can only be ≥ act
-                    }
-                    let tail = stage_row(s + 1, j);
-                    for m_prime in 1..max_m {
-                        let c = tail[m_prime - 1].max(act);
-                        if c >= open[m_prime] {
-                            continue;
+            for m in 1..=max_m {
+                let at = (m - 1) * stride;
+                best[at + i..at + n].copy_from_slice(&stage.run(i, m)[..n - i]);
+                choice[at + i..at + n].fill(Choice::SINGLE);
+            }
+            for (s, &act) in act.iter().enumerate().take(n - 1).skip(i) {
+                #[cfg(test)]
+                tests::LANES
+                    .with(|c| c.set(c.get() + ((n - 1 - s) * max_m * (max_m - 1) / 2) as u64));
+                let (tails, len) = stage.row(s + 1);
+                let (tails, _) = tails.as_chunks::<WIDTH>();
+                // The least head `max(A(i→s, m − m'), 2·a_s)` over `m' < m`.
+                let mut lowest = f64::INFINITY;
+                for m in 2..=max_m {
+                    let head = best[(m - 2) * stride + s].max(act);
+                    lowest = if head < lowest { head } else { lowest };
+                    // The largest `best[m][j]` over the cells `j > s`: a
+                    // head that reaches it can lower none of them.
+                    let at = (m - 1) * stride + s + 1;
+                    let (cells, _) = best[at..at + len].as_chunks::<WIDTH>();
+                    let mut widest = [f64::NEG_INFINITY; WIDTH];
+                    for c in cells {
+                        for l in 0..WIDTH {
+                            widest[l] = if c[l] > widest[l] { c[l] } else { widest[l] };
                         }
-                        let split = Choice::split(s, m_prime);
-                        let lanes = best[m_prime..].iter_mut().zip(&mut choice[m_prime..]);
-                        for ((b, ch), &h) in lanes.zip(head) {
-                            let cand = h.max(c);
-                            let better = cand < *b;
-                            *b = if better { cand } else { *b };
-                            *ch = if better { split } else { *ch };
+                    }
+                    let open = widest.into_iter().fold(f64::NEG_INFINITY, f64::max);
+                    if lowest >= open {
+                        continue;
+                    }
+                    offers.clear();
+                    for m_prime in 1..m {
+                        let head = best[(m - m_prime - 1) * stride + s].max(act);
+                        if head < open {
+                            let first = (m_prime - 1) * len / WIDTH;
+                            offers.push((first, head, Choice::split(s, m_prime)));
                         }
+                    }
+                    // One vector of cells at a time, held in registers
+                    // while every offer passes over it in `m'` order.
+                    let (best, _) = best[at..at + len].as_chunks_mut::<WIDTH>();
+                    let (choice, _) = choice[at..at + len].as_chunks_mut::<WIDTH>();
+                    for (v, (b, ch)) in best.iter_mut().zip(choice).enumerate() {
+                        let (mut bv, mut cv) = (*b, *ch);
+                        for &(first, head, split) in &offers {
+                            let t = &tails[first + v];
+                            for l in 0..WIDTH {
+                                let cand = head.max(t[l]);
+                                let better = cand < bv[l];
+                                bv[l] = if better { cand } else { bv[l] };
+                                cv[l] = if better { split } else { cv[l] };
+                            }
+                        }
+                        (*b, *ch) = (bv, cv);
                     }
                 }
-                #[cfg(test)]
-                tests::LANES.with(|c| c.set(c.get() + ((j - i) * max_m * (max_m - 1) / 2) as u64));
+            }
+            // Row `i` into the table's layout: cell by cell, `m` contiguous.
+            let at = table.vals.len();
+            table.vals.resize(at + (n - i) * max_m, 0.0);
+            table.choices.resize(at + (n - i) * max_m, Choice::SINGLE);
+            for m in 0..max_m {
+                let cells = (i..n).map(|j| m * stride + j);
+                let slots = (at + m..table.vals.len()).step_by(max_m);
+                for (slot, cell) in slots.zip(cells) {
+                    table.vals[slot] = best[cell];
+                    table.choices[slot] = choice[cell];
+                }
             }
         }
         table
@@ -515,23 +631,14 @@ impl<'a> Planner<'a> {
     pub fn try_plan(&self) -> Result<Plan, PlanError> {
         self.validate_inputs()?;
         let n = self.costs.num_layers();
-        let sum_compute = |i: usize, j: usize| self.costs.total_compute(i, j);
         let top = self.topo.num_levels();
         let mut tables: Vec<LevelTable> = Vec::with_capacity(top);
         for k in 1..=top {
-            let link = *self.topo.link(k);
-            let max_m = self.topo.arity(k);
             // The level above reads every row of this one; nothing reads
             // the top level beyond row 0.
             let rows = if k == top { 1 } else { n };
-            let table = if k == 1 {
-                self.solve_level(&sum_compute, max_m, rows, &link)
-            } else {
-                let prev = tables.last().unwrap();
-                let prev_m = self.topo.arity(k - 1);
-                let inner = |i: usize, j: usize| prev.get(i, j, prev_m);
-                self.solve_level(&inner, max_m, rows, &link)
-            };
+            let table =
+                self.solve_level(tables.last(), self.topo.arity(k), rows, self.topo.link(k));
             tables.push(table);
         }
 
@@ -550,9 +657,8 @@ impl<'a> Planner<'a> {
         self.validate_inputs()?;
         let n = self.costs.num_layers();
         let workers = self.topo.total_workers();
-        let link = *self.topo.link(self.topo.num_levels());
-        let sum_compute = |i: usize, j: usize| self.costs.total_compute(i, j);
-        let table = self.solve_level(&sum_compute, workers, 1, &link); // row 0 only
+        let link = self.topo.link(self.topo.num_levels());
+        let table = self.solve_level(None, workers, 1, link); // row 0 only
         let unit = |a: usize, b: usize| vec![StagePlan::new(a, b, 1)];
         let mut stages = Vec::new();
         Self::reconstruct_level(&table, 0, n - 1, workers, &unit, &mut stages);
@@ -905,9 +1011,8 @@ mod tests {
             let profile = zoo::uniform(n, 1e9, 100_000, 1_000_000);
             let topo = flat_topo(max_m, 10.0);
             let planner = Planner::new(&profile, &topo);
-            let sum_compute = |i: usize, j: usize| planner.costs.total_compute(i, j);
             for rows in [1, n] {
-                let table = planner.solve_level(&sum_compute, max_m, rows, topo.link(1));
+                let table = planner.solve_level(None, max_m, rows, topo.link(1));
                 // Storage order is row, then j ≥ i, then m: the cells of
                 // `rows` rows land on consecutive indices from 0 and fill
                 // the table exactly.
@@ -927,6 +1032,63 @@ mod tests {
                 let room = LevelTable::cells_before(n, rows) * max_m;
                 assert_eq!((table.vals.len(), table.choices.len()), (next, next));
                 assert_eq!(room, next, "n {n} rows {rows} max_m {max_m}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_fill_and_row_zero_fill_agree() {
+        // The two shapes of a level: row 0 of a fill of every row (a lower
+        // level) equals a fill of row 0 only (the top level), values and
+        // choices, bit for bit.
+        for (n, max_m) in [(1, 1), (1, 4), (5, 1), (7, 3), (12, 8), (24, 16)] {
+            let mut profile = zoo::uniform(n, 1e9, 100_000, 1_000_000);
+            for (l, layer) in profile.layers.iter_mut().enumerate() {
+                layer.flops_fwd *= [1.0, 0.5, 3.0, 1.25][l % 4];
+                layer.weight_params *= [1, 4, 1, 64][l % 4];
+                layer.activation_elems *= [1, 40, 2, 1][l % 4];
+            }
+            let topo = flat_topo(max_m, 10.0);
+            let planner = Planner::new(&profile, &topo);
+            let all = planner.solve_level(None, max_m, n, topo.link(1));
+            let zero = planner.solve_level(None, max_m, 1, topo.link(1));
+            for j in 0..n {
+                for m in 1..=max_m {
+                    let at = format!("n {n} max_m {max_m}: (0, {j}, {m})");
+                    assert_eq!(
+                        all.get(0, j, m).to_bits(),
+                        zero.get(0, j, m).to_bits(),
+                        "{at}"
+                    );
+                    assert_eq!(all.choice(0, j, m), zero.choice(0, j, m), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compute_sums_equal_total_compute_bitwise() {
+        let mut jittered = zoo::uniform(64, 1e9, 100_000, 1_000_000);
+        for (l, layer) in jittered.layers.iter_mut().enumerate() {
+            layer.flops_fwd *= 1.0 + 0.37 * ((l * 7919) % 13) as f64;
+        }
+        // A sum of one `-0.0` layer keeps its sign only from a `-0.0` start.
+        jittered.layers[0].flops_fwd = -0.0;
+        let mut models = zoo::all_models();
+        models.extend([zoo::huge_lm(), jittered]);
+        let topo = flat_topo(1, 10.0);
+        let mut sums = Vec::new();
+        for model in &models {
+            let costs = Planner::new(model, &topo).costs;
+            let n = costs.num_layers();
+            for a in 0..n {
+                sums.clear();
+                compute_sums(&costs, a, &mut sums);
+                assert_eq!(sums.len(), n - a);
+                for (j, sum) in (a..n).zip(&sums) {
+                    let want = costs.total_compute(a, j);
+                    assert_eq!(sum.to_bits(), want.to_bits(), "{}: ({a}, {j})", model.name);
+                }
             }
         }
     }

@@ -415,15 +415,20 @@ fn zoo_population_matches_the_oracle() {
     }
 }
 
-/// `plan-scale`'s four deep calls, one request each.
+/// `plan-scale`'s four deep calls, one request each, and 128 layers
+/// hierarchical on the other deep shapes: A×8, B×4, and C×4, whose lower
+/// level has arity 1 and so no split at all.
 #[test]
 fn deep_population_matches_the_oracle() {
     let deep = |n| zoo::uniform(n, 1e9, 100_000, 1_000_000);
-    let calls: [(ModelProfile, ClusterPreset, usize, bool); 4] = [
+    let calls: [(ModelProfile, ClusterPreset, usize, bool); 7] = [
         (deep(32), ClusterPreset::B, 8, true),
         (deep(64), ClusterPreset::A, 4, true),
         (deep(128), ClusterPreset::A, 4, false),
         (deep(128), ClusterPreset::B, 8, false),
+        (deep(128), ClusterPreset::A, 8, false),
+        (deep(128), ClusterPreset::B, 4, false),
+        (deep(128), ClusterPreset::C, 4, false),
     ];
     for (model, preset, servers, flat) in &calls {
         let topo = preset.with_servers(*servers);

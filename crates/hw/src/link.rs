@@ -72,6 +72,7 @@ pub fn p2p_time(link: &LinkModel, bytes: u64) -> f64 {
 /// per-step transfers serialize through the common root, costing `m×` more:
 /// `2(m-1) · bytes / B` — which is why data parallelism scales poorly on
 /// shared-PCIe servers (Figure 1a/1b).
+#[inline]
 pub fn allreduce_time(link: &LinkModel, bytes: u64, m: usize) -> f64 {
     assert!(m >= 1, "all_reduce needs at least one participant");
     if m == 1 {
