@@ -8,16 +8,23 @@
 //! repro all --save out/         # also write per-experiment .txt (and .csv
 //!                               # for the data figures) into out/
 //! repro list                    # list available experiments
+//! repro --check results/        # regenerate the checked experiments in
+//!                               # memory and byte-compare their files
 //! ```
 //!
 //! Experiment ids: fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11
 //! fig12 fig13 fig14 fig15 fig16 fig17 fig18 table1 table2 table3 asp gpipe
 //! opt ablations trend verify sensitivity recovery trace-validate
 //! drift-replan memory-sweep.
+//!
+//! `--check` covers the experiments in [`CHECKED`], whose files are
+//! simulated or computed and so reproduce byte for byte. It skips the
+//! host-timed `fig6 fig11 opt verify`; it exits non-zero and names every
+//! file that differs or is missing.
 
 use pipedream_bench::experiments as e;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const ALL: &[&str] = &[
     "fig1",
@@ -52,6 +59,35 @@ const ALL: &[&str] = &[
     "trace-validate",
     "drift-replan",
     "memory-sweep",
+];
+
+/// The experiments `--check` regenerates: every saved one except the
+/// host-timed `fig6`, `fig11`, `opt` and `verify`.
+const CHECKED: &[&str] = &[
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "fig16",
+    "fig17",
+    "fig18",
+    "table1",
+    "table2",
+    "table3",
+    "asp",
+    "gpipe",
+    "ablations",
+    "trend",
+    "sensitivity",
 ];
 
 /// Run one experiment; returns `(title, rendered text, optional CSV,
@@ -321,11 +357,57 @@ fn run_one(
     Some((title, text, csv, svg, None))
 }
 
+/// Run one experiment: its title and the files `--save` writes for it, as
+/// `(name, contents)`, its rendered text first.
+fn run_files(id: &str) -> Option<(&'static str, Vec<(String, String)>)> {
+    let (title, text, csv, svg, extras) = run_one(id)?;
+    let mut files = vec![(format!("{id}.txt"), text)];
+    files.extend(csv.map(|csv| (format!("{id}.csv"), csv)));
+    files.extend(svg.map(|svg| (format!("{id}.svg"), svg)));
+    files.extend(extras.into_iter().flatten());
+    Some((title, files))
+}
+
+/// Regenerate every experiment in [`CHECKED`] and compare its files with
+/// those in `dir`; returns the names that differ or are missing.
+fn check(dir: &Path) -> Vec<String> {
+    let mut differ = Vec::new();
+    for id in CHECKED {
+        let (_, files) = run_files(id).expect("checked experiments exist");
+        for (name, contents) in files {
+            let same = fs::read(dir.join(&name)).is_ok_and(|saved| saved == contents.as_bytes());
+            println!("{} {name}", if same { "same   " } else { "DIFFERS" });
+            if !same {
+                differ.push(name);
+            }
+        }
+    }
+    differ
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args[0] == "list" {
         println!("available experiments: {}", ALL.join(" "));
         println!("usage: repro <id>… | all | list  [--save <dir>]");
+        println!("       repro --check <dir>   (skips the host-timed fig6 fig11 opt verify)");
+        return;
+    }
+    if args[0] == "--check" {
+        let Some(dir) = args.get(1) else {
+            eprintln!("usage: repro --check <dir>");
+            std::process::exit(2);
+        };
+        let differ = check(Path::new(dir));
+        if !differ.is_empty() {
+            eprintln!(
+                "{} file(s) differ from {dir}: {}",
+                differ.len(),
+                differ.join(" ")
+            );
+            std::process::exit(1);
+        }
+        println!("all files of {} experiments match {dir}", CHECKED.len());
         return;
     }
     let save_dir: Option<PathBuf> = args
@@ -345,23 +427,16 @@ fn main() {
         fs::create_dir_all(dir).expect("create save dir");
     }
     for id in ids {
-        let Some((title, text, csv, svg, extras)) = run_one(id) else {
+        let Some((title, files)) = run_files(id) else {
             eprintln!("unknown experiment '{id}'; try `repro list`");
             std::process::exit(1);
         };
         println!("{}", "=".repeat(78));
         println!("[{id}] {title}");
         println!("{}", "=".repeat(78));
-        println!("{text}");
+        println!("{}", files[0].1);
         if let Some(dir) = &save_dir {
-            fs::write(dir.join(format!("{id}.txt")), &text).expect("write txt");
-            if let Some(csv) = csv {
-                fs::write(dir.join(format!("{id}.csv")), csv).expect("write csv");
-            }
-            if let Some(svg) = svg {
-                fs::write(dir.join(format!("{id}.svg")), svg).expect("write svg");
-            }
-            for (name, contents) in extras.into_iter().flatten() {
+            for (name, contents) in files {
                 fs::write(dir.join(&name), contents).expect("write artifact");
             }
         }

@@ -17,7 +17,11 @@
 //!
 //! The sequences carry no timing: the simulator executes them against a
 //! hardware model (stalling on data dependencies), and the training runtime
-//! executes them against real tensors.
+//! executes them against real tensors. The 1F1B-RR policy behind the first
+//! three is written once, in [`Schedule::generate`], and stepped by a
+//! [`Clock`]: one policy, two clocks. The canonical clock generates
+//! the static op lists; the simulator's engine as the clock is its dynamic
+//! executor (`pipedream_sim::simulate_dynamic`).
 
 use crate::config::PipelineConfig;
 use crate::estimates::in_flight_at_stage;
@@ -111,6 +115,32 @@ impl UpdateRule {
 const ACT: usize = 0;
 const GRAD: usize = 1;
 
+/// When an op ends on the clock [`Schedule::generate`] steps the 1F1B-RR
+/// policy by. The policy decides which op an idle worker picks; the clock
+/// says how long that keeps the worker and when the output reaches the
+/// worker that consumes it.
+pub trait Clock {
+    /// Worker `w` picks `op` at time `at`: when the worker is free again,
+    /// and when the op's output arrives (ignored for the input stage's
+    /// backward, which sends nothing).
+    fn run(&mut self, w: usize, at: f64, op: Op) -> (f64, f64);
+}
+
+/// The paper's canonical timing (Figures 2–4), which fixes every static op
+/// list: a forward takes one tick, a backward two, and an op's output
+/// arrives the moment it ends.
+struct Canonical;
+
+impl Clock for Canonical {
+    fn run(&mut self, _w: usize, at: f64, op: Op) -> (f64, f64) {
+        let ticks = match op {
+            Op::Forward { .. } => 1.0,
+            _ => 2.0,
+        };
+        (at + ticks, at + ticks)
+    }
+}
+
 /// The schedule of one worker.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkerSchedule {
@@ -150,19 +180,19 @@ impl Schedule {
     /// assert_eq!(s.workers[3].ops[1], Op::Backward { mb: 0 });
     /// ```
     pub fn one_f_one_b(config: &PipelineConfig, num_minibatches: u64) -> Schedule {
-        Self::generate_pipelined(config, num_minibatches, config.noam())
+        Self::generate(config, num_minibatches, config.noam(), true, &mut Canonical)
     }
 
     /// Vanilla model parallelism: at most one minibatch in flight
     /// (Figure 2). Only meaningful for straight pipelines.
     pub fn model_parallel(config: &PipelineConfig, num_minibatches: u64) -> Schedule {
-        Self::generate_pipelined(config, num_minibatches, 1)
+        Self::generate(config, num_minibatches, 1, true, &mut Canonical)
     }
 
     /// A pipelined schedule with an explicit in-flight limit per input
     /// replica (used for the Figure-18 pipeline-depth sweep).
     pub fn with_depth(config: &PipelineConfig, num_minibatches: u64, depth: usize) -> Schedule {
-        Self::generate_pipelined(config, num_minibatches, depth.max(1))
+        Self::generate(config, num_minibatches, depth.max(1), true, &mut Canonical)
     }
 
     /// Ablation of 1F1B's backward-priority rule: workers prefer *forward*
@@ -170,7 +200,13 @@ impl Schedule {
     /// when no forward is available. Same in-flight caps as 1F1B. Used by
     /// the scheduling-policy ablation to show why the paper's rule matters.
     pub fn forward_priority(config: &PipelineConfig, num_minibatches: u64) -> Schedule {
-        Self::generate_with_policy(config, num_minibatches, config.noam(), false)
+        Self::generate(
+            config,
+            num_minibatches,
+            config.noam(),
+            false,
+            &mut Canonical,
+        )
     }
 
     /// GPipe's schedule: groups of `microbatches` forwards then backwards,
@@ -213,156 +249,156 @@ impl Schedule {
         }
     }
 
-    /// Core generator: logical-time simulation of the 1F1B-RR policy with
-    /// the paper's canonical timing (a backward pass takes twice as long as
-    /// a forward pass — Figures 2–4).
+    /// The one 1F1B-RR policy, stepped by `clock`: one policy, two clocks.
+    /// On the canonical clock (a forward takes one tick, a backward two,
+    /// and an output arrives as its op ends) it generates every static op
+    /// list. With the simulator's engine as the clock it is the dynamic
+    /// executor (`pipedream_sim::simulate_dynamic`), and the op lists it
+    /// returns are the order that run chose.
     ///
-    /// Whenever a worker goes idle it picks the oldest ready backward if
-    /// one exists (backward priority gives the strict F/B alternation in
-    /// steady state), otherwise the oldest ready forward. The input stage
-    /// admits a new minibatch only while its replica has fewer than `depth`
-    /// minibatches in flight. An op's output becomes visible to the
-    /// consuming worker at the tick the op completes.
-    fn generate_pipelined(config: &PipelineConfig, num_minibatches: u64, depth: usize) -> Schedule {
-        Self::generate_with_policy(config, num_minibatches, depth, true)
-    }
-
-    /// Shared generator; `prefer_backward` selects 1F1B's rule (true) or
-    /// the forward-priority ablation (false).
-    fn generate_with_policy(
+    /// Whenever a worker is idle it picks the earliest-arrived backward if
+    /// one has arrived (backward priority gives the strict F/B alternation
+    /// in steady state), otherwise the earliest-arrived forward;
+    /// `prefer_backward = false` swaps the two for the ablation. A worker
+    /// takes a new forward only while it has fewer minibatches in flight
+    /// than its cap: `depth` on the input stage, whose replica `r` admits
+    /// minibatches `r, r + r0, r + 2·r0, …`, and the §3.3 memory bound of
+    /// the stage within `depth` elsewhere. Outputs go to the replica
+    /// 1F1B-RR routes the minibatch to. The stepper is event-driven: it
+    /// visits the workers in id order at each time something frees a
+    /// worker or reaches an idle one, and jumps to the next such time.
+    pub fn generate<C: Clock>(
         config: &PipelineConfig,
         num_minibatches: u64,
         depth: usize,
         prefer_backward: bool,
+        clock: &mut C,
     ) -> Schedule {
-        const FWD_TICKS: u64 = 1;
-        const BWD_TICKS: u64 = 2;
+        /// Minibatches that have reached a worker, in arrival order, each
+        /// with its arrival time.
+        type Arrivals = VecDeque<(f64, u64)>;
+        struct Worker {
+            stage: usize,
+            free_at: f64,
+            in_flight: usize,
+            cap: usize,
+            fwd: Arrivals,
+            bwd: Arrivals,
+            /// The input replica's next minibatch to admit.
+            admit: u64,
+        }
         let num_stages = config.num_stages();
-        let num_workers = config.total_workers();
         let assignment = config.worker_assignment();
-        let mut schedules: Vec<WorkerSchedule> = (0..num_workers)
-            .map(|w| {
-                let (stage, replica) = config.stage_of_worker(w);
-                WorkerSchedule {
-                    worker: w,
+        let r0 = config.stages()[0].replicas as u64;
+        let mut schedules: Vec<WorkerSchedule> = Vec::with_capacity(config.total_workers());
+        let mut workers: Vec<Worker> = Vec::with_capacity(config.total_workers());
+        for (stage, replicas) in assignment.iter().enumerate() {
+            for (replica, &worker) in replicas.iter().enumerate() {
+                let cap = match stage {
+                    0 => depth,
+                    s => in_flight_at_stage(config, s).min(depth).max(1),
+                };
+                schedules.push(WorkerSchedule {
+                    worker,
                     stage,
                     replica,
                     ops: Vec::new(),
-                }
-            })
-            .collect();
-
-        // Per-worker ready queues and busy-until times.
-        let mut fwd_ready: Vec<VecDeque<u64>> = vec![VecDeque::new(); num_workers];
-        let mut bwd_ready: Vec<VecDeque<u64>> = vec![VecDeque::new(); num_workers];
-        let mut busy: Vec<Option<(u64, Op)>> = vec![None; num_workers]; // (finish tick, op)
-
-        // Per-worker in-flight cap: the §3.3 memory bound of the worker's
-        // stage, within the requested depth; the input stage uses the
-        // requested depth itself.
-        let caps: Vec<usize> = (0..num_workers)
-            .map(|w| match config.stage_of_worker(w) {
-                (0, _) => depth,
-                (s, _) => in_flight_at_stage(config, s).min(depth).max(1),
-            })
-            .collect();
-        // In-flight minibatch count per worker; input replica r admits
-        // minibatches r, r + r0, r + 2·r0, …
-        let r0 = config.stages()[0].replicas;
-        let mut in_flight = vec![0usize; num_workers];
-        let mut next_admit: Vec<u64> = (0..r0 as u64).collect();
-        let mut completed = 0u64;
-        let mut tick = 0u64;
-
-        while completed < num_minibatches {
-            // Finish ops completing at this tick and deliver their outputs.
-            for w in 0..num_workers {
-                let Some((finish, op)) = busy[w] else {
-                    continue;
-                };
-                if finish != tick {
-                    continue;
-                }
-                busy[w] = None;
-                let stage = schedules[w].stage;
-                match op {
-                    Op::Forward { mb } => {
-                        if stage + 1 < num_stages {
-                            let dst = assignment[stage + 1][config.replica_for(stage + 1, mb)];
-                            fwd_ready[dst].push_back(mb);
-                        } else {
-                            // Output stage: loss computed; backward is ready
-                            // on the same worker.
-                            bwd_ready[w].push_back(mb);
-                        }
-                    }
-                    Op::Backward { mb } => {
-                        in_flight[w] -= 1;
-                        if stage > 0 {
-                            let dst = assignment[stage - 1][config.replica_for(stage - 1, mb)];
-                            bwd_ready[dst].push_back(mb);
-                        } else {
-                            completed += 1;
-                        }
-                    }
-                    Op::Flush => unreachable!("pipelined generator never emits Flush"),
-                }
+                });
+                workers.push(Worker {
+                    stage,
+                    free_at: 0.0,
+                    in_flight: 0,
+                    cap,
+                    fwd: VecDeque::new(),
+                    bwd: VecDeque::new(),
+                    admit: replica as u64,
+                });
             }
-            // Idle workers pick new work.
-            for w in 0..num_workers {
-                if busy[w].is_some() {
+        }
+        // Queues stay sorted by arrival; a tie keeps the order of sending.
+        let deliver = |queue: &mut Arrivals, at: f64, mb: u64| {
+            if queue.back().is_some_and(|&(t, _)| t > at) {
+                queue.insert(queue.partition_point(|&(t, _)| t <= at), (at, mb));
+            } else {
+                queue.push_back((at, mb));
+            }
+        };
+        // `f64::min` without its NaN handling: no time is NaN.
+        let earlier = |a: f64, b: f64| if a < b { a } else { b };
+        let front = |queue: &Arrivals| queue.front().map_or(f64::INFINITY, |&(t, _)| t);
+        let mut completed = 0u64;
+        let mut now = 0.0f64;
+        while completed < num_minibatches {
+            // The earliest time at which a worker frees or a message
+            // reaches an idle worker.
+            let mut next = f64::INFINITY;
+            for w in 0..workers.len() {
+                let worker = &mut workers[w];
+                if worker.free_at > now {
+                    next = earlier(worker.free_at, next);
                     continue;
                 }
-                let (stage, replica) = (schedules[w].stage, schedules[w].replica);
-                let try_forward = |fwd_ready: &mut Vec<VecDeque<u64>>,
-                                   next_admit: &mut Vec<u64>,
-                                   in_flight: &Vec<usize>| {
-                    if in_flight[w] >= caps[w] {
-                        return None;
-                    }
-                    if stage == 0 {
-                        let mb = next_admit[replica];
-                        if mb < num_minibatches {
-                            next_admit[replica] += r0 as u64;
-                            Some(Op::Forward { mb })
-                        } else {
-                            None
-                        }
-                    } else {
-                        fwd_ready[w].pop_front().map(|mb| Op::Forward { mb })
-                    }
+                let stage = worker.stage;
+                // When the oldest backward and the next admissible forward
+                // arrive(d); infinite when there is none.
+                let bwd = front(&worker.bwd);
+                let fwd = if worker.in_flight >= worker.cap {
+                    f64::INFINITY
+                } else if stage > 0 {
+                    front(&worker.fwd)
+                } else if worker.admit < num_minibatches {
+                    now
+                } else {
+                    f64::INFINITY
                 };
-                let op = if prefer_backward {
-                    if let Some(mb) = bwd_ready[w].pop_front() {
-                        Some(Op::Backward { mb })
+                let op = if fwd <= now && (bwd > now || !prefer_backward) {
+                    worker.in_flight += 1;
+                    let mb = if stage == 0 {
+                        worker.admit += r0;
+                        worker.admit - r0
                     } else {
-                        try_forward(&mut fwd_ready, &mut next_admit, &in_flight)
+                        worker.fwd.pop_front().expect("arrived").1
+                    };
+                    Op::Forward { mb }
+                } else if bwd <= now {
+                    worker.in_flight -= 1;
+                    Op::Backward {
+                        mb: worker.bwd.pop_front().expect("arrived").1,
                     }
                 } else {
-                    match try_forward(&mut fwd_ready, &mut next_admit, &in_flight) {
-                        Some(op) => Some(op),
-                        None => bwd_ready[w].pop_front().map(|mb| Op::Backward { mb }),
+                    // Idle until a message reaches it.
+                    next = earlier(earlier(bwd, fwd), next);
+                    continue;
+                };
+                let (free_at, arrives) = clock.run(w, now, op);
+                worker.free_at = free_at;
+                next = earlier(free_at, next);
+                schedules[w].ops.push(op);
+                let (queue, mb) = match op {
+                    Op::Forward { mb } if stage + 1 < num_stages => {
+                        let dst = assignment[stage + 1][config.replica_for(stage + 1, mb)];
+                        (&mut workers[dst].fwd, mb)
+                    }
+                    // The output stage computes the loss itself.
+                    Op::Forward { mb } => (&mut workers[w].bwd, mb),
+                    Op::Backward { mb } if stage > 0 => {
+                        let dst = assignment[stage - 1][config.replica_for(stage - 1, mb)];
+                        (&mut workers[dst].bwd, mb)
+                    }
+                    _ => {
+                        completed += 1;
+                        continue;
                     }
                 };
-                if matches!(op, Some(Op::Forward { .. })) {
-                    in_flight[w] += 1;
-                }
-                if let Some(op) = op {
-                    let dur = match op {
-                        Op::Forward { .. } => FWD_TICKS,
-                        _ => BWD_TICKS,
-                    };
-                    schedules[w].ops.push(op);
-                    busy[w] = Some((tick + dur, op));
-                }
+                next = earlier(arrives, next);
+                deliver(queue, arrives, mb);
             }
-            debug_assert!(
-                busy.iter().any(Option::is_some) || completed >= num_minibatches,
+            assert!(
+                next.is_finite() || completed >= num_minibatches,
                 "schedule generation deadlocked with {completed}/{num_minibatches} done"
             );
-            tick += 1;
+            now = next;
         }
-
         Schedule {
             config: config.clone(),
             workers: schedules,
@@ -447,7 +483,7 @@ impl Schedule {
     /// worker updates by `updates`, each as `(worker id, the op it would
     /// block on for good)`; empty when every list can.
     ///
-    /// The generator's tick model knows nothing of the all_reduce that
+    /// The generator's canonical clock knows nothing of the all_reduce that
     /// couples a replicated stage's updates, so some replication patterns
     /// (`1-2`, `1-3`, `2-4`, `1-1-2`, `1-2-2`) schedule an op that can
     /// never start. Under `1-2`, replica 0 of stage 1 waits in its second

@@ -3,8 +3,10 @@
 //! [`Engine`] owns what the hardware does with an op once an executor has
 //! chosen it — compute occupying the worker, the transfer and the gradient
 //! sync occupying its NIC, both timelines and the summary — so the static
-//! pass ([`crate::pipeline`]) and the dynamic policy ([`crate::dynamic`])
-//! differ only in how they pick the next op. What is constant per worker
+//! pass ([`crate::pipeline`]) and the dynamic run ([`crate::dynamic`])
+//! differ only in where the op order comes from: a static op list, or the
+//! one 1F1B-RR policy stepped with this engine as its clock (one policy,
+//! two clocks). What is constant per worker
 //! or per stage (durations, the links to both neighbour stages, the place
 //! among the stage's replicas, the stage's all_reduce time) is worked out
 //! once in [`Engine::new`], so computing, sending and syncing only add and
@@ -14,7 +16,7 @@
 use crate::pipeline::SimResult;
 use crate::timeline::{Timeline, WorkKind};
 use pipedream_core::estimates::stage_memory;
-use pipedream_core::schedule::{keeps_activations, Op};
+use pipedream_core::schedule::{keeps_activations, Op, UpdateRule};
 use pipedream_core::{PipelineConfig, ScheduleKind, StagePlan};
 use pipedream_hw::Topology;
 use pipedream_model::LayerCosts;
@@ -83,7 +85,8 @@ pub(crate) struct Engine<'a> {
     config: &'a PipelineConfig,
     kind: ScheduleKind,
     num_minibatches: u64,
-    two_bw_group: u64,
+    /// When a replicated stage syncs: the update rule `kind` implies.
+    updates: UpdateRule,
     workers: Vec<Worker>,
     syncs: Vec<StageSync>,
     timeline: Timeline,
@@ -109,7 +112,13 @@ impl<'a> Engine<'a> {
     ) -> Self {
         let stages = config.stages();
         let assignment = config.worker_assignment();
-        let two_bw_group = config.two_bw_group(config.noam());
+        let updates = if kind.uses_two_bw() {
+            UpdateRule::TwoBw {
+                group: config.two_bw_group(config.noam()),
+            }
+        } else {
+            UpdateRule::EveryBackward
+        };
         let sync = |(s, replicas): (&StagePlan, &Vec<usize>)| {
             let weight_bytes = costs.weight_bytes(s.first_layer, s.last_layer);
             let r = s.replicas as f64;
@@ -148,9 +157,11 @@ impl<'a> Engine<'a> {
             // minibatch.
             let sends = if next.is_empty() { 0 } else { forwards }
                 + if prev.is_empty() { 0 } else { backwards };
-            let syncs = match replicas.len() {
-                1 => 0,
-                _ if kind.uses_two_bw() => backwards.min((num_minibatches / two_bw_group) as usize),
+            let syncs = match (replicas.len(), updates) {
+                (1, _) => 0,
+                (_, UpdateRule::TwoBw { group }) => {
+                    backwards.min((num_minibatches / group) as usize)
+                }
                 _ => backwards,
             };
             if prev.is_empty() {
@@ -191,7 +202,7 @@ impl<'a> Engine<'a> {
             config,
             kind,
             num_minibatches,
-            two_bw_group,
+            updates,
             timeline,
             comm_timeline,
             comm_bytes: 0,
@@ -263,15 +274,14 @@ impl<'a> Engine<'a> {
     /// its backward completes, so the all_reduce departs at backward
     /// *start* and overlaps with the pass; it gates the worker's next
     /// forward, which needs the updated weights. Under 2BW a replica
-    /// accumulates locally and joins one all_reduce per full update group.
+    /// accumulates locally and joins one all_reduce per full update group:
+    /// the stage syncs where [`UpdateRule::updates_after`] says it updates.
     /// How long the all_reduce takes is the stage's constant.
     fn emit_sync(&mut self, w: usize, mb: u64, start: f64) {
         let worker = &mut self.workers[w];
-        let (group, n) = (self.two_bw_group, self.num_minibatches);
-        let next = mb + worker.replica.of;
-        let closes_full_group =
-            || (next / group > mb / group || next >= n) && (mb / group + 1) * group <= n;
-        if worker.replica.of == 1 || self.kind.uses_two_bw() && !closes_full_group() {
+        let (rule, replicas) = (self.updates, worker.replica.of as usize);
+        let n = self.num_minibatches;
+        if replicas == 1 || !rule.updates_after(Op::Backward { mb }, 1, replicas, n) {
             return;
         }
         let sync = &self.syncs[worker.stage];

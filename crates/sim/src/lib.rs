@@ -11,6 +11,11 @@
 //!   stages pay gradient-synchronization time that (thanks to weight
 //!   stashing) overlaps with subsequent backward work but gates the next
 //!   forward pass.
+//! * [`dynamic`] — one policy, two clocks: the 1F1B-RR policy that
+//!   generates the static schedules
+//!   ([`Schedule::generate`](pipedream_core::schedule::Schedule::generate)),
+//!   stepped on the engine's modelled timings instead of the canonical 1:2
+//!   ticks, so workers choose their op order at run time.
 //! * [`dp`] — a layer-granularity executor for data-parallel BSP training
 //!   with wait-free backpropagation (gradients all_reduce as soon as each
 //!   layer's backward completes), the baseline of Figure 1 and Table 1, plus

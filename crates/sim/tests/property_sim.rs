@@ -1,10 +1,10 @@
 //! Property-based tests for the discrete-event simulator.
 
-use pipedream_core::schedule::Schedule;
+use pipedream_core::schedule::{Op, Schedule, WorkerSchedule};
 use pipedream_core::{PipelineConfig, StagePlan};
 use pipedream_hw::{Device, LinkModel, Precision, Topology};
 use pipedream_model::zoo;
-use pipedream_sim::{simulate_dp, simulate_dynamic, simulate_pipeline};
+use pipedream_sim::{simulate_dp, simulate_dynamic, simulate_pipeline, SimResult, WorkKind};
 use proptest::prelude::*;
 
 fn arb_config() -> impl Strategy<Value = PipelineConfig> {
@@ -19,6 +19,39 @@ fn arb_config() -> impl Strategy<Value = PipelineConfig> {
             PipelineConfig::new(stages)
         },
     )
+}
+
+/// The op lists a dynamic run chose, read back from its compute timeline
+/// (every op takes time, so every op left an interval).
+fn chosen_schedule(config: &PipelineConfig, n: u64, r: &SimResult) -> Schedule {
+    let workers = r
+        .timeline
+        .per_worker
+        .iter()
+        .enumerate()
+        .map(|(worker, row)| {
+            let (stage, replica) = config.stage_of_worker(worker);
+            let ops = row
+                .iter()
+                .map(|i| match i.kind {
+                    WorkKind::Forward(mb) => Op::Forward { mb },
+                    WorkKind::Backward(mb) => Op::Backward { mb },
+                    other => panic!("compute row holds {other:?}"),
+                })
+                .collect();
+            WorkerSchedule {
+                worker,
+                stage,
+                replica,
+                ops,
+            }
+        })
+        .collect();
+    Schedule {
+        config: config.clone(),
+        workers,
+        num_minibatches: n,
+    }
 }
 
 fn topo(workers: usize, gbytes: f64) -> Topology {
@@ -107,6 +140,37 @@ proptest! {
         );
     }
 
+    /// A dynamic run is the static pass over the op lists it chose: engine
+    /// times depend only on each worker's op order and its messages'
+    /// arrivals, and the policy starts an op the moment both allow it.
+    #[test]
+    fn dynamic_run_equals_a_replay_of_its_choice(
+        config in arb_config(),
+        n in 1u64..40,
+        flops_exp in 8.0f64..10.0,
+        gbytes in 0.05f64..20.0,
+    ) {
+        let profile = zoo::uniform(config.num_layers(), 10f64.powf(flops_exp), 200_000, 2_000_000);
+        let costs = profile.costs(&Device::v100(), 16, Precision::Fp32);
+        let t = topo(config.total_workers(), gbytes);
+        let dynamic = simulate_dynamic(&costs, &t, &config, n);
+        let chosen = chosen_schedule(&config, n, &dynamic);
+        chosen.validate().map_err(TestCaseError::fail)?;
+        let replay = simulate_pipeline(&costs, &t, &chosen);
+        prop_assert_eq!(&replay.timeline, &dynamic.timeline);
+        prop_assert_eq!(&replay.comm_timeline, &dynamic.comm_timeline);
+        for (name, a, b) in [
+            ("makespan", replay.makespan, dynamic.makespan),
+            ("per_minibatch_s", replay.per_minibatch_s, dynamic.per_minibatch_s),
+            ("samples_per_sec", replay.samples_per_sec, dynamic.samples_per_sec),
+            ("mean_utilization", replay.mean_utilization, dynamic.mean_utilization),
+        ] {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "{} {} vs {}", name, a, b);
+        }
+        prop_assert_eq!(replay.comm_bytes, dynamic.comm_bytes);
+        prop_assert_eq!(&replay.peak_memory_bytes, &dynamic.peak_memory_bytes);
+    }
+
     /// Throughput scales with device speed: doubling sustained FLOPs on a
     /// compute-bound pipeline roughly halves per-minibatch time.
     #[test]
@@ -124,5 +188,31 @@ proptest! {
         let r_fast = simulate_pipeline(&c_fast, &t_fast, &Schedule::one_f_one_b(&config, n));
         let ratio = r_slow.per_minibatch_s / r_fast.per_minibatch_s;
         prop_assert!((1.8..=2.2).contains(&ratio), "speed ratio {ratio}");
+    }
+}
+
+/// A dynamic run reserves each timeline row for exactly the intervals its
+/// worker records: replica `r` of `R` runs `(n − r) / R` passes, rounded up.
+#[test]
+fn dynamic_rows_are_reserved_exactly() {
+    let costs = zoo::uniform(3, 1e9, 10_000, 10_000).costs(&Device::v100(), 32, Precision::Fp32);
+    let configs = [
+        PipelineConfig::straight(3, &[0, 1]),
+        PipelineConfig::from_counts(&[(1, 1), (1, 2), (1, 1)]),
+        PipelineConfig::from_counts(&[(3, 4)]),
+    ];
+    for config in &configs {
+        for n in [1, 2, 3, 49, 50] {
+            let r = simulate_dynamic(&costs, &topo(4, 10.0), config, n);
+            for (name, timeline) in [("compute", &r.timeline), ("comm", &r.comm_timeline)] {
+                for (w, row) in timeline.per_worker.iter().enumerate() {
+                    assert_eq!(
+                        row.len(),
+                        row.capacity(),
+                        "{config} x{n}: {name} row of worker {w}"
+                    );
+                }
+            }
+        }
     }
 }
