@@ -264,50 +264,6 @@ pub fn s2vt() -> Task {
     }
 }
 
-/// Time-to-accuracy composition: `TTA = epochs-to-target × samples-per-epoch
-/// / throughput` — the quantity Table 1 and Figures 10/13 report.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TimeToAccuracy {
-    /// Epochs needed to reach the target.
-    pub epochs: f64,
-    /// Seconds per epoch at the given throughput.
-    pub seconds_per_epoch: f64,
-}
-
-impl TimeToAccuracy {
-    /// Compose a task + execution mode with a system throughput
-    /// (samples/second) over a dataset of `samples_per_epoch`. `None` when
-    /// the mode never reaches the target.
-    pub fn compose(
-        task: &Task,
-        mode: Mode,
-        samples_per_sec: f64,
-        samples_per_epoch: f64,
-    ) -> Option<TimeToAccuracy> {
-        assert!(samples_per_sec > 0.0 && samples_per_epoch > 0.0);
-        let epochs = task.epochs_to_target(mode)?;
-        Some(TimeToAccuracy {
-            epochs,
-            seconds_per_epoch: samples_per_epoch / samples_per_sec,
-        })
-    }
-
-    /// Total seconds to target.
-    pub fn seconds(&self) -> f64 {
-        self.epochs * self.seconds_per_epoch
-    }
-
-    /// Total hours to target.
-    pub fn hours(&self) -> f64 {
-        self.seconds() / 3600.0
-    }
-
-    /// TTA speedup of `self` relative to `other` (>1 = self faster).
-    pub fn speedup_over(&self, other: &TimeToAccuracy) -> f64 {
-        other.seconds() / self.seconds()
-    }
-}
-
 /// Task for a zoo model name, if it has an accuracy target (AlexNet is
 /// throughput-only in the paper).
 pub fn task_for(model: &str) -> Option<Task> {
@@ -432,20 +388,6 @@ mod tests {
         assert_eq!(pts.len(), 6);
         assert_eq!(pts[0].0, 0.0);
         assert_eq!(pts[5].0, 10.0);
-    }
-
-    #[test]
-    fn tta_composition_matches_paper_identity() {
-        // Same epochs, 2× throughput ⇒ 2× TTA speedup: why Table 1's epoch
-        // and TTA columns agree for weight stashing.
-        let task = vgg16();
-        let slow = TimeToAccuracy::compose(&task, Mode::Bsp, 500.0, 1.28e6).unwrap();
-        let fast = TimeToAccuracy::compose(&task, Mode::WeightStashing, 1000.0, 1.28e6).unwrap();
-        assert!((fast.speedup_over(&slow) - 2.0).abs() < 1e-9);
-        assert!((slow.epochs - fast.epochs).abs() < 1e-12);
-        assert!(slow.hours() > fast.hours());
-        // ASP never composes to a finite TTA.
-        assert!(TimeToAccuracy::compose(&task, Mode::Asp, 1000.0, 1.28e6).is_none());
     }
 
     #[test]

@@ -334,12 +334,6 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Constrain plans to the topology device's memory capacity.
-    pub fn with_device_memory_limit(mut self) -> Self {
-        self.memory_limit = Some(self.topo.device.mem_bytes);
-        self
-    }
-
     /// Constrain plans to an explicit per-worker memory budget in bytes.
     pub fn with_memory_limit(mut self, bytes: u64) -> Self {
         self.memory_limit = Some(bytes);
@@ -1455,17 +1449,6 @@ mod memory_tests {
             .try_plan_flat()
             .unwrap();
         assert_eq!(free.config, limited.config);
-    }
-
-    #[test]
-    fn device_memory_limit_constructor() {
-        let profile = zoo::resnet50();
-        let topo = flat(4);
-        let plan = Planner::new(&profile, &topo)
-            .with_device_memory_limit()
-            .try_plan()
-            .unwrap();
-        plan.config.validate(profile.num_layers()).unwrap();
     }
 
     #[test]

@@ -20,7 +20,6 @@ pub fn train_sequential(
     opts: &TrainOpts,
 ) -> (Sequential, TrainReport) {
     let started = Instant::now();
-    pipedream_tensor::gemm::set_thread_backend(opts.kernel);
     let mut optimizer = opts.optim.build();
     let mut per_epoch = Vec::with_capacity(opts.epochs);
     let mbs = dataset.num_minibatches(opts.batch);

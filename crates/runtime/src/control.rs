@@ -18,10 +18,14 @@
 //! skipped everywhere, and each replica of a replicated stage performs
 //! exactly `C / replicas` backward passes — gradient-sync rounds stay
 //! aligned and no replica blocks in an `allreduce` its partners never
-//! join. Non-input workers consult [`RunControl::skipped`] per op and
-//! poll their receives (instead of blocking forever) while a gate is
-//! installed, so a worker parked on a minibatch that was cut wakes up
-//! and skips it.
+//! join. Non-input workers consult [`RunControl::skipped`] per op. A
+//! worker that skips a forward — refused at admission, or past the cut —
+//! sends a cut marker ([`crate::message::Msg::Cut`]) in place of its
+//! activation, along the edge 1F1B-RR routes the activation on, and a
+//! worker already waiting for that activation skips the forward when the
+//! marker arrives. A drained run is therefore the undrained run's
+//! dependency graph with some ops made free: it inherits the static
+//! schedule's freedom from deadlock, and no receive ever polls the gate.
 //!
 //! After its op loop ends, replica 0 of every stage writes a checkpoint
 //! at the cut, giving the caller a consistent state (the §4 checkpoint
@@ -37,11 +41,6 @@
 
 use pipedream_core::lcm;
 use std::sync::Mutex;
-use std::time::Duration;
-
-/// How often a drain-aware worker re-checks the gate while waiting on a
-/// channel receive.
-pub const DRAIN_POLL: Duration = Duration::from_millis(20);
 
 #[derive(Debug)]
 struct GateState {
@@ -159,15 +158,18 @@ impl RunControl {
     }
 
     /// Input-stage admission check for minibatch `mb`'s forward pass.
-    /// Fixes the cut if a drain is pending. Returns `false` when the
-    /// minibatch falls at or beyond the cut and must be skipped.
+    /// Fixes the cut if a drain is pending, at the first aligned boundary
+    /// not below the frontier — what was admitted, not which minibatch
+    /// asks, so on a replicated input stage the cut does not depend on
+    /// which replica asks first. Returns `false` when the minibatch falls
+    /// at or beyond the cut and must be skipped.
     pub fn admit(&self, mb: u64) -> bool {
         let mut s = self.state.lock().unwrap();
         if let Some(c) = s.cut {
             return mb < c;
         }
         if s.requested {
-            let c = round_up(mb.max(s.frontier), s.alignment()).min(s.limit);
+            let c = round_up(s.frontier, s.alignment()).min(s.limit);
             s.cut = Some(c);
             return mb < c;
         }

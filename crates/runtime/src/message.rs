@@ -23,27 +23,47 @@
 
 use pipedream_tensor::Tensor;
 
-/// Activation flowing forward from stage `s` to stage `s+1`.
-#[derive(Debug, Clone)]
-pub struct ActMsg {
-    /// Minibatch id.
-    pub mb: u64,
-    /// Weight version pinned at the input stage (vertical sync only;
-    /// 0 otherwise).
-    pub version_tag: u64,
-    /// Output activations of the producing stage. The receiver owns the
-    /// buffer and recycles it after its forward pass consumes it.
-    pub data: Tensor,
+/// What one stage worker sends a neighbour about one minibatch.
+#[derive(Debug)]
+pub enum Msg {
+    /// Activation flowing forward from stage `s` to stage `s+1`.
+    Act {
+        /// Minibatch id.
+        mb: u64,
+        /// Weight version pinned at the input stage (vertical sync only;
+        /// 0 otherwise).
+        version_tag: u64,
+        /// Output activations of the producing stage. The receiver owns
+        /// the buffer and recycles it after its forward pass consumes it.
+        data: Tensor,
+    },
+    /// Gradient flowing backward from stage `s` to stage `s-1`.
+    Grad {
+        /// Minibatch id.
+        mb: u64,
+        /// Gradient w.r.t. the consuming stage's output activations. The
+        /// receiver owns the buffer and recycles it after its backward
+        /// pass.
+        data: Tensor,
+    },
+    /// Sent forward in place of minibatch `mb`'s activation by a worker
+    /// that skipped its forward because a drain cut the run before `mb`
+    /// ([`crate::control`]). The receiver skips the forward too and passes
+    /// the marker on, so the cut reaches every stage along the edges the
+    /// activation would have taken.
+    Cut {
+        /// Minibatch id.
+        mb: u64,
+    },
 }
 
-/// Gradient flowing backward from stage `s` to stage `s-1`.
-#[derive(Debug, Clone)]
-pub struct GradMsg {
-    /// Minibatch id.
-    pub mb: u64,
-    /// Gradient w.r.t. the consuming stage's output activations. The
-    /// receiver owns the buffer and recycles it after its backward pass.
-    pub data: Tensor,
+impl Msg {
+    /// The minibatch the message is about.
+    pub fn mb(&self) -> u64 {
+        match *self {
+            Msg::Act { mb, .. } | Msg::Grad { mb, .. } | Msg::Cut { mb } => mb,
+        }
+    }
 }
 
 /// Liveness events sent to the coordinator while the pipeline runs.

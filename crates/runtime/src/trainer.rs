@@ -4,7 +4,7 @@
 
 use crate::data::TrainData;
 use crate::fault::{FaultHook, WorkerError};
-use crate::message::{ActMsg, GradMsg, MetricMsg};
+use crate::message::{MetricMsg, Msg};
 use crate::report::{EpochStats, LossRecord, StageObsRecord, TrainReport};
 use crate::sync::GradSyncGroup;
 use crate::worker::StageWorker;
@@ -12,7 +12,6 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use pipedream_core::schedule::{Schedule, UpdateRule};
 use pipedream_core::{PipelineConfig, ScheduleKind};
 use pipedream_tensor::data::Dataset;
-pub use pipedream_tensor::gemm::Backend;
 use pipedream_tensor::{Adam, Layer, Optimizer, Sequential, Sgd};
 use std::fmt;
 use std::path::PathBuf;
@@ -151,7 +150,9 @@ pub struct TrainOpts {
     /// Drain gate for live reconfiguration: when set, the run can be cut
     /// at a consistent minibatch boundary ([`crate::control::RunControl`])
     /// — every stage checkpoints at the cut and the report's
-    /// [`TrainReport::drained_at`] names that checkpoint. `None` (the
+    /// [`TrainReport::drained_at`] names that checkpoint. The cut reaches
+    /// the stages as a marker sent in place of the first activation it
+    /// drops, so workers still block in plain receives. `None` (the
     /// default) costs one `Option` check per op.
     pub control: Option<Arc<crate::control::RunControl>>,
     /// Observability session: when set, every worker records typed spans
@@ -159,15 +160,6 @@ pub struct TrainOpts {
     /// per-track rings and the coordinator folds run totals into its
     /// metrics registry. `None` costs one branch per recording site.
     pub obs: Option<Arc<pipedream_obs::TraceSession>>,
-    /// Compute-kernel backend every worker thread (and the sequential
-    /// baseline) selects before training: the tiled GEMM/im2col kernels
-    /// ([`Backend::Fast`], the default) or the seed scalar loops
-    /// ([`Backend::Naive`]). The two backends are pinned to each other by
-    /// `crates/tensor/tests/kernel_equiv.rs`: identical summation order
-    /// (bit-for-bit on non-FMA builds) while the inner dimension fits one
-    /// cache block, and ≤ 1e-5 relative drift from FMA single-rounding
-    /// otherwise — the bound the kernel-swap loss guard asserts per epoch.
-    pub kernel: Backend,
 }
 
 impl Default for TrainOpts {
@@ -188,7 +180,6 @@ impl Default for TrainOpts {
             depth: None,
             control: None,
             obs: None,
-            kernel: Backend::Fast,
         }
     }
 }
@@ -376,10 +367,10 @@ pub fn try_train_pipeline(
 
     // Channels: one (fwd, grad) receiver pair per worker.
     let workers = config.total_workers();
-    let mut fwd_tx: Vec<Sender<ActMsg>> = Vec::with_capacity(workers);
-    let mut fwd_rx: Vec<Option<Receiver<ActMsg>>> = Vec::with_capacity(workers);
-    let mut grad_tx: Vec<Sender<GradMsg>> = Vec::with_capacity(workers);
-    let mut grad_rx: Vec<Option<Receiver<GradMsg>>> = Vec::with_capacity(workers);
+    let mut fwd_tx: Vec<Sender<Msg>> = Vec::with_capacity(workers);
+    let mut fwd_rx: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(workers);
+    let mut grad_tx: Vec<Sender<Msg>> = Vec::with_capacity(workers);
+    let mut grad_rx: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(workers);
     for _ in 0..workers {
         let (ft, fr) = unbounded();
         let (gt, gr) = unbounded();
@@ -485,7 +476,6 @@ pub fn try_train_pipeline(
                 recorder: recorders[w].clone(),
                 hook: hook.clone(),
                 control: opts.control.clone(),
-                kernel: opts.kernel,
             };
             handles.push(scope.spawn(move || worker.run()));
         }

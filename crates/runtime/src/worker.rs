@@ -8,7 +8,9 @@
 //! gradient upstream. The op *order* comes from
 //! [`pipedream_core::schedule::Schedule`]; the worker blocks on channels
 //! when data has not arrived yet, exactly like PipeDream's runtime blocks
-//! on its work queues (§4).
+//! on its work queues (§4). A drain cut travels the same channels: a
+//! worker that skips a forward because of it sends a [`Msg::Cut`] in place
+//! of the activation, so no wait ever needs to look at the gate.
 //!
 //! **Weights.** The live weights are the model's own `Param::value`s, and
 //! the optimizer steps them in place. Which version a minibatch's passes
@@ -33,10 +35,10 @@
 //! react (§4's failure detection + checkpoint restart).
 
 use crate::checkpoint;
-use crate::control::{RunControl, DRAIN_POLL};
+use crate::control::RunControl;
 use crate::data::TrainData;
 use crate::fault::{FaultAction, FaultHook, SendAction, WorkerError};
-use crate::message::{ActMsg, GradMsg, MetricMsg};
+use crate::message::{MetricMsg, Msg};
 use crate::report::{LossRecord, StageObsRecord, VersionRecord, WorkerLog};
 use crate::sync::GradSyncGroup;
 use crate::trainer::{LrSchedule, OptimKind, Semantics};
@@ -87,16 +89,17 @@ pub struct StageWorker<'a> {
     pub total_mbs: u64,
     /// Optimizer configuration.
     pub optim: OptimKind,
-    /// Activations from upstream (None for the input stage).
-    pub fwd_in: Option<Receiver<ActMsg>>,
+    /// Activations and cut markers from upstream (None for the input
+    /// stage).
+    pub fwd_in: Option<Receiver<Msg>>,
     /// Gradients from downstream (None for the output stage).
-    pub grad_in: Option<Receiver<GradMsg>>,
+    pub grad_in: Option<Receiver<Msg>>,
     /// Senders to each replica of the next stage (empty for the output
     /// stage).
-    pub fwd_out: Vec<Sender<ActMsg>>,
+    pub fwd_out: Vec<Sender<Msg>>,
     /// Senders to each replica of the previous stage (empty for the input
     /// stage).
-    pub grad_out: Vec<Sender<GradMsg>>,
+    pub grad_out: Vec<Sender<Msg>>,
     /// Gradient sync group (replicated stages only).
     pub sync: Option<Arc<GradSyncGroup>>,
     /// Liveness events to the coordinator (heartbeats under a fault hook,
@@ -120,13 +123,11 @@ pub struct StageWorker<'a> {
     pub hook: Option<Arc<dyn FaultHook>>,
     /// Drain gate shared across the run, if the caller may cut the run at
     /// a consistent minibatch boundary (see [`crate::control`]). `None`
-    /// costs one `Option` check per op; when present, channel receives
-    /// poll at [`DRAIN_POLL`] so a worker parked on a cut minibatch wakes
-    /// up and skips it.
+    /// costs one `Option` check per op. The input stage asks it to admit
+    /// each forward, the others skip ops past a fixed cut; a forward
+    /// skipped either way sends a [`Msg::Cut`] downstream in place of its
+    /// activation, which is how a worker already waiting learns of the cut.
     pub control: Option<Arc<RunControl>>,
-    /// Compute-kernel backend this worker selects for its thread before
-    /// executing any ops (kernel dispatch is thread-local).
-    pub kernel: pipedream_tensor::gemm::Backend,
 }
 
 /// Per-run mutable state.
@@ -147,9 +148,10 @@ struct WorkerState {
     kept: Option<u64>,
     /// Loss gradients awaiting the backward op (output stage only).
     pending_loss_grad: HashMap<u64, Tensor>,
-    /// Buffered out-of-order arrivals.
-    act_buffer: HashMap<u64, ActMsg>,
-    grad_buffer: HashMap<u64, GradMsg>,
+    /// Messages from upstream, and from downstream, that arrived before
+    /// their op.
+    early_fwd: HashMap<u64, Msg>,
+    early_grad: HashMap<u64, Msg>,
     /// Updates applied so far (the worker's local version counter).
     updates: u64,
     /// Receive timeout from the fault hook (None = block forever).
@@ -173,16 +175,6 @@ struct WorkerState {
     log: WorkerLog,
 }
 
-/// Outcome of one channel-receive attempt (see [`StageWorker::recv_step`]).
-enum RecvStep<T> {
-    /// A message arrived (possibly for a different minibatch).
-    Msg(T),
-    /// A drain cut the awaited minibatch; the caller skips its op.
-    Drained,
-    /// The peer's channel disconnected.
-    Lost,
-}
-
 impl StageWorker<'_> {
     /// Run the worker to completion; returns its log and the trained
     /// stage model, or the typed error it died with. All failures except
@@ -195,7 +187,6 @@ impl StageWorker<'_> {
     /// `allreduce` wake with [`WorkerError::SyncStalled`] instead of
     /// waiting for a contribution that will never arrive.
     pub fn run(mut self) -> (WorkerLog, Result<Sequential, WorkerError>) {
-        pipedream_tensor::gemm::set_thread_backend(self.kernel);
         let policy = match (self.semantics, self.updates) {
             (Semantics::Stashed, UpdateRule::TwoBw { group }) => {
                 Some(VersionPolicy::TwoBw { group })
@@ -219,8 +210,8 @@ impl StageWorker<'_> {
             saved_inputs: HashMap::new(),
             kept: None,
             pending_loss_grad: HashMap::new(),
-            act_buffer: HashMap::new(),
-            grad_buffer: HashMap::new(),
+            early_fwd: HashMap::new(),
+            early_grad: HashMap::new(),
             updates: 0,
             recv_timeout: self.hook.as_ref().and_then(|h| h.recv_timeout()),
             stash_depth_max: 0,
@@ -280,7 +271,8 @@ impl StageWorker<'_> {
             // Drain gate: the input stage asks to admit each minibatch's
             // forward (fixing the cut when a drain is pending); everyone
             // else skips any op whose minibatch fell at or beyond the cut.
-            // A skipped op never runs, so no fault fires on it either.
+            // A skipped op never runs, so no fault fires on it either; a
+            // skipped forward still sends its cut marker.
             if let Some(gate) = &self.control {
                 let skip = match op {
                     Op::Forward { mb } if self.stage == 0 => !gate.admit(mb),
@@ -288,6 +280,9 @@ impl StageWorker<'_> {
                     Op::Flush => false,
                 };
                 if skip {
+                    if let Op::Forward { mb } = op {
+                        self.send_cut(mb);
+                    }
                     continue;
                 }
             }
@@ -394,67 +389,62 @@ impl StageWorker<'_> {
         Ok(())
     }
 
-    /// Receive the activation for `mb`. `Ok(None)` means a drain cut the
-    /// minibatch while this worker was already inside its forward op — the
-    /// op must be skipped (upstream will never send it).
-    fn recv_act(&self, st: &mut WorkerState, mb: u64) -> Result<Option<ActMsg>, WorkerError> {
-        if let Some(m) = st.act_buffer.remove(&mb) {
-            return Ok(Some(m));
+    /// Wait for minibatch `mb`'s message: from upstream for a forward (its
+    /// activation, or a cut marker in its place), from downstream for a
+    /// `backward` (its gradient). Messages for other minibatches that come
+    /// first wait for their own op. A plain blocking receive unless the
+    /// fault hook set a receive timeout; a disconnect means the peer was
+    /// lost, since a peer leaves nothing this worker still waits for
+    /// unsent.
+    fn recv(&self, st: &mut WorkerState, mb: u64, backward: bool) -> Result<Msg, WorkerError> {
+        let (rx, early) = if backward {
+            (&self.grad_in, &mut st.early_grad)
+        } else {
+            (&self.fwd_in, &mut st.early_fwd)
+        };
+        if let Some(m) = early.remove(&mb) {
+            return Ok(m);
         }
-        let rx = self.fwd_in.as_ref().expect("non-input stage has fwd_in");
+        let rx = rx
+            .as_ref()
+            .expect("a worker waits only on a neighbour it has");
+        let stage = self.stage;
+        let lost = || match backward {
+            true => WorkerError::DownstreamLost { stage, mb },
+            false => WorkerError::UpstreamLost { stage, mb },
+        };
         // The blocking path: record it as a `RecvWait` span (nested inside
-        // the surrounding forward span on this worker's track).
+        // the surrounding op's span on this worker's track).
         let wait = self.recorder.begin();
-        let result = (|| loop {
-            match self.recv_step(rx, st.recv_timeout, mb)? {
-                RecvStep::Msg(m) => {
-                    if m.mb == mb {
-                        return Ok(Some(m));
-                    }
-                    st.act_buffer.insert(m.mb, m);
+        let result = loop {
+            let m = match st.recv_timeout {
+                None => rx.recv().map_err(|_| lost()),
+                Some(t) => rx.recv_timeout(t).map_err(|e| match e {
+                    RecvTimeoutError::Timeout => WorkerError::Stalled { stage, mb },
+                    RecvTimeoutError::Disconnected => lost(),
+                }),
+            };
+            match m {
+                Ok(m) if m.mb() != mb => {
+                    early.insert(m.mb(), m);
                 }
-                RecvStep::Drained => return Ok(None),
-                RecvStep::Lost => {
-                    return Err(WorkerError::UpstreamLost {
-                        stage: self.stage,
-                        mb,
-                    })
-                }
+                m => break m,
             }
-        })();
+        };
         self.recorder
             .end_in_epoch(wait, SpanKind::RecvWait { mb }, self.trace_epoch(mb));
         result
     }
 
-    /// Receive the gradient for `mb`; `Ok(None)` as in
-    /// [`StageWorker::recv_act`].
-    fn recv_grad(&self, st: &mut WorkerState, mb: u64) -> Result<Option<GradMsg>, WorkerError> {
-        if let Some(m) = st.grad_buffer.remove(&mb) {
-            return Ok(Some(m));
+    /// Send a cut marker in place of minibatch `mb`'s activation, to the
+    /// replica 1F1B-RR routes it to. That replica may already have skipped
+    /// the minibatch at its own gate and finished, so a failed send is
+    /// no failure; the fault hook never sees a marker.
+    fn send_cut(&self, mb: u64) {
+        if !self.fwd_out.is_empty() {
+            let dst = (mb % self.fwd_out.len() as u64) as usize;
+            let _ = self.fwd_out[dst].send(Msg::Cut { mb });
         }
-        let rx = self.grad_in.as_ref().expect("non-output stage has grad_in");
-        let wait = self.recorder.begin();
-        let result = (|| loop {
-            match self.recv_step(rx, st.recv_timeout, mb)? {
-                RecvStep::Msg(m) => {
-                    if m.mb == mb {
-                        return Ok(Some(m));
-                    }
-                    st.grad_buffer.insert(m.mb, m);
-                }
-                RecvStep::Drained => return Ok(None),
-                RecvStep::Lost => {
-                    return Err(WorkerError::DownstreamLost {
-                        stage: self.stage,
-                        mb,
-                    })
-                }
-            }
-        })();
-        self.recorder
-            .end_in_epoch(wait, SpanKind::RecvWait { mb }, self.trace_epoch(mb));
-        result
     }
 
     /// Epoch identity for a minibatch's trace spans (0 for synthetic ids
@@ -466,73 +456,6 @@ impl StageWorker<'_> {
         self.data.epoch_of(mb) as u32
     }
 
-    /// One receive attempt under the combined fault-hook / drain-gate
-    /// timeout policy. Without a gate this is the original behavior:
-    /// block forever (no hook timeout) or fail [`WorkerError::Stalled`]
-    /// after the hook timeout. With a gate installed the wait polls at
-    /// [`DRAIN_POLL`] (capped by any shorter hook timeout) so a drain cut
-    /// can interrupt it; a hook timeout longer than one poll tick still
-    /// fires once the cumulative quiet time reaches it.
-    fn recv_step<T>(
-        &self,
-        rx: &Receiver<T>,
-        hook_timeout: Option<Duration>,
-        mb: u64,
-    ) -> Result<RecvStep<T>, WorkerError> {
-        let Some(gate) = &self.control else {
-            return match hook_timeout {
-                None => match rx.recv() {
-                    Ok(m) => Ok(RecvStep::Msg(m)),
-                    Err(_) => Ok(RecvStep::Lost),
-                },
-                Some(t) => match rx.recv_timeout(t) {
-                    Ok(m) => Ok(RecvStep::Msg(m)),
-                    Err(RecvTimeoutError::Timeout) => Err(WorkerError::Stalled {
-                        stage: self.stage,
-                        mb,
-                    }),
-                    Err(RecvTimeoutError::Disconnected) => Ok(RecvStep::Lost),
-                },
-            };
-        };
-        if gate.skipped(mb) {
-            return Ok(RecvStep::Drained);
-        }
-        let poll = hook_timeout.unwrap_or(DRAIN_POLL).min(DRAIN_POLL);
-        let deadline = hook_timeout.map(|t| std::time::Instant::now() + t);
-        loop {
-            match rx.recv_timeout(poll) {
-                Ok(m) => return Ok(RecvStep::Msg(m)),
-                Err(RecvTimeoutError::Timeout) => {
-                    if gate.skipped(mb) {
-                        return Ok(RecvStep::Drained);
-                    }
-                    if let Some(d) = deadline {
-                        if std::time::Instant::now() >= d {
-                            return Err(WorkerError::Stalled {
-                                stage: self.stage,
-                                mb,
-                            });
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // A drained peer exits after its last admitted op,
-                    // possibly while this worker is already blocked on a
-                    // cut minibatch. Buffered messages are delivered
-                    // before the disconnect is reported, so a clean peer
-                    // exit plus a missing message means the minibatch
-                    // fell past the cut — not a failure.
-                    return if gate.skipped(mb) {
-                        Ok(RecvStep::Drained)
-                    } else {
-                        Ok(RecvStep::Lost)
-                    };
-                }
-            }
-        }
-    }
-
     /// Run minibatch `mb`'s forward pass and ship its output (or, on the
     /// output stage, compute its loss). `keep`: its backward is this
     /// worker's next op, so a recomputing stage keeps the activations.
@@ -540,10 +463,17 @@ impl StageWorker<'_> {
         let (input, mut version_tag) = if self.stage == 0 {
             (self.data.input(mb), 0)
         } else {
-            match self.recv_act(st, mb)? {
-                Some(msg) => (msg.data, msg.version_tag),
-                // Drained mid-wait: the minibatch was cut, skip the op.
-                None => return Ok(()),
+            match self.recv(st, mb, false)? {
+                Msg::Act {
+                    data, version_tag, ..
+                } => (data, version_tag),
+                // Upstream skipped the minibatch: a drain cut the run
+                // before it. Skip it here too, and pass the cut on.
+                Msg::Cut { .. } => {
+                    self.send_cut(mb);
+                    return Ok(());
+                }
+                Msg::Grad { .. } => unreachable!("gradients travel upstream"),
             }
         };
 
@@ -619,7 +549,7 @@ impl StageWorker<'_> {
             }
             let dst = (mb % self.fwd_out.len() as u64) as usize;
             self.fwd_out[dst]
-                .send(ActMsg {
+                .send(Msg::Act {
                     mb,
                     version_tag,
                     data: out,
@@ -652,17 +582,13 @@ impl StageWorker<'_> {
         st.optimizer
             .set_learning_rate(self.lr_schedule.lr_at(self.optim.base_lr(), epoch));
         let grad_out = if self.stage + 1 == self.num_stages {
-            match st.pending_loss_grad.remove(&mb) {
-                Some(g) => g,
-                // The forward op was cut mid-wait by a drain, so no loss
-                // gradient exists; the backward is skipped too.
-                None if self.control.as_ref().is_some_and(|g| g.skipped(mb)) => return Ok(()),
-                None => panic!("loss gradient pending from forward"),
-            }
+            st.pending_loss_grad
+                .remove(&mb)
+                .expect("loss gradient pending from forward")
         } else {
-            match self.recv_grad(st, mb)? {
-                Some(m) => m.data,
-                None => return Ok(()),
+            match self.recv(st, mb, true)? {
+                Msg::Grad { data, .. } => data,
+                _ => unreachable!("only gradients travel upstream"),
             }
         };
 
@@ -711,7 +637,7 @@ impl StageWorker<'_> {
         if self.stage > 0 {
             let dst = (mb % self.grad_out.len() as u64) as usize;
             self.grad_out[dst]
-                .send(GradMsg { mb, data: grad_in })
+                .send(Msg::Grad { mb, data: grad_in })
                 .map_err(|_| WorkerError::PeerSendFailed {
                     stage: self.stage,
                     mb,

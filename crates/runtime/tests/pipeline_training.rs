@@ -1,13 +1,16 @@
 //! End-to-end tests of the pipeline-parallel training runtime, checking the
 //! paper's §3.3 claims mechanically on real (small) models.
 
+use pipedream_core::schedule::{Op, Schedule};
 use pipedream_core::PipelineConfig;
-use pipedream_runtime::trainer::{evaluate, train_pipeline};
+use pipedream_runtime::trainer::{evaluate, train_pipeline, try_train_pipeline};
+use pipedream_runtime::{checkpoint, FaultAction, FaultHook, RunControl};
 use pipedream_runtime::{train_sequential, LrSchedule, OptimKind, Semantics, TrainOpts};
 use pipedream_tensor::data::{blobs, spirals, Dataset};
 use pipedream_tensor::init::rng;
 use pipedream_tensor::layers::{Linear, Relu, Scale, Tanh};
 use pipedream_tensor::Sequential;
+use std::sync::Arc;
 
 /// An 8-layer MLP so it can be split 4 ways.
 fn mlp(seed: u64, inputs: usize, classes: usize) -> Sequential {
@@ -223,7 +226,6 @@ fn pipeline_training_is_deterministic() {
 
 #[test]
 fn checkpoints_written_per_stage_per_epoch() {
-    use pipedream_runtime::checkpoint;
     let dir = std::env::temp_dir().join(format!("pd-ckpt-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let data = easy_data();
@@ -250,43 +252,147 @@ fn drained_checkpoint_is_the_periodic_one_byte_for_byte() {
     // minibatches < c produce. So what every stage of a run drained at c
     // dumps after its last op is, byte for byte, what the same stage of an
     // uninterrupted run dumped on its way past c — although that run had
-    // later minibatches in flight at the time.
-    use pipedream_runtime::{checkpoint, RunControl};
-    let dirs = ["whole", "cut"].map(|tag| {
-        let d = std::env::temp_dir().join(format!("pd-cut-{tag}-{}", std::process::id()));
+    // later minibatches in flight at the time. On `2-1` and `1-2-1` the cut
+    // reaches a stage from a replicated sender.
+    let (k, c) = (4, 20); // mid-epoch: 16 minibatches per epoch
+    for (tag, config) in [
+        ("3", PipelineConfig::straight(8, &[2, 5])), // 3 stages, depth 3
+        ("2-1", PipelineConfig::from_counts(&[(6, 2), (2, 1)])),
+        (
+            "1-2-1",
+            PipelineConfig::from_counts(&[(2, 1), (3, 2), (3, 1)]),
+        ),
+    ] {
+        assert_eq!(c % config.replica_lcm(), 0);
+        let gate = Arc::new(RunControl::new());
+        gate.drain_at(c);
+        let drained_at = cut_matches_whole_run(&format!("at-{tag}"), &config, k, gate, None);
+        assert_eq!(drained_at, c, "{tag}");
+    }
+}
+
+/// Asks for a drain from stage 0's `before_op` on one backward: in 1F1B the
+/// stages downstream have just sent that gradient and are blocked waiting
+/// for their next activation, which stage 0 will no longer send.
+struct DrainOnBackward {
+    gate: Arc<RunControl>,
+    mb: u64,
+}
+
+impl FaultHook for DrainOnBackward {
+    fn before_op(&self, stage: usize, _replica: usize, op: &Op) -> FaultAction {
+        if stage == 0 && *op == (Op::Backward { mb: self.mb }) {
+            self.gate.request_drain();
+        }
+        FaultAction::Continue
+    }
+}
+
+#[test]
+fn drain_requested_mid_backward_reaches_blocked_stages() {
+    // The cut travels as a marker in place of the activation the blocked
+    // stages wait for, so they wake without polling the gate. It lands
+    // where the static schedule puts it: the next forward stage 0's
+    // replica would admit after that backward, rounded up to the replica
+    // lcm (a replicated input stage's partner cannot run ahead of the
+    // gradient-sync round the backward belongs to).
+    let backward = 9;
+    for (tag, config) in [
+        ("3", PipelineConfig::straight(8, &[2, 5])),
+        ("2-1", PipelineConfig::from_counts(&[(6, 2), (2, 1)])),
+    ] {
+        let schedule = Schedule::one_f_one_b(&config, 32);
+        let ops = &schedule
+            .workers
+            .iter()
+            .find(|w| w.stage == 0 && w.ops.contains(&Op::Backward { mb: backward }))
+            .expect("stage 0 runs the backward")
+            .ops;
+        let at = ops
+            .iter()
+            .position(|&op| op == Op::Backward { mb: backward })
+            .unwrap();
+        let admitted = ops[..at]
+            .iter()
+            .filter_map(|op| match *op {
+                Op::Forward { mb } => Some(mb + 1),
+                _ => None,
+            })
+            .max()
+            .unwrap();
+        let want = admitted.next_multiple_of(config.replica_lcm());
+        let gate = Arc::new(RunControl::new());
+        let hook = DrainOnBackward {
+            gate: gate.clone(),
+            mb: backward,
+        };
+        let hook: Arc<dyn FaultHook> = Arc::new(hook);
+        let drained_at =
+            cut_matches_whole_run(&format!("hook-{tag}"), &config, 1, gate, Some(hook));
+        assert_eq!(drained_at, want, "{tag}");
+    }
+}
+
+/// Train 2 epochs of `config` uninterrupted, dumping every `k` minibatches,
+/// and again under `gate` (and `hook`); check that each stage's dump at
+/// the cut is byte for byte the uninterrupted run's. A watchdog fails the
+/// test if the drained run hangs. Returns the cut.
+fn cut_matches_whole_run(
+    tag: &str,
+    config: &PipelineConfig,
+    k: u64,
+    gate: Arc<RunControl>,
+    hook: Option<Arc<dyn FaultHook>>,
+) -> u64 {
+    let dirs = ["whole", "cut"].map(|run| {
+        let d = std::env::temp_dir().join(format!("pd-cut-{tag}-{run}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         d
     });
-    let (k, c) = (4, 20); // mid-epoch: 16 minibatches per epoch
     let data = easy_data();
-    let config = PipelineConfig::straight(8, &[2, 5]); // 3 stages, depth 3
     let whole = TrainOpts {
         checkpoint_dir: Some(dirs[0].clone()),
         checkpoint_every: Some(k),
         ..default_opts(2)
     };
-    train_pipeline(mlp(21, 8, 4), &config, &data, &whole);
+    train_pipeline(mlp(21, 8, 4), config, &data, &whole);
     // The drained run dumps at epoch ends and at its cut only, so the file
-    // at c is the drain's own.
-    let gate = std::sync::Arc::new(RunControl::new());
-    gate.drain_at(c);
+    // at the cut is the drain's own.
     let cut = TrainOpts {
         checkpoint_dir: Some(dirs[1].clone()),
         control: Some(gate),
         ..default_opts(2)
     };
-    let (_, report) = train_pipeline(mlp(21, 8, 4), &config, &data, &cut);
-    assert_eq!(report.drained_at, Some(c));
-    assert_eq!(checkpoint::latest_complete(&dirs[1], 3), Some(c));
-    for stage in 0..3 {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let run = config.clone();
+    std::thread::spawn(move || {
+        let r = try_train_pipeline(mlp(21, 8, 4), &run, &easy_data(), &cut, hook);
+        let _ = tx.send(
+            r.map(|(_, report)| report.drained_at)
+                .map_err(|e| e.to_string()),
+        );
+    });
+    let c = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .unwrap_or_else(|_| panic!("{tag}: the drained run hung"))
+        .expect("drained run trains")
+        .expect("the run was cut short");
+    let stages = config.num_stages();
+    assert_eq!(
+        checkpoint::latest_complete(&dirs[1], stages),
+        Some(c),
+        "{tag}"
+    );
+    for stage in 0..stages {
         let [whole, cut] = dirs
             .each_ref()
             .map(|d| std::fs::read(checkpoint::stage_path(d, stage, c)).expect("dump exists"));
-        assert!(whole == cut, "stage {stage}'s dumps at {c} differ");
+        assert!(whole == cut, "{tag}: stage {stage}'s dumps at {c} differ");
     }
     for d in dirs {
         std::fs::remove_dir_all(d).unwrap();
     }
+    c
 }
 
 #[test]
@@ -419,7 +525,6 @@ fn resume_continues_from_checkpoint() {
     // §4: restart from the last successfully created checkpoint. Train 2
     // epochs, "crash", resume as a 4-epoch run — the resumed run must start
     // from the checkpointed parameters and label its epochs 2 and 3.
-    use pipedream_runtime::checkpoint;
     let dir = std::env::temp_dir().join(format!("pd-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let data = easy_data();
@@ -744,45 +849,36 @@ fn kernel_swap_preserves_per_epoch_losses() {
     // The tiled GEMM keeps the naive kernel's per-element summation order
     // whenever the inner dimension fits one KC cache block (all layers
     // here), and Linear adds bias after the product on both backends — so
-    // swapping `TrainOpts.kernel` must reproduce the same per-epoch
+    // training under either backend must reproduce the same per-epoch
     // losses. On builds without the `fma` target feature that means
     // *bit-identical*; with FMA (the default under `target-cpu=native`)
     // the fast kernel rounds each product+add once instead of twice, and
     // the documented tolerance is 1e-5 relative on the per-epoch loss —
     // observed drift is ~1 ulp. Any genuine reordering of the reduction
-    // (a real semantics change) blows well past that bound.
-    use pipedream_runtime::trainer::Backend;
+    // (a real semantics change) blows well past that bound. Kernel dispatch
+    // is thread-local, and the sequential trainer runs on this thread.
+    use pipedream_tensor::gemm::{set_thread_backend, thread_backend, Backend};
     let fma = cfg!(target_feature = "fma");
-    let same = |a: f32, b: f32, what: &str, epoch: usize| {
-        if fma {
-            let denom = a.abs().max(b.abs()).max(1.0);
-            assert!(
-                (a - b).abs() / denom <= 1e-5,
-                "{what} epoch {epoch}: {a} vs {b} beyond FMA rounding"
-            );
-        } else {
-            assert_eq!(a, b, "{what} epoch {epoch} diverged across kernels");
-        }
-    };
     let data = easy_data();
-    let config = PipelineConfig::straight(8, &[3]); // 2 stages
-    let fast_opts = default_opts(3);
-    assert_eq!(fast_opts.kernel, Backend::Fast, "Fast must be the default");
-    let naive_opts = TrainOpts {
-        kernel: Backend::Naive,
-        ..default_opts(3)
-    };
-    let (_, fast) = train_pipeline(mlp(21, 8, 4), &config, &data, &fast_opts);
-    let (_, naive) = train_pipeline(mlp(21, 8, 4), &config, &data, &naive_opts);
+    let opts = default_opts(3);
+    assert_eq!(thread_backend(), Backend::Fast, "Fast must be the default");
+    let (_, fast) = train_sequential(mlp(21, 8, 4), &data, &opts);
+    set_thread_backend(Backend::Naive);
+    let (_, naive) = train_sequential(mlp(21, 8, 4), &data, &opts);
+    set_thread_backend(Backend::Fast);
     assert_eq!(fast.per_epoch.len(), naive.per_epoch.len());
     for (a, b) in fast.per_epoch.iter().zip(naive.per_epoch.iter()) {
-        same(a.loss, b.loss, "pipeline loss", a.epoch);
-        same(a.accuracy, b.accuracy, "pipeline accuracy", a.epoch);
-    }
-    // And the sequential baseline agrees with itself across the swap.
-    let (_, seq_fast) = train_sequential(mlp(21, 8, 4), &data, &fast_opts);
-    let (_, seq_naive) = train_sequential(mlp(21, 8, 4), &data, &naive_opts);
-    for (a, b) in seq_fast.per_epoch.iter().zip(seq_naive.per_epoch.iter()) {
-        same(a.loss, b.loss, "sequential loss", a.epoch);
+        if fma {
+            let denom = a.loss.abs().max(b.loss.abs()).max(1.0);
+            assert!(
+                (a.loss - b.loss).abs() / denom <= 1e-5,
+                "epoch {}: {} vs {} beyond FMA rounding",
+                a.epoch,
+                a.loss,
+                b.loss
+            );
+        } else {
+            assert_eq!(a.loss, b.loss, "epoch {} diverged across kernels", a.epoch);
+        }
     }
 }

@@ -1,10 +1,14 @@
 //! Sharded, size-bounded LRU cache with in-flight request coalescing.
 //!
-//! The plan cache is the reason a serving daemon beats re-running the
-//! §3.1 DP per request: the partitioner is a pure function of its
-//! fingerprinted inputs (see `pipedream_core::fingerprint`), so a hit is
-//! exactly as good as a cold computation and ~10⁴× cheaper. Three design
-//! points, in the style of a concurrent-hash-shard (CLHS) map:
+//! The plan cache spares a serving daemon re-running the §3.1 DP per
+//! request: the partitioner is a pure function of its fingerprinted
+//! inputs (see `pipedream_core::fingerprint`), so a hit is exactly as good
+//! as a cold computation. It is not much cheaper: on the ledger's
+//! `serve-mixed` workload (`pipedream-ledger run --workload serve-mixed
+//! --seed 1 --seconds 12`, 2-vCPU Xeon @ 2.1 GHz, values at the ledger's
+//! reference host speed) a hit is answered in 14.0 µs at the median and a
+//! miss, which runs the DP, in 20.7 µs. Three design points, in the style
+//! of a concurrent-hash-shard (CLHS) map:
 //!
 //! * **Sharding.** Keys hash across `N` independently locked shards, so
 //!   concurrent requests for different models do not contend on one lock.
@@ -13,8 +17,10 @@
 //! * **LRU per shard, bounded globally.** Each shard holds at most
 //!   `capacity / N` entries and evicts its least-recently-used entry on
 //!   overflow. Shards are small (tens of entries), so LRU is an O(shard)
-//!   scan over a `Vec` rather than a linked list — simpler, cache-friendly,
-//!   and not the bottleneck next to a multi-millisecond DP.
+//!   scan over a `Vec` rather than a linked list — simpler and
+//!   cache-friendly. A zoo-sized plan takes 4.3 µs at the median
+//!   (`plan-scale`'s `op_p50_us`, same host and run length), so the scan
+//!   must stay short to be worth it.
 //! * **Coalescing.** When many requests race on the same cold key (the
 //!   thundering herd at daemon start), exactly one becomes the *leader*
 //!   and runs the computation; the rest block on a condvar and receive a

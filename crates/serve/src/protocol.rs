@@ -2,7 +2,7 @@
 //!
 //! Three POST endpoints over the planning stack:
 //!
-//! * `/plan` — run the §3.1 partitioner (hierarchical, flat, or greedy)
+//! * `/plan` — run the §3.1 partitioner (hierarchical or flat)
 //!   for a `(model, topology)` pair. Results are memoized in the sharded
 //!   plan cache keyed by the canonical input fingerprint.
 //! * `/simulate` — discrete-event-simulate a configuration (planned or
@@ -61,8 +61,6 @@ pub enum PlanMode {
     Hierarchical,
     /// The single-level DP over all workers (Table-1 style configs).
     Flat,
-    /// The balanced-split greedy baseline.
-    Greedy,
 }
 
 impl PlanMode {
@@ -70,7 +68,6 @@ impl PlanMode {
         match self {
             PlanMode::Hierarchical => "hierarchical",
             PlanMode::Flat => "flat",
-            PlanMode::Greedy => "greedy",
         }
     }
 }
@@ -188,10 +185,9 @@ pub fn parse_target(body: &Value) -> Result<PlanTarget, ApiError> {
         Some(v) => match v.as_str() {
             Some("hierarchical") => PlanMode::Hierarchical,
             Some("flat") => PlanMode::Flat,
-            Some("greedy") => PlanMode::Greedy,
             _ => {
                 return Err(ApiError::bad_request(
-                    "\"mode\" must be \"hierarchical\", \"flat\", or \"greedy\"",
+                    "\"mode\" must be \"hierarchical\" or \"flat\"",
                 ))
             }
         },
@@ -297,7 +293,6 @@ fn run_planner(target: &PlanTarget) -> Result<Plan, ApiError> {
     let plan = match target.mode {
         PlanMode::Hierarchical => planner.try_plan(),
         PlanMode::Flat => planner.try_plan_flat(),
-        PlanMode::Greedy => planner.try_plan_greedy(),
     }?;
     Ok(plan)
 }
@@ -473,6 +468,14 @@ mod tests {
             let err = handle_plan(&cache, body).unwrap_err();
             assert_eq!(err.status, 400, "{}", err.message);
         }
+        // The greedy baseline is an ablation, not a service mode.
+        let err = handle_plan(&cache, br#"{"model": "vgg16", "mode": "greedy"}"#).unwrap_err();
+        assert_eq!(err.status, 400);
+        assert!(
+            err.message.contains("\"hierarchical\"") && err.message.contains("\"flat\""),
+            "{}",
+            err.message
+        );
     }
 
     #[test]

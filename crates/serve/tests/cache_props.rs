@@ -39,14 +39,14 @@ proptest! {
         preset_i in 0usize..3,
         servers in 1usize..4,
         batch_shift in 0u32..3,
-        mode_i in 0usize..3,
+        mode_i in 0usize..2,
         fp16 in any::<bool>(),
     ) {
         // alexnet-sized models keep the DP fast enough for 48 cases on
         // one core; vgg16/resnet are covered by the unit tests.
         let model = ["alexnet", "awd-lm", "s2vt", "gnmt8"][model_i];
         let preset = ["a", "b", "c"][preset_i];
-        let mode = ["hierarchical", "flat", "greedy"][mode_i];
+        let mode = ["hierarchical", "flat"][mode_i];
         let batch = 16u64 << batch_shift;
         let precision = if fp16 { "fp16" } else { "fp32" };
         let body = format!(

@@ -134,7 +134,7 @@ proptest! {
     }
 
     /// The Naive backend reproduces the reference on every entry point the
-    /// layers use, so a `TrainOpts.kernel` flip is a true kernel swap.
+    /// layers use, so a `set_thread_backend` flip is a true kernel swap.
     #[test]
     fn naive_backend_dispatch_equals_reference((m, k, n, s) in dims(24)) {
         let a = normal(&[m, k], 1.0, &mut rng(s));
