@@ -510,7 +510,7 @@ pub fn train_supervised(
                 // this only rejects exotic heterogeneous layouts or a
                 // misaligned `force_plan`. Nor may the new plan's schedule
                 // leave a worker blocked for good (some replication
-                // patterns, e.g. `1-2`), which the trainer would refuse.
+                // patterns, e.g. `3-2-4`), which the trainer would refuse.
                 let remaining = (opts.epochs as u64 * mbs_per_epoch).saturating_sub(point);
                 let candidate = match &r.auto.force_plan {
                     Some(forced) => Some(forced),

@@ -296,14 +296,16 @@ fn stuck_replan_candidate_keeps_the_incumbent() {
     let costs = profile.costs(&topo.device, BATCH, Precision::Fp32);
     let n = profile.num_layers();
     let config = PipelineConfig::straight(n, &[3]);
-    // `1-2`: stage 1's replicas meet in a sync round that stage 0's
-    // schedule never lets close.
-    let stuck = PipelineConfig::from_counts(&[(3, 1), (3, 2)]);
+    // `3-4-1-4`: a gradient-sync round the 1F1B-RR schedule never lets
+    // close, whatever whole number of rounds is left. At depth 1 every
+    // pattern runs, so this run keeps 1F1B's own depth.
+    let stuck = PipelineConfig::from_counts(&[(2, 3), (2, 4), (1, 1), (1, 4)]);
 
     let data = blobs(512, 8, 4, 0.7, 7);
     let mut opts = deterministic_opts();
     opts.epochs = 2;
-    assert!(!stuck_workers(&stuck, &opts, 64).is_empty());
+    opts.depth = None;
+    assert!(!stuck_workers(&stuck, &opts, 60).is_empty());
     let dir = tmpdir("stuck-candidate");
     opts.checkpoint_dir = Some(dir.clone());
     let session = pipedream_obs::TraceSession::new();

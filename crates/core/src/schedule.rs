@@ -485,20 +485,22 @@ impl Schedule {
     ///
     /// The generator's canonical clock knows nothing of the all_reduce that
     /// couples a replicated stage's updates, so some replication patterns
-    /// (`1-2`, `1-3`, `2-4`, `1-1-2`, `1-2-2`) schedule an op that can
-    /// never start. Under `1-2`, replica 0 of stage 1 waits in its second
-    /// gradient-sync round for replica 1's backward of minibatch 3, whose
-    /// forward stage 0 schedules after its own backward of minibatch 2 —
-    /// which waits for that very round. This plays every op list against
+    /// schedule an op that can never start: 38 of the 340 patterns of at
+    /// most four stages on at most four replicas each, the shallowest
+    /// `2-3-4`, `3-2-4` and `3-4-4` (`tests/stuck_patterns.rs` pins the
+    /// list). In each, a replica waits in a gradient-sync round for a
+    /// partner's backward whose inputs, through the other stages' op
+    /// orders, wait on that very round. This plays every op list against
     /// the trainer's blocking rules instead, computing nothing:
     ///
     /// * a forward past the input stage waits for its activation, which the
     ///   upstream replica that ran the minibatch sends to the replica
     ///   1F1B-RR routes it to; a backward below the output stage waits for
     ///   its gradient in the same way;
-    /// * an op that updates on a replicated stage enters the stage's next
+    /// * an op sends its activation or input gradient first; then, if it
+    ///   updates on a replicated stage, it enters the stage's next
     ///   gradient-sync round and waits until every replica of the stage has
-    ///   entered it; its sends follow the round;
+    ///   entered it;
     /// * channels are unbounded, so a send never blocks.
     ///
     /// Every rule is monotone — a message once sent stays delivered, a
@@ -544,6 +546,20 @@ impl Schedule {
                 if input.is_some_and(|(kind, mb)| !arrived[id][kind][slot(mb)]) {
                     break;
                 }
+                // The op's message goes out before its update's round.
+                let send = match op {
+                    Op::Forward { mb } if w.stage + 1 < stages.len() => {
+                        Some((w.stage + 1, ACT, mb))
+                    }
+                    Op::Backward { mb } if w.stage > 0 => Some((w.stage - 1, GRAD, mb)),
+                    _ => None,
+                };
+                if let Some((stage, kind, mb)) = send {
+                    let r = stages[stage].replicas as u64;
+                    let to = assignment[stage][(mb % r) as usize];
+                    arrived[to][kind][(mb / r) as usize] = true;
+                    ready.push(to);
+                }
                 let mut accumulated = pending[id] + u32::from(matches!(op, Op::Backward { .. }));
                 if updates.updates_after(op, accumulated, replicas, self.num_minibatches) {
                     if replicas > 1 {
@@ -558,19 +574,6 @@ impl Schedule {
                         in_round[id] = false;
                     }
                     accumulated = 0;
-                }
-                let send = match op {
-                    Op::Forward { mb } if w.stage + 1 < stages.len() => {
-                        Some((w.stage + 1, ACT, mb))
-                    }
-                    Op::Backward { mb } if w.stage > 0 => Some((w.stage - 1, GRAD, mb)),
-                    _ => None,
-                };
-                if let Some((stage, kind, mb)) = send {
-                    let r = stages[stage].replicas as u64;
-                    let to = assignment[stage][(mb % r) as usize];
-                    arrived[to][kind][(mb / r) as usize] = true;
-                    ready.push(to);
                 }
                 pending[id] = accumulated;
                 next[id] += 1;
@@ -914,18 +917,19 @@ mod tests {
 
     #[test]
     fn stuck_names_the_ops_the_sync_round_blocks() {
-        // `1-2`: the input stage blocks at its backward of minibatch 2,
-        // both replicas of stage 1 in their second sync round.
-        let config = PipelineConfig::from_counts(&[(1, 1), (1, 2)]);
-        let s = Schedule::one_f_one_b(&config, 16);
-        for rule in [UpdateRule::EveryBackward, UpdateRule::TwoBw { group: 4 }] {
+        // `3-2-4`: the input stage's first replica blocks at its backward
+        // of minibatch 9, and none of the nine workers gets to its end.
+        let config = PipelineConfig::from_counts(&[(1, 3), (1, 2), (1, 4)]);
+        let s = Schedule::one_f_one_b(&config, 24);
+        for rule in [UpdateRule::EveryBackward, UpdateRule::TwoBw { group: 12 }] {
             let stuck = s.stuck(rule);
-            assert_eq!(stuck[0], (0, Op::Backward { mb: 2 }), "{rule:?}");
-            assert_eq!(stuck.iter().filter(|(w, _)| *w > 0).count(), 2, "{rule:?}");
+            assert_eq!(stuck[0], (0, Op::Backward { mb: 9 }), "{rule:?}");
+            assert_eq!(stuck.len(), 9, "{rule:?}");
         }
         // Without the rounds (no replicas, or no update ever) nothing is stuck.
         assert!(s.stuck(UpdateRule::AtFlush).is_empty());
         for config in [
+            PipelineConfig::from_counts(&[(1, 1), (1, 2)]),
             PipelineConfig::from_counts(&[(1, 2), (1, 1)]),
             PipelineConfig::from_counts(&[(1, 1), (1, 4)]),
             PipelineConfig::from_counts(&[(1, 1), (1, 2), (1, 1)]),

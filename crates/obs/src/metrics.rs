@@ -5,10 +5,9 @@
 //! update afterwards is a single atomic op. Gauges store `f64` bit
 //! patterns so rates and fractions fit naturally.
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Monotonically increasing counter.
 #[derive(Default)]
@@ -141,10 +140,16 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// The name → metric map. The one panic under the lock, a kind
+    /// mismatch, comes before any change, so a poisoned lock's map is whole.
+    fn map(&self) -> MutexGuard<'_, BTreeMap<String, Metric>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Get or create the counter `name`. Panics if the name is already
     /// registered as a different metric kind.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut m = self.inner.lock();
+        let mut m = self.map();
         match m
             .entry(name.to_string())
             .or_insert_with(|| Metric::Counter(Arc::new(Counter::default())))
@@ -156,7 +161,7 @@ impl MetricsRegistry {
 
     /// Get or create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut m = self.inner.lock();
+        let mut m = self.map();
         match m
             .entry(name.to_string())
             .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())))
@@ -168,7 +173,7 @@ impl MetricsRegistry {
 
     /// Get or create the histogram `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut m = self.inner.lock();
+        let mut m = self.map();
         match m
             .entry(name.to_string())
             .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::default())))
@@ -211,7 +216,7 @@ impl MetricsRegistry {
     /// series registered via the `*_labeled` constructors render with
     /// their label sets and one `# TYPE` line per metric family.
     pub fn render_prometheus(&self) -> String {
-        let m = self.inner.lock();
+        let m = self.map();
         let mut out = String::new();
         let mut typed: std::collections::HashSet<String> = std::collections::HashSet::new();
         for (key, metric) in m.iter() {

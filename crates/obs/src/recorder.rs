@@ -11,10 +11,9 @@
 use crate::event::{Event, SpanKind};
 use crate::metrics::MetricsRegistry;
 use crate::ring::EventRing;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Default per-track ring capacity (events). At ~40 bytes per slot this
@@ -41,7 +40,7 @@ pub struct TraceSession {
 impl fmt::Debug for TraceSession {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TraceSession")
-            .field("tracks", &self.tracks.lock().len())
+            .field("tracks", &self.tracks().len())
             .field("capacity", &self.capacity)
             .finish()
     }
@@ -63,6 +62,12 @@ impl TraceSession {
         })
     }
 
+    /// The registered tracks. Every change is one push, so a poisoned
+    /// lock's list is whole.
+    fn tracks(&self) -> MutexGuard<'_, Vec<Track>> {
+        self.tracks.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Register a new track (e.g. `"supervisor"`) and return its recorder.
     /// Duplicate names are allowed — a restarted run re-registers its
     /// workers and gets fresh rows on the timeline.
@@ -77,7 +82,7 @@ impl TraceSession {
 
     fn register(&self, name: &str, stage: Option<usize>) -> Recorder {
         let ring = Arc::new(EventRing::new(self.capacity));
-        self.tracks.lock().push(Track {
+        self.tracks().push(Track {
             name: name.to_string(),
             stage,
             ring: Arc::clone(&ring),
@@ -106,7 +111,7 @@ impl TraceSession {
 
     /// Number of registered tracks right now.
     pub fn track_count(&self) -> usize {
-        self.tracks.lock().len()
+        self.tracks().len()
     }
 
     /// Snapshot a single track by registration index, without touching the
@@ -114,7 +119,7 @@ impl TraceSession {
     /// so only one track's events are materialized at once.
     pub fn track_snapshot(&self, index: usize) -> Option<TrackEvents> {
         let (name, stage, ring) = {
-            let tracks = self.tracks.lock();
+            let tracks = self.tracks();
             let t = tracks.get(index)?;
             (t.name.clone(), t.stage, Arc::clone(&t.ring))
         };

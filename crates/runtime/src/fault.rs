@@ -131,15 +131,18 @@ pub enum WorkerError {
         mb: u64,
     },
     /// Gradient sync across stage replicas failed: a partner replica died
-    /// mid-round (poisoning the group) or the sync deadline expired. The
-    /// replicated stage can no longer make progress, so this cascades
-    /// teardown exactly like a channel disconnect.
+    /// (poisoning the group) or the sync deadline expired. Also reported
+    /// in place of a disconnect that reached this replica after a partner
+    /// poisoned the group. The replicated stage can no longer make
+    /// progress, so this cascades teardown exactly like a channel
+    /// disconnect.
     SyncStalled {
         /// Failing stage.
         stage: usize,
         /// Replica that observed the failure.
         replica: usize,
-        /// Minibatch whose update was being synchronized.
+        /// Minibatch whose update was being synchronized, or whose
+        /// message the disconnect cut off.
         mb: u64,
         /// The underlying [`crate::sync::SyncError`], rendered.
         reason: String,

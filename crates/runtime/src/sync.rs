@@ -26,10 +26,10 @@
 //!   one detected stall fails the whole rendezvous fast instead of
 //!   serializing `replicas` individual timeouts.
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
 use pipedream_obs::{Recorder, SpanKind};
 use pipedream_tensor::Tensor;
 use std::fmt;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Why an all_reduce rendezvous failed.
@@ -160,57 +160,65 @@ impl GradSyncGroup {
         self.deadline
     }
 
+    /// The group's state. A participant that panicked while holding the
+    /// lock left a partial round behind, which its in-flight guard reports
+    /// by poisoning the *group*; the lock itself stays usable.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The replica that poisoned the group, if the group is poisoned.
     pub fn poisoned_by(&self) -> Option<usize> {
-        self.state.lock().poisoned
+        self.lock().poisoned
     }
 
     /// Mark `replica` as lost, failing the group permanently and waking
     /// every blocked participant with [`SyncError::PeerLost`]. Idempotent;
     /// the first poisoner wins.
     pub fn poison(&self, replica: usize) {
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         if st.poisoned.is_none() {
             st.poisoned = Some(replica);
         }
         self.cv.notify_all();
     }
 
-    /// One bounded wait step: sleeps until notified, `Err(PeerLost)` if
-    /// the group is poisoned, `Err(Timeout)` (poisoning the group) once
+    /// Sleep while `blocked` holds of the state: `Err(PeerLost)` once the
+    /// group is poisoned, `Err(Timeout)` (poisoning the group) once
     /// `start + deadline` passes.
-    fn wait_step(
+    fn wait_while<'a>(
         &self,
-        st: &mut MutexGuard<'_, State>,
+        mut st: MutexGuard<'a, State>,
         replica: usize,
         start: Instant,
-    ) -> Result<(), SyncError> {
-        if let Some(p) = st.poisoned {
-            return Err(SyncError::PeerLost { replica: p });
-        }
-        match self.deadline {
-            None => {
-                self.cv.wait(st);
+        blocked: impl Fn(&State) -> bool,
+    ) -> Result<MutexGuard<'a, State>, SyncError> {
+        loop {
+            if let Some(p) = st.poisoned {
+                return Err(SyncError::PeerLost { replica: p });
             }
-            Some(limit) => {
-                let waited = start.elapsed();
-                if waited >= limit {
-                    // First to give up poisons, so partners fail fast.
-                    if st.poisoned.is_none() {
+            if !blocked(&st) {
+                return Ok(st);
+            }
+            st = match self.deadline {
+                None => self.cv.wait(st).unwrap_or_else(PoisonError::into_inner),
+                Some(limit) => {
+                    let waited = start.elapsed();
+                    if waited >= limit {
+                        // First to give up poisons, so partners fail fast.
                         st.poisoned = Some(replica);
+                        self.cv.notify_all();
+                        return Err(SyncError::Timeout {
+                            waited_ms: waited.as_millis() as u64,
+                        });
                     }
-                    self.cv.notify_all();
-                    return Err(SyncError::Timeout {
-                        waited_ms: waited.as_millis() as u64,
-                    });
+                    self.cv
+                        .wait_timeout(st, limit - waited)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
                 }
-                self.cv.wait_for(st, limit - waited);
-            }
+            };
         }
-        if let Some(p) = st.poisoned {
-            return Err(SyncError::PeerLost { replica: p });
-        }
-        Ok(())
     }
 
     /// Contribute this replica's gradients and receive the element-wise
@@ -257,14 +265,10 @@ impl GradSyncGroup {
             replica,
             armed: false,
         };
-        let mut st = self.state.lock();
-        if let Some(p) = st.poisoned {
-            return Err(SyncError::PeerLost { replica: p });
-        }
         // Wait for the previous round to fully drain before depositing.
-        while st.deposits[replica].is_some() || st.average.is_some() {
-            self.wait_step(&mut st, replica, start)?;
-        }
+        let mut st = self.wait_while(self.lock(), replica, start, |st| {
+            st.deposits[replica].is_some() || st.average.is_some()
+        })?;
         st.deposits[replica] = Some(grads);
         // From the deposit until this round's result is consumed, an
         // unwind would leave a partial round behind: arm the poison guard.
@@ -291,9 +295,7 @@ impl GradSyncGroup {
             st.average = Some(avg);
             self.cv.notify_all();
         } else {
-            while st.average.is_none() {
-                self.wait_step(&mut st, replica, start)?;
-            }
+            st = self.wait_while(st, replica, start, |st| st.average.is_none())?;
         }
         st.collected += 1;
         let out = if st.collected == self.replicas {
@@ -320,7 +322,7 @@ impl GradSyncGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::{unbounded, RecvTimeoutError};
+    use std::sync::mpsc::{channel, RecvTimeoutError};
     use std::sync::Arc;
     use std::thread;
 
@@ -335,7 +337,7 @@ mod tests {
         limit: Duration,
         f: impl FnOnce() -> T + Send + 'static,
     ) -> T {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         thread::spawn(move || {
             let _ = tx.send(f());
         });

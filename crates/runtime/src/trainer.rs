@@ -8,13 +8,13 @@ use crate::message::{MetricMsg, Msg};
 use crate::report::{EpochStats, LossRecord, StageObsRecord, TrainReport};
 use crate::sync::GradSyncGroup;
 use crate::worker::StageWorker;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use pipedream_core::schedule::{Schedule, UpdateRule};
 use pipedream_core::{PipelineConfig, ScheduleKind};
 use pipedream_tensor::data::Dataset;
 use pipedream_tensor::{Adam, Layer, Optimizer, Sequential, Sgd};
 use std::fmt;
 use std::path::PathBuf;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -266,7 +266,7 @@ pub fn train_pipeline(
 /// one call.
 ///
 /// A configuration whose schedule would leave some worker blocked for good
-/// (some replication patterns, e.g. `1-2`) is refused before any work,
+/// (some replication patterns, e.g. `3-2-4`) is refused before any work,
 /// with one [`WorkerError::ScheduleStuck`] per worker that could not
 /// finish ([`stuck_workers`]).
 // The Err variant carries the partial report a recovery needs; failures
@@ -372,14 +372,14 @@ pub fn try_train_pipeline(
     let mut grad_tx: Vec<Sender<Msg>> = Vec::with_capacity(workers);
     let mut grad_rx: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(workers);
     for _ in 0..workers {
-        let (ft, fr) = unbounded();
-        let (gt, gr) = unbounded();
+        let (ft, fr) = channel();
+        let (gt, gr) = channel();
         fwd_tx.push(ft);
         fwd_rx.push(Some(fr));
         grad_tx.push(gt);
         grad_rx.push(Some(gr));
     }
-    let (metrics_tx, metrics_rx) = unbounded::<MetricMsg>();
+    let (metrics_tx, metrics_rx) = channel::<MetricMsg>();
 
     let assignment = config.worker_assignment();
     let sync_deadline = hook

@@ -3,9 +3,9 @@
 //! Each worker owns one replica of one stage's layers and executes its
 //! static 1F1B-RR op sequence: receive an activation, run the stage
 //! forward, ship the output downstream; receive a gradient, run the stage
-//! backward with the correct weight version, synchronize gradients across
-//! replicas if the stage is replicated, apply the update, ship the input
-//! gradient upstream. The op *order* comes from
+//! backward with the correct weight version, ship the input gradient
+//! upstream, synchronize gradients across replicas if the stage is
+//! replicated, apply the update. The op *order* comes from
 //! [`pipedream_core::schedule::Schedule`]; the worker blocks on channels
 //! when data has not arrived yet, exactly like PipeDream's runtime blocks
 //! on its work queues (§4). A drain cut travels the same channels: a
@@ -40,15 +40,15 @@ use crate::data::TrainData;
 use crate::fault::{FaultAction, FaultHook, SendAction, WorkerError};
 use crate::message::{MetricMsg, Msg};
 use crate::report::{LossRecord, StageObsRecord, VersionRecord, WorkerLog};
-use crate::sync::GradSyncGroup;
+use crate::sync::{GradSyncGroup, SyncError};
 use crate::trainer::{LrSchedule, OptimKind, Semantics};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use pipedream_core::schedule::{keeps_activations, Op, UpdateRule};
 use pipedream_core::stash::{ScheduleKind, VersionPolicy, VersionStore};
 use pipedream_obs::{Recorder, SpanKind};
 use pipedream_tensor::{softmax_cross_entropy, Layer, Sequential, Tensor};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -185,7 +185,10 @@ impl StageWorker<'_> {
     /// group first — even on a silent kill, standing in for the broken
     /// transport a real machine failure produces — so partners blocked in
     /// `allreduce` wake with [`WorkerError::SyncStalled`] instead of
-    /// waiting for a contribution that will never arrive.
+    /// waiting for a contribution that will never arrive. A worker whose
+    /// partner poisoned the group first reports the partner's loss as
+    /// [`WorkerError::SyncStalled`] even when a channel disconnect reached
+    /// it before the round did.
     pub fn run(mut self) -> (WorkerLog, Result<Sequential, WorkerError>) {
         let policy = match (self.semantics, self.updates) {
             (Semantics::Stashed, UpdateRule::TwoBw { group }) => {
@@ -245,12 +248,31 @@ impl StageWorker<'_> {
                 });
                 (st.log, Ok(self.model))
             }
-            Err(e) => {
+            Err(mut e) => {
                 // The death shows on this worker's own timeline track, so
                 // a fault-injected kill is visible next to the spans
                 // around it.
                 self.recorder.instant(SpanKind::Fault);
                 if let Some(group) = &self.sync {
+                    // A dying replica poisons its group before its channels
+                    // drop, so a disconnect it caused finds the group
+                    // poisoned already: name the lost partner, not the
+                    // cascade that reached this worker first.
+                    let cascade = match e {
+                        WorkerError::UpstreamLost { mb, .. }
+                        | WorkerError::DownstreamLost { mb, .. }
+                        | WorkerError::PeerSendFailed { mb, .. } => Some(mb),
+                        _ => None,
+                    };
+                    let partner = group.poisoned_by().filter(|&r| r != self.replica);
+                    if let (Some(mb), Some(lost)) = (cascade, partner) {
+                        e = WorkerError::SyncStalled {
+                            stage: self.stage,
+                            replica: self.replica,
+                            mb,
+                            reason: SyncError::PeerLost { replica: lost }.to_string(),
+                        };
+                    }
                     group.poison(self.replica);
                 }
                 if !e.is_injected() {
@@ -626,14 +648,14 @@ impl StageWorker<'_> {
             // accumulated gradients.
             Semantics::Naive | Semantics::GPipe { .. } => self.model.backward(&grad_out, mb),
         };
-        // 2BW accumulates a group's gradients and updates once per *full*
-        // group; GPipe at the flush; everything else after every backward.
-        st.pending += 1;
-        self.update_after(st, Op::Backward { mb })?;
         // Layers saved what they needed during forward; the inbound
         // gradient is dead after the backward pass.
         grad_out.recycle();
 
+        // The input gradient goes upstream before this backward's update,
+        // and so before any gradient-sync round the update enters: the
+        // upstream stage's next ops may be what lets the round's other
+        // replicas reach it.
         if self.stage > 0 {
             let dst = (mb % self.grad_out.len() as u64) as usize;
             self.grad_out[dst]
@@ -647,6 +669,11 @@ impl StageWorker<'_> {
             // Nobody upstream wants the input stage's input gradient.
             grad_in.recycle();
         }
+
+        // 2BW accumulates a group's gradients and updates once per *full*
+        // group; GPipe at the flush; everything else after every backward.
+        st.pending += 1;
+        self.update_after(st, Op::Backward { mb })?;
 
         // Per-stage checkpoints (§4), written after gradient sync makes
         // replicas identical — as of `last`, the close of the round `mb`

@@ -2,13 +2,16 @@
 //!
 //! The 1F1B-RR schedule generator knows nothing of the gradient all_reduce
 //! that couples a replicated stage's backwards, so under some patterns a
-//! replica's backward waits in its sync round for a partner whose forward
-//! the upstream stage schedules after a backward that waits on that very
-//! round. `try_train_pipeline` dry-runs the op lists first and refuses
-//! those runs with a typed error instead of hanging. The table holds with
-//! no fault injected, under every `ScheduleKind`, on a 6-layer MLP and 64
-//! minibatches: it is not "a stage with more replicas than its
-//! predecessor" (`1-4` and `1-2-1` train).
+//! replica waits in its sync round for a partner whose backward, through
+//! the other stages' op orders, waits on that very round.
+//! `try_train_pipeline` dry-runs the op lists first and refuses those runs
+//! with a typed error instead of hanging. A backward ships its input
+//! gradient before its update enters the round, which lets the upstream
+//! stage go on to the partner's minibatch: `1-2`, `1-3`, `2-4`, `1-1-2`
+//! and `1-2-2`, refused while the gradient followed the round, train. The
+//! table holds with no fault injected, under every `ScheduleKind`, on a
+//! 6-layer MLP and 64 minibatches (the largest multiple of the replica lcm
+//! below, for `3-2-4` and `2-3-4`).
 
 use pipedream_core::schedule::Op;
 use pipedream_core::{PipelineConfig, ScheduleKind};
@@ -23,23 +26,27 @@ use std::time::{Duration, Instant};
 
 /// Patterns whose schedule blocks for good, with the op the input stage's
 /// worker would wait on forever.
-const REFUSED: [(&str, Op); 5] = [
-    ("1-2", Op::Backward { mb: 2 }),
-    ("1-3", Op::Backward { mb: 3 }),
-    ("2-4", Op::Backward { mb: 4 }),
-    ("1-1-2", Op::Backward { mb: 2 }),
-    ("1-2-2", Op::Backward { mb: 4 }),
+const REFUSED: [(&str, Op); 2] = [
+    ("3-2-4", Op::Backward { mb: 9 }),
+    ("2-3-4", Op::Backward { mb: 24 }),
 ];
 
 /// Patterns that train, with a hash of every minibatch's loss bits under
-/// `vanilla` and under `2bw`, taken before the trainer dry-ran anything.
-/// The recompute kinds train bit for bit like their counterparts.
-const TRAINED: [(&str, u64, u64); 5] = [
+/// `vanilla` and under `2bw`. The first five were taken before the trainer
+/// dry-ran anything, the last five once a backward shipped its input
+/// gradient before its update. The recompute kinds train bit for bit like
+/// their counterparts.
+const TRAINED: [(&str, u64, u64); 10] = [
     ("2-1", 0xa991_84be_ff1a_b53f, 0x56dc_0c9a_2ec3_c7e4),
     ("2-2", 0x4731_f160_e832_2c5f, 0x2656_73e0_9663_b51e),
     ("2-3", 0x5063_af03_43a0_1f0a, 0xa9f1_0aff_ca52_3d74),
     ("1-4", 0x9415_4a42_1d5e_1dd3, 0x4527_3dc3_624a_d60e),
     ("1-2-1", 0xc010_c957_d71b_d6c5, 0x58aa_3ec5_b7e8_d5b0),
+    ("1-2", 0xb6ba_cc83_e5dc_1c0a, 0x0cde_f651_be93_89fd),
+    ("1-3", 0x7187_f5ee_5cf6_6a4b, 0xa838_96df_67fb_1388),
+    ("2-4", 0xe71d_f3ff_1ce3_4227, 0xba67_8b17_e189_c9a0),
+    ("1-1-2", 0x8cb9_1ba9_0f4d_2cd5, 0x0cde_f651_be93_89fd),
+    ("1-2-2", 0x018a_7ffe_747e_1133, 0xf195_c4ef_3f18_ebb7),
 ];
 
 fn mlp() -> Sequential {

@@ -70,8 +70,9 @@ struct QueuedConn {
     accepted_at: Instant,
 }
 
-/// Hand-rolled bounded MPMC queue (the vendored crossbeam stand-in only
-/// has unbounded channels, and backpressure is the point here).
+/// Hand-rolled bounded MPMC queue: every server worker pops from it, and
+/// the acceptor reads its depth after a push. `std`'s `sync_channel` is
+/// bounded but has one receiver and reports no depth.
 struct BoundedQueue {
     inner: Mutex<VecDeque<QueuedConn>>,
     not_empty: Condvar,
