@@ -33,7 +33,7 @@ pub fn train_sequential(
             let out = model.forward(&x, i as u64);
             let loss = softmax_cross_entropy(&out, &y);
             model.zero_grad();
-            model.backward(&loss.grad, i as u64);
+            model.backward_params(&loss.grad, i as u64);
             let mut params = model.params_mut();
             optimizer.step(&mut params);
             loss_sum += loss.loss as f64 * y.len() as f64;

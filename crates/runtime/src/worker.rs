@@ -630,7 +630,7 @@ impl StageWorker<'_> {
                 st.staleness_max = st.staleness_max.max(store.live() - version);
                 self.swap_weights(st, version);
                 self.recompute_forward(st, mb);
-                let g = self.model.backward(&grad_out, mb);
+                let g = self.backward_pass(&grad_out, mb);
                 self.swap_weights(st, version);
                 st.store
                     .as_mut()
@@ -646,7 +646,7 @@ impl StageWorker<'_> {
             // are *now*, which generally differ from the forward's. GPipe:
             // the live weights are the group's; the flush applies the
             // accumulated gradients.
-            Semantics::Naive | Semantics::GPipe { .. } => self.model.backward(&grad_out, mb),
+            Semantics::Naive | Semantics::GPipe { .. } => self.backward_pass(&grad_out, mb),
         };
         // Layers saved what they needed during forward; the inbound
         // gradient is dead after the backward pass.
@@ -656,7 +656,7 @@ impl StageWorker<'_> {
         // and so before any gradient-sync round the update enters: the
         // upstream stage's next ops may be what lets the round's other
         // replicas reach it.
-        if self.stage > 0 {
+        if let Some(grad_in) = grad_in {
             let dst = (mb % self.grad_out.len() as u64) as usize;
             self.grad_out[dst]
                 .send(Msg::Grad { mb, data: grad_in })
@@ -665,9 +665,6 @@ impl StageWorker<'_> {
                     mb,
                     backward: true,
                 })?;
-        } else {
-            // Nobody upstream wants the input stage's input gradient.
-            grad_in.recycle();
         }
 
         // 2BW accumulates a group's gradients and updates once per *full*
@@ -690,6 +687,18 @@ impl StageWorker<'_> {
             }
         }
         Ok(())
+    }
+
+    /// The model's backward pass for `mb`: the input gradient, or `None`
+    /// at the input stage, where nobody upstream wants it and only the
+    /// parameter gradients are computed.
+    fn backward_pass(&mut self, grad_out: &Tensor, mb: u64) -> Option<Tensor> {
+        if self.stage > 0 {
+            Some(self.model.backward(grad_out, mb))
+        } else {
+            self.model.backward_params(grad_out, mb);
+            None
+        }
     }
 
     /// Bytes of live activation state right now: the layers' per-slot

@@ -14,11 +14,20 @@
 //!   charter);
 //! * operands are **packed** into contiguous panels (`A` in `MR`-row
 //!   panels, `B` in `NR`-column panels) so the micro-kernel's loads are
-//!   unit-stride regardless of the caller's layout — which also makes
-//!   transposed operands free (`trans_a`/`trans_b` only change packing
-//!   indices), eliminating the materialized `transpose()` calls the
-//!   layer backward passes used to do;
+//!   unit-stride regardless of the caller's layout; a transposed `A`
+//!   (`trans_a`) only changes packing indices;
+//! * a transposed `B` (`trans_b`: `Linear`'s `dx = g·Wᵀ`, the recurrent
+//!   layers' input gradients, `Conv2d`'s forward over its im2col matrix)
+//!   is not packed at all: the product runs as its transpose
+//!   `Cᵀ = B·op(A)ᵀ`, `B`'s rows feed the micro-kernel's broadcasts where
+//!   they lie, and only `op(A)ᵀ` is packed — for `dx`, the gradient, whose
+//!   size scales with the batch, rather than the weight matrix, whose
+//!   transposed pack wrote one float at a time. The tile is stored
+//!   transposed. No layer materializes a `transpose()`;
 //! * outer loops block over `KC`/`MC`/`NC` so panels stay cache-resident.
+//!   The pack buffers are thread-local scratch outside the buffer pool:
+//!   they only grow and are never zero-filled, since packing writes every
+//!   float a kernel reads, edge padding included.
 //!
 //! **Summation-order guarantee:** each `C[i][j]` accumulates its `k`
 //! products in strictly ascending `k` order, exactly like the naive
@@ -40,12 +49,17 @@
 //! training losses across a backend swap agree to 1e-5 relative (and
 //! exactly, without FMA).
 //!
+//! The swapped `trans_b` product computes each element as the same chain —
+//! from 0.0, ascending `k` within each `KC` block, blocks combined in order
+//! — with each product's two factors swapped. IEEE multiplication
+//! commutes exactly, fused into an FMA or not, so the swap changes no bit:
+//! the two layouts agree exactly, not within a tolerance.
+//!
 //! The scalar kernel is kept as [`gemm_reference`] and selectable at
 //! runtime via [`set_thread_backend`] so tests and benches can run both
 //! sides by side.
 
-use crate::pool;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 /// Micro-kernel tile rows (accumulator height).
 pub const MR: usize = 6;
@@ -61,8 +75,9 @@ pub const NR: usize = if cfg!(target_feature = "avx512f") {
 /// bit-identical-summation envelope (see module docs).
 pub const KC: usize = 256;
 /// `m`-dimension block: rows of `A` packed at once (`MC·KC` floats ≈
-/// 64 KiB, L2-resident).
-pub const MC: usize = 60;
+/// 66 KiB, L2-resident). A multiple of `MR` just above 64, so a batch of
+/// 64 packs as one block.
+pub const MC: usize = 66;
 /// `n`-dimension block: columns of `B` packed at once.
 pub const NC: usize = 512;
 
@@ -100,8 +115,9 @@ pub fn thread_backend() -> Backend {
 /// * `m, k, n`: dimensions of the *operation* — `op(A)` is `[m, k]`,
 ///   `op(B)` is `[k, n]`, `C` is `[m, n]`.
 /// * `trans_a`: when set, `A` is stored `[k, m]` and used transposed
-///   (likewise `trans_b` / `[n, k]`). Transposition happens during
-///   packing; nothing is materialized.
+///   (likewise `trans_b` / `[n, k]`). Nothing is materialized: `trans_a`
+///   changes how `A` is packed, `trans_b` runs the product as its
+///   transpose with `B` read in place.
 /// * `accumulate`: when set, adds into the existing contents of `C`
 ///   (`C += …`); otherwise `C` is overwritten.
 // The nine parameters are the standard BLAS sgemm surface; bundling them
@@ -152,8 +168,46 @@ pub fn gemm_fast(
         }
         return;
     }
-    let mut a_pack = pool::take_zeroed(MC.min(m).next_multiple_of(MR) * KC.min(k));
-    let mut b_pack = pool::take_zeroed(KC.min(k) * NC.min(n).next_multiple_of(NR));
+    PACK.with(|scratch| {
+        let (a_pack, b_pack) = &mut *scratch.borrow_mut();
+        if trans_b {
+            gemm_swapped(c, a, b, m, k, n, trans_a, accumulate, b_pack);
+        } else {
+            gemm_packed(c, a, b, m, k, n, trans_a, accumulate, a_pack, b_pack);
+        }
+    });
+}
+
+thread_local! {
+    /// This thread's `A` and `B` pack scratch (see the module docs).
+    static PACK: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// The first `len` floats of a pack buffer, growing it if it is short.
+fn scratch(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
+/// `C (+)= op(A)·B` with `B` stored `[k, n]`: both operands packed.
+#[allow(clippy::too_many_arguments)]
+fn gemm_packed(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    trans_a: bool,
+    accumulate: bool,
+    a_pack: &mut Vec<f32>,
+    b_pack: &mut Vec<f32>,
+) {
+    let a_pack = scratch(a_pack, MC.min(m).next_multiple_of(MR) * KC.min(k));
+    let b_pack = scratch(b_pack, KC.min(k) * NC.min(n).next_multiple_of(NR));
+    let lda = if trans_a { m } else { k };
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         for pc in (0..k).step_by(KC) {
@@ -161,10 +215,10 @@ pub fn gemm_fast(
             // The first k-block *writes* C (β = 0) unless the caller asked
             // to accumulate — no pre-zeroing pass, no C read stream.
             let overwrite = !accumulate && pc == 0;
-            pack_b(&mut b_pack, b, pc, jc, kc, nc, trans_b, k, n);
+            pack::<NR>(b_pack, b, n, jc, nc, pc, kc, true);
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
-                pack_a(&mut a_pack, a, ic, pc, mc, kc, trans_a, m, k);
+                pack::<MR>(a_pack, a, lda, ic, mc, pc, kc, trans_a);
                 for jr in (0..nc).step_by(NR) {
                     let bp = &b_pack[(jr / NR) * kc * NR..][..kc * NR];
                     for ir in (0..mc).step_by(MR) {
@@ -183,141 +237,112 @@ pub fn gemm_fast(
             }
         }
     }
-    pool::give(a_pack);
-    pool::give(b_pack);
 }
 
-/// Pack `A[ic.., pc..]` (`mc × kc` of the op view) into `MR`-row panels:
-/// panel `ip` holds rows `ic+ip·MR ..`, laid out `k`-major so the
-/// micro-kernel reads `MR` consecutive floats per `k` step. Short edge
-/// panels are zero-padded (0·x contributes exactly 0).
+/// `C (+)= op(A)·Bᵀ` with `B` stored `[n, k]`, computed as its transpose
+/// `Cᵀ = B·op(A)ᵀ`. `B`'s rows are the micro-kernel's broadcast operand,
+/// read where they lie; only `op(A)ᵀ` is packed (`k × m`: for `dx` the
+/// gradient, which scales with the batch). Every element of `C` is the
+/// chain [`gemm_packed`] computes with each product's factors swapped,
+/// which is exact, so the two layouts give the same bits.
 #[allow(clippy::too_many_arguments)]
-fn pack_a(
-    a_pack: &mut [f32],
+fn gemm_swapped(
+    c: &mut [f32],
     a: &[f32],
-    ic: usize,
-    pc: usize,
-    mc: usize,
-    kc: usize,
-    trans_a: bool,
+    b: &[f32],
     m: usize,
     k: usize,
-) {
-    let mut idx = 0;
-    for ip in (0..mc).step_by(MR) {
-        let rows = MR.min(mc - ip);
-        if rows == MR && trans_a {
-            // Aᵀ is stored [k, m]: the MR rows of a panel are contiguous
-            // per k step, so a full panel is straight memcpy rows.
-            for p in 0..kc {
-                let src = &a[(pc + p) * m + ic + ip..][..MR];
-                a_pack[idx..idx + MR].copy_from_slice(src);
-                idx += MR;
-            }
-        } else if rows == MR {
-            // Row-major A: each source row is contiguous; write it down
-            // the panel at stride MR. Branch-free so the copy pipelines.
-            for (r, panel_row) in a.chunks_exact(k).skip(ic + ip).take(MR).enumerate() {
-                let seg = &panel_row[pc..pc + kc];
-                for (p, &v) in seg.iter().enumerate() {
-                    a_pack[idx + p * MR + r] = v;
-                }
-            }
-            idx += kc * MR;
-        } else {
-            for p in 0..kc {
-                for r in 0..MR {
-                    a_pack[idx] = if r < rows {
-                        let (row, col) = (ic + ip + r, pc + p);
-                        if trans_a {
-                            a[col * m + row]
-                        } else {
-                            a[row * k + col]
-                        }
-                    } else {
-                        0.0
-                    };
-                    idx += 1;
-                }
-            }
-        }
-    }
-}
-
-/// Pack `B[pc.., jc..]` (`kc × nc` of the op view) into `NR`-column
-/// panels, `k`-major, zero-padded at the right edge.
-#[allow(clippy::too_many_arguments)]
-fn pack_b(
-    b_pack: &mut [f32],
-    b: &[f32],
-    pc: usize,
-    jc: usize,
-    kc: usize,
-    nc: usize,
-    trans_b: bool,
-    k: usize,
     n: usize,
+    trans_a: bool,
+    accumulate: bool,
+    b_pack: &mut Vec<f32>,
 ) {
-    let mut idx = 0;
-    for jp in (0..nc).step_by(NR) {
-        let cols = NR.min(nc - jp);
-        if cols == NR && !trans_b {
-            // Row-major B: the NR panel columns are contiguous per k
-            // step, so a full panel is straight memcpy rows.
-            for p in 0..kc {
-                let src = &b[(pc + p) * n + jc + jp..][..NR];
-                b_pack[idx..idx + NR].copy_from_slice(src);
-                idx += NR;
-            }
-        } else if cols == NR {
-            // Bᵀ is stored [n, k]: each panel column is a contiguous k
-            // run; write it across the panel at stride NR.
-            for (cix, col_run) in b.chunks_exact(k).skip(jc + jp).take(NR).enumerate() {
-                let seg = &col_run[pc..pc + kc];
-                for (p, &v) in seg.iter().enumerate() {
-                    b_pack[idx + p * NR + cix] = v;
-                }
-            }
-            idx += kc * NR;
-        } else {
-            for p in 0..kc {
-                for cix in 0..NR {
-                    b_pack[idx] = if cix < cols {
-                        let (row, col) = (pc + p, jc + jp + cix);
-                        if trans_b {
-                            b[col * k + row]
-                        } else {
-                            b[row * n + col]
-                        }
-                    } else {
-                        0.0
-                    };
-                    idx += 1;
+    let b_pack = scratch(b_pack, KC.min(k) * NC.min(m).next_multiple_of(NR));
+    let lda = if trans_a { m } else { k };
+    for jc in (0..m).step_by(NC) {
+        let nc = NC.min(m - jc);
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            let overwrite = !accumulate && pc == 0;
+            // op(A)ᵀ in `NR`-column panels is laid out just as op(A) in
+            // `MR`-row panels: column `i` of the one is row `i` of the other.
+            pack::<NR>(b_pack, a, lda, jc, nc, pc, kc, trans_a);
+            for ir in (0..n).step_by(MR) {
+                let rows = MR.min(n - ir);
+                // A short edge panel repeats its last row; the tile rows it
+                // feeds are never stored.
+                let b_rows = std::array::from_fn(|r| &b[(ir + r.min(rows - 1)) * k + pc..][..kc]);
+                for jr in (0..nc).step_by(NR) {
+                    let bp = &b_pack[(jr / NR) * kc * NR..][..kc * NR];
+                    micro_kernel_t(
+                        &mut c[(jc + jr) * n + ir..],
+                        n,
+                        b_rows,
+                        bp,
+                        rows,
+                        NR.min(nc - jr),
+                        overwrite,
+                    );
                 }
             }
         }
     }
 }
 
-/// `MR × NR` register tile: `C[..mr_eff, ..nr_eff] (+)= Aᵖ·Bᵖ` over one
-/// packed `k` panel. The accumulator array never leaves registers; the
-/// `k` loop is branch-free over `chunks_exact`, which is what lets LLVM
-/// keep it vectorized (out-of-line on purpose — inlining it into the
-/// blocking loops defeats the loop vectorizer and degrades the FMAs to
-/// scalars). With `overwrite` the tile is stored with β = 0 semantics:
-/// no read of the destination, no prior zero-fill needed.
-#[inline(never)]
-fn micro_kernel(
-    c: &mut [f32],
-    ldc: usize,
-    ap: &[f32],
-    bp: &[f32],
-    mr_eff: usize,
-    nr_eff: usize,
-    overwrite: bool,
+/// Pack a `kc × width` block of an operand into `W`-wide panels laid out
+/// `k`-major, so the micro-kernel reads `W` consecutive floats per `k`
+/// step: `A` in `MR`-row panels, `B` in `NR`-column panels. Element
+/// `(p, x)` of the block is `src[(pc + p)·ld + x0 + x]` when
+/// `runs_along_width` (a panel's `W` floats are adjacent per `k` step:
+/// straight copies), else `src[(x0 + x)·ld + pc + p]` (each panel column
+/// is a contiguous `k` run, written across the panel at stride `W`).
+/// Short edge panels are zero-padded (0·x contributes exactly 0), so every
+/// float a kernel reads is written here.
+#[allow(clippy::too_many_arguments)]
+fn pack<const W: usize>(
+    dst: &mut [f32],
+    src: &[f32],
+    ld: usize,
+    x0: usize,
+    width: usize,
+    pc: usize,
+    kc: usize,
+    runs_along_width: bool,
 ) {
+    for (xp, panel) in (0..width).step_by(W).zip(dst.chunks_exact_mut(kc * W)) {
+        let cols = W.min(width - xp);
+        if runs_along_width {
+            for (p, step) in panel.chunks_exact_mut(W).enumerate() {
+                let run = &src[(pc + p) * ld + x0 + xp..];
+                if cols == W {
+                    step.copy_from_slice(&run[..W]);
+                } else {
+                    step[..cols].copy_from_slice(&run[..cols]);
+                }
+            }
+        } else {
+            for (x, run) in src.chunks_exact(ld).skip(x0 + xp).take(cols).enumerate() {
+                for (p, &v) in run[pc..pc + kc].iter().enumerate() {
+                    panel[p * W + x] = v;
+                }
+            }
+        }
+        if cols < W {
+            for step in panel.chunks_exact_mut(W) {
+                step[cols..].fill(0.0);
+            }
+        }
+    }
+}
+
+/// The `MR × NR` register tile over one packed `k` panel: `acc[r][j]` is
+/// an FMA chain from 0.0 over `a_cols[p][r]·bp[p][j]`, ascending `p`. The
+/// accumulator array never leaves registers and the loop is branch-free,
+/// which is what lets LLVM keep it vectorized.
+#[inline(always)]
+fn tile(a_cols: impl Iterator<Item = [f32; MR]>, bp: &[f32]) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
-    for (av, bv) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
+    for (av, bv) in a_cols.zip(bp.chunks_exact(NR)) {
         for r in 0..MR {
             let ar = av[r];
             let row = &mut acc[r];
@@ -332,6 +357,28 @@ fn micro_kernel(
             }
         }
     }
+    acc
+}
+
+/// `C[..mr_eff, ..nr_eff] (+)= Aᵖ·Bᵖ` over one packed `k` panel of each
+/// operand. Out-of-line on purpose (as is [`micro_kernel_t`]): inlining
+/// it into the blocking loops defeats the loop vectorizer and degrades
+/// the FMAs to scalars. With `overwrite` the tile is stored with β = 0
+/// semantics: no read of the destination, no prior zero-fill needed.
+#[inline(never)]
+fn micro_kernel(
+    c: &mut [f32],
+    ldc: usize,
+    ap: &[f32],
+    bp: &[f32],
+    mr_eff: usize,
+    nr_eff: usize,
+    overwrite: bool,
+) {
+    let a_cols = ap
+        .chunks_exact(MR)
+        .map(|col| <[f32; MR]>::try_from(col).expect("chunks of MR floats"));
+    let acc = tile(a_cols, bp);
     if mr_eff == MR && nr_eff == NR {
         for (r, accr) in acc.iter().enumerate() {
             let crow = &mut c[r * ldc..r * ldc + NR];
@@ -352,6 +399,37 @@ fn micro_kernel(
                 } else {
                     *dst += src;
                 }
+            }
+        }
+    }
+}
+
+/// The swapped product's tile: `Cᵀ[..mr_eff, ..nr_eff] (+)= B·Bᵖ`, the
+/// broadcast operand read from `MR` rows of `B` in place, the tile
+/// stored transposed — tile row `r` is column `r` of `C`. Cutting each
+/// row to `kc` first lets LLVM hoist its bounds check out of the `k`
+/// loop; left inside, six more branches per step slowed the loop 2–3×.
+#[inline(never)]
+fn micro_kernel_t(
+    c: &mut [f32],
+    ldc: usize,
+    b_rows: [&[f32]; MR],
+    bp: &[f32],
+    mr_eff: usize,
+    nr_eff: usize,
+    overwrite: bool,
+) {
+    let kc = bp.len() / NR;
+    let b_rows = b_rows.map(|row| &row[..kc]);
+    let a_cols = (0..kc).map(|p| b_rows.map(|row| row[p]));
+    let acc = tile(a_cols, bp);
+    for j in 0..nr_eff {
+        let ccol = &mut c[j * ldc..j * ldc + mr_eff];
+        for (r, dst) in ccol.iter_mut().enumerate() {
+            if overwrite {
+                *dst = acc[r][j];
+            } else {
+                *dst += acc[r][j];
             }
         }
     }

@@ -48,6 +48,27 @@ impl Linear {
     pub fn out_features(&self) -> usize {
         self.out_features
     }
+
+    /// Accumulate `slot`'s weight and bias gradients; returns `grad_out`
+    /// as `[rows, out]`, which the input gradient needs.
+    fn param_grads(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
+        let x = self
+            .saved_input
+            .remove(&slot)
+            .unwrap_or_else(|| panic!("{}: no saved input for slot {slot}", self.name));
+        let g = grad_out.reshape(&[grad_out.rows(), self.out_features]);
+        // dW += xᵀ·g (transpose folded into A's packing, accumulation
+        // fused into the kernel); db = column sums of g.
+        self.weight.grad.add_matmul_tn(&x, &g);
+        let db = self.bias.grad.data_mut();
+        for row in g.data().chunks_exact(self.out_features) {
+            for (d, &gv) in db.iter_mut().zip(row.iter()) {
+                *d += gv;
+            }
+        }
+        x.recycle();
+        g
+    }
 }
 
 impl Layer for Linear {
@@ -79,24 +100,16 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
-        let x = self
-            .saved_input
-            .remove(&slot)
-            .unwrap_or_else(|| panic!("{}: no saved input for slot {slot}", self.name));
-        let g = grad_out.reshape(&[grad_out.rows(), self.out_features]);
-        // dW += xᵀ·g (transpose folded into GEMM packing, accumulation
-        // fused into the kernel); db = column sums of g; dx = g·Wᵀ.
-        self.weight.grad.add_matmul_tn(&x, &g);
-        let db = self.bias.grad.data_mut();
-        for row in g.data().chunks_exact(self.out_features) {
-            for (d, &gv) in db.iter_mut().zip(row.iter()) {
-                *d += gv;
-            }
-        }
+        let g = self.param_grads(grad_out, slot);
+        // dx = g·Wᵀ, which the GEMM computes as (W·gᵀ)ᵀ: W is read in
+        // place and only g is packed.
         let dx = g.matmul_nt(&self.weight.value);
-        x.recycle();
         g.recycle();
         dx
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor, slot: Slot) {
+        self.param_grads(grad_out, slot).recycle();
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -158,8 +171,8 @@ mod tests {
 
     #[test]
     fn gradients_match_on_nonsquare_shapes_crossing_tile_edges() {
-        // 17→9 with batch 5 exercises every partial-tile path of the 8×8
-        // micro-kernel (m, n and k all off the MR/NR grid).
+        // 17→9 with batch 5 exercises every partial-tile path of the MR × NR
+        // micro-kernel, 6 × 32 with AVX-512 (m, n and k all off its grid).
         let mut l = Linear::new(17, 9, &mut rng(4));
         check_layer_gradients(&mut l, &[5, 17], 13);
     }

@@ -73,6 +73,13 @@ pub trait Layer: Send {
     /// Backward pass for `slot`; returns the input gradient.
     fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor;
 
+    /// Backward pass for `slot` that only accumulates parameter
+    /// gradients: for a model's first layer, whose input gradient nobody
+    /// reads. Layers that can skip computing it override this.
+    fn backward_params(&mut self, grad_out: &Tensor, slot: Slot) {
+        self.backward(grad_out, slot).recycle();
+    }
+
     /// The layer's trainable parameters (empty for stateless layers).
     fn params(&self) -> Vec<&Param> {
         Vec::new()
@@ -274,6 +281,21 @@ impl Sequential {
     }
 }
 
+/// Backward through `layers` last to first: the gradient w.r.t. the
+/// chain's input, or `None` for an empty chain.
+fn backward_chain(layers: &mut [Box<dyn Layer>], grad_out: &Tensor, slot: Slot) -> Option<Tensor> {
+    // Each layer consumed what it saved, so a gradient is dead once the
+    // layer below has read it — recycle its storage instead of dropping it.
+    let mut cur: Option<Tensor> = None;
+    for l in layers.iter_mut().rev() {
+        let next = l.backward(cur.as_ref().unwrap_or(grad_out), slot);
+        if let Some(prev) = cur.replace(next) {
+            prev.recycle();
+        }
+    }
+    cur
+}
+
 impl Layer for Sequential {
     fn name(&self) -> &str {
         &self.name
@@ -294,14 +316,18 @@ impl Layer for Sequential {
     }
 
     fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
-        let mut cur: Option<Tensor> = None;
-        for l in self.layers.iter_mut().rev() {
-            let next = l.backward(cur.as_ref().unwrap_or(grad_out), slot);
-            if let Some(prev) = cur.replace(next) {
-                prev.recycle();
-            }
+        backward_chain(&mut self.layers, grad_out, slot).unwrap_or_else(|| grad_out.clone())
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor, slot: Slot) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let cur = backward_chain(rest, grad_out, slot);
+        first.backward_params(cur.as_ref().unwrap_or(grad_out), slot);
+        if let Some(g) = cur {
+            g.recycle();
         }
-        cur.unwrap_or_else(|| grad_out.clone())
     }
 
     fn params(&self) -> Vec<&Param> {

@@ -148,6 +148,122 @@ proptest! {
     }
 }
 
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `C (+)= op(A)·Bᵀ` runs as its transpose, `B`'s rows read in place;
+/// every element is the same FMA chain as the product on a materialized
+/// `Bᵀ`, so the two give the same bits. The shapes put `n` off the `MR`
+/// grid, `m` off the `NR` grid (and past one `NC` block), `k` past one
+/// `KC` block and at 1.
+#[test]
+fn transposed_b_is_bit_identical_to_materialized_transpose() {
+    use gemm::{KC, MR, NC, NR};
+    let shapes = [
+        (NR + 3, 1, MR + 1),
+        (2 * NR - 5, KC + 37, 2 * MR + 5),
+        (5, 2 * KC + 3, 13),
+        (NC + 7, 3, 3 * MR + 2),
+    ];
+    for (i, &(m, k, n)) in shapes.iter().enumerate() {
+        let s = i as u64;
+        let a = normal(&[m * k], 1.0, &mut rng(s));
+        let b = normal(&[n * k], 1.0, &mut rng(s ^ 11));
+        let c0 = normal(&[m * n], 1.0, &mut rng(s ^ 12));
+        let mut bt = vec![0.0; k * n];
+        gemm::transpose_into(&mut bt, b.data(), n, k);
+        for trans_a in [false, true] {
+            for accumulate in [false, true] {
+                let mut swapped = c0.data().to_vec();
+                let mut packed = c0.data().to_vec();
+                gemm::gemm_fast(
+                    &mut swapped,
+                    a.data(),
+                    b.data(),
+                    m,
+                    k,
+                    n,
+                    trans_a,
+                    true,
+                    accumulate,
+                );
+                gemm::gemm_fast(
+                    &mut packed,
+                    a.data(),
+                    &bt,
+                    m,
+                    k,
+                    n,
+                    trans_a,
+                    false,
+                    accumulate,
+                );
+                assert_eq!(
+                    bits(&swapped),
+                    bits(&packed),
+                    "({m},{k},{n}) trans_a {trans_a} accumulate {accumulate}"
+                );
+            }
+        }
+    }
+}
+
+/// The im2col convolution's forward multiplies the weights by the
+/// transposed column matrix, whose rows (the `OH·OW` output positions) are
+/// read in place. With `OH·OW` off the `MR` grid it must still give the
+/// bits of the same product on the materialized transpose.
+#[test]
+fn conv_forward_is_bit_identical_to_materialized_transpose() {
+    // (c, out_ch, k, stride, padding, h, w): OH·OW = 25 and 15.
+    for &(c, oc, k, stride, padding, h, w) in &[(2, 5, 3, 1, 1, 5, 5), (3, 4, 2, 2, 0, 7, 11)] {
+        let mut conv = Conv2d::new(c, oc, k, stride, padding, &mut rng(21));
+        let x = normal(&[2, c, h, w], 1.0, &mut rng(22));
+        gemm::set_thread_backend(Backend::Fast);
+        let fast = conv.forward(&x, 0);
+        let (oh, ow) = (
+            (h + 2 * padding - k) / stride + 1,
+            (w + 2 * padding - k) / stride + 1,
+        );
+        assert_ne!((oh * ow) % gemm::MR, 0);
+        let (ohow, ckk) = (oh * ow, c * k * k);
+        let weight = conv.params()[0].value.data().to_vec();
+        let bias = conv.params()[1].value.data().to_vec();
+        let mut expected = Vec::new();
+        for xb in x.data().chunks_exact(c * h * w) {
+            // The lowering Conv2d uses: row = output position, column =
+            // (channel, ky, kx); padding taps are 0.
+            let mut cols = vec![0.0; ohow * ckk];
+            for (pos, row) in cols.chunks_exact_mut(ckk).enumerate() {
+                let (oy, ox) = (pos / ow, pos % ow);
+                for (tap, v) in row.iter_mut().enumerate() {
+                    let (ic, ky, kx) = (tap / (k * k), tap / k % k, tap % k);
+                    let (iy, ix) = (oy * stride + ky, ox * stride + kx);
+                    if (padding..h + padding).contains(&iy) && (padding..w + padding).contains(&ix)
+                    {
+                        *v = xb[(ic * h + iy - padding) * w + ix - padding];
+                    }
+                }
+            }
+            let mut cols_t = vec![0.0; ckk * ohow];
+            gemm::transpose_into(&mut cols_t, &cols, ohow, ckk);
+            let mut out = vec![0.0; oc * ohow];
+            gemm::gemm_fast(
+                &mut out, &weight, &cols_t, oc, ckk, ohow, false, false, false,
+            );
+            for (row, &bv) in out.chunks_exact_mut(ohow).zip(&bias) {
+                row.iter_mut().for_each(|v| *v += bv);
+            }
+            expected.extend(out);
+        }
+        assert_eq!(
+            bits(fast.data()),
+            bits(&expected),
+            "conv {c}->{oc} k{k} s{stride} p{padding}"
+        );
+    }
+}
+
 /// Once warm, 100 full training steps (forward, loss, backward, SGD
 /// update) are served entirely from the buffer pool: zero pool misses,
 /// i.e. no net allocations in the steady-state loop.
