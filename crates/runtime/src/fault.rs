@@ -31,9 +31,10 @@ use std::time::Duration;
 pub enum FaultAction {
     /// Execute the op normally.
     Continue,
-    /// Die silently, as if the worker's machine failed. No error message
-    /// is sent to the coordinator: the failure must be *detected* via
-    /// channel disconnects and missing heartbeats, like a real crash.
+    /// Die silently, as if the worker's machine failed. The killed worker
+    /// stamps no failure time: the failure must be *detected* by the peers
+    /// it leaves behind, through a channel disconnect or a poisoned
+    /// gradient-sync round, like a real crash.
     Kill,
 }
 

@@ -1,4 +1,4 @@
-//! Messages exchanged between stage workers and the coordinator.
+//! Messages exchanged between stage workers.
 //!
 //! Tensor payloads are backed by the thread-local buffer pool
 //! (`pipedream_tensor::pool`). Ownership of the buffer travels with the
@@ -15,11 +15,10 @@
 //! so the pipeline stops allocating: `crates/runtime/tests/
 //! steady_state_pool.rs` holds the pool's miss counter still.
 //!
-//! The coordinator is not on that path at all. What a worker learns per
-//! minibatch (losses, weight versions) goes into its own
-//! [`crate::report::WorkerLog`], which comes back through the join handle;
-//! [`MetricMsg`] carries liveness only, and a run without a fault hook
-//! sends the coordinator nothing until a worker fails.
+//! The coordinator is sent nothing at all. What a worker learns per
+//! minibatch (losses, weight versions), and when it failed if it did, goes
+//! into its own [`crate::report::WorkerLog`], which comes back through the
+//! join handle.
 
 use pipedream_tensor::Tensor;
 
@@ -64,31 +63,4 @@ impl Msg {
             Msg::Act { mb, .. } | Msg::Grad { mb, .. } | Msg::Cut { mb } => mb,
         }
     }
-}
-
-/// Liveness events sent to the coordinator while the pipeline runs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MetricMsg {
-    /// Periodic liveness signal, sent only when a fault hook is installed.
-    /// A worker that stops heartbeating without finishing is presumed
-    /// dead (§4: failures are detected, then all stages restart from the
-    /// last complete checkpoint).
-    Heartbeat {
-        /// Global worker id.
-        worker: usize,
-        /// Ops executed so far.
-        ops_done: u64,
-    },
-    /// A worker failed with a typed error. Injected kills do *not* send
-    /// this — a crashed machine doesn't announce itself — but surviving
-    /// peers that fail as collateral do.
-    Failure {
-        /// Failing stage.
-        stage: usize,
-        /// Failing replica.
-        replica: usize,
-        /// The error, rendered (the typed value travels via the worker's
-        /// join handle).
-        message: String,
-    },
 }

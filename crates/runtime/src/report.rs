@@ -9,6 +9,7 @@
 //! [`ControlRecord`]s, [`TrainReport::control_log`].
 
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// Aggregated metrics of one epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -78,8 +79,9 @@ pub struct LossRecord {
 
 /// What one stage worker recorded about its own run. It is written by the
 /// worker alone, with no message to anyone, and handed to the coordinator
-/// through the join handle — when the worker fails too, so the partial
-/// report of a collapsed run still holds everything computed before it.
+/// through the join handle — the worker's only report. A failed worker
+/// hands it over too, so the partial report of a collapsed run still holds
+/// everything computed before it, and the failure's time comes with it.
 #[derive(Debug, Default)]
 pub struct WorkerLog {
     /// One record per forward pass of an output-stage worker.
@@ -89,6 +91,11 @@ pub struct WorkerLog {
     pub versions: Vec<VersionRecord>,
     /// Peak observations; `None` unless the op sequence ran to its end.
     pub obs: Option<StageObsRecord>,
+    /// When the worker died of an error it met — a lost peer, a stalled
+    /// receive or sync round, a failed write. `None` when it finished, and
+    /// when an injected kill took it: a crashed machine reports nothing,
+    /// its failure is seen by the peers it leaves behind.
+    pub failed_at: Option<Instant>,
 }
 
 /// What happened when a segment of the run failed under an injected fault
@@ -102,9 +109,9 @@ pub struct RecoveryRecord {
     /// The injected faults that fired during the failed segment, by spec
     /// (e.g. `kill:stage=1,mb=37`; several are joined with `;`).
     pub fault: String,
-    /// Seconds from fault injection to the coordinator observing the
-    /// failure (via peer errors, channel disconnects, or stalled
-    /// heartbeats).
+    /// Seconds from fault injection to the first surviving worker failing
+    /// of it (a channel disconnect, a poisoned or expired sync round, or a
+    /// receive timeout), as stamped in that worker's [`WorkerLog`].
     pub detection_latency_s: f64,
     /// Minibatches the checkpoint the restarted run resumed from had
     /// completed — the id of the first minibatch it re-executed (`None`

@@ -4,7 +4,7 @@
 
 use crate::data::TrainData;
 use crate::fault::{FaultHook, WorkerError};
-use crate::message::{MetricMsg, Msg};
+use crate::message::Msg;
 use crate::report::{EpochStats, LossRecord, StageObsRecord, TrainReport};
 use crate::sync::GradSyncGroup;
 use crate::worker::StageWorker;
@@ -14,7 +14,7 @@ use pipedream_tensor::data::Dataset;
 use pipedream_tensor::{Adam, Layer, Optimizer, Sequential, Sgd};
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -187,15 +187,17 @@ impl Default for TrainOpts {
 /// Pipeline training failed: one or more workers died.
 ///
 /// Carries every worker's typed error (the injected fault first, when one
-/// is present), the instant the coordinator first observed the failure
-/// (for detection-latency measurements), and the partial training report
+/// is present), the instant the failure was first detected (for
+/// detection-latency measurements), and the partial training report
 /// accumulated before the collapse.
 #[derive(Debug)]
 pub struct TrainError {
     /// All worker errors, injected faults sorted first.
     pub errors: Vec<WorkerError>,
-    /// When the coordinator first saw evidence of the failure (a peer's
-    /// failure report, or heartbeat silence).
+    /// When the failure was first detected: the earliest
+    /// [`WorkerLog::failed_at`](crate::report::WorkerLog::failed_at) among
+    /// the workers, or the moment the coordinator joined them when none
+    /// stamped one (every failure injected, or the run refused).
     pub detected_at: Instant,
     /// Metrics gathered before the pipeline collapsed.
     pub partial: TrainReport,
@@ -216,10 +218,6 @@ impl fmt::Display for TrainError {
 
 impl std::error::Error for TrainError {}
 
-/// Coordinator-side polling interval when a fault hook is installed.
-const DETECT_POLL: Duration = Duration::from_millis(50);
-/// Heartbeat silence after which the coordinator presumes a failure.
-const STALL_WINDOW: Duration = Duration::from_secs(2);
 /// Production deadline for gradient-sync rounds on replicated stages.
 /// Generous next to a round's microseconds of real work, but bounded: a
 /// partner that dies without poisoning the group (e.g. SIGKILL of a real
@@ -379,7 +377,6 @@ pub fn try_train_pipeline(
         grad_tx.push(gt);
         grad_rx.push(Some(gr));
     }
-    let (metrics_tx, metrics_rx) = channel::<MetricMsg>();
 
     let assignment = config.worker_assignment();
     let sync_deadline = hook
@@ -419,7 +416,7 @@ pub fn try_train_pipeline(
 
     // The worker threads are scoped to this call, so they borrow the
     // dataset instead of a copy of it.
-    let (first_failure, outcomes) = thread::scope(|scope| {
+    let outcomes: Vec<_> = thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let (stage, replica) = config.stage_of_worker(w);
@@ -442,7 +439,6 @@ pub fn try_train_pipeline(
             let worker = StageWorker {
                 stage,
                 replica,
-                worker_id: w,
                 num_stages: stages.len(),
                 // Workers are numbered stage by stage, so a stage's last
                 // replica can have the original instead of one more copy.
@@ -468,7 +464,6 @@ pub fn try_train_pipeline(
                 fwd_out,
                 grad_out,
                 sync: sync_groups[stage].clone(),
-                metrics: metrics_tx.clone(),
                 data: &data,
                 checkpoint_dir: opts.checkpoint_dir.clone(),
                 checkpoint_every: opts.checkpoint_every,
@@ -479,49 +474,15 @@ pub fn try_train_pipeline(
             };
             handles.push(scope.spawn(move || worker.run()));
         }
-        // Drop our clones so the metrics channel closes when workers finish.
-        drop(metrics_tx);
+        // Drop our clones, so a worker's channels disconnect when its peers
+        // are gone. Then only join: each worker reports through its handle,
+        // the time of its failure included.
         drop(fwd_tx);
         drop(grad_tx);
-
-        // Wait for the workers. They report nothing per minibatch — each
-        // keeps its own log — so without a fault hook this blocks until the
-        // last one exits. With a hook installed the loop also plays failure
-        // detector: it timestamps the first failure report and treats
-        // prolonged heartbeat silence as a presumed failure (§4).
-        let mut first_failure: Option<Instant> = None;
-        if hook.is_some() {
-            let mut last_sign_of_life = Instant::now();
-            loop {
-                match metrics_rx.recv_timeout(DETECT_POLL) {
-                    Ok(msg) => {
-                        last_sign_of_life = Instant::now();
-                        if matches!(msg, MetricMsg::Failure { .. }) {
-                            first_failure.get_or_insert_with(Instant::now);
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        if first_failure.is_none() && last_sign_of_life.elapsed() >= STALL_WINDOW {
-                            // Heartbeats stopped without the run finishing:
-                            // presume a failure even before peers report one.
-                            first_failure = Some(Instant::now());
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        } else {
-            // No hook, no heartbeats: a failure report is all that can arrive.
-            for _failure in metrics_rx.iter() {
-                first_failure.get_or_insert_with(Instant::now);
-            }
-        }
-
-        let outcomes: Vec<_> = handles
+        handles
             .into_iter()
             .map(|h| h.join().expect("worker thread panicked"))
-            .collect();
-        (first_failure, outcomes)
+            .collect()
     });
 
     // Collect every worker's log — a failed worker's too, so the partial
@@ -532,6 +493,7 @@ pub fn try_train_pipeline(
     let mut stage_obs: Vec<StageObsRecord> = Vec::new();
     let mut stage_results: Vec<Option<Sequential>> = (0..stages.len()).map(|_| None).collect();
     let mut worker_errors: Vec<WorkerError> = Vec::new();
+    let first_failure = outcomes.iter().filter_map(|(log, _)| log.failed_at).min();
     for (w, (log, result)) in outcomes.into_iter().enumerate() {
         losses.extend(log.losses);
         version_trace.extend(log.versions);

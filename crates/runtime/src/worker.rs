@@ -31,14 +31,14 @@
 //! Failures are *typed*: instead of panicking, a worker that loses a peer
 //! (or is killed by an installed [`FaultHook`]) returns a
 //! [`WorkerError`] through its join handle and, unless silently killed,
-//! announces the failure on the metrics channel so the coordinator can
-//! react (§4's failure detection + checkpoint restart).
+//! stamps the time it failed into its log, which is how the coordinator
+//! dates the failure (§4's failure detection + checkpoint restart).
 
 use crate::checkpoint;
 use crate::control::RunControl;
 use crate::data::TrainData;
 use crate::fault::{FaultAction, FaultHook, SendAction, WorkerError};
-use crate::message::{MetricMsg, Msg};
+use crate::message::Msg;
 use crate::report::{LossRecord, StageObsRecord, VersionRecord, WorkerLog};
 use crate::sync::{GradSyncGroup, SyncError};
 use crate::trainer::{LrSchedule, OptimKind, Semantics};
@@ -50,11 +50,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Ops between heartbeat messages (only sent when a fault hook is
-/// installed).
-const HEARTBEAT_EVERY: usize = 16;
+use std::time::{Duration, Instant};
 
 /// Everything a stage worker needs to run.
 pub struct StageWorker<'a> {
@@ -62,8 +58,6 @@ pub struct StageWorker<'a> {
     pub stage: usize,
     /// Replica index within the stage.
     pub replica: usize,
-    /// Global worker id (for heartbeats and traces).
-    pub worker_id: usize,
     /// Total pipeline stages.
     pub num_stages: usize,
     /// This replica's copy of the stage layers.
@@ -102,9 +96,6 @@ pub struct StageWorker<'a> {
     pub grad_out: Vec<Sender<Msg>>,
     /// Gradient sync group (replicated stages only).
     pub sync: Option<Arc<GradSyncGroup>>,
-    /// Liveness events to the coordinator (heartbeats under a fault hook,
-    /// and the failure announcement).
-    pub metrics: Sender<MetricMsg>,
     /// Dataset view (inputs for stage 0, labels for the last stage).
     pub data: &'a TrainData<'a>,
     /// Checkpoint directory (replica 0 dumps at epoch boundaries).
@@ -178,8 +169,8 @@ struct WorkerState {
 impl StageWorker<'_> {
     /// Run the worker to completion; returns its log and the trained
     /// stage model, or the typed error it died with. All failures except
-    /// a silent [`WorkerError::Killed`] are also announced on the metrics
-    /// channel.
+    /// a silent [`WorkerError::Killed`] also stamp
+    /// [`WorkerLog::failed_at`].
     ///
     /// A dying worker of a *replicated* stage poisons its gradient-sync
     /// group first — even on a silent kill, standing in for the broken
@@ -226,6 +217,7 @@ impl StageWorker<'_> {
                 losses: Vec::with_capacity(loss_records),
                 versions: Vec::with_capacity(forwards),
                 obs: None,
+                failed_at: None,
             },
         };
         // Gradients start at zero, and every update leaves them so
@@ -276,11 +268,7 @@ impl StageWorker<'_> {
                     group.poison(self.replica);
                 }
                 if !e.is_injected() {
-                    let _ = self.metrics.send(MetricMsg::Failure {
-                        stage: self.stage,
-                        replica: self.replica,
-                        message: e.to_string(),
-                    });
+                    st.log.failed_at = Some(Instant::now());
                 }
                 (st.log, Err(e))
             }
@@ -320,17 +308,12 @@ impl StageWorker<'_> {
                     Op::Flush => Op::Flush,
                 };
                 if hook.before_op(self.stage, self.replica, &logical) == FaultAction::Kill {
-                    // Die like a crashed machine: no farewell message.
+                    // Die like a crashed machine: no failure stamp; the
+                    // peers it leaves behind fail of it and stamp theirs.
                     return Err(WorkerError::Killed {
                         stage: self.stage,
                         replica: self.replica,
                         mb: logical.minibatch().unwrap_or(u64::MAX),
-                    });
-                }
-                if ops_done.is_multiple_of(HEARTBEAT_EVERY) {
-                    let _ = self.metrics.send(MetricMsg::Heartbeat {
-                        worker: self.worker_id,
-                        ops_done: ops_done as u64,
                     });
                 }
             }
@@ -766,7 +749,7 @@ impl StageWorker<'_> {
             .saved_inputs
             .remove(&mb)
             .unwrap_or_else(|| panic!("no retained input for minibatch {mb}"));
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let span = self.recorder.begin();
         let out = self.model.forward(&input, mb);
         self.recorder

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: profile → plan → schedule → simulate →
 //! train, exercising the public API end to end.
 
+use pipedream::autopilot::{train_supervised, FaultPlan};
 use pipedream::core::schedule::Schedule;
 use pipedream::core::{PipelineConfig, Planner};
 use pipedream::hw::{ClusterPreset, Device, LinkModel, Precision, Topology};
@@ -11,7 +12,7 @@ use pipedream::runtime::{train_pipeline, LrSchedule, OptimKind, Semantics, Train
 use pipedream::sim::{simulate_dp, simulate_pipeline};
 use pipedream::tensor::data::blobs;
 use pipedream::tensor::init::rng;
-use pipedream::tensor::layers::{Linear, Relu};
+use pipedream::tensor::layers::{Linear, Relu, Scale, Tanh};
 use pipedream::tensor::{Sequential, Tensor};
 
 #[test]
@@ -142,6 +143,48 @@ fn checkpoint_restart_resumes_identically() {
     for (a, b) in restored.snapshot().iter().zip(trained.snapshot().iter()) {
         assert_eq!(a, b, "restored parameters must equal the trained ones");
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn recovery_dates_a_kill_after_a_long_delay_by_the_kill() {
+    // §4 recovery of one segment that sees two faults: stage 0 stalls
+    // 2.5 s on minibatch 5's send, then stage 1 dies at minibatch 24. The
+    // failure is detected when the killed worker's peers fail of it, so
+    // the recorded detection latency is positive and short, however long
+    // the pipeline was quiet before the kill.
+    let dir = std::env::temp_dir().join(format!("pd-integ-recover-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut r = rng(70);
+    let model = Sequential::new("recover")
+        .push(Linear::new(8, 32, &mut r))
+        .push(Tanh::new())
+        .push(Linear::new(32, 32, &mut r))
+        .push(Relu::new())
+        .push(Linear::new(32, 32, &mut r))
+        .push(Tanh::new())
+        .push(Scale::new(32))
+        .push(Linear::new(32, 4, &mut r));
+    let data = blobs(256, 8, 4, 0.6, 7);
+    let config = PipelineConfig::straight(8, &[2, 5]); // 3 stages
+    let opts = TrainOpts {
+        epochs: 4,
+        batch: 16,
+        checkpoint_dir: Some(dir.clone()),
+        ..TrainOpts::default()
+    };
+    let faults = "delay:stage=0,mb=5,ms=2500;kill:stage=1,mb=24";
+    let plan = std::sync::Arc::new(FaultPlan::parse(faults).unwrap());
+    let (_, report) = train_supervised(&model, &config, &data, &opts, None, Some(plan))
+        .expect("supervised run recovers");
+    let recs: Vec<_> = report.recoveries().collect();
+    assert_eq!(recs.len(), 1, "{:?}", report.control_log);
+    assert_eq!(recs[0].fault, faults, "both faults fire in one segment");
+    let latency = recs[0].detection_latency_s;
+    assert!(
+        latency > 0.0 && latency < 2.0,
+        "detection latency {latency} s must be measured from the kill"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
