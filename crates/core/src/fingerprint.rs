@@ -42,10 +42,13 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Streaming FNV-1a 64-bit hasher over a canonical byte encoding.
 ///
-/// Not cryptographic — the cache tolerates an astronomically unlikely
-/// collision by recomputing a plan, never by returning a wrong one (the
-/// full key is verified on hit by the serving layer's request
-/// canonicalization).
+/// Not cryptographic, and nothing checks a match: the serving layer keys
+/// its plan cache on the 64-bit value alone, so two distinct requests
+/// that collide are answered with whichever plan was cached first. Among
+/// `n` distinct requests the chance of any collision is about
+/// `n² / 2⁶⁵` — below 10⁻⁹ for the first 190 000 — assuming FNV-1a
+/// spreads these inputs like a random function, which it is not built to
+/// guarantee against inputs chosen to collide.
 #[derive(Debug, Clone)]
 pub struct Fingerprinter {
     state: u64,
@@ -94,14 +97,17 @@ impl Fingerprinter {
     }
 
     /// Hash a float by canonical bit pattern: `-0.0` folds into `+0.0`
-    /// (they compare equal), `NaN` is rejected with `context` in the
-    /// error. Infinities are legal — they are self-equal and arise
-    /// transiently in cost arithmetic.
-    pub fn write_f64(&mut self, v: f64, context: &str) -> Result<(), FingerprintError> {
+    /// (they compare equal), `NaN` is rejected with `context()` in the
+    /// error. `context` runs only for a NaN, so naming the field costs
+    /// nothing on the way every valid input takes. Infinities are legal —
+    /// they are self-equal and arise transiently in cost arithmetic.
+    pub fn write_f64(
+        &mut self,
+        v: f64,
+        context: impl FnOnce() -> String,
+    ) -> Result<(), FingerprintError> {
         if v.is_nan() {
-            return Err(FingerprintError {
-                context: context.to_string(),
-            });
+            return Err(FingerprintError { context: context() });
         }
         let canonical = if v == 0.0 { 0.0f64 } else { v };
         self.write_u64(canonical.to_bits());
@@ -126,8 +132,8 @@ pub fn fingerprint_profile(
     h.write_usize(profile.layers.len());
     for l in &profile.layers {
         h.write_str(&l.name);
-        h.write_f64(l.flops_fwd, &format!("layer {} flops_fwd", l.name))?;
-        h.write_f64(l.bwd_factor, &format!("layer {} bwd_factor", l.name))?;
+        h.write_f64(l.flops_fwd, || format!("layer {} flops_fwd", l.name))?;
+        h.write_f64(l.bwd_factor, || format!("layer {} bwd_factor", l.name))?;
         h.write_u64(l.activation_elems);
         h.write_u64(l.weight_params);
     }
@@ -146,8 +152,8 @@ pub fn fingerprint_costs(
     h.write_usize(costs.layers.len());
     for l in &costs.layers {
         h.write_str(&l.name);
-        h.write_f64(l.fwd_s, &format!("layer {} fwd_s", l.name))?;
-        h.write_f64(l.bwd_s, &format!("layer {} bwd_s", l.name))?;
+        h.write_f64(l.fwd_s, || format!("layer {} fwd_s", l.name))?;
+        h.write_f64(l.bwd_s, || format!("layer {} bwd_s", l.name))?;
         h.write_u64(l.activation_bytes);
         h.write_u64(l.weight_bytes);
     }
@@ -161,21 +167,19 @@ pub fn fingerprint_topology(
 ) -> Result<(), FingerprintError> {
     h.write_str("topology");
     h.write_str(&topo.device.name);
-    h.write_f64(topo.device.peak_flops, "device peak_flops")?;
-    h.write_f64(topo.device.efficiency, "device efficiency")?;
+    h.write_f64(topo.device.peak_flops, || "device peak_flops".into())?;
+    h.write_f64(topo.device.efficiency, || "device efficiency".into())?;
     h.write_u64(topo.device.mem_bytes);
     h.write_usize(topo.levels.len());
     for level in &topo.levels {
         h.write_str(&level.name);
         h.write_usize(level.arity);
-        h.write_f64(
-            level.link.bandwidth_bytes_per_sec,
-            &format!("level {} bandwidth", level.name),
-        )?;
-        h.write_f64(
-            level.link.latency_sec,
-            &format!("level {} latency", level.name),
-        )?;
+        h.write_f64(level.link.bandwidth_bytes_per_sec, || {
+            format!("level {} bandwidth", level.name)
+        })?;
+        h.write_f64(level.link.latency_sec, || {
+            format!("level {} latency", level.name)
+        })?;
         h.write_bool(level.link.shared);
     }
     Ok(())
@@ -342,9 +346,9 @@ mod tests {
     #[test]
     fn negative_zero_is_canonicalized() {
         let mut a = Fingerprinter::new();
-        a.write_f64(0.0, "x").unwrap();
+        a.write_f64(0.0, || "x".into()).unwrap();
         let mut b = Fingerprinter::new();
-        b.write_f64(-0.0, "x").unwrap();
+        b.write_f64(-0.0, || "x".into()).unwrap();
         assert_eq!(a.finish(), b.finish());
     }
 
@@ -365,6 +369,40 @@ mod tests {
         .unwrap_err();
         assert!(err.context.contains("bwd_factor"), "{err}");
         assert!(err.to_string().contains("NaN"), "{err}");
+    }
+
+    #[test]
+    fn nan_in_a_link_or_a_cost_names_its_field() {
+        let profile = zoo::alexnet();
+        let topo = ClusterPreset::A.with_servers(2);
+        let level = topo.levels[0].name.clone();
+        let plan_err = |topo: &Topology| {
+            fingerprint_plan_request(
+                &profile,
+                topo,
+                64,
+                Precision::Fp32,
+                "flat",
+                None,
+                crate::ScheduleKind::Vanilla1F1B,
+            )
+            .unwrap_err()
+        };
+        let mut bad = topo.clone();
+        bad.levels[0].link.bandwidth_bytes_per_sec = f64::NAN;
+        assert_eq!(plan_err(&bad).context, format!("level {level} bandwidth"));
+        let mut bad = topo.clone();
+        bad.levels[0].link.latency_sec = f64::NAN;
+        assert_eq!(plan_err(&bad).context, format!("level {level} latency"));
+
+        let mut costs = profile.costs(&topo.device, 32, Precision::Fp32);
+        let layer = costs.layers[3].name.clone();
+        costs.layers[3].bwd_s = f64::NAN;
+        let err = fingerprint_costs(&mut Fingerprinter::new(), &costs).unwrap_err();
+        assert_eq!(err.context, format!("layer {layer} bwd_s"));
+        costs.layers[1].fwd_s = f64::NAN;
+        let err = fingerprint_costs(&mut Fingerprinter::new(), &costs).unwrap_err();
+        assert_eq!(err.context, format!("layer {} fwd_s", costs.layers[1].name));
     }
 
     #[test]

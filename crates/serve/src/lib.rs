@@ -11,10 +11,10 @@
 //!   `simulate` / `validate` handlers, built on the *validated* planner
 //!   entry points (`try_plan` and friends) so bad requests are 400s,
 //!   never daemon deaths.
-//! * [`cache`] — a sharded, size-bounded LRU memoizing DP results by the
-//!   canonical input fingerprint (`pipedream_core::fingerprint`), with
-//!   in-flight request coalescing (N concurrent misses on one key → one
-//!   DP execution).
+//! * [`cache`] — a sharded, size-bounded LRU memoizing DP results, as the
+//!   JSON the `/plan` response splices in, by the canonical input
+//!   fingerprint (`pipedream_core::fingerprint`), with in-flight request
+//!   coalescing (N concurrent misses on one key → one DP execution).
 //! * [`server`] — the acceptor + fixed worker pool over a bounded
 //!   connection queue, with per-request deadlines, load shedding (503),
 //!   `/metrics` (Prometheus via `pipedream-obs`) and `/healthz`, and

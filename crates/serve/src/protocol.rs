@@ -4,7 +4,8 @@
 //!
 //! * `/plan` — run the §3.1 partitioner (hierarchical or flat)
 //!   for a `(model, topology)` pair. Results are memoized in the sharded
-//!   plan cache keyed by the canonical input fingerprint.
+//!   plan cache keyed by the canonical input fingerprint, rendered: the
+//!   miss prints the plan once and every answer splices those bytes.
 //! * `/simulate` — discrete-event-simulate a configuration (planned or
 //!   caller-provided) under 1F1B and report throughput/memory.
 //! * `/validate` — check a caller-provided configuration against a model
@@ -24,6 +25,8 @@ use pipedream_model::{zoo, ModelProfile};
 use pipedream_sim::simulate_pipeline;
 use serde::{Deserialize, Value};
 use serde_json::Map;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// An error to ship back as an HTTP status + JSON body.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,9 +53,45 @@ impl From<PlanError> for ApiError {
     }
 }
 
-/// The plan cache: fingerprint → plan. Planning errors are returned to
-/// every coalesced waiter but never cached (see [`ShardedLruCache`]).
-pub type PlanCache = ShardedLruCache<Plan, ApiError>;
+/// A plan as the cache holds it: the plan, and the two pieces of the
+/// `/plan` response that depend on it alone, rendered once by the miss
+/// that computed it.
+#[derive(Debug)]
+pub struct CachedPlan {
+    plan: Plan,
+    /// `plan.config.label()` as a JSON string, quotes included.
+    label_json: Box<str>,
+    /// `plan` as compact JSON.
+    plan_json: Box<str>,
+}
+
+impl CachedPlan {
+    /// A plan that does not print (a non-finite float) is a 500 carrying
+    /// the printer's message, and is not cached.
+    fn render(plan: Plan) -> Result<Self, ApiError> {
+        let unprintable = |e: serde_json::Error| ApiError {
+            status: 500,
+            message: e.to_string(),
+        };
+        Ok(CachedPlan {
+            label_json: serde_json::to_string(&plan.config.label())
+                .map_err(unprintable)?
+                .into(),
+            plan_json: serde_json::to_string(&plan).map_err(unprintable)?.into(),
+            plan,
+        })
+    }
+
+    /// The plan the renderings were printed from.
+    pub fn plan(&self) -> &Plan {
+        &self.plan
+    }
+}
+
+/// The plan cache: fingerprint → rendered plan. Planning errors are
+/// returned to every coalesced waiter but never cached (see
+/// [`ShardedLruCache`]).
+pub type PlanCache = ShardedLruCache<Arc<CachedPlan>, ApiError>;
 
 /// Which partitioner a request selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +114,7 @@ impl PlanMode {
 /// A fully resolved planning target: everything the partitioner needs.
 pub struct PlanTarget {
     /// The model profile (zoo or inline).
-    pub profile: ModelProfile,
+    pub profile: Arc<ModelProfile>,
     /// The cluster (preset or inline).
     pub topo: Topology,
     /// Per-GPU minibatch size.
@@ -104,9 +143,27 @@ fn parse_body(body: &[u8]) -> Result<Value, ApiError> {
     Ok(v)
 }
 
-fn resolve_profile(body: &Value) -> Result<ModelProfile, ApiError> {
+/// The zoo profile a model name selects, built once per process: the
+/// memo is keyed by the lowercased name and stores only names
+/// `zoo::by_name` accepts, so it holds at most one entry per zoo alias.
+fn zoo_profile(name: &str) -> Option<Arc<ModelProfile>> {
+    static MEMO: OnceLock<Mutex<HashMap<String, Arc<ModelProfile>>>> = OnceLock::new();
+    const HELD: &str = "the zoo memo's lock holders cannot panic";
+    let memo = MEMO.get_or_init(Default::default);
+    let key = name.to_ascii_lowercase();
+    if let Some(profile) = memo.lock().expect(HELD).get(&key) {
+        return Some(Arc::clone(profile));
+    }
+    let profile = Arc::new(zoo::by_name(&key)?);
+    Some(Arc::clone(
+        memo.lock().expect(HELD).entry(key).or_insert(profile),
+    ))
+}
+
+fn resolve_profile(body: &Value) -> Result<Arc<ModelProfile>, ApiError> {
     if let Some(inline) = body.get("profile") {
         return ModelProfile::from_value(inline)
+            .map(Arc::new)
             .map_err(|e| ApiError::bad_request(format!("bad inline profile: {e}")));
     }
     match body.get("model") {
@@ -114,7 +171,7 @@ fn resolve_profile(body: &Value) -> Result<ModelProfile, ApiError> {
             let name = v
                 .as_str()
                 .ok_or_else(|| ApiError::bad_request("\"model\" must be a string"))?;
-            zoo::by_name(name).ok_or_else(|| {
+            zoo_profile(name).ok_or_else(|| {
                 ApiError::bad_request(format!(
                     "unknown model {name:?} (try vgg16, resnet50, alexnet, gnmt8, gnmt16, \
                      awd-lm, s2vt, or pass an inline \"profile\")"
@@ -317,26 +374,41 @@ fn json(v: impl serde::Serialize) -> Result<Value, ApiError> {
     })
 }
 
-/// `POST /plan`: partition the model, memoized through `cache`.
-///
-/// Returns the response body plus whether the DP actually ran in this
-/// request (false = cache hit or coalesced onto a concurrent request).
-pub fn handle_plan(cache: &PlanCache, body: &[u8]) -> Result<(Value, bool), ApiError> {
-    let req = parse_body(body)?;
-    let target = parse_target(&req)?;
-    let key = fingerprint(&target)?;
+/// The rendered plan for `target` under `key`, and whether this call ran
+/// the DP (false = cache hit or coalesced onto a concurrent request).
+fn cached_plan(
+    cache: &PlanCache,
+    key: u64,
+    target: &PlanTarget,
+) -> Result<(Arc<CachedPlan>, bool), ApiError> {
     let mut computed = false;
     let plan = cache.get_or_compute(key, || {
         computed = true;
-        run_planner(&target)
+        CachedPlan::render(run_planner(target)?).map(Arc::new)
     })?;
-    let mut out = Map::new();
-    out.insert("fingerprint".into(), Value::String(format!("{key:016x}")));
-    out.insert("cached".into(), Value::Bool(!computed));
-    out.insert("label".into(), Value::String(plan.config.label()));
-    out.insert("mode".into(), Value::String(target.mode.as_str().into()));
-    out.insert("plan".into(), json(&plan)?);
-    Ok((Value::Object(out), computed))
+    Ok((plan, computed))
+}
+
+/// `POST /plan`: partition the model, memoized through `cache`.
+///
+/// Returns the response body, a JSON object with the keys `fingerprint`,
+/// `cached`, `label`, `mode` and `plan` in that order, plus whether the DP
+/// actually ran in this request (false = cache hit or coalesced onto a
+/// concurrent request). The body is spliced from the cached renderings,
+/// so a hit builds no tree and prints no plan.
+pub fn handle_plan(cache: &PlanCache, body: &[u8]) -> Result<(String, bool), ApiError> {
+    let req = parse_body(body)?;
+    let target = parse_target(&req)?;
+    let key = fingerprint(&target)?;
+    let (plan, computed) = cached_plan(cache, key, &target)?;
+    let body = format!(
+        "{{\"fingerprint\":\"{key:016x}\",\"cached\":{},\"label\":{},\"mode\":\"{}\",\"plan\":{}}}",
+        !computed,
+        plan.label_json,
+        target.mode.as_str(),
+        plan.plan_json,
+    );
+    Ok((body, computed))
 }
 
 /// `POST /simulate`: run the discrete-event simulator for the requested
@@ -350,7 +422,7 @@ pub fn handle_simulate(cache: &PlanCache, body: &[u8]) -> Result<Value, ApiError
             // No explicit config: plan one (through the cache — the DP
             // dominates, the simulation itself is the cheap part).
             let key = fingerprint(&target)?;
-            cache.get_or_compute(key, || run_planner(&target))?.config
+            cached_plan(cache, key, &target)?.0.plan.config.clone()
         }
     };
     let minibatches = match req.get("minibatches") {
@@ -436,12 +508,18 @@ mod tests {
         ShardedLruCache::new(32, 4)
     }
 
+    /// `handle_plan`'s body, parsed.
+    fn post_plan(cache: &PlanCache, body: &[u8]) -> Result<(Value, bool), ApiError> {
+        let (text, computed) = handle_plan(cache, body)?;
+        Ok((serde_json::from_str(&text).unwrap(), computed))
+    }
+
     #[test]
     fn plan_round_trip_and_cache_hit() {
         let cache = cache();
         let body = br#"{"model": "vgg16", "preset": "a", "servers": 4, "mode": "flat"}"#;
-        let (v1, computed1) = handle_plan(&cache, body).unwrap();
-        let (v2, computed2) = handle_plan(&cache, body).unwrap();
+        let (v1, computed1) = post_plan(&cache, body).unwrap();
+        let (v2, computed2) = post_plan(&cache, body).unwrap();
         assert!(computed1, "first request runs the DP");
         assert!(!computed2, "second request hits the cache");
         assert_eq!(v1.get("label"), v2.get("label"));
@@ -479,6 +557,14 @@ mod tests {
     }
 
     #[test]
+    fn a_zoo_name_resolves_to_one_profile_per_process() {
+        let profile = zoo_profile("gnmt-16").unwrap();
+        assert_eq!(*profile, zoo::gnmt16());
+        assert!(Arc::ptr_eq(&profile, &zoo_profile("GNMT-16").unwrap()));
+        assert!(zoo_profile("gnmt-17").is_none());
+    }
+
+    #[test]
     fn inline_profile_plans_and_fingerprints_like_the_zoo() {
         // JSON cannot carry NaN, so a wire profile is NaN-free by
         // construction (the fingerprint layer's NaN rejection guards the
@@ -488,9 +574,8 @@ mod tests {
         let cache = cache();
         let profile_json = serde_json::to_string(&zoo::alexnet()).unwrap();
         let inline = format!("{{\"profile\": {profile_json}, \"servers\": 1}}");
-        let (v1, computed1) = handle_plan(&cache, inline.as_bytes()).unwrap();
-        let (v2, computed2) =
-            handle_plan(&cache, br#"{"model": "alexnet", "servers": 1}"#).unwrap();
+        let (v1, computed1) = post_plan(&cache, inline.as_bytes()).unwrap();
+        let (v2, computed2) = post_plan(&cache, br#"{"model": "alexnet", "servers": 1}"#).unwrap();
         assert!(
             computed1 && !computed2,
             "inline and zoo share the cache key"
@@ -505,8 +590,8 @@ mod tests {
         // Same target, different schedules → distinct cache entries.
         let vanilla = br#"{"model": "alexnet", "servers": 1}"#;
         let two_bw = br#"{"model": "alexnet", "servers": 1, "schedule": "2bw"}"#;
-        let (v1, c1) = handle_plan(&cache, vanilla).unwrap();
-        let (v2, c2) = handle_plan(&cache, two_bw).unwrap();
+        let (v1, c1) = post_plan(&cache, vanilla).unwrap();
+        let (v2, c2) = post_plan(&cache, two_bw).unwrap();
         assert!(c1 && c2, "different schedules must not share a cache key");
         assert_ne!(v1.get("fingerprint"), v2.get("fingerprint"));
 
@@ -520,7 +605,7 @@ mod tests {
         let relaxed = br#"{"model": "huge-lm", "preset": "a", "servers": 4, "mode": "flat",
                            "memory_limit_bytes": 4294967296,
                            "schedule": "2bw-recompute"}"#;
-        let (v, _) = handle_plan(&cache, relaxed).unwrap();
+        let (v, _) = post_plan(&cache, relaxed).unwrap();
         assert!(v.get("plan").is_some());
     }
 

@@ -497,13 +497,7 @@ fn route(req: &Request, state: &ServiceState) -> Result<String, ApiError> {
             state.publish_cache_metrics();
             Ok(state.metrics.render_prometheus())
         }
-        ("POST", "/plan") => {
-            let (v, _computed) = protocol::handle_plan(&state.cache, &req.body)?;
-            serde_json::to_string(&v).map_err(|e| ApiError {
-                status: 500,
-                message: e.to_string(),
-            })
-        }
+        ("POST", "/plan") => protocol::handle_plan(&state.cache, &req.body).map(|(body, _)| body),
         ("POST", "/simulate") => {
             let v = protocol::handle_simulate(&state.cache, &req.body)?;
             serde_json::to_string(&v).map_err(|e| ApiError {

@@ -3,11 +3,16 @@
 //! The load-bearing property of a memoizing planner: a cache *hit* must
 //! be indistinguishable from a cold computation — byte-identical response
 //! JSON — across the whole request space (model × preset × servers ×
-//! batch × mode × precision). Plus the concurrency guarantee the serving
-//! layer leans on: N racing requests for one cold key run the DP once.
+//! batch × mode × precision), and both must be the bytes a response
+//! printed from one JSON tree reads. Plus the concurrency guarantee the
+//! serving layer leans on: N racing requests for one cold key run the DP
+//! once.
 
+use pipedream_core::{fingerprint_plan_request, Plan};
+use pipedream_model::zoo;
 use pipedream_serve::cache::ShardedLruCache;
-use pipedream_serve::protocol::{handle_plan, PlanCache};
+use pipedream_serve::protocol::{handle_plan, parse_target, PlanCache};
+use pipedream_serve::PlanMode;
 use proptest::prelude::*;
 use serde::Value;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -16,6 +21,12 @@ use std::thread;
 
 fn fresh_cache() -> PlanCache {
     ShardedLruCache::new(64, 4)
+}
+
+/// `handle_plan`'s body, parsed.
+fn plan_value(cache: &PlanCache, body: &[u8]) -> (Value, bool) {
+    let (text, computed) = handle_plan(cache, body).unwrap();
+    (serde_json::from_str(&text).unwrap(), computed)
 }
 
 /// Serialize the response with the `cached` marker (the only legitimate
@@ -57,16 +68,100 @@ proptest! {
         // Cold compute in one cache, warm hit in the same cache, and an
         // independent cold compute in a second cache: all three agree.
         let cache_a = fresh_cache();
-        let (cold, computed_cold) = handle_plan(&cache_a, body.as_bytes()).unwrap();
-        let (warm, computed_warm) = handle_plan(&cache_a, body.as_bytes()).unwrap();
+        let (cold, computed_cold) = plan_value(&cache_a, body.as_bytes());
+        let (warm, computed_warm) = plan_value(&cache_a, body.as_bytes());
         let cache_b = fresh_cache();
-        let (cold2, _) = handle_plan(&cache_b, body.as_bytes()).unwrap();
+        let (cold2, _) = plan_value(&cache_b, body.as_bytes());
 
         prop_assert!(computed_cold, "first request must run the DP");
         prop_assert!(!computed_warm, "second request must hit");
         prop_assert_eq!(canonical_response(&cold), canonical_response(&warm));
         prop_assert_eq!(canonical_response(&cold), canonical_response(&cold2));
         prop_assert_eq!(warm.get("cached"), Some(&Value::Bool(true)));
+    }
+}
+
+/// The `/plan` body as one JSON tree prints it: a `Map` in the
+/// response's key order with the plan lowered by `to_value`.
+fn tree_rendering(key: u64, cached: bool, mode: &str, plan: &Plan) -> String {
+    let mut out = serde_json::Map::new();
+    out.insert("fingerprint".into(), Value::String(format!("{key:016x}")));
+    out.insert("cached".into(), Value::Bool(cached));
+    out.insert("label".into(), Value::String(plan.config.label()));
+    out.insert("mode".into(), Value::String(mode.into()));
+    out.insert("plan".into(), serde_json::to_value(plan).unwrap());
+    serde_json::to_string(&Value::Object(out)).unwrap()
+}
+
+#[test]
+fn spliced_bodies_match_the_tree_rendering() {
+    // Every serve-mixed key, then an inline profile equal to a zoo model
+    // and the knobs that key space leaves at their defaults.
+    let mut requests = Vec::new();
+    for model in [
+        "vgg16", "resnet50", "alexnet", "gnmt16", "gnmt8", "awd-lm", "s2vt", "huge-lm",
+    ] {
+        for preset in ["a", "b"] {
+            for servers in 1..=4 {
+                for mode in ["hierarchical", "flat"] {
+                    for schedule in ["vanilla", "2bw"] {
+                        requests.push(format!(
+                            "{{\"model\":\"{model}\",\"preset\":\"{preset}\",\"servers\":{servers},\
+                             \"mode\":\"{mode}\",\"schedule\":\"{schedule}\"}}"
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(requests.len(), 256);
+    let vgg16 = serde_json::to_string(&zoo::vgg16()).unwrap();
+    requests.push(format!("{{\"profile\":{vgg16},\"servers\":2}}"));
+    requests.extend(
+        [
+            r#"{"model":"gnmt8","preset":"b","servers":2,"precision":"fp16"}"#,
+            r#"{"model":"resnet50","servers":3,"mode":"flat","batch":7}"#,
+            r#"{"model":"vgg16","servers":2,"memory_limit_bytes":17179869184}"#,
+            r#"{"model":"huge-lm","servers":4,"mode":"flat","memory_limit_bytes":4294967296,
+                "schedule":"2bw-recompute"}"#,
+        ]
+        .map(String::from),
+    );
+
+    for request in &requests {
+        let cache = fresh_cache();
+        let (cold, computed) = handle_plan(&cache, request.as_bytes()).unwrap();
+        let (warm, recomputed) = handle_plan(&cache, request.as_bytes()).unwrap();
+        assert!(computed && !recomputed, "{request}");
+
+        let target = parse_target(&serde_json::from_str(request).unwrap()).unwrap();
+        let mode = match target.mode {
+            PlanMode::Hierarchical => "hierarchical",
+            PlanMode::Flat => "flat",
+        };
+        let key = fingerprint_plan_request(
+            &target.profile,
+            &target.topo,
+            target.batch,
+            target.precision,
+            mode,
+            target.memory_limit,
+            target.schedule,
+        )
+        .unwrap();
+        let resident = cache
+            .get_or_compute(key, || panic!("{request} is not resident"))
+            .unwrap();
+        assert_eq!(
+            cold,
+            tree_rendering(key, false, mode, resident.plan()),
+            "{request}"
+        );
+        assert_eq!(
+            warm,
+            tree_rendering(key, true, mode, resident.plan()),
+            "{request}"
+        );
     }
 }
 
@@ -105,7 +200,7 @@ fn concurrent_same_key_requests_run_the_dp_once() {
             let cache = Arc::clone(&cache);
             let dp_runs = Arc::clone(&dp_runs);
             thread::spawn(move || {
-                let (v, computed) = handle_plan(&cache, body).unwrap();
+                let (v, computed) = plan_value(&cache, body);
                 if computed {
                     dp_runs.fetch_add(1, Ordering::Relaxed);
                 }
