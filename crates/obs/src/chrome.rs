@@ -13,7 +13,12 @@
 //! Flow events are *derived* from the span identities at export time, not
 //! recorded: the ring stays allocation-free and the arrows are a pure
 //! function of the snapshot, so re-exporting a parsed trace reproduces
-//! them byte-for-byte.
+//! them byte-for-byte. Endpoints are paired without maps: the arrival
+//! bindings and the allreduce deposits and releases are collected in
+//! track order, stably sorted by `(stage, minibatch)` once, and found by
+//! binary search, so the first binding of a key still wins and the sync
+//! rounds come out in key order. An arrow's id is appended digit by digit
+//! like every other field of its line.
 //!
 //! The document is built by hand rather than through a serializer so the
 //! byte output is deterministic for golden-file tests, and it is written
@@ -30,14 +35,16 @@
 //! are skipped on parse (they are re-derived on the next render). It
 //! drives `serde_json`'s pull [`Reader`] itself and folds each event into
 //! its track as it is read: no value tree, and nothing allocated per
-//! event.
+//! event. The numbers the exporter writes have no exponent and, for a run
+//! shorter than eleven days, at most 15 digits, so the reader answers
+//! them from the digits it scanned, without parsing the text again.
 
 use crate::event::{Event, SpanKind};
 use crate::recorder::{TraceSession, TraceSnapshot, TrackEvents};
 use serde_json::{Kind, Number, Reader};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
-use std::fmt::{self, Write as _};
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::io::{self, Write};
 
 fn escape(s: &str) -> String {
@@ -66,7 +73,10 @@ struct FlowPoint {
 }
 
 /// Cross-track flow pairing state, fed one track at a time. Only compact
-/// endpoint tuples are retained, never whole tracks.
+/// endpoint tuples are retained, never whole tracks. Endpoints that pair
+/// by `(stage, mb)` are kept in arrival order and sorted by that key,
+/// stably, once every track is in ([`FlowIndex::for_each_point`]), so the
+/// first of several with one key is still the one found first.
 #[derive(Default)]
 struct FlowIndex {
     /// Forward-span ends on stage tracks (activation producers).
@@ -74,17 +84,37 @@ struct FlowIndex {
     /// Backward-span ends on stage tracks (gradient producers).
     bwd_ends: Vec<FlowPoint>,
     /// Arrival binding per forward span: the first `RecvWait{mb}` nested
-    /// inside it, else the span start. Keyed (stage, mb), first wins.
-    recv_in_fwd: HashMap<(usize, u64), FlowPoint>,
+    /// inside it, else the span start. Paired by (stage, mb), first wins.
+    recv_in_fwd: Vec<FlowPoint>,
     /// Same for backward spans.
-    recv_in_bwd: HashMap<(usize, u64), FlowPoint>,
+    recv_in_bwd: Vec<FlowPoint>,
     /// Same-track stash push→pop pairs.
     stash: Vec<(FlowPoint, FlowPoint)>,
     /// Same-track recompute-end→backward-start pairs.
     recompute: Vec<(FlowPoint, FlowPoint)>,
-    /// Allreduce rounds keyed (stage, mb): latest deposit + all releases.
-    sync: BTreeMap<(usize, u64), (Option<FlowPoint>, Vec<FlowPoint>)>,
+    /// Allreduce deposits; a round, keyed (stage, mb), completes at its
+    /// latest one.
+    deposits: Vec<FlowPoint>,
+    /// Allreduce releases; each ends an arrow of its round.
+    releases: Vec<FlowPoint>,
 }
+
+impl FlowPoint {
+    fn key(&self) -> (usize, u64) {
+        (self.stage, self.mb)
+    }
+}
+
+/// The run of a slice sorted by [`FlowPoint::key`] that has key `key`.
+fn with_key(sorted: &[FlowPoint], key: (usize, u64)) -> &[FlowPoint] {
+    let from = sorted.partition_point(|p| p.key() < key);
+    let len = sorted[from..].partition_point(|p| p.key() == key);
+    &sorted[from..from + len]
+}
+
+/// What an arrow's id says after its name: three labelled numbers, so
+/// `act:e0:mb3:s1` is `[(":e", 0), (":mb", 3), (":s", 1)]`.
+type ArrowId = [(&'static str, u64); 3];
 
 /// The events of one kind on a track, grouped by minibatch and in track
 /// order within one.
@@ -144,18 +174,14 @@ impl FlowIndex {
                     let bind = recvs
                         .find(mb, |r| r.start_ns >= ev.start_ns && r.end_ns <= ev.end_ns)
                         .map_or(ev.start_ns, |r| r.start_ns);
-                    self.recv_in_fwd
-                        .entry((stage, mb))
-                        .or_insert(point(mb, ev.epoch, bind));
+                    self.recv_in_fwd.push(point(mb, ev.epoch, bind));
                 }
                 SpanKind::Bwd { mb } if !ev.is_instant() => {
                     self.bwd_ends.push(point(mb, ev.epoch, ev.end_ns));
                     let bind = recvs
                         .find(mb, |r| r.start_ns >= ev.start_ns && r.end_ns <= ev.end_ns)
                         .map_or(ev.start_ns, |r| r.start_ns);
-                    self.recv_in_bwd
-                        .entry((stage, mb))
-                        .or_insert(point(mb, ev.epoch, bind));
+                    self.recv_in_bwd.push(point(mb, ev.epoch, bind));
                 }
                 SpanKind::StashPush { mb } => {
                     if let Some(pop) = pops.find(mb, |p| p.start_ns >= ev.start_ns) {
@@ -174,19 +200,10 @@ impl FlowIndex {
                     }
                 }
                 SpanKind::SyncDeposit { mb } => {
-                    let entry = self.sync.entry((stage, mb)).or_default();
-                    let p = point(mb, ev.epoch, ev.start_ns);
-                    // The round completes at the *last* deposit.
-                    if entry.0.map(|d| d.ts_ns < p.ts_ns).unwrap_or(true) {
-                        entry.0 = Some(p);
-                    }
+                    self.deposits.push(point(mb, ev.epoch, ev.start_ns));
                 }
                 SpanKind::SyncRelease { mb } => {
-                    self.sync.entry((stage, mb)).or_default().1.push(point(
-                        mb,
-                        ev.epoch,
-                        ev.start_ns,
-                    ));
+                    self.releases.push(point(mb, ev.epoch, ev.start_ns));
                 }
                 _ => {}
             }
@@ -197,50 +214,63 @@ impl FlowIndex {
     /// `"f"` endpoint(s), in a deterministic order: `visit(name, ph, id,
     /// point)`, `id` being the same for all endpoints of one arrow.
     fn for_each_point(
-        &self,
-        mut visit: impl FnMut(&str, &str, &str, &FlowPoint) -> io::Result<()>,
+        mut self,
+        mut visit: impl FnMut(&str, &str, &ArrowId, &FlowPoint) -> io::Result<()>,
     ) -> io::Result<()> {
-        let mut id = String::new(); // reused: formatted once per arrow
-        let mut arrow = |name: &str,
-                         args: fmt::Arguments<'_>,
-                         from: &FlowPoint,
-                         to: &[FlowPoint]|
-         -> io::Result<()> {
-            id.clear();
-            let _ = write!(id, "{name}:{args}");
+        for keyed in [
+            &mut self.recv_in_fwd,
+            &mut self.recv_in_bwd,
+            &mut self.deposits,
+            &mut self.releases,
+        ] {
+            keyed.sort_by_key(FlowPoint::key); // stable
+        }
+        let mut arrow = |name: &str, id: ArrowId, from: &FlowPoint, to: &[FlowPoint]| {
             visit(name, "s", &id, from)?;
             to.iter().try_for_each(|p| visit(name, "f", &id, p))
         };
+        // Ids of arrows between stages, and of arrows along one track.
+        let across = |p: &FlowPoint| {
+            [
+                (":e", p.epoch.into()),
+                (":mb", p.mb),
+                (":s", p.stage as u64),
+            ]
+        };
+        let along = |p: &FlowPoint| [(":t", p.tid as u64), (":e", p.epoch.into()), (":mb", p.mb)];
         let one = std::slice::from_ref;
         for p in &self.fwd_ends {
-            if let Some(c) = self.recv_in_fwd.get(&(p.stage + 1, p.mb)) {
-                let id = format_args!("e{}:mb{}:s{}", p.epoch, p.mb, p.stage);
-                arrow("act", id, p, one(c))?;
+            if let Some(c) = with_key(&self.recv_in_fwd, (p.stage + 1, p.mb)).first() {
+                arrow("act", across(p), p, one(c))?;
             }
         }
         for p in &self.bwd_ends {
             if p.stage == 0 {
                 continue;
             }
-            if let Some(c) = self.recv_in_bwd.get(&(p.stage - 1, p.mb)) {
-                let id = format_args!("e{}:mb{}:s{}", p.epoch, p.mb, p.stage);
-                arrow("grad", id, p, one(c))?;
+            if let Some(c) = with_key(&self.recv_in_bwd, (p.stage - 1, p.mb)).first() {
+                arrow("grad", across(p), p, one(c))?;
             }
         }
         for (push, pop) in &self.stash {
-            let id = format_args!("t{}:e{}:mb{}", push.tid, push.epoch, push.mb);
-            arrow("stash", id, push, one(pop))?;
+            arrow("stash", along(push), push, one(pop))?;
         }
-        for ((stage, mb), (deposit, releases)) in &self.sync {
-            let (Some(d), false) = (deposit, releases.is_empty()) else {
-                continue;
-            };
-            let id = format_args!("s{stage}:e{}:mb{mb}", d.epoch);
-            arrow("sync", id, d, releases)?;
+        // Rounds in key order; each needs a deposit and a release.
+        let mut rest = &self.releases[..];
+        while let Some(first) = rest.first() {
+            let (stage, mb) = first.key();
+            let (releases, after) = rest.split_at(rest.partition_point(|p| p.key() == (stage, mb)));
+            rest = after;
+            // The round completes at the *last* deposit (the first of
+            // several at that time).
+            let deposits = with_key(&self.deposits, (stage, mb)).iter();
+            if let Some(d) = deposits.reduce(|d, p| if d.ts_ns < p.ts_ns { p } else { d }) {
+                let id = [(":s", stage as u64), (":e", d.epoch.into()), (":mb", mb)];
+                arrow("sync", id, d, releases)?;
+            }
         }
         for (rec, bwd) in &self.recompute {
-            let id = format_args!("t{}:e{}:mb{}", rec.tid, rec.epoch, rec.mb);
-            arrow("recompute", id, rec, one(bwd))?;
+            arrow("recompute", along(rec), rec, one(bwd))?;
         }
         Ok(())
     }
@@ -250,42 +280,52 @@ impl FlowIndex {
 /// into. Its pieces are appended directly (a line is a dozen constant
 /// strings around half a dozen integers), not through `fmt`.
 #[derive(Default)]
-struct Line(String);
+struct Line(Vec<u8>);
 
 impl Line {
     fn str(&mut self, s: &str) -> &mut Self {
-        self.0.push_str(s);
+        self.0.extend_from_slice(s.as_bytes());
         self
     }
 
-    /// `n` in decimal, with a point before its last `frac` digits (and at
-    /// least one digit before the point).
-    fn decimal(&mut self, n: u64, frac: usize) -> &mut Self {
-        let mut text = [0u8; 24]; // u64::MAX has 20 digits
+    /// `n` in decimal, two digits a step.
+    fn int(&mut self, n: u64) -> &mut Self {
+        const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+                                    2021222324252627282930313233343536373839\
+                                    4041424344454647484950515253545556575859\
+                                    6061626364656667686970717273747576777879\
+                                    8081828384858687888990919293949596979899";
+        let mut text = [0u8; 20]; // u64::MAX has 20 digits
         let mut at = text.len();
         let mut rest = n;
-        for place in 0.. {
-            if place == frac && frac > 0 {
-                at -= 1;
-                text[at] = b'.';
-            }
-            at -= 1;
-            text[at] = b'0' + (rest % 10) as u8;
-            rest /= 10;
-            if rest == 0 && place >= frac {
-                break;
-            }
+        while rest >= 10 {
+            let pair = (rest % 100) as usize * 2;
+            rest /= 100;
+            at -= 2;
+            text[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
         }
-        self.str(std::str::from_utf8(&text[at..]).expect("ASCII digits"))
-    }
-
-    fn int(&mut self, n: u64) -> &mut Self {
-        self.decimal(n, 0)
+        // A last single digit, or the one digit of 0.
+        if rest > 0 || at == text.len() {
+            at -= 1;
+            text[at] = b'0' + rest as u8;
+        }
+        self.0.extend_from_slice(&text[at..]);
+        self
     }
 
     /// Nanoseconds as microseconds, the remainder as a 3-digit fraction.
     fn us(&mut self, ns: u64) -> &mut Self {
-        self.decimal(ns, 3)
+        let (whole, frac) = (ns / 1000, ns % 1000);
+        let digit = |d: u64| b'0' + d as u8;
+        self.int(whole);
+        let point = [
+            b'.',
+            digit(frac / 100),
+            digit(frac / 10 % 10),
+            digit(frac % 10),
+        ];
+        self.0.extend_from_slice(&point);
+        self
     }
 
     /// Append a track's `thread_name` metadata event.
@@ -327,15 +367,18 @@ impl Line {
     }
 
     /// Append one endpoint of a flow arrow.
-    fn flow_point(&mut self, name: &str, ph: &str, id: &str, p: &FlowPoint) {
+    fn flow_point(&mut self, name: &str, ph: &str, id: &ArrowId, p: &FlowPoint) {
         self.str("{\"name\":\"")
             .str(name)
             .str("\",\"cat\":\"flow\",\"ph\":\"")
             .str(ph)
             .str(if ph == "f" { "\",\"bp\":\"e" } else { "" })
             .str("\",\"id\":\"")
-            .str(id)
-            .str("\",\"ts\":")
+            .str(name);
+        for &(label, n) in id {
+            self.str(label).int(n);
+        }
+        self.str("\",\"ts\":")
             .us(p.ts_ns)
             .str(",\"pid\":0,\"tid\":")
             .int(p.tid as u64)
@@ -367,18 +410,18 @@ pub fn write_chrome_trace<W: Write, T: std::borrow::Borrow<TrackEvents>>(
         let track: &TrackEvents = std::borrow::Borrow::borrow(&track);
         begin(&mut line);
         line.thread_name(tid, &track.name);
-        out.write_all(line.0.as_bytes())?;
+        out.write_all(&line.0)?;
         for ev in &track.events {
             begin(&mut line);
             line.event(tid, ev);
-            out.write_all(line.0.as_bytes())?;
+            out.write_all(&line.0)?;
         }
         flows.index_track(tid, track);
     }
     flows.for_each_point(|name, ph, id, p| {
         begin(&mut line);
         line.flow_point(name, ph, id, p);
-        out.write_all(line.0.as_bytes())
+        out.write_all(&line.0)
     })?;
     out.write_all(b"\n],\"displayTimeUnit\":\"ms\"}\n")?;
     Ok(())
@@ -687,6 +730,19 @@ mod tests {
     }
 
     #[test]
+    fn numbers_are_written_as_fmt_writes_them() {
+        let mut cases = vec![0, 1, 9, 10, 99, 100, 101, 999, 1_000, 1_001, 123_456_789];
+        cases.extend([u64::MAX / 1000, u64::MAX - 1, u64::MAX]);
+        cases.extend((0..20).map(|p| 10u64.pow(p)));
+        for n in cases {
+            let mut line = Line::default();
+            line.int(n).str(" ").us(n);
+            let text = format!("{n} {}.{:03}", n / 1000, n % 1000);
+            assert_eq!(String::from_utf8(line.0).unwrap(), text);
+        }
+    }
+
+    #[test]
     fn names_are_escaped() {
         let mut snap = sample();
         snap.tracks[0].name = "we\"ird\\name".into();
@@ -858,5 +914,98 @@ mod tests {
             "Chrome trace output drifted from tests/golden/chrome_trace.json; \
              update the golden file if the change is intentional"
         );
+    }
+
+    /// The arrows [`sample`] lacks: stage 0 on two replicas with two
+    /// allreduce rounds (the second's deposits tie), recompute before
+    /// backward on stage 1, epochs past 0, and a minibatch whose forward
+    /// ran twice on each stage (a rerun after recovery), so two arrows
+    /// compete for the first arrival binding.
+    fn replicated_sample() -> TraceSnapshot {
+        let at = |kind, start_ns, end_ns, epoch| Event {
+            kind,
+            start_ns,
+            end_ns,
+            epoch,
+        };
+        TraceSnapshot {
+            tracks: vec![
+                TrackEvents {
+                    name: "stage0.replica0".into(),
+                    stage: Some(0),
+                    events: vec![
+                        at(SpanKind::Fwd { mb: 0 }, 1_000, 3_000, 1),
+                        at(SpanKind::StashPush { mb: 0 }, 2_000, 2_000, 1),
+                        at(SpanKind::Fwd { mb: 2 }, 5_000, 7_000, 1),
+                        at(SpanKind::StashPush { mb: 2 }, 6_000, 6_000, 1),
+                        at(SpanKind::Bwd { mb: 0 }, 20_000, 24_000, 1),
+                        at(SpanKind::RecvWait { mb: 0 }, 20_000, 21_000, 1),
+                        at(SpanKind::StashPop { mb: 0 }, 20_500, 20_500, 1),
+                        at(SpanKind::SyncDeposit { mb: 0 }, 24_000, 24_000, 1),
+                        at(SpanKind::SyncRelease { mb: 0 }, 30_500, 30_500, 1),
+                        at(SpanKind::Bwd { mb: 2 }, 31_000, 33_000, 1),
+                        at(SpanKind::StashPop { mb: 2 }, 31_000, 31_000, 1),
+                        at(SpanKind::SyncDeposit { mb: 2 }, 33_000, 33_000, 1),
+                        at(SpanKind::SyncRelease { mb: 2 }, 34_000, 34_000, 1),
+                        at(SpanKind::Fwd { mb: 0 }, 39_000, 39_500, 2),
+                    ],
+                    dropped: 0,
+                },
+                TrackEvents {
+                    name: "stage0.replica1".into(),
+                    stage: Some(0),
+                    events: vec![
+                        at(SpanKind::Fwd { mb: 1 }, 3_000, 5_000, 1),
+                        at(SpanKind::Bwd { mb: 1 }, 26_000, 30_000, 1),
+                        at(SpanKind::RecvWait { mb: 1 }, 26_000, 27_000, 1),
+                        at(SpanKind::SyncDeposit { mb: 0 }, 30_000, 30_000, 1),
+                        at(SpanKind::SyncRelease { mb: 0 }, 30_600, 30_600, 1),
+                        at(SpanKind::SyncDeposit { mb: 2 }, 33_000, 33_000, 1),
+                        at(SpanKind::SyncRelease { mb: 2 }, 34_100, 34_100, 1),
+                    ],
+                    dropped: 0,
+                },
+                TrackEvents {
+                    name: "stage1.replica0".into(),
+                    stage: Some(1),
+                    events: vec![
+                        at(SpanKind::Fwd { mb: 0 }, 3_500, 8_000, 1),
+                        at(SpanKind::RecvWait { mb: 0 }, 3_600, 4_000, 1),
+                        at(SpanKind::Fwd { mb: 1 }, 8_000, 10_000, 1),
+                        at(SpanKind::Fwd { mb: 2 }, 10_000, 12_000, 1),
+                        at(SpanKind::Recompute { mb: 0 }, 12_000, 14_000, 1),
+                        at(SpanKind::Bwd { mb: 0 }, 14_000, 19_000, 1),
+                        at(SpanKind::Recompute { mb: 1 }, 19_000, 21_000, 1),
+                        at(SpanKind::Bwd { mb: 1 }, 21_000, 25_000, 1),
+                        at(SpanKind::Bwd { mb: 2 }, 25_000, 28_000, 1),
+                        at(SpanKind::Fwd { mb: 0 }, 40_000, 41_000, 2),
+                        at(SpanKind::RecvWait { mb: 0 }, 40_100, 40_200, 2),
+                    ],
+                    dropped: 0,
+                },
+                TrackEvents {
+                    name: "supervisor".into(),
+                    stage: None,
+                    events: vec![
+                        at(SpanKind::Fault, 37_000, 37_000, 1),
+                        at(SpanKind::Recovery, 38_000, 38_000, 2),
+                    ],
+                    dropped: 0,
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn replicated_golden_file_matches() {
+        let doc = render_chrome_trace(&replicated_sample());
+        let golden = include_str!("../tests/golden/chrome_trace_replicated.json");
+        assert_eq!(
+            doc, golden,
+            "Chrome trace output drifted from tests/golden/chrome_trace_replicated.json; \
+             update the golden file if the change is intentional"
+        );
+        let back = parse_chrome_trace(&doc).expect("parses");
+        assert_eq!(render_chrome_trace(&back), doc);
     }
 }

@@ -38,7 +38,7 @@ use crate::analysis::measured_per_minibatch_s;
 use crate::event::SpanKind;
 use crate::recorder::{TraceSnapshot, TrackEvents};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Where a slice of a stage's wall clock went.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -660,6 +660,14 @@ pub fn attribute_window(
     fold(snap, from_ns, to_ns).attribution()
 }
 
+/// The ids of minibatch `mb`'s spans on `stage`, in a list of
+/// `(stage, mb, id)` sorted ascending.
+fn spans_of(sorted: &[(usize, u64, usize)], stage: usize, mb: u64) -> &[(usize, u64, usize)] {
+    let from = sorted.partition_point(|&(s, m, _)| (s, m) < (stage, mb));
+    let len = sorted[from..].partition_point(|&(s, m, _)| (s, m) == (stage, mb));
+    &sorted[from..from + len]
+}
+
 /// Reconstruct the dependency DAG of a trace, attribute every nanosecond
 /// of every stage track to a [`BubbleCause`], and extract the critical
 /// path. Works on measured snapshots, parsed Chrome traces, and simulated
@@ -670,24 +678,27 @@ pub fn analyze_trace(snap: &TraceSnapshot) -> CriticalPathReport {
     let (wall_s, num_stages) = (whole.to_ns as f64 * 1e-9, per_stage.len());
     let fault_instants = whole.fault_instants;
 
-    // Node id → its same-track predecessor.
+    // Node ids run track by track, so a node's same-track predecessor is
+    // the id before it unless it opens its track.
     let mut all_nodes: Vec<Node> = Vec::new();
-    let mut prev_on_track: HashMap<usize, usize> = HashMap::new();
+    let mut opens_track: Vec<bool> = Vec::new();
     for t in whole.tracks {
-        let base = all_nodes.len();
+        opens_track.extend((0..t.nodes.len()).map(|i| i == 0));
         all_nodes.extend(t.nodes);
-        prev_on_track.extend((base + 1..all_nodes.len()).map(|id| (id, id - 1)));
     }
-    // Producer lookup: (stage, mb) → node ids of its Fwd / Bwd spans.
-    let mut by_fwd: HashMap<(usize, u64), Vec<usize>> = HashMap::new();
-    let mut by_bwd: HashMap<(usize, u64), Vec<usize>> = HashMap::new();
+    // Producer lookup: Fwd / Bwd node ids sorted by (stage, mb), so one
+    // minibatch's spans on one stage are a run, in id order.
+    let mut fwds: Vec<(usize, u64, usize)> = Vec::new();
+    let mut bwds: Vec<(usize, u64, usize)> = Vec::new();
     for (id, n) in all_nodes.iter().enumerate() {
         match n.kind {
-            SpanKind::Fwd { mb } => by_fwd.entry((n.stage, mb)).or_default().push(id),
-            SpanKind::Bwd { mb } => by_bwd.entry((n.stage, mb)).or_default().push(id),
+            SpanKind::Fwd { mb } => fwds.push((n.stage, mb, id)),
+            SpanKind::Bwd { mb } => bwds.push((n.stage, mb, id)),
             _ => {}
         }
     }
+    fwds.sort_unstable();
+    bwds.sort_unstable();
     let last_stage = num_stages.saturating_sub(1);
 
     let mut critical_path: Vec<CpContribution> = (0..num_stages)
@@ -699,11 +710,11 @@ pub fn analyze_trace(snap: &TraceSnapshot) -> CriticalPathReport {
     let mut cp_nodes = 0usize;
 
     if let Some(start) = (0..all_nodes.len()).max_by_key(|&i| (all_nodes[i].end_ns, i)) {
-        let mut visited: HashSet<usize> = HashSet::new();
+        let mut visited = vec![false; all_nodes.len()];
         let mut cur = start;
         let mut steps = 0usize;
         loop {
-            visited.insert(cur);
+            visited[cur] = true;
             cp_nodes += 1;
             steps += 1;
             let node = &all_nodes[cur];
@@ -712,23 +723,22 @@ pub fn analyze_trace(snap: &TraceSnapshot) -> CriticalPathReport {
             // producer (Fwd feeds the next stage's Fwd; Bwd feeds the
             // previous stage's Bwd; the last stage's Bwd follows its own
             // Fwd).
-            let producer = match node.kind {
-                SpanKind::Fwd { mb } if node.stage > 0 => by_fwd.get(&(node.stage - 1, mb)),
+            let producers = match node.kind {
+                SpanKind::Fwd { mb } if node.stage > 0 => spans_of(&fwds, node.stage - 1, mb),
                 SpanKind::Bwd { mb } if node.stage < last_stage => {
-                    by_bwd.get(&(node.stage + 1, mb))
+                    spans_of(&bwds, node.stage + 1, mb)
                 }
-                SpanKind::Bwd { mb } => by_fwd.get(&(node.stage, mb)),
-                _ => None,
-            }
-            .into_iter()
-            .flatten()
-            .copied()
-            .filter(|&id| all_nodes[id].end_ns <= node.end_ns && !visited.contains(&id))
-            .max_by_key(|&id| all_nodes[id].end_ns);
-            let same_track = prev_on_track
-                .get(&cur)
-                .copied()
-                .filter(|id| !visited.contains(id));
+                SpanKind::Bwd { mb } => spans_of(&fwds, node.stage, mb),
+                _ => &[],
+            };
+            let producer = producers
+                .iter()
+                .map(|&(_, _, id)| id)
+                .filter(|&id| all_nodes[id].end_ns <= node.end_ns && !visited[id])
+                .max_by_key(|&id| all_nodes[id].end_ns);
+            let same_track = (!opens_track[cur])
+                .then(|| cur - 1)
+                .filter(|&id| !visited[id]);
             let pred = [producer, same_track]
                 .into_iter()
                 .flatten()
@@ -999,6 +1009,82 @@ mod tests {
         let b2 = &analyze_trace(&snap2).per_stage[0].breakdown;
         assert!((b2.grad_sync_s - 2e-3).abs() < 1e-9);
         assert!((b2.two_bw_barrier_s - 0.0).abs() < 1e-12);
+    }
+
+    /// Every bit of a report, folded FNV-1a style into one word.
+    fn report_bits(r: &CriticalPathReport) -> u64 {
+        let mut words = vec![
+            r.wall_s.to_bits(),
+            r.minibatches,
+            r.per_minibatch_s.to_bits(),
+        ];
+        let causes = |b: &CauseBreakdown| BubbleCause::ALL.map(|c| b.get(c).to_bits());
+        for s in &r.per_stage {
+            words.extend([s.stage as u64, s.tracks as u64, s.minibatches]);
+            words.extend(causes(&s.breakdown));
+            words.push(s.service_per_mb_s.to_bits());
+        }
+        for c in &r.critical_path {
+            words.extend([c.stage as u64, c.seconds.to_bits()]);
+            words.extend(causes(&c.breakdown));
+        }
+        words.push(r.cp_nodes as u64);
+        words.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The trace `obs-analyze` analyzes: a simulated 4-stage 1F1B run of
+    /// 128 minibatches at unequal stage speeds.
+    fn sim_snap() -> TraceSnapshot {
+        use pipedream_core::schedule::Schedule;
+        use pipedream_core::PipelineConfig;
+        use pipedream_hw::{Device, LinkModel, Precision, Topology};
+        use pipedream_sim::PipelineSim;
+        let costs = pipedream_model::zoo::uniform(8, 1e9, 100_000, 1_000_000).costs(
+            &Device::v100(),
+            32,
+            Precision::Fp32,
+        );
+        let config = PipelineConfig::straight(8, &[1, 3, 5]);
+        let topo = Topology::flat(Device::v100(), 4, LinkModel::new(1e10, 1e-6), "obs");
+        let schedule = Schedule::one_f_one_b(&config, 128);
+        let sim = PipelineSim::new(&costs, &topo, &schedule)
+            .with_worker_speeds(vec![1.0, 0.8, 1.25, 0.9])
+            .run();
+        crate::simtrace::sim_to_snapshot(&sim, &config)
+    }
+
+    #[test]
+    fn report_bits_are_pinned() {
+        use crate::chrome::parse_chrome_trace;
+        let golden = |doc: &str| parse_chrome_trace(doc).expect("golden parses");
+        let cases = [
+            ("straggler", straggler_snap(), 10, 0x4355_4d36_8dd8_0d45),
+            (
+                "chrome_trace.json",
+                golden(include_str!("../tests/golden/chrome_trace.json")),
+                5,
+                0x4eba_7021_3eee_9245,
+            ),
+            (
+                "chrome_trace_replicated.json",
+                golden(include_str!("../tests/golden/chrome_trace_replicated.json")),
+                12,
+                0x4067_d665_5ae2_264f,
+            ),
+            ("obs-analyze", sim_snap(), 262, 0x35da_db82_72e8_a219),
+        ];
+        for (name, snap, cp_nodes, bits) in cases {
+            let report = analyze_trace(&snap);
+            assert_eq!(
+                (report.cp_nodes, report_bits(&report)),
+                (cp_nodes, bits),
+                "{name}: (cp_nodes, bits) = ({}, {:#x})",
+                report.cp_nodes,
+                report_bits(&report)
+            );
+        }
     }
 
     #[test]

@@ -116,7 +116,7 @@ pub struct PlanTarget {
     /// The model profile (zoo or inline).
     pub profile: Arc<ModelProfile>,
     /// The cluster (preset or inline).
-    pub topo: Topology,
+    pub topo: Arc<Topology>,
     /// Per-GPU minibatch size.
     pub batch: usize,
     /// Arithmetic precision.
@@ -184,9 +184,30 @@ fn resolve_profile(body: &Value) -> Result<Arc<ModelProfile>, ApiError> {
     }
 }
 
-fn resolve_topology(body: &Value) -> Result<Topology, ApiError> {
+/// The topology a preset selects at `servers` servers, built once per
+/// process. `servers` is validated to 1..=1024 before it gets here, so the
+/// memo holds at most 3 × 1024 entries.
+fn preset_topology(preset: ClusterPreset, servers: usize) -> Arc<Topology> {
+    type Memo = Mutex<HashMap<(ClusterPreset, usize), Arc<Topology>>>;
+    static MEMO: OnceLock<Memo> = OnceLock::new();
+    const HELD: &str = "the topology memo's lock holders cannot panic";
+    let memo = MEMO.get_or_init(Default::default);
+    if let Some(topo) = memo.lock().expect(HELD).get(&(preset, servers)) {
+        return Arc::clone(topo);
+    }
+    let topo = Arc::new(preset.with_servers(servers));
+    Arc::clone(
+        memo.lock()
+            .expect(HELD)
+            .entry((preset, servers))
+            .or_insert(topo),
+    )
+}
+
+fn resolve_topology(body: &Value) -> Result<Arc<Topology>, ApiError> {
     if let Some(inline) = body.get("topology") {
         return Topology::from_value(inline)
+            .map(Arc::new)
             .map_err(|e| ApiError::bad_request(format!("bad inline topology: {e}")));
     }
     let preset = match body.get("preset") {
@@ -210,7 +231,7 @@ fn resolve_topology(body: &Value) -> Result<Topology, ApiError> {
             .ok_or_else(|| ApiError::bad_request("\"servers\" must be an integer in 1..=1024"))?
             as usize,
     };
-    Ok(preset.with_servers(servers))
+    Ok(preset_topology(preset, servers))
 }
 
 /// Parse the shared target fields of a request body.
@@ -562,6 +583,17 @@ mod tests {
         assert_eq!(*profile, zoo::gnmt16());
         assert!(Arc::ptr_eq(&profile, &zoo_profile("GNMT-16").unwrap()));
         assert!(zoo_profile("gnmt-17").is_none());
+    }
+
+    #[test]
+    fn a_preset_resolves_to_one_topology_per_process() {
+        let body = |text: &str| serde_json::from_str::<Value>(text).unwrap();
+        let topo = resolve_topology(&body(r#"{"preset": "b", "servers": 3}"#)).unwrap();
+        assert_eq!(*topo, ClusterPreset::B.with_servers(3));
+        let again = resolve_topology(&body(r#"{"preset": "B", "servers": 3}"#)).unwrap();
+        assert!(Arc::ptr_eq(&topo, &again));
+        let other = resolve_topology(&body(r#"{"preset": "b", "servers": 4}"#)).unwrap();
+        assert_eq!(*other, ClusterPreset::B.with_servers(4));
     }
 
     #[test]
