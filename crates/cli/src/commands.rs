@@ -32,8 +32,9 @@ fn load_model(name: &str) -> Result<ModelProfile, String> {
     }
     zoo::by_name(name).ok_or_else(|| {
         format!(
-            "unknown model '{}' (try vgg16, resnet50, alexnet, gnmt8, gnmt16, awd-lm, s2vt, huge-lm, or @profile.json)",
-            name.to_ascii_lowercase()
+            "unknown model '{}' (try {}, or @profile.json)",
+            name.to_ascii_lowercase(),
+            zoo::NAMES.join(", ")
         )
     })
 }
@@ -884,9 +885,6 @@ pub fn analyze(a: AnalyzeArgs) -> Result<String, String> {
     Ok(out)
 }
 
-/// `pipedream export`: write a zoo model profile and/or a preset topology
-/// as JSON — the same format `--model @file.json` / `--topology @file.json`
-/// accept, so users can start from a preset and edit.
 /// `pipedream serve`: run the planning daemon until `--for-secs` elapses
 /// (0 = forever). Prints the bound address up front so scripts can scrape
 /// it; the returned summary reports traffic and cache behaviour.
@@ -919,12 +917,12 @@ pub fn serve(a: ServeArgs) -> Result<String, String> {
     println!("endpoints: POST /plan /simulate /validate · GET /metrics /healthz");
 
     let started = std::time::Instant::now();
-    loop {
-        std::thread::sleep(std::time::Duration::from_millis(200));
-        if a.for_secs > 0 && started.elapsed().as_secs() >= a.for_secs {
-            break;
+    if a.for_secs == 0 {
+        loop {
+            std::thread::park(); // serve until killed; a wake-up is spurious
         }
     }
+    std::thread::sleep(std::time::Duration::from_secs(a.for_secs));
     let stats = server.state().cache.stats();
     server.shutdown();
     Ok(format!(
@@ -937,6 +935,9 @@ pub fn serve(a: ServeArgs) -> Result<String, String> {
     ))
 }
 
+/// `pipedream export`: write a zoo model profile and/or a preset topology
+/// as JSON — the same format `--model @file.json` / `--topology @file.json`
+/// accept, so users can start from a preset and edit.
 pub fn export(a: ExportArgs) -> Result<String, String> {
     let mut doc = serde_json::Map::new();
     if let Some(model) = &a.model {

@@ -380,6 +380,12 @@ pub fn all_models() -> Vec<ModelProfile> {
     ]
 }
 
+/// One spelling of each model [`by_name`] knows, for messages that list
+/// them.
+pub const NAMES: &[&str] = &[
+    "vgg16", "resnet50", "alexnet", "gnmt8", "gnmt16", "awd-lm", "s2vt", "huge-lm",
+];
+
 /// The zoo model a user means by `name` (case-insensitive, with the
 /// spellings the CLI and the planner daemon accept), if any.
 pub fn by_name(name: &str) -> Option<ModelProfile> {
@@ -409,6 +415,19 @@ mod tests {
         assert_eq!(by_name("ResNet-50").map(|p| p.name), Some(resnet50().name));
         assert_eq!(by_name("lm").map(|p| p.name), Some(awd_lm().name));
         assert!(by_name("vgg19").is_none());
+    }
+
+    #[test]
+    fn every_listed_name_resolves_and_every_model_is_listed() {
+        let mut listed: Vec<String> = NAMES.iter().map(|n| by_name(n).expect(n).name).collect();
+        let mut every: Vec<String> = all_models()
+            .into_iter()
+            .chain([huge_lm()])
+            .map(|m| m.name)
+            .collect();
+        listed.sort();
+        every.sort();
+        assert_eq!(listed, every);
     }
 
     #[test]

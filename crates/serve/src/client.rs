@@ -65,13 +65,15 @@ impl Client {
         deadline_ms: Option<u64>,
     ) -> std::io::Result<Response> {
         let body = body.unwrap_or("");
-        let mut head = format!("{method} {path} HTTP/1.1\r\nhost: pipedream\r\n");
+        let mut request = format!("{method} {path} HTTP/1.1\r\nhost: pipedream\r\n");
         if let Some(ms) = deadline_ms {
-            head.push_str(&format!("x-deadline-ms: {ms}\r\n"));
+            request.push_str(&format!("x-deadline-ms: {ms}\r\n"));
         }
-        head.push_str(&format!("content-length: {}\r\n\r\n", body.len()));
-        self.write_half.write_all(head.as_bytes())?;
-        self.write_half.write_all(body.as_bytes())?;
+        request.push_str(&format!("content-length: {}\r\n\r\n", body.len()));
+        request.push_str(body);
+        // One write: a daemon that sheds this connection answers 503 and
+        // closes at once, and a second write could meet its reset first.
+        self.write_half.write_all(request.as_bytes())?;
         self.write_half.flush()?;
         self.read_response()
     }

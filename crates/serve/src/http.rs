@@ -53,7 +53,8 @@ impl Request {
 pub enum ReadError {
     /// The peer closed the connection cleanly before a request line.
     Closed,
-    /// The socket read timed out (used by workers to poll for shutdown).
+    /// The socket read timed out: the connection sat idle past the
+    /// server's idle limit, its read timeout.
     TimedOut,
     /// The bytes on the wire were not a well-formed request.
     Malformed(String),

@@ -7,7 +7,8 @@
 //!   plan cache keyed by the canonical input fingerprint, rendered: the
 //!   miss prints the plan once and every answer splices those bytes.
 //! * `/simulate` — discrete-event-simulate a configuration (planned or
-//!   caller-provided) under 1F1B and report throughput/memory.
+//!   caller-provided) under the requested schedule and report
+//!   throughput/memory.
 //! * `/validate` — check a caller-provided configuration against a model
 //!   and return the planner's prediction for it.
 //!
@@ -22,7 +23,7 @@ use pipedream_core::{
 };
 use pipedream_hw::{ClusterPreset, Precision, Topology};
 use pipedream_model::{zoo, ModelProfile};
-use pipedream_sim::simulate_pipeline;
+use pipedream_sim::PipelineSim;
 use serde::{Deserialize, Value};
 use serde_json::Map;
 use std::collections::HashMap;
@@ -173,8 +174,8 @@ fn resolve_profile(body: &Value) -> Result<Arc<ModelProfile>, ApiError> {
                 .ok_or_else(|| ApiError::bad_request("\"model\" must be a string"))?;
             zoo_profile(name).ok_or_else(|| {
                 ApiError::bad_request(format!(
-                    "unknown model {name:?} (try vgg16, resnet50, alexnet, gnmt8, gnmt16, \
-                     awd-lm, s2vt, or pass an inline \"profile\")"
+                    "unknown model {name:?} (try {}, or pass an inline \"profile\")",
+                    zoo::NAMES.join(", ")
                 ))
             })
         }
@@ -463,7 +464,9 @@ pub fn handle_simulate(cache: &PlanCache, body: &[u8]) -> Result<Value, ApiError
     );
     planner.try_evaluate(&config)?; // typed 400 on config/model mismatch
     let schedule = Schedule::one_f_one_b(&config, minibatches);
-    let sim = simulate_pipeline(planner.costs(), &target.topo, &schedule);
+    let sim = PipelineSim::new(planner.costs(), &target.topo, &schedule)
+        .with_schedule(target.schedule)
+        .run();
     let mut out = Map::new();
     out.insert("label".into(), Value::String(config.label()));
     out.insert("minibatches".into(), Value::Uint(minibatches));
@@ -651,6 +654,15 @@ mod tests {
         assert_eq!(v.get("minibatches"), Some(&Value::Uint(8)));
         // The implicit plan went through the cache.
         assert_eq!(cache.stats().misses, 1);
+    }
+
+    #[test]
+    fn simulate_runs_the_schedule_that_planned_under_the_limit() {
+        let body = br#"{"model": "huge-lm", "preset": "a", "servers": 4, "mode": "flat",
+                        "memory_limit_bytes": 4294967296, "schedule": "2bw-recompute"}"#;
+        let v = handle_simulate(&cache(), body).unwrap();
+        let peak = v.get("peak_memory_bytes").unwrap().as_u64().unwrap();
+        assert!(peak <= 4 << 30, "{peak} bytes");
     }
 
     #[test]

@@ -1,30 +1,35 @@
-//! The daemon: acceptor + fixed worker pool over a bounded queue.
+//! The daemon: a blocking acceptor and a fixed worker pool over a bounded
+//! channel.
 //!
-//! Connection-level scheduling: the acceptor pushes accepted sockets
-//! onto a bounded queue and a fixed pool of workers pops them, each
-//! serving its connection's keep-alive request stream to completion.
-//! Backpressure is explicit — when the queue is full the acceptor
-//! answers `503` immediately instead of letting connections pile up
-//! invisibly in the kernel backlog. Per-request deadlines
-//! (`x-deadline-ms`, or the configured default) are admission control:
-//! a request whose deadline passed while its connection sat in the queue
-//! is answered `408` without running the DP, so a backlogged daemon
-//! sheds stale work first. A panicking handler is caught per-request and
-//! mapped to `500` — the daemon itself never dies on a request.
+//! Connection-level scheduling: the acceptor sends each accepted socket
+//! into a `sync_channel` of `queue` slots, and a fixed pool of workers
+//! takes turns receiving from it, each serving its connection's keep-alive
+//! request stream to completion. Backpressure is explicit — when the
+//! channel is full the acceptor answers `503` immediately instead of
+//! letting connections pile up invisibly in the kernel backlog.
+//! Per-request deadlines (`x-deadline-ms`, or the configured default) are
+//! admission control: a request whose deadline passed while its connection
+//! sat in the queue is answered `408` without running the DP, so a
+//! backlogged daemon sheds stale work first. A panicking handler is caught
+//! per-request and mapped to `500` — the daemon itself never dies on a
+//! request.
 //!
-//! Shutdown is graceful: the acceptor stops accepting, workers finish
-//! the request in flight (they poll the shutdown flag on a short socket
-//! read timeout), and `join` collects every thread.
+//! Nothing polls: the acceptor blocks in `accept`, an idle worker in
+//! `recv`, and a serving one in a read whose timeout is the idle limit.
+//! Shutdown sets the closing state and wakes each wait once: the acceptor
+//! by a connection to its own port, after which it returns and drops the
+//! channel's sender, ending every `recv`; a serving worker by a shutdown
+//! of its connection's read half, after the response it is writing.
 
 use crate::cache::{CacheStats, ShardedLruCache};
 use crate::http::{self, ReadError, Request};
 use crate::protocol::{self, ApiError, PlanCache};
 use pipedream_obs::MetricsRegistry;
-use std::collections::VecDeque;
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -70,63 +75,6 @@ struct QueuedConn {
     accepted_at: Instant,
 }
 
-/// Hand-rolled bounded MPMC queue: every server worker pops from it, and
-/// the acceptor reads its depth after a push. `std`'s `sync_channel` is
-/// bounded but has one receiver and reports no depth.
-struct BoundedQueue {
-    inner: Mutex<VecDeque<QueuedConn>>,
-    not_empty: Condvar,
-    capacity: usize,
-}
-
-impl BoundedQueue {
-    fn new(capacity: usize) -> Self {
-        BoundedQueue {
-            inner: Mutex::new(VecDeque::new()),
-            not_empty: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Non-blocking push; returns the connection back on overflow.
-    fn try_push(&self, conn: QueuedConn) -> Result<usize, QueuedConn> {
-        let mut q = self.inner.lock().unwrap();
-        if q.len() >= self.capacity {
-            return Err(conn);
-        }
-        q.push_back(conn);
-        let depth = q.len();
-        drop(q);
-        self.not_empty.notify_one();
-        Ok(depth)
-    }
-
-    /// Blocking pop with a timeout (workers use the timeout to poll the
-    /// shutdown flag).
-    fn pop_timeout(&self, timeout: Duration) -> Option<QueuedConn> {
-        let mut q = self.inner.lock().unwrap();
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(conn) = q.pop_front() {
-                return Some(conn);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, res) = self.not_empty.wait_timeout(q, deadline - now).unwrap();
-            q = guard;
-            if res.timed_out() && q.is_empty() {
-                return None;
-            }
-        }
-    }
-
-    fn depth(&self) -> usize {
-        self.inner.lock().unwrap().len()
-    }
-}
-
 /// Shared server state: the plan cache and the metrics registry.
 pub struct ServiceState {
     /// The sharded plan cache.
@@ -151,18 +99,14 @@ impl ServiceState {
     pub fn publish_cache_metrics(&self) {
         let now = self.cache.stats();
         let mut last = self.published.lock().unwrap();
-        self.metrics
-            .counter("serve_cache_hits_total")
-            .add(now.hits - last.hits);
-        self.metrics
-            .counter("serve_cache_misses_total")
-            .add(now.misses - last.misses);
-        self.metrics
-            .counter("serve_cache_evictions_total")
-            .add(now.evictions - last.evictions);
-        self.metrics
-            .counter("serve_cache_coalesced_total")
-            .add(now.coalesced - last.coalesced);
+        for (name, now, last) in [
+            ("serve_cache_hits_total", now.hits, last.hits),
+            ("serve_cache_misses_total", now.misses, last.misses),
+            ("serve_cache_evictions_total", now.evictions, last.evictions),
+            ("serve_cache_coalesced_total", now.coalesced, last.coalesced),
+        ] {
+            self.metrics.counter(name).add(now - last);
+        }
         self.metrics
             .gauge("serve_cache_entries")
             .set(self.cache.len() as f64);
@@ -170,11 +114,66 @@ impl ServiceState {
     }
 }
 
+/// What the acceptor, the workers and [`Server::shutdown`] share, and
+/// the workers' settings.
+struct Pool {
+    /// The receiving end of the connection queue; a worker holds the lock
+    /// only while it waits for the next connection.
+    queue: Mutex<Receiver<QueuedConn>>,
+    /// Connections sent and not yet received, for `serve_queue_depth`.
+    queued: AtomicUsize,
+    /// The closing flag and the connections being served, under one lock.
+    live: Mutex<Live>,
+    default_deadline_ms: u64,
+    /// The read timeout of every connection: a keep-alive connection
+    /// silent this long is closed, so a silent client cannot pin a worker.
+    idle_limit: Duration,
+}
+
+struct Live {
+    closing: bool,
+    /// Worker `i`'s connection while it serves one: a handle shutdown can
+    /// close the read half of.
+    serving: Vec<Option<TcpStream>>,
+}
+
+impl Pool {
+    fn closing(&self) -> bool {
+        self.live.lock().unwrap().closing
+    }
+
+    /// Record `stream` as worker `worker`'s connection; `false` once the
+    /// server is closing, in which case the connection is dropped unserved.
+    /// Under the same lock as [`Pool::close`], so a connection is either
+    /// registered before shutdown closes the set or never served.
+    fn register(&self, worker: usize, stream: &TcpStream) -> bool {
+        let Ok(handle) = stream.try_clone() else {
+            return false;
+        };
+        let mut live = self.live.lock().unwrap();
+        if live.closing {
+            return false;
+        }
+        live.serving[worker] = Some(handle);
+        true
+    }
+
+    /// Enter the closing state and end every wait for a request: a worker
+    /// blocked reading its connection reads end of stream.
+    fn close(&self) {
+        let mut live = self.live.lock().unwrap();
+        live.closing = true;
+        for stream in live.serving.iter().flatten() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+}
+
 /// A running daemon; dropping it without [`Server::shutdown`] aborts the
 /// threads with the process.
 pub struct Server {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    pool: Arc<Pool>,
     threads: Vec<JoinHandle<()>>,
     state: Arc<ServiceState>,
 }
@@ -184,46 +183,47 @@ impl Server {
     pub fn start(opts: ServeOptions, metrics: Arc<MetricsRegistry>) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&opts.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let state = Arc::new(ServiceState::new(&opts, metrics));
-        let queue = Arc::new(BoundedQueue::new(opts.queue));
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let workers = opts.threads.max(1);
+        let (sender, receiver) = mpsc::sync_channel(opts.queue.max(1));
+        let pool = Arc::new(Pool {
+            queue: Mutex::new(receiver),
+            queued: AtomicUsize::new(0),
+            live: Mutex::new(Live {
+                closing: false,
+                serving: (0..workers).map(|_| None).collect(),
+            }),
+            default_deadline_ms: opts.default_deadline_ms,
+            idle_limit: Duration::from_millis(match opts.idle_timeout_ms {
+                0 => 10_000,
+                ms => ms,
+            }),
+        });
         let mut threads = Vec::new();
 
         {
-            let queue = Arc::clone(&queue);
-            let shutdown = Arc::clone(&shutdown);
+            let pool = Arc::clone(&pool);
             let state = Arc::clone(&state);
             threads.push(
                 thread::Builder::new()
                     .name("serve-acceptor".into())
-                    .spawn(move || accept_loop(listener, &queue, &shutdown, &state))?,
+                    .spawn(move || accept_loop(listener, sender, &pool, &state))?,
             );
         }
-        let worker_opts = WorkerOptions {
-            default_deadline_ms: opts.default_deadline_ms,
-            idle_limit: Duration::from_millis(if opts.idle_timeout_ms == 0 {
-                10_000
-            } else {
-                opts.idle_timeout_ms
-            }),
-        };
-        for i in 0..opts.threads.max(1) {
-            let queue = Arc::clone(&queue);
-            let shutdown = Arc::clone(&shutdown);
+        for i in 0..workers {
+            let pool = Arc::clone(&pool);
             let state = Arc::clone(&state);
-            let worker_opts = worker_opts.clone();
             threads.push(
                 thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&queue, &shutdown, &state, &worker_opts))?,
+                    .spawn(move || worker_loop(i, &pool, &state))?,
             );
         }
 
         Ok(Server {
             addr,
-            shutdown,
+            pool,
             threads,
             state,
         })
@@ -240,117 +240,104 @@ impl Server {
         &self.state
     }
 
-    /// Stop accepting, drain in-flight requests, join every thread.
+    /// Stop accepting, finish the responses being written, join every
+    /// thread.
     pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.pool.close();
+        // Wake the acceptor out of `accept`; held open until the join so
+        // the acceptor is sure to see it.
+        let _wake = TcpStream::connect(loopback_if_unspecified(self.addr));
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
     }
 }
 
+/// `addr`, with a wildcard IP replaced by the loopback address of its
+/// family, so the server can connect to itself.
+fn loopback_if_unspecified(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// Returns once the server is closing, dropping the listener and, with
+/// `queue`, the last sender, so idle workers' `recv` ends.
 fn accept_loop(
     listener: TcpListener,
-    queue: &BoundedQueue,
-    shutdown: &AtomicBool,
+    queue: SyncSender<QueuedConn>,
+    pool: &Pool,
     state: &ServiceState,
-) {
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                state.metrics.counter("serve_connections_total").add(1);
-                let conn = QueuedConn {
-                    stream,
-                    accepted_at: Instant::now(),
-                };
-                match queue.try_push(conn) {
-                    Ok(depth) => state.metrics.gauge("serve_queue_depth").set(depth as f64),
-                    Err(mut rejected) => {
-                        // Shed load visibly: canned 503, close.
-                        state.metrics.counter("serve_rejected_total").add(1);
-                        let body = protocol::error_body(&ApiError {
-                            status: 503,
-                            message: "connection queue full".into(),
-                        });
-                        http::write_response(
-                            &mut rejected.stream,
-                            503,
-                            "application/json",
-                            body.as_bytes(),
-                            false,
-                        );
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-/// How long a worker waits on a silent keep-alive connection before
-/// re-checking the shutdown flag.
-const READ_POLL: Duration = Duration::from_millis(100);
-
-/// Per-worker settings threaded through from [`ServeOptions`].
-#[derive(Clone)]
-struct WorkerOptions {
-    default_deadline_ms: u64,
-    /// Close keep-alive connections idle this long, so a silent client
-    /// cannot pin a worker forever.
-    idle_limit: Duration,
-}
-
-fn worker_loop(
-    queue: &BoundedQueue,
-    shutdown: &AtomicBool,
-    state: &ServiceState,
-    opts: &WorkerOptions,
 ) {
     loop {
-        match queue.pop_timeout(READ_POLL) {
-            Some(conn) => {
-                state
-                    .metrics
-                    .gauge("serve_queue_depth")
-                    .set(queue.depth() as f64);
-                serve_connection(conn, state, shutdown, opts);
-            }
-            None => {
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
+        let accepted = listener.accept();
+        if pool.closing() {
+            return;
+        }
+        let Ok((stream, _)) = accepted else {
+            // Out of file descriptors, say: back off rather than spin.
+            thread::sleep(Duration::from_millis(5));
+            continue;
+        };
+        state.metrics.counter("serve_connections_total").add(1);
+        let conn = QueuedConn {
+            stream,
+            accepted_at: Instant::now(),
+        };
+        // Counted before the send, so the receiving worker's decrement
+        // never runs ahead of it.
+        let depth = pool.queued.fetch_add(1, Ordering::SeqCst) + 1;
+        match queue.try_send(conn) {
+            Ok(()) => state.metrics.gauge("serve_queue_depth").set(depth as f64),
+            Err(TrySendError::Full(mut rejected) | TrySendError::Disconnected(mut rejected)) => {
+                pool.queued.fetch_sub(1, Ordering::SeqCst);
+                // Shed load visibly: canned 503, close.
+                state.metrics.counter("serve_rejected_total").add(1);
+                let full = ApiError {
+                    status: 503,
+                    message: "connection queue full".into(),
+                };
+                write_error(&mut rejected.stream, &full);
             }
         }
     }
 }
 
-fn serve_connection(
-    conn: QueuedConn,
-    state: &ServiceState,
-    shutdown: &AtomicBool,
-    opts: &WorkerOptions,
-) {
+/// Serve connections until the acceptor has gone and the queue is empty.
+fn worker_loop(worker: usize, pool: &Pool, state: &ServiceState) {
+    loop {
+        // The lock guard is a temporary of this statement, so it is
+        // released before the connection is served.
+        let Ok(conn) = pool.queue.lock().unwrap().recv() else {
+            return;
+        };
+        let depth = pool.queued.fetch_sub(1, Ordering::SeqCst) - 1;
+        state.metrics.gauge("serve_queue_depth").set(depth as f64);
+        if pool.register(worker, &conn.stream) {
+            serve_connection(conn, pool, state);
+            pool.live.lock().unwrap().serving[worker] = None;
+        }
+    }
+}
+
+fn serve_connection(conn: QueuedConn, pool: &Pool, state: &ServiceState) {
     let QueuedConn {
         stream,
         accepted_at,
     } = conn;
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
+    if stream.set_read_timeout(Some(pool.idle_limit)).is_err() {
         return;
     }
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut write_half = write_half;
     let mut reader = BufReader::new(stream);
     // The first request's deadline clock starts at accept time, so time
     // spent in the bounded queue counts against it (admission control).
     // Later requests on the connection were never queued; their clock
     // starts when they are read, so client think-time never counts.
     let mut first_request = true;
-    let mut idle_since = Instant::now();
     loop {
         match http::read_request(&mut reader) {
             Ok(req) => {
@@ -358,7 +345,7 @@ fn serve_connection(
                 let request_epoch = if first_request { accepted_at } else { started };
                 first_request = false;
                 let (status, body, keep_alive) =
-                    dispatch(&req, state, request_epoch, opts.default_deadline_ms);
+                    dispatch(&req, state, request_epoch, pool.default_deadline_ms);
                 let endpoint = endpoint_label(&req.path);
                 state
                     .metrics
@@ -371,9 +358,12 @@ fn serve_connection(
                     .metrics
                     .histogram_labeled("serve_request_seconds", &[("endpoint", endpoint)])
                     .observe_secs(started.elapsed().as_secs_f64());
-                let keep_alive = keep_alive && !req.wants_close();
+                // A closing server answers `connection: close`: a client
+                // that keeps sending could otherwise outlive the shutdown
+                // of the read half.
+                let keep_alive = keep_alive && !req.wants_close() && !pool.closing();
                 if !http::write_response(
-                    &mut write_half,
+                    reader.get_mut(),
                     status,
                     "application/json",
                     body.as_bytes(),
@@ -382,41 +372,32 @@ fn serve_connection(
                 {
                     return;
                 }
-                idle_since = Instant::now();
             }
-            Err(ReadError::TimedOut) => {
-                if shutdown.load(Ordering::SeqCst) || idle_since.elapsed() > opts.idle_limit {
-                    return;
-                }
-            }
-            Err(ReadError::Closed) | Err(ReadError::Io(_)) => return,
+            Err(ReadError::Closed | ReadError::TimedOut | ReadError::Io(_)) => return,
             Err(ReadError::Malformed(msg)) => {
-                let body = protocol::error_body(&ApiError::bad_request(msg));
-                http::write_response(
-                    &mut write_half,
-                    400,
-                    "application/json",
-                    body.as_bytes(),
-                    false,
-                );
-                return;
+                return write_error(reader.get_mut(), &ApiError::bad_request(msg));
             }
             Err(ReadError::TooLarge) => {
-                let body = protocol::error_body(&ApiError {
+                let too_large = ApiError {
                     status: 413,
                     message: format!("body exceeds {} bytes", http::MAX_BODY_BYTES),
-                });
-                http::write_response(
-                    &mut write_half,
-                    413,
-                    "application/json",
-                    body.as_bytes(),
-                    false,
-                );
-                return;
+                };
+                return write_error(reader.get_mut(), &too_large);
             }
         }
     }
+}
+
+/// Answer `err` and close.
+fn write_error(stream: &mut TcpStream, err: &ApiError) {
+    let body = protocol::error_body(err);
+    http::write_response(
+        stream,
+        err.status,
+        "application/json",
+        body.as_bytes(),
+        false,
+    );
 }
 
 fn endpoint_label(path: &str) -> &'static str {
