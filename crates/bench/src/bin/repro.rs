@@ -17,7 +17,7 @@
 //! opt ablations trend verify sensitivity recovery trace-validate
 //! drift-replan memory-sweep.
 //!
-//! `--check` covers the experiments in [`CHECKED`], whose files are
+//! `--check` covers the experiments in `CHECKED`, whose files are
 //! simulated or computed and so reproduce byte for byte. It skips the
 //! host-timed `fig6 fig11 opt verify`; it exits non-zero and names every
 //! file that differs or is missing.

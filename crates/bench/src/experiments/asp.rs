@@ -1,10 +1,14 @@
-//! §5.2 "Comparison to Asynchronous Parallelism": ASP removes all
-//! synchronization stalls but pays so much statistical efficiency that it
-//! takes ~7.4× longer than PipeDream to reach even 48% accuracy on VGG-16
-//! (4 Cluster-B servers), and never reaches the 68% target.
+//! §5.2 "Comparison to Asynchronous Parallelism": ASP removes every
+//! synchronization stall, and pays in statistical efficiency — the paper
+//! measured it 7.4× slower than PipeDream to reach 48% accuracy on VGG-16
+//! (4 Cluster-B servers), and it never reached the 68% target.
+//!
+//! Nothing here trains VGG-16, so that verdict is the paper's; what this
+//! reproduces is each system's simulated hours per epoch, which are close:
+//! ASP's slowdown is not one of throughput.
 
+use crate::experiments::fig10::IMAGENET_SAMPLES;
 use crate::util::best_plan;
-use pipedream_convergence::{vgg16 as vgg_task, Mode};
 use pipedream_hw::{ClusterPreset, Precision};
 use pipedream_model::zoo;
 use pipedream_sim::simulate_asp_iteration;
@@ -13,43 +17,32 @@ use std::fmt;
 /// The comparison's numbers.
 #[derive(Debug, Clone)]
 pub struct AspComparison {
-    /// ASP epochs to 48% accuracy.
-    pub asp_epochs_to_48: f64,
-    /// PipeDream (weight stashing) epochs to 48%.
-    pub pd_epochs_to_48: f64,
-    /// ASP time to 48% divided by PipeDream time to 48%.
-    pub slowdown_to_48: f64,
-    /// Whether ASP ever reaches the 68% target.
-    pub asp_reaches_target: bool,
+    /// ASP's simulated hours per epoch.
+    pub asp_hours_per_epoch: f64,
+    /// PipeDream's simulated hours per epoch, best plan.
+    pub pipedream_hours_per_epoch: f64,
 }
 
 /// Run the comparison on 4 Cluster-B servers (32 GPUs).
 pub fn run() -> AspComparison {
     let model = zoo::vgg16();
-    let task = vgg_task();
     let topo = ClusterPreset::B.with_servers(4);
     let costs = model.costs(&topo.device, model.default_batch, Precision::Fp32);
 
-    // Throughputs: ASP is pure compute; PipeDream from its best config.
+    // ASP is pure compute; PipeDream runs its best config.
     let asp_sps = simulate_asp_iteration(&costs, topo.total_workers()).samples_per_sec;
     let (_, pd_sim) = best_plan(&model, &topo, 48);
-    let pd_sps = pd_sim.samples_per_sec;
-
-    // Epochs to 48% under each statistical model.
-    let asp_curve = Mode::Asp.apply(task.curve);
-    let pd_curve = Mode::WeightStashing.apply(task.curve);
-    let asp_epochs = asp_curve
-        .epochs_to(0.48)
-        .expect("ASP reaches 48% eventually");
-    let pd_epochs = pd_curve.epochs_to(0.48).expect("stashing reaches 48%");
-
-    let asp_time = asp_epochs / asp_sps;
-    let pd_time = pd_epochs / pd_sps;
+    let hours = |sps: f64| IMAGENET_SAMPLES / sps / 3600.0;
     AspComparison {
-        asp_epochs_to_48: asp_epochs,
-        pd_epochs_to_48: pd_epochs,
-        slowdown_to_48: asp_time / pd_time,
-        asp_reaches_target: Mode::Asp.apply(task.curve).epochs_to(task.target).is_some(),
+        asp_hours_per_epoch: hours(asp_sps),
+        pipedream_hours_per_epoch: hours(pd_sim.samples_per_sec),
+    }
+}
+
+impl AspComparison {
+    /// ASP's hours per epoch over PipeDream's.
+    pub fn epoch_ratio(&self) -> f64 {
+        self.asp_hours_per_epoch / self.pipedream_hours_per_epoch
     }
 }
 
@@ -58,18 +51,15 @@ impl fmt::Display for AspComparison {
         writeln!(f, "§5.2 ASP comparison (VGG-16, 4 Cluster-B servers)\n")?;
         writeln!(
             f,
-            "epochs to 48%: ASP {:.0}, PipeDream {:.0}",
-            self.asp_epochs_to_48, self.pd_epochs_to_48
+            "hours per epoch: ASP {:.3}, PipeDream {:.3} (ASP / PipeDream {:.2}x)",
+            self.asp_hours_per_epoch,
+            self.pipedream_hours_per_epoch,
+            self.epoch_ratio()
         )?;
         writeln!(
             f,
-            "ASP is {:.1}x slower than PipeDream to 48% (paper: 7.4x)",
-            self.slowdown_to_48
-        )?;
-        writeln!(
-            f,
-            "ASP reaches the 68% target: {} (paper: no)",
-            self.asp_reaches_target
+            "The paper's verdict (§5.2): ASP took 7.4x longer than PipeDream to reach \
+             48% top-1, and never reached the 68% target."
         )
     }
 }
@@ -77,13 +67,11 @@ impl fmt::Display for AspComparison {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn asp_is_much_slower_and_never_converges() {
+    fn asp_epochs_take_about_as_long_as_pipedreams() {
+        // With no synchronization ASP keeps pace with the pipeline per
+        // epoch, so the paper's 7.4x to 48% is not a matter of throughput.
         let c = super::run();
-        assert!(!c.asp_reaches_target);
-        assert!(
-            c.slowdown_to_48 > 3.0,
-            "ASP slowdown to 48%: {:.1}",
-            c.slowdown_to_48
-        );
+        let r = c.epoch_ratio();
+        assert!((0.5..2.0).contains(&r), "ASP / PipeDream epoch time {r}");
     }
 }

@@ -1,32 +1,28 @@
 //! Figure 13: large-minibatch data parallelism with LARS vs PipeDream
 //! (VGG-16, 8 GPUs on Cluster-C).
 //!
-//! Large minibatches amortize communication but hurt statistical
-//! efficiency: BS 1024 (with LARS) converges, 4096 and 8192 never reach
-//! the target; PipeDream still beats the best LARS option on
-//! time-to-accuracy.
+//! Large minibatches amortize communication but cost statistical
+//! efficiency. Nothing here trains VGG-16, so which batch sizes reach the
+//! 68% target is the paper's verdict (Figure 13: 1024 does, 4096 and 8192
+//! never do); what this reproduces is the other factor of time to
+//! accuracy, each option's simulated hours per epoch.
 
+use crate::experiments::fig10::IMAGENET_SAMPLES;
 use crate::util::{best_plan, format_table};
-use pipedream_convergence::{vgg16 as vgg_task, Mode};
 use pipedream_hw::{Precision, ServerKind};
 use pipedream_model::zoo;
 use pipedream_sim::simulate_dp;
 use std::fmt;
-
-/// ImageNet-1K training-set size.
-const IMAGENET_SAMPLES: f64 = 1_281_167.0;
 
 /// One large-batch DP option.
 #[derive(Debug, Clone)]
 pub struct BatchOption {
     /// Global minibatch size.
     pub global_batch: usize,
-    /// Epochs to the 68% target (None = never converges).
-    pub epochs_to_target: Option<f64>,
-    /// Hours per epoch.
+    /// Simulated hours per epoch.
     pub hours_per_epoch: f64,
-    /// Hours to target (None = never).
-    pub tta_hours: Option<f64>,
+    /// Whether the paper's run reached the 68% target (Figure 13).
+    pub paper_reaches_target: bool,
 }
 
 /// The figure's data.
@@ -34,18 +30,30 @@ pub struct BatchOption {
 pub struct Fig13 {
     /// DP + LARS options at increasing batch size.
     pub options: Vec<BatchOption>,
-    /// PipeDream's hours to target on the same 8 workers.
-    pub pipedream_tta_hours: f64,
-    /// PipeDream speedup over the best converging LARS option.
-    pub speedup_over_best_lars: f64,
+    /// PipeDream's simulated hours per epoch on the same 8 workers.
+    pub pipedream_hours_per_epoch: f64,
+}
+
+impl Fig13 {
+    /// PipeDream's epoch-time speedup over the fastest option the paper
+    /// saw reach the target.
+    pub fn speedup_over_converging(&self) -> f64 {
+        let best = self
+            .options
+            .iter()
+            .filter(|o| o.paper_reaches_target)
+            .map(|o| o.hours_per_epoch)
+            .fold(f64::INFINITY, f64::min);
+        best / self.pipedream_hours_per_epoch
+    }
 }
 
 /// Run the experiment on 8 single-GPU Cluster-C servers.
 pub fn run() -> Fig13 {
     let model = zoo::vgg16();
-    let task = vgg_task();
     let workers = 8usize;
     let topo = ServerKind::TitanX1.cluster(workers);
+    let hours = |sps: f64| IMAGENET_SAMPLES / sps / 3600.0;
 
     let options: Vec<BatchOption> = [1024usize, 4096, 8192]
         .into_iter()
@@ -53,33 +61,19 @@ pub fn run() -> Fig13 {
             let per_gpu = global_batch / workers;
             let costs = model.costs(&topo.device, per_gpu, Precision::Fp32);
             let sps = simulate_dp(&costs, &topo, workers).samples_per_sec;
-            let hours_per_epoch = IMAGENET_SAMPLES / sps / 3600.0;
-            let epochs = task.epochs_to_target(Mode::LargeBatch {
-                global_batch,
-                lars: true,
-            });
             BatchOption {
                 global_batch,
-                epochs_to_target: epochs,
-                hours_per_epoch,
-                tta_hours: epochs.map(|e| e * hours_per_epoch),
+                hours_per_epoch: hours(sps),
+                paper_reaches_target: global_batch == 1024,
             }
         })
         .collect();
 
     // PipeDream on the same 8 workers, default per-GPU batch.
     let (_, sim) = best_plan(&model, &topo, 48);
-    let pd_hours_per_epoch = IMAGENET_SAMPLES / sim.samples_per_sec / 3600.0;
-    let pd_epochs = task.epochs_to_target(Mode::WeightStashing).unwrap();
-    let pipedream_tta_hours = pd_epochs * pd_hours_per_epoch;
-    let best_lars = options
-        .iter()
-        .filter_map(|o| o.tta_hours)
-        .fold(f64::INFINITY, f64::min);
     Fig13 {
         options,
-        pipedream_tta_hours,
-        speedup_over_best_lars: best_lars / pipedream_tta_hours,
+        pipedream_hours_per_epoch: hours(sim.samples_per_sec),
     }
 }
 
@@ -89,29 +83,31 @@ impl fmt::Display for Fig13 {
             f,
             "Figure 13: large minibatches + LARS vs PipeDream (VGG-16, 8 GPUs)\n"
         )?;
-        let header = ["global batch", "epochs to 68%", "hours/epoch", "TTA hours"];
+        let header = ["global batch", "hours/epoch", "reaches 68% (paper)"];
         let rows: Vec<Vec<String>> = self
             .options
             .iter()
             .map(|o| {
                 vec![
                     o.global_batch.to_string(),
-                    o.epochs_to_target
-                        .map(|e| format!("{e:.0}"))
-                        .unwrap_or_else(|| "never".into()),
                     format!("{:.2}", o.hours_per_epoch),
-                    o.tta_hours
-                        .map(|h| format!("{h:.1}"))
-                        .unwrap_or_else(|| "∞".into()),
+                    if o.paper_reaches_target {
+                        "yes"
+                    } else {
+                        "never"
+                    }
+                    .to_string(),
                 ]
             })
             .collect();
         writeln!(f, "{}", format_table(&header, &rows))?;
         writeln!(
             f,
-            "PipeDream TTA: {:.1} h — {:.1}x faster than the best LARS option \
-             (paper: >2.4x)",
-            self.pipedream_tta_hours, self.speedup_over_best_lars
+            "PipeDream: {:.2} hours/epoch, {:.1}x shorter than the 1024 option's. \
+             The paper's verdict (Figure 13): PipeDream reaches 68% more than 2.4x \
+             faster than the best LARS option.",
+            self.pipedream_hours_per_epoch,
+            self.speedup_over_converging()
         )
     }
 }
@@ -119,15 +115,14 @@ impl fmt::Display for Fig13 {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn only_1024_converges_and_pipedream_wins() {
+    fn pipedream_epochs_beat_the_converging_batch_size() {
         let f = super::run();
-        assert!(f.options[0].tta_hours.is_some(), "1024 converges");
-        assert!(f.options[1].tta_hours.is_none(), "4096 fails");
-        assert!(f.options[2].tta_hours.is_none(), "8192 fails");
         assert!(
-            f.speedup_over_best_lars > 1.2,
-            "PipeDream beats LARS: {}",
-            f.speedup_over_best_lars
+            f.speedup_over_converging() > 1.2,
+            "PipeDream over 1024+LARS per epoch: {}",
+            f.speedup_over_converging()
         );
+        // A larger global batch amortizes more communication.
+        assert!(f.options[1].hours_per_epoch < f.options[0].hours_per_epoch);
     }
 }

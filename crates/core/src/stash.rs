@@ -324,6 +324,20 @@ pub mod staleness {
         n - 1 - stage
     }
 
+    /// Weight stashing on a replicated stage, counted in gradient-sync
+    /// rounds: a stage on `replicas` replicas applies one update per round
+    /// of `replicas` consecutive minibatches, and minibatch `t` (of round
+    /// `⌊t / replicas⌋`) runs `⌈W / replicas⌉ − 1` rounds behind, where `W`
+    /// counts the workers from this stage to the output stage. On a
+    /// straight pipeline that is [`weight_stashing_delay`]. The trainer
+    /// runs exactly this on `2-1`, `2-2`, `1-2-1`, `2-2-1`, `3-1` and data
+    /// parallelism, but not on `1-2`, `1-3`, `1-4`, `2-3`, `2-4`, `1-1-2`
+    /// or `1-2-2`, whose warm-up 1F1B-RR orders differently.
+    pub fn replicated_stashing_delay(workers_from_stage: usize, replicas: usize) -> usize {
+        assert!(replicas >= 1 && workers_from_stage >= replicas);
+        workers_from_stage.div_ceil(replicas) - 1
+    }
+
     /// Vertical sync: every stage uses the version pinned at the input
     /// stage, i.e. a uniform delay of `n − 1` steps.
     pub fn vertical_sync_delay(_stage: usize, n: usize) -> usize {
@@ -565,6 +579,16 @@ mod tests {
         // 4-stage pipeline: delays 3, 2, 1, 0 with stashing.
         assert_eq!(weight_stashing_delay(0, 4), 3);
         assert_eq!(weight_stashing_delay(3, 4), 0);
+        // Unreplicated, a sync round is one minibatch.
+        for s in 0..4 {
+            assert_eq!(
+                replicated_stashing_delay(4 - s, 1),
+                weight_stashing_delay(s, 4)
+            );
+        }
+        // `2-1`: stage 0 runs one round behind; data parallelism none.
+        assert_eq!(replicated_stashing_delay(3, 2), 1);
+        assert_eq!(replicated_stashing_delay(4, 4), 0);
         // Vertical sync: uniform n−1 = 3.
         for s in 0..4 {
             assert_eq!(vertical_sync_delay(s, 4), 3);

@@ -8,18 +8,18 @@
 //! demonstrate the paper's §3.3 "effective learning" claims mechanically:
 //!
 //! * with **weight stashing**, every minibatch's backward pass runs against
-//!   exactly the weights its forward pass used — gradients are valid, and
-//!   training converges like sequential SGD (runtime tests cross-check the
-//!   staleness formulas and convergence);
+//!   exactly the weights its forward pass used, so a pipelined run is the
+//!   delayed-SGD recurrence `w(t+1) = w(t) − ν·∇f(w₁(t−τ₁), …, wₙ(t−τₙ))`
+//!   with the staleness formulas' delays — bit for bit;
 //! * **naive pipelining** (no stashing) mixes weight versions between the
-//!   two passes and converges worse or diverges;
-//! * **vertical sync** additionally makes the version consistent across
-//!   stages;
-//! * **GPipe** semantics (microbatch groups + flush) match gradient
-//!   aggregation over the group.
+//!   two passes and follows no such recurrence;
+//! * **vertical sync** makes the version consistent across stages, 2BW
+//!   holds two, and **GPipe** (microbatch groups + flush) aggregates the
+//!   group's gradients: each is the same recurrence with other delays.
 //!
-//! [`baselines`] provides single-worker SGD, the reference every mode is
-//! compared against (BSP data parallelism is the pipeline trainer on
+//! [`baselines`] provides the single-threaded references: minibatch SGD,
+//! and [`train_delayed_sgd`], the §3.3 recurrence every semantics but naive
+//! pipelining is held to (BSP data parallelism is the pipeline trainer on
 //! `PipelineConfig::data_parallel`); [`checkpoint`] implements §4's
 //! per-stage checkpointing without global coordination.
 
@@ -34,7 +34,7 @@ pub mod sync;
 pub mod trainer;
 pub mod worker;
 
-pub use baselines::train_sequential;
+pub use baselines::{train_delayed_sgd, train_sequential};
 pub use control::RunControl;
 pub use data::TrainData;
 pub use fault::{FaultAction, FaultHook, SendAction, WorkerError};

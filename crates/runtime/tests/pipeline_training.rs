@@ -396,34 +396,14 @@ fn cut_matches_whole_run(
 }
 
 #[test]
-fn data_parallel_config_is_bsp_at_the_global_batch() {
-    // One stage on W replicas under 1F1B-RR *is* BSP data parallelism:
-    // each round the replicas take W consecutive minibatches of size b
-    // against the same weights and apply the average of their gradients —
-    // the step sequential SGD takes on those W·b samples as one minibatch.
-    // Only the order the floats are summed in differs.
-    use pipedream_tensor::Layer;
-    let (workers, batch) = (4, 16);
-    let data = easy_data(); // 256 samples: 4 rounds of 4 × 16 per epoch
-    let opts = default_opts(8);
-    let config = PipelineConfig::data_parallel(8, workers);
-    let (mut dp, report) = train_pipeline(mlp(12, 8, 4), &config, &data, &opts);
-    let global = TrainOpts {
-        batch: workers * batch,
-        ..default_opts(8)
-    };
-    let (reference, _) = train_sequential(mlp(12, 8, 4), &data, &global);
-    for (i, (got, want)) in dp.snapshot().iter().zip(&reference.snapshot()).enumerate() {
-        let scale = want.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        for (g, w) in got.data().iter().zip(want.data()) {
-            assert!(
-                (g - w).abs() <= 1e-4 * scale,
-                "tensor {i}: {g} vs {w} (largest weight {scale})"
-            );
-        }
-    }
-    // And it learns what the BSP baseline was asked to.
-    let acc = evaluate(&mut dp, &data, batch);
+fn data_parallel_config_learns() {
+    // One stage on 4 replicas under 1F1B-RR is BSP data parallelism at
+    // the global batch 4 · 16 (tier-1's `tests/delayed_sgd.rs` holds it
+    // to that recurrence bit for bit); it must learn the easy dataset.
+    let data = easy_data();
+    let config = PipelineConfig::data_parallel(8, 4);
+    let (mut dp, report) = train_pipeline(mlp(12, 8, 4), &config, &data, &default_opts(8));
+    let acc = evaluate(&mut dp, &data, 16);
     assert!(acc > 0.9, "BSP-DP accuracy {acc}");
     assert!(report.final_loss() < report.per_epoch[0].loss);
 }

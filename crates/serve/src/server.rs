@@ -6,7 +6,11 @@
 //! takes turns receiving from it, each serving its connection's keep-alive
 //! request stream to completion. Backpressure is explicit — when the
 //! channel is full the acceptor answers `503` immediately instead of
-//! letting connections pile up invisibly in the kernel backlog.
+//! letting connections pile up invisibly in the kernel backlog. It then
+//! closes the connection's write half and hands it to one lingering
+//! thread, which reads what the client still sends until it closes (or a
+//! short timeout passes), so the close cannot reset a connection whose
+//! request is unread before the client has read its `503`.
 //! Per-request deadlines (`x-deadline-ms`, or the configured default) are
 //! admission control: a request whose deadline passed while its connection
 //! sat in the queue is answered `408` without running the DP, so a
@@ -18,14 +22,16 @@
 //! `recv`, and a serving one in a read whose timeout is the idle limit.
 //! Shutdown sets the closing state and wakes each wait once: the acceptor
 //! by a connection to its own port, after which it returns and drops the
-//! channel's sender, ending every `recv`; a serving worker by a shutdown
-//! of its connection's read half, after the response it is writing.
+//! channels' senders, ending every `recv` (the lingering thread's once its
+//! read, at most `SHED_LINGER` long, returns); a serving worker by a
+//! shutdown of its connection's read half, after the response it is
+//! writing.
 
 use crate::cache::{CacheStats, ShardedLruCache};
 use crate::http::{self, ReadError, Request};
 use crate::protocol::{self, ApiError, PlanCache};
 use pipedream_obs::MetricsRegistry;
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
@@ -67,6 +73,14 @@ impl Default for ServeOptions {
         }
     }
 }
+
+/// How long a shed connection may go on sending after its `503` before
+/// it is closed anyway.
+const SHED_LINGER: Duration = Duration::from_millis(200);
+
+/// Shed connections waiting for the lingering thread; one shed while this
+/// many wait is closed at once.
+const SHED_BACKLOG: usize = 64;
 
 /// A connection waiting for a worker, stamped with its arrival time so
 /// first-request deadlines cover queue wait.
@@ -187,6 +201,7 @@ impl Server {
         let state = Arc::new(ServiceState::new(&opts, metrics));
         let workers = opts.threads.max(1);
         let (sender, receiver) = mpsc::sync_channel(opts.queue.max(1));
+        let (shed, shed_receiver) = mpsc::sync_channel(SHED_BACKLOG);
         let pool = Arc::new(Pool {
             queue: Mutex::new(receiver),
             queued: AtomicUsize::new(0),
@@ -208,7 +223,15 @@ impl Server {
             threads.push(
                 thread::Builder::new()
                     .name("serve-acceptor".into())
-                    .spawn(move || accept_loop(listener, sender, &pool, &state))?,
+                    .spawn(move || accept_loop(listener, sender, shed, &pool, &state))?,
+            );
+        }
+        {
+            let pool = Arc::clone(&pool);
+            threads.push(
+                thread::Builder::new()
+                    .name("serve-linger".into())
+                    .spawn(move || linger_loop(shed_receiver, &pool))?,
             );
         }
         for i in 0..workers {
@@ -266,10 +289,12 @@ fn loopback_if_unspecified(mut addr: SocketAddr) -> SocketAddr {
 }
 
 /// Returns once the server is closing, dropping the listener and, with
-/// `queue`, the last sender, so idle workers' `recv` ends.
+/// `queue` and `shed`, the last senders, so idle workers' and the
+/// lingering thread's `recv` ends.
 fn accept_loop(
     listener: TcpListener,
     queue: SyncSender<QueuedConn>,
+    shed: SyncSender<TcpStream>,
     pool: &Pool,
     state: &ServiceState,
 ) {
@@ -302,6 +327,28 @@ fn accept_loop(
                     message: "connection queue full".into(),
                 };
                 write_error(&mut rejected.stream, &full);
+                let _ = rejected.stream.shutdown(Shutdown::Write);
+                // With the backlog full, the connection drops here and
+                // closes at once.
+                let _ = shed.try_send(rejected.stream);
+            }
+        }
+    }
+}
+
+/// Read each shed connection to its end, or for [`SHED_LINGER`], before it
+/// closes; a closing server closes them at once.
+fn linger_loop(shed: Receiver<TcpStream>, pool: &Pool) {
+    let mut sink = [0u8; 4096];
+    for mut stream in shed {
+        let deadline = Instant::now() + SHED_LINGER;
+        while !pool.closing() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+                break;
+            }
+            if let Ok(0) | Err(_) = stream.read(&mut sink) {
+                break;
             }
         }
     }

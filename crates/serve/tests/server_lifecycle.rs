@@ -1,11 +1,12 @@
 //! The daemon's connection queue and shutdown over real sockets: a full
 //! queue sheds `503`, and shutdown wakes every thread it has to join
-//! instead of waiting out a timeout. CI runs the first two 200 times each,
-//! so a race between a connection registering and shutdown shows.
+//! instead of waiting out a timeout. CI runs the first three 200 times
+//! each, so a race between a connection registering and shutdown, or a
+//! shed connection reset before it reads its `503`, shows.
 
 use pipedream_obs::MetricsRegistry;
 use pipedream_serve::{Client, ServeOptions, Server};
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -53,6 +54,37 @@ fn a_full_queue_sheds_503_and_counts_it() {
     drop(pinner);
     assert_eq!(queued.get("/healthz").unwrap().status, 200);
     assert_eq!(rejected.get(), 1);
+    server.shutdown();
+}
+
+#[test]
+fn a_shed_request_still_reads_its_503() {
+    // A shed connection whose request the daemon never reads must get the
+    // 503, not a reset: 200 clients in a row, each sending a 2 KB POST in
+    // one write and reading to the end of the stream.
+    let server = start("127.0.0.1:0", 1, 1);
+    let addr = server.addr();
+    let mut pinner = Client::connect(addr).unwrap();
+    assert_eq!(pinner.get("/healthz").unwrap().status, 200);
+    let _queued = Client::connect(addr).unwrap();
+
+    let body = format!("{{\"model\":\"{}\"}}", "x".repeat(2000));
+    let request = format!(
+        "POST /plan HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let shed = || {
+        let mut conn = TcpStream::connect(addr).unwrap();
+        let mut answer = String::new();
+        conn.write_all(request.as_bytes()).is_ok()
+            && conn.read_to_string(&mut answer).is_ok()
+            && answer.starts_with("HTTP/1.1 503 ")
+    };
+    let answered = (0..200).filter(|_| shed()).count();
+    assert_eq!(answered, 200, "shed connections that read their 503");
+    let rejected = server.state().metrics.counter("serve_rejected_total");
+    assert_eq!(rejected.get(), 200);
+    drop(pinner);
     server.shutdown();
 }
 

@@ -114,8 +114,8 @@ pub fn simulate_dp(costs: &LayerCosts, topo: &Topology, workers: usize) -> DpRes
 
 /// One iteration of asynchronous-parallel (ASP) data parallelism: gradient
 /// pushes never block compute, so the iteration time is pure compute. The
-/// price is statistical, not systems, efficiency — modelled in
-/// `pipedream-convergence`.
+/// price is statistical, not systems, efficiency, which nothing here
+/// trains: `repro asp` prints the paper's measurement of it (§5.2).
 pub fn simulate_asp_iteration(costs: &LayerCosts, workers: usize) -> DpResult {
     let compute = costs.total_compute_all();
     DpResult {

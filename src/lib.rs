@@ -12,8 +12,8 @@
 //!   AlexNet, GNMT-8/16, AWD-LM, S2VT);
 //! * [`sim`] — a discrete-event cluster simulator executing the schedules;
 //! * [`tensor`] — a from-scratch tensor/layer library for real training;
-//! * [`runtime`] — a multi-threaded pipeline-parallel training runtime;
-//! * [`convergence`] — statistical-efficiency (accuracy-vs-epoch) models;
+//! * [`runtime`] — a multi-threaded pipeline-parallel training runtime,
+//!   and the single-threaded §3.3 delayed-SGD recurrence it computes;
 //! * [`obs`] — tracing + metrics for measured runs: per-worker event rings,
 //!   Chrome-trace export, and measured-vs-planned validation;
 //! * [`autopilot`] — the control plane: fault injection and recovery (§4)
@@ -33,7 +33,6 @@
 //! ```
 
 pub use pipedream_autopilot as autopilot;
-pub use pipedream_convergence as convergence;
 pub use pipedream_core as core;
 pub use pipedream_hw as hw;
 pub use pipedream_model as model;
