@@ -40,8 +40,7 @@ pub fn train_sequential(
             let loss = softmax_cross_entropy(&out, &y);
             model.zero_grad();
             model.backward_params(&loss.grad, i as u64);
-            let mut params = model.params_mut();
-            optimizer.step(&mut params);
+            optimizer.step_layer(&mut model);
             loss_sum += loss.loss as f64 * y.len() as f64;
             correct += loss.correct;
             count += y.len();

@@ -45,8 +45,7 @@ use crate::trainer::{LrSchedule, OptimKind, Semantics};
 use pipedream_core::schedule::{keeps_activations, Op, UpdateRule};
 use pipedream_core::stash::{ScheduleKind, VersionPolicy, VersionStore};
 use pipedream_obs::{Recorder, SpanKind};
-use pipedream_tensor::{softmax_cross_entropy, Layer, Sequential, Tensor};
-use std::collections::HashMap;
+use pipedream_tensor::{pool, softmax_cross_entropy, Layer, Sequential, SlotMap, Tensor};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -133,16 +132,16 @@ struct WorkerState {
     pending: u32,
     /// Recompute: retained stage inputs per in-flight minibatch — the only
     /// activation state kept between a minibatch's forward and backward.
-    saved_inputs: HashMap<u64, Tensor>,
+    saved_inputs: SlotMap<Tensor>,
     /// Recompute: the minibatch whose forward kept its layers' caches
     /// because its backward runs next ([`keeps_activations`]).
     kept: Option<u64>,
     /// Loss gradients awaiting the backward op (output stage only).
-    pending_loss_grad: HashMap<u64, Tensor>,
+    pending_loss_grad: SlotMap<Tensor>,
     /// Messages from upstream, and from downstream, that arrived before
     /// their op.
-    early_fwd: HashMap<u64, Msg>,
-    early_grad: HashMap<u64, Msg>,
+    early_fwd: SlotMap<Msg>,
+    early_grad: SlotMap<Msg>,
     /// Updates applied so far (the worker's local version counter).
     updates: u64,
     /// Receive timeout from the fault hook (None = block forever).
@@ -201,11 +200,11 @@ impl StageWorker<'_> {
             optimizer: self.optim.build(),
             store: policy.map(VersionStore::new),
             pending: 0,
-            saved_inputs: HashMap::new(),
+            saved_inputs: SlotMap::new(),
             kept: None,
-            pending_loss_grad: HashMap::new(),
-            early_fwd: HashMap::new(),
-            early_grad: HashMap::new(),
+            pending_loss_grad: SlotMap::new(),
+            early_fwd: SlotMap::new(),
+            early_grad: SlotMap::new(),
             updates: 0,
             recv_timeout: self.hook.as_ref().and_then(|h| h.recv_timeout()),
             stash_depth_max: 0,
@@ -224,7 +223,7 @@ impl StageWorker<'_> {
         // (`Optimizer::step` zeroes them): a backward accumulates into them
         // without clearing them first.
         self.model.zero_grad();
-        match self.run_ops(&mut st) {
+        let outcome = match self.run_ops(&mut st) {
             Ok(()) => {
                 // Peak stash depth / staleness, so the coordinator can
                 // check the §3.3 memory and staleness formulas against a
@@ -272,7 +271,12 @@ impl StageWorker<'_> {
                 }
                 (st.log, Err(e))
             }
-        }
+        };
+        // This thread's buffer-pool counts join the process-wide totals
+        // before its result is handed over, not only once its thread
+        // locals are torn down.
+        pool::publish_thread_stats();
+        outcome
     }
 
     fn run_ops(&mut self, st: &mut WorkerState) -> Result<(), WorkerError> {
@@ -407,7 +411,7 @@ impl StageWorker<'_> {
         } else {
             (&self.fwd_in, &mut st.early_fwd)
         };
-        if let Some(m) = early.remove(&mb) {
+        if let Some(m) = early.remove(mb) {
             return Ok(m);
         }
         let rx = rx
@@ -588,7 +592,7 @@ impl StageWorker<'_> {
             .set_learning_rate(self.lr_schedule.lr_at(self.optim.base_lr(), epoch));
         let grad_out = if self.stage + 1 == self.num_stages {
             st.pending_loss_grad
-                .remove(&mb)
+                .remove(mb)
                 .expect("loss gradient pending from forward")
         } else {
             match self.recv(st, mb, true)? {
@@ -712,9 +716,8 @@ impl StageWorker<'_> {
         // The mean of one gradient is that gradient: no pass over it.
         if st.pending > 1 {
             let scale = 1.0 / st.pending as f32;
-            for p in self.model.params_mut() {
-                p.grad.scale_inplace(scale);
-            }
+            self.model
+                .visit_params_mut(&mut |p| p.grad.scale_inplace(scale));
         }
         self.apply_update(st, op.minibatch().unwrap_or(u64::MAX))?;
         st.pending = 0;
@@ -747,7 +750,7 @@ impl StageWorker<'_> {
         }
         let input = st
             .saved_inputs
-            .remove(&mb)
+            .remove(mb)
             .unwrap_or_else(|| panic!("no retained input for minibatch {mb}"));
         let t0 = Instant::now();
         let span = self.recorder.begin();
@@ -782,12 +785,10 @@ impl StageWorker<'_> {
             // The gradient tensors themselves go into the round, which
             // hands back one buffer set for the one deposited: nothing is
             // copied in, nothing allocated.
-            let grads: Vec<Tensor> = self
-                .model
-                .params_mut()
-                .into_iter()
-                .map(|p| std::mem::replace(&mut p.grad, Tensor::zeros(&[0])))
-                .collect();
+            let mut grads = Vec::new();
+            self.model.visit_params_mut(&mut |p| {
+                grads.push(std::mem::replace(&mut p.grad, Tensor::zeros(&[0])))
+            });
             // Deposit/release instants bracket the rendezvous so the trace
             // can link this replica's contribution to the round completing.
             self.recorder
@@ -802,9 +803,9 @@ impl StageWorker<'_> {
                     })?;
             self.recorder
                 .instant_in_epoch(SpanKind::SyncRelease { mb }, epoch);
-            for (p, g) in self.model.params_mut().into_iter().zip(avg) {
-                p.grad = g;
-            }
+            let mut avg = avg.into_iter();
+            self.model
+                .visit_params_mut(&mut |p| p.grad = avg.next().expect("one average a gradient"));
         }
         let opt_span = self.recorder.begin();
         if let Some(store) = st.store.as_mut() {
@@ -813,9 +814,12 @@ impl StageWorker<'_> {
             let model = &self.model;
             store.advance(|retired| match retired {
                 Some(mut w) => {
-                    for (t, p) in w.iter_mut().zip(model.params()) {
-                        t.copy_from(&p.value);
-                    }
+                    let mut dst = w.iter_mut();
+                    model.visit_params(&mut |p| {
+                        if let Some(t) = dst.next() {
+                            t.copy_from(&p.value);
+                        }
+                    });
                     w
                 }
                 None => model.snapshot(),
@@ -824,8 +828,7 @@ impl StageWorker<'_> {
                 st.versions_held_max = st.versions_held_max.max(store.versions_held());
             }
         }
-        let mut params = self.model.params_mut();
-        st.optimizer.step(&mut params);
+        st.optimizer.step_layer(&mut self.model);
         st.updates += 1;
         self.recorder
             .end_in_epoch(opt_span, SpanKind::OptStep { mb }, epoch);

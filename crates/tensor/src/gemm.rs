@@ -27,7 +27,35 @@
 //! * outer loops block over `KC`/`MC`/`NC` so panels stay cache-resident.
 //!   The pack buffers are thread-local scratch outside the buffer pool:
 //!   they only grow and are never zero-filled, since packing writes every
-//!   float a kernel reads, edge padding included.
+//!   float a kernel reads, edge padding included;
+//! * a product with **few rows** runs unpacked: `op(A)` of at most
+//!   [`SMALL_M`] rows (at most [`SMALL_LANES`] with `trans_b`) and
+//!   `k ≤ SMALL_K`, one `KC` block. Packing both operands and running
+//!   `MR`-row panels over 8 rows cost a batch-8 `8×32×32` product about
+//!   2.7× its unpacked time. The unpacked tile is `SR × NR`: it broadcasts
+//!   `op(A)` where it lies and reads `B`'s rows in place, and only a column
+//!   edge narrower than `NR` is copied, into a stack tile. With `trans_b`
+//!   the vector runs across `C`'s rows instead (`SMALL_LANES` of them),
+//!   `op(A)ᵀ` copied into a stack tile and `2·MR` rows of `B` broadcast in
+//!   place. The thresholds are measured: up to 32 rows and `k = 64` the
+//!   unpacked tile won on every shape tried; from 48 rows with a
+//!   transposed `A` it lost on some, and at `64×128×128` it ran at 0.7×.
+//!
+//! **Kernels vectorize by construction.** Each kernel (`micro_kernel*`,
+//! `small_kernel*`) is out of line, is its `k` loop and nothing else, and
+//! returns its tile for the caller to store, so its accumulators are only
+//! ever indexed by constants. Each `k` step is built from indexed loads
+//! of separate rows, or from one contiguous run as a slice-to-array
+//! conversion (written as indexed loads, LLVM merges a run into one
+//! vector load and shuffles, ~10 % off the packed path). No closure-taking
+//! array adaptor (`map`, `from_fn`) sits inside a `k` loop, because LLVM
+//! may outline one (`core::array::try_map`) and then spill and reload the
+//! whole tile at every step — which cut `train-compute` from ~29 k to
+//! ~20 k samples/s when it happened. A CI step disassembles the kernels
+//! and fails if any calls into `core::array`. A tile steps at most `MR`
+//! rows at a time (`step`): LLVM unrolls that many into straight-line
+//! vector code, but vectorizes a longer row loop across the rows, with
+//! gathers.
 //!
 //! **Summation-order guarantee:** each `C[i][j]` accumulates its `k`
 //! products in strictly ascending `k` order, exactly like the naive
@@ -53,7 +81,10 @@
 //! from 0.0, ascending `k` within each `KC` block, blocks combined in order
 //! — with each product's two factors swapped. IEEE multiplication
 //! commutes exactly, fused into an FMA or not, so the swap changes no bit:
-//! the two layouts agree exactly, not within a tolerance.
+//! the two layouts agree exactly, not within a tolerance. The unpacked
+//! path computes the same chains too (from 0.0, ascending `k`, `mul_add`
+//! exactly where the packed tile uses it) and stores each element once, as
+//! an overwrite or an add, so it gives the packed path's bits.
 //!
 //! The scalar kernel is kept as [`gemm_reference`] and selectable at
 //! runtime via [`set_thread_backend`] so tests and benches can run both
@@ -80,6 +111,24 @@ pub const KC: usize = 256;
 pub const MC: usize = 66;
 /// `n`-dimension block: columns of `B` packed at once.
 pub const NC: usize = 512;
+
+/// Rows of `op(A)` up to which [`gemm_fast`] runs a product unpacked when
+/// `k ≤ SMALL_K` (see the module docs). Measured, not derived: up to 32
+/// rows the unpacked tile beat the packed kernel on every shape tried,
+/// and from 48 rows with a transposed `A` it lost on some.
+pub const SMALL_M: usize = 32;
+/// Depth up to which [`gemm_fast`] runs unpacked: the stack tiles of the
+/// unpacked path hold `SMALL_K` rows, 8 KB at most, and the unpacked tile
+/// won at every depth up to it.
+pub const SMALL_K: usize = 64;
+/// Lanes of the unpacked `trans_b` tile, half an `NR` row: a `trans_b`
+/// product runs unpacked only up to this many rows.
+pub const SMALL_LANES: usize = NR / 2;
+/// Rows of the unpacked tile.
+const SR: usize = 4;
+/// Rows of `B` the unpacked `trans_b` tile broadcasts: as many
+/// accumulator registers as the `MR × NR` tile.
+const ST: usize = 2 * MR;
 
 /// Which matmul kernel [`gemm`] dispatches to on this thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -168,6 +217,31 @@ pub fn gemm_fast(
         }
         return;
     }
+    if k <= SMALL_K {
+        // A transposed `A` feeds a tile `SR` of its columns at a time.
+        if trans_b && m <= SMALL_LANES {
+            return gemm_small_swapped(c, a, b, m, k, n, trans_a, !accumulate);
+        } else if !trans_b && m <= SMALL_M && (m >= SR || !trans_a) {
+            return gemm_small(c, a, b, m, k, n, trans_a, !accumulate);
+        }
+    }
+    gemm_blocked(c, a, b, m, k, n, trans_a, trans_b, accumulate);
+}
+
+/// The packed, cache-blocked path of [`gemm_fast`], for products too large
+/// to run unpacked.
+#[allow(clippy::too_many_arguments)]
+fn gemm_blocked(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    trans_a: bool,
+    trans_b: bool,
+    accumulate: bool,
+) {
     PACK.with(|scratch| {
         let (a_pack, b_pack) = &mut *scratch.borrow_mut();
         if trans_b {
@@ -223,15 +297,10 @@ fn gemm_packed(
                     let bp = &b_pack[(jr / NR) * kc * NR..][..kc * NR];
                     for ir in (0..mc).step_by(MR) {
                         let ap = &a_pack[(ir / MR) * kc * MR..][..kc * MR];
-                        micro_kernel(
-                            &mut c[(ic + ir) * n + jc + jr..],
-                            n,
-                            ap,
-                            bp,
-                            MR.min(mc - ir),
-                            NR.min(nc - jr),
-                            overwrite,
-                        );
+                        let acc = micro_kernel(ap, bp);
+                        let c = &mut c[(ic + ir) * n + jc + jr..];
+                        let lanes = NR.min(nc - jr);
+                        store(c, n, &acc[..MR.min(mc - ir)], lanes, false, overwrite);
                     }
                 }
             }
@@ -274,19 +343,211 @@ fn gemm_swapped(
                 let b_rows = std::array::from_fn(|r| &b[(ir + r.min(rows - 1)) * k + pc..][..kc]);
                 for jr in (0..nc).step_by(NR) {
                     let bp = &b_pack[(jr / NR) * kc * NR..][..kc * NR];
-                    micro_kernel_t(
-                        &mut c[(jc + jr) * n + ir..],
-                        n,
-                        b_rows,
-                        bp,
-                        rows,
-                        NR.min(nc - jr),
-                        overwrite,
-                    );
+                    let acc = micro_kernel_t(b_rows, bp);
+                    let c = &mut c[(jc + jr) * n + ir..];
+                    store(c, n, &acc[..rows], NR.min(nc - jr), true, overwrite);
                 }
             }
         }
     }
+}
+
+/// `C (+)= op(A)·B` unpacked, for few rows: `SR`-row tiles broadcast
+/// `op(A)` where it lies and read `B`'s rows in place. Only a column edge
+/// narrower than `NR` is copied, into a stack tile; its padding lanes
+/// compute chains that are never stored.
+#[allow(clippy::too_many_arguments)]
+fn gemm_small(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    trans_a: bool,
+    overwrite: bool,
+) {
+    for j0 in (0..n).step_by(NR) {
+        let cols = NR.min(n - j0);
+        let c = &mut c[j0..];
+        if cols == NR {
+            small_panel(c, a, &b[j0..], n, m, k, n, cols, trans_a, overwrite);
+        } else {
+            let mut edge = [[0.0f32; NR]; SMALL_K];
+            for (p, dst) in edge.iter_mut().enumerate().take(k) {
+                // Whole `NR`-float copies where `B` runs on that far: the
+                // lanes past `cols` are never stored.
+                let src = &b[j0 + p * n..];
+                if src.len() >= NR {
+                    dst.copy_from_slice(&src[..NR]);
+                } else {
+                    dst[..cols].copy_from_slice(&src[..cols]);
+                }
+            }
+            let bp = edge.as_flattened();
+            small_panel(c, a, bp, NR, m, k, n, cols, trans_a, overwrite);
+        }
+    }
+}
+
+/// [`gemm_small`] over one `cols`-wide panel of `B` (row stride `ldb`) and
+/// of `C` (row stride `ldc`).
+#[allow(clippy::too_many_arguments)]
+fn small_panel(
+    c: &mut [f32],
+    a: &[f32],
+    bp: &[f32],
+    ldb: usize,
+    m: usize,
+    k: usize,
+    ldc: usize,
+    cols: usize,
+    trans_a: bool,
+    overwrite: bool,
+) {
+    for i0 in (0..m).step_by(SR) {
+        // A short last tile starts early, over rows the tile before it
+        // stored already, and stores only its own.
+        let t0 = if trans_a {
+            i0.min(m.saturating_sub(SR))
+        } else {
+            i0
+        };
+        let acc = if trans_a {
+            small_kernel_tn(&a[t0..], m, k, bp, ldb)
+        } else {
+            // Here the short tile repeats its last row instead.
+            let last = m - 1;
+            let row = |i: usize| &a[i.min(last) * k..][..k];
+            small_kernel(row(i0), row(i0 + 1), row(i0 + 2), row(i0 + 3), bp, ldb)
+        };
+        let skip = i0 - t0;
+        let rows = SR.min(m - i0);
+        store(
+            &mut c[i0 * ldc..],
+            ldc,
+            &acc[skip..skip + rows],
+            cols,
+            false,
+            overwrite,
+        );
+    }
+}
+
+/// The unpacked tile for an untransposed `A`: row `r` of the tile
+/// broadcasts `a_r[p]`, and step `p` reads `B`'s row `p` in place (stride
+/// `ldb`).
+#[inline(never)]
+fn small_kernel(
+    a0: &[f32],
+    a1: &[f32],
+    a2: &[f32],
+    a3: &[f32],
+    bp: &[f32],
+    ldb: usize,
+) -> [[f32; NR]; SR] {
+    let kc = a0.len();
+    let (a1, a2, a3) = (&a1[..kc], &a2[..kc], &a3[..kc]);
+    let a_cols = (0..kc).map(|p| [a0[p], a1[p], a2[p], a3[p]]);
+    tile(a_cols.zip(bp.chunks(ldb)))
+}
+
+/// The unpacked tile for a transposed `A` (stored `[k, lda]`, starting at
+/// the tile's first column): step `p` broadcasts the `SR` floats at the
+/// head of `A`'s row `p`.
+#[inline(never)]
+fn small_kernel_tn(a: &[f32], lda: usize, kc: usize, bp: &[f32], ldb: usize) -> [[f32; NR]; SR] {
+    let a_cols = a
+        .chunks(lda)
+        .take(kc)
+        .map(|row| <[f32; SR]>::try_from(&row[..SR]).expect("SR floats"));
+    tile(a_cols.zip(bp.chunks(ldb)))
+}
+
+/// `C (+)= op(A)·Bᵀ` unpacked, for `m ≤ SMALL_LANES` rows, as the swapped
+/// product `Cᵀ = B·op(A)ᵀ`: the vector runs across `C`'s rows, `op(A)ᵀ`
+/// copied into a `k × SMALL_LANES` stack tile (read in place when it already
+/// is one), and `ST` rows of `B` broadcast where they lie. Each element is
+/// [`gemm_swapped`]'s chain, so the bits are the packed path's.
+#[allow(clippy::too_many_arguments)]
+fn gemm_small_swapped(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    trans_a: bool,
+    overwrite: bool,
+) {
+    let mut at = [[0.0f32; SMALL_LANES]; SMALL_K];
+    let ap = if trans_a && m == SMALL_LANES {
+        &a[..k * SMALL_LANES]
+    } else {
+        if trans_a {
+            for (dst, src) in at.iter_mut().zip(a.chunks_exact(m)).take(k) {
+                dst[..m].copy_from_slice(src);
+            }
+        } else {
+            for (i, src) in a.chunks_exact(k).take(m).enumerate() {
+                for (dst, &v) in at.iter_mut().zip(src) {
+                    dst[i] = v;
+                }
+            }
+        }
+        at[..k].as_flattened()
+    };
+    for j0 in (0..n).step_by(ST) {
+        let rows = ST.min(n - j0);
+        let mut b_rows = [&b[..0]; ST];
+        for (r, row) in b_rows.iter_mut().enumerate() {
+            *row = &b[(j0 + r.min(rows - 1)) * k..][..k];
+        }
+        let acc = small_kernel_t(b_rows, ap);
+        store(
+            &mut c[j0..],
+            n,
+            &acc.as_flattened()[..rows],
+            m,
+            true,
+            overwrite,
+        );
+    }
+}
+
+/// The swapped unpacked tile: row `r` broadcasts `b_rows[r][p]`, and step
+/// `p` reads row `p` of the `op(A)ᵀ` tile. Two `MR`-row halves, each
+/// stepped as one tile (see [`step`]).
+#[inline(never)]
+fn small_kernel_t(b_rows: [&[f32]; ST], ap: &[f32]) -> [[[f32; SMALL_LANES]; MR]; 2] {
+    let kc = ap.len() / SMALL_LANES;
+    let [r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11] = b_rows;
+    let (r0, r1, r2, r3, r4, r5) = (
+        &r0[..kc],
+        &r1[..kc],
+        &r2[..kc],
+        &r3[..kc],
+        &r4[..kc],
+        &r5[..kc],
+    );
+    let (r6, r7, r8, r9, r10, r11) = (
+        &r6[..kc],
+        &r7[..kc],
+        &r8[..kc],
+        &r9[..kc],
+        &r10[..kc],
+        &r11[..kc],
+    );
+    let mut acc = [[[0.0f32; SMALL_LANES]; MR]; 2];
+    for (p, av) in ap.chunks_exact(SMALL_LANES).enumerate().take(kc) {
+        step(&mut acc[0], [r0[p], r1[p], r2[p], r3[p], r4[p], r5[p]], av);
+        step(
+            &mut acc[1],
+            [r6[p], r7[p], r8[p], r9[p], r10[p], r11[p]],
+            av,
+        );
+    }
+    acc
 }
 
 /// Pack a `kc × width` block of an operand into `W`-wide panels laid out
@@ -335,104 +596,118 @@ fn pack<const W: usize>(
     }
 }
 
-/// The `MR × NR` register tile over one packed `k` panel: `acc[r][j]` is
-/// an FMA chain from 0.0 over `a_cols[p][r]·bp[p][j]`, ascending `p`. The
-/// accumulator array never leaves registers and the loop is branch-free,
-/// which is what lets LLVM keep it vectorized.
+/// An `R × W` register tile over one `k` panel: `acc[r][j]` is a chain
+/// from 0.0 over `av[r]·bv[j]`, ascending `k`, fed one `(av, bv)` pair a
+/// step. The accumulator array never leaves registers and the loop is
+/// branch-free, which is what lets LLVM keep it vectorized (see the
+/// module docs for how a kernel builds each step's `av`).
 #[inline(always)]
-fn tile(a_cols: impl Iterator<Item = [f32; MR]>, bp: &[f32]) -> [[f32; NR]; MR] {
-    let mut acc = [[0.0f32; NR]; MR];
-    for (av, bv) in a_cols.zip(bp.chunks_exact(NR)) {
-        for r in 0..MR {
-            let ar = av[r];
-            let row = &mut acc[r];
-            if cfg!(target_feature = "fma") {
-                for j in 0..NR {
-                    row[j] = ar.mul_add(bv[j], row[j]);
-                }
-            } else {
-                for j in 0..NR {
-                    row[j] += ar * bv[j];
-                }
-            }
-        }
+fn tile<'b, const R: usize, const W: usize>(
+    steps: impl Iterator<Item = ([f32; R], &'b [f32])>,
+) -> [[f32; W]; R] {
+    let mut acc = [[0.0f32; W]; R];
+    for (av, bv) in steps {
+        step(&mut acc, av, bv);
     }
     acc
 }
 
-/// `C[..mr_eff, ..nr_eff] (+)= Aᵖ·Bᵖ` over one packed `k` panel of each
-/// operand. Out-of-line on purpose (as is [`micro_kernel_t`]): inlining
-/// it into the blocking loops defeats the loop vectorizer and degrades
-/// the FMAs to scalars. With `overwrite` the tile is stored with β = 0
-/// semantics: no read of the destination, no prior zero-fill needed.
-#[inline(never)]
-fn micro_kernel(
+/// One `k` step of a tile: `acc[r][j] += av[r]·bv[j]`, fused where the
+/// target has FMA. At most `MR` rows a call: LLVM unrolls that many rows
+/// into straight-line vector code, but vectorizes a longer row loop
+/// across the rows, gathering and scattering the accumulators.
+#[inline(always)]
+fn step<const R: usize, const W: usize>(acc: &mut [[f32; W]; R], av: [f32; R], bv: &[f32]) {
+    let bv = &bv[..W];
+    for r in 0..R {
+        let ar = av[r];
+        let row = &mut acc[r];
+        if cfg!(target_feature = "fma") {
+            for j in 0..W {
+                row[j] = ar.mul_add(bv[j], row[j]);
+            }
+        } else {
+            for j in 0..W {
+                row[j] += ar * bv[j];
+            }
+        }
+    }
+}
+
+/// Store the first `lanes` lanes of each tile row in `acc` at `c` (row
+/// stride `ldc`): tile row `r` as row `r` of `c`, or as its column `r`
+/// when `transposed`. An overwrite, or an add into what `c` holds.
+#[inline(always)]
+fn store<const W: usize>(
     c: &mut [f32],
     ldc: usize,
-    ap: &[f32],
-    bp: &[f32],
-    mr_eff: usize,
-    nr_eff: usize,
+    acc: &[[f32; W]],
+    lanes: usize,
+    transposed: bool,
     overwrite: bool,
 ) {
-    let a_cols = ap
-        .chunks_exact(MR)
-        .map(|col| <[f32; MR]>::try_from(col).expect("chunks of MR floats"));
-    let acc = tile(a_cols, bp);
-    if mr_eff == MR && nr_eff == NR {
+    let put = |dst: &mut f32, v: f32| {
+        if overwrite {
+            *dst = v;
+        } else {
+            *dst += v;
+        }
+    };
+    if transposed {
+        for j in 0..lanes {
+            let ccol = &mut c[j * ldc..j * ldc + acc.len()];
+            for (dst, accr) in ccol.iter_mut().zip(acc) {
+                put(dst, accr[j]);
+            }
+        }
+    } else if lanes == W {
+        // Whole rows: a constant trip count, so LLVM stores whole vectors.
         for (r, accr) in acc.iter().enumerate() {
-            let crow = &mut c[r * ldc..r * ldc + NR];
+            let crow = &mut c[r * ldc..r * ldc + W];
             if overwrite {
                 crow.copy_from_slice(accr);
             } else {
-                for j in 0..NR {
+                for j in 0..W {
                     crow[j] += accr[j];
                 }
             }
         }
     } else {
-        for r in 0..mr_eff {
-            let crow = &mut c[r * ldc..r * ldc + nr_eff];
-            for (dst, &src) in crow.iter_mut().zip(acc[r].iter()) {
-                if overwrite {
-                    *dst = src;
-                } else {
-                    *dst += src;
-                }
+        for (r, accr) in acc.iter().enumerate() {
+            let crow = &mut c[r * ldc..r * ldc + lanes];
+            for (dst, &v) in crow.iter_mut().zip(accr) {
+                put(dst, v);
             }
         }
     }
 }
 
-/// The swapped product's tile: `Cᵀ[..mr_eff, ..nr_eff] (+)= B·Bᵖ`, the
-/// broadcast operand read from `MR` rows of `B` in place, the tile
-/// stored transposed — tile row `r` is column `r` of `C`. Cutting each
-/// row to `kc` first lets LLVM hoist its bounds check out of the `k`
+/// The `MR × NR` tile `Aᵖ·Bᵖ` over one packed `k` panel of each operand.
+/// Out-of-line on purpose, as is every kernel below: inlined into the
+/// blocking loops, LLVM's loop vectorizer gives up and emits scalar FMAs.
+/// A kernel is its `k` loop and nothing else: the caller stores the tile
+/// it returns, so the accumulators are indexed by constants only and
+/// never leave registers.
+#[inline(never)]
+fn micro_kernel(ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
+    let a_cols = ap
+        .chunks_exact(MR)
+        .map(|col| <[f32; MR]>::try_from(col).expect("chunks of MR floats"));
+    tile(a_cols.zip(bp.chunks_exact(NR)))
+}
+
+/// The swapped product's tile `B·Bᵖ`: the broadcast operand is `MR` rows
+/// of `B` read in place, and tile row `r` is column `r` of `C`. Cutting
+/// each row to `kc` first lets LLVM hoist its bounds check out of the `k`
 /// loop; left inside, six more branches per step slowed the loop 2–3×.
 #[inline(never)]
-fn micro_kernel_t(
-    c: &mut [f32],
-    ldc: usize,
-    b_rows: [&[f32]; MR],
-    bp: &[f32],
-    mr_eff: usize,
-    nr_eff: usize,
-    overwrite: bool,
-) {
+fn micro_kernel_t(b_rows: [&[f32]; MR], bp: &[f32]) -> [[f32; NR]; MR] {
     let kc = bp.len() / NR;
-    let b_rows = b_rows.map(|row| &row[..kc]);
-    let a_cols = (0..kc).map(|p| b_rows.map(|row| row[p]));
-    let acc = tile(a_cols, bp);
-    for j in 0..nr_eff {
-        let ccol = &mut c[j * ldc..j * ldc + mr_eff];
-        for (r, dst) in ccol.iter_mut().enumerate() {
-            if overwrite {
-                *dst = acc[r][j];
-            } else {
-                *dst += acc[r][j];
-            }
-        }
-    }
+    let [r0, r1, r2, r3, r4, r5] = b_rows;
+    let (r0, r1, r2) = (&r0[..kc], &r1[..kc], &r2[..kc]);
+    let (r3, r4, r5) = (&r3[..kc], &r4[..kc], &r5[..kc]);
+    let a_cols = (0..kc).map(|p| [r0[p], r1[p], r2[p], r3[p], r4[p], r5[p]]);
+    tile(a_cols.zip(bp.chunks_exact(NR)))
 }
 
 /// The seed scalar kernel: `ikj` loops with the original zero-skip
@@ -621,6 +896,46 @@ mod tests {
     fn k_beyond_one_block_stays_within_tolerance() {
         let (c1, c2) = run_both(4, 2 * KC + 13, 6, false, false, false);
         assert_close(&c1, &c2);
+    }
+
+    /// A `gemm`-shaped entry point: [`gemm_fast`], the packed path alone,
+    /// or the reference.
+    type Gemm = fn(&mut [f32], &[f32], &[f32], usize, usize, usize, bool, bool, bool);
+
+    /// The unpacked path gives the packed path's bits, not merely values
+    /// within a tolerance: every element is the same chain, stored once.
+    /// The shapes straddle every threshold of [`gemm_fast`]'s dispatch
+    /// (`m` past `SR` and `SMALL_LANES`; `k` past `SMALL_K`) and every
+    /// edge of the unpacked tiles (`n` off the `NR` and `2·MR` grids).
+    #[test]
+    fn unpacked_path_is_bit_identical_to_packed() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let flags = (0..8).map(|f| (f & 1 != 0, f & 2 != 0, f & 4 != 0));
+        for (trans_a, trans_b, accumulate) in flags {
+            for m in 1..=17 {
+                for k in [1, 7, 32, 64, 65] {
+                    for n in [1, 10, 31, 32, 33, 70] {
+                        let s = (m * 131 + k * 7 + n) as u64;
+                        let a = normal(&[m * k], 1.0, &mut rng(s));
+                        let b = normal(&[k * n], 1.0, &mut rng(s ^ 5));
+                        let c0 = normal(&[m * n], 1.0, &mut rng(s ^ 6));
+                        let (a, b) = (a.data(), b.data());
+                        let run = |f: Gemm| {
+                            let mut c = c0.data().to_vec();
+                            f(&mut c, a, b, m, k, n, trans_a, trans_b, accumulate);
+                            c
+                        };
+                        let case = format!("({m},{k},{n}) {trans_a} {trans_b} {accumulate}");
+                        let fast = run(gemm_fast);
+                        assert_eq!(bits(&fast), bits(&run(gemm_blocked)), "{case}");
+                        for (x, y) in fast.iter().zip(&run(gemm_reference)) {
+                            let denom = 1.0f32.max(x.abs()).max(y.abs());
+                            assert!((x - y).abs() / denom < 1e-5, "{case}: {x} vs {y}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

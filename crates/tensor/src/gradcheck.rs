@@ -95,11 +95,11 @@ mod tests {
             // Wrong: scales the true gradient by 2.
             self.0.backward(grad_out, slot).scale(2.0)
         }
-        fn params(&self) -> Vec<&Param> {
-            self.0.params()
+        fn visit_params<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
+            self.0.visit_params(f)
         }
-        fn params_mut(&mut self) -> Vec<&mut Param> {
-            self.0.params_mut()
+        fn visit_params_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
+            self.0.visit_params_mut(f)
         }
         fn output_shape(&self, s: &[usize]) -> Vec<usize> {
             self.0.output_shape(s)

@@ -1,15 +1,14 @@
 //! Elementwise activation layers.
 
-use super::{Layer, Slot};
+use super::{Layer, Slot, SlotMap};
 use crate::tensor::Tensor;
-use std::collections::HashMap;
 
 macro_rules! activation_layer {
     ($(#[$doc:meta])* $name:ident, $label:expr, $fwd:expr, $dfdy:expr) => {
         $(#[$doc])*
         #[derive(Clone, Default)]
         pub struct $name {
-            saved_output: HashMap<Slot, Tensor>,
+            saved_output: SlotMap<Tensor>,
         }
 
         impl $name {
@@ -36,7 +35,7 @@ macro_rules! activation_layer {
                 // the gradient in place — backward allocates nothing.
                 let mut y = self
                     .saved_output
-                    .remove(&slot)
+                    .remove(slot)
                     .unwrap_or_else(|| panic!("{}: no saved output for slot {slot}", $label));
                 let d: fn(f32) -> f32 = $dfdy;
                 y.zip_inplace(grad_out, |yv, g| g * d(yv));
@@ -56,7 +55,7 @@ macro_rules! activation_layer {
             }
 
             fn clear_slot(&mut self, slot: Slot) {
-                if let Some(t) = self.saved_output.remove(&slot) {
+                if let Some(t) = self.saved_output.remove(slot) {
                     t.recycle();
                 }
             }
@@ -103,7 +102,7 @@ activation_layer!(
 /// computed elsewhere.
 #[derive(Clone, Default)]
 pub struct Softmax {
-    saved_output: HashMap<Slot, Tensor>,
+    saved_output: SlotMap<Tensor>,
 }
 
 impl Softmax {
@@ -143,7 +142,7 @@ impl Layer for Softmax {
     fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
         let y = self
             .saved_output
-            .remove(&slot)
+            .remove(slot)
             .unwrap_or_else(|| panic!("softmax: no saved output for slot {slot}"));
         let (b, k) = (y.rows(), y.cols());
         let g = grad_out.reshape(&[b, k]);
@@ -171,7 +170,7 @@ impl Layer for Softmax {
     }
 
     fn clear_slot(&mut self, slot: Slot) {
-        if let Some(t) = self.saved_output.remove(&slot) {
+        if let Some(t) = self.saved_output.remove(slot) {
             t.recycle();
         }
     }

@@ -17,12 +17,11 @@
 //! in the summation order); the two paths therefore agree to relative
 //! tolerance, not bit-for-bit.
 
-use super::{Layer, Param, Slot};
+use super::{Layer, Param, Slot, SlotMap};
 use crate::gemm::{self, Backend};
 use crate::tensor::Tensor;
 use crate::{init, pool};
 use rand::rngs::StdRng;
-use std::collections::HashMap;
 
 /// Direct (6-deep loop) convolution forward — the reference kernel.
 ///
@@ -232,7 +231,7 @@ pub struct Conv2d {
     kernel: usize,
     stride: usize,
     padding: usize,
-    saved_input: HashMap<Slot, Tensor>,
+    saved_input: SlotMap<Tensor>,
 }
 
 impl Conv2d {
@@ -257,7 +256,7 @@ impl Conv2d {
             kernel,
             stride,
             padding,
-            saved_input: HashMap::new(),
+            saved_input: SlotMap::new(),
         }
     }
 
@@ -395,7 +394,7 @@ impl Layer for Conv2d {
     fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
         let x = self
             .saved_input
-            .remove(&slot)
+            .remove(slot)
             .unwrap_or_else(|| panic!("{}: no saved input for slot {slot}", self.name));
         match gemm::thread_backend() {
             Backend::Fast => {
@@ -421,12 +420,14 @@ impl Layer for Conv2d {
         }
     }
 
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.weight, &self.bias]
+    fn visit_params<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
+        f(&self.weight);
+        f(&self.bias);
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight, &mut self.bias]
+    fn visit_params_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
+        f(&mut self.weight);
+        f(&mut self.bias);
     }
 
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
@@ -445,7 +446,7 @@ impl Layer for Conv2d {
     }
 
     fn clear_slot(&mut self, slot: Slot) {
-        if let Some(t) = self.saved_input.remove(&slot) {
+        if let Some(t) = self.saved_input.remove(slot) {
             t.recycle();
         }
     }

@@ -1,10 +1,9 @@
 //! Inverted dropout.
 
-use super::{Layer, Slot};
+use super::{Layer, Slot, SlotMap};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Inverted dropout: at train time each element is zeroed with probability
 /// `p` and survivors are scaled by `1/(1-p)`; at eval time it is the
@@ -18,7 +17,7 @@ pub struct Dropout {
     p: f32,
     seed: u64,
     training: bool,
-    saved_mask: HashMap<Slot, Vec<f32>>,
+    saved_mask: SlotMap<Vec<f32>>,
 }
 
 impl Dropout {
@@ -29,7 +28,7 @@ impl Dropout {
             p,
             seed,
             training: true,
-            saved_mask: HashMap::new(),
+            saved_mask: SlotMap::new(),
         }
     }
 
@@ -67,7 +66,7 @@ impl Layer for Dropout {
     fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
         let mask = self
             .saved_mask
-            .remove(&slot)
+            .remove(slot)
             .unwrap_or_else(|| panic!("dropout: no saved mask for slot {slot}"));
         if mask.is_empty() {
             return grad_out.clone();
@@ -88,7 +87,7 @@ impl Layer for Dropout {
     }
 
     fn clear_slot(&mut self, slot: Slot) {
-        self.saved_mask.remove(&slot);
+        self.saved_mask.remove(slot);
     }
 
     fn cached_bytes(&self) -> u64 {

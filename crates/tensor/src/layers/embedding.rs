@@ -1,10 +1,9 @@
 //! Token embedding layer.
 
-use super::{Layer, Param, Slot};
+use super::{Layer, Param, Slot, SlotMap};
 use crate::init;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
-use std::collections::HashMap;
 
 /// Lookup table mapping integer token ids to dense vectors.
 ///
@@ -17,7 +16,7 @@ pub struct Embedding {
     table: Param,
     vocab: usize,
     dim: usize,
-    saved_ids: HashMap<Slot, Vec<usize>>,
+    saved_ids: SlotMap<Vec<usize>>,
 }
 
 impl Embedding {
@@ -28,7 +27,7 @@ impl Embedding {
             table: Param::new("table", init::normal(&[vocab, dim], 0.1, rng)),
             vocab,
             dim,
-            saved_ids: HashMap::new(),
+            saved_ids: SlotMap::new(),
         }
     }
 }
@@ -63,7 +62,7 @@ impl Layer for Embedding {
     fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
         let ids = self
             .saved_ids
-            .remove(&slot)
+            .remove(slot)
             .unwrap_or_else(|| panic!("{}: no saved ids for slot {slot}", self.name));
         let gd = grad_out.data();
         let tg = self.table.grad.data_mut();
@@ -76,12 +75,12 @@ impl Layer for Embedding {
         Tensor::zeros(&[ids.len()])
     }
 
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.table]
+    fn visit_params<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
+        f(&self.table);
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.table]
+    fn visit_params_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
+        f(&mut self.table);
     }
 
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
@@ -99,7 +98,7 @@ impl Layer for Embedding {
     }
 
     fn clear_slot(&mut self, slot: Slot) {
-        self.saved_ids.remove(&slot);
+        self.saved_ids.remove(slot);
     }
 
     fn cached_bytes(&self) -> u64 {

@@ -1,10 +1,9 @@
 //! Gated recurrent unit with explicit backpropagation through time.
 
-use super::{Layer, Param, Slot};
+use super::{Layer, Param, Slot, SlotMap};
 use crate::init;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
-use std::collections::HashMap;
 
 /// Per-timestep state saved by the forward pass.
 struct StepCache {
@@ -42,7 +41,7 @@ pub struct Gru {
     bias: Param, // [3*hidden] (b_r, b_z, b_hn)
     in_features: usize,
     hidden: usize,
-    saved: HashMap<Slot, Vec<StepCache>>,
+    saved: SlotMap<Vec<StepCache>>,
 }
 
 impl Gru {
@@ -55,7 +54,7 @@ impl Gru {
             bias: Param::new("bias", Tensor::zeros(&[3 * hidden])),
             in_features,
             hidden,
-            saved: HashMap::new(),
+            saved: SlotMap::new(),
         }
     }
 
@@ -133,7 +132,7 @@ impl Layer for Gru {
     fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
         let caches = self
             .saved
-            .remove(&slot)
+            .remove(slot)
             .unwrap_or_else(|| panic!("{}: no saved state for slot {slot}", self.name));
         let t = caches.len();
         let (b, hn, d) = (caches[0].x.rows(), self.hidden, self.in_features);
@@ -204,12 +203,16 @@ impl Layer for Gru {
         dx
     }
 
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.w_x, &self.w_h, &self.bias]
+    fn visit_params<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
+        f(&self.w_x);
+        f(&self.w_h);
+        f(&self.bias);
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.w_x, &mut self.w_h, &mut self.bias]
+    fn visit_params_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
+        f(&mut self.w_x);
+        f(&mut self.w_h);
+        f(&mut self.bias);
     }
 
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
@@ -226,7 +229,7 @@ impl Layer for Gru {
     }
 
     fn clear_slot(&mut self, slot: Slot) {
-        if let Some(caches) = self.saved.remove(&slot) {
+        if let Some(caches) = self.saved.remove(slot) {
             caches.into_iter().for_each(StepCache::recycle);
         }
     }
@@ -251,7 +254,7 @@ impl Layer for Gru {
             bias: self.bias.clone(),
             in_features: self.in_features,
             hidden: self.hidden,
-            saved: HashMap::new(),
+            saved: SlotMap::new(),
         })
     }
 }

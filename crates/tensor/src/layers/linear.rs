@@ -1,10 +1,9 @@
 //! Fully-connected layer.
 
-use super::{Layer, Param, Slot};
+use super::{Layer, Param, Slot, SlotMap};
 use crate::init;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
-use std::collections::HashMap;
 
 /// `y = x·W + b`, with `W: [in, out]` and `b: [out]`.
 #[derive(Clone)]
@@ -12,9 +11,7 @@ pub struct Linear {
     name: String,
     weight: Param,
     bias: Param,
-    in_features: usize,
-    out_features: usize,
-    saved_input: HashMap<Slot, Tensor>,
+    saved_input: SlotMap<Tensor>,
 }
 
 impl Linear {
@@ -33,41 +30,45 @@ impl Linear {
             name: format!("linear{in_features}x{out_features}"),
             weight: Param::new("weight", weight),
             bias: Param::new("bias", bias),
-            in_features,
-            out_features,
-            saved_input: HashMap::new(),
+            saved_input: SlotMap::new(),
         }
     }
 
     /// Input feature count.
     pub fn in_features(&self) -> usize {
-        self.in_features
+        self.weight.value.shape()[0]
     }
 
     /// Output feature count.
     pub fn out_features(&self) -> usize {
-        self.out_features
+        self.weight.value.shape()[1]
     }
 
-    /// Accumulate `slot`'s weight and bias gradients; returns `grad_out`
-    /// as `[rows, out]`, which the input gradient needs.
-    fn param_grads(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
+    /// Accumulate `slot`'s weight and bias gradients from `g`, the output
+    /// gradient as a `[rows, out]` matrix.
+    fn param_grads(&mut self, g: &Tensor, slot: Slot) {
         let x = self
             .saved_input
-            .remove(&slot)
+            .remove(slot)
             .unwrap_or_else(|| panic!("{}: no saved input for slot {slot}", self.name));
-        let g = grad_out.reshape(&[grad_out.rows(), self.out_features]);
         // dW += xᵀ·g (transpose folded into A's packing, accumulation
         // fused into the kernel); db = column sums of g.
-        self.weight.grad.add_matmul_tn(&x, &g);
+        self.weight.grad.add_matmul_tn(&x, g);
+        let out = self.out_features();
         let db = self.bias.grad.data_mut();
-        for row in g.data().chunks_exact(self.out_features) {
+        for row in g.data().chunks_exact(out) {
             for (d, &gv) in db.iter_mut().zip(row.iter()) {
                 *d += gv;
             }
         }
         x.recycle();
-        g
+    }
+
+    /// `grad_out` reshaped to `[rows, out]`, or `None` when it already is
+    /// that matrix and can be used as it is.
+    fn as_matrix(&self, grad_out: &Tensor) -> Option<Tensor> {
+        let (rows, out) = (grad_out.rows(), self.out_features());
+        (grad_out.shape() != [rows, out]).then(|| grad_out.reshape(&[rows, out]))
     }
 }
 
@@ -79,17 +80,17 @@ impl Layer for Linear {
     fn forward(&mut self, x: &Tensor, slot: Slot) -> Tensor {
         assert_eq!(
             x.cols(),
-            self.in_features,
+            self.in_features(),
             "{}: input has {} features",
             self.name,
             x.cols()
         );
-        let x2 = x.reshape(&[x.rows(), self.in_features]);
+        let x2 = x.reshape(&[x.rows(), self.in_features()]);
         // Bias is broadcast-added *after* the product in both kernel
         // backends, so fast and naive forwards share a summation order.
         let mut y = x2.matmul(&self.weight.value);
         let b = self.bias.value.data();
-        let out = self.out_features;
+        let out = self.out_features();
         for row in y.data_mut().chunks_exact_mut(out) {
             for (v, &bv) in row.iter_mut().zip(b.iter()) {
                 *v += bv;
@@ -100,32 +101,42 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
-        let g = self.param_grads(grad_out, slot);
+        let reshaped = self.as_matrix(grad_out);
+        let g = reshaped.as_ref().unwrap_or(grad_out);
+        self.param_grads(g, slot);
         // dx = g·Wᵀ, which the GEMM computes as (W·gᵀ)ᵀ: W is read in
         // place and only g is packed.
         let dx = g.matmul_nt(&self.weight.value);
-        g.recycle();
+        if let Some(r) = reshaped {
+            r.recycle();
+        }
         dx
     }
 
     fn backward_params(&mut self, grad_out: &Tensor, slot: Slot) {
-        self.param_grads(grad_out, slot).recycle();
+        let reshaped = self.as_matrix(grad_out);
+        self.param_grads(reshaped.as_ref().unwrap_or(grad_out), slot);
+        if let Some(r) = reshaped {
+            r.recycle();
+        }
     }
 
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.weight, &self.bias]
+    fn visit_params<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
+        f(&self.weight);
+        f(&self.bias);
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight, &mut self.bias]
+    fn visit_params_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
+        f(&mut self.weight);
+        f(&mut self.bias);
     }
 
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
-        vec![input_shape[0], self.out_features]
+        vec![input_shape[0], self.out_features()]
     }
 
     fn flops_per_sample(&self, _input_shape: &[usize]) -> f64 {
-        2.0 * self.in_features as f64 * self.out_features as f64
+        2.0 * self.in_features() as f64 * self.out_features() as f64
     }
 
     fn clear_slots(&mut self) {
@@ -133,7 +144,7 @@ impl Layer for Linear {
     }
 
     fn clear_slot(&mut self, slot: Slot) {
-        if let Some(t) = self.saved_input.remove(&slot) {
+        if let Some(t) = self.saved_input.remove(slot) {
             t.recycle();
         }
     }

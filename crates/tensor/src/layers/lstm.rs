@@ -1,10 +1,9 @@
 //! Long short-term memory layer with explicit backpropagation through time.
 
-use super::{Layer, Param, Slot};
+use super::{Layer, Param, Slot, SlotMap};
 use crate::init;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
-use std::collections::HashMap;
 
 /// Cached per-timestep state saved by the forward pass.
 struct StepCache {
@@ -45,7 +44,7 @@ pub struct Lstm {
     bias: Param, // [4*hidden]
     in_features: usize,
     hidden: usize,
-    saved: HashMap<Slot, Vec<StepCache>>,
+    saved: SlotMap<Vec<StepCache>>,
 }
 
 impl Lstm {
@@ -65,7 +64,7 @@ impl Lstm {
             bias: Param::new("bias", bias),
             in_features,
             hidden,
-            saved: HashMap::new(),
+            saved: SlotMap::new(),
         }
     }
 
@@ -169,7 +168,7 @@ impl Layer for Lstm {
     fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
         let caches = self
             .saved
-            .remove(&slot)
+            .remove(slot)
             .unwrap_or_else(|| panic!("{}: no saved state for slot {slot}", self.name));
         let t = caches.len();
         let (b, hn, d) = (caches[0].x.rows(), self.hidden, self.in_features);
@@ -243,12 +242,16 @@ impl Layer for Lstm {
         dx
     }
 
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.w_x, &self.w_h, &self.bias]
+    fn visit_params<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
+        f(&self.w_x);
+        f(&self.w_h);
+        f(&self.bias);
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.w_x, &mut self.w_h, &mut self.bias]
+    fn visit_params_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
+        f(&mut self.w_x);
+        f(&mut self.w_h);
+        f(&mut self.bias);
     }
 
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
@@ -266,7 +269,7 @@ impl Layer for Lstm {
     }
 
     fn clear_slot(&mut self, slot: Slot) {
-        if let Some(caches) = self.saved.remove(&slot) {
+        if let Some(caches) = self.saved.remove(slot) {
             caches.into_iter().for_each(StepCache::recycle);
         }
     }
@@ -289,7 +292,7 @@ impl Layer for Lstm {
             bias: self.bias.clone(),
             in_features: self.in_features,
             hidden: self.hidden,
-            saved: HashMap::new(),
+            saved: SlotMap::new(),
         })
     }
 }
@@ -299,14 +302,14 @@ impl Layer for Lstm {
 /// to a classifier head.
 #[derive(Clone)]
 pub struct SeqLast {
-    saved_shape: HashMap<Slot, Vec<usize>>,
+    saved_shape: SlotMap<Vec<usize>>,
 }
 
 impl SeqLast {
     /// New selector.
     pub fn new() -> Self {
         SeqLast {
-            saved_shape: HashMap::new(),
+            saved_shape: SlotMap::new(),
         }
     }
 }
@@ -338,7 +341,7 @@ impl Layer for SeqLast {
     fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
         let s = self
             .saved_shape
-            .remove(&slot)
+            .remove(slot)
             .unwrap_or_else(|| panic!("seq_last: no saved shape for slot {slot}"));
         let (b, t, f) = (s[0], s[1], s[2]);
         let mut dx = Tensor::zeros(&s);
@@ -358,7 +361,7 @@ impl Layer for SeqLast {
     }
 
     fn clear_slot(&mut self, slot: Slot) {
-        self.saved_shape.remove(&slot);
+        self.saved_shape.remove(slot);
     }
 
     fn cached_bytes(&self) -> u64 {

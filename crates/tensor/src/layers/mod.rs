@@ -30,6 +30,57 @@ use crate::tensor::Tensor;
 /// Identifier for an in-flight minibatch whose activations a layer must keep.
 pub type Slot = u64;
 
+/// State kept per in-flight minibatch, keyed by [`Slot`]. A stage holds
+/// at most NOAM minibatches at once, so a scan over a short `Vec` finds
+/// a slot in a few compares: nothing is hashed, and once the `Vec` has
+/// grown to the pipeline's depth nothing is allocated either.
+#[derive(Debug, Clone)]
+pub struct SlotMap<T> {
+    entries: Vec<(Slot, T)>,
+}
+
+impl<T> Default for SlotMap<T> {
+    fn default() -> Self {
+        SlotMap::new()
+    }
+}
+
+impl<T> SlotMap<T> {
+    /// An empty map.
+    pub const fn new() -> Self {
+        SlotMap {
+            entries: Vec::new(),
+        }
+    }
+
+    /// Keep `value` under `slot`, returning what `slot` held before.
+    pub fn insert(&mut self, slot: Slot, value: T) -> Option<T> {
+        match self.entries.iter_mut().find(|(s, _)| *s == slot) {
+            Some((_, old)) => Some(std::mem::replace(old, value)),
+            None => {
+                self.entries.push((slot, value));
+                None
+            }
+        }
+    }
+
+    /// Take what `slot` holds out of the map.
+    pub fn remove(&mut self, slot: Slot) -> Option<T> {
+        let i = self.entries.iter().position(|(s, _)| *s == slot)?;
+        Some(self.entries.swap_remove(i).1)
+    }
+
+    /// Drop every slot's state.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    /// The state of every slot held, in no particular order.
+    pub fn values(&self) -> impl Iterator<Item = &T> {
+        self.entries.iter().map(|(_, v)| v)
+    }
+}
+
 /// A trainable parameter: value plus accumulated gradient.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Param {
@@ -80,14 +131,27 @@ pub trait Layer: Send {
         self.backward(grad_out, slot).recycle();
     }
 
-    /// The layer's trainable parameters (empty for stateless layers).
+    /// Call `f` on each trainable parameter, in order (stateless layers
+    /// have none). Every walk over the parameters is built on this and
+    /// [`Layer::visit_params_mut`], so the per-minibatch ones — weight
+    /// swaps, the optimizer step — collect nothing.
+    fn visit_params<'a>(&'a self, _f: &mut dyn FnMut(&'a Param)) {}
+
+    /// Call `f` on each trainable parameter, mutably, in order.
+    fn visit_params_mut<'a>(&'a mut self, _f: &mut dyn FnMut(&'a mut Param)) {}
+
+    /// The layer's trainable parameters, collected.
     fn params(&self) -> Vec<&Param> {
-        Vec::new()
+        let mut params = Vec::new();
+        self.visit_params(&mut |p| params.push(p));
+        params
     }
 
-    /// Mutable access to the trainable parameters.
+    /// Mutable access to the trainable parameters, collected.
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
+        let mut params = Vec::new();
+        self.visit_params_mut(&mut |p| params.push(p));
+        params
     }
 
     /// Output shape for a given input shape (batch dimension included).
@@ -118,20 +182,22 @@ pub trait Layer: Send {
 
     /// Number of scalar parameters.
     fn param_count(&self) -> usize {
-        self.params().iter().map(|p| p.value.len()).sum()
+        let mut count = 0;
+        self.visit_params(&mut |p| count += p.value.len());
+        count
     }
 
     /// Zero all parameter gradients.
     fn zero_grad(&mut self) {
-        for p in self.params_mut() {
-            p.zero_grad();
-        }
+        self.visit_params_mut(&mut |p| p.zero_grad());
     }
 
     /// Snapshot the current parameter values (for weight stashing and
     /// checkpointing).
     fn snapshot(&self) -> Vec<Tensor> {
-        self.params().iter().map(|p| p.value.clone()).collect()
+        let mut values = Vec::new();
+        self.visit_params(&mut |p| values.push(p.value.clone()));
+        values
     }
 
     /// Exchange the parameter values with `values` (one tensor per
@@ -139,12 +205,13 @@ pub trait Layer: Send {
     /// no element is copied. Weight stashing runs a pass under an older
     /// version by swapping it in and, with the same call, back out.
     fn swap_values(&mut self, values: &mut [Tensor]) {
-        let params = self.params_mut();
-        assert_eq!(params.len(), values.len(), "parameter count mismatch");
-        for (p, v) in params.into_iter().zip(values) {
+        let mut values = values.iter_mut();
+        self.visit_params_mut(&mut |p| {
+            let v = values.next().expect("parameter count mismatch");
             assert_eq!(p.value.shape(), v.shape(), "parameter shape mismatch");
             std::mem::swap(&mut p.value, v);
-        }
+        });
+        assert!(values.next().is_none(), "parameter count mismatch");
     }
 
     /// Clone the layer into a box — used to replicate pipeline stages
@@ -153,16 +220,16 @@ pub trait Layer: Send {
 
     /// Restore parameter values from a snapshot taken with [`Layer::snapshot`].
     fn restore(&mut self, snapshot: &[Tensor]) {
-        let mut params = self.params_mut();
-        assert_eq!(
-            params.len(),
-            snapshot.len(),
-            "snapshot/parameter count mismatch"
-        );
-        for (p, s) in params.iter_mut().zip(snapshot.iter()) {
+        let mut snapshot = snapshot.iter();
+        self.visit_params_mut(&mut |p| {
+            let s = snapshot.next().expect("snapshot/parameter count mismatch");
             assert_eq!(p.value.shape(), s.shape(), "snapshot shape mismatch");
             p.value.copy_from(s);
-        }
+        });
+        assert!(
+            snapshot.next().is_none(),
+            "snapshot/parameter count mismatch"
+        );
     }
 }
 
@@ -330,15 +397,16 @@ impl Layer for Sequential {
         }
     }
 
-    fn params(&self) -> Vec<&Param> {
-        self.layers.iter().flat_map(|l| l.params()).collect()
+    fn visit_params<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
+        for l in &self.layers {
+            l.visit_params(f);
+        }
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.params_mut())
-            .collect()
+    fn visit_params_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
+        for l in &mut self.layers {
+            l.visit_params_mut(f);
+        }
     }
 
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {

@@ -1,8 +1,7 @@
 //! Learned scaling layer.
 
-use super::{Layer, Param, Slot};
+use super::{Layer, Param, Slot, SlotMap};
 use crate::tensor::Tensor;
-use std::collections::HashMap;
 
 /// Per-feature learned scale `y = x ⊙ γ` over `[batch, features]` inputs —
 /// a lightweight stand-in for normalization layers that keeps a small,
@@ -11,7 +10,7 @@ use std::collections::HashMap;
 pub struct Scale {
     gamma: Param,
     features: usize,
-    saved_input: HashMap<Slot, Tensor>,
+    saved_input: SlotMap<Tensor>,
 }
 
 impl Scale {
@@ -20,7 +19,7 @@ impl Scale {
         Scale {
             gamma: Param::new("gamma", Tensor::full(&[features], 1.0)),
             features,
-            saved_input: HashMap::new(),
+            saved_input: SlotMap::new(),
         }
     }
 }
@@ -47,7 +46,7 @@ impl Layer for Scale {
     fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
         let x = self
             .saved_input
-            .remove(&slot)
+            .remove(slot)
             .unwrap_or_else(|| panic!("scale: no saved input for slot {slot}"));
         let gamma = &mut self.gamma;
         let g = gamma.value.data();
@@ -63,12 +62,12 @@ impl Layer for Scale {
         dx
     }
 
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.gamma]
+    fn visit_params<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
+        f(&self.gamma);
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.gamma]
+    fn visit_params_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Param)) {
+        f(&mut self.gamma);
     }
 
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
@@ -84,7 +83,7 @@ impl Layer for Scale {
     }
 
     fn clear_slot(&mut self, slot: Slot) {
-        if let Some(t) = self.saved_input.remove(&slot) {
+        if let Some(t) = self.saved_input.remove(slot) {
             t.recycle();
         }
     }

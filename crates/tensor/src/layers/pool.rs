@@ -1,8 +1,7 @@
 //! Pooling and reshaping layers.
 
-use super::{Layer, Slot};
+use super::{Layer, Slot, SlotMap};
 use crate::tensor::Tensor;
-use std::collections::HashMap;
 
 /// Max pooling over `[batch, ch, h, w]` inputs with a square window and
 /// matching stride (the common `k = stride` configuration used in VGG/AlexNet).
@@ -10,7 +9,7 @@ use std::collections::HashMap;
 pub struct MaxPool2d {
     window: usize,
     /// Per-slot: (input shape, argmax index of each output element).
-    saved: HashMap<Slot, (Vec<usize>, Vec<usize>)>,
+    saved: SlotMap<(Vec<usize>, Vec<usize>)>,
 }
 
 impl MaxPool2d {
@@ -19,7 +18,7 @@ impl MaxPool2d {
         assert!(window >= 1);
         MaxPool2d {
             window,
-            saved: HashMap::new(),
+            saved: SlotMap::new(),
         }
     }
 }
@@ -68,7 +67,7 @@ impl Layer for MaxPool2d {
     fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
         let (in_shape, argmax) = self
             .saved
-            .remove(&slot)
+            .remove(slot)
             .unwrap_or_else(|| panic!("maxpool: no saved state for slot {slot}"));
         let mut dx = Tensor::zeros(&in_shape);
         let dxd = dx.data_mut();
@@ -96,7 +95,7 @@ impl Layer for MaxPool2d {
     }
 
     fn clear_slot(&mut self, slot: Slot) {
-        self.saved.remove(&slot);
+        self.saved.remove(slot);
     }
 
     fn cached_bytes(&self) -> u64 {
@@ -116,7 +115,7 @@ impl Layer for MaxPool2d {
 #[derive(Clone)]
 pub struct AvgPool2d {
     window: usize,
-    saved_shape: HashMap<Slot, Vec<usize>>,
+    saved_shape: SlotMap<Vec<usize>>,
 }
 
 impl AvgPool2d {
@@ -125,7 +124,7 @@ impl AvgPool2d {
         assert!(window >= 1);
         AvgPool2d {
             window,
-            saved_shape: HashMap::new(),
+            saved_shape: SlotMap::new(),
         }
     }
 }
@@ -167,7 +166,7 @@ impl Layer for AvgPool2d {
     fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
         let s = self
             .saved_shape
-            .remove(&slot)
+            .remove(slot)
             .unwrap_or_else(|| panic!("avgpool: no saved shape for slot {slot}"));
         let (b, c, h, w) = (s[0], s[1], s[2], s[3]);
         let k = self.window;
@@ -210,7 +209,7 @@ impl Layer for AvgPool2d {
     }
 
     fn clear_slot(&mut self, slot: Slot) {
-        self.saved_shape.remove(&slot);
+        self.saved_shape.remove(slot);
     }
 
     fn cached_bytes(&self) -> u64 {
@@ -228,7 +227,7 @@ impl Layer for AvgPool2d {
 #[derive(Clone)]
 pub struct Reshape {
     per_sample: Vec<usize>,
-    saved_shape: HashMap<Slot, Vec<usize>>,
+    saved_shape: SlotMap<Vec<usize>>,
 }
 
 impl Reshape {
@@ -237,7 +236,7 @@ impl Reshape {
         assert!(!per_sample.is_empty());
         Reshape {
             per_sample: per_sample.to_vec(),
-            saved_shape: HashMap::new(),
+            saved_shape: SlotMap::new(),
         }
     }
 }
@@ -265,7 +264,7 @@ impl Layer for Reshape {
     fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
         let shape = self
             .saved_shape
-            .remove(&slot)
+            .remove(slot)
             .unwrap_or_else(|| panic!("reshape: no saved shape for slot {slot}"));
         grad_out.reshape(&shape)
     }
@@ -281,7 +280,7 @@ impl Layer for Reshape {
     }
 
     fn clear_slot(&mut self, slot: Slot) {
-        self.saved_shape.remove(&slot);
+        self.saved_shape.remove(slot);
     }
 
     fn cached_bytes(&self) -> u64 {
@@ -296,14 +295,14 @@ impl Layer for Reshape {
 /// Flatten all non-batch dimensions: `[b, …] → [b, prod(…)]`.
 #[derive(Clone)]
 pub struct Flatten {
-    saved_shape: HashMap<Slot, Vec<usize>>,
+    saved_shape: SlotMap<Vec<usize>>,
 }
 
 impl Flatten {
     /// New flatten layer.
     pub fn new() -> Self {
         Flatten {
-            saved_shape: HashMap::new(),
+            saved_shape: SlotMap::new(),
         }
     }
 }
@@ -327,7 +326,7 @@ impl Layer for Flatten {
     fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
         let shape = self
             .saved_shape
-            .remove(&slot)
+            .remove(slot)
             .unwrap_or_else(|| panic!("flatten: no saved shape for slot {slot}"));
         grad_out.reshape(&shape)
     }
@@ -341,7 +340,7 @@ impl Layer for Flatten {
     }
 
     fn clear_slot(&mut self, slot: Slot) {
-        self.saved_shape.remove(&slot);
+        self.saved_shape.remove(slot);
     }
 
     fn cached_bytes(&self) -> u64 {

@@ -39,7 +39,7 @@ pub mod optim;
 pub mod pool;
 pub mod tensor;
 
-pub use layers::{Layer, Param, Sequential, Slot};
+pub use layers::{Layer, Param, Sequential, Slot, SlotMap};
 pub use loss::{mse_loss, softmax_cross_entropy, LossOutput};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use tensor::Tensor;

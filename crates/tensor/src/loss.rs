@@ -23,14 +23,18 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> LossOutput {
     let mut grad = Tensor::zeros(&[b, k]);
     let mut total = 0.0f64;
     let mut correct = 0usize;
-    for r in 0..b {
+    // Each row's exponentials are built in its gradient row, which the
+    // last loop turns into the gradient in place: no buffer per row.
+    for (r, g) in grad.data_mut().chunks_exact_mut(k).enumerate() {
         let row = &logits.data()[r * k..(r + 1) * k];
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f32> = row.iter().map(|&v| (v - max).exp()).collect();
-        let z: f32 = exps.iter().sum();
+        for (e, &v) in g.iter_mut().zip(row) {
+            *e = (v - max).exp();
+        }
+        let z: f32 = g.iter().sum();
         let label = labels[r];
         assert!(label < k, "label {label} out of range");
-        let p_label = exps[label] / z;
+        let p_label = g[label] / z;
         total += -(p_label.max(1e-12) as f64).ln();
         let pred = row
             .iter()
@@ -41,9 +45,9 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> LossOutput {
         if pred == label {
             correct += 1;
         }
-        for c in 0..k {
-            let p = exps[c] / z;
-            *grad.at_mut(r, c) = (p - if c == label { 1.0 } else { 0.0 }) / b as f32;
+        for (c, e) in g.iter_mut().enumerate() {
+            let p = *e / z;
+            *e = (p - if c == label { 1.0 } else { 0.0 }) / b as f32;
         }
     }
     LossOutput {

@@ -5,13 +5,38 @@
 //! bound to one stage's parameter list for its lifetime — exactly how the
 //! PipeDream runtime uses them (one optimizer per stage replica).
 
-use crate::layers::Param;
+use crate::layers::{Layer, Param};
 use crate::tensor::Tensor;
 
 /// A gradient-descent optimizer applied to a stage's parameter list.
 pub trait Optimizer: Send {
+    /// Start an update of a list of `count` parameters.
+    fn begin_step(&mut self, count: usize);
+
+    /// Update parameter `i` of the list from its accumulated gradient,
+    /// then zero the gradient.
+    fn update(&mut self, i: usize, p: &mut Param);
+
     /// Apply one update using the accumulated gradients, then zero them.
-    fn step(&mut self, params: &mut [&mut Param]);
+    fn step(&mut self, params: &mut [&mut Param]) {
+        self.begin_step(params.len());
+        for (i, p) in params.iter_mut().enumerate() {
+            self.update(i, p);
+        }
+    }
+
+    /// [`Optimizer::step`] over `layer`'s parameters where they lie:
+    /// the per-minibatch form, which collects no list of them.
+    fn step_layer(&mut self, layer: &mut dyn Layer) {
+        let mut count = 0;
+        layer.visit_params(&mut |_| count += 1);
+        self.begin_step(count);
+        let mut i = 0;
+        layer.visit_params_mut(&mut |p| {
+            self.update(i, p);
+            i += 1;
+        });
+    }
 
     /// The current learning rate.
     fn learning_rate(&self) -> f32;
@@ -46,50 +71,49 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [&mut Param]) {
+    fn begin_step(&mut self, count: usize) {
         // The velocity is the only state, and only momentum reads it: plain
-        // SGD allocates nothing, first step included.
-        if self.momentum != 0.0 {
-            if self.velocity.is_empty() {
-                self.velocity = params
-                    .iter()
-                    .map(|p| Tensor::zeros(p.value.shape()))
-                    .collect();
-            }
+        // SGD allocates nothing, first step included. The first step
+        // builds it, one parameter at a time.
+        if self.momentum != 0.0 && !self.velocity.is_empty() {
             assert_eq!(
                 self.velocity.len(),
-                params.len(),
+                count,
                 "optimizer bound to a different parameter list"
             );
         }
+    }
+
+    fn update(&mut self, i: usize, p: &mut Param) {
         let (lr, mu, wd) = (self.lr, self.momentum, self.weight_decay);
-        for (i, p) in params.iter_mut().enumerate() {
-            let Param { value, grad, .. } = &mut **p;
-            assert_eq!(value.shape(), grad.shape(), "gradient shape mismatch");
-            let (w, g) = (value.data_mut(), grad.data_mut());
-            // One pass: each gradient element is zeroed by the iteration
-            // that last reads it. Weight decay folds into that element,
-            // momentum is v ← μv + g, and θ ← θ − lr·v (v = g without
-            // momentum), each rounded as the tensor ops it replaces.
-            if mu != 0.0 {
-                let v = self.velocity[i].data_mut();
-                assert_eq!(
-                    v.len(),
-                    w.len(),
-                    "optimizer bound to a different parameter list"
-                );
-                for ((w, g), v) in w.iter_mut().zip(g.iter_mut()).zip(v.iter_mut()) {
-                    let gi = if wd != 0.0 { *g + wd * *w } else { *g };
-                    *v = *v * mu + gi;
-                    *w += -lr * *v;
-                    *g = 0.0;
-                }
-            } else {
-                for (w, g) in w.iter_mut().zip(g.iter_mut()) {
-                    let gi = if wd != 0.0 { *g + wd * *w } else { *g };
-                    *w += -lr * gi;
-                    *g = 0.0;
-                }
+        let Param { value, grad, .. } = p;
+        assert_eq!(value.shape(), grad.shape(), "gradient shape mismatch");
+        if mu != 0.0 && i == self.velocity.len() {
+            self.velocity.push(Tensor::zeros(value.shape()));
+        }
+        let (w, g) = (value.data_mut(), grad.data_mut());
+        // One pass: each gradient element is zeroed by the iteration
+        // that last reads it. Weight decay folds into that element,
+        // momentum is v ← μv + g, and θ ← θ − lr·v (v = g without
+        // momentum), each rounded as the tensor ops it replaces.
+        if mu != 0.0 {
+            let v = self.velocity[i].data_mut();
+            assert_eq!(
+                v.len(),
+                w.len(),
+                "optimizer bound to a different parameter list"
+            );
+            for ((w, g), v) in w.iter_mut().zip(g.iter_mut()).zip(v.iter_mut()) {
+                let gi = if wd != 0.0 { *g + wd * *w } else { *g };
+                *v = *v * mu + gi;
+                *w += -lr * *v;
+                *g = 0.0;
+            }
+        } else {
+            for (w, g) in w.iter_mut().zip(g.iter_mut()) {
+                let gi = if wd != 0.0 { *g + wd * *w } else { *g };
+                *w += -lr * gi;
+                *g = 0.0;
             }
         }
     }
@@ -130,39 +154,36 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        if self.m.is_empty() {
-            self.m = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value.shape()))
-                .collect();
-            self.v = self.m.clone();
+    fn begin_step(&mut self, count: usize) {
+        // The first step builds the moments, one parameter at a time.
+        if !self.m.is_empty() {
+            assert_eq!(self.m.len(), count);
         }
-        assert_eq!(self.m.len(), params.len());
         self.t += 1;
+    }
+
+    fn update(&mut self, i: usize, p: &mut Param) {
         let b1t = 1.0 - self.beta1.powi(self.t as i32);
         let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        for ((p, m), v) in params
-            .iter_mut()
-            .zip(self.m.iter_mut())
-            .zip(self.v.iter_mut())
-        {
-            let Param { value, grad, .. } = &mut **p;
-            let gd = grad.data_mut();
-            let pv = value.data_mut();
-            let md = m.data_mut();
-            let vd = v.data_mut();
-            for i in 0..pv.len() {
-                // Zeroed where it is read: one pass over the gradient.
-                let g = std::mem::take(&mut gd[i]);
-                let mi = self.beta1 * md[i] + (1.0 - self.beta1) * g;
-                let vi = self.beta2 * vd[i] + (1.0 - self.beta2) * g * g;
-                md[i] = mi;
-                vd[i] = vi;
-                let mhat = mi / b1t;
-                let vhat = vi / b2t;
-                pv[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
-            }
+        let Param { value, grad, .. } = p;
+        if i == self.m.len() {
+            self.m.push(Tensor::zeros(value.shape()));
+            self.v.push(Tensor::zeros(value.shape()));
+        }
+        let gd = grad.data_mut();
+        let pv = value.data_mut();
+        let md = self.m[i].data_mut();
+        let vd = self.v[i].data_mut();
+        for e in 0..pv.len() {
+            // Zeroed where it is read: one pass over the gradient.
+            let g = std::mem::take(&mut gd[e]);
+            let mi = self.beta1 * md[e] + (1.0 - self.beta1) * g;
+            let vi = self.beta2 * vd[e] + (1.0 - self.beta2) * g * g;
+            md[e] = mi;
+            vd[e] = vi;
+            let mhat = mi / b1t;
+            let vhat = vi / b2t;
+            pv[e] -= self.lr * mhat / (vhat.sqrt() + self.eps);
         }
     }
 

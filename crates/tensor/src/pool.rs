@@ -20,10 +20,13 @@
 //!   buffers; extras are dropped to the allocator so a transient spike
 //!   cannot pin memory forever.
 //!
-//! Hit/miss counters are kept both per-thread (for deterministic unit
-//! tests) and process-wide (folded into the observability
-//! `MetricsRegistry` by the runtime as `tensor_pool_hits_total` /
-//! `tensor_pool_misses_total`).
+//! Hit/miss counters are kept per thread, in the thread's own pool, so a
+//! take or a give touches no shared cache line. A thread adds its counts
+//! to the process-wide totals ([`global_stats`], folded into the
+//! observability `MetricsRegistry` by the runtime as
+//! `tensor_pool_hits_total` / `tensor_pool_misses_total`) when it calls
+//! [`publish_thread_stats`] — a pipeline stage worker does as it finishes —
+//! when it reads [`global_stats`] itself, and when it exits.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,6 +57,8 @@ static GLOBAL_RETURNED: AtomicU64 = AtomicU64::new(0);
 struct Pool {
     free: Vec<Vec<Vec<f32>>>,
     stats: PoolStats,
+    /// The part of `stats` already added to the process-wide totals.
+    published: PoolStats,
 }
 
 impl Pool {
@@ -61,7 +66,24 @@ impl Pool {
         Pool {
             free: (0..NUM_CLASSES).map(|_| Vec::new()).collect(),
             stats: PoolStats::default(),
+            published: PoolStats::default(),
         }
+    }
+
+    /// Add the counts since the last publication to the process-wide
+    /// totals.
+    fn publish(&mut self) {
+        let (now, then) = (self.stats, self.published);
+        GLOBAL_HITS.fetch_add(now.hits - then.hits, Ordering::Relaxed);
+        GLOBAL_MISSES.fetch_add(now.misses - then.misses, Ordering::Relaxed);
+        GLOBAL_RETURNED.fetch_add(now.returned - then.returned, Ordering::Relaxed);
+        self.published = now;
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        self.publish();
     }
 }
 
@@ -100,12 +122,10 @@ pub fn take_empty(n: usize) -> Vec<f32> {
         let mut pool = p.borrow_mut();
         if let Some(mut buf) = pool.free[class].pop() {
             pool.stats.hits += 1;
-            GLOBAL_HITS.fetch_add(1, Ordering::Relaxed);
             buf.clear();
             buf
         } else {
             pool.stats.misses += 1;
-            GLOBAL_MISSES.fetch_add(1, Ordering::Relaxed);
             // Allocate the full class size so the buffer lands back in
             // this class when recycled.
             Vec::with_capacity(1 << (class as u32 + MIN_CLASS_BITS))
@@ -138,7 +158,6 @@ pub fn give(v: Vec<f32>) {
         if pool.free[class].len() < MAX_FREE_PER_CLASS {
             pool.free[class].push(v);
             pool.stats.returned += 1;
-            GLOBAL_RETURNED.fetch_add(1, Ordering::Relaxed);
         }
     });
 }
@@ -149,9 +168,21 @@ pub fn thread_stats() -> PoolStats {
     POOL.with(|p| p.borrow().stats)
 }
 
-/// Process-wide pool counters across all threads (what the runtime
-/// folds into the metrics registry).
+/// Add this thread's counts since its last publication to the
+/// process-wide totals [`global_stats`] reads. A thread whose counts must
+/// be in the totals by the time another thread reads them calls this
+/// before it hands over its result; its exit publishes them too, but may
+/// come after.
+pub fn publish_thread_stats() {
+    // A thread tearing down its locals has published its pool already.
+    let _ = POOL.try_with(|p| p.borrow_mut().publish());
+}
+
+/// Process-wide pool counters: every thread's published counts (see
+/// [`publish_thread_stats`]), the calling thread's own up to now. What
+/// the runtime folds into the metrics registry.
 pub fn global_stats() -> PoolStats {
+    publish_thread_stats();
     PoolStats {
         hits: GLOBAL_HITS.load(Ordering::Relaxed),
         misses: GLOBAL_MISSES.load(Ordering::Relaxed),

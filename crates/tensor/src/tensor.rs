@@ -7,9 +7,11 @@ use std::fmt;
 
 /// A dense, row-major tensor of `f32` values.
 ///
-/// Shapes are dynamic (a `Vec<usize>`); rank-2 tensors are interpreted as
-/// `[rows, cols]` matrices by the linear-algebra helpers. The first
-/// dimension is the batch dimension throughout the layer library.
+/// Shapes are dynamic, of rank at most [`MAX_RANK`], and held inline, so
+/// making a tensor allocates its data and nothing else; rank-2 tensors are
+/// interpreted as `[rows, cols]` matrices by the linear-algebra helpers.
+/// The first dimension is the batch dimension throughout the layer
+/// library.
 ///
 /// Allocation goes through the thread-local [`crate::pool`]: fresh
 /// tensors (including clones and op outputs) reuse recycled buffers, and
@@ -19,14 +21,73 @@ use std::fmt;
 /// [`gemm::set_thread_backend`]).
 #[derive(PartialEq, Serialize, Deserialize)]
 pub struct Tensor {
-    shape: Vec<usize>,
+    shape: Shape,
     data: Vec<f32>,
+}
+
+/// Highest rank a [`Tensor`] can have: `Conv2d`'s `[batch, channels,
+/// height, width]` is the highest any layer builds.
+pub const MAX_RANK: usize = 4;
+
+/// A tensor's dimensions, inline. Dimensions past the rank stay 0, so the
+/// derived equality compares shapes. Serialized as the JSON array of its
+/// dimensions, as a `Vec<usize>` is.
+#[derive(Clone, Copy, PartialEq)]
+struct Shape {
+    dims: [usize; MAX_RANK],
+    rank: u8,
+}
+
+impl Shape {
+    fn new(dims: &[usize]) -> Self {
+        assert!(
+            dims.len() <= MAX_RANK,
+            "shape {dims:?} has rank {} > {MAX_RANK}",
+            dims.len()
+        );
+        let mut shape = Shape {
+            dims: [0; MAX_RANK],
+            rank: dims.len() as u8,
+        };
+        shape.dims[..dims.len()].copy_from_slice(dims);
+        shape
+    }
+}
+
+impl std::ops::Deref for Shape {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        &self.dims[..self.rank as usize]
+    }
+}
+
+impl fmt::Debug for Shape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl Serialize for Shape {
+    fn to_value(&self) -> serde::Value {
+        self[..].to_value()
+    }
+}
+
+impl Deserialize for Shape {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let dims = Vec::<usize>::from_value(v)?;
+        if dims.len() > MAX_RANK {
+            return Err(serde::Error::msg("tensor rank above MAX_RANK"));
+        }
+        Ok(Shape::new(&dims))
+    }
 }
 
 impl Clone for Tensor {
     fn clone(&self) -> Self {
         Tensor {
-            shape: self.shape.clone(),
+            shape: self.shape,
             data: pool::take_copy(&self.data),
         }
     }
@@ -37,7 +98,7 @@ impl Tensor {
     pub fn zeros(shape: &[usize]) -> Self {
         let n = shape.iter().product();
         Tensor {
-            shape: shape.to_vec(),
+            shape: Shape::new(shape),
             data: pool::take_zeroed(n),
         }
     }
@@ -48,7 +109,7 @@ impl Tensor {
         let mut data = pool::take_empty(n);
         data.resize(n, value);
         Tensor {
-            shape: shape.to_vec(),
+            shape: Shape::new(shape),
             data,
         }
     }
@@ -64,7 +125,7 @@ impl Tensor {
             data.len()
         );
         Tensor {
-            shape: shape.to_vec(),
+            shape: Shape::new(shape),
             data,
         }
     }
@@ -72,7 +133,7 @@ impl Tensor {
     /// A rank-1 tensor from a slice.
     pub fn from_slice(data: &[f32]) -> Self {
         Tensor {
-            shape: vec![data.len()],
+            shape: Shape::new(&[data.len()]),
             data: pool::take_copy(data),
         }
     }
@@ -137,7 +198,7 @@ impl Tensor {
         let n: usize = shape.iter().product();
         assert_eq!(n, self.data.len(), "reshape {shape:?} wants {n} elements");
         Tensor {
-            shape: shape.to_vec(),
+            shape: Shape::new(shape),
             data: pool::take_copy(&self.data),
         }
     }
@@ -286,7 +347,7 @@ impl Tensor {
         let mut data = pool::take_empty(self.data.len());
         data.extend(self.data.iter().map(|&x| f(x)));
         Tensor {
-            shape: self.shape.clone(),
+            shape: self.shape,
             data,
         }
     }
@@ -309,7 +370,7 @@ impl Tensor {
                 .map(|(&a, &b)| f(a, b)),
         );
         Tensor {
-            shape: self.shape.clone(),
+            shape: self.shape,
             data,
         }
     }
@@ -415,7 +476,7 @@ impl Tensor {
         assert_eq!(self.shape.len(), 2);
         let n = self.shape[1];
         Tensor {
-            shape: vec![n],
+            shape: Shape::new(&[n]),
             data: pool::take_copy(&self.data[r * n..(r + 1) * n]),
         }
     }
