@@ -16,7 +16,7 @@ use pipedream_tensor::layers::Slot;
 use pipedream_tensor::{Layer, Sequential, Tensor};
 use std::time::Instant;
 
-/// Per-layer timing variability across profiled minibatches.
+/// Per-layer timing variability across profiled inputs.
 ///
 /// §3.1: "PipeDream exploits the fact that DNN training shows little
 /// variance in computation time across inputs" — this is what justifies
@@ -24,56 +24,80 @@ use std::time::Instant;
 /// it so the assumption can be checked on any model.
 #[derive(Debug, Clone)]
 pub struct ProfileStats {
-    /// Per-layer mean forward time in seconds.
+    /// Per layer, the mean across inputs of each input's fastest forward
+    /// time, in seconds.
     pub fwd_mean_s: Vec<f64>,
-    /// Per-layer coefficient of variation (std / mean) of the forward time.
-    pub fwd_cv: Vec<f64>,
+    /// Per layer, the coefficient of variation (std / mean) across inputs
+    /// of each input's fastest forward time. The fastest of several runs
+    /// drops what preemption adds to a run, which is not the input's doing
+    /// and dominated a CV over repeats on a busy machine.
+    pub input_cv: Vec<f64>,
 }
 
 impl ProfileStats {
-    /// The largest per-layer coefficient of variation.
+    /// The largest per-layer coefficient of variation across inputs.
     pub fn worst_cv(&self) -> f64 {
-        self.fwd_cv.iter().copied().fold(0.0, f64::max)
+        self.input_cv.iter().copied().fold(0.0, f64::max)
     }
 }
 
-/// Like [`profile_sequential`], but also returns per-layer timing
-/// variability across the measured iterations.
+/// Like [`profile_sequential`] on `inputs[0]`, but also returns how each
+/// layer's forward time varies across `inputs`: each input is run
+/// `repeats` times and timed at its fastest, after `warmup` unmeasured
+/// forwards of the first.
 pub fn profile_with_stats(
     model: &mut Sequential,
-    input: &Tensor,
+    inputs: &[Tensor],
     warmup: usize,
-    iters: usize,
+    repeats: usize,
     calibration_device: &Device,
 ) -> (ModelProfile, ProfileStats) {
-    assert!(iters >= 2, "variance needs at least two iterations");
+    assert!(inputs.len() >= 2, "variance needs at least two inputs");
+    assert!(repeats >= 1, "need at least one measured run an input");
     let n = model.len();
-    let mut per_iter: Vec<Vec<f64>> = vec![Vec::with_capacity(iters); n];
-    for it in 0..warmup + iters {
-        let measured = it >= warmup;
-        let mut cur = input.clone();
-        let slot: Slot = (1_000_000 + it) as Slot;
-        #[allow(clippy::needless_range_loop)] // indexing two structures in lockstep
-        for i in 0..n {
+    // One forward of `x`, each layer's time lowering its entry of `best`.
+    let mut slot: Slot = 1_000_000;
+    let mut forward = |model: &mut Sequential, x: &Tensor, best: &mut [f64]| {
+        let mut cur = x.clone();
+        for (layer, best) in model.layers_mut().iter_mut().zip(best.iter_mut()) {
             let t0 = Instant::now();
-            let out = model.layers_mut()[i].forward(&cur, slot);
-            if measured {
-                per_iter[i].push(t0.elapsed().as_secs_f64());
-            }
+            let out = layer.forward(&cur, slot);
+            *best = best.min(t0.elapsed().as_secs_f64());
             cur = out;
         }
         model.clear_slots();
+        slot += 1;
+    };
+    let mut best = vec![f64::INFINITY; n];
+    for _ in 0..warmup {
+        forward(model, &inputs[0], &mut best);
+    }
+    let mut minima: Vec<Vec<f64>> = vec![Vec::with_capacity(inputs.len()); n];
+    for x in inputs {
+        best.fill(f64::INFINITY);
+        for _ in 0..repeats {
+            forward(model, x, &mut best);
+        }
+        for (m, &b) in minima.iter_mut().zip(&best) {
+            m.push(b);
+        }
     }
     let mut fwd_mean_s = Vec::with_capacity(n);
-    let mut fwd_cv = Vec::with_capacity(n);
-    for times in &per_iter {
+    let mut input_cv = Vec::with_capacity(n);
+    for times in &minima {
         let mean = times.iter().sum::<f64>() / times.len() as f64;
         let var = times.iter().map(|t| (t - mean) * (t - mean)).sum::<f64>() / times.len() as f64;
         fwd_mean_s.push(mean);
-        fwd_cv.push(if mean > 0.0 { var.sqrt() / mean } else { 0.0 });
+        input_cv.push(if mean > 0.0 { var.sqrt() / mean } else { 0.0 });
     }
-    let profile = profile_sequential(model, input, warmup, iters, calibration_device);
-    (profile, ProfileStats { fwd_mean_s, fwd_cv })
+    let profile = profile_sequential(model, &inputs[0], warmup, repeats, calibration_device);
+    (
+        profile,
+        ProfileStats {
+            fwd_mean_s,
+            input_cv,
+        },
+    )
 }
 
 /// Profile `model` by running `warmup + iters` minibatches of `input` and
@@ -217,24 +241,78 @@ mod tests {
         );
     }
 
+    fn inputs(scales: &[f32]) -> Vec<Tensor> {
+        scales
+            .iter()
+            .enumerate()
+            .map(|(k, &s)| pipedream_tensor::init::normal(&[64, 256], s, &mut rng(10 + k as u64)))
+            .collect()
+    }
+
     #[test]
     fn computation_time_has_low_variance() {
-        // §3.1's premise: computation time varies little across inputs.
-        // Wall-clock noise on a busy machine can be large for microsecond
-        // layers, so use a heavyweight layer and a loose bound.
+        // A heavyweight layer pair, six inputs of different content and
+        // scale, each timed at its fastest of five runs.
         let mut r = rng(3);
         let mut m = Sequential::new("var")
             .push(Linear::new(256, 1024, &mut r))
             .push(Linear::new(1024, 256, &mut r));
-        let x = Tensor::zeros(&[64, 256]);
-        let (_, stats) = profile_with_stats(&mut m, &x, 3, 8, &Device::v100());
-        assert_eq!(stats.fwd_cv.len(), 2);
+        let xs = inputs(&[0.0, 0.1, 1.0, 10.0, 1e3, 1e-3]);
+        let (_, stats) = profile_with_stats(&mut m, &xs, 3, 5, &Device::v100());
+        assert_eq!(stats.input_cv.len(), 2);
         assert!(
             stats.worst_cv() < 1.0,
-            "forward-time CV {:.3} unexpectedly high",
+            "forward-time CV across inputs {:.3} unexpectedly high",
             stats.worst_cv()
         );
         assert!(stats.fwd_mean_s.iter().all(|&t| t > 0.0));
+    }
+
+    /// A layer whose time grows with its input: work proportional to the
+    /// magnitude of the input's first element.
+    #[derive(Clone)]
+    struct InputDependent;
+
+    impl Layer for InputDependent {
+        fn name(&self) -> &str {
+            "input-dependent"
+        }
+        fn forward(&mut self, x: &Tensor, _slot: Slot) -> Tensor {
+            let spins = (x.data()[0].abs() * 2e4) as u64;
+            let mut acc = 0u64;
+            for i in 0..spins {
+                acc = std::hint::black_box(acc.wrapping_add(i));
+            }
+            std::hint::black_box(acc);
+            x.clone()
+        }
+        fn backward(&mut self, g: &Tensor, _slot: Slot) -> Tensor {
+            g.clone()
+        }
+        fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
+            input_shape.to_vec()
+        }
+        fn clear_slots(&mut self) {}
+        fn clone_box(&self) -> Box<dyn Layer> {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    fn input_dependent_time_fails_the_variance_bound() {
+        // The measure the test above bounds does see a layer whose time
+        // depends on its input: work in proportion 0 : 1 : 4 : 16 : 64.
+        let mut m = Sequential::new("planted").push(InputDependent);
+        let xs: Vec<Tensor> = [0.0f32, 1.0, 4.0, 16.0, 64.0]
+            .iter()
+            .map(|&v| Tensor::full(&[4, 4], v))
+            .collect();
+        let (_, stats) = profile_with_stats(&mut m, &xs, 0, 3, &Device::v100());
+        assert!(
+            stats.input_cv[0] >= 1.0,
+            "an input-dependent layer reads CV {:.3}",
+            stats.input_cv[0]
+        );
     }
 
     #[test]

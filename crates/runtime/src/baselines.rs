@@ -38,7 +38,7 @@ pub fn train_sequential(
             let (x, y) = dataset.minibatch(i, opts.batch);
             let out = model.forward(&x, i as u64);
             let loss = softmax_cross_entropy(&out, &y);
-            model.zero_grad();
+            // Gradients start at zero and every step leaves them so.
             model.backward_params(&loss.grad, i as u64);
             optimizer.step_layer(&mut model);
             loss_sum += loss.loss as f64 * y.len() as f64;

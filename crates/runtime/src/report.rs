@@ -62,6 +62,24 @@ pub struct StageObsRecord {
     /// Total microseconds spent in recompute forward passes (recompute
     /// schedule kinds only; 0 otherwise).
     pub recompute_us: u64,
+    /// Weight and gradient bytes this worker's updates read and wrote: the
+    /// weights once each way; the gradient as each backward pass stores it
+    /// (a read and a write of the accumulator, a write into a buffer
+    /// `Layer::reset_grads` left empty, nothing where the update computes
+    /// it itself), as the step reads it (one deposit per replica from a
+    /// gradient-sync round) and as it is zeroed for the next passes.
+    /// Optimizer state and activations are not counted.
+    pub weight_bytes: u64,
+    /// Backward passes this worker ran.
+    pub backwards: u64,
+}
+
+impl StageObsRecord {
+    /// [`StageObsRecord::weight_bytes`] per backward pass, the worker's
+    /// share of a minibatch (0 before any backward).
+    pub fn weight_bytes_per_mb(&self) -> f64 {
+        self.weight_bytes as f64 / self.backwards.max(1) as f64
+    }
 }
 
 /// Loss and accuracy of one minibatch, measured at the output stage.

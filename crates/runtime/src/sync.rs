@@ -7,13 +7,24 @@
 //! same cadence, so a round-based all_reduce is deadlock-free: the `k`-th
 //! backward pass of every replica contributes to round `k`.
 //!
+//! **Averaged as read.** A round hands each replica every deposit, in
+//! replica order, to read where it lies: the optimizer step of each
+//! replica averages the deposits as it reads them
+//! ([`pipedream_tensor::Grad::Round`]), so the group itself writes no
+//! average and no copy of one. A deposit is an `Arc<GradSet>`; the group
+//! and every reader drop their clones before the depositor uses the set
+//! again, which [`GradSyncGroup::round`]'s caller arranges by depositing
+//! two sets in turn: once round `k + 1` completes, every replica has
+//! finished reading round `k`.
+//!
 //! That deadlock-freedom argument assumes every participant stays alive.
 //! A replica that crashes mid-round would strand its partners inside the
 //! rendezvous forever, so the group is **unstrandable** by construction:
 //!
-//! * [`GradSyncGroup::allreduce`] is fallible — it returns
-//!   [`SyncError::PeerLost`] the moment the group is poisoned and
-//!   [`SyncError::Timeout`] when the configured deadline expires;
+//! * [`GradSyncGroup::round`] and [`GradSyncGroup::allreduce`] are
+//!   fallible — they return [`SyncError::PeerLost`] the moment the group
+//!   is poisoned and [`SyncError::Timeout`] when the configured deadline
+//!   expires;
 //! * a dying participant (typed worker error, fault-injected kill, or
 //!   channel disconnect) calls [`GradSyncGroup::poison`], waking every
 //!   blocked partner immediately;
@@ -27,9 +38,10 @@
 //!   serializing `replicas` individual timeouts.
 
 use pipedream_obs::{Recorder, SpanKind};
-use pipedream_tensor::Tensor;
+use pipedream_tensor::optim::round_mean;
+use pipedream_tensor::{GradSet, Tensor};
 use std::fmt;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Why an all_reduce rendezvous failed.
@@ -66,16 +78,14 @@ impl fmt::Display for SyncError {
 impl std::error::Error for SyncError {}
 
 struct State {
-    deposits: Vec<Option<Vec<Tensor>>>,
-    average: Option<Vec<Tensor>>,
-    /// The round's other deposits, summed into `average` already: every
-    /// collector but the last copies the average into one of them, so each
-    /// replica leaves with one buffer set for the one it brought and a
-    /// round allocates nothing.
-    spent: Vec<Vec<Tensor>>,
+    /// This round's deposits, by replica.
+    deposits: Vec<Option<Arc<GradSet>>>,
+    /// Every replica has deposited: the round is out for collection.
+    complete: bool,
+    /// Replicas that collected this round's deposits.
     collected: usize,
     /// Replica that poisoned the group, if any. Once set the group is
-    /// permanently failed: every current and future `allreduce` errs.
+    /// permanently failed: every current and future round errs.
     poisoned: Option<usize>,
 }
 
@@ -132,8 +142,7 @@ impl GradSyncGroup {
             recorders: Vec::new(),
             state: Mutex::new(State {
                 deposits: vec![None; replicas],
-                average: None,
-                spent: Vec::with_capacity(replicas),
+                complete: false,
                 collected: 0,
                 poisoned: None,
             }),
@@ -221,26 +230,33 @@ impl GradSyncGroup {
         }
     }
 
-    /// Contribute this replica's gradients and receive the element-wise
-    /// average across all replicas. Blocks until every replica of the
-    /// current round has contributed, the group's deadline expires, or a
-    /// peer is lost — the latter two fail with a typed [`SyncError`]
-    /// instead of hanging.
+    /// Deposit `set` as `replica`'s part of the current round and collect
+    /// the round: every deposit, in replica order, into `deposits`, for the
+    /// caller to read where they lie. Blocks until every replica of the
+    /// round has deposited, the group's deadline expires, or a peer is lost
+    /// — the latter two fail with a typed [`SyncError`] instead of hanging.
     ///
-    /// The tensors handed back are the round's own deposits — the average
-    /// is computed in place in one, and copied into the others — so every
-    /// replica leaves with one buffer set for the one it brought and a
-    /// round neither allocates nor drops a buffer.
-    pub fn allreduce(&self, replica: usize, grads: Vec<Tensor>) -> Result<Vec<Tensor>, SyncError> {
+    /// The caller drops what it collected before it deposits again, and
+    /// uses `set` again only once the round after this one has completed:
+    /// by then every replica has read it. Panics (poisoning the group) if
+    /// the deposits disagree in shape.
+    pub fn round(
+        &self,
+        replica: usize,
+        set: Arc<GradSet>,
+        deposits: &mut Vec<Arc<GradSet>>,
+    ) -> Result<(), SyncError> {
         assert!(replica < self.replicas);
+        deposits.clear();
         if self.replicas == 1 {
-            return Ok(grads);
+            deposits.push(set);
+            return Ok(());
         }
         match self.recorders.get(replica) {
-            None => self.allreduce_inner(replica, grads),
+            None => self.round_inner(replica, set, deposits),
             Some(rec) => {
                 let span = rec.begin();
-                let result = self.allreduce_inner(replica, grads);
+                let result = self.round_inner(replica, set, deposits);
                 rec.end(
                     span,
                     if result.is_ok() {
@@ -254,68 +270,93 @@ impl GradSyncGroup {
         }
     }
 
-    fn allreduce_inner(
+    fn round_inner(
         &self,
         replica: usize,
-        grads: Vec<Tensor>,
-    ) -> Result<Vec<Tensor>, SyncError> {
+        set: Arc<GradSet>,
+        deposits: &mut Vec<Arc<GradSet>>,
+    ) -> Result<(), SyncError> {
         let start = Instant::now();
         let mut guard = InFlightGuard {
             group: self,
             replica,
             armed: false,
         };
-        // Wait for the previous round to fully drain before depositing.
+        // Wait for the previous round to be collected before depositing.
         let mut st = self.wait_while(self.lock(), replica, start, |st| {
-            st.deposits[replica].is_some() || st.average.is_some()
+            st.deposits[replica].is_some()
         })?;
-        st.deposits[replica] = Some(grads);
-        // From the deposit until this round's result is consumed, an
-        // unwind would leave a partial round behind: arm the poison guard.
+        st.deposits[replica] = Some(set);
+        // From the deposit until this round is collected, an unwind would
+        // leave a partial round behind: arm the poison guard.
         guard.armed = true;
         if st.deposits.iter().all(Option::is_some) {
-            // Last depositor computes the average, in place in the first
-            // deposit.
-            let st = &mut *st;
-            let mut deposits = st
-                .deposits
-                .iter_mut()
-                .map(|d| d.take().expect("all deposited"));
-            let mut avg = deposits.next().expect("at least one replica");
-            for d in deposits {
-                for (a, t) in avg.iter_mut().zip(d.iter()) {
-                    a.axpy(1.0, t);
-                }
-                st.spent.push(d);
+            // The last depositor checks the round is one: every replica's
+            // gradients of the same shapes.
+            let first = st.deposits[0].as_ref().expect("all deposited");
+            for d in st.deposits.iter().flatten() {
+                assert!(
+                    d.grads.len() == first.grads.len()
+                        && d.grads
+                            .iter()
+                            .zip(&first.grads)
+                            .all(|(a, b)| a.shape() == b.shape()),
+                    "gradient sync: replicas deposited gradients of different shapes"
+                );
             }
-            let scale = 1.0 / self.replicas as f32;
-            for t in &mut avg {
-                t.scale_inplace(scale);
-            }
-            st.average = Some(avg);
+            st.complete = true;
             self.cv.notify_all();
         } else {
-            st = self.wait_while(st, replica, start, |st| st.average.is_none())?;
+            st = self.wait_while(st, replica, start, |st| !st.complete)?;
         }
+        deposits.extend(
+            st.deposits
+                .iter()
+                .map(|d| Arc::clone(d.as_ref().expect("all deposited"))),
+        );
         st.collected += 1;
-        let out = if st.collected == self.replicas {
-            // Last collector: the round is over, the average itself goes.
+        if st.collected == self.replicas {
+            // Last collector: the round is over and the group lets go of it.
             st.collected = 0;
+            st.complete = false;
+            st.deposits.iter_mut().for_each(|d| *d = None);
             self.cv.notify_all();
-            st.average.take().expect("average present")
-        } else {
-            let st = &mut *st;
-            let mut out = st.spent.pop().expect("one spent deposit per collector");
-            for (o, a) in out
-                .iter_mut()
-                .zip(st.average.as_ref().expect("average present"))
-            {
-                o.copy_from(a);
-            }
-            out
-        };
+        }
         guard.armed = false;
-        Ok(out)
+        Ok(())
+    }
+
+    /// Contribute this replica's gradients and receive the element-wise
+    /// average across all replicas: [`GradSyncGroup::round`] for a caller
+    /// that wants the average written out. Each replica reads every
+    /// deposit and writes the whole average into tensors from its thread's
+    /// pool; the last reader of a deposit gives its tensors back to its
+    /// own pool, so a caller that recycles what it gets mostly draws
+    /// recycled buffers. Fails as `round` does.
+    pub fn allreduce(&self, replica: usize, grads: Vec<Tensor>) -> Result<Vec<Tensor>, SyncError> {
+        if self.replicas == 1 {
+            return Ok(grads);
+        }
+        let mut deposits = Vec::with_capacity(self.replicas);
+        self.round(
+            replica,
+            Arc::new(GradSet { grads, count: 1 }),
+            &mut deposits,
+        )?;
+        let mean = deposits[0]
+            .grads
+            .iter()
+            .enumerate()
+            .map(|(i, g)| {
+                let mut t = Tensor::scratch(g.shape());
+                round_mean(&deposits, i, 0, t.data_mut());
+                t
+            })
+            .collect();
+        for set in deposits.drain(..).filter_map(Arc::into_inner) {
+            set.grads.into_iter().for_each(Tensor::recycle);
+        }
+        Ok(mean)
     }
 }
 
@@ -513,6 +554,111 @@ mod tests {
         assert!(g.allreduce(0, vec![t(&[1.0])]).is_err());
         let snap = session.snapshot();
         assert_eq!(snap.tracks[0].events[0].kind, SpanKind::Stalled);
+    }
+
+    fn set(v: &[f32], count: u32) -> Arc<GradSet> {
+        Arc::new(GradSet {
+            grads: vec![t(v)],
+            count,
+        })
+    }
+
+    #[test]
+    fn a_round_hands_every_replica_the_deposits_themselves_in_replica_order() {
+        let g = Arc::new(GradSyncGroup::new(3));
+        let deposits: Vec<Arc<GradSet>> = (0..3).map(|r| set(&[r as f32], r + 1)).collect();
+        let handles: Vec<_> = (0..3)
+            .map(|r| {
+                let (g, mine) = (Arc::clone(&g), Arc::clone(&deposits[r]));
+                thread::spawn(move || {
+                    let mut round = Vec::new();
+                    g.round(r, mine, &mut round).unwrap();
+                    round
+                })
+            })
+            .collect();
+        for h in handles {
+            let round = h.join().unwrap();
+            assert_eq!(round.len(), 3);
+            for (got, want) in round.iter().zip(&deposits) {
+                // Read where it lies: the very tensors deposited.
+                assert!(Arc::ptr_eq(got, want));
+            }
+        }
+    }
+
+    #[test]
+    fn a_deposit_is_free_again_once_the_next_round_completes() {
+        // Each replica deposits two sets in turn. Once round k + 1 is
+        // complete, every replica has read round k, so the set deposited
+        // there has no other holder: it can be written without a copy.
+        let g = Arc::new(GradSyncGroup::new(2));
+        let handles: Vec<_> = (0..2)
+            .map(|r| {
+                let g = Arc::clone(&g);
+                thread::spawn(move || {
+                    let mut sets = [set(&[0.0], 1), set(&[0.0], 1)];
+                    let mut round = Vec::new();
+                    let mut sums = Vec::new();
+                    for k in 0..40 {
+                        let q = k % 2;
+                        Arc::get_mut(&mut sets[q])
+                            .expect("read by every replica")
+                            .grads[0]
+                            .data_mut()[0] = (k * 2 + r) as f32;
+                        g.round(r, Arc::clone(&sets[q]), &mut round).unwrap();
+                        let mut mean = [0.0f32];
+                        round_mean(&round, 0, 0, &mut mean);
+                        sums.push(mean[0]);
+                        round.clear();
+                    }
+                    sums
+                })
+            })
+            .collect();
+        for h in handles {
+            let sums = h.join().unwrap();
+            let want: Vec<f32> = (0..40).map(|k| (4 * k + 1) as f32 / 2.0).collect();
+            assert_eq!(sums, want);
+        }
+    }
+
+    #[test]
+    fn the_mean_as_read_rounds_as_the_all_reduce_did() {
+        // Each deposit scaled by 1 / its count, summed in replica order,
+        // the sum scaled by 1 / replicas: bit for bit the tensor ops an
+        // all-reduce into one buffer ran.
+        let vals = [
+            [0.1f32, -3.7, 1e-7, 2.5],
+            [7.3, 0.2, -1e-6, 1.25],
+            [-0.4, 9.9, 3.3, -2.0],
+        ];
+        for counts in [[1, 1, 1], [2, 1, 3], [4, 4, 4]] {
+            for replicas in 2..=3 {
+                let sets: Vec<Arc<GradSet>> =
+                    (0..replicas).map(|r| set(&vals[r], counts[r])).collect();
+                let mut got = [0.0f32; 4];
+                round_mean(&sets, 0, 0, &mut got);
+                let mut want = t(&vals[0]);
+                if counts[0] > 1 {
+                    want.scale_inplace(1.0 / counts[0] as f32);
+                }
+                for r in 1..replicas {
+                    let mut d = t(&vals[r]);
+                    if counts[r] > 1 {
+                        d.scale_inplace(1.0 / counts[r] as f32);
+                    }
+                    want.axpy(1.0, &d);
+                }
+                want.scale_inplace(1.0 / replicas as f32);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&got),
+                    bits(want.data()),
+                    "counts {counts:?}, {replicas} replicas"
+                );
+            }
+        }
     }
 
     #[test]

@@ -18,10 +18,17 @@
 //! sync or 2BW, one store for all three); a pass under a superseded
 //! version swaps that version's tensors with the model's for its duration
 //! — pointer swaps, and none at all when the version is the live one, as
-//! in every pass of the output stage. Weights are *copied* in one place,
-//! `StageWorker::apply_update`, at most once per update and only when
-//! the version the optimizer is about to overwrite is still needed, into
-//! the buffers of a version that has retired.
+//! in every pass of the output stage. Weights are never copied: when the
+//! version an update supersedes is still needed, the optimizer writes the
+//! next weights into the buffers of a version that has retired and the
+//! two sets trade places (`StageWorker::apply_update`).
+//!
+//! **Updates.** An update is one pass over the stage's weights. On a
+//! replicated stage it reads the round's deposited gradients in place,
+//! averaging as it reads. On an unreplicated stage that updates after
+//! every backward, the backward ships its input gradient first and leaves
+//! the weight gradients to the update, where `Linear` computes them and
+//! steps the live weights in the same pass, never storing them.
 //!
 //! **Reporting.** Losses, forward weight versions and the peak
 //! observations go into the worker's own [`WorkerLog`] and come back with
@@ -45,7 +52,10 @@ use crate::trainer::{LrSchedule, OptimKind, Semantics};
 use pipedream_core::schedule::{keeps_activations, Op, UpdateRule};
 use pipedream_core::stash::{ScheduleKind, VersionPolicy, VersionStore};
 use pipedream_obs::{Recorder, SpanKind};
-use pipedream_tensor::{pool, softmax_cross_entropy, Layer, Sequential, SlotMap, Tensor};
+use pipedream_tensor::{
+    pool, softmax_cross_entropy, Grad, GradSet, Layer, Optimizer, Sequential, SlotMap, Tensor,
+    Update,
+};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -161,6 +171,26 @@ struct WorkerState {
     /// Total microseconds spent re-running forward passes before backward
     /// (recompute kinds only).
     recompute_us: u64,
+    /// Replicated stages: the two gradient sets this replica deposits into
+    /// sync rounds in turn, each empty while its tensors accumulate in the
+    /// model. When a round completes, every replica has read the round
+    /// before it, so the set deposited there comes back to accumulate the
+    /// next gradients: a round allocates nothing and waits for no reader.
+    sets: [Arc<GradSet>; 2],
+    /// Which of `sets` the next round takes.
+    next_set: usize,
+    /// The round being read: every replica's deposit, in replica order.
+    round: Vec<Arc<GradSet>>,
+    /// The stage's parameters, and their floats.
+    params: usize,
+    param_floats: u64,
+    /// Floats whose gradient buffer the last `reset_grads` left empty: the
+    /// first backward pass after it writes them instead of adding.
+    lazy_floats: u64,
+    /// Weight and gradient bytes read and written by updates so far (see
+    /// [`StageObsRecord::weight_bytes`]), and backward passes run.
+    weight_bytes: u64,
+    backwards: u64,
     /// Losses and forward versions recorded so far.
     log: WorkerLog,
 }
@@ -196,6 +226,11 @@ impl StageWorker<'_> {
         } else {
             0
         };
+        let (mut params, mut param_floats) = (0, 0);
+        self.model.visit_params(&mut |p| {
+            params += 1;
+            param_floats += p.value.len() as u64;
+        });
         let mut st = WorkerState {
             optimizer: self.optim.build(),
             store: policy.map(VersionStore::new),
@@ -212,6 +247,14 @@ impl StageWorker<'_> {
             staleness_max: 0,
             activation_bytes_max: 0,
             recompute_us: 0,
+            sets: Default::default(),
+            next_set: 0,
+            round: Vec::with_capacity(self.stage_replicas),
+            params,
+            param_floats,
+            lazy_floats: 0,
+            weight_bytes: 0,
+            backwards: 0,
             log: WorkerLog {
                 losses: Vec::with_capacity(loss_records),
                 versions: Vec::with_capacity(forwards),
@@ -219,12 +262,20 @@ impl StageWorker<'_> {
                 failed_at: None,
             },
         };
-        // Gradients start at zero, and every update leaves them so
-        // (`Optimizer::step` zeroes them): a backward accumulates into them
-        // without clearing them first.
-        self.model.zero_grad();
+        // Gradients start at zero, and every update leaves them so (the
+        // step zeroes them, or a sync round's `reset_grads` readies them):
+        // a backward accumulates into them without clearing them first, or
+        // writes those `reset_grads` left empty.
+        if self.sync.is_some() {
+            st.lazy_floats = self.model.reset_grads(&mut std::iter::empty());
+        } else {
+            self.model.zero_grad();
+        }
         let outcome = match self.run_ops(&mut st) {
             Ok(()) => {
+                // The stage goes back with zeroed gradients, none left
+                // empty by the last sync round.
+                self.model.zero_grad();
                 // Peak stash depth / staleness, so the coordinator can
                 // check the §3.3 memory and staleness formulas against a
                 // real run.
@@ -236,6 +287,8 @@ impl StageWorker<'_> {
                     staleness_max: st.staleness_max,
                     activation_bytes_max: st.activation_bytes_max,
                     recompute_us: st.recompute_us,
+                    weight_bytes: st.weight_bytes,
+                    backwards: st.backwards,
                 });
                 (st.log, Ok(self.model))
             }
@@ -339,7 +392,7 @@ impl StageWorker<'_> {
                         .end_in_epoch(span, SpanKind::Bwd { mb }, self.trace_epoch(mb));
                     r?
                 }
-                Op::Flush => self.update_after(st, Op::Flush)?,
+                Op::Flush => self.update_after(st, Op::Flush, false)?,
             }
         }
         // A drained run ends here with every stage having processed the
@@ -603,6 +656,9 @@ impl StageWorker<'_> {
 
         // Run the backward pass against the weight version the paper's
         // semantics prescribe: with a store, the one the forward pinned.
+        // Where the update follows at once, the weight gradients wait for
+        // it (see the module docs).
+        let deferred = self.defers();
         debug_assert!(
             st.pending > 0 || self.grads_are_zero(),
             "a backward that starts accumulating finds the gradients zero"
@@ -617,7 +673,7 @@ impl StageWorker<'_> {
                 st.staleness_max = st.staleness_max.max(store.live() - version);
                 self.swap_weights(st, version);
                 self.recompute_forward(st, mb);
-                let g = self.backward_pass(&grad_out, mb);
+                let g = self.backward_pass(grad_out, mb, deferred);
                 self.swap_weights(st, version);
                 st.store
                     .as_mut()
@@ -633,11 +689,11 @@ impl StageWorker<'_> {
             // are *now*, which generally differ from the forward's. GPipe:
             // the live weights are the group's; the flush applies the
             // accumulated gradients.
-            Semantics::Naive | Semantics::GPipe { .. } => self.backward_pass(&grad_out, mb),
+            Semantics::Naive | Semantics::GPipe { .. } => {
+                self.backward_pass(grad_out, mb, deferred)
+            }
         };
-        // Layers saved what they needed during forward; the inbound
-        // gradient is dead after the backward pass.
-        grad_out.recycle();
+        st.backwards += 1;
 
         // The input gradient goes upstream before this backward's update,
         // and so before any gradient-sync round the update enters: the
@@ -657,7 +713,7 @@ impl StageWorker<'_> {
         // 2BW accumulates a group's gradients and updates once per *full*
         // group; GPipe at the flush; everything else after every backward.
         st.pending += 1;
-        self.update_after(st, Op::Backward { mb })?;
+        self.update_after(st, Op::Backward { mb }, deferred)?;
 
         // Per-stage checkpoints (§4), written after gradient sync makes
         // replicas identical — as of `last`, the close of the round `mb`
@@ -678,14 +734,29 @@ impl StageWorker<'_> {
 
     /// The model's backward pass for `mb`: the input gradient, or `None`
     /// at the input stage, where nobody upstream wants it and only the
-    /// parameter gradients are computed.
-    fn backward_pass(&mut self, grad_out: &Tensor, mb: u64) -> Option<Tensor> {
-        if self.stage > 0 {
-            Some(self.model.backward(grad_out, mb))
-        } else {
-            self.model.backward_params(grad_out, mb);
-            None
+    /// parameter gradients are computed. `deferred`: the weight gradients
+    /// are left to the update ([`Layer::backward_deferred`]). Consumes the
+    /// output gradient, which layers saved what they need of.
+    fn backward_pass(&mut self, grad_out: Tensor, mb: u64, deferred: bool) -> Option<Tensor> {
+        let input_grad = self.stage > 0;
+        if deferred {
+            return self.model.backward_deferred(grad_out, mb, input_grad);
         }
+        let g = if input_grad {
+            Some(self.model.backward(&grad_out, mb))
+        } else {
+            self.model.backward_params(&grad_out, mb);
+            None
+        };
+        grad_out.recycle();
+        g
+    }
+
+    /// Whether a backward leaves its weight gradients to the update that
+    /// follows it: on an unreplicated stage that updates after every
+    /// backward, nothing reads them in between.
+    fn defers(&self) -> bool {
+        self.sync.is_none() && self.updates == UpdateRule::EveryBackward
     }
 
     /// Bytes of live activation state right now: the layers' per-slot
@@ -706,20 +777,20 @@ impl StageWorker<'_> {
     /// Apply an update if `op`, just run, closes one by the run's
     /// [`UpdateRule`] — the rule `Schedule::stuck` refused the run by — on
     /// the mean of the gradients accumulated since the last update.
-    fn update_after(&mut self, st: &mut WorkerState, op: Op) -> Result<(), WorkerError> {
+    /// `deferred`: `op`'s backward left its weight gradients to it.
+    fn update_after(
+        &mut self,
+        st: &mut WorkerState,
+        op: Op,
+        deferred: bool,
+    ) -> Result<(), WorkerError> {
         if !self
             .updates
             .updates_after(op, st.pending, self.stage_replicas, self.total_mbs)
         {
             return Ok(());
         }
-        // The mean of one gradient is that gradient: no pass over it.
-        if st.pending > 1 {
-            let scale = 1.0 / st.pending as f32;
-            self.model
-                .visit_params_mut(&mut |p| p.grad.scale_inplace(scale));
-        }
-        self.apply_update(st, op.minibatch().unwrap_or(u64::MAX))?;
+        self.apply_update(st, op.minibatch().unwrap_or(u64::MAX), deferred)?;
         st.pending = 0;
         Ok(())
     }
@@ -772,66 +843,132 @@ impl StageWorker<'_> {
         }
     }
 
-    /// Average gradients across replicas (if replicated), then apply the
-    /// update to the live weights, bumping the local version counter.
+    /// Apply the update to the live weights — on a replicated stage from
+    /// the gradient-sync round's deposits, read in place — bumping the
+    /// local version counter. `deferred`: minibatch `mb`'s backward left
+    /// its weight gradients to this update.
     ///
     /// A failed rendezvous — a partner replica died and poisoned the
     /// group, or the sync deadline expired — surfaces as
     /// [`WorkerError::SyncStalled`], cascading teardown exactly like a
     /// channel disconnect.
-    fn apply_update(&mut self, st: &mut WorkerState, mb: u64) -> Result<(), WorkerError> {
+    fn apply_update(
+        &mut self,
+        st: &mut WorkerState,
+        mb: u64,
+        deferred: bool,
+    ) -> Result<(), WorkerError> {
         let epoch = self.trace_epoch(mb);
-        if let Some(sync) = &self.sync {
-            // The gradient tensors themselves go into the round, which
-            // hands back one buffer set for the one deposited: nothing is
-            // copied in, nothing allocated.
-            let mut grads = Vec::new();
+        // What the backward passes since the last update stored: every
+        // gradient this update does not compute itself, each pass a read
+        // and a write of the buffer, except where the first pass wrote
+        // into a buffer `reset_grads` left empty.
+        let (floats, pending, lazy) = (st.param_floats, st.pending as u64, st.lazy_floats);
+        let stored = move |folded: u64| 8 * (floats - folded) * pending - 4 * lazy;
+        let grad = if let Some(sync) = &self.sync {
+            // The gradient tensors themselves go into the round: nothing is
+            // copied in.
+            let q = st.next_set;
+            let set = Arc::get_mut(&mut st.sets[q])
+                .expect("a set whose tensors the model holds is held by no round");
+            set.count = st.pending;
             self.model.visit_params_mut(&mut |p| {
-                grads.push(std::mem::replace(&mut p.grad, Tensor::zeros(&[0])))
+                set.grads
+                    .push(std::mem::replace(&mut p.grad, Tensor::zeros(&[0])))
             });
             // Deposit/release instants bracket the rendezvous so the trace
             // can link this replica's contribution to the round completing.
             self.recorder
                 .instant_in_epoch(SpanKind::SyncDeposit { mb }, epoch);
-            let avg =
-                sync.allreduce(self.replica, grads)
-                    .map_err(|e| WorkerError::SyncStalled {
-                        stage: self.stage,
-                        replica: self.replica,
-                        mb,
-                        reason: e.to_string(),
-                    })?;
+            let set = Arc::clone(&st.sets[q]);
+            sync.round(self.replica, set, &mut st.round)
+                .map_err(|e| WorkerError::SyncStalled {
+                    stage: self.stage,
+                    replica: self.replica,
+                    mb,
+                    reason: e.to_string(),
+                })?;
             self.recorder
                 .instant_in_epoch(SpanKind::SyncRelease { mb }, epoch);
-            let mut avg = avg.into_iter();
-            self.model
-                .visit_params_mut(&mut |p| p.grad = avg.next().expect("one average a gradient"));
-        }
+            // The round is complete, so every replica has read the one
+            // before it: the set deposited there comes back for the next
+            // gradients — zeroed, or, where the next pass writes them, to
+            // the pool. Nothing is allocated after the first round.
+            let prev = Arc::get_mut(&mut st.sets[q ^ 1])
+                .expect("every replica has read the round before a complete one");
+            let store_bytes = stored(0);
+            st.lazy_floats = self.model.reset_grads(&mut prev.grads.drain(..));
+            st.weight_bytes += store_bytes + 4 * (st.param_floats - st.lazy_floats);
+            st.next_set = q ^ 1;
+            Grad::Round(&st.round)
+        } else {
+            Grad::Own { count: st.pending }
+        };
         let opt_span = self.recorder.begin();
-        if let Some(store) = st.store.as_mut() {
-            // The one place weights are copied: the optimizer is about to
-            // overwrite a version something still needs.
-            let model = &self.model;
-            store.advance(|retired| match retired {
-                Some(mut w) => {
-                    let mut dst = w.iter_mut();
-                    model.visit_params(&mut |p| {
-                        if let Some(t) = dst.next() {
-                            t.copy_from(&p.value);
-                        }
+        let slot = deferred.then_some(mb);
+        let (model, optimizer, params) = (&mut self.model, &mut *st.optimizer, st.params);
+        let stats = match st.store.as_mut() {
+            Some(store) => {
+                // When the version this update supersedes is still needed,
+                // the next one is written into a retired version's buffers
+                // and the two trade places: the store keeps the old live
+                // tensors, and no weight is copied.
+                let mut stats = None;
+                store.advance(|retired| {
+                    let mut next = retired.unwrap_or_else(|| {
+                        let mut fresh = Vec::with_capacity(params);
+                        model.visit_params(&mut |p| fresh.push(Tensor::scratch(p.value.shape())));
+                        fresh
                     });
-                    w
+                    stats = Some(run_update(
+                        model,
+                        optimizer,
+                        params,
+                        grad,
+                        Some(&mut next),
+                        slot,
+                    ));
+                    model.swap_values(&mut next);
+                    next
+                });
+                if self.schedule_kind.uses_two_bw() {
+                    st.versions_held_max = st.versions_held_max.max(store.versions_held());
                 }
-                None => model.snapshot(),
-            });
-            if self.schedule_kind.uses_two_bw() {
-                st.versions_held_max = st.versions_held_max.max(store.versions_held());
+                stats.unwrap_or_else(|| run_update(model, optimizer, params, grad, None, slot))
             }
+            None => run_update(model, optimizer, params, grad, None, slot),
+        };
+        let (bytes, folded) = stats;
+        st.weight_bytes += bytes;
+        if self.sync.is_none() {
+            st.weight_bytes += stored(folded);
         }
-        st.optimizer.step_layer(&mut self.model);
+        st.round.clear();
         st.updates += 1;
         self.recorder
             .end_in_epoch(opt_span, SpanKind::OptStep { mb }, epoch);
         Ok(())
     }
+}
+
+/// One optimizer update of `model`'s `params` parameters from `grad`, the
+/// next values written into `next` if given: for `slot`'s deferred
+/// backward ([`Layer::step_deferred`]), or from the gradients the
+/// backwards stored. Returns the weight and gradient bytes it read and
+/// wrote and the floats whose gradient it computed itself
+/// ([`Update::bytes`]).
+fn run_update(
+    model: &mut Sequential,
+    optimizer: &mut dyn Optimizer,
+    params: usize,
+    grad: Grad<'_>,
+    next: Option<&mut Vec<Tensor>>,
+    slot: Option<u64>,
+) -> (u64, u64) {
+    let mut update = Update::new(optimizer, params, grad, next.map(|n| &mut n[..]));
+    match slot {
+        Some(mb) => model.step_deferred(mb, &mut update),
+        None => model.visit_params_mut(&mut |p| update.param(p)),
+    }
+    update.bytes()
 }

@@ -1,7 +1,9 @@
 //! Fully-connected layer.
 
 use super::{Layer, Param, Slot, SlotMap};
+use crate::gemm::{self, Backend};
 use crate::init;
+use crate::optim::Update;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 
@@ -11,7 +13,10 @@ pub struct Linear {
     name: String,
     weight: Param,
     bias: Param,
-    saved_input: SlotMap<Tensor>,
+    /// Each in-flight minibatch's input, and — between a
+    /// [`Layer::backward_deferred`] and its [`Layer::step_deferred`] — its
+    /// output gradient.
+    saved_input: SlotMap<(Tensor, Option<Tensor>)>,
 }
 
 impl Linear {
@@ -45,22 +50,26 @@ impl Linear {
     }
 
     /// Accumulate `slot`'s weight and bias gradients from `g`, the output
-    /// gradient as a `[rows, out]` matrix.
+    /// gradient as a `[rows, out]` matrix, or — into gradients left empty by
+    /// [`Layer::reset_grads`] — write them.
     fn param_grads(&mut self, g: &Tensor, slot: Slot) {
-        let x = self
+        let (x, _) = self
             .saved_input
             .remove(slot)
             .unwrap_or_else(|| panic!("{}: no saved input for slot {slot}", self.name));
         // dW += xᵀ·g (transpose folded into A's packing, accumulation
-        // fused into the kernel); db = column sums of g.
-        self.weight.grad.add_matmul_tn(&x, g);
-        let out = self.out_features();
-        let db = self.bias.grad.data_mut();
-        for row in g.data().chunks_exact(out) {
-            for (d, &gv) in db.iter_mut().zip(row.iter()) {
-                *d += gv;
-            }
+        // fused into the kernel); db = column sums of g. Written rather
+        // than added, each element is the chain an add into zeros stores
+        // (a chain from 0.0 is never −0.0, so 0.0 + it is itself).
+        if self.weight.grad.is_empty() {
+            self.weight.grad = x.matmul_tn(g);
+        } else {
+            self.weight.grad.add_matmul_tn(&x, g);
         }
+        if self.bias.grad.is_empty() {
+            self.bias.grad = Tensor::zeros(self.bias.value.shape());
+        }
+        column_sums(g, self.bias.grad.data_mut());
         x.recycle();
     }
 
@@ -69,6 +78,15 @@ impl Linear {
     fn as_matrix(&self, grad_out: &Tensor) -> Option<Tensor> {
         let (rows, out) = (grad_out.rows(), self.out_features());
         (grad_out.shape() != [rows, out]).then(|| grad_out.reshape(&[rows, out]))
+    }
+}
+
+/// Add `g`'s column sums into `db`, row by row.
+fn column_sums(g: &Tensor, db: &mut [f32]) {
+    for row in g.data().chunks_exact(db.len()) {
+        for (d, &gv) in db.iter_mut().zip(row.iter()) {
+            *d += gv;
+        }
     }
 }
 
@@ -96,7 +114,7 @@ impl Layer for Linear {
                 *v += bv;
             }
         }
-        self.saved_input.insert(slot, x2);
+        self.saved_input.insert(slot, (x2, None));
         y
     }
 
@@ -119,6 +137,97 @@ impl Layer for Linear {
         if let Some(r) = reshaped {
             r.recycle();
         }
+    }
+
+    /// Computes `dx` under the weights in place (a stashed version's, for
+    /// a stashing pipeline) and keeps the output gradient: the weight and
+    /// bias gradients are computed where [`Layer::step_deferred`] applies
+    /// them. A batch deeper than one `KC` block, or the reference kernel,
+    /// accumulates them now instead.
+    fn backward_deferred(
+        &mut self,
+        grad_out: Tensor,
+        slot: Slot,
+        input_grad: bool,
+    ) -> Option<Tensor> {
+        let g = match self.as_matrix(&grad_out) {
+            Some(r) => {
+                grad_out.recycle();
+                r
+            }
+            None => grad_out,
+        };
+        if !(1..=gemm::KC).contains(&g.rows()) || gemm::thread_backend() != Backend::Fast {
+            let dx = if input_grad {
+                Some(self.backward(&g, slot))
+            } else {
+                self.backward_params(&g, slot);
+                None
+            };
+            g.recycle();
+            return dx;
+        }
+        let dx = input_grad.then(|| g.matmul_nt(&self.weight.value));
+        let name = &self.name;
+        let saved = self
+            .saved_input
+            .get_mut(slot)
+            .unwrap_or_else(|| panic!("{name}: no saved input for slot {slot}"));
+        saved.1 = Some(g);
+        dx
+    }
+
+    /// A deferred backward's gradients are computed here and applied as
+    /// they are: `dW = xᵀ·g` steps the weights in the product's store
+    /// ([`gemm::gemm_epilogue`]), `db` from its column sums, each element
+    /// with the roundings of a gradient stored, then read by the optimizer.
+    fn step_deferred(&mut self, slot: Slot, update: &mut Update<'_>) {
+        let Some((x, g)) = self.saved_input.remove(slot) else {
+            // The backward accumulated the gradients already.
+            update.param(&mut self.weight);
+            update.param(&mut self.bias);
+            return;
+        };
+        let g = g.unwrap_or_else(|| panic!("{}: step before backward for slot {slot}", self.name));
+        let (m, k, n) = (self.in_features(), g.rows(), self.out_features());
+        match update.fold(&mut self.weight) {
+            Some(mut fold) => {
+                gemm::gemm_epilogue(x.data(), g.data(), m, k, n, true, |at, run| {
+                    fold.apply(at, run)
+                });
+            }
+            None => {
+                self.weight.grad.add_matmul_tn(&x, &g);
+                update.param(&mut self.weight);
+            }
+        }
+        match update.fold(&mut self.bias) {
+            Some(mut fold) => {
+                let mut db = Tensor::zeros(&[n]);
+                column_sums(&g, db.data_mut());
+                fold.apply(0, db.data());
+                db.recycle();
+            }
+            None => {
+                column_sums(&g, self.bias.grad.data_mut());
+                update.param(&mut self.bias);
+            }
+        }
+        x.recycle();
+        g.recycle();
+    }
+
+    /// Leaves both gradients empty, handing the stale buffers back to the
+    /// pool: the next backward pass writes its gradients instead of adding
+    /// them to zeros, and nothing zeroes them in between.
+    fn reset_grads(&mut self, stale: &mut dyn Iterator<Item = Tensor>) -> u64 {
+        for p in [&mut self.weight, &mut self.bias] {
+            std::mem::replace(&mut p.grad, Tensor::zeros(&[0])).recycle();
+            if let Some(t) = stale.next() {
+                t.recycle();
+            }
+        }
+        (self.weight.value.len() + self.bias.value.len()) as u64
     }
 
     fn visit_params<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
@@ -144,13 +253,20 @@ impl Layer for Linear {
     }
 
     fn clear_slot(&mut self, slot: Slot) {
-        if let Some(t) = self.saved_input.remove(slot) {
-            t.recycle();
+        if let Some((x, g)) = self.saved_input.remove(slot) {
+            x.recycle();
+            if let Some(g) = g {
+                g.recycle();
+            }
         }
     }
 
     fn cached_bytes(&self) -> u64 {
-        self.saved_input.values().map(|t| t.len() as u64 * 4).sum()
+        let bytes = |t: &Tensor| t.len() as u64 * 4;
+        self.saved_input
+            .values()
+            .map(|(x, g)| bytes(x) + g.as_ref().map_or(0, bytes))
+            .sum()
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -201,6 +317,73 @@ mod tests {
         let dw = &l.weight.grad;
         assert!(dw.at(0, 0) != 0.0);
         assert_eq!(dw.at(1, 0), 0.0);
+    }
+
+    /// `backward_deferred` then `step_deferred` — `dx` first, then the
+    /// weights stepped in the store of `dW`'s product — gives the bits of a
+    /// backward that stores the gradients and a step that reads them, the
+    /// next weights in place or beside the current ones, at every path of
+    /// the product (unpacked, narrow, packed).
+    #[test]
+    fn a_folded_step_gives_the_stored_gradient_step_bit_for_bit() {
+        use crate::optim::{Adam, Grad, Optimizer, Sgd, Update};
+        let optimizers = || -> Vec<Box<dyn Optimizer>> {
+            vec![
+                Box::new(Sgd::new(0.1)),
+                Box::new(Sgd::with_momentum(0.1, 0.9, 0.01)),
+                Box::new(Adam::new(0.01)),
+            ]
+        };
+        for (rows, inp, out) in [(8, 32, 32), (32, 128, 10), (64, 70, 40), (5, 17, 9)] {
+            for k in 0..optimizers().len() {
+                let (mut a, mut b) = (optimizers().remove(k), optimizers().remove(k));
+                let mut la = Linear::new(inp, out, &mut rng(rows as u64));
+                let mut lb = la.clone();
+                for step in 0..3u64 {
+                    let x = crate::init::normal(&[rows, inp], 1.0, &mut rng(step));
+                    let g = crate::init::normal(&[rows, out], 1.0, &mut rng(step + 50));
+                    la.forward(&x, step).recycle();
+                    lb.forward(&x, step).recycle();
+                    let dxa = la.backward(&g, step);
+                    a.step_layer(&mut la);
+                    let dxb = lb.backward_deferred(g.clone(), step, true).expect("dx");
+                    assert_eq!(dxa, dxb, "dx is computed before the step");
+                    let mut next = (step == 1).then(|| lb.snapshot());
+                    let mut update =
+                        Update::new(&mut *b, 2, Grad::Own { count: 1 }, next.as_deref_mut());
+                    lb.step_deferred(step, &mut update);
+                    if let Some(next) = next.as_mut() {
+                        lb.swap_values(next);
+                    }
+                    let case = format!("{rows}x{inp}x{out}, optimizer {k}, step {step}");
+                    assert_eq!(la.snapshot(), lb.snapshot(), "{case}");
+                    assert!(lb.weight.grad.data().iter().all(|&g| g == 0.0), "{case}");
+                }
+            }
+        }
+    }
+
+    /// After `reset_grads` the next backward writes the gradients into
+    /// buffers it never zeroed, with the bits of adding them to zeros; the
+    /// one after adds to them.
+    #[test]
+    fn a_reset_gradient_is_written_with_the_bits_of_an_add() {
+        let mut a = Linear::new(24, 40, &mut rng(8));
+        let mut b = a.clone();
+        let stale = [Tensor::full(&[24, 40], f32::NAN), Tensor::full(&[40], 7.0)];
+        assert_eq!(b.reset_grads(&mut stale.into_iter()), 24 * 40 + 40);
+        assert!(b.weight.grad.is_empty() && b.bias.grad.is_empty());
+        a.zero_grad();
+        for step in 0..2 {
+            let x = crate::init::normal(&[32, 24], 1.0, &mut rng(step));
+            let g = crate::init::normal(&[32, 40], 1.0, &mut rng(step + 9));
+            for l in [&mut a, &mut b] {
+                l.forward(&x, step).recycle();
+                l.backward(&g, step).recycle();
+            }
+            assert_eq!(a.weight.grad, b.weight.grad, "step {step}");
+            assert_eq!(a.bias.grad, b.bias.grad, "step {step}");
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@ pub use lstm::{Lstm, SeqLast};
 pub use norm::Scale;
 pub use pool::{AvgPool2d, Flatten, MaxPool2d, Reshape};
 
+use crate::optim::Update;
 use crate::tensor::Tensor;
 
 /// Identifier for an in-flight minibatch whose activations a layer must keep.
@@ -62,6 +63,14 @@ impl<T> SlotMap<T> {
                 None
             }
         }
+    }
+
+    /// What `slot` holds, to change in place.
+    pub fn get_mut(&mut self, slot: Slot) -> Option<&mut T> {
+        self.entries
+            .iter_mut()
+            .find(|(s, _)| *s == slot)
+            .map(|(_, v)| v)
     }
 
     /// Take what `slot` holds out of the map.
@@ -103,9 +112,15 @@ impl Param {
         }
     }
 
-    /// Reset the gradient to zero (in place — keeps the buffer).
+    /// Reset the gradient to zero (in place — keeps the buffer). An empty
+    /// gradient, one [`Layer::reset_grads`] left for the next backward to
+    /// overwrite, becomes a zeroed one.
     pub fn zero_grad(&mut self) {
-        self.grad.fill(0.0);
+        if self.grad.len() == self.value.len() {
+            self.grad.fill(0.0);
+        } else {
+            self.grad = Tensor::zeros(self.value.shape());
+        }
     }
 }
 
@@ -129,6 +144,37 @@ pub trait Layer: Send {
     /// reads. Layers that can skip computing it override this.
     fn backward_params(&mut self, grad_out: &Tensor, slot: Slot) {
         self.backward(grad_out, slot).recycle();
+    }
+
+    /// The backward pass of an update that follows it at once (one
+    /// backward per update, unreplicated): the input gradient — `None` when
+    /// `input_grad` is off and nobody reads it — while the parameter
+    /// gradients may be left for [`Layer::step_deferred`] to compute where
+    /// it applies them, so they are never stored. Takes the output gradient
+    /// by value, for a layer that keeps it until then. By default, the
+    /// plain backward pass.
+    fn backward_deferred(
+        &mut self,
+        grad_out: Tensor,
+        slot: Slot,
+        input_grad: bool,
+    ) -> Option<Tensor> {
+        let dx = if input_grad {
+            Some(self.backward(&grad_out, slot))
+        } else {
+            self.backward_params(&grad_out, slot);
+            None
+        };
+        grad_out.recycle();
+        dx
+    }
+
+    /// Apply `update` to this layer's parameters, in order, after `slot`'s
+    /// [`Layer::backward_deferred`]: from the gradients it accumulated, or
+    /// — for those it deferred — from the gradients computed here. By
+    /// default every parameter's from its gradient.
+    fn step_deferred(&mut self, _slot: Slot, update: &mut Update<'_>) {
+        self.visit_params_mut(&mut |p| update.param(p));
     }
 
     /// Call `f` on each trainable parameter, in order (stateless layers
@@ -190,6 +236,24 @@ pub trait Layer: Send {
     /// Zero all parameter gradients.
     fn zero_grad(&mut self) {
         self.visit_params_mut(&mut |p| p.zero_grad());
+    }
+
+    /// Give the parameters, in order, gradient buffers for the backward
+    /// passes of the next update, from `stale`: one tensor per parameter,
+    /// its contents unspecified (a gradient-sync round's spent deposit), or
+    /// none. By default each is zeroed for the passes to add into. A layer
+    /// whose first backward pass overwrites its gradients instead (`Linear`)
+    /// may leave them empty and hand the buffers back to the pool. Returns
+    /// the floats left empty.
+    fn reset_grads(&mut self, stale: &mut dyn Iterator<Item = Tensor>) -> u64 {
+        self.visit_params_mut(&mut |p| match stale.next() {
+            Some(t) => {
+                p.grad = t;
+                p.zero_grad();
+            }
+            None => p.zero_grad(),
+        });
+        0
     }
 
     /// Snapshot the current parameter values (for weight stashing and
@@ -395,6 +459,34 @@ impl Layer for Sequential {
         if let Some(g) = cur {
             g.recycle();
         }
+    }
+
+    fn backward_deferred(
+        &mut self,
+        grad_out: Tensor,
+        slot: Slot,
+        input_grad: bool,
+    ) -> Option<Tensor> {
+        let mut cur = grad_out;
+        for (i, l) in self.layers.iter_mut().enumerate().rev() {
+            cur = l.backward_deferred(cur, slot, input_grad || i > 0)?;
+        }
+        if input_grad {
+            Some(cur)
+        } else {
+            cur.recycle();
+            None
+        }
+    }
+
+    fn step_deferred(&mut self, slot: Slot, update: &mut Update<'_>) {
+        for l in &mut self.layers {
+            l.step_deferred(slot, update);
+        }
+    }
+
+    fn reset_grads(&mut self, stale: &mut dyn Iterator<Item = Tensor>) -> u64 {
+        self.layers.iter_mut().map(|l| l.reset_grads(stale)).sum()
     }
 
     fn visit_params<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {

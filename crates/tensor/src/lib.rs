@@ -41,5 +41,5 @@ pub mod tensor;
 
 pub use layers::{Layer, Param, Sequential, Slot, SlotMap};
 pub use loss::{mse_loss, softmax_cross_entropy, LossOutput};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Adam, Grad, GradSet, Optimizer, Sgd, Update};
 pub use tensor::Tensor;

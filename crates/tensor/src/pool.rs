@@ -140,6 +140,32 @@ pub fn take_zeroed(n: usize) -> Vec<f32> {
     v
 }
 
+/// A `Vec<f32>` of length `n` whose contents are unspecified: for a
+/// buffer every element of which the caller writes before it reads any.
+/// A recycled buffer keeps what it held, so only the part of it past its
+/// old length is filled (with zeros), and in steady state nothing is.
+pub fn take_any(n: usize) -> Vec<f32> {
+    let Some(class) = class_for_request(n) else {
+        return vec![0.0; n];
+    };
+    POOL.with(|p| {
+        let mut pool = p.borrow_mut();
+        let mut buf = if let Some(buf) = pool.free[class].pop() {
+            pool.stats.hits += 1;
+            buf
+        } else {
+            pool.stats.misses += 1;
+            Vec::with_capacity(1 << (class as u32 + MIN_CLASS_BITS))
+        };
+        if buf.len() >= n {
+            buf.truncate(n);
+        } else {
+            buf.resize(n, 0.0);
+        }
+        buf
+    })
+}
+
 /// A pooled copy of `src`.
 pub fn take_copy(src: &[f32]) -> Vec<f32> {
     let mut v = take_empty(src.len());
@@ -259,6 +285,26 @@ mod tests {
             let class = class_for_capacity(256).unwrap();
             assert_eq!(pool.free[class].len(), MAX_FREE_PER_CLASS);
         });
+    }
+
+    #[test]
+    fn take_any_reuses_contents_without_a_fill() {
+        clear_thread_pool();
+        let before = thread_stats();
+        let mut old = Vec::with_capacity(128);
+        old.resize(100, 7.0);
+        give(old);
+        let v = take_any(80);
+        assert_eq!(v, vec![7.0; 80], "a recycled buffer is not refilled");
+        give(v);
+        let v = take_any(120);
+        assert_eq!(v.len(), 120);
+        assert!(
+            v[80..].iter().all(|&x| x == 0.0),
+            "only the new tail is filled"
+        );
+        let after = thread_stats();
+        assert_eq!((after.hits - before.hits, after.misses), (2, before.misses));
     }
 
     #[test]

@@ -103,6 +103,17 @@ impl Tensor {
         }
     }
 
+    /// A tensor whose contents are unspecified, for a caller that writes
+    /// every element before it reads any: a recycled buffer is handed
+    /// over as it is, without a fill.
+    pub fn scratch(shape: &[usize]) -> Self {
+        let n = shape.iter().product();
+        Tensor {
+            shape: Shape::new(shape),
+            data: pool::take_any(n),
+        }
+    }
+
     /// A tensor filled with `value`.
     pub fn full(shape: &[usize], value: f32) -> Self {
         let n = shape.iter().product();
@@ -228,7 +239,7 @@ impl Tensor {
     /// (`[m,k] × [k,n] → [m,n]`), via the thread's selected GEMM kernel.
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
         let (m, k, n) = self.matmul_dims(rhs);
-        let mut out = pool::take_zeroed(m * n);
+        let mut out = pool::take_any(m * n);
         gemm::gemm(
             &mut out, &self.data, &rhs.data, m, k, n, false, false, false,
         );
@@ -261,7 +272,7 @@ impl Tensor {
         let (m, k) = (self.shape[0], self.shape[1]);
         let (n, k2) = (rhs.shape[0], rhs.shape[1]);
         assert_eq!(k, k2, "matmul_nt inner dims {k} vs {k2}");
-        let mut out = pool::take_zeroed(m * n);
+        let mut out = pool::take_any(m * n);
         gemm::gemm(&mut out, &self.data, &rhs.data, m, k, n, false, true, false);
         Tensor::from_vec(&[m, n], out)
     }
@@ -273,7 +284,7 @@ impl Tensor {
         let (k, m) = (self.shape[0], self.shape[1]);
         let (k2, n) = (rhs.shape[0], rhs.shape[1]);
         assert_eq!(k, k2, "matmul_tn inner dims {k} vs {k2}");
-        let mut out = pool::take_zeroed(m * n);
+        let mut out = pool::take_any(m * n);
         gemm::gemm(&mut out, &self.data, &rhs.data, m, k, n, true, false, false);
         Tensor::from_vec(&[m, n], out)
     }
@@ -318,7 +329,7 @@ impl Tensor {
     /// thread backend — the reference side of the differential suite.
     pub fn matmul_naive(&self, rhs: &Tensor) -> Tensor {
         let (m, k, n) = self.matmul_dims(rhs);
-        let mut out = pool::take_zeroed(m * n);
+        let mut out = pool::take_any(m * n);
         gemm::gemm_reference(
             &mut out, &self.data, &rhs.data, m, k, n, false, false, false,
         );
@@ -329,7 +340,7 @@ impl Tensor {
     pub fn transpose(&self) -> Tensor {
         assert_eq!(self.shape.len(), 2, "transpose needs rank-2");
         let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = pool::take_zeroed(m * n);
+        let mut out = pool::take_any(m * n);
         gemm::transpose_into(&mut out, &self.data, m, n);
         Tensor::from_vec(&[n, m], out)
     }
