@@ -286,8 +286,8 @@ mod tests {
             std::hint::black_box(acc);
             x.clone()
         }
-        fn backward(&mut self, g: &Tensor, _slot: Slot) -> Tensor {
-            g.clone()
+        fn backward_input(&mut self, g: Tensor, _slot: Slot, _input_grad: bool) -> Option<Tensor> {
+            Some(g)
         }
         fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
             input_shape.to_vec()

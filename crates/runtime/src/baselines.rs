@@ -38,8 +38,10 @@ pub fn train_sequential(
             let (x, y) = dataset.minibatch(i, opts.batch);
             let out = model.forward(&x, i as u64);
             let loss = softmax_cross_entropy(&out, &y);
-            // Gradients start at zero and every step leaves them so.
-            model.backward_params(&loss.grad, i as u64);
+            // Gradients start at zero and every step leaves them so. Nobody
+            // reads the model's input gradient.
+            model.backward_input(loss.grad, i as u64, false);
+            model.backward_weight(i as u64);
             optimizer.step_layer(&mut model);
             loss_sum += loss.loss as f64 * y.len() as f64;
             correct += loss.correct;
@@ -155,7 +157,8 @@ pub fn train_delayed_sgd(
             stages.iter_mut().for_each(|st| st.enter(&mut model, t));
             let out = model.forward(&data.input(t), t);
             let loss = softmax_cross_entropy(&out, data.labels(t));
-            model.backward_params(&loss.grad, t);
+            model.backward_input(loss.grad, t, false);
+            model.backward_weight(t);
             stages.iter_mut().for_each(|st| st.leave(&mut model, t));
             losses.push((t, loss.loss));
         }

@@ -23,12 +23,14 @@
 //! next weights into the buffers of a version that has retired and the
 //! two sets trade places (`StageWorker::apply_update`).
 //!
-//! **Updates.** An update is one pass over the stage's weights. On a
-//! replicated stage it reads the round's deposited gradients in place,
-//! averaging as it reads. On an unreplicated stage that updates after
-//! every backward, the backward ships its input gradient first and leaves
-//! the weight gradients to the update, where `Linear` computes them and
-//! steps the live weights in the same pass, never storing them.
+//! **Backward.** A backward runs its two halves (§3.3) under the version
+//! its forward pinned: the input half, whose gradient goes upstream at
+//! once, then the weight half, which stores the weight gradients
+//! ([`Layer::backward_weight`]). Every semantics takes this one path.
+//!
+//! **Updates.** An update is one pass over the stage's weights, reading
+//! the gradients where the weight halves stored them: in the parameters,
+//! or, on a replicated stage, in the round's deposits, averaged as read.
 //!
 //! **Reporting.** Losses, forward weight versions and the peak
 //! observations go into the worker's own [`WorkerLog`] and come back with
@@ -392,7 +394,7 @@ impl StageWorker<'_> {
                         .end_in_epoch(span, SpanKind::Bwd { mb }, self.trace_epoch(mb));
                     r?
                 }
-                Op::Flush => self.update_after(st, Op::Flush, false)?,
+                Op::Flush => self.update_after(st, Op::Flush)?,
             }
         }
         // A drained run ends here with every stage having processed the
@@ -656,64 +658,60 @@ impl StageWorker<'_> {
 
         // Run the backward pass against the weight version the paper's
         // semantics prescribe: with a store, the one the forward pinned.
-        // Where the update follows at once, the weight gradients wait for
-        // it (see the module docs).
-        let deferred = self.defers();
+        // Naive: invalid gradients — backward with whatever the weights are
+        // *now*, which generally differ from the forward's. GPipe: the live
+        // weights are the group's; the flush applies the accumulated
+        // gradients.
         debug_assert!(
             st.pending > 0 || self.grads_are_zero(),
             "a backward that starts accumulating finds the gradients zero"
         );
-        let grad_in = match self.semantics {
-            Semantics::Stashed | Semantics::VerticalSync => {
-                let store = st.store.as_ref().expect("these semantics keep versions");
+        let version = match st.store.as_ref() {
+            Some(store) => {
                 let version = store.version_for(mb);
                 // Staleness this minibatch saw: updates applied since its
                 // forward's version (§3.3: `n − 1 − stage` in steady state
                 // under stashing; group updates under 2BW).
                 st.staleness_max = st.staleness_max.max(store.live() - version);
-                self.swap_weights(st, version);
-                self.recompute_forward(st, mb);
-                let g = self.backward_pass(grad_out, mb, deferred);
-                self.swap_weights(st, version);
-                st.store
-                    .as_mut()
-                    .expect("checked above")
-                    .complete_backward(mb);
-                if self.semantics == Semantics::Stashed {
-                    self.recorder
-                        .instant_in_epoch(SpanKind::StashPop { mb }, self.trace_epoch(mb));
-                }
-                g
+                version
             }
-            // Naive: invalid gradients — backward with whatever the weights
-            // are *now*, which generally differ from the forward's. GPipe:
-            // the live weights are the group's; the flush applies the
-            // accumulated gradients.
-            Semantics::Naive | Semantics::GPipe { .. } => {
-                self.backward_pass(grad_out, mb, deferred)
-            }
+            None => st.updates,
         };
-        st.backwards += 1;
-
-        // The input gradient goes upstream before this backward's update,
-        // and so before any gradient-sync round the update enters: the
-        // upstream stage's next ops may be what lets the round's other
-        // replicas reach it.
-        if let Some(grad_in) = grad_in {
+        self.swap_weights(st, version);
+        self.recompute_forward(st, mb);
+        // The input half; at the input stage nobody upstream wants its
+        // gradient, so only what the weight half needs is kept.
+        let grad_in = self.model.backward_input(grad_out, mb, self.stage > 0);
+        // The input gradient goes upstream before the weight half, and so
+        // before this backward's update and any gradient-sync round it
+        // enters: the upstream stage's next ops may be what lets the
+        // round's other replicas reach it.
+        let sent = grad_in.map_or(Ok(()), |data| {
             let dst = (mb % self.grad_out.len() as u64) as usize;
             self.grad_out[dst]
-                .send(Msg::Grad { mb, data: grad_in })
+                .send(Msg::Grad { mb, data })
                 .map_err(|_| WorkerError::PeerSendFailed {
                     stage: self.stage,
                     mb,
                     backward: true,
-                })?;
+                })
+        });
+        self.model.backward_weight(mb);
+        self.swap_weights(st, version);
+        if let Some(store) = st.store.as_mut() {
+            store.complete_backward(mb);
+            if self.semantics == Semantics::Stashed {
+                self.recorder
+                    .instant_in_epoch(SpanKind::StashPop { mb }, self.trace_epoch(mb));
+            }
         }
+        st.backwards += 1;
+        sent?;
 
         // 2BW accumulates a group's gradients and updates once per *full*
         // group; GPipe at the flush; everything else after every backward.
         st.pending += 1;
-        self.update_after(st, Op::Backward { mb }, deferred)?;
+        self.update_after(st, Op::Backward { mb })?;
 
         // Per-stage checkpoints (§4), written after gradient sync makes
         // replicas identical — as of `last`, the close of the round `mb`
@@ -730,33 +728,6 @@ impl StageWorker<'_> {
             }
         }
         Ok(())
-    }
-
-    /// The model's backward pass for `mb`: the input gradient, or `None`
-    /// at the input stage, where nobody upstream wants it and only the
-    /// parameter gradients are computed. `deferred`: the weight gradients
-    /// are left to the update ([`Layer::backward_deferred`]). Consumes the
-    /// output gradient, which layers saved what they need of.
-    fn backward_pass(&mut self, grad_out: Tensor, mb: u64, deferred: bool) -> Option<Tensor> {
-        let input_grad = self.stage > 0;
-        if deferred {
-            return self.model.backward_deferred(grad_out, mb, input_grad);
-        }
-        let g = if input_grad {
-            Some(self.model.backward(&grad_out, mb))
-        } else {
-            self.model.backward_params(&grad_out, mb);
-            None
-        };
-        grad_out.recycle();
-        g
-    }
-
-    /// Whether a backward leaves its weight gradients to the update that
-    /// follows it: on an unreplicated stage that updates after every
-    /// backward, nothing reads them in between.
-    fn defers(&self) -> bool {
-        self.sync.is_none() && self.updates == UpdateRule::EveryBackward
     }
 
     /// Bytes of live activation state right now: the layers' per-slot
@@ -777,20 +748,14 @@ impl StageWorker<'_> {
     /// Apply an update if `op`, just run, closes one by the run's
     /// [`UpdateRule`] — the rule `Schedule::stuck` refused the run by — on
     /// the mean of the gradients accumulated since the last update.
-    /// `deferred`: `op`'s backward left its weight gradients to it.
-    fn update_after(
-        &mut self,
-        st: &mut WorkerState,
-        op: Op,
-        deferred: bool,
-    ) -> Result<(), WorkerError> {
+    fn update_after(&mut self, st: &mut WorkerState, op: Op) -> Result<(), WorkerError> {
         if !self
             .updates
             .updates_after(op, st.pending, self.stage_replicas, self.total_mbs)
         {
             return Ok(());
         }
-        self.apply_update(st, op.minibatch().unwrap_or(u64::MAX), deferred)?;
+        self.apply_update(st, op.minibatch().unwrap_or(u64::MAX))?;
         st.pending = 0;
         Ok(())
     }
@@ -845,26 +810,18 @@ impl StageWorker<'_> {
 
     /// Apply the update to the live weights — on a replicated stage from
     /// the gradient-sync round's deposits, read in place — bumping the
-    /// local version counter. `deferred`: minibatch `mb`'s backward left
-    /// its weight gradients to this update.
+    /// local version counter.
     ///
     /// A failed rendezvous — a partner replica died and poisoned the
     /// group, or the sync deadline expired — surfaces as
     /// [`WorkerError::SyncStalled`], cascading teardown exactly like a
     /// channel disconnect.
-    fn apply_update(
-        &mut self,
-        st: &mut WorkerState,
-        mb: u64,
-        deferred: bool,
-    ) -> Result<(), WorkerError> {
+    fn apply_update(&mut self, st: &mut WorkerState, mb: u64) -> Result<(), WorkerError> {
         let epoch = self.trace_epoch(mb);
-        // What the backward passes since the last update stored: every
-        // gradient this update does not compute itself, each pass a read
-        // and a write of the buffer, except where the first pass wrote
-        // into a buffer `reset_grads` left empty.
-        let (floats, pending, lazy) = (st.param_floats, st.pending as u64, st.lazy_floats);
-        let stored = move |folded: u64| 8 * (floats - folded) * pending - 4 * lazy;
+        // What the backward passes since the last update stored: each pass
+        // a read and a write of every gradient, except where the first pass
+        // wrote into a buffer `reset_grads` left empty.
+        st.weight_bytes += 8 * st.param_floats * st.pending as u64 - 4 * st.lazy_floats;
         let grad = if let Some(sync) = &self.sync {
             // The gradient tensors themselves go into the round: nothing is
             // copied in.
@@ -896,53 +853,40 @@ impl StageWorker<'_> {
             // the pool. Nothing is allocated after the first round.
             let prev = Arc::get_mut(&mut st.sets[q ^ 1])
                 .expect("every replica has read the round before a complete one");
-            let store_bytes = stored(0);
             st.lazy_floats = self.model.reset_grads(&mut prev.grads.drain(..));
-            st.weight_bytes += store_bytes + 4 * (st.param_floats - st.lazy_floats);
+            st.weight_bytes += 4 * (st.param_floats - st.lazy_floats);
             st.next_set = q ^ 1;
             Grad::Round(&st.round)
         } else {
             Grad::Own { count: st.pending }
         };
         let opt_span = self.recorder.begin();
-        let slot = deferred.then_some(mb);
         let (model, optimizer, params) = (&mut self.model, &mut *st.optimizer, st.params);
-        let stats = match st.store.as_mut() {
+        let bytes = match st.store.as_mut() {
             Some(store) => {
                 // When the version this update supersedes is still needed,
                 // the next one is written into a retired version's buffers
                 // and the two trade places: the store keeps the old live
                 // tensors, and no weight is copied.
-                let mut stats = None;
+                let mut bytes = None;
                 store.advance(|retired| {
                     let mut next = retired.unwrap_or_else(|| {
                         let mut fresh = Vec::with_capacity(params);
                         model.visit_params(&mut |p| fresh.push(Tensor::scratch(p.value.shape())));
                         fresh
                     });
-                    stats = Some(run_update(
-                        model,
-                        optimizer,
-                        params,
-                        grad,
-                        Some(&mut next),
-                        slot,
-                    ));
+                    bytes = Some(run_update(model, optimizer, params, grad, Some(&mut next)));
                     model.swap_values(&mut next);
                     next
                 });
                 if self.schedule_kind.uses_two_bw() {
                     st.versions_held_max = st.versions_held_max.max(store.versions_held());
                 }
-                stats.unwrap_or_else(|| run_update(model, optimizer, params, grad, None, slot))
+                bytes.unwrap_or_else(|| run_update(model, optimizer, params, grad, None))
             }
-            None => run_update(model, optimizer, params, grad, None, slot),
+            None => run_update(model, optimizer, params, grad, None),
         };
-        let (bytes, folded) = stats;
         st.weight_bytes += bytes;
-        if self.sync.is_none() {
-            st.weight_bytes += stored(folded);
-        }
         st.round.clear();
         st.updates += 1;
         self.recorder
@@ -952,23 +896,16 @@ impl StageWorker<'_> {
 }
 
 /// One optimizer update of `model`'s `params` parameters from `grad`, the
-/// next values written into `next` if given: for `slot`'s deferred
-/// backward ([`Layer::step_deferred`]), or from the gradients the
-/// backwards stored. Returns the weight and gradient bytes it read and
-/// wrote and the floats whose gradient it computed itself
-/// ([`Update::bytes`]).
+/// next values written into `next` if given. Returns the weight and
+/// gradient bytes it read and wrote ([`Update::bytes`]).
 fn run_update(
     model: &mut Sequential,
     optimizer: &mut dyn Optimizer,
     params: usize,
     grad: Grad<'_>,
     next: Option<&mut Vec<Tensor>>,
-    slot: Option<u64>,
-) -> (u64, u64) {
+) -> u64 {
     let mut update = Update::new(optimizer, params, grad, next.map(|n| &mut n[..]));
-    match slot {
-        Some(mb) => model.step_deferred(mb, &mut update),
-        None => model.visit_params_mut(&mut |p| update.param(p)),
-    }
+    model.visit_params_mut(&mut |p| update.param(p));
     update.bytes()
 }

@@ -1,11 +1,9 @@
 //! `StageObsRecord::weight_bytes`, the weight and gradient bytes a
-//! worker's updates read and write, pinned per kind of update: an update
-//! folded into `Linear`'s weight-gradient product touches each of those
-//! weights once each way and no gradient; a step from stored gradients
-//! also reads each gradient and zeroes it, after each backward stored it
-//! (a read and a write); a gradient-sync round's step reads one deposit
-//! per replica, and the next backward writes `Linear`'s gradients into
-//! buffers nobody zeroed.
+//! worker's updates read and write, pinned per kind of update: a step
+//! reads and writes each weight and reads each gradient and zeroes it,
+//! after each backward's weight half stored it (a read and a write); a
+//! gradient-sync round's step reads one deposit per replica, and the next
+//! backward writes `Linear`'s gradients into buffers nobody zeroed.
 
 use pipedream_core::stash::ScheduleKind;
 use pipedream_core::PipelineConfig;
@@ -15,8 +13,9 @@ use pipedream_tensor::init::rng;
 use pipedream_tensor::layers::{Linear, Relu, Scale};
 use pipedream_tensor::{Layer, Sequential};
 
-/// Four layers: `Linear`, `Relu`, `Scale`, `Linear`. `Scale` keeps the
-/// plain backward, so a folded update covers the two `Linear`s only.
+/// Four layers: `Linear`, `Relu`, `Scale`, `Linear`. `Scale`'s gradients
+/// are zeroed by a sync round, `Linear`'s left for the next backward to
+/// write.
 fn mlp() -> Sequential {
     let mut r = rng(5);
     Sequential::new("mlp4")
@@ -61,26 +60,26 @@ const SGD: OptimKind = OptimKind::Sgd {
 };
 
 #[test]
-fn a_folded_update_touches_the_linear_weights_once_each_way() {
-    let model = mlp();
-    let (linear, other) = floats(model.layers());
-    let obs = run(
-        &PipelineConfig::straight(4, &[]),
-        SGD,
-        ScheduleKind::Vanilla1F1B,
-    );
-    let o = &obs[0];
-    assert_eq!(o.backwards, 16);
-    // Linear: read and write each weight. Scale: its step reads, writes,
-    // reads the gradient and zeroes it, after the backward's store read
-    // and wrote it.
-    let per_update = 4 * (2 * linear + 6 * other);
-    assert_eq!(o.weight_bytes, 16 * per_update);
-    assert_eq!(o.weight_bytes_per_mb(), per_update as f64);
+fn a_step_reads_each_stored_gradient_whatever_the_optimizer() {
+    let p = mlp().param_count() as u64;
+    for optim in [SGD, OptimKind::Adam { lr: 0.01 }] {
+        let obs = run(
+            &PipelineConfig::straight(4, &[]),
+            optim,
+            ScheduleKind::Vanilla1F1B,
+        );
+        let o = &obs[0];
+        assert_eq!(o.backwards, 16);
+        // The step reads and writes each weight, reads each gradient and
+        // zeroes it, after the backward's weight half read and wrote it.
+        let per_update = 4 * 6 * p;
+        assert_eq!(o.weight_bytes, 16 * per_update, "{optim:?}");
+        assert_eq!(o.weight_bytes_per_mb(), per_update as f64);
+    }
 }
 
 #[test]
-fn each_stage_of_a_pipeline_folds_its_own_update() {
+fn each_stage_of_a_pipeline_steps_its_own_weights() {
     // Stage 0 keeps its old weights for the minibatch in flight: the next
     // ones are written beside them, at the same cost as in place.
     let stages = mlp().split_off(&[2]);
@@ -90,21 +89,11 @@ fn each_stage_of_a_pipeline_folds_its_own_update() {
         ScheduleKind::Vanilla1F1B,
     );
     for (o, stage) in obs.iter().zip(&stages) {
-        let (linear, other) = floats(stage.layers());
-        assert_eq!(o.weight_bytes, o.backwards * 4 * (2 * linear + 6 * other));
+        assert_eq!(
+            o.weight_bytes,
+            o.backwards * 4 * 6 * stage.param_count() as u64
+        );
     }
-}
-
-#[test]
-fn an_update_that_does_not_fold_reads_stored_gradients() {
-    let (linear, other) = floats(mlp().layers());
-    let p = linear + other;
-    let obs = run(
-        &PipelineConfig::straight(4, &[]),
-        OptimKind::Adam { lr: 0.01 },
-        ScheduleKind::Vanilla1F1B,
-    );
-    assert_eq!(obs[0].weight_bytes, 16 * 4 * 6 * p);
 }
 
 #[test]

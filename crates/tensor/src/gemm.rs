@@ -240,8 +240,8 @@ pub fn gemm_fast(
         return gemm_small_swapped(c, a, b, m, k, n, trans_a, !accumulate);
     }
     match (runs_unpacked(m, k, n, trans_a, trans_b), accumulate) {
-        (true, true) => gemm_small(c, &mut Store::<true>, a, b, m, k, n, trans_a, trans_b),
-        (true, false) => gemm_small(c, &mut Store::<false>, a, b, m, k, n, trans_a, trans_b),
+        (true, true) => gemm_small::<true>(c, a, b, m, k, n, trans_a, trans_b),
+        (true, false) => gemm_small::<false>(c, a, b, m, k, n, trans_a, trans_b),
         (false, _) => gemm_blocked(c, a, b, m, k, n, trans_a, trans_b, accumulate),
     }
 }
@@ -257,118 +257,6 @@ fn runs_unpacked(m: usize, k: usize, n: usize, trans_a: bool, trans_b: bool) -> 
         (m <= SMALL_M && k <= SMALL_K) || n < NR
     };
     shape && (m >= SR || !trans_a)
-}
-
-/// `op(A)·B` with `B` stored `[k, n]`, for `1 ≤ k ≤ KC`, each finished run of
-/// a row of the product handed to `epilogue(offset, run)` instead of being
-/// stored: `offset` is the run's first element in a row-major `[m, n]`
-/// result. Every element is the chain [`gemm_fast`] computes (from 0.0,
-/// ascending `k`, `mul_add` where the tile uses it), so an epilogue that
-/// adds the run to zeros sees the bits an accumulating product would
-/// store there. `Linear` steps its weights here, where `dW = xᵀ·g` is
-/// computed, and the gradient is never stored.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_epilogue(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    trans_a: bool,
-    epilogue: impl FnMut(usize, &[f32]),
-) {
-    assert!(
-        (1..=KC).contains(&k),
-        "an epilogue needs every element final in one k block"
-    );
-    assert!(
-        a.len() >= m * k && b.len() >= k * n,
-        "gemm_epilogue: short operand"
-    );
-    let mut sink = Epilogue(epilogue);
-    if m == 0 || n == 0 {
-        return;
-    }
-    // The epilogue stores nothing into `C`: an empty one, row stride `n`.
-    let c = &mut [];
-    if runs_unpacked(m, k, n, trans_a, false) {
-        gemm_small(c, &mut sink, a, b, m, k, n, trans_a, false);
-    } else {
-        gemm_packed(c, &mut sink, a, b, m, k, n, trans_a);
-    }
-}
-
-/// Where a product's finished tiles go. `C` itself (row stride `ldc`) is
-/// an argument of every blocking loop, not a field of the sink: a slice
-/// argument tells LLVM that stores into it alias nothing else, which a
-/// slice read out of a struct does not, and without that the store loops
-/// ran up to 1.6× slower.
-trait Sink {
-    /// Tile rows `acc`, the first `lanes` lanes of each, for the product's
-    /// rows from `row` and columns from `col`; `first`: they are the first
-    /// `k` block's partial sums.
-    #[allow(clippy::too_many_arguments)]
-    fn put<const W: usize>(
-        &mut self,
-        c: &mut [f32],
-        ldc: usize,
-        row: usize,
-        col: usize,
-        acc: &[[f32; W]],
-        lanes: usize,
-        first: bool,
-    );
-}
-
-/// Stores tiles into `C`: the first `k` block overwrites unless `ACC`, the
-/// caller accumulating; later blocks add. A constant, so the blocking
-/// loops are compiled once for each.
-struct Store<const ACC: bool>;
-
-impl<const ACC: bool> Sink for Store<ACC> {
-    #[inline(always)]
-    fn put<const W: usize>(
-        &mut self,
-        c: &mut [f32],
-        ldc: usize,
-        row: usize,
-        col: usize,
-        acc: &[[f32; W]],
-        lanes: usize,
-        first: bool,
-    ) {
-        store(
-            &mut c[row * ldc + col..],
-            ldc,
-            acc,
-            lanes,
-            false,
-            first && !ACC,
-        );
-    }
-}
-
-/// Hands each tile row to an epilogue, with its offset in a row-major `C`
-/// of row stride `ldc`, instead of storing it.
-struct Epilogue<F>(F);
-
-impl<F: FnMut(usize, &[f32])> Sink for Epilogue<F> {
-    #[inline(always)]
-    fn put<const W: usize>(
-        &mut self,
-        _c: &mut [f32],
-        ldc: usize,
-        row: usize,
-        col: usize,
-        acc: &[[f32; W]],
-        lanes: usize,
-        first: bool,
-    ) {
-        debug_assert!(first, "one k block");
-        for (r, run) in acc.iter().enumerate() {
-            (self.0)((row + r) * ldc + col, &run[..lanes]);
-        }
-    }
 }
 
 /// The packed, cache-blocked path of [`gemm_fast`], for products too large
@@ -391,9 +279,9 @@ fn gemm_blocked(
             gemm_swapped(c, a, b, m, k, n, trans_a, accumulate, b_pack);
         });
     } else if accumulate {
-        gemm_packed(c, &mut Store::<true>, a, b, m, k, n, trans_a);
+        gemm_packed::<true>(c, a, b, m, k, n, trans_a);
     } else {
-        gemm_packed(c, &mut Store::<false>, a, b, m, k, n, trans_a);
+        gemm_packed::<false>(c, a, b, m, k, n, trans_a);
     }
 }
 
@@ -410,11 +298,13 @@ fn scratch(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
     &mut buf[..len]
 }
 
-/// `C (+)= op(A)·B` with `B` stored `[k, n]`: both operands packed.
+/// `C (+)= op(A)·B` with `B` stored `[k, n]`: both operands packed. The
+/// first `k` block overwrites `C` unless `ACC`, the caller accumulating;
+/// later blocks add. A constant, so the blocking loops are compiled once
+/// for each.
 #[allow(clippy::too_many_arguments)]
-fn gemm_packed<S: Sink>(
+fn gemm_packed<const ACC: bool>(
     c: &mut [f32],
-    sink: &mut S,
     a: &[f32],
     b: &[f32],
     m: usize,
@@ -424,14 +314,13 @@ fn gemm_packed<S: Sink>(
 ) {
     PACK.with(|scratch| {
         let (a_pack, b_pack) = &mut *scratch.borrow_mut();
-        packed(c, sink, a, b, m, k, n, trans_a, a_pack, b_pack);
+        packed::<ACC>(c, a, b, m, k, n, trans_a, a_pack, b_pack);
     });
 }
 
 #[allow(clippy::too_many_arguments)]
-fn packed<S: Sink>(
+fn packed<const ACC: bool>(
     c: &mut [f32],
-    sink: &mut S,
     a: &[f32],
     b: &[f32],
     m: usize,
@@ -462,12 +351,40 @@ fn packed<S: Sink>(
                         let acc = micro_kernel(ap, bp);
                         let rows = &acc[..MR.min(mc - ir)];
                         let lanes = NR.min(nc - jr);
-                        sink.put(c, n, ic + ir, jc + jr, rows, lanes, first);
+                        put_tile::<NR, ACC>(c, n, ic + ir, jc + jr, rows, lanes, first);
                     }
                 }
             }
         }
     }
+}
+
+/// Store tile rows `acc`, the first `lanes` lanes of each, at the
+/// product's rows from `row` and columns from `col` of `C` (row stride
+/// `ldc`); `first`: they are the first `k` block's partial sums, which
+/// overwrite `C` unless `ACC`. Both blocking loops store through this one
+/// function: with the store written out in `small_panel`'s closure
+/// instead, LLVM inlined the unpacked tiles differently and
+/// `train-overhead` ran 0.86× as fast (14 runs a side, 2-vCPU dev host).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn put_tile<const W: usize, const ACC: bool>(
+    c: &mut [f32],
+    ldc: usize,
+    row: usize,
+    col: usize,
+    acc: &[[f32; W]],
+    lanes: usize,
+    first: bool,
+) {
+    store(
+        &mut c[row * ldc + col..],
+        ldc,
+        acc,
+        lanes,
+        false,
+        first && !ACC,
+    );
 }
 
 /// `C (+)= op(A)·Bᵀ` with `B` stored `[n, k]`, computed as its transpose
@@ -514,16 +431,15 @@ fn gemm_swapped(
     }
 }
 
-/// `op(A)·op(B)` unpacked, into `sink`: `SR`-row tiles broadcast `op(A)`
+/// `C (+)= op(A)·op(B)` unpacked (`ACC` as for [`gemm_packed`]): `SR`-row tiles broadcast `op(A)`
 /// where it lies. `B`'s rows are read in place where a whole `NR` panel of
 /// them runs; a narrower edge, or `Bᵀ` under `trans_b`, is copied into a
 /// panel of the thread's pack scratch, `kc` rows deep, whose padding lanes
 /// compute chains that are never stored. `k` runs in `KC` blocks, combined
 /// in order as the packed path combines them.
 #[allow(clippy::too_many_arguments)]
-fn gemm_small<S: Sink>(
+fn gemm_small<const ACC: bool>(
     c: &mut [f32],
-    sink: &mut S,
     a: &[f32],
     b: &[f32],
     m: usize,
@@ -539,17 +455,17 @@ fn gemm_small<S: Sink>(
             let cols = NR.min(n - j0);
             let at = Panel { pc, kc, j0, cols };
             if cols == NR && !trans_b {
-                small_panel::<NR, S>(c, n, sink, &op_a, &b[pc * n + j0..], n, at);
+                small_panel::<NR, ACC>(c, n, &op_a, &b[pc * n + j0..], n, at);
                 continue;
             }
             PACK.with(|scratch| {
                 let b_pack = &mut scratch.borrow_mut().1;
                 if cols <= SMALL_LANES {
                     let bp = copy_panel::<SMALL_LANES>(b_pack, b, n, k, at, trans_b);
-                    small_panel::<SMALL_LANES, S>(c, n, sink, &op_a, bp, SMALL_LANES, at);
+                    small_panel::<SMALL_LANES, ACC>(c, n, &op_a, bp, SMALL_LANES, at);
                 } else {
                     let bp = copy_panel::<NR>(b_pack, b, n, k, at, trans_b);
-                    small_panel::<NR, S>(c, n, sink, &op_a, bp, NR, at);
+                    small_panel::<NR, ACC>(c, n, &op_a, bp, NR, at);
                 }
             });
         }
@@ -615,10 +531,9 @@ fn copy_panel<'p, const W: usize>(
 /// transposed `A` of at least `MR` rows runs `MR`-row tiles (12 vector
 /// FMAs a `k` step, as the packed tile runs, where 4 rows run 8: a
 /// 10-wide head's `dW` ran 1.2× faster so), anything else `SR`-row ones.
-fn small_panel<const W: usize, S: Sink>(
+fn small_panel<const W: usize, const ACC: bool>(
     c: &mut [f32],
     ldc: usize,
-    sink: &mut S,
     op_a: &OpA<'_>,
     bp: &[f32],
     ldb: usize,
@@ -626,7 +541,8 @@ fn small_panel<const W: usize, S: Sink>(
 ) {
     let OpA { a, m, k, trans_a } = *op_a;
     let Panel { pc, kc, j0, cols } = at;
-    let mut put = |i0: usize, rows: &[[f32; W]]| sink.put(c, ldc, i0, j0, rows, cols, pc == 0);
+    let mut put =
+        |i0: usize, rows: &[[f32; W]]| put_tile::<W, ACC>(c, ldc, i0, j0, rows, cols, pc == 0);
     if trans_a {
         // `A`'s row `p` holds the tile's broadcasts for step `p`, from the
         // tile's first column. A short last tile starts early, over rows
@@ -1209,9 +1125,7 @@ mod tests {
 
     /// The narrow path (`n < NR`, any height and depth) and the shallow
     /// `trans_b` path (`k ≤ NARROW_K`, `Bᵀ` copied into a panel) give the
-    /// packed path's bits too, across `KC` blocks, and so does the
-    /// epilogue form of each product (added to zeros, as an accumulating
-    /// gradient store would add it).
+    /// packed path's bits too, across `KC` blocks.
     #[test]
     fn narrow_paths_are_bit_identical_to_packed() {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -1232,17 +1146,6 @@ mod tests {
                         };
                         let case = format!("({m},{k},{n}) {trans_a} {trans_b} {accumulate}");
                         assert_eq!(bits(&run(gemm_fast)), bits(&run(gemm_blocked)), "{case}");
-                        if !trans_b && !accumulate && k <= KC {
-                            let mut zeros = vec![0.0f32; m * n];
-                            gemm_fast(&mut zeros, a, b, m, k, n, trans_a, false, true);
-                            let mut folded = vec![f32::NAN; m * n];
-                            gemm_epilogue(a, b, m, k, n, trans_a, |at, run| {
-                                for (dst, &v) in folded[at..].iter_mut().zip(run) {
-                                    *dst = 0.0 + v;
-                                }
-                            });
-                            assert_eq!(bits(&folded), bits(&zeros), "epilogue {case}");
-                        }
                     }
                 }
             }

@@ -91,9 +91,18 @@ mod tests {
         fn forward(&mut self, x: &Tensor, slot: Slot) -> Tensor {
             self.0.forward(x, slot)
         }
-        fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
+        fn backward_input(
+            &mut self,
+            grad_out: Tensor,
+            slot: Slot,
+            input_grad: bool,
+        ) -> Option<Tensor> {
             // Wrong: scales the true gradient by 2.
-            self.0.backward(grad_out, slot).scale(2.0)
+            let dx = self.0.backward_input(grad_out, slot, input_grad)?;
+            Some(dx.scale(2.0))
+        }
+        fn backward_weight(&mut self, slot: Slot) {
+            self.0.backward_weight(slot)
         }
         fn visit_params<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
             self.0.visit_params(f)

@@ -1,6 +1,6 @@
 //! Elementwise activation layers.
 
-use super::{Layer, Slot, SlotMap};
+use super::{keep, Layer, Slot, SlotMap};
 use crate::tensor::Tensor;
 
 macro_rules! activation_layer {
@@ -30,7 +30,12 @@ macro_rules! activation_layer {
                 y
             }
 
-            fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
+            fn backward_input(
+                &mut self,
+                grad_out: Tensor,
+                slot: Slot,
+                input_grad: bool,
+            ) -> Option<Tensor> {
                 // The saved output is consumed here, so its buffer becomes
                 // the gradient in place — backward allocates nothing.
                 let mut y = self
@@ -38,8 +43,9 @@ macro_rules! activation_layer {
                     .remove(slot)
                     .unwrap_or_else(|| panic!("{}: no saved output for slot {slot}", $label));
                 let d: fn(f32) -> f32 = $dfdy;
-                y.zip_inplace(grad_out, |yv, g| g * d(yv));
-                y
+                y.zip_inplace(&grad_out, |yv, g| g * d(yv));
+                grad_out.recycle();
+                keep(y, input_grad)
             }
 
             fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
@@ -139,7 +145,7 @@ impl Layer for Softmax {
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
+    fn backward_input(&mut self, grad_out: Tensor, slot: Slot, input_grad: bool) -> Option<Tensor> {
         let y = self
             .saved_output
             .remove(slot)
@@ -154,7 +160,10 @@ impl Layer for Softmax {
                 *dx.at_mut(r, c) = y.at(r, c) * (g.at(r, c) - dot);
             }
         }
-        dx
+        for t in [y, g, grad_out] {
+            t.recycle();
+        }
+        keep(dx, input_grad)
     }
 
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {

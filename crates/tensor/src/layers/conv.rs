@@ -17,7 +17,7 @@
 //! in the summation order); the two paths therefore agree to relative
 //! tolerance, not bit-for-bit.
 
-use super::{Layer, Param, Slot, SlotMap};
+use super::{keep, Layer, Param, Slot, SlotMap};
 use crate::gemm::{self, Backend};
 use crate::tensor::Tensor;
 use crate::{init, pool};
@@ -391,33 +391,34 @@ impl Layer for Conv2d {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
+    /// One pass per image stores its weight gradients beside its input
+    /// gradient, from one lowering of its input, so the weight half is
+    /// [`Layer::backward_weight`]'s no-op.
+    fn backward_input(&mut self, grad_out: Tensor, slot: Slot, input_grad: bool) -> Option<Tensor> {
         let x = self
             .saved_input
             .remove(slot)
             .unwrap_or_else(|| panic!("{}: no saved input for slot {slot}", self.name));
-        match gemm::thread_backend() {
-            Backend::Fast => {
-                let dx = self.backward_gemm(&x, grad_out);
-                x.recycle();
-                dx
-            }
+        let dx = match gemm::thread_backend() {
+            Backend::Fast => self.backward_gemm(&x, &grad_out),
             Backend::Naive => {
                 let (dx, dw, db) = conv2d_direct_backward(
                     &x,
                     &self.weight.value,
-                    grad_out,
+                    &grad_out,
                     self.stride,
                     self.padding,
                 );
                 self.weight.grad.axpy(1.0, &dw);
                 self.bias.grad.axpy(1.0, &db);
-                x.recycle();
                 dw.recycle();
                 db.recycle();
                 dx
             }
-        }
+        };
+        x.recycle();
+        grad_out.recycle();
+        keep(dx, input_grad)
     }
 
     fn visit_params<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {

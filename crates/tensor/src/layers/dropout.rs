@@ -1,6 +1,6 @@
 //! Inverted dropout.
 
-use super::{Layer, Slot, SlotMap};
+use super::{keep, Layer, Slot, SlotMap};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -63,19 +63,21 @@ impl Layer for Dropout {
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
+    /// Masks the output gradient in place (an empty mask is the identity).
+    fn backward_input(
+        &mut self,
+        mut grad_out: Tensor,
+        slot: Slot,
+        input_grad: bool,
+    ) -> Option<Tensor> {
         let mask = self
             .saved_mask
             .remove(slot)
             .unwrap_or_else(|| panic!("dropout: no saved mask for slot {slot}"));
-        if mask.is_empty() {
-            return grad_out.clone();
-        }
-        let mut dx = grad_out.clone();
-        for (v, &m) in dx.data_mut().iter_mut().zip(mask.iter()) {
+        for (v, &m) in grad_out.data_mut().iter_mut().zip(mask.iter()) {
             *v *= m;
         }
-        dx
+        keep(grad_out, input_grad)
     }
 
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {

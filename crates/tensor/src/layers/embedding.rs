@@ -16,7 +16,9 @@ pub struct Embedding {
     table: Param,
     vocab: usize,
     dim: usize,
-    saved_ids: SlotMap<Vec<usize>>,
+    /// Each in-flight minibatch's token ids, and — between the two halves
+    /// of its backward pass — its output gradient.
+    saved_ids: SlotMap<(Vec<usize>, Option<Tensor>)>,
 }
 
 impl Embedding {
@@ -55,24 +57,37 @@ impl Layer for Embedding {
             od[i * self.dim..(i + 1) * self.dim]
                 .copy_from_slice(&table[id * self.dim..(id + 1) * self.dim]);
         }
-        self.saved_ids.insert(slot, ids);
+        self.saved_ids.insert(slot, (ids, None));
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
-        let ids = self
+    /// Token ids have no gradient: zeros, one per id. Keeps the output
+    /// gradient for the weight half.
+    fn backward_input(&mut self, grad_out: Tensor, slot: Slot, input_grad: bool) -> Option<Tensor> {
+        let name = &self.name;
+        let (ids, g) = self
+            .saved_ids
+            .get_mut(slot)
+            .unwrap_or_else(|| panic!("{name}: no saved ids for slot {slot}"));
+        *g = Some(grad_out);
+        input_grad.then(|| Tensor::zeros(&[ids.len()]))
+    }
+
+    /// Scatter-adds each position's output gradient into its token's row.
+    fn backward_weight(&mut self, slot: Slot) {
+        let (ids, g) = self
             .saved_ids
             .remove(slot)
             .unwrap_or_else(|| panic!("{}: no saved ids for slot {slot}", self.name));
-        let gd = grad_out.data();
+        let g = g.unwrap_or_else(|| panic!("{}: weight half before input half", self.name));
+        let gd = g.data();
         let tg = self.table.grad.data_mut();
         for (i, &id) in ids.iter().enumerate() {
             for d in 0..self.dim {
                 tg[id * self.dim + d] += gd[i * self.dim + d];
             }
         }
-        // Token ids have no gradient.
-        Tensor::zeros(&[ids.len()])
+        g.recycle();
     }
 
     fn visit_params<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
@@ -98,11 +113,16 @@ impl Layer for Embedding {
     }
 
     fn clear_slot(&mut self, slot: Slot) {
-        self.saved_ids.remove(slot);
+        if let Some((_, Some(g))) = self.saved_ids.remove(slot) {
+            g.recycle();
+        }
     }
 
     fn cached_bytes(&self) -> u64 {
-        self.saved_ids.values().map(|v| v.len() as u64 * 8).sum()
+        self.saved_ids
+            .values()
+            .map(|(ids, g)| ids.len() as u64 * 8 + g.as_ref().map_or(0, |g| g.len() as u64 * 4))
+            .sum()
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {

@@ -1,6 +1,6 @@
 //! Gated recurrent unit with explicit backpropagation through time.
 
-use super::{Layer, Param, Slot, SlotMap};
+use super::{keep, Layer, Param, Slot, SlotMap};
 use crate::init;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
@@ -129,7 +129,10 @@ impl Layer for Gru {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
+    /// Backpropagation through time: each step's weight gradients are
+    /// stored as its input gradient is computed, so the weight half is
+    /// [`Layer::backward_weight`]'s no-op.
+    fn backward_input(&mut self, grad_out: Tensor, slot: Slot, input_grad: bool) -> Option<Tensor> {
         let caches = self
             .saved
             .remove(slot)
@@ -200,7 +203,8 @@ impl Layer for Gru {
         }
         dh_next.recycle();
         caches.into_iter().for_each(StepCache::recycle);
-        dx
+        grad_out.recycle();
+        keep(dx, input_grad)
     }
 
     fn visit_params<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {

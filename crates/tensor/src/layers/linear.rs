@@ -1,9 +1,7 @@
 //! Fully-connected layer.
 
 use super::{Layer, Param, Slot, SlotMap};
-use crate::gemm::{self, Backend};
 use crate::init;
-use crate::optim::Update;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 
@@ -13,9 +11,8 @@ pub struct Linear {
     name: String,
     weight: Param,
     bias: Param,
-    /// Each in-flight minibatch's input, and — between a
-    /// [`Layer::backward_deferred`] and its [`Layer::step_deferred`] — its
-    /// output gradient.
+    /// Each in-flight minibatch's input, and — between the two halves of
+    /// its backward pass — its output gradient.
     saved_input: SlotMap<(Tensor, Option<Tensor>)>,
 }
 
@@ -47,30 +44,6 @@ impl Linear {
     /// Output feature count.
     pub fn out_features(&self) -> usize {
         self.weight.value.shape()[1]
-    }
-
-    /// Accumulate `slot`'s weight and bias gradients from `g`, the output
-    /// gradient as a `[rows, out]` matrix, or — into gradients left empty by
-    /// [`Layer::reset_grads`] — write them.
-    fn param_grads(&mut self, g: &Tensor, slot: Slot) {
-        let (x, _) = self
-            .saved_input
-            .remove(slot)
-            .unwrap_or_else(|| panic!("{}: no saved input for slot {slot}", self.name));
-        // dW += xᵀ·g (transpose folded into A's packing, accumulation
-        // fused into the kernel); db = column sums of g. Written rather
-        // than added, each element is the chain an add into zeros stores
-        // (a chain from 0.0 is never −0.0, so 0.0 + it is itself).
-        if self.weight.grad.is_empty() {
-            self.weight.grad = x.matmul_tn(g);
-        } else {
-            self.weight.grad.add_matmul_tn(&x, g);
-        }
-        if self.bias.grad.is_empty() {
-            self.bias.grad = Tensor::zeros(self.bias.value.shape());
-        }
-        column_sums(g, self.bias.grad.data_mut());
-        x.recycle();
     }
 
     /// `grad_out` reshaped to `[rows, out]`, or `None` when it already is
@@ -118,38 +91,10 @@ impl Layer for Linear {
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
-        let reshaped = self.as_matrix(grad_out);
-        let g = reshaped.as_ref().unwrap_or(grad_out);
-        self.param_grads(g, slot);
-        // dx = g·Wᵀ, which the GEMM computes as (W·gᵀ)ᵀ: W is read in
-        // place and only g is packed.
-        let dx = g.matmul_nt(&self.weight.value);
-        if let Some(r) = reshaped {
-            r.recycle();
-        }
-        dx
-    }
-
-    fn backward_params(&mut self, grad_out: &Tensor, slot: Slot) {
-        let reshaped = self.as_matrix(grad_out);
-        self.param_grads(reshaped.as_ref().unwrap_or(grad_out), slot);
-        if let Some(r) = reshaped {
-            r.recycle();
-        }
-    }
-
-    /// Computes `dx` under the weights in place (a stashed version's, for
-    /// a stashing pipeline) and keeps the output gradient: the weight and
-    /// bias gradients are computed where [`Layer::step_deferred`] applies
-    /// them. A batch deeper than one `KC` block, or the reference kernel,
-    /// accumulates them now instead.
-    fn backward_deferred(
-        &mut self,
-        grad_out: Tensor,
-        slot: Slot,
-        input_grad: bool,
-    ) -> Option<Tensor> {
+    /// `dx = g·Wᵀ`, under the weights in place (a stashed version's, for a
+    /// stashing pipeline), which the GEMM computes as `(W·gᵀ)ᵀ`: `W` is read
+    /// in place and only `g` is packed. Keeps `g` for the weight half.
+    fn backward_input(&mut self, grad_out: Tensor, slot: Slot, input_grad: bool) -> Option<Tensor> {
         let g = match self.as_matrix(&grad_out) {
             Some(r) => {
                 grad_out.recycle();
@@ -157,16 +102,6 @@ impl Layer for Linear {
             }
             None => grad_out,
         };
-        if !(1..=gemm::KC).contains(&g.rows()) || gemm::thread_backend() != Backend::Fast {
-            let dx = if input_grad {
-                Some(self.backward(&g, slot))
-            } else {
-                self.backward_params(&g, slot);
-                None
-            };
-            g.recycle();
-            return dx;
-        }
         let dx = input_grad.then(|| g.matmul_nt(&self.weight.value));
         let name = &self.name;
         let saved = self
@@ -177,42 +112,26 @@ impl Layer for Linear {
         dx
     }
 
-    /// A deferred backward's gradients are computed here and applied as
-    /// they are: `dW = xᵀ·g` steps the weights in the product's store
-    /// ([`gemm::gemm_epilogue`]), `db` from its column sums, each element
-    /// with the roundings of a gradient stored, then read by the optimizer.
-    fn step_deferred(&mut self, slot: Slot, update: &mut Update<'_>) {
-        let Some((x, g)) = self.saved_input.remove(slot) else {
-            // The backward accumulated the gradients already.
-            update.param(&mut self.weight);
-            update.param(&mut self.bias);
-            return;
-        };
-        let g = g.unwrap_or_else(|| panic!("{}: step before backward for slot {slot}", self.name));
-        let (m, k, n) = (self.in_features(), g.rows(), self.out_features());
-        match update.fold(&mut self.weight) {
-            Some(mut fold) => {
-                gemm::gemm_epilogue(x.data(), g.data(), m, k, n, true, |at, run| {
-                    fold.apply(at, run)
-                });
-            }
-            None => {
-                self.weight.grad.add_matmul_tn(&x, &g);
-                update.param(&mut self.weight);
-            }
+    /// `dW = xᵀ·g` (transpose folded into `A`'s packing, accumulation fused
+    /// into the kernel) and `db` = column sums of `g`. Written rather than
+    /// added into a gradient left empty, each element is the chain an add
+    /// into zeros stores (a chain from 0.0 is never −0.0, so 0.0 + it is
+    /// itself).
+    fn backward_weight(&mut self, slot: Slot) {
+        let (x, g) = self
+            .saved_input
+            .remove(slot)
+            .unwrap_or_else(|| panic!("{}: no saved input for slot {slot}", self.name));
+        let g = g.unwrap_or_else(|| panic!("{}: weight half before input half", self.name));
+        if self.weight.grad.is_empty() {
+            self.weight.grad = x.matmul_tn(&g);
+        } else {
+            self.weight.grad.add_matmul_tn(&x, &g);
         }
-        match update.fold(&mut self.bias) {
-            Some(mut fold) => {
-                let mut db = Tensor::zeros(&[n]);
-                column_sums(&g, db.data_mut());
-                fold.apply(0, db.data());
-                db.recycle();
-            }
-            None => {
-                column_sums(&g, self.bias.grad.data_mut());
-                update.param(&mut self.bias);
-            }
+        if self.bias.grad.is_empty() {
+            self.bias.grad = Tensor::zeros(self.bias.value.shape());
         }
+        column_sums(&g, self.bias.grad.data_mut());
         x.recycle();
         g.recycle();
     }
@@ -317,50 +236,6 @@ mod tests {
         let dw = &l.weight.grad;
         assert!(dw.at(0, 0) != 0.0);
         assert_eq!(dw.at(1, 0), 0.0);
-    }
-
-    /// `backward_deferred` then `step_deferred` — `dx` first, then the
-    /// weights stepped in the store of `dW`'s product — gives the bits of a
-    /// backward that stores the gradients and a step that reads them, the
-    /// next weights in place or beside the current ones, at every path of
-    /// the product (unpacked, narrow, packed).
-    #[test]
-    fn a_folded_step_gives_the_stored_gradient_step_bit_for_bit() {
-        use crate::optim::{Adam, Grad, Optimizer, Sgd, Update};
-        let optimizers = || -> Vec<Box<dyn Optimizer>> {
-            vec![
-                Box::new(Sgd::new(0.1)),
-                Box::new(Sgd::with_momentum(0.1, 0.9, 0.01)),
-                Box::new(Adam::new(0.01)),
-            ]
-        };
-        for (rows, inp, out) in [(8, 32, 32), (32, 128, 10), (64, 70, 40), (5, 17, 9)] {
-            for k in 0..optimizers().len() {
-                let (mut a, mut b) = (optimizers().remove(k), optimizers().remove(k));
-                let mut la = Linear::new(inp, out, &mut rng(rows as u64));
-                let mut lb = la.clone();
-                for step in 0..3u64 {
-                    let x = crate::init::normal(&[rows, inp], 1.0, &mut rng(step));
-                    let g = crate::init::normal(&[rows, out], 1.0, &mut rng(step + 50));
-                    la.forward(&x, step).recycle();
-                    lb.forward(&x, step).recycle();
-                    let dxa = la.backward(&g, step);
-                    a.step_layer(&mut la);
-                    let dxb = lb.backward_deferred(g.clone(), step, true).expect("dx");
-                    assert_eq!(dxa, dxb, "dx is computed before the step");
-                    let mut next = (step == 1).then(|| lb.snapshot());
-                    let mut update =
-                        Update::new(&mut *b, 2, Grad::Own { count: 1 }, next.as_deref_mut());
-                    lb.step_deferred(step, &mut update);
-                    if let Some(next) = next.as_mut() {
-                        lb.swap_values(next);
-                    }
-                    let case = format!("{rows}x{inp}x{out}, optimizer {k}, step {step}");
-                    assert_eq!(la.snapshot(), lb.snapshot(), "{case}");
-                    assert!(lb.weight.grad.data().iter().all(|&g| g == 0.0), "{case}");
-                }
-            }
-        }
     }
 
     /// After `reset_grads` the next backward writes the gradients into

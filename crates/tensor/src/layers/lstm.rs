@@ -1,6 +1,6 @@
 //! Long short-term memory layer with explicit backpropagation through time.
 
-use super::{Layer, Param, Slot, SlotMap};
+use super::{keep, Layer, Param, Slot, SlotMap};
 use crate::init;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
@@ -165,7 +165,10 @@ impl Layer for Lstm {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
+    /// Backpropagation through time: each step's weight gradients are
+    /// stored as its input gradient is computed, so the weight half is
+    /// [`Layer::backward_weight`]'s no-op.
+    fn backward_input(&mut self, grad_out: Tensor, slot: Slot, input_grad: bool) -> Option<Tensor> {
         let caches = self
             .saved
             .remove(slot)
@@ -239,7 +242,8 @@ impl Layer for Lstm {
         dh_next.recycle();
         dc_next.recycle();
         caches.into_iter().for_each(StepCache::recycle);
-        dx
+        grad_out.recycle();
+        keep(dx, input_grad)
     }
 
     fn visit_params<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
@@ -338,7 +342,7 @@ impl Layer for SeqLast {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
+    fn backward_input(&mut self, grad_out: Tensor, slot: Slot, input_grad: bool) -> Option<Tensor> {
         let s = self
             .saved_shape
             .remove(slot)
@@ -349,7 +353,8 @@ impl Layer for SeqLast {
             let dst = (r * t + (t - 1)) * f;
             dx.data_mut()[dst..dst + f].copy_from_slice(&grad_out.data()[r * f..(r + 1) * f]);
         }
-        dx
+        grad_out.recycle();
+        keep(dx, input_grad)
     }
 
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {

@@ -3,7 +3,8 @@
 //! Every layer caches its forward-pass intermediates under a caller-supplied
 //! [`Slot`] (minibatch id), so several minibatches can be in flight at once —
 //! the property pipeline-parallel execution depends on (paper §4,
-//! "Intermediate State"). `backward(slot)` consumes the slot's cache.
+//! "Intermediate State"). The slot's backward pass consumes the cache in
+//! two halves: the input gradient, then the weight gradient.
 
 mod activation;
 mod conv;
@@ -25,7 +26,6 @@ pub use lstm::{Lstm, SeqLast};
 pub use norm::Scale;
 pub use pool::{AvgPool2d, Flatten, MaxPool2d, Reshape};
 
-use crate::optim::Update;
 use crate::tensor::Tensor;
 
 /// Identifier for an in-flight minibatch whose activations a layer must keep.
@@ -126,9 +126,13 @@ impl Param {
 
 /// A neural-network layer.
 ///
-/// `forward` stores whatever it needs under `slot`; `backward` for the same
-/// slot consumes that state, accumulates parameter gradients into
-/// [`Param::grad`], and returns the gradient w.r.t. the layer input.
+/// `forward` stores whatever it needs under `slot`. The backward pass for
+/// the same slot has two halves, as a PipeDream stage runs it (§3.3): the
+/// input half, [`Layer::backward_input`], computes the gradient w.r.t. the
+/// layer input, which goes upstream, and keeps in the slot what the weight
+/// gradient needs; the weight half, [`Layer::backward_weight`], consumes it
+/// and stores each parameter's gradient into [`Param::grad`].
+/// [`Layer::backward`] runs both.
 pub trait Layer: Send {
     /// Short human-readable layer name.
     fn name(&self) -> &str;
@@ -136,45 +140,28 @@ pub trait Layer: Send {
     /// Forward pass for the minibatch identified by `slot`.
     fn forward(&mut self, x: &Tensor, slot: Slot) -> Tensor;
 
-    /// Backward pass for `slot`; returns the input gradient.
-    fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor;
+    /// The input half of `slot`'s backward pass: the gradient w.r.t. the
+    /// layer input, or `None` when `input_grad` is off and nobody reads it
+    /// (a model's first layer). Takes the output gradient by value, so a
+    /// layer whose weight half reads it keeps it in the slot uncopied, and
+    /// any other hands it back to the pool.
+    fn backward_input(&mut self, grad_out: Tensor, slot: Slot, input_grad: bool) -> Option<Tensor>;
 
-    /// Backward pass for `slot` that only accumulates parameter
-    /// gradients: for a model's first layer, whose input gradient nobody
-    /// reads. Layers that can skip computing it override this.
-    fn backward_params(&mut self, grad_out: &Tensor, slot: Slot) {
-        self.backward(grad_out, slot).recycle();
-    }
+    /// The weight half of `slot`'s backward pass, after its input half:
+    /// adds each parameter's gradient into [`Param::grad`] — or writes it,
+    /// where [`Layer::reset_grads`] left the gradient empty. Layers whose
+    /// input half computes the weight gradients in the same loops (GRU and
+    /// LSTM, where backpropagation through time couples the two; `Conv2d`,
+    /// one pass per image) have stored them there and inherit this no-op,
+    /// as do layers without parameters.
+    fn backward_weight(&mut self, _slot: Slot) {}
 
-    /// The backward pass of an update that follows it at once (one
-    /// backward per update, unreplicated): the input gradient — `None` when
-    /// `input_grad` is off and nobody reads it — while the parameter
-    /// gradients may be left for [`Layer::step_deferred`] to compute where
-    /// it applies them, so they are never stored. Takes the output gradient
-    /// by value, for a layer that keeps it until then. By default, the
-    /// plain backward pass.
-    fn backward_deferred(
-        &mut self,
-        grad_out: Tensor,
-        slot: Slot,
-        input_grad: bool,
-    ) -> Option<Tensor> {
-        let dx = if input_grad {
-            Some(self.backward(&grad_out, slot))
-        } else {
-            self.backward_params(&grad_out, slot);
-            None
-        };
-        grad_out.recycle();
-        dx
-    }
-
-    /// Apply `update` to this layer's parameters, in order, after `slot`'s
-    /// [`Layer::backward_deferred`]: from the gradients it accumulated, or
-    /// — for those it deferred — from the gradients computed here. By
-    /// default every parameter's from its gradient.
-    fn step_deferred(&mut self, _slot: Slot, update: &mut Update<'_>) {
-        self.visit_params_mut(&mut |p| update.param(p));
+    /// `slot`'s whole backward pass, its input half then its weight half:
+    /// the input gradient, with the parameter gradients stored.
+    fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
+        let dx = self.backward_input(grad_out.clone(), slot, true);
+        self.backward_weight(slot);
+        dx.expect("an input gradient was asked for")
     }
 
     /// Call `f` on each trainable parameter, in order (stateless layers
@@ -297,6 +284,17 @@ pub trait Layer: Send {
     }
 }
 
+/// `dx` as [`Layer::backward_input`] returns it: itself if `input_grad`,
+/// else `None`, its buffer back in the pool.
+pub(crate) fn keep(dx: Tensor, input_grad: bool) -> Option<Tensor> {
+    if input_grad {
+        Some(dx)
+    } else {
+        dx.recycle();
+        None
+    }
+}
+
 /// An ordered chain of layers, itself usable as a [`Layer`].
 ///
 /// [`Sequential::split_off`] partitions a model into pipeline stages:
@@ -412,21 +410,6 @@ impl Sequential {
     }
 }
 
-/// Backward through `layers` last to first: the gradient w.r.t. the
-/// chain's input, or `None` for an empty chain.
-fn backward_chain(layers: &mut [Box<dyn Layer>], grad_out: &Tensor, slot: Slot) -> Option<Tensor> {
-    // Each layer consumed what it saved, so a gradient is dead once the
-    // layer below has read it — recycle its storage instead of dropping it.
-    let mut cur: Option<Tensor> = None;
-    for l in layers.iter_mut().rev() {
-        let next = l.backward(cur.as_ref().unwrap_or(grad_out), slot);
-        if let Some(prev) = cur.replace(next) {
-            prev.recycle();
-        }
-    }
-    cur
-}
-
 impl Layer for Sequential {
     fn name(&self) -> &str {
         &self.name
@@ -446,42 +429,19 @@ impl Layer for Sequential {
         cur.unwrap_or_else(|| x.clone())
     }
 
-    fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
-        backward_chain(&mut self.layers, grad_out, slot).unwrap_or_else(|| grad_out.clone())
-    }
-
-    fn backward_params(&mut self, grad_out: &Tensor, slot: Slot) {
-        let Some((first, rest)) = self.layers.split_first_mut() else {
-            return;
-        };
-        let cur = backward_chain(rest, grad_out, slot);
-        first.backward_params(cur.as_ref().unwrap_or(grad_out), slot);
-        if let Some(g) = cur {
-            g.recycle();
-        }
-    }
-
-    fn backward_deferred(
-        &mut self,
-        grad_out: Tensor,
-        slot: Slot,
-        input_grad: bool,
-    ) -> Option<Tensor> {
+    /// Last layer to first, each taking the gradient the one above it
+    /// returned; only the first may be asked for none.
+    fn backward_input(&mut self, grad_out: Tensor, slot: Slot, input_grad: bool) -> Option<Tensor> {
         let mut cur = grad_out;
         for (i, l) in self.layers.iter_mut().enumerate().rev() {
-            cur = l.backward_deferred(cur, slot, input_grad || i > 0)?;
+            cur = l.backward_input(cur, slot, input_grad || i > 0)?;
         }
-        if input_grad {
-            Some(cur)
-        } else {
-            cur.recycle();
-            None
-        }
+        keep(cur, input_grad)
     }
 
-    fn step_deferred(&mut self, slot: Slot, update: &mut Update<'_>) {
-        for l in &mut self.layers {
-            l.step_deferred(slot, update);
+    fn backward_weight(&mut self, slot: Slot) {
+        for l in self.layers.iter_mut().rev() {
+            l.backward_weight(slot);
         }
     }
 
@@ -622,6 +582,99 @@ mod tests {
         let m = tiny_mlp();
         // 4*8 + 8 + 8*3 + 3 = 67
         assert_eq!(m.param_count(), 67);
+    }
+
+    /// The bits of every gradient a layer holds.
+    fn grad_bits(l: &dyn Layer) -> Vec<Vec<u32>> {
+        let mut bits = Vec::new();
+        l.visit_params(&mut |p| bits.push(p.grad.data().iter().map(|g| g.to_bits()).collect()));
+        bits
+    }
+
+    /// Every layer type, on both GEMM backends: `backward` is
+    /// `backward_input` then `backward_weight`, bit for bit, with two
+    /// slots in flight and every input half run before the weight halves;
+    /// only the layers that fuse the two (`fused`) store a weight gradient
+    /// in the input half. Without an input gradient the input half returns
+    /// none and the weight half stores the same gradients.
+    #[test]
+    fn every_backward_is_its_input_half_then_its_weight_half() {
+        use crate::gemm::{set_thread_backend, Backend};
+        use crate::init::normal;
+        let mut r = rng(7);
+        let cases: Vec<(Box<dyn Layer>, Vec<usize>, bool)> = vec![
+            (Box::new(Linear::new(6, 5, &mut r)), vec![4, 6], false),
+            (
+                Box::new(Conv2d::new(2, 3, 3, 2, 1, &mut r)),
+                vec![2, 2, 5, 5],
+                true,
+            ),
+            (Box::new(Embedding::new(7, 4, &mut r)), vec![3, 5], false),
+            (Box::new(Gru::new(3, 4, &mut r)), vec![2, 3, 3], true),
+            (Box::new(Lstm::new(3, 4, &mut r)), vec![2, 3, 3], true),
+            (Box::new(Scale::new(5)), vec![4, 5], false),
+            (Box::new(MaxPool2d::new(2)), vec![2, 2, 4, 4], false),
+            (Box::new(AvgPool2d::new(2)), vec![2, 2, 4, 4], false),
+            (Box::new(Relu::new()), vec![4, 5], false),
+            (Box::new(Sigmoid::new()), vec![4, 5], false),
+            (Box::new(Tanh::new()), vec![4, 5], false),
+            (Box::new(Softmax::new()), vec![4, 5], false),
+            (Box::new(Dropout::new(0.3, 11)), vec![4, 5], false),
+            (Box::new(Reshape::new(&[2, 3])), vec![4, 6], false),
+            (Box::new(Flatten::new()), vec![4, 2, 3], false),
+            (Box::new(SeqLast::new()), vec![4, 3, 5], false),
+            (Box::new(tiny_mlp()), vec![4, 4], false),
+        ];
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for backend in [Backend::Fast, Backend::Naive] {
+            set_thread_backend(backend);
+            for (layer, shape, fused) in &cases {
+                let case = format!("{} on {backend:?}", layer.name());
+                let (mut whole, mut halves, mut no_dx) =
+                    (layer.clone_box(), layer.clone_box(), layer.clone_box());
+                let mut grads = Vec::new();
+                for slot in 0..2u64 {
+                    let x = if layer.name().starts_with("embedding") {
+                        let n = shape.iter().product::<usize>() as u64;
+                        Tensor::from_vec(
+                            shape,
+                            (0..n).map(|i| ((i * 5 + slot) % 7) as f32).collect(),
+                        )
+                    } else {
+                        normal(shape, 1.0, &mut rng(slot))
+                    };
+                    let y = whole.forward(&x, slot);
+                    halves.forward(&x, slot).recycle();
+                    no_dx.forward(&x, slot).recycle();
+                    grads.push(normal(y.shape(), 1.0, &mut rng(slot + 10)));
+                }
+                let slots = [1u64, 0];
+                let dx: Vec<Tensor> = slots
+                    .iter()
+                    .map(|&s| whole.backward(&grads[s as usize], s))
+                    .collect();
+                let before = grad_bits(&*halves);
+                for (&s, dx) in slots.iter().zip(&dx) {
+                    let split = halves.backward_input(grads[s as usize].clone(), s, true);
+                    let split = split.expect("an input gradient was asked for");
+                    assert_eq!(dx.shape(), split.shape(), "{case}");
+                    assert_eq!(bits(dx), bits(&split), "{case}: dx, slot {s}");
+                    let none = no_dx.backward_input(grads[s as usize].clone(), s, false);
+                    assert!(none.is_none(), "{case}");
+                }
+                assert_eq!(grad_bits(&*halves) != before, *fused, "{case}: input half");
+                for &s in &slots {
+                    halves.backward_weight(s);
+                    no_dx.backward_weight(s);
+                }
+                assert_eq!(grad_bits(&*whole), grad_bits(&*halves), "{case}");
+                assert_eq!(grad_bits(&*whole), grad_bits(&*no_dx), "{case}: no dx");
+                for l in [&halves, &no_dx] {
+                    assert_eq!(l.cached_bytes(), 0, "{case}: the halves consume the slots");
+                }
+            }
+        }
+        set_thread_backend(Backend::Fast);
     }
 
     #[test]

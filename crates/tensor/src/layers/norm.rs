@@ -10,7 +10,9 @@ use crate::tensor::Tensor;
 pub struct Scale {
     gamma: Param,
     features: usize,
-    saved_input: SlotMap<Tensor>,
+    /// Each in-flight minibatch's input, as `[rows, features]`, and —
+    /// between the two halves of its backward pass — its output gradient.
+    saved_input: SlotMap<(Tensor, Option<Tensor>)>,
 }
 
 impl Scale {
@@ -39,27 +41,45 @@ impl Layer for Scale {
             }
         }
         self.saved_input
-            .insert(slot, x.reshape(&[x.rows(), self.features]));
+            .insert(slot, (x.reshape(&[x.rows(), self.features]), None));
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
-        let x = self
+    /// `dx = g ⊙ γ`. Keeps the output gradient for the weight half.
+    fn backward_input(&mut self, grad_out: Tensor, slot: Slot, input_grad: bool) -> Option<Tensor> {
+        let (_, saved) = self
+            .saved_input
+            .get_mut(slot)
+            .unwrap_or_else(|| panic!("scale: no saved input for slot {slot}"));
+        let dx = input_grad.then(|| {
+            let gamma = self.gamma.value.data();
+            let mut dx = grad_out.clone();
+            for r in 0..grad_out.rows() {
+                for c in 0..self.features {
+                    *dx.at_mut(r, c) = grad_out.at(r, c) * gamma[c];
+                }
+            }
+            dx
+        });
+        *saved = Some(grad_out);
+        dx
+    }
+
+    /// `dγ += Σ_rows g ⊙ x`.
+    fn backward_weight(&mut self, slot: Slot) {
+        let (x, g) = self
             .saved_input
             .remove(slot)
             .unwrap_or_else(|| panic!("scale: no saved input for slot {slot}"));
-        let gamma = &mut self.gamma;
-        let g = gamma.value.data();
-        let gg = gamma.grad.data_mut();
-        let mut dx = grad_out.clone();
+        let g = g.unwrap_or_else(|| panic!("scale: weight half before input half"));
+        let gg = self.gamma.grad.data_mut();
         for r in 0..x.rows() {
             for c in 0..self.features {
-                gg[c] += grad_out.at(r, c) * x.at(r, c);
-                *dx.at_mut(r, c) = grad_out.at(r, c) * g[c];
+                gg[c] += g.at(r, c) * x.at(r, c);
             }
         }
         x.recycle();
-        dx
+        g.recycle();
     }
 
     fn visit_params<'a>(&'a self, f: &mut dyn FnMut(&'a Param)) {
@@ -83,13 +103,20 @@ impl Layer for Scale {
     }
 
     fn clear_slot(&mut self, slot: Slot) {
-        if let Some(t) = self.saved_input.remove(slot) {
-            t.recycle();
+        if let Some((x, g)) = self.saved_input.remove(slot) {
+            x.recycle();
+            if let Some(g) = g {
+                g.recycle();
+            }
         }
     }
 
     fn cached_bytes(&self) -> u64 {
-        self.saved_input.values().map(|t| t.len() as u64 * 4).sum()
+        let bytes = |t: &Tensor| t.len() as u64 * 4;
+        self.saved_input
+            .values()
+            .map(|(x, g)| bytes(x) + g.as_ref().map_or(0, bytes))
+            .sum()
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {

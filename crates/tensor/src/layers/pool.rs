@@ -1,6 +1,6 @@
 //! Pooling and reshaping layers.
 
-use super::{Layer, Slot, SlotMap};
+use super::{keep, Layer, Slot, SlotMap};
 use crate::tensor::Tensor;
 
 /// Max pooling over `[batch, ch, h, w]` inputs with a square window and
@@ -64,7 +64,7 @@ impl Layer for MaxPool2d {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
+    fn backward_input(&mut self, grad_out: Tensor, slot: Slot, input_grad: bool) -> Option<Tensor> {
         let (in_shape, argmax) = self
             .saved
             .remove(slot)
@@ -74,7 +74,8 @@ impl Layer for MaxPool2d {
         for (g, &src) in grad_out.data().iter().zip(argmax.iter()) {
             dxd[src] += g;
         }
-        dx
+        grad_out.recycle();
+        keep(dx, input_grad)
     }
 
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
@@ -163,7 +164,7 @@ impl Layer for AvgPool2d {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
+    fn backward_input(&mut self, grad_out: Tensor, slot: Slot, input_grad: bool) -> Option<Tensor> {
         let s = self
             .saved_shape
             .remove(slot)
@@ -188,7 +189,8 @@ impl Layer for AvgPool2d {
                 }
             }
         }
-        dx
+        grad_out.recycle();
+        keep(dx, input_grad)
     }
 
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
@@ -261,12 +263,14 @@ impl Layer for Reshape {
         x.reshape(&shape)
     }
 
-    fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
+    fn backward_input(&mut self, grad_out: Tensor, slot: Slot, input_grad: bool) -> Option<Tensor> {
         let shape = self
             .saved_shape
             .remove(slot)
             .unwrap_or_else(|| panic!("reshape: no saved shape for slot {slot}"));
-        grad_out.reshape(&shape)
+        let dx = grad_out.reshape(&shape);
+        grad_out.recycle();
+        keep(dx, input_grad)
     }
 
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {
@@ -323,12 +327,14 @@ impl Layer for Flatten {
         x.reshape(&[x.rows(), x.cols()])
     }
 
-    fn backward(&mut self, grad_out: &Tensor, slot: Slot) -> Tensor {
+    fn backward_input(&mut self, grad_out: Tensor, slot: Slot, input_grad: bool) -> Option<Tensor> {
         let shape = self
             .saved_shape
             .remove(slot)
             .unwrap_or_else(|| panic!("flatten: no saved shape for slot {slot}"));
-        grad_out.reshape(&shape)
+        let dx = grad_out.reshape(&shape);
+        grad_out.recycle();
+        keep(dx, input_grad)
     }
 
     fn output_shape(&self, input_shape: &[usize]) -> Vec<usize> {

@@ -12,10 +12,8 @@
 //! ([`Update`]), so a stage that must keep the old version writes the new
 //! one beside it instead of copying the old one first. Every optimizer
 //! runs its rule in one loop, `Chunk::step`, over the blocks `for_each`
-//! hands it. `Sgd` also lends its rule, [`SgdRule`], to a
-//! layer that computes its weight gradient itself ([`Update::fold`]):
-//! `Linear` steps its weights in the store of the `dW` product, and the
-//! gradient is never written.
+//! hands it. The gradient it reads is the one the layers' weight halves
+//! stored ([`Layer::backward_weight`]).
 
 use crate::layers::{Layer, Param};
 use crate::tensor::Tensor;
@@ -254,15 +252,6 @@ pub trait Optimizer: Send {
         });
     }
 
-    /// This optimizer's rule and parameter `i`'s velocity (`len` floats,
-    /// empty without momentum), for a layer to apply where it computes the
-    /// parameter's gradient; `None` for an optimizer whose update does not
-    /// fold into the product (Adam's moments would need the gradient's
-    /// square where the tile holds it, and no layer but `Linear` folds).
-    fn fold(&mut self, _i: usize, _len: usize) -> Option<(SgdRule, &mut [f32])> {
-        None
-    }
-
     /// The current learning rate.
     fn learning_rate(&self) -> f32;
 
@@ -272,9 +261,8 @@ pub trait Optimizer: Send {
 
 /// One optimizer update over a model's parameters, in the order its
 /// layers visit them: [`Update::param`] updates the next one from its
-/// gradient, [`Update::fold`] lends the rule to the layer computing it.
-/// With `next`, the next values are written there, one tensor per
-/// parameter, and the parameters keep the current ones.
+/// gradient. With `next`, the next values are written there, one tensor
+/// per parameter, and the parameters keep the current ones.
 pub struct Update<'a> {
     opt: &'a mut dyn Optimizer,
     grad: Grad<'a>,
@@ -282,8 +270,6 @@ pub struct Update<'a> {
     i: usize,
     /// Weight and gradient floats read and written so far.
     floats: u64,
-    /// Floats of the parameters whose gradient a layer computed itself.
-    folded: u64,
 }
 
 impl<'a> Update<'a> {
@@ -301,7 +287,6 @@ impl<'a> Update<'a> {
             next,
             i: 0,
             floats: 0,
-            folded: 0,
         }
     }
 
@@ -319,114 +304,11 @@ impl<'a> Update<'a> {
         self.floats += (2 + grads) * p.value.len() as u64;
     }
 
-    /// Weight and gradient bytes this update has read and written — the
-    /// weights once each way; its own gradient as read and as zeroed, or a
-    /// round's deposits as read — and the floats of the parameters whose gradient a layer computed in
-    /// the update ([`Update::fold`]): the gradient store a backward pass
-    /// did not make.
-    pub fn bytes(&self) -> (u64, u64) {
-        (4 * self.floats, self.folded)
-    }
-
-    /// The next parameter's update, for a layer that computes the
-    /// parameter's whole gradient itself and applies it in the same pass
-    /// ([`Fold::apply`]), never storing it: `None` — and nothing consumed —
-    /// unless the optimizer folds and this update reads each parameter's
-    /// own gradient of one backward pass, which the layer then stands in
-    /// for. The parameter's own gradient stays zero.
-    pub fn fold<'p>(&'p mut self, p: &'p mut Param) -> Option<Fold<'p>> {
-        if !matches!(self.grad, Grad::Own { count: 1 }) {
-            return None;
-        }
-        let i = self.i;
-        let (rule, velocity) = self.opt.fold(i, p.value.len())?;
-        self.i += 1;
-        self.floats += 2 * p.value.len() as u64;
-        self.folded += p.value.len() as u64;
-        let (src, w) = match self.next.as_deref_mut() {
-            Some(next) => {
-                assert_eq!(
-                    next[i].shape(),
-                    p.value.shape(),
-                    "next version shape mismatch"
-                );
-                (Some(p.value.data()), next[i].data_mut())
-            }
-            None => (None, p.value.data_mut()),
-        };
-        Some(Fold {
-            rule,
-            velocity,
-            src,
-            w,
-        })
-    }
-}
-
-/// SGD's per-element step with momentum `mu` and weight decay `wd`: the
-/// one rule [`Sgd`] runs, whether it reads a gradient or is folded into
-/// the product that computes one.
-#[derive(Debug, Clone, Copy)]
-pub struct SgdRule {
-    lr: f32,
-    mu: f32,
-    wd: f32,
-}
-
-impl SgdRule {
-    /// The next value of weight `w` from gradient `g`, with velocity `v`
-    /// under momentum. Weight decay folds into the gradient, momentum is
-    /// `v ← μv + g`, and `θ ← θ − lr·v` (`v = g` without momentum), each
-    /// rounded as the tensor ops they replace.
-    #[inline(always)]
-    fn step(self, w: f32, g: f32, v: Option<&mut f32>) -> f32 {
-        let SgdRule { lr, mu, wd } = self;
-        let gi = if wd != 0.0 { g + wd * w } else { g };
-        match v {
-            Some(v) => {
-                *v = *v * mu + gi;
-                w + -lr * *v
-            }
-            None => w + -lr * gi,
-        }
-    }
-}
-
-/// One parameter's update lent to the layer that computes its gradient
-/// (see [`Update::fold`]).
-pub struct Fold<'p> {
-    rule: SgdRule,
-    velocity: &'p mut [f32],
-    /// The current weights, when the next ones go to a buffer of their own.
-    src: Option<&'p [f32]>,
-    /// The weights the step writes.
-    w: &'p mut [f32],
-}
-
-impl Fold<'_> {
-    /// Step elements `at..at + g.len()` of the parameter by the finished
-    /// gradient run `g`: each element as the gradient store would have
-    /// left it (`0.0 + g`, added to a zeroed gradient), then the rule.
-    #[inline(always)]
-    pub fn apply(&mut self, at: usize, g: &[f32]) {
-        // A run is at most a tile row, so a plain loop: building a `Chunk`
-        // a row cost `train-overhead`'s batch-8 step a few percent.
-        let range = at..at + g.len();
-        let w = &mut self.w[range.clone()];
-        if let Some(src) = self.src {
-            w.copy_from_slice(&src[range.clone()]);
-        }
-        let rule = self.rule;
-        if self.velocity.is_empty() {
-            for (w, &g) in w.iter_mut().zip(g) {
-                *w = rule.step(*w, 0.0 + g, None);
-            }
-        } else {
-            let v = &mut self.velocity[range];
-            for ((w, &g), v) in w.iter_mut().zip(g).zip(v) {
-                *w = rule.step(*w, 0.0 + g, Some(v));
-            }
-        }
+    /// Weight and gradient bytes this update has read and written: the
+    /// weights once each way, and its own gradient as read and as zeroed,
+    /// or a round's deposits as read.
+    pub fn bytes(&self) -> u64 {
+        4 * self.floats
     }
 }
 
@@ -451,14 +333,6 @@ impl Sgd {
             momentum: mu,
             weight_decay: wd,
             velocity: Vec::new(),
-        }
-    }
-
-    fn rule(&self) -> SgdRule {
-        SgdRule {
-            lr: self.lr,
-            mu: self.momentum,
-            wd: self.weight_decay,
         }
     }
 
@@ -496,7 +370,7 @@ impl Optimizer for Sgd {
     }
 
     fn update_from(&mut self, i: usize, p: &mut Param, grad: Grad<'_>, next: Option<&mut Tensor>) {
-        let rule = self.rule();
+        let (lr, mu, wd) = (self.lr, self.momentum, self.weight_decay);
         let v = self.velocity(i, p.value.len());
         for_each(i, p, grad, next, |e0, w, g| {
             let v = if v.is_empty() {
@@ -504,13 +378,20 @@ impl Optimizer for Sgd {
             } else {
                 &mut v[e0..]
             };
-            w.step(g, v, |w, g, v| rule.step(w, g, v));
+            // Weight decay folds into the gradient, momentum is
+            // `v ← μv + g`, and `θ ← θ − lr·v` (`v = g` without momentum),
+            // each rounded as the tensor ops they replace.
+            w.step(g, v, |w, g, v| {
+                let gi = if wd != 0.0 { g + wd * w } else { g };
+                match v {
+                    Some(v) => {
+                        *v = *v * mu + gi;
+                        w + -lr * *v
+                    }
+                    None => w + -lr * gi,
+                }
+            });
         });
-    }
-
-    fn fold(&mut self, i: usize, len: usize) -> Option<(SgdRule, &mut [f32])> {
-        let rule = self.rule();
-        Some((rule, self.velocity(i, len)))
     }
 
     fn learning_rate(&self) -> f32 {
