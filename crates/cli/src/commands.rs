@@ -485,10 +485,11 @@ pub fn train(a: TrainArgs) -> Result<String, String> {
     }
     let _ = writeln!(
         out,
-        "held-out accuracy {:.1}%, wall time {:.2}s across {} worker threads",
+        "held-out accuracy {:.1}%, wall time {:.2}s, {} workers on {} thread(s)",
         evaluate(&mut trained, &test_set, a.batch) * 100.0,
         report.wall_time_s,
-        config.total_workers()
+        config.total_workers(),
+        report.threads
     );
     if let Some(path) = &a.report {
         let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;

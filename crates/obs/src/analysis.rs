@@ -334,8 +334,9 @@ mod tests {
         }
     }
 
-    /// `GradSyncGroup::allreduce` records its rendezvous *inside* the
-    /// backward span. It is communication, once: not also compute.
+    /// A replica records its gradient-sync rendezvous *inside* the
+    /// backward span when the round keeps it on its thread. It is
+    /// communication, once: not also compute.
     #[test]
     fn nested_grad_sync_is_comm_not_compute() {
         use crate::critical_path::analyze_trace;

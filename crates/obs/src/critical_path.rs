@@ -361,7 +361,10 @@ fn cause_of(kind: SpanKind, two_bw: bool) -> Option<BubbleCause> {
 
 /// Partition a stage track into toplevel spans, each pre-sliced into
 /// `(start, end, cause)` pieces: nested spans get their own cause, the
-/// uncovered remainder inherits the toplevel span's cause.
+/// uncovered remainder inherits the toplevel span's cause. A toplevel
+/// `RecvWait` right before a forward or backward of its minibatch, and a
+/// toplevel `SendWait` right after a forward of its minibatch, are pieces
+/// of that op's node, as if nested in it.
 fn build_nodes(stage: usize, track: &TrackEvents) -> Vec<Node> {
     // A sparse optimizer-step cadence (2BW gradient accumulation, GPipe
     // flush) means the per-group grad-sync is a *group barrier*, not a
@@ -409,13 +412,40 @@ fn build_nodes(stage: usize, track: &TrackEvents) -> Vec<Node> {
         if top.end_ns > covered {
             pieces.push((covered, top.end_ns, top_cause));
         }
-        nodes.push(Node {
-            stage,
-            kind: top.kind,
-            start_ns: top.start_ns,
-            end_ns: top.end_ns,
-            pieces,
+        // A worker that shares its thread records a wait for an op's
+        // message just before the op's span, and an injected send delay
+        // just after it, instead of inside: the op's node takes them in,
+        // as it takes in the waits nested inside it.
+        let prev = nodes.last_mut().filter(|prev| {
+            matches!(
+                (prev.kind, top.kind),
+                (SpanKind::RecvWait { mb: a }, SpanKind::Fwd { mb: b } | SpanKind::Bwd { mb: b })
+                | (SpanKind::Fwd { mb: a }, SpanKind::SendWait { mb: b }) if a == b
+            )
         });
+        match prev {
+            Some(prev) => {
+                let cause = match top.kind {
+                    SpanKind::SendWait { .. } => BubbleCause::Backpressure,
+                    _ => top_cause,
+                };
+                if top.start_ns > prev.end_ns {
+                    prev.pieces.push((prev.end_ns, top.start_ns, cause));
+                }
+                prev.pieces.append(&mut pieces);
+                prev.end_ns = prev.end_ns.max(top.end_ns);
+                if !matches!(top.kind, SpanKind::SendWait { .. }) {
+                    prev.kind = top.kind;
+                }
+            }
+            None => nodes.push(Node {
+                stage,
+                kind: top.kind,
+                start_ns: top.start_ns,
+                end_ns: top.end_ns,
+                pieces,
+            }),
+        }
         i = j;
     }
     nodes

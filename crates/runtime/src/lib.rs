@@ -1,8 +1,9 @@
 //! A real, multi-threaded pipeline-parallel training runtime.
 //!
 //! Where `pipedream-sim` *models* PipeDream's execution against a hardware
-//! cost model, this crate *performs* it: pipeline stages run as OS threads
-//! connected by channels, executing the same static 1F1B-RR schedules
+//! cost model, this crate *performs* it: pipeline stages run as stepped
+//! workers on one thread per CPU (at most one per worker), exchanging
+//! messages through per-thread inboxes, executing the same static 1F1B-RR schedules
 //! ([`pipedream_core::schedule::Schedule`]) against real
 //! `pipedream-tensor` models on synthetic datasets. It exists to
 //! demonstrate the paper's §3.3 "effective learning" claims mechanically:
@@ -27,6 +28,7 @@ pub mod baselines;
 pub mod checkpoint;
 pub mod control;
 pub mod data;
+mod executor;
 pub mod fault;
 pub mod message;
 pub mod report;

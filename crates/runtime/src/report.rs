@@ -249,6 +249,9 @@ pub struct TrainReport {
     pub validation: Option<pipedream_obs::TraceValidation>,
     /// Wall-clock duration of the run in seconds.
     pub wall_time_s: f64,
+    /// Threads the run's stage workers were stepped on: one per CPU the
+    /// process may use, at most one per worker (0 for a baseline run).
+    pub threads: usize,
     /// Minibatches completed at the consistent checkpoint this run
     /// drained to, when a [`crate::control::RunControl`] gate cut the run
     /// short of its scheduled length.

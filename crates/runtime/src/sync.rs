@@ -17,27 +17,35 @@
 //! two sets in turn: once round `k + 1` completes, every replica has
 //! finished reading round `k`.
 //!
+//! **Stepped or blocking.** A stage worker takes part through
+//! [`GradSyncGroup::poll_round`], which never blocks: it deposits when the
+//! round is open for the replica, collects once the round is complete,
+//! and otherwise says "not yet" and calls the replica's [`Waker`] when
+//! that changes — the round completes, its last reader lets go of it, or
+//! the group is poisoned. That is how a worker that shares its thread with
+//! others waits without holding the thread. [`GradSyncGroup::round`] and
+//! [`GradSyncGroup::allreduce`] are the same steps with a condition
+//! variable wait between them, for callers that own their thread.
+//!
 //! That deadlock-freedom argument assumes every participant stays alive.
 //! A replica that crashes mid-round would strand its partners inside the
 //! rendezvous forever, so the group is **unstrandable** by construction:
 //!
-//! * [`GradSyncGroup::round`] and [`GradSyncGroup::allreduce`] are
-//!   fallible — they return [`SyncError::PeerLost`] the moment the group
-//!   is poisoned and [`SyncError::Timeout`] when the configured deadline
-//!   expires;
+//! * every way in is fallible — it returns [`SyncError::PeerLost`] the
+//!   moment the group is poisoned and [`SyncError::Timeout`] when the
+//!   configured deadline, counted from when the participant began its
+//!   round, expires;
 //! * a dying participant (typed worker error, fault-injected kill, or
 //!   channel disconnect) calls [`GradSyncGroup::poison`], waking every
-//!   blocked partner immediately;
-//! * a participant that *panics* inside the rendezvous — even between its
-//!   deposit and the wake-up notification — poisons the group from the
-//!   drop glue of an internal in-flight guard, so a partial round is
-//!   always detectable and never waits on a notification that was lost
-//!   with the panicking thread;
+//!   waiting partner immediately;
+//! * a participant that *panics* inside a round step — the last
+//!   depositor's shape check — poisons the group from the drop glue of an
+//!   internal in-flight guard, so a partial round is always detectable and
+//!   never waits on a wake that was lost with the panicking thread;
 //! * the first participant to hit its deadline also poisons the group, so
 //!   one detected stall fails the whole rendezvous fast instead of
 //!   serializing `replicas` individual timeouts.
 
-use pipedream_obs::{Recorder, SpanKind};
 use pipedream_tensor::optim::round_mean;
 use pipedream_tensor::{GradSet, Tensor};
 use std::fmt;
@@ -80,6 +88,9 @@ impl std::error::Error for SyncError {}
 struct State {
     /// This round's deposits, by replica.
     deposits: Vec<Option<Arc<GradSet>>>,
+    /// Replicas whose last step found the round not ready for them: the
+    /// next change of the round wakes them.
+    waiting: Vec<bool>,
     /// Every replica has deposited: the round is out for collection.
     complete: bool,
     /// Replicas that collected this round's deposits.
@@ -89,6 +100,10 @@ struct State {
     poisoned: Option<usize>,
 }
 
+/// How a stepped participant is told that its round may have moved on: a
+/// call from whichever thread moved it.
+pub type Waker = Box<dyn Fn() + Send + Sync>;
+
 /// A reusable all_reduce rendezvous for one replicated stage (or a BSP
 /// data-parallel worker group).
 pub struct GradSyncGroup {
@@ -96,17 +111,16 @@ pub struct GradSyncGroup {
     /// Upper bound on any single blocking wait inside `allreduce`; `None`
     /// blocks until completion or poisoning.
     deadline: Option<Duration>,
-    /// Per-replica trace recorders (empty when tracing is off): the time
-    /// spent inside a rendezvous is recorded as a `GradSync` span on the
-    /// calling replica's track, or `Stalled` when the round fails.
-    recorders: Vec<Recorder>,
+    /// Per-replica wakers of stepped participants (empty when every
+    /// participant blocks in [`GradSyncGroup::round`]).
+    wakers: Vec<Waker>,
     state: Mutex<State>,
     cv: Condvar,
 }
 
-/// Poisons the group if an in-flight `allreduce` unwinds before
-/// completing its round — e.g. a tensor op panicking between the deposit
-/// and the wake-up notification. Disarmed on every orderly exit.
+/// Poisons the group if a round step unwinds — the last depositor's shape
+/// check panicking between the deposit and the wake-up. Disarmed on every
+/// orderly exit.
 struct InFlightGuard<'a> {
     group: &'a GradSyncGroup,
     replica: usize,
@@ -139,9 +153,10 @@ impl GradSyncGroup {
         GradSyncGroup {
             replicas,
             deadline,
-            recorders: Vec::new(),
+            wakers: Vec::new(),
             state: Mutex::new(State {
                 deposits: vec![None; replicas],
+                waiting: vec![false; replicas],
                 complete: false,
                 collected: 0,
                 poisoned: None,
@@ -150,12 +165,12 @@ impl GradSyncGroup {
         }
     }
 
-    /// Attach one trace [`Recorder`] per replica (indexed by replica id).
-    /// With recorders attached, each `allreduce` call records its
-    /// rendezvous time as a span on the caller's track.
-    pub fn with_recorders(mut self, recorders: Vec<Recorder>) -> Self {
-        assert!(recorders.is_empty() || recorders.len() == self.replicas);
-        self.recorders = recorders;
+    /// Attach one [`Waker`] per replica (indexed by replica id), called
+    /// when a round a [`GradSyncGroup::poll_round`] found not ready may
+    /// have become ready for that replica.
+    pub fn with_wakers(mut self, wakers: Vec<Waker>) -> Self {
+        assert!(wakers.is_empty() || wakers.len() == self.replicas);
+        self.wakers = wakers;
         self
     }
 
@@ -182,133 +197,103 @@ impl GradSyncGroup {
     }
 
     /// Mark `replica` as lost, failing the group permanently and waking
-    /// every blocked participant with [`SyncError::PeerLost`]. Idempotent;
+    /// every waiting participant with [`SyncError::PeerLost`]. Idempotent;
     /// the first poisoner wins.
     pub fn poison(&self, replica: usize) {
         let mut st = self.lock();
         if st.poisoned.is_none() {
             st.poisoned = Some(replica);
         }
-        self.cv.notify_all();
+        self.wake(&mut st);
     }
 
-    /// Sleep while `blocked` holds of the state: `Err(PeerLost)` once the
-    /// group is poisoned, `Err(Timeout)` (poisoning the group) once
-    /// `start + deadline` passes.
-    fn wait_while<'a>(
-        &self,
-        mut st: MutexGuard<'a, State>,
-        replica: usize,
-        start: Instant,
-        blocked: impl Fn(&State) -> bool,
-    ) -> Result<MutexGuard<'a, State>, SyncError> {
-        loop {
-            if let Some(p) = st.poisoned {
-                return Err(SyncError::PeerLost { replica: p });
-            }
-            if !blocked(&st) {
-                return Ok(st);
-            }
-            st = match self.deadline {
-                None => self.cv.wait(st).unwrap_or_else(PoisonError::into_inner),
-                Some(limit) => {
-                    let waited = start.elapsed();
-                    if waited >= limit {
-                        // First to give up poisons, so partners fail fast.
-                        st.poisoned = Some(replica);
-                        self.cv.notify_all();
-                        return Err(SyncError::Timeout {
-                            waited_ms: waited.as_millis() as u64,
-                        });
-                    }
-                    self.cv
-                        .wait_timeout(st, limit - waited)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0
+    /// The round moved on: wake every blocked participant, and every
+    /// stepped one whose last step found it not ready.
+    fn wake(&self, st: &mut State) {
+        self.cv.notify_all();
+        for (replica, waiting) in st.waiting.iter_mut().enumerate() {
+            if std::mem::take(waiting) {
+                if let Some(wake) = self.wakers.get(replica) {
+                    wake();
                 }
-            };
+            }
         }
     }
 
-    /// Deposit `set` as `replica`'s part of the current round and collect
-    /// the round: every deposit, in replica order, into `deposits`, for the
-    /// caller to read where they lie. Blocks until every replica of the
-    /// round has deposited, the group's deadline expires, or a peer is lost
-    /// — the latter two fail with a typed [`SyncError`] instead of hanging.
+    /// One step of `replica`'s part in the current round, never blocking:
+    /// deposit `set` (taking it) once the round is open for the replica —
+    /// every replica has collected the round before — then collect the
+    /// round, every deposit in replica order, into `deposits` once every
+    /// replica has deposited. `Ok(true)`: collected. `Ok(false)`: not yet,
+    /// and the replica's [`Waker`] is called when that may have changed;
+    /// step again with what is left of `set`. `started` is when the
+    /// replica began the round: once the group's deadline has passed since
+    /// then, the step fails with [`SyncError::Timeout`] and poisons the
+    /// group. Fails with [`SyncError::PeerLost`] once the group is
+    /// poisoned.
     ///
     /// The caller drops what it collected before it deposits again, and
-    /// uses `set` again only once the round after this one has completed:
-    /// by then every replica has read it. Panics (poisoning the group) if
-    /// the deposits disagree in shape.
-    pub fn round(
+    /// uses a set again only once the round after the one it went into
+    /// has completed: by then every replica has read it. Panics (poisoning
+    /// the group) if the deposits disagree in shape.
+    pub fn poll_round(
         &self,
         replica: usize,
-        set: Arc<GradSet>,
+        set: &mut Option<Arc<GradSet>>,
         deposits: &mut Vec<Arc<GradSet>>,
-    ) -> Result<(), SyncError> {
+        started: Instant,
+    ) -> Result<bool, SyncError> {
         assert!(replica < self.replicas);
-        deposits.clear();
-        if self.replicas == 1 {
-            deposits.push(set);
-            return Ok(());
-        }
-        match self.recorders.get(replica) {
-            None => self.round_inner(replica, set, deposits),
-            Some(rec) => {
-                let span = rec.begin();
-                let result = self.round_inner(replica, set, deposits);
-                rec.end(
-                    span,
-                    if result.is_ok() {
-                        SpanKind::GradSync
-                    } else {
-                        SpanKind::Stalled
-                    },
-                );
-                result
-            }
-        }
-    }
-
-    fn round_inner(
-        &self,
-        replica: usize,
-        set: Arc<GradSet>,
-        deposits: &mut Vec<Arc<GradSet>>,
-    ) -> Result<(), SyncError> {
-        let start = Instant::now();
         let mut guard = InFlightGuard {
             group: self,
             replica,
-            armed: false,
+            armed: true,
         };
-        // Wait for the previous round to be collected before depositing.
-        let mut st = self.wait_while(self.lock(), replica, start, |st| {
-            st.deposits[replica].is_some()
-        })?;
-        st.deposits[replica] = Some(set);
-        // From the deposit until this round is collected, an unwind would
-        // leave a partial round behind: arm the poison guard.
-        guard.armed = true;
-        if st.deposits.iter().all(Option::is_some) {
-            // The last depositor checks the round is one: every replica's
-            // gradients of the same shapes.
-            let first = st.deposits[0].as_ref().expect("all deposited");
-            for d in st.deposits.iter().flatten() {
-                assert!(
-                    d.grads.len() == first.grads.len()
-                        && d.grads
-                            .iter()
-                            .zip(&first.grads)
-                            .all(|(a, b)| a.shape() == b.shape()),
-                    "gradient sync: replicas deposited gradients of different shapes"
-                );
-            }
-            st.complete = true;
-            self.cv.notify_all();
-        } else {
-            st = self.wait_while(st, replica, start, |st| !st.complete)?;
+        let done = self.step(&mut self.lock(), replica, set, deposits, started);
+        guard.armed = false;
+        done
+    }
+
+    fn step(
+        &self,
+        st: &mut State,
+        replica: usize,
+        set: &mut Option<Arc<GradSet>>,
+        deposits: &mut Vec<Arc<GradSet>>,
+        started: Instant,
+    ) -> Result<bool, SyncError> {
+        st.waiting[replica] = false;
+        if let Some(p) = st.poisoned {
+            return Err(SyncError::PeerLost { replica: p });
         }
+        if set.is_some() {
+            if st.deposits[replica].is_some() {
+                // The round before is still being read.
+                return self.not_yet(st, replica, started);
+            }
+            st.deposits[replica] = set.take();
+            if st.deposits.iter().all(Option::is_some) {
+                // The last depositor checks the round is one: every
+                // replica's gradients of the same shapes.
+                let first = st.deposits[0].as_ref().expect("all deposited");
+                for d in st.deposits.iter().flatten() {
+                    assert!(
+                        d.grads.len() == first.grads.len()
+                            && d.grads
+                                .iter()
+                                .zip(&first.grads)
+                                .all(|(a, b)| a.shape() == b.shape()),
+                        "gradient sync: replicas deposited gradients of different shapes"
+                    );
+                }
+                st.complete = true;
+                self.wake(st);
+            }
+        }
+        if !st.complete {
+            return self.not_yet(st, replica, started);
+        }
+        deposits.clear();
         deposits.extend(
             st.deposits
                 .iter()
@@ -320,7 +305,62 @@ impl GradSyncGroup {
             st.collected = 0;
             st.complete = false;
             st.deposits.iter_mut().for_each(|d| *d = None);
-            self.cv.notify_all();
+            self.wake(st);
+        }
+        Ok(true)
+    }
+
+    /// The round is not ready for `replica`: fail it if its deadline has
+    /// passed (first to give up poisons, so partners fail fast), else mark
+    /// it waiting.
+    fn not_yet(&self, st: &mut State, replica: usize, started: Instant) -> Result<bool, SyncError> {
+        if let Some(limit) = self.deadline {
+            let waited = started.elapsed();
+            if waited >= limit {
+                st.poisoned = Some(replica);
+                self.wake(st);
+                return Err(SyncError::Timeout {
+                    waited_ms: waited.as_millis() as u64,
+                });
+            }
+        }
+        st.waiting[replica] = true;
+        Ok(false)
+    }
+
+    /// Deposit `set` as `replica`'s part of the current round and collect
+    /// the round: every deposit, in replica order, into `deposits`, for the
+    /// caller to read where they lie. Blocks until every replica of the
+    /// round has deposited, the group's deadline expires, or a peer is lost
+    /// — the latter two fail with a typed [`SyncError`] instead of hanging.
+    /// [`GradSyncGroup::poll_round`]'s steps, with a wait between them;
+    /// the same rules for `set` hold.
+    pub fn round(
+        &self,
+        replica: usize,
+        set: Arc<GradSet>,
+        deposits: &mut Vec<Arc<GradSet>>,
+    ) -> Result<(), SyncError> {
+        assert!(replica < self.replicas);
+        let started = Instant::now();
+        let mut guard = InFlightGuard {
+            group: self,
+            replica,
+            armed: true,
+        };
+        let mut set = Some(set);
+        let mut st = self.lock();
+        while !self.step(&mut st, replica, &mut set, deposits, started)? {
+            st = match self.deadline {
+                None => self.cv.wait(st).unwrap_or_else(PoisonError::into_inner),
+                Some(limit) => {
+                    let left = limit.saturating_sub(started.elapsed());
+                    self.cv
+                        .wait_timeout(st, left)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
         }
         guard.armed = false;
         Ok(())
@@ -527,35 +567,6 @@ mod tests {
         });
     }
 
-    #[test]
-    fn allreduce_records_gradsync_spans() {
-        let session = pipedream_obs::TraceSession::with_capacity(64);
-        let r0 = session.stage_recorder("s0.r0", 0);
-        let r1 = session.stage_recorder("s0.r1", 0);
-        let g = Arc::new(GradSyncGroup::new(2).with_recorders(vec![r0, r1]));
-        let g2 = Arc::clone(&g);
-        let h = thread::spawn(move || g2.allreduce(1, vec![t(&[3.0])]).unwrap());
-        g.allreduce(0, vec![t(&[1.0])]).unwrap();
-        h.join().unwrap();
-        let snap = session.snapshot();
-        assert_eq!(snap.tracks.len(), 2);
-        for track in &snap.tracks {
-            assert_eq!(track.events.len(), 1, "one sync span on {}", track.name);
-            assert_eq!(track.events[0].kind, SpanKind::GradSync);
-        }
-    }
-
-    #[test]
-    fn failed_allreduce_records_stalled_span() {
-        let session = pipedream_obs::TraceSession::with_capacity(64);
-        let r0 = session.stage_recorder("s0.r0", 0);
-        let g = GradSyncGroup::with_deadline(2, Duration::from_millis(50))
-            .with_recorders(vec![r0, Recorder::disabled()]);
-        assert!(g.allreduce(0, vec![t(&[1.0])]).is_err());
-        let snap = session.snapshot();
-        assert_eq!(snap.tracks[0].events[0].kind, SpanKind::Stalled);
-    }
-
     fn set(v: &[f32], count: u32) -> Arc<GradSet> {
         Arc::new(GradSet {
             grads: vec![t(v)],
@@ -659,6 +670,69 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Two replicas stepped on one thread: a step that finds the round not
+    /// ready says so and wakes the replica once it may be; every step of a
+    /// failed group errs, and poisoning wakes a waiting replica.
+    #[test]
+    fn a_stepped_round_waits_without_blocking_and_wakes_the_waiting() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let woken: Arc<[AtomicUsize; 2]> = Arc::new(Default::default());
+        let wakers = (0..2)
+            .map(|r| {
+                let woken = Arc::clone(&woken);
+                Box::new(move || {
+                    woken[r].fetch_add(1, Ordering::SeqCst);
+                }) as Waker
+            })
+            .collect();
+        let g = GradSyncGroup::new(2).with_wakers(wakers);
+        let now = Instant::now();
+        let woke = |r: usize| woken[r].load(Ordering::SeqCst);
+        let (mut a, mut b) = (Some(set(&[1.0], 1)), Some(set(&[3.0], 1)));
+        let (mut ra, mut rb) = (Vec::new(), Vec::new());
+        // Replica 0 deposits; the round is not complete.
+        assert_eq!(g.poll_round(0, &mut a, &mut ra, now), Ok(false));
+        assert!(a.is_none(), "the round took the deposit");
+        assert_eq!(woke(0), 0);
+        // Replica 1 completes it, which wakes replica 0, and collects.
+        assert_eq!(g.poll_round(1, &mut b, &mut rb, now), Ok(true));
+        assert_eq!((woke(0), woke(1)), (1, 0));
+        // Replica 1's next round is not open until replica 0 has read.
+        let mut b = Some(set(&[5.0], 1));
+        assert_eq!(g.poll_round(1, &mut b, &mut rb, now), Ok(false));
+        assert!(b.is_some(), "a closed round takes no deposit");
+        assert_eq!(g.poll_round(0, &mut None, &mut ra, now), Ok(true));
+        let mut mean = [0.0f32];
+        round_mean(&ra, 0, 0, &mut mean);
+        assert_eq!(mean, [2.0]);
+        assert_eq!(woke(1), 1, "the last reader opens the next round");
+        assert_eq!(g.poll_round(1, &mut b, &mut rb, now), Ok(false));
+        // Replica 0 dies: replica 1, waiting, is woken into the failure.
+        g.poison(0);
+        assert_eq!(woke(1), 2);
+        assert_eq!(
+            g.poll_round(1, &mut None, &mut rb, now),
+            Err(SyncError::PeerLost { replica: 0 })
+        );
+    }
+
+    /// A stepped replica whose deadline has passed since it began its
+    /// round fails with `Timeout` and poisons the group.
+    #[test]
+    fn a_stepped_round_times_out_from_when_it_began() {
+        let g = GradSyncGroup::with_deadline(2, Duration::from_millis(20));
+        let began = Instant::now();
+        let mut round = Vec::new();
+        let mut a = Some(set(&[1.0], 1));
+        assert_eq!(g.poll_round(0, &mut a, &mut round, began), Ok(false));
+        thread::sleep(Duration::from_millis(25));
+        assert!(matches!(
+            g.poll_round(0, &mut a, &mut round, began),
+            Err(SyncError::Timeout { .. })
+        ));
+        assert_eq!(g.poisoned_by(), Some(0));
     }
 
     #[test]

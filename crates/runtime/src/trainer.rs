@@ -1,10 +1,11 @@
 //! The top-level pipeline trainer: split a model into stages, wire up the
-//! workers, run the static schedule, collect metrics, and reassemble the
-//! trained model.
+//! workers, step them through the static schedule on one thread per CPU
+//! (the [`crate::executor`]; at most one thread per worker), collect
+//! metrics, and reassemble the trained model.
 
 use crate::data::TrainData;
+use crate::executor::{Executor, Stepping};
 use crate::fault::{FaultHook, WorkerError};
-use crate::message::Msg;
 use crate::report::{EpochStats, LossRecord, StageObsRecord, TrainReport};
 use crate::sync::GradSyncGroup;
 use crate::worker::StageWorker;
@@ -14,9 +15,7 @@ use pipedream_tensor::data::Dataset;
 use pipedream_tensor::{Adam, Layer, Optimizer, Sequential, Sgd};
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 /// Weight-versioning semantics for pipelined training.
@@ -152,8 +151,8 @@ pub struct TrainOpts {
     /// — every stage checkpoints at the cut and the report's
     /// [`TrainReport::drained_at`] names that checkpoint. The cut reaches
     /// the stages as a marker sent in place of the first activation it
-    /// drops, so workers still block in plain receives. `None` (the
-    /// default) costs one `Option` check per op.
+    /// drops, so a waiting worker learns of it as of any message. `None`
+    /// (the default) costs one `Option` check per op.
     pub control: Option<Arc<crate::control::RunControl>>,
     /// Observability session: when set, every worker records typed spans
     /// (forward/backward/sync/stash/checkpoint/waits) into the session's
@@ -229,10 +228,11 @@ const SYNC_DEADLINE: Duration = Duration::from_secs(30);
 /// Train `model` pipeline-parallel under `config` on `dataset`.
 ///
 /// The model is split at the configuration's stage boundaries; each stage
-/// replica runs on its own OS thread executing its slice of the 1F1B-RR
-/// static schedule. Returns the trained model (reassembled from the
-/// stages — replica 0 where replicated, which gradient sync keeps
-/// identical to its peers) and the training report.
+/// replica is a worker executing its slice of the 1F1B-RR static schedule,
+/// stepped on one of as many threads as the process has CPUs (at most one
+/// per worker; see [`TrainReport::threads`]). Returns the trained model
+/// (reassembled from the stages — replica 0 where replicated, which
+/// gradient sync keeps identical to its peers) and the training report.
 ///
 /// Whole gradient-sync rounds only: when the minibatches to train are not
 /// a multiple of the lcm of the stages' replica counts, the ragged tail is
@@ -276,6 +276,19 @@ pub fn try_train_pipeline(
     dataset: &Dataset,
     opts: &TrainOpts,
     hook: Option<Arc<dyn FaultHook>>,
+) -> Result<(Sequential, TrainReport), TrainError> {
+    train_stepped(model, config, dataset, opts, hook, Stepping::default())
+}
+
+/// [`try_train_pipeline`] with its workers stepped as `stepping` says.
+#[allow(clippy::result_large_err)]
+pub(crate) fn train_stepped(
+    model: Sequential,
+    config: &PipelineConfig,
+    dataset: &Dataset,
+    opts: &TrainOpts,
+    hook: Option<Arc<dyn FaultHook>>,
+    stepping: Stepping,
 ) -> Result<(Sequential, TrainReport), TrainError> {
     config
         .validate(model.len())
@@ -363,127 +376,86 @@ pub fn try_train_pipeline(
         }
     }
 
-    // Channels: one (fwd, grad) receiver pair per worker.
+    // The threads the workers are stepped on, and their inboxes.
     let workers = config.total_workers();
-    let mut fwd_tx: Vec<Sender<Msg>> = Vec::with_capacity(workers);
-    let mut fwd_rx: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(workers);
-    let mut grad_tx: Vec<Sender<Msg>> = Vec::with_capacity(workers);
-    let mut grad_rx: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let (ft, fr) = channel();
-        let (gt, gr) = channel();
-        fwd_tx.push(ft);
-        fwd_rx.push(Some(fr));
-        grad_tx.push(gt);
-        grad_rx.push(Some(gr));
-    }
+    let exec = Executor::new(
+        (0..workers).map(|w| config.stage_of_worker(w).0).collect(),
+        stepping,
+    );
+    let threads = exec.threads();
 
     let assignment = config.worker_assignment();
     let sync_deadline = hook
         .as_ref()
         .and_then(|h| h.sync_deadline())
         .unwrap_or(SYNC_DEADLINE);
-    // One trace recorder per worker (disabled no-ops without a session).
-    // A restarted run re-registers its workers and gets fresh timeline
-    // rows, so a fault + recovery shows as two generations of tracks.
-    let recorders: Vec<pipedream_obs::Recorder> = (0..workers)
-        .map(|w| {
-            let (stage, replica) = config.stage_of_worker(w);
-            opts.obs
-                .as_ref()
-                .map(|s| s.stage_recorder(&format!("stage{stage}.replica{replica}"), stage))
-                .unwrap_or_default()
-        })
-        .collect();
     let sync_groups: Vec<Option<Arc<GradSyncGroup>>> = stages
         .iter()
         .enumerate()
         .map(|(si, s)| {
             (s.replicas > 1).then(|| {
-                let mut group = GradSyncGroup::with_deadline(s.replicas, sync_deadline);
-                if opts.obs.is_some() {
-                    group = group.with_recorders(
-                        assignment[si]
-                            .iter()
-                            .map(|&w| recorders[w].clone())
-                            .collect(),
-                    );
-                }
-                Arc::new(group)
+                let wakers = assignment[si].iter().map(|&w| exec.waker(w)).collect();
+                Arc::new(
+                    GradSyncGroup::with_deadline(s.replicas, sync_deadline).with_wakers(wakers),
+                )
             })
         })
         .collect();
 
-    // The worker threads are scoped to this call, so they borrow the
-    // dataset instead of a copy of it.
-    let outcomes: Vec<_> = thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (stage, replica) = config.stage_of_worker(w);
-            let fwd_out = if stage + 1 < stages.len() {
-                assignment[stage + 1]
-                    .iter()
-                    .map(|&d| fwd_tx[d].clone())
-                    .collect()
+    let mut stage_workers = Vec::with_capacity(workers);
+    for w in 0..workers {
+        let (stage, replica) = config.stage_of_worker(w);
+        let links = |of: usize| assignment[of].iter().map(|&d| exec.link(d)).collect();
+        stage_workers.push(StageWorker {
+            stage,
+            replica,
+            num_stages: stages.len(),
+            // Workers are numbered stage by stage, so a stage's last
+            // replica can have the original instead of one more copy.
+            model: if replica + 1 == stages[stage].replicas {
+                stage_models[stage].take().expect("one last replica")
+            } else {
+                stage_models[stage].as_ref().expect("not yet taken").clone()
+            },
+            ops: std::mem::take(&mut schedule.workers[w].ops),
+            semantics: opts.semantics,
+            schedule_kind: opts.schedule,
+            updates,
+            stage_replicas: stages[stage].replicas,
+            replica_lcm: config.replica_lcm(),
+            total_mbs,
+            optim: opts.optim,
+            fwd_out: if stage + 1 < stages.len() {
+                links(stage + 1)
             } else {
                 Vec::new()
-            };
-            let grad_out = if stage > 0 {
-                assignment[stage - 1]
-                    .iter()
-                    .map(|&d| grad_tx[d].clone())
-                    .collect()
+            },
+            grad_out: if stage > 0 {
+                links(stage - 1)
             } else {
                 Vec::new()
-            };
-            let worker = StageWorker {
-                stage,
-                replica,
-                num_stages: stages.len(),
-                // Workers are numbered stage by stage, so a stage's last
-                // replica can have the original instead of one more copy.
-                model: if replica + 1 == stages[stage].replicas {
-                    stage_models[stage].take().expect("one last replica")
-                } else {
-                    stage_models[stage].as_ref().expect("not yet taken").clone()
-                },
-                ops: std::mem::take(&mut schedule.workers[w].ops),
-                semantics: opts.semantics,
-                schedule_kind: opts.schedule,
-                updates,
-                stage_replicas: stages[stage].replicas,
-                replica_lcm: config.replica_lcm(),
-                total_mbs,
-                optim: opts.optim,
-                fwd_in: if stage == 0 { None } else { fwd_rx[w].take() },
-                grad_in: if stage + 1 == stages.len() {
-                    None
-                } else {
-                    grad_rx[w].take()
-                },
-                fwd_out,
-                grad_out,
-                sync: sync_groups[stage].clone(),
-                data: &data,
-                checkpoint_dir: opts.checkpoint_dir.clone(),
-                checkpoint_every: opts.checkpoint_every,
-                lr_schedule: opts.lr_schedule,
-                recorder: recorders[w].clone(),
-                hook: hook.clone(),
-                control: opts.control.clone(),
-            };
-            handles.push(scope.spawn(move || worker.run()));
-        }
-        // Drop our clones, so a worker's channels disconnect when its peers
-        // are gone. Then only join: each worker reports through its handle,
-        // the time of its failure included.
-        drop(fwd_tx);
-        drop(grad_tx);
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
+            },
+            sync: sync_groups[stage].clone(),
+            data: &data,
+            checkpoint_dir: opts.checkpoint_dir.clone(),
+            checkpoint_every: opts.checkpoint_every,
+            lr_schedule: opts.lr_schedule,
+            // One trace recorder per worker (a disabled no-op without a
+            // session). A restarted run re-registers its workers and gets
+            // fresh timeline rows, so a fault + recovery shows as two
+            // generations of tracks.
+            recorder: opts
+                .obs
+                .as_ref()
+                .map(|s| s.stage_recorder(&format!("stage{stage}.replica{replica}"), stage))
+                .unwrap_or_default(),
+            hook: hook.clone(),
+            control: opts.control.clone(),
+        });
+    }
+    // Each worker reports through the executor when it ends, the time of
+    // its failure included.
+    let outcomes = exec.run(stage_workers);
 
     // Collect every worker's log — a failed worker's too, so the partial
     // report holds all that was computed before the collapse — and
@@ -551,6 +523,7 @@ pub fn try_train_pipeline(
         per_minibatch,
         stage_obs,
         wall_time_s: started.elapsed().as_secs_f64(),
+        threads,
         drained_at,
         ..Default::default()
     };

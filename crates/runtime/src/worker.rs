@@ -1,16 +1,25 @@
-//! A pipeline-stage worker thread.
+//! A pipeline-stage worker, stepped.
 //!
 //! Each worker owns one replica of one stage's layers and executes its
-//! static 1F1B-RR op sequence: receive an activation, run the stage
-//! forward, ship the output downstream; receive a gradient, run the stage
-//! backward with the correct weight version, ship the input gradient
-//! upstream, synchronize gradients across replicas if the stage is
-//! replicated, apply the update. The op *order* comes from
-//! [`pipedream_core::schedule::Schedule`]; the worker blocks on channels
-//! when data has not arrived yet, exactly like PipeDream's runtime blocks
-//! on its work queues (§4). A drain cut travels the same channels: a
-//! worker that skips a forward because of it sends a [`Msg::Cut`] in place
-//! of the activation, so no wait ever needs to look at the gate.
+//! static 1F1B-RR op sequence: take an activation, run the stage forward,
+//! ship the output downstream; take a gradient, run the stage backward
+//! with the correct weight version, ship the input gradient upstream,
+//! synchronize gradients across replicas if the stage is replicated,
+//! apply the update. The op *order* comes from
+//! [`pipedream_core::schedule::Schedule`].
+//!
+//! **Stepped.** A worker never blocks. [`Running::poll`] runs ops until
+//! the next one waits on something not there yet — a message not yet in
+//! its early map, a gradient-sync round not yet open for its deposit or
+//! not yet complete, an injected send delay not yet due — and returns
+//! what it waits on ([`Poll::Wait`]). Messages reach it through
+//! [`Running::deliver`], a peer's end through [`Running::peer_ended`];
+//! a sync round calls its waker. What runs next is the executor's choice
+//! ([`crate::executor`]), like PipeDream's runtime draining its work
+//! queues (§4), so workers that share a thread hand off to each other
+//! without the kernel. A drain cut travels as a message: a worker that
+//! skips a forward because of it sends a [`Msg::Cut`] in place of the
+//! activation, so no wait ever needs to look at the gate.
 //!
 //! **Weights.** The live weights are the model's own `Param::value`s, and
 //! the optimizer steps them in place. Which version a minibatch's passes
@@ -21,7 +30,7 @@
 //! in every pass of the output stage. Weights are never copied: when the
 //! version an update supersedes is still needed, the optimizer writes the
 //! next weights into the buffers of a version that has retired and the
-//! two sets trade places (`StageWorker::apply_update`).
+//! two sets trade places (`StageWorker::step_weights`).
 //!
 //! **Backward.** A backward runs its two halves (§3.3) under the version
 //! its forward pinned: the input half, whose gradient goes upstream at
@@ -32,20 +41,28 @@
 //! the gradients where the weight halves stored them: in the parameters,
 //! or, on a replicated stage, in the round's deposits, averaged as read.
 //!
+//! **Tracing.** An op's span covers what the op did without waiting: a
+//! `RecvWait` span runs from when the worker found its message missing to
+//! when it came back to it, before the op's own span; a send delay's
+//! `SendWait` and a round's `GradSync` that had to wait follow the span
+//! of the op they belong to. So a thread-mate's compute never lands
+//! inside another worker's op span.
+//!
 //! **Reporting.** Losses, forward weight versions and the peak
-//! observations go into the worker's own [`WorkerLog`] and come back with
-//! the result of [`StageWorker::run`], on failure as on success; nothing
-//! is sent to the coordinator per minibatch.
+//! observations go into the worker's own [`WorkerLog`] and come back from
+//! [`Running::finish`], on failure as on success; nothing is sent to the
+//! coordinator per minibatch.
 //!
 //! Failures are *typed*: instead of panicking, a worker that loses a peer
-//! (or is killed by an installed [`FaultHook`]) returns a
-//! [`WorkerError`] through its join handle and, unless silently killed,
-//! stamps the time it failed into its log, which is how the coordinator
-//! dates the failure (§4's failure detection + checkpoint restart).
+//! (or is killed by an installed [`FaultHook`]) ends with a
+//! [`WorkerError`] and, unless silently killed, stamps the time it failed
+//! into its log, which is how the coordinator dates the failure (§4's
+//! failure detection + checkpoint restart).
 
 use crate::checkpoint;
 use crate::control::RunControl;
 use crate::data::TrainData;
+use crate::executor::Link;
 use crate::fault::{FaultAction, FaultHook, SendAction, WorkerError};
 use crate::message::Msg;
 use crate::report::{LossRecord, StageObsRecord, VersionRecord, WorkerLog};
@@ -53,13 +70,12 @@ use crate::sync::{GradSyncGroup, SyncError};
 use crate::trainer::{LrSchedule, OptimKind, Semantics};
 use pipedream_core::schedule::{keeps_activations, Op, UpdateRule};
 use pipedream_core::stash::{ScheduleKind, VersionPolicy, VersionStore};
-use pipedream_obs::{Recorder, SpanKind};
+use pipedream_obs::{Recorder, SpanKind, SpanStart};
 use pipedream_tensor::{
     pool, softmax_cross_entropy, Grad, GradSet, Layer, Optimizer, Sequential, SlotMap, Tensor,
     Update,
 };
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -94,17 +110,10 @@ pub struct StageWorker<'a> {
     pub total_mbs: u64,
     /// Optimizer configuration.
     pub optim: OptimKind,
-    /// Activations and cut markers from upstream (None for the input
-    /// stage).
-    pub fwd_in: Option<Receiver<Msg>>,
-    /// Gradients from downstream (None for the output stage).
-    pub grad_in: Option<Receiver<Msg>>,
-    /// Senders to each replica of the next stage (empty for the output
-    /// stage).
-    pub fwd_out: Vec<Sender<Msg>>,
-    /// Senders to each replica of the previous stage (empty for the input
-    /// stage).
-    pub grad_out: Vec<Sender<Msg>>,
+    /// Each replica of the next stage (empty for the output stage).
+    pub(crate) fwd_out: Vec<Link>,
+    /// Each replica of the previous stage (empty for the input stage).
+    pub(crate) grad_out: Vec<Link>,
     /// Gradient sync group (replicated stages only).
     pub sync: Option<Arc<GradSyncGroup>>,
     /// Dataset view (inputs for stage 0, labels for the last stage).
@@ -132,9 +141,64 @@ pub struct StageWorker<'a> {
     pub control: Option<Arc<RunControl>>,
 }
 
+/// What [`Running::poll`] left the worker doing.
+pub(crate) enum Poll {
+    /// Waiting: for a message, a peer's end or a sync round's wake — or,
+    /// if given, until that instant (a receive or sync deadline, a send
+    /// delay), whichever comes first.
+    Wait(Option<Instant>),
+    /// Every op ran, or the worker failed.
+    Done(Result<(), WorkerError>),
+}
+
+/// How far the current op got.
+enum Phase {
+    /// Neither the drain gate nor the fault hook has seen it.
+    Start,
+    /// It passed both, and waits for its message.
+    Admitted,
+    /// Its forward ran; the activation for replica `dst` leaves when an
+    /// injected delay ends at `due`.
+    Delayed {
+        mb: u64,
+        due: Instant,
+        stall: SpanStart,
+        dst: usize,
+        msg: Msg,
+    },
+    /// The update it closes waits in a gradient-sync round.
+    Syncing(Round),
+}
+
+/// An update in a gradient-sync round.
+struct Round {
+    /// The op the update closes, and the minibatch it is dated by.
+    op: Op,
+    mb: u64,
+    /// The gradients, until the round takes them.
+    set: Option<Arc<GradSet>>,
+    /// When the round began (its deadline counts from here), and its span.
+    since: Instant,
+    span: SpanStart,
+    /// The span of the backward the update closes, while it is open: a
+    /// round that has to wait ends it.
+    bwd: Option<SpanStart>,
+}
+
+/// What one step of [`StageWorker::step`] did.
+enum Step {
+    /// The op is done.
+    Next,
+    /// The op waits ([`Poll::Wait`]).
+    Wait(Option<Instant>),
+}
+
 /// Per-run mutable state.
 struct WorkerState {
     optimizer: Box<dyn pipedream_tensor::Optimizer>,
+    /// The op to run next, and how far it got.
+    next: usize,
+    phase: Phase,
     /// Superseded weight versions in-flight minibatches still need, under
     /// the policy the semantics prescribe; `None` for the semantics that
     /// keep no versions (naive, GPipe).
@@ -154,9 +218,15 @@ struct WorkerState {
     /// their op.
     early_fwd: SlotMap<Msg>,
     early_grad: SlotMap<Msg>,
+    /// Workers of the previous and of the next stage still running: a
+    /// message missing once they are all gone never comes.
+    live_up: usize,
+    live_down: usize,
+    /// The message wait under way: its span's start, and when it stalls.
+    waiting: Option<(SpanStart, Option<Instant>)>,
     /// Updates applied so far (the worker's local version counter).
     updates: u64,
-    /// Receive timeout from the fault hook (None = block forever).
+    /// Receive timeout from the fault hook (None = wait forever).
     recv_timeout: Option<Duration>,
     /// Peak in-flight minibatches holding a stashed weight version.
     stash_depth_max: usize,
@@ -197,21 +267,16 @@ struct WorkerState {
     log: WorkerLog,
 }
 
-impl StageWorker<'_> {
-    /// Run the worker to completion; returns its log and the trained
-    /// stage model, or the typed error it died with. All failures except
-    /// a silent [`WorkerError::Killed`] also stamp
-    /// [`WorkerLog::failed_at`].
-    ///
-    /// A dying worker of a *replicated* stage poisons its gradient-sync
-    /// group first — even on a silent kill, standing in for the broken
-    /// transport a real machine failure produces — so partners blocked in
-    /// `allreduce` wake with [`WorkerError::SyncStalled`] instead of
-    /// waiting for a contribution that will never arrive. A worker whose
-    /// partner poisoned the group first reports the partner's loss as
-    /// [`WorkerError::SyncStalled`] even when a channel disconnect reached
-    /// it before the round did.
-    pub fn run(mut self) -> (WorkerLog, Result<Sequential, WorkerError>) {
+/// A started worker: its configuration and where its run stands.
+pub(crate) struct Running<'a> {
+    w: StageWorker<'a>,
+    st: WorkerState,
+}
+
+impl<'a> StageWorker<'a> {
+    /// Ready the worker to run its ops: its state built, its gradients
+    /// ready to accumulate into.
+    pub(crate) fn start(mut self) -> Running<'a> {
         let policy = match (self.semantics, self.updates) {
             (Semantics::Stashed, UpdateRule::TwoBw { group }) => {
                 Some(VersionPolicy::TwoBw { group })
@@ -235,6 +300,8 @@ impl StageWorker<'_> {
         });
         let mut st = WorkerState {
             optimizer: self.optim.build(),
+            next: 0,
+            phase: Phase::Start,
             store: policy.map(VersionStore::new),
             pending: 0,
             saved_inputs: SlotMap::new(),
@@ -242,6 +309,9 @@ impl StageWorker<'_> {
             pending_loss_grad: SlotMap::new(),
             early_fwd: SlotMap::new(),
             early_grad: SlotMap::new(),
+            live_up: self.grad_out.len(),
+            live_down: self.fwd_out.len(),
+            waiting: None,
             updates: 0,
             recv_timeout: self.hook.as_ref().and_then(|h| h.recv_timeout()),
             stash_depth_max: 0,
@@ -273,17 +343,85 @@ impl StageWorker<'_> {
         } else {
             self.model.zero_grad();
         }
-        let outcome = match self.run_ops(&mut st) {
+        Running { w: self, st }
+    }
+}
+
+impl Running<'_> {
+    /// Run ops until the next one waits on something not there yet, or
+    /// until none is left or the worker failed.
+    pub(crate) fn poll(&mut self) -> Poll {
+        let (w, st) = (&mut self.w, &mut self.st);
+        while st.next < w.ops.len() {
+            match w.step(st) {
+                Ok(Step::Next) => st.next += 1,
+                Ok(Step::Wait(until)) => return Poll::Wait(until),
+                Err(e) => return Poll::Done(Err(e)),
+            }
+        }
+        Poll::Done(w.end_of_ops())
+    }
+
+    /// A message for this worker arrived: it waits in the early map for
+    /// its op.
+    pub(crate) fn deliver(&mut self, msg: Msg) {
+        let early = match msg {
+            Msg::Grad { .. } => &mut self.st.early_grad,
+            Msg::Act { .. } | Msg::Cut { .. } => &mut self.st.early_fwd,
+        };
+        early.insert(msg.mb(), msg);
+    }
+
+    /// A worker of `stage` ended, having sent all it ever will. Whether
+    /// it was a peer of this worker's.
+    pub(crate) fn peer_ended(&mut self, stage: usize) -> bool {
+        if stage + 1 == self.w.stage {
+            self.st.live_up -= 1;
+        } else if stage == self.w.stage + 1 {
+            self.st.live_down -= 1;
+        } else {
+            return false;
+        }
+        true
+    }
+
+    /// The worker cannot go on (its thread is unwinding): fail its sync
+    /// group, so no partner waits for it.
+    pub(crate) fn abandon(&self) {
+        if let Some(group) = &self.w.sync {
+            group.poison(self.w.replica);
+        }
+    }
+
+    /// End the run with `outcome`; returns the worker's log and the
+    /// trained stage model, or the typed error it died with. All failures
+    /// except a silent [`WorkerError::Killed`] also stamp
+    /// [`WorkerLog::failed_at`].
+    ///
+    /// A dying worker of a *replicated* stage poisons its gradient-sync
+    /// group first — even on a silent kill, standing in for the broken
+    /// transport a real machine failure produces — so partners waiting in
+    /// a round wake with [`WorkerError::SyncStalled`] instead of waiting
+    /// for a contribution that will never arrive. A worker whose partner
+    /// poisoned the group first reports the partner's loss as
+    /// [`WorkerError::SyncStalled`] even when a lost peer reached it
+    /// before the round did.
+    pub(crate) fn finish(
+        self,
+        outcome: Result<(), WorkerError>,
+    ) -> (WorkerLog, Result<Sequential, WorkerError>) {
+        let Running { w: mut me, mut st } = self;
+        let outcome = match outcome {
             Ok(()) => {
                 // The stage goes back with zeroed gradients, none left
                 // empty by the last sync round.
-                self.model.zero_grad();
+                me.model.zero_grad();
                 // Peak stash depth / staleness, so the coordinator can
                 // check the §3.3 memory and staleness formulas against a
                 // real run.
                 st.log.obs = Some(StageObsRecord {
-                    stage: self.stage,
-                    replica: self.replica,
+                    stage: me.stage,
+                    replica: me.replica,
                     stash_depth_max: st.stash_depth_max,
                     versions_held_max: st.versions_held_max,
                     staleness_max: st.staleness_max,
@@ -292,34 +430,34 @@ impl StageWorker<'_> {
                     weight_bytes: st.weight_bytes,
                     backwards: st.backwards,
                 });
-                (st.log, Ok(self.model))
+                (st.log, Ok(me.model))
             }
             Err(mut e) => {
                 // The death shows on this worker's own timeline track, so
                 // a fault-injected kill is visible next to the spans
                 // around it.
-                self.recorder.instant(SpanKind::Fault);
-                if let Some(group) = &self.sync {
-                    // A dying replica poisons its group before its channels
-                    // drop, so a disconnect it caused finds the group
-                    // poisoned already: name the lost partner, not the
-                    // cascade that reached this worker first.
+                me.recorder.instant(SpanKind::Fault);
+                if let Some(group) = &me.sync {
+                    // A dying replica poisons its group before its peers
+                    // learn it ended, so a lost peer it caused finds the
+                    // group poisoned already: name the lost partner, not
+                    // the cascade that reached this worker first.
                     let cascade = match e {
                         WorkerError::UpstreamLost { mb, .. }
                         | WorkerError::DownstreamLost { mb, .. }
                         | WorkerError::PeerSendFailed { mb, .. } => Some(mb),
                         _ => None,
                     };
-                    let partner = group.poisoned_by().filter(|&r| r != self.replica);
+                    let partner = group.poisoned_by().filter(|&r| r != me.replica);
                     if let (Some(mb), Some(lost)) = (cascade, partner) {
                         e = WorkerError::SyncStalled {
-                            stage: self.stage,
-                            replica: self.replica,
+                            stage: me.stage,
+                            replica: me.replica,
                             mb,
                             reason: SyncError::PeerLost { replica: lost }.to_string(),
                         };
                     }
-                    group.poison(self.replica);
+                    group.poison(me.replica);
                 }
                 if !e.is_injected() {
                     st.log.failed_at = Some(Instant::now());
@@ -328,81 +466,122 @@ impl StageWorker<'_> {
             }
         };
         // This thread's buffer-pool counts join the process-wide totals
-        // before its result is handed over, not only once its thread
+        // before the result is handed over, not only once its thread
         // locals are torn down.
         pool::publish_thread_stats();
         outcome
     }
+}
 
-    fn run_ops(&mut self, st: &mut WorkerState) -> Result<(), WorkerError> {
-        let ops = std::mem::take(&mut self.ops);
-        for (ops_done, &op) in ops.iter().enumerate() {
-            // Drain gate: the input stage asks to admit each minibatch's
-            // forward (fixing the cut when a drain is pending); everyone
-            // else skips any op whose minibatch fell at or beyond the cut.
-            // A skipped op never runs, so no fault fires on it either; a
-            // skipped forward still sends its cut marker.
-            if let Some(gate) = &self.control {
-                let skip = match op {
-                    Op::Forward { mb } if self.stage == 0 => !gate.admit(mb),
-                    Op::Forward { mb } | Op::Backward { mb } => gate.skipped(mb),
-                    Op::Flush => false,
-                };
-                if skip {
+impl StageWorker<'_> {
+    /// Advance op `st.next` as far as it goes without waiting.
+    fn step(&mut self, st: &mut WorkerState) -> Result<Step, WorkerError> {
+        let op = self.ops[st.next];
+        let phase = match std::mem::replace(&mut st.phase, Phase::Start) {
+            Phase::Start => {
+                if self.gate_skips(op) {
+                    // A skipped op never runs, so no fault fires on it
+                    // either; a skipped forward still sends its cut marker.
                     if let Op::Forward { mb } = op {
                         self.send_cut(mb);
                     }
-                    continue;
+                    return Ok(Step::Next);
                 }
+                self.fault_before(op)?;
+                Phase::Admitted
             }
-            if let Some(hook) = &self.hook {
-                // The hook names minibatches of the logical run.
-                let logical = match op {
-                    Op::Forward { mb } => Op::Forward {
-                        mb: self.data.id(mb),
-                    },
-                    Op::Backward { mb } => Op::Backward {
-                        mb: self.data.id(mb),
-                    },
-                    Op::Flush => Op::Flush,
-                };
-                if hook.before_op(self.stage, self.replica, &logical) == FaultAction::Kill {
-                    // Die like a crashed machine: no failure stamp; the
-                    // peers it leaves behind fail of it and stamp theirs.
-                    return Err(WorkerError::Killed {
-                        stage: self.stage,
-                        replica: self.replica,
-                        mb: logical.minibatch().unwrap_or(u64::MAX),
-                    });
-                }
-            }
-            match op {
+            phase => phase,
+        };
+        match phase {
+            Phase::Start => unreachable!("the op was admitted above"),
+            Phase::Admitted => match op {
                 Op::Forward { mb } => {
-                    let keep = ops
-                        .get(ops_done + 1)
+                    let keep = self
+                        .ops
+                        .get(st.next + 1)
                         .is_some_and(|&next| keeps_activations(op, next));
-                    let span = self.recorder.begin();
-                    let r = self.forward(st, mb, keep);
-                    self.recorder
-                        .end_in_epoch(span, SpanKind::Fwd { mb }, self.trace_epoch(mb));
-                    r?
+                    self.forward(st, mb, keep)
                 }
-                Op::Backward { mb } => {
-                    let span = self.recorder.begin();
-                    let r = self.backward(st, mb);
-                    self.recorder
-                        .end_in_epoch(span, SpanKind::Bwd { mb }, self.trace_epoch(mb));
-                    r?
+                Op::Backward { mb } => self.backward(st, mb),
+                Op::Flush => self.update(st, op, None),
+            },
+            Phase::Delayed {
+                mb,
+                due,
+                stall,
+                dst,
+                msg,
+            } => {
+                if Instant::now() < due {
+                    st.phase = Phase::Delayed {
+                        mb,
+                        due,
+                        stall,
+                        dst,
+                        msg,
+                    };
+                    return Ok(Step::Wait(Some(due)));
                 }
-                Op::Flush => self.update_after(st, Op::Flush)?,
+                // An injected straggler delay stalls this worker's send
+                // path; record it so the analyzer can attribute the
+                // downstream wait to this stage's backpressure.
+                self.recorder
+                    .end_in_epoch(stall, SpanKind::SendWait { mb }, self.trace_epoch(mb));
+                self.send(&self.fwd_out[dst], msg, false)?;
+                Ok(Step::Next)
             }
+            Phase::Syncing(round) => self.sync(st, round),
         }
-        // A drained run ends here with every stage having processed the
-        // exact same minibatch prefix; each stage dumps a checkpoint at the
-        // cut so the caller gets a consistent state to repartition and
-        // resume from — written, like every dump, by the stage's replica 0.
-        // Idempotent with its periodic checkpoint at the same point (atomic
-        // rename of identical content).
+    }
+
+    /// Drain gate: the input stage asks to admit each minibatch's forward
+    /// (fixing the cut when a drain is pending); everyone else skips any
+    /// op whose minibatch fell at or beyond the cut.
+    fn gate_skips(&self, op: Op) -> bool {
+        let Some(gate) = &self.control else {
+            return false;
+        };
+        match op {
+            Op::Forward { mb } if self.stage == 0 => !gate.admit(mb),
+            Op::Forward { mb } | Op::Backward { mb } => gate.skipped(mb),
+            Op::Flush => false,
+        }
+    }
+
+    /// Ask the fault hook about `op` (named by the logical run's
+    /// minibatch): a kill ends the worker here.
+    fn fault_before(&self, op: Op) -> Result<(), WorkerError> {
+        let Some(hook) = &self.hook else {
+            return Ok(());
+        };
+        let logical = match op {
+            Op::Forward { mb } => Op::Forward {
+                mb: self.data.id(mb),
+            },
+            Op::Backward { mb } => Op::Backward {
+                mb: self.data.id(mb),
+            },
+            Op::Flush => Op::Flush,
+        };
+        if hook.before_op(self.stage, self.replica, &logical) == FaultAction::Kill {
+            // Die like a crashed machine: no failure stamp; the peers it
+            // leaves behind fail of it and stamp theirs.
+            return Err(WorkerError::Killed {
+                stage: self.stage,
+                replica: self.replica,
+                mb: logical.minibatch().unwrap_or(u64::MAX),
+            });
+        }
+        Ok(())
+    }
+
+    /// Every op ran. A drained run ends here with every stage having
+    /// processed the exact same minibatch prefix; each stage dumps a
+    /// checkpoint at the cut so the caller gets a consistent state to
+    /// repartition and resume from — written, like every dump, by the
+    /// stage's replica 0. Idempotent with its periodic checkpoint at the
+    /// same point (atomic rename of identical content).
+    fn end_of_ops(&self) -> Result<(), WorkerError> {
         let cut = self.control.as_ref().and_then(|g| g.cut());
         if let Some(last) = cut.filter(|&c| c > 0).map(|c| c - 1) {
             if let Some(dir) = self.dump_dir(last) {
@@ -453,51 +632,68 @@ impl StageWorker<'_> {
         Ok(())
     }
 
-    /// Wait for minibatch `mb`'s message: from upstream for a forward (its
-    /// activation, or a cut marker in its place), from downstream for a
-    /// `backward` (its gradient). Messages for other minibatches that come
-    /// first wait for their own op. A plain blocking receive unless the
-    /// fault hook set a receive timeout; a disconnect means the peer was
-    /// lost, since a peer leaves nothing this worker still waits for
-    /// unsent.
-    fn recv(&self, st: &mut WorkerState, mb: u64, backward: bool) -> Result<Msg, WorkerError> {
-        let (rx, early) = if backward {
-            (&self.grad_in, &mut st.early_grad)
+    /// Take minibatch `mb`'s message, if it is there: from upstream for a
+    /// forward (its activation, or a cut marker in its place), from
+    /// downstream for a `backward` (its gradient). `None` starts a wait,
+    /// or goes on with the one under way. A wait fails once every peer it
+    /// could come from has ended, since a peer leaves nothing unsent that
+    /// this worker still waits for, and — when the fault hook set a
+    /// receive timeout — once the timeout has passed since the wait began.
+    fn take(
+        &self,
+        st: &mut WorkerState,
+        mb: u64,
+        backward: bool,
+    ) -> Result<Option<Msg>, WorkerError> {
+        let (early, live) = if backward {
+            (&mut st.early_grad, st.live_down)
         } else {
-            (&self.fwd_in, &mut st.early_fwd)
+            (&mut st.early_fwd, st.live_up)
         };
-        if let Some(m) = early.remove(mb) {
-            return Ok(m);
-        }
-        let rx = rx
-            .as_ref()
-            .expect("a worker waits only on a neighbour it has");
+        let found = early.remove(mb);
         let stage = self.stage;
-        let lost = || match backward {
-            true => WorkerError::DownstreamLost { stage, mb },
-            false => WorkerError::UpstreamLost { stage, mb },
-        };
-        // The blocking path: record it as a `RecvWait` span (nested inside
-        // the surrounding op's span on this worker's track).
-        let wait = self.recorder.begin();
-        let result = loop {
-            let m = match st.recv_timeout {
-                None => rx.recv().map_err(|_| lost()),
-                Some(t) => rx.recv_timeout(t).map_err(|e| match e {
-                    RecvTimeoutError::Timeout => WorkerError::Stalled { stage, mb },
-                    RecvTimeoutError::Disconnected => lost(),
-                }),
-            };
-            match m {
-                Ok(m) if m.mb() != mb => {
-                    early.insert(m.mb(), m);
-                }
-                m => break m,
+        let failed = if found.is_some() {
+            None
+        } else if live == 0 {
+            Some(match backward {
+                true => WorkerError::DownstreamLost { stage, mb },
+                false => WorkerError::UpstreamLost { stage, mb },
+            })
+        } else {
+            let timeout = st.recv_timeout;
+            let (_, stall) = *st.waiting.get_or_insert_with(|| {
+                (self.recorder.begin(), timeout.map(|t| Instant::now() + t))
+            });
+            match stall {
+                Some(at) if Instant::now() >= at => Some(WorkerError::Stalled { stage, mb }),
+                _ => return Ok(None),
             }
         };
-        self.recorder
-            .end_in_epoch(wait, SpanKind::RecvWait { mb }, self.trace_epoch(mb));
-        result
+        // The wait, if there was one, is over.
+        if let Some((span, _)) = st.waiting.take() {
+            self.recorder
+                .end_in_epoch(span, SpanKind::RecvWait { mb }, self.trace_epoch(mb));
+        }
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(found),
+        }
+    }
+
+    /// The step result of a worker that goes on waiting for a message.
+    fn awaiting(st: &mut WorkerState) -> Step {
+        st.phase = Phase::Admitted;
+        Step::Wait(st.waiting.and_then(|(_, stall)| stall))
+    }
+
+    /// Send `msg` to `to`; a peer that has ended fails the send.
+    fn send(&self, to: &Link, msg: Msg, backward: bool) -> Result<(), WorkerError> {
+        let mb = msg.mb();
+        to.send(msg).map_err(|_| WorkerError::PeerSendFailed {
+            stage: self.stage,
+            mb,
+            backward,
+        })
     }
 
     /// Send a cut marker in place of minibatch `mb`'s activation, to the
@@ -521,25 +717,29 @@ impl StageWorker<'_> {
     }
 
     /// Run minibatch `mb`'s forward pass and ship its output (or, on the
-    /// output stage, compute its loss). `keep`: its backward is this
-    /// worker's next op, so a recomputing stage keeps the activations.
-    fn forward(&mut self, st: &mut WorkerState, mb: u64, keep: bool) -> Result<(), WorkerError> {
+    /// output stage, compute its loss), once its input is there. `keep`:
+    /// its backward is this worker's next op, so a recomputing stage keeps
+    /// the activations.
+    fn forward(&mut self, st: &mut WorkerState, mb: u64, keep: bool) -> Result<Step, WorkerError> {
         let (input, mut version_tag) = if self.stage == 0 {
             (self.data.input(mb), 0)
         } else {
-            match self.recv(st, mb, false)? {
-                Msg::Act {
+            match self.take(st, mb, false)? {
+                None => return Ok(Self::awaiting(st)),
+                Some(Msg::Act {
                     data, version_tag, ..
-                } => (data, version_tag),
+                }) => (data, version_tag),
                 // Upstream skipped the minibatch: a drain cut the run
                 // before it. Skip it here too, and pass the cut on.
-                Msg::Cut { .. } => {
+                Some(Msg::Cut { .. }) => {
                     self.send_cut(mb);
-                    return Ok(());
+                    return Ok(Step::Next);
                 }
-                Msg::Grad { .. } => unreachable!("gradients travel upstream"),
+                Some(Msg::Grad { .. }) => unreachable!("gradients travel upstream"),
             }
         };
+        let epoch = self.trace_epoch(mb);
+        let span = self.recorder.begin();
 
         // Pin the weight version the semantics prescribe for this
         // minibatch; under vertical sync and 2BW it may trail the live one.
@@ -554,12 +754,20 @@ impl StageWorker<'_> {
                         mb,
                         version,
                     }
-                })?;
+                });
+                let pinned = match pinned {
+                    Ok(v) => v,
+                    Err(e) => {
+                        self.recorder
+                            .end_in_epoch(span, SpanKind::Fwd { mb }, epoch);
+                        return Err(e);
+                    }
+                };
                 st.stash_depth_max = st.stash_depth_max.max(store.in_flight());
                 st.versions_held_max = st.versions_held_max.max(store.versions_held());
                 if self.semantics == Semantics::Stashed {
                     self.recorder
-                        .instant_in_epoch(SpanKind::StashPush { mb }, self.trace_epoch(mb));
+                        .instant_in_epoch(SpanKind::StashPush { mb }, epoch);
                 }
                 pinned
             }
@@ -592,37 +800,33 @@ impl StageWorker<'_> {
         }
         st.activation_bytes_max = st.activation_bytes_max.max(self.live_activation_bytes(st));
 
-        if self.stage + 1 < self.num_stages {
+        let sent = if self.stage + 1 < self.num_stages {
+            let dst = (mb % self.fwd_out.len() as u64) as usize;
+            let msg = Msg::Act {
+                mb,
+                version_tag,
+                data: out,
+            };
             match self.hook.as_ref().map_or(SendAction::Deliver, |h| {
                 h.on_forward_send(self.stage, self.data.id(mb))
             }) {
-                SendAction::Deliver => {}
+                SendAction::Deliver => self.send(&self.fwd_out[dst], msg, false),
                 SendAction::Delay(d) => {
-                    // An injected straggler delay stalls this worker's send
-                    // path; record it so the analyzer can attribute the
-                    // downstream wait to this stage's backpressure.
-                    let stall = self.recorder.begin();
-                    std::thread::sleep(d);
-                    self.recorder.end_in_epoch(
-                        stall,
-                        SpanKind::SendWait { mb },
-                        self.trace_epoch(mb),
-                    );
+                    // The activation waits on a timer; the thread does not.
+                    self.recorder
+                        .end_in_epoch(span, SpanKind::Fwd { mb }, epoch);
+                    let due = Instant::now() + d;
+                    st.phase = Phase::Delayed {
+                        mb,
+                        due,
+                        stall: self.recorder.begin(),
+                        dst,
+                        msg,
+                    };
+                    return Ok(Step::Wait(Some(due)));
                 }
-                SendAction::Drop => return Ok(()), // lost on the wire
+                SendAction::Drop => Ok(()), // lost on the wire
             }
-            let dst = (mb % self.fwd_out.len() as u64) as usize;
-            self.fwd_out[dst]
-                .send(Msg::Act {
-                    mb,
-                    version_tag,
-                    data: out,
-                })
-                .map_err(|_| WorkerError::PeerSendFailed {
-                    stage: self.stage,
-                    mb,
-                    backward: false,
-                })?;
         } else {
             // Output stage: compute the loss now; the gradient is consumed
             // by this minibatch's backward op.
@@ -636,25 +840,32 @@ impl StageWorker<'_> {
                 count: labels.len(),
             });
             st.pending_loss_grad.insert(mb, loss.grad);
-        }
-        Ok(())
+            Ok(())
+        };
+        self.recorder
+            .end_in_epoch(span, SpanKind::Fwd { mb }, epoch);
+        sent.map(|()| Step::Next)
     }
 
-    fn backward(&mut self, st: &mut WorkerState, mb: u64) -> Result<(), WorkerError> {
-        // Apply the epoch's learning rate before the update lands.
-        let epoch = self.data.epoch_of(mb);
-        st.optimizer
-            .set_learning_rate(self.lr_schedule.lr_at(self.optim.base_lr(), epoch));
+    /// Run minibatch `mb`'s backward pass once its gradient is there, ship
+    /// the input gradient upstream, and apply the update it closes.
+    fn backward(&mut self, st: &mut WorkerState, mb: u64) -> Result<Step, WorkerError> {
         let grad_out = if self.stage + 1 == self.num_stages {
             st.pending_loss_grad
                 .remove(mb)
                 .expect("loss gradient pending from forward")
         } else {
-            match self.recv(st, mb, true)? {
-                Msg::Grad { data, .. } => data,
-                _ => unreachable!("only gradients travel upstream"),
+            match self.take(st, mb, true)? {
+                None => return Ok(Self::awaiting(st)),
+                Some(Msg::Grad { data, .. }) => data,
+                Some(_) => unreachable!("only gradients travel upstream"),
             }
         };
+        let span = self.recorder.begin();
+        // Apply the epoch's learning rate before the update lands.
+        let epoch = self.data.epoch_of(mb);
+        st.optimizer
+            .set_learning_rate(self.lr_schedule.lr_at(self.optim.base_lr(), epoch));
 
         // Run the backward pass against the weight version the paper's
         // semantics prescribe: with a store, the one the forward pinned.
@@ -688,13 +899,7 @@ impl StageWorker<'_> {
         // round's other replicas reach it.
         let sent = grad_in.map_or(Ok(()), |data| {
             let dst = (mb % self.grad_out.len() as u64) as usize;
-            self.grad_out[dst]
-                .send(Msg::Grad { mb, data })
-                .map_err(|_| WorkerError::PeerSendFailed {
-                    stage: self.stage,
-                    mb,
-                    backward: true,
-                })
+            self.send(&self.grad_out[dst], Msg::Grad { mb, data }, true)
         });
         self.model.backward_weight(mb);
         self.swap_weights(st, version);
@@ -706,28 +911,149 @@ impl StageWorker<'_> {
             }
         }
         st.backwards += 1;
-        sent?;
+        if let Err(e) = sent {
+            self.recorder
+                .end_in_epoch(span, SpanKind::Bwd { mb }, self.trace_epoch(mb));
+            return Err(e);
+        }
 
         // 2BW accumulates a group's gradients and updates once per *full*
         // group; GPipe at the flush; everything else after every backward.
         st.pending += 1;
-        self.update_after(st, Op::Backward { mb })?;
+        self.update(st, Op::Backward { mb }, Some(span))
+    }
 
-        // Per-stage checkpoints (§4), written after gradient sync makes
-        // replicas identical — as of `last`, the close of the round `mb`
-        // belongs to: a dump at every epoch boundary, plus — when
-        // `checkpoint_every = Some(k)` — one every `k` minibatches of an
-        // epoch, so recovery redoes at most `k` minibatches instead of an
-        // epoch; either only where the point admits one (`dump_dir`).
+    /// Apply an update if `op`, just run, closes one by the run's
+    /// [`UpdateRule`] — the rule `Schedule::stuck` refused the run by — on
+    /// the mean of the gradients accumulated since the last update; then
+    /// finish the op. `bwd` is the span of a backward `op`.
+    ///
+    /// On a replicated stage the update reads the gradient-sync round's
+    /// deposits in place, so it enters the round first ([`Self::sync`]).
+    fn update(
+        &mut self,
+        st: &mut WorkerState,
+        op: Op,
+        bwd: Option<SpanStart>,
+    ) -> Result<Step, WorkerError> {
+        if !self
+            .updates
+            .updates_after(op, st.pending, self.stage_replicas, self.total_mbs)
+        {
+            return self.after_op(op, bwd);
+        }
+        let mb = op.minibatch().unwrap_or(u64::MAX);
+        // What the backward passes since the last update stored: each pass
+        // a read and a write of every gradient, except where the first pass
+        // wrote into a buffer `reset_grads` left empty.
+        st.weight_bytes += 8 * st.param_floats * st.pending as u64 - 4 * st.lazy_floats;
+        if self.sync.is_none() {
+            self.step_weights(st, mb, false);
+            return self.after_op(op, bwd);
+        }
+        // The gradient tensors themselves go into the round: nothing is
+        // copied in.
+        let q = st.next_set;
+        let set = Arc::get_mut(&mut st.sets[q])
+            .expect("a set whose tensors the model holds is held by no round");
+        set.count = st.pending;
+        self.model.visit_params_mut(&mut |p| {
+            set.grads
+                .push(std::mem::replace(&mut p.grad, Tensor::zeros(&[0])))
+        });
+        // Deposit/release instants bracket the rendezvous so the trace
+        // can link this replica's contribution to the round completing.
+        self.recorder
+            .instant_in_epoch(SpanKind::SyncDeposit { mb }, self.trace_epoch(mb));
+        let round = Round {
+            op,
+            mb,
+            set: Some(Arc::clone(&st.sets[q])),
+            since: Instant::now(),
+            span: self.recorder.begin(),
+            bwd,
+        };
+        self.sync(st, round)
+    }
+
+    /// Take a step in the gradient-sync round; once the round is collected,
+    /// apply the update from it and finish the op.
+    ///
+    /// A failed round — a partner replica died and poisoned the group, or
+    /// the sync deadline expired — surfaces as
+    /// [`WorkerError::SyncStalled`], cascading teardown exactly like a lost
+    /// peer.
+    fn sync(&mut self, st: &mut WorkerState, mut round: Round) -> Result<Step, WorkerError> {
+        let group = self.sync.as_ref().expect("a round needs a group");
+        let epoch = self.trace_epoch(round.mb);
+        match group.poll_round(self.replica, &mut round.set, &mut st.round, round.since) {
+            Ok(true) => self.recorder.end(round.span, SpanKind::GradSync),
+            Ok(false) => {
+                // The wait is not the backward's: its span ends here.
+                if let Some(bwd) = round.bwd.take() {
+                    self.recorder
+                        .end_in_epoch(bwd, SpanKind::Bwd { mb: round.mb }, epoch);
+                }
+                let deadline = group.deadline().map(|d| round.since + d);
+                st.phase = Phase::Syncing(round);
+                return Ok(Step::Wait(deadline));
+            }
+            Err(e) => {
+                self.recorder.end(round.span, SpanKind::Stalled);
+                if let Some(bwd) = round.bwd {
+                    self.recorder
+                        .end_in_epoch(bwd, SpanKind::Bwd { mb: round.mb }, epoch);
+                }
+                return Err(WorkerError::SyncStalled {
+                    stage: self.stage,
+                    replica: self.replica,
+                    mb: round.mb,
+                    reason: e.to_string(),
+                });
+            }
+        }
+        self.recorder
+            .instant_in_epoch(SpanKind::SyncRelease { mb: round.mb }, epoch);
+        // The round is complete, so every replica has read the one before
+        // it: the set deposited there comes back for the next gradients —
+        // zeroed, or, where the next pass writes them, to the pool. Nothing
+        // is allocated after the first round.
+        let q = st.next_set;
+        let prev = Arc::get_mut(&mut st.sets[q ^ 1])
+            .expect("every replica has read the round before a complete one");
+        st.lazy_floats = self.model.reset_grads(&mut prev.grads.drain(..));
+        st.weight_bytes += 4 * (st.param_floats - st.lazy_floats);
+        st.next_set = q ^ 1;
+        self.step_weights(st, round.mb, true);
+        self.after_op(round.op, round.bwd)
+    }
+
+    /// What follows op `op` once its update, if any, is applied: per-stage
+    /// checkpoints (§4), written after gradient sync makes replicas
+    /// identical — as of `last`, the close of the round a backward's
+    /// minibatch belongs to: a dump at every epoch boundary, plus — when
+    /// `checkpoint_every = Some(k)` — one every `k` minibatches of an
+    /// epoch, so recovery redoes at most `k` minibatches instead of an
+    /// epoch; either only where the point admits one (`dump_dir`). Ends
+    /// the backward's span `bwd`, if it is still open.
+    fn after_op(&self, op: Op, bwd: Option<SpanStart>) -> Result<Step, WorkerError> {
+        let Op::Backward { mb } = op else {
+            return Ok(Step::Next);
+        };
         let last = mb + self.stage_replicas as u64 - 1;
+        let mut written = Ok(());
         if let Some(dir) = self.dump_dir(last) {
             let epoch_end = self.data.is_epoch_end(last);
             let periodic = |k| (self.data.mb_in_epoch(last) + 1).is_multiple_of(k);
             if epoch_end || self.checkpoint_every.is_some_and(periodic) {
-                self.checkpoint(dir, last, epoch_end)?;
+                written = self.checkpoint(dir, last, epoch_end);
             }
         }
-        Ok(())
+        if let Some(span) = bwd {
+            self.recorder
+                .end_in_epoch(span, SpanKind::Bwd { mb }, self.trace_epoch(mb));
+        }
+        written.map(|()| Step::Next)
     }
 
     /// Bytes of live activation state right now: the layers' per-slot
@@ -743,21 +1069,6 @@ impl StageWorker<'_> {
                 .values()
                 .map(|t| t.len() as u64 * 4)
                 .sum::<u64>()
-    }
-
-    /// Apply an update if `op`, just run, closes one by the run's
-    /// [`UpdateRule`] — the rule `Schedule::stuck` refused the run by — on
-    /// the mean of the gradients accumulated since the last update.
-    fn update_after(&mut self, st: &mut WorkerState, op: Op) -> Result<(), WorkerError> {
-        if !self
-            .updates
-            .updates_after(op, st.pending, self.stage_replicas, self.total_mbs)
-        {
-            return Ok(());
-        }
-        self.apply_update(st, op.minibatch().unwrap_or(u64::MAX))?;
-        st.pending = 0;
-        Ok(())
     }
 
     /// Whether this stage drops activations after a forward and recomputes
@@ -808,54 +1119,11 @@ impl StageWorker<'_> {
         }
     }
 
-    /// Apply the update to the live weights — on a replicated stage from
-    /// the gradient-sync round's deposits, read in place — bumping the
-    /// local version counter.
-    ///
-    /// A failed rendezvous — a partner replica died and poisoned the
-    /// group, or the sync deadline expired — surfaces as
-    /// [`WorkerError::SyncStalled`], cascading teardown exactly like a
-    /// channel disconnect.
-    fn apply_update(&mut self, st: &mut WorkerState, mb: u64) -> Result<(), WorkerError> {
-        let epoch = self.trace_epoch(mb);
-        // What the backward passes since the last update stored: each pass
-        // a read and a write of every gradient, except where the first pass
-        // wrote into a buffer `reset_grads` left empty.
-        st.weight_bytes += 8 * st.param_floats * st.pending as u64 - 4 * st.lazy_floats;
-        let grad = if let Some(sync) = &self.sync {
-            // The gradient tensors themselves go into the round: nothing is
-            // copied in.
-            let q = st.next_set;
-            let set = Arc::get_mut(&mut st.sets[q])
-                .expect("a set whose tensors the model holds is held by no round");
-            set.count = st.pending;
-            self.model.visit_params_mut(&mut |p| {
-                set.grads
-                    .push(std::mem::replace(&mut p.grad, Tensor::zeros(&[0])))
-            });
-            // Deposit/release instants bracket the rendezvous so the trace
-            // can link this replica's contribution to the round completing.
-            self.recorder
-                .instant_in_epoch(SpanKind::SyncDeposit { mb }, epoch);
-            let set = Arc::clone(&st.sets[q]);
-            sync.round(self.replica, set, &mut st.round)
-                .map_err(|e| WorkerError::SyncStalled {
-                    stage: self.stage,
-                    replica: self.replica,
-                    mb,
-                    reason: e.to_string(),
-                })?;
-            self.recorder
-                .instant_in_epoch(SpanKind::SyncRelease { mb }, epoch);
-            // The round is complete, so every replica has read the one
-            // before it: the set deposited there comes back for the next
-            // gradients — zeroed, or, where the next pass writes them, to
-            // the pool. Nothing is allocated after the first round.
-            let prev = Arc::get_mut(&mut st.sets[q ^ 1])
-                .expect("every replica has read the round before a complete one");
-            st.lazy_floats = self.model.reset_grads(&mut prev.grads.drain(..));
-            st.weight_bytes += 4 * (st.param_floats - st.lazy_floats);
-            st.next_set = q ^ 1;
+    /// Apply the update to the live weights — from the gradient-sync
+    /// round's deposits, read in place, when `synced`, else from the
+    /// stage's own gradients — bumping the local version counter.
+    fn step_weights(&mut self, st: &mut WorkerState, mb: u64, synced: bool) {
+        let grad = if synced {
             Grad::Round(&st.round)
         } else {
             Grad::Own { count: st.pending }
@@ -889,9 +1157,9 @@ impl StageWorker<'_> {
         st.weight_bytes += bytes;
         st.round.clear();
         st.updates += 1;
+        st.pending = 0;
         self.recorder
-            .end_in_epoch(opt_span, SpanKind::OptStep { mb }, epoch);
-        Ok(())
+            .end_in_epoch(opt_span, SpanKind::OptStep { mb }, self.trace_epoch(mb));
     }
 }
 

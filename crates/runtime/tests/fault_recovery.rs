@@ -9,7 +9,7 @@
 use pipedream_core::schedule::Op;
 use pipedream_core::{PipelineConfig, StagePlan};
 use pipedream_runtime::checkpoint::latest_complete;
-use pipedream_runtime::fault::{FaultAction, FaultHook, WorkerError};
+use pipedream_runtime::fault::{FaultAction, FaultHook, SendAction, WorkerError};
 use pipedream_runtime::trainer::try_train_pipeline;
 use pipedream_runtime::{LrSchedule, OptimKind, Semantics, TrainOpts};
 use pipedream_tensor::data::blobs;
@@ -18,8 +18,8 @@ use pipedream_tensor::layers::{Linear, Relu, Scale, Tanh};
 use pipedream_tensor::Sequential;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Kill one (stage, replica, mb) op, once. `sync_deadline` is tightened so
 /// stranded gradient-sync partners fail fast in tests.
@@ -269,6 +269,99 @@ fn killed_replica_fails_sync_partner_typed_not_hung() {
             "reason names the lost peer: {reason}"
         );
     }
+}
+
+/// A replica whose partner died records the round it cannot finish as a
+/// `Stalled` span on its own track.
+#[test]
+fn a_failed_round_is_a_stalled_span_on_the_survivor_track() {
+    use pipedream_obs::SpanKind;
+    let session = pipedream_obs::TraceSession::new();
+    let snap = with_hard_timeout(Duration::from_secs(30), move || {
+        let dir = tmpdir("stalled-span");
+        let mut o = opts(1, &dir, false);
+        o.checkpoint_dir = None;
+        o.obs = Some(session.clone());
+        // One stage on two replicas: replica 1 dies at its third forward,
+        // so the round of minibatches 4 and 5 never completes.
+        let hook: Arc<dyn FaultHook> = Arc::new(KillAt::replica(0, 1, 5));
+        let config = PipelineConfig::data_parallel(8, 2);
+        let data = blobs(256, 8, 4, 0.6, 7);
+        assert!(try_train_pipeline(mlp(70), &config, &data, &o, Some(hook)).is_err());
+        session.snapshot()
+    });
+    let survivor = snap
+        .tracks
+        .iter()
+        .find(|t| t.name == "stage0.replica0")
+        .expect("the survivor's track");
+    assert!(
+        survivor.events.iter().any(|e| e.kind == SpanKind::Stalled),
+        "{:?}",
+        survivor.events
+    );
+}
+
+/// A receive timeout counts from when the wait for the message began, not
+/// from the last message that came meanwhile. Stage 0 drops the first
+/// activation of a GPipe group, then sends the group's other seven, each
+/// after a delay of 60 % of the timeout: stage 1, waiting for the dropped
+/// one, must report `Stalled` about one timeout after the drop. (Had
+/// every later message restarted the clock, it would take 5.2 timeouts.)
+#[test]
+fn a_receive_timeout_runs_from_when_the_wait_began() {
+    const TIMEOUT: Duration = Duration::from_millis(250);
+    const DROPPED: u64 = 8;
+    struct DropThenTrickle {
+        dropped_at: Mutex<Option<Instant>>,
+    }
+    impl FaultHook for DropThenTrickle {
+        fn on_forward_send(&self, stage: usize, mb: u64) -> SendAction {
+            match (stage, mb) {
+                (0, DROPPED) => {
+                    *self.dropped_at.lock().unwrap() = Some(Instant::now());
+                    SendAction::Drop
+                }
+                (0, mb) if mb > DROPPED && mb < DROPPED + 8 => SendAction::Delay(TIMEOUT * 3 / 5),
+                _ => SendAction::Deliver,
+            }
+        }
+        fn recv_timeout(&self) -> Option<Duration> {
+            Some(TIMEOUT)
+        }
+    }
+    let hook = Arc::new(DropThenTrickle {
+        dropped_at: Mutex::new(None),
+    });
+    let dyn_hook: Arc<dyn FaultHook> = hook.clone();
+    let err = with_hard_timeout(Duration::from_secs(30), move || {
+        let data = blobs(256, 8, 4, 0.6, 7); // 16 minibatches an epoch
+        let opts = TrainOpts {
+            epochs: 1,
+            batch: 16,
+            semantics: Semantics::GPipe { microbatches: 8 },
+            ..TrainOpts::default()
+        };
+        let config = PipelineConfig::straight(8, &[3]);
+        match try_train_pipeline(mlp(70), &config, &data, &opts, Some(dyn_hook)) {
+            Err(e) => e,
+            Ok(_) => panic!("a dropped activation fails the run"),
+        }
+    });
+    assert!(
+        err.errors.contains(&WorkerError::Stalled {
+            stage: 1,
+            mb: DROPPED
+        }),
+        "{:?}",
+        err.errors
+    );
+    let dropped_at = hook.dropped_at.lock().unwrap().expect("the drop fired");
+    let waited = err.detected_at - dropped_at;
+    assert!(
+        waited >= TIMEOUT && waited < TIMEOUT * 3 / 2,
+        "stalled {waited:?} after the drop, timeout {TIMEOUT:?}"
+    );
 }
 
 /// A replica count that does not divide the run's minibatches must not

@@ -662,8 +662,9 @@ fn two_replicated_stages_converge() {
 #[test]
 fn obs_trace_renders_real_pipeline_timeline() {
     // The runtime can draw its own Figure-4: trace real wall-clock op
-    // execution and verify pipelining actually happened (ops on different
-    // workers overlapped in time).
+    // execution and verify pipelining actually happened (ops on workers
+    // of different threads overlapped in time), and that workers sharing
+    // one thread never ran at once.
     use pipedream_sim::{render_timeline, WorkKind};
     let data = easy_data();
     let mut opts = default_opts(2);
@@ -671,7 +672,7 @@ fn obs_trace_renders_real_pipeline_timeline() {
     let session = pipedream_obs::TraceSession::new();
     opts.obs = Some(session.clone());
     let config = PipelineConfig::straight(8, &[1, 3, 5]);
-    train_pipeline(mlp(70, 8, 4), &config, &data, &opts);
+    let (_, report) = train_pipeline(mlp(70, 8, 4), &config, &data, &opts);
     let wall_s = started.elapsed().as_secs_f64();
     let timeline = pipedream_obs::to_timeline(&session.snapshot());
     assert_eq!(timeline.per_worker.len(), 4);
@@ -687,13 +688,59 @@ fn obs_trace_renders_real_pipeline_timeline() {
             assert!(i.start <= i.end && i.end <= wall_s);
         }
     }
-    // Overlap: some op on worker 0 runs concurrently with some op on
-    // worker 3 (true pipelining across threads).
-    let overlaps = ops(0).any(|a| ops(3).any(|b| a.start < b.end && b.start < a.end));
-    assert!(overlaps, "workers never overlapped — not pipelined?");
+    let overlap =
+        |v: usize, w: usize| ops(v).any(|a| ops(w).any(|b| a.start < b.end && b.start < a.end));
+    // Workers sit on the threads in contiguous blocks, stage by stage.
+    let threads = report.threads;
+    assert!((1..=4).contains(&threads), "{threads} threads");
+    let thread_of = |w: usize| ((w + 1) * threads - 1) / 4;
+    for v in 0..4 {
+        for w in v + 1..4 {
+            if thread_of(v) == thread_of(w) {
+                assert!(
+                    !overlap(v, w),
+                    "workers {v} and {w} share a thread but overlapped"
+                );
+            }
+        }
+    }
+    if threads > 1 {
+        // Overlap: some op on one thread runs concurrently with some op on
+        // another (true pipelining across threads).
+        let across =
+            (0..4).any(|v| (v + 1..4).any(|w| thread_of(v) != thread_of(w) && overlap(v, w)));
+        assert!(across, "threads never overlapped — not pipelined?");
+    }
     // The ASCII rendering has one row per worker.
     let render = render_timeline(&timeline, 60);
     assert_eq!(render.lines().count(), 4);
+}
+
+/// A replica records its part in every gradient-sync round on its own
+/// track: one `GradSync` span per update, whichever thread it waited on.
+#[test]
+fn every_sync_round_is_a_span_on_each_replica_track() {
+    use pipedream_obs::SpanKind;
+    let session = pipedream_obs::TraceSession::new();
+    let mut opts = default_opts(1);
+    opts.obs = Some(session.clone());
+    let config = PipelineConfig::from_counts(&[(4, 2), (4, 1)]);
+    train_pipeline(mlp(61, 8, 4), &config, &easy_data(), &opts);
+    let snap = session.snapshot();
+    let replicas: Vec<_> = snap
+        .tracks
+        .iter()
+        .filter(|t| t.name.starts_with("stage0."))
+        .collect();
+    assert_eq!(replicas.len(), 2);
+    for track in replicas {
+        let count =
+            |kind: fn(&SpanKind) -> bool| track.events.iter().filter(|e| kind(&e.kind)).count();
+        let rounds = count(|k| matches!(k, SpanKind::GradSync));
+        let updates = count(|k| matches!(k, SpanKind::OptStep { .. }));
+        assert!(updates > 0);
+        assert_eq!(rounds, updates, "{}", track.name);
+    }
 }
 
 #[test]

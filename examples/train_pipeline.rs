@@ -1,5 +1,6 @@
-//! Train a real model with pipeline parallelism: four stage workers on
-//! four OS threads, 1F1B schedule, weight stashing — and compare the
+//! Train a real model with pipeline parallelism: four stage workers
+//! stepped on one thread per CPU (at most four), 1F1B schedule, weight
+//! stashing — and compare the
 //! learning curve against single-worker SGD and naive (stash-less)
 //! pipelining.
 //!
@@ -78,7 +79,7 @@ fn main() {
         evaluate(&mut nv_model, &test, 16) * 100.0
     );
     println!(
-        "pipeline wall time: {:.2}s across 4 worker threads (sequential: {:.2}s)",
-        pd.wall_time_s, seq.wall_time_s
+        "pipeline wall time: {:.2}s, 4 workers on {} thread(s) (sequential: {:.2}s)",
+        pd.wall_time_s, pd.threads, seq.wall_time_s
     );
 }
